@@ -8,13 +8,33 @@ Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import affinity as affinity_mod
 from . import codec, compiler, faultmgr, footprint, hierarchy, resourcemap
 from .errors import HealthMapError
 from .model import Severity
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Rewrite an existing file all or nothing: write a synced temp file in
+    the same directory, then rename it over `path` in one step."""
+    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                suffix=".tmp")
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        tmp.write_bytes(data)
+        shutil.copymode(path, tmp)
+        with tmp.open("rb") as fh:
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _fallback_sidecar(hm) -> compiler.Sidecar:
@@ -90,7 +110,8 @@ def cmd_dump(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    image = Path(args.shm).read_bytes()
+    path = Path(args.shm)
+    image = path.read_bytes()
     hm = codec.deserialize(image)
     report = faultmgr.DetectionReport(
         detector_id=args.detector,
@@ -101,7 +122,7 @@ def cmd_inject(args) -> int:
     )
     fault, created = faultmgr.report_detection(hm, report)
     updated = codec.append_changes(image, hm)
-    Path(args.shm).write_bytes(updated)
+    _replace_file(path, updated)
     action = "created fault" if created else "updated fault"
     print(f"{action} class={fault.classification} on module "
           f"{fault.owner.id}; image now {len(updated)} bytes")
@@ -129,10 +150,11 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    hm = codec.deserialize(Path(args.shm).read_bytes())
+    path = Path(args.shm)
+    hm = codec.deserialize(path.read_bytes())
     removed = faultmgr.prune(hm)
     image = codec.serialize(hm)
-    Path(args.shm).write_bytes(image)
+    _replace_file(path, image)
     print(f"merged {removed} records; image now {len(image)} bytes")
     return 0
 
@@ -226,10 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HealthMapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (HealthMapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

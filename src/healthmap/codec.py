@@ -15,6 +15,14 @@ appends the dynamic region may interleave fault and detection records;
 readers follow the linked lists and trust the header counts, never section
 contiguity.
 
+No two records overlap: every record the lists reach occupies its own byte
+range. Loading checks this for the dynamic region in linear time. Exact
+reuse (a detection linked from two lists, or a fault and a detection at one
+offset) is caught during the walk by a lookup in the set of claimed
+offsets, so the walk visits each offset at most once. Partial overlap is
+caught after the walk by one sort-and-sweep over the claimed
+(offset, size) pairs.
+
 Record layouts:
 
     Module (25 B):       id u32 | parentOff u32 | firstDiagOff u32 |
@@ -129,6 +137,12 @@ def _next_in(items: list, i: int):
     return items[i + 1] if i + 1 < len(items) else None
 
 
+def _successors(lists: Iterable[list]) -> dict[int, object]:
+    """id(entity) -> the entity after it in its owner's list (None last)."""
+    return {id(item): _next_in(items, i)
+            for items in lists for i, item in enumerate(items)}
+
+
 def _encode_module(m: Module, hm_modules: list[Module], idx: int,
                    off: dict[int, int]) -> bytes:
     return MODULE_REC.pack(
@@ -189,29 +203,20 @@ def serialize(hm: HealthMap) -> bytes:
     modules = list(hm.modules.values())
     for i, mod in enumerate(modules):
         body += _encode_module(mod, modules, i, off)
-    resources = list(hm.diag_resources.values())
-    for res in resources:
-        owner_list = res.owner.diag_resources
-        i = owner_list.index(res)
+    nxt = _successors(mod.diag_resources for mod in modules)
+    for res in hm.diag_resources.values():
         body += DIAG_REC.pack(res.id, off[id(res.owner)],
-                              _link(off, _next_in(owner_list, i)),
-                              res.kind & 0xFF)
+                              _link(off, nxt[id(res)]), res.kind & 0xFF)
+    nxt = _successors(mod.dependencies for mod in modules)
     for dep in hm.dependencies:
-        owner_list = dep.provider.dependencies
-        i = owner_list.index(dep)
-        body += DEP_REC.pack(off[id(dep.dependent)],
-                             _link(off, _next_in(owner_list, i)),
+        body += DEP_REC.pack(off[id(dep.dependent)], _link(off, nxt[id(dep)]),
                              int(dep.severity))
+    nxt = _successors(mod.faults for mod in modules)
     for fault in hm.faults:
-        owner_list = fault.owner.faults
-        i = owner_list.index(fault)
-        body += _encode_fault(fault, _next_in(owner_list, i), off)
-    det_owner = {id(det): fault for fault in hm.faults
-                 for det in fault.detections}
+        body += _encode_fault(fault, nxt[id(fault)], off)
+    nxt = _successors(fault.detections for fault in hm.faults)
     for det in hm.detections:
-        owner_list = det_owner[id(det)].detections
-        i = owner_list.index(det)
-        body += _encode_detection(det, _next_in(owner_list, i), off)
+        body += _encode_detection(det, nxt[id(det)], off)
 
     assert HEADER_SIZE + len(body) == total
     header = _pack_header(total, m, r, d, f, fd, crc32(bytes(body)))
@@ -229,12 +234,6 @@ def _pack_header(total, m, r, d, f, fd, body_crc) -> bytearray:
 # deserialize
 
 
-@dataclass
-class _Raw:
-    offset: int
-    fields: tuple
-
-
 class _Reader:
     """Parses and cross-checks one image; hostile input tolerated."""
 
@@ -250,14 +249,12 @@ class _Reader:
         self.dyn_base = self.dep_base + DEP_SIZE * d
         self.counts = (m, r, d, f, fd)
 
-        mod_offsets = self._walk_modules(m)
-        raw_modules = {o: _Raw(o, MODULE_REC.unpack_from(self.data, o))
-                       for o in mod_offsets}
+        raw_modules = {o: MODULE_REC.unpack_from(self.data, o)
+                       for o in self._walk_modules(m)}
 
         hm = HealthMap()
         by_off: dict[int, Module] = {}
-        for o in mod_offsets:
-            fields = raw_modules[o].fields
+        for o, fields in raw_modules.items():
             mod = Module(id=fields[0], criticality=self._severity(fields[5]),
                          shm_offset=o)
             if mod.id in hm.modules:
@@ -265,10 +262,9 @@ class _Reader:
             hm.modules[mod.id] = mod
             by_off[o] = mod
         # wire parents
-        for o in mod_offsets:
-            parent_off = raw_modules[o].fields[1]
-            if parent_off:
-                by_off[o].parent = by_off[self._require_module(parent_off)]
+        for o, fields in raw_modules.items():
+            if fields[1]:
+                by_off[o].parent = by_off[self._require_module(fields[1])]
 
         self._read_diags(hm, by_off, raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
@@ -356,9 +352,8 @@ class _Reader:
     def _read_diags(self, hm, by_off, raw_modules, r):
         seen: set[int] = set()
         parsed: list[tuple[int, DiagResource]] = []
-        for mod_off, raw in raw_modules.items():
-            head = raw.fields[2]
-            for o in self._walk_list(head, self.diag_base, DIAG_SIZE, r,
+        for mod_off, fields in raw_modules.items():
+            for o in self._walk_list(fields[2], self.diag_base, DIAG_SIZE, r,
                                      seen, "diag resource", 2, DIAG_REC):
                 rid, owner_off, _nxt, kind = DIAG_REC.unpack_from(self.data, o)
                 if owner_off != mod_off:
@@ -379,9 +374,8 @@ class _Reader:
     def _read_deps(self, hm, by_off, raw_modules, d):
         seen: set[int] = set()
         parsed: list[tuple[int, Dependency]] = []
-        for mod_off, raw in raw_modules.items():
-            head = raw.fields[3]
-            for o in self._walk_list(head, self.dep_base, DEP_SIZE, d,
+        for mod_off, fields in raw_modules.items():
+            for o in self._walk_list(fields[3], self.dep_base, DEP_SIZE, d,
                                      seen, "dependency", 1, DEP_REC):
                 dep_off, _nxt, sev = DEP_REC.unpack_from(self.data, o)
                 dependent = by_off[self._require_module(dep_off)]
@@ -398,26 +392,23 @@ class _Reader:
         hm.dependencies = [dep for _o, dep in sorted(parsed,
                                                      key=lambda p: p[0])]
 
-    def _dynamic_record(self, off: int, size: int,
-                        claimed: dict[int, int], what: str) -> None:
+    def _dynamic_record(self, off: int, size: int, claimed: dict,
+                        what: str) -> None:
+        """Bounds-check a dynamic record and reject reuse of its offset."""
         if off < self.dyn_base or off + size > self.total:
             raise OffsetOutOfBoundsError(
                 f"{what} offset {off} outside dynamic region")
-        for other, osize in claimed.items():
-            if off < other + osize and other < off + size:
-                raise BadLinkError(
-                    f"{what} at {off} overlaps record at {other}")
-        claimed[off] = size
+        if off in claimed:
+            raise BadLinkError(f"{what} at {off} reuses a claimed record")
 
     def _read_dynamic(self, hm, by_off, raw_modules, f, fd):
-        claimed: dict[int, int] = {}
+        # offset -> Fault or FaultDetection read there
+        claimed: dict[int, Fault | FaultDetection] = {}
         seen_f: set[int] = set()
-        faults: list[tuple[int, Fault]] = []
-        dets: list[tuple[int, FaultDetection, Fault]] = []
         diag_by_off = {res.shm_offset: res
                        for res in hm.diag_resources.values()}
-        for mod_off, raw in raw_modules.items():
-            cur = raw.fields[4]
+        for mod_off, fields in raw_modules.items():
+            cur = fields[4]
             while cur:
                 if cur in seen_f:
                     raise LinkCycleError(f"fault list revisits offset {cur}")
@@ -435,7 +426,7 @@ class _Reader:
                               persistence=persistence,
                               classification=cls, shm_offset=cur)
                 by_off[mod_off].faults.append(fault)
-                faults.append((cur, fault))
+                claimed[cur] = fault
                 # walk this fault's detections
                 dcur = first_det
                 seen_d: set[int] = set()
@@ -456,22 +447,35 @@ class _Reader:
                                          counter=counter, payload=payload,
                                          flags=flags, shm_offset=dcur)
                     fault.detections.append(det)
-                    dets.append((dcur, det, fault))
+                    claimed[dcur] = det
                     dcur = dnxt
                 cur = nxt
+        # sort-and-sweep: each record must end before the next one starts
+        faults: list[Fault] = []
+        dets: list[FaultDetection] = []
+        end = prev = 0
+        for off in sorted(claimed):
+            if off < end:
+                raise BadLinkError(f"record at {off} overlaps record at {prev}")
+            rec = claimed[off]
+            if isinstance(rec, Fault):
+                faults.append(rec)
+                end = off + FAULT_SIZE
+            else:
+                dets.append(rec)
+                end = off + DET_SIZE
+            prev = off
         if len(faults) != f:
             raise RecordCountError(
                 f"walked {len(faults)} faults, header says {f}")
         if len(dets) != fd:
             raise RecordCountError(
                 f"walked {len(dets)} detections, header says {fd}")
-        hm.faults = [fl for _o, fl in sorted(faults, key=lambda p: p[0])]
-        hm.detections = [d for _o, d, _f in sorted(dets, key=lambda p: p[0])]
-        for i, fl in enumerate(hm.faults):
-            fl.seq = i + 1
-        for i, d in enumerate(hm.detections):
-            d.seq = len(hm.faults) + i + 1
-        hm._seq = len(hm.faults) + len(hm.detections)
+        hm.faults = faults
+        hm.detections = dets
+        for i, rec in enumerate(faults + dets):
+            rec.seq = i + 1
+        hm._seq = len(faults) + len(dets)
 
 
 def deserialize(data: bytes) -> HealthMap:
@@ -551,11 +555,10 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     for i, mod in enumerate(modules):
         buf[mod.shm_offset:mod.shm_offset + MODULE_SIZE] = \
             _encode_module(mod, modules, i, off)
-    for fault in hm.faults:
-        owner_list = fault.owner.faults
-        i = owner_list.index(fault)
-        buf[fault.shm_offset:fault.shm_offset + FAULT_SIZE] = \
-            _encode_fault(fault, _next_in(owner_list, i), off)
+    for mod in modules:
+        for i, fault in enumerate(mod.faults):
+            buf[fault.shm_offset:fault.shm_offset + FAULT_SIZE] = \
+                _encode_fault(fault, _next_in(mod.faults, i), off)
     for fault in hm.faults:
         for i, det in enumerate(fault.detections):
             buf[det.shm_offset:det.shm_offset + DET_SIZE] = \

@@ -93,11 +93,20 @@ class Sidecar:
 
     def __init__(self) -> None:
         self._names: dict[int, str] = {}
+        self._ids: dict[str, int] = {}   # name -> first-inserted module id
         self._core_ids: dict[int, int] = {}
 
     def add(self, module_id: int, name: str,
             core_id: Optional[int] = None) -> None:
+        renamed = self._names.get(module_id, name) != name
         self._names[module_id] = name
+        if renamed:
+            # the old name may now belong to a later id: rebuild the index
+            self._ids = {}
+            for mid, n in self._names.items():
+                self._ids.setdefault(n, mid)
+        else:
+            self._ids.setdefault(name, module_id)
         if core_id is not None:
             self._core_ids[module_id] = core_id
 
@@ -105,10 +114,7 @@ class Sidecar:
         return self._names.get(module_id)
 
     def id_for_name(self, name: str) -> Optional[int]:
-        for mid, n in self._names.items():
-            if n == name:
-                return mid
-        return None
+        return self._ids.get(name)
 
     def core_modules(self) -> dict[int, int]:
         """module id -> OS core id, for modules declared as cores."""

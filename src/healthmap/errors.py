@@ -39,6 +39,10 @@ class SelfDependencyError(HealthMapError):
     pass
 
 
+class ClassificationRangeError(HealthMapError):
+    """A fault classification does not fit the image's one-byte field."""
+
+
 class StructureInvalidError(HealthMapError):
     """Raised when an operation requires a structurally valid map."""
 

@@ -21,6 +21,7 @@ from .model import (
     ModuleStatus,
     Persistence,
     Severity,
+    check_classification,
 )
 
 DEFAULT_MERGE_WINDOW_US = 1_000_000
@@ -41,6 +42,7 @@ class DetectionReport:
         if self.severity == Severity.ZERO:
             raise ZeroSeverityError("detection report severity must be "
                                     "above ZERO")
+        check_classification(self.classification)
 
 
 @dataclass

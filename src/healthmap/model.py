@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
+    ClassificationRangeError,
     DuplicateIdError,
     SelfDependencyError,
     UnknownDetectorError,
@@ -22,6 +23,9 @@ from .errors import (
 )
 
 U32_MAX = 0xFFFFFFFF
+
+# Fault.classification is stored in one byte of the image.
+CLASS_MAX = 0xFF
 
 # FaultDetection.flags bit 0: the detection represents several merged events.
 FLAG_MERGED = 0x01
@@ -54,6 +58,14 @@ class ModuleStatus(IntEnum):
     @property
     def label(self) -> str:
         return self.name.replace("_", " ")
+
+
+def check_classification(classification: int) -> int:
+    """Return `classification` if it fits the image's u8 field, else raise."""
+    if not 0 <= classification <= CLASS_MAX:
+        raise ClassificationRangeError(
+            f"fault classification {classification} outside 0..{CLASS_MAX}")
+    return classification
 
 
 @dataclass(eq=False)
@@ -182,7 +194,8 @@ class HealthMap:
             raise ZeroSeverityError("fault severity must be above ZERO")
         fault = Fault(owner=owner, severity=Severity(severity),
                       persistence=Persistence(persistence),
-                      classification=classification, seq=self.next_seq())
+                      classification=check_classification(classification),
+                      seq=self.next_seq())
         owner.faults.append(fault)
         self.faults.append(fault)
         return fault
@@ -224,26 +237,22 @@ class HealthMap:
 
     # -- queries --------------------------------------------------------
 
-    def children_of(self, module: Module) -> Iterator[Module]:
-        for m in self.modules.values():
-            if m.parent is module:
-                yield m
-
     def subtree_ids(self, module_id: int) -> list[int]:
         """The module and all its descendants, in insertion order."""
         root = self._module(module_id)
+        # deserialized maps keep the serialized order, so a child may come
+        # before its parent: index children first, then walk down once
+        children: dict[int, list[int]] = {}
+        for m in self.modules.values():
+            if m.parent is not None:
+                children.setdefault(m.parent.id, []).append(m.id)
         selected = {root.id}
-        # insertion order guarantees parents precede children for maps built
-        # through add_module; deserialized maps keep the serialized order,
-        # so iterate until no growth to stay correct for any forest.
-        grew = True
-        while grew:
-            grew = False
-            for m in self.modules.values():
-                if m.id not in selected and m.parent is not None \
-                        and m.parent.id in selected:
-                    selected.add(m.id)
-                    grew = True
+        stack = [root.id]
+        while stack:
+            for child in children.get(stack.pop(), ()):
+                if child not in selected:
+                    selected.add(child)
+                    stack.append(child)
         return [mid for mid in self.modules if mid in selected]
 
     # -- validation ------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from healthmap.cli import main
@@ -146,3 +148,35 @@ def test_unknown_maintenance_name_exits_1(compiled, capsys):
     assert main(["rm", str(shm), "--sym", str(sym),
                  "--maintenance", "GPU"]) == 1
     assert "unknown module name" in capsys.readouterr().err
+
+
+def test_inject_class_outside_u8_exits_1_and_keeps_image(compiled, capsys):
+    shm, _sym = compiled
+    before = shm.read_bytes()
+    assert main(["inject", str(shm), "--detector", "12", "--sev", "HIGH",
+                 "--class", "300", "--t", "1000"]) == 1
+    assert "classification 300" in capsys.readouterr().err
+    assert shm.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["inject", "--detector", "12", "--sev", "HIGH", "--class", "1",
+     "--t", "1000"],
+    ["prune"],
+])
+def test_failed_rewrite_leaves_image_intact(compiled, monkeypatch, capsys,
+                                            argv):
+    shm, _sym = compiled
+    before = shm.read_bytes()
+    files_before = sorted(shm.parent.iterdir())
+
+    def torn_write(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    assert main([argv[0], str(shm), *argv[1:]]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert shm.read_bytes() == before
+    assert sorted(shm.parent.iterdir()) == files_before

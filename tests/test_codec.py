@@ -1,6 +1,10 @@
+import functools
 import random
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from healthmap import (
     HealthMap,
@@ -18,6 +22,7 @@ from healthmap import (
 )
 from healthmap.codec import DET_SIZE, FAULT_SIZE, HEADER_SIZE, MODULE_SIZE
 from healthmap.errors import (
+    BadLinkError,
     BadMagicError,
     BodyCrcMismatchError,
     HeaderCrcMismatchError,
@@ -166,6 +171,120 @@ def test_fuzz_deserialize_never_escapes_shm_errors():
             deserialize(data)
         except ShmError:
             pass
+
+
+# -- dynamic-region overlap -------------------------------------------------
+# Each case edits link words of a valid image and re-stamps both CRCs, so the
+# link checks, not the checksums, must reject it.
+
+def restamp(image: bytearray) -> bytes:
+    struct.pack_into("<I", image, 24, crc32(bytes(image[HEADER_SIZE:])))
+    struct.pack_into("<I", image, 28, crc32(bytes(image[:28])))
+    return bytes(image)
+
+
+def put_u32(image: bytearray, offset: int, value: int) -> None:
+    struct.pack_into("<I", image, offset, value)
+
+
+def loaded(hm: HealthMap) -> tuple[bytearray, HealthMap]:
+    """The image of `hm` and its reloaded map, whose records know offsets."""
+    image = serialize(hm)
+    return bytearray(image), deserialize(image)
+
+
+def two_fault_map(detections_per_fault: int = 1) -> HealthMap:
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(10, 1)
+    for classification in (1, 2):
+        fault = hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT,
+                             classification)
+        for t in range(detections_per_fault):
+            hm.add_detection(fault, 10, t)
+    return hm
+
+
+def test_detection_inside_fault_record_is_overlap():
+    image, hm = loaded(two_fault_map(detections_per_fault=2))
+    fault = hm.faults[0].shm_offset
+    first_det = hm.detections[0].shm_offset
+    assert first_det == fault + 2 * FAULT_SIZE
+    # Unlink the second fault and point the first fault's detection list
+    # at fault+8. A detection there reads its next link from the fault's
+    # severity..reserved bytes (zeroed: end of list) and its detector link
+    # from the now unreached second fault's next link.
+    inside = fault + 8
+    put_u32(image, fault, 0)
+    put_u32(image, fault + 4, inside)
+    put_u32(image, fault + 8, 0)
+    put_u32(image, fault + FAULT_SIZE, hm.diag_resources[10].shm_offset)
+    with pytest.raises(BadLinkError, match="overlaps"):
+        deserialize(restamp(image))
+
+
+def test_detection_linked_from_two_faults_is_reuse():
+    image, hm = loaded(two_fault_map())
+    first, second = hm.faults
+    put_u32(image, second.shm_offset + 4, first.detections[0].shm_offset)
+    with pytest.raises(BadLinkError, match="reuses"):
+        deserialize(restamp(image))
+
+
+def test_fault_and_detection_at_same_offset_is_reuse():
+    image, hm = loaded(two_fault_map())
+    first, _second = hm.faults
+    put_u32(image, first.shm_offset, first.detections[0].shm_offset)
+    with pytest.raises(BadLinkError, match="reuses"):
+        deserialize(restamp(image))
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_bases() -> tuple[tuple[bytes, tuple[int, ...]], ...]:
+    """(image, dynamic record offsets) pairs to mutate.
+
+    The first is hostile: a full 65 535-fault header whose faults all link
+    to one three-detection chain; a quadratic overlap check spends seconds
+    on each rewrite of it.
+    """
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(10, 1)
+    for i in range(0xFFFF):
+        fault = hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT, i & 0xFF)
+        if i == 0:
+            for t in range(3):
+                hm.add_detection(fault, 10, t)
+    shared, hm = loaded(hm)
+    head = hm.detections[0].shm_offset
+    for fault in hm.faults[1:]:
+        put_u32(shared, fault.shm_offset + 4, head)
+    bases = [(restamp(shared), hm)]
+    for seed in (2, 4):   # random maps that carry faults
+        image, m = loaded(random_health_map(random.Random(seed)))
+        bases.append((bytes(image), m))
+    return tuple((image, tuple(r.shm_offset for r in m.faults + m.detections))
+                 for image, m in bases)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 2), data=st.data())
+def test_rewritten_dynamic_links_raise_only_shm_errors(base, data):
+    image, records = fuzz_bases()[base]
+    mutated = bytearray(image)
+    # faults and detections both keep their two link words at +0 and +4
+    for _ in range(data.draw(st.integers(1, 6))):
+        record = data.draw(st.sampled_from(records))
+        word = data.draw(st.sampled_from((0, 4)))
+        value = data.draw(st.one_of(
+            st.just(0), st.sampled_from(records),
+            st.integers(0, len(image) + 64), st.integers(0, 0xFFFFFFFF)))
+        put_u32(mutated, record + word, value)
+    try:
+        deserialize(restamp(mutated))
+    except ShmError:
+        pass
 
 
 # -- append-only update -------------------------------------------------------

@@ -176,3 +176,14 @@ def test_sidecar_round_trip(table1_xml):
     again = Sidecar.parse(sidecar.format())
     assert again.names() == sidecar.names()
     assert again.core_modules() == sidecar.core_modules()
+
+
+def test_sidecar_id_for_name_first_inserted_id_wins():
+    sidecar = Sidecar.parse("7 A\n3 B\n5 A\n")
+    assert sidecar.id_for_name("A") == 7
+    assert sidecar.id_for_name("B") == 3
+    assert sidecar.id_for_name("C") is None
+    # a repeated id renames its module: the old name passes to the next id
+    sidecar.add(7, "C")
+    assert sidecar.id_for_name("A") == 5
+    assert sidecar.id_for_name("C") == 7

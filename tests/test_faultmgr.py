@@ -14,7 +14,11 @@ from healthmap import (
     prune,
     report_detection,
 )
-from healthmap.errors import UnknownDetectorError, ZeroSeverityError
+from healthmap.errors import (
+    ClassificationRangeError,
+    UnknownDetectorError,
+    ZeroSeverityError,
+)
 from healthmap.faultmgr import parse_report_line
 from healthmap.model import FLAG_MERGED
 
@@ -88,6 +92,12 @@ def test_unknown_detector_rejected(table1_map):
 def test_zero_severity_report_rejected():
     with pytest.raises(ZeroSeverityError):
         DetectionReport(1, Severity.ZERO, 1, 0)
+
+
+@pytest.mark.parametrize("classification", [-1, 256])
+def test_report_class_outside_u8_rejected(classification):
+    with pytest.raises(ClassificationRangeError):
+        DetectionReport(1, Severity.LOW, classification, 0)
 
 
 def test_severity_aggregates_by_max(table1_map):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from healthmap import HealthMap, Persistence, Severity
+from healthmap import HealthMap, Persistence, Severity, deserialize, serialize
 from healthmap.errors import (
+    ClassificationRangeError,
     DuplicateIdError,
     UnknownDetectorError,
     UnknownParentError,
@@ -59,6 +60,15 @@ def test_add_fault_zero_severity_rejected():
     with pytest.raises(ZeroSeverityError):
         hm.add_fault_with_detection(1, Severity.ZERO,
                                     Persistence.TRANSIENT, 0, 7, 0)
+
+
+@pytest.mark.parametrize("classification", [-1, 256])
+def test_add_fault_rejects_class_outside_u8(classification):
+    hm = HealthMap()
+    hm.add_module(1)
+    with pytest.raises(ClassificationRangeError):
+        hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT, classification)
+    assert hm.faults == []
 
 
 def test_add_fault_unknown_detector():
@@ -151,3 +161,24 @@ def test_severity_order_algebra():
     assert Severity.ZERO < Severity.LOW < Severity.MEDIUM < Severity.HIGH
     assert (Persistence.ZERO < Persistence.TRANSIENT
             < Persistence.INTERMITTENT < Persistence.PERMANENT)
+
+
+def test_subtree_ids_matches_parent_chain_walk_children_first():
+    rng = random.Random(12)
+    for _ in range(50):
+        built = random_health_map(rng, max_modules=20, with_faults=False)
+        # reversed insertion order puts children before their parents;
+        # serialize keeps that order and deserialize restores it
+        built.modules = dict(reversed(built.modules.items()))
+        hm = deserialize(serialize(built))
+        assert list(hm.modules) == list(built.modules)
+
+        def ancestors_or_self(module):
+            while module is not None:
+                yield module.id
+                module = module.parent
+
+        for root in hm.modules:
+            expected = [mid for mid, m in hm.modules.items()
+                        if root in ancestors_or_self(m)]
+            assert hm.subtree_ids(root) == expected
