@@ -473,6 +473,7 @@ class _Reader:
                 f"walked {len(dets)} detections, header says {fd}")
         hm.faults = faults
         hm.detections = dets
+        hm.reindex_faults()
         for i, rec in enumerate(faults + dets):
             rec.seq = i + 1
         hm._seq = len(faults) + len(dets)
@@ -591,13 +592,9 @@ def append_fault_data(image: bytes,
                              payload=nd.payload, counter=nd.counter,
                              flags=nd.flags)
     for (module_id, classification), nd in new_detections:
-        module = hm.modules.get(module_id)
-        if module is None:
+        if module_id not in hm.modules:
             raise UnknownFaultError(f"module {module_id} not found")
-        target = None
-        for fault in module.faults:
-            if fault.classification == classification:
-                target = fault
+        target = hm.find_fault(module_id, classification)
         if target is None:
             raise UnknownFaultError(
                 f"no fault with classification {classification} "

@@ -93,10 +93,7 @@ def report_detection(hm: HealthMap, report: DetectionReport,
             f"diag resource {report.detector_id} not found")
     owner = detector.owner
 
-    fault = None
-    for candidate in owner.faults:
-        if candidate.classification == report.classification:
-            fault = candidate
+    fault = hm.find_fault(owner.id, report.classification)
     created = fault is None
 
     if created:
@@ -172,6 +169,7 @@ def prune(hm: HealthMap, policy: Optional[PrunePolicy] = None) -> int:
         dead = {id(r) for r in removed}
         hm.detections = [d for d in hm.detections if id(d) not in dead]
         hm.faults = [f for f in hm.faults if id(f) not in dead]
+        hm.reindex_faults()
     return len(removed)
 
 

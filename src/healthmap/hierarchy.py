@@ -7,6 +7,13 @@ Message format (little-endian):
     magic "RMS1" | version u16 | nodeId u32 | entryCount u16 |
     entryCount x 7-byte entry | crc32 u32 over all preceding bytes
 
+A parent ingests a summary in one pass: each faulty entry routed to a
+parent module finds its fault through the health map's (module,
+classification) index, and the parent's resource map is updated once per
+parent module touched, with the maxima over that module's faults, rather
+than once per entry. Both give the same map: propagation keeps maxima and
+caps severity only with min, and max_i min(s_i, c) = min(max_i s_i, c).
+
 The simulator is single-threaded discrete-event; the wire format is the
 contract a networked deployment would reuse.
 """
@@ -30,7 +37,13 @@ from .errors import (
 )
 from .faultmgr import DetectionReport, parse_report_line, report_detection
 from .model import HealthMap, ModuleStatus, Persistence, Severity
-from .resourcemap import RM_ENTRY_SIZE, ResourceMap, RmEntry, init_resource_map
+from .resourcemap import (
+    RM_ENTRY_SIZE,
+    ResourceMap,
+    RmEntry,
+    decode_entries,
+    init_resource_map,
+)
 
 RMS_MAGIC = b"RMS1"
 RMS_VERSION = 1
@@ -49,6 +62,8 @@ def encode_summary(node_id: int, rm: ResourceMap) -> bytes:
 
 
 def decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
+    """Check and unpack one summary message; raises MessageError subclasses
+    on a short, over-long, foreign or corrupt message."""
     if len(data) < _RMS_HEAD.size + 4:
         raise MalformedMessageError("message shorter than minimum")
     magic, version, node_id, count = _RMS_HEAD.unpack_from(data, 0)
@@ -63,9 +78,7 @@ def decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
     (stored,) = struct.unpack_from("<I", data, expected - 4)
     if crc32(data[:expected - 4]) != stored:
         raise CrcMismatchError("summary message checksum mismatch")
-    entries = [RmEntry.decode(data, _RMS_HEAD.size + RM_ENTRY_SIZE * i)
-               for i in range(count)]
-    return node_id, entries
+    return node_id, decode_entries(data[_RMS_HEAD.size:expected - 4])
 
 
 @dataclass
@@ -82,13 +95,17 @@ class ChildMapping:
     routes: dict[tuple[int, int], int] = field(default_factory=dict)
     downlinks: dict[int, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # routes are fixed once the mapping is built
+        self._routed_nodes = {nid for nid, _ in self.routes}
+
     def knows_node(self, node_id: int) -> bool:
-        return (node_id in self.downlinks
-                or any(nid == node_id for nid, _ in self.routes))
+        return node_id in self.downlinks or node_id in self._routed_nodes
 
     @classmethod
     def parse(cls, text: str) -> "ChildMapping":
-        mapping = cls()
+        routes: dict[tuple[int, int], int] = {}
+        downlinks: dict[int, int] = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -96,17 +113,17 @@ class ChildMapping:
             parts = line.split()
             if parts[0] == "child" and len(parts) == 5 and parts[3] == "->":
                 key = (int(parts[1]), int(parts[2]))
-                if key in mapping.routes:
+                if key in routes:
                     raise ScenarioError(
                         f"mapping line {lineno}: duplicate route for "
                         f"{key}")
-                mapping.routes[key] = int(parts[4])
+                routes[key] = int(parts[4])
             elif parts[0] == "downlink" and len(parts) == 3:
-                mapping.downlinks[int(parts[1])] = int(parts[2])
+                downlinks[int(parts[1])] = int(parts[2])
             else:
                 raise ScenarioError(
                     f"mapping line {lineno}: bad syntax {line!r}")
-        return mapping
+        return cls(routes, downlinks)
 
 
 def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
@@ -117,48 +134,58 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
     Every faulty entry routed to a parent module P is recorded as a fault
     at P (detected by the child's downlink instrument; the classification
     is the low byte of the child module id) and applied to the parent
-    resource map as an own fault at P's level. Returns the number of
-    faulty entries skipped because they were unmapped.
+    resource map as an own fault at P's level. The resource map is updated
+    once per parent module touched, with the maxima of the severities and
+    persistences of its faults seen in this summary; that equals one update
+    per entry, because propagation keeps maxima and only caps severity
+    with min, and the max of min(s_i, c) is min(max s_i, c). Returns the
+    number of faulty entries skipped because they were unmapped.
     """
     node_id, entries = decode_summary(message)
     if not mapping.knows_node(node_id):
         raise UnknownNodeError(f"summary from unmapped node {node_id}")
     detector_id = mapping.downlinks.get(node_id)
+    has_detector = (detector_id is not None
+                    and detector_id in parent_hm.diag_resources)
+    routes = mapping.routes
+    worst: dict[int, tuple[Severity, Persistence]] = {}
     skipped = 0
-    for entry in entries:
-        if entry.severity == Severity.ZERO:
-            continue
-        parent_module = mapping.routes.get((node_id, entry.module_id))
-        if parent_module is None:
-            skipped += 1
-            continue
-        if detector_id is None or detector_id not in parent_hm.diag_resources:
-            raise UnknownDetectorError(
-                f"no downlink diag resource for node {node_id}")
-        classification = entry.module_id & 0xFF
-        persistence = Persistence(max(entry.persistence,
-                                      Persistence.TRANSIENT))
-        fault = None
-        for candidate in parent_hm.modules[parent_module].faults:
-            if candidate.classification == classification:
-                fault = candidate
-        if fault is None:
-            fault = parent_hm.add_fault(parent_module, entry.severity,
-                                        persistence, classification)
-        else:
-            fault.severity = Severity(max(fault.severity, entry.severity))
-            fault.persistence = Persistence(max(fault.persistence,
-                                                persistence))
-        latest = fault.detections[-1] if fault.detections else None
-        if (latest is not None and latest.detector.id == detector_id
-                and latest.timestamp == timestamp):
-            latest.counter += 1
-        else:
-            parent_hm.add_detection(fault, detector_id, timestamp,
-                                    payload=entry.module_id)
-        parent_rm.update_single_fault(parent_module, fault.severity,
-                                      fault.persistence,
-                                      ModuleStatus.OWN_FAULT)
+    try:
+        for entry in entries:
+            if entry.severity == Severity.ZERO:
+                continue
+            parent_module = routes.get((node_id, entry.module_id))
+            if parent_module is None:
+                skipped += 1
+                continue
+            if not has_detector:
+                raise UnknownDetectorError(
+                    f"no downlink diag resource for node {node_id}")
+            classification = entry.module_id & 0xFF
+            persistence = max(entry.persistence, Persistence.TRANSIENT)
+            fault = parent_hm.find_fault(parent_module, classification)
+            if fault is None:
+                fault = parent_hm.add_fault(parent_module, entry.severity,
+                                            persistence, classification)
+            else:
+                fault.severity = max(fault.severity, entry.severity)
+                fault.persistence = max(fault.persistence, persistence)
+            latest = fault.detections[-1] if fault.detections else None
+            if (latest is not None and latest.detector.id == detector_id
+                    and latest.timestamp == timestamp):
+                latest.counter += 1
+            else:
+                parent_hm.add_detection(fault, detector_id, timestamp,
+                                        payload=entry.module_id)
+            sev, pers = worst.get(parent_module,
+                                  (Severity.ZERO, Persistence.ZERO))
+            worst[parent_module] = (max(sev, fault.severity),
+                                    max(pers, fault.persistence))
+    finally:
+        # also on error, so the map reflects every fault already recorded
+        for module_id, (sev, pers) in worst.items():
+            parent_rm.update_single_fault(module_id, sev, pers,
+                                          ModuleStatus.OWN_FAULT)
     return skipped
 
 
@@ -294,6 +321,8 @@ class SimulationResult:
     rm_log: list[str]
     final_rms: dict[int, ResourceMap]
     nodes: dict[int, "_LiveNode"]
+    # parent node id -> faulty child entries it received without a route
+    skipped: dict[int, int]
 
     def message_text(self) -> str:
         return "\n".join(self.message_log) + "\n"
@@ -332,6 +361,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
 
     message_log: list[str] = []
     rm_log: list[str] = []
+    skipped: dict[int, int] = {}
     for time_us, node_id, kind, _seq, payload in events:
         node = nodes[node_id]
         if kind == 0:
@@ -349,12 +379,13 @@ def simulate(scenario: Scenario) -> SimulationResult:
         if parent.mapping is None:
             raise ScenarioError(
                 f"node {parent_id} receives summaries but has no mapping")
-        ingest_summary(parent.hm, parent.rm, message, parent.mapping,
-                       time_us)
+        skipped[parent_id] = skipped.get(parent_id, 0) + ingest_summary(
+            parent.hm, parent.rm, message, parent.mapping, time_us)
 
     return SimulationResult(
         message_log=message_log,
         rm_log=rm_log,
         final_rms={nid: node.rm for nid, node in nodes.items()},
         nodes=nodes,
+        skipped=skipped,
     )

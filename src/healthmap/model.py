@@ -140,6 +140,9 @@ class HealthMap:
         self.faults: list[Fault] = []
         self.detections: list[FaultDetection] = []
         self._seq = 0
+        # (module id, classification) -> the last such fault in
+        # module.faults order; kept by add_fault and reindex_faults
+        self._fault_index: dict[tuple[int, int], Fault] = {}
 
     # -- construction --------------------------------------------------
 
@@ -198,6 +201,7 @@ class HealthMap:
                       seq=self.next_seq())
         owner.faults.append(fault)
         self.faults.append(fault)
+        self._fault_index[owner.id, fault.classification] = fault
         return fault
 
     def add_detection(self, fault: Fault, detector_id: int, timestamp: int,
@@ -229,6 +233,12 @@ class HealthMap:
         self.add_detection(fault, detector_id, timestamp, payload)
         return fault
 
+    def reindex_faults(self) -> None:
+        """Rebuild the fault index after module.faults lists were filled or
+        edited other than through add_fault."""
+        self._fault_index = {(m.id, f.classification): f
+                             for m in self.modules.values() for f in m.faults}
+
     def _module(self, module_id: int) -> Module:
         module = self.modules.get(module_id)
         if module is None:
@@ -236,6 +246,12 @@ class HealthMap:
         return module
 
     # -- queries --------------------------------------------------------
+
+    def find_fault(self, module_id: int,
+                   classification: int) -> Optional[Fault]:
+        """The fault identified by (module, classification), or None. When a
+        module holds several, the last one in module.faults order wins."""
+        return self._fault_index.get((module_id, classification))
 
     def subtree_ids(self, module_id: int) -> list[int]:
         """The module and all its descendants, in insertion order."""

@@ -13,14 +13,18 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import MissingSymbolError, UnknownModuleError
+from .errors import (
+    MalformedMessageError,
+    MissingSymbolError,
+    UnknownModuleError,
+)
 from .model import HealthMap, ModuleStatus, Persistence, Severity
 
 RM_ENTRY = struct.Struct("<IBBB")
 RM_ENTRY_SIZE = RM_ENTRY.size  # 7
 
 
-@dataclass
+@dataclass(slots=True)
 class RmEntry:
     module_id: int
     severity: Severity = Severity.ZERO
@@ -33,9 +37,35 @@ class RmEntry:
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> "RmEntry":
-        mid, sev, pers, status = RM_ENTRY.unpack_from(data, offset)
-        return cls(mid, Severity(sev), Persistence(pers),
-                   ModuleStatus(status))
+        return decode_entries(data[offset:offset + RM_ENTRY_SIZE])[0]
+
+
+# each enum's values run 0..n-1, so table[byte] is the member for a byte
+_SEVERITIES = tuple(Severity)
+_PERSISTENCES = tuple(Persistence)
+_STATUSES = tuple(ModuleStatus)
+_FIELDS = (("severity", _SEVERITIES), ("persistence", _PERSISTENCES),
+           ("status", _STATUSES))
+
+
+def decode_entries(data: bytes) -> list[RmEntry]:
+    """Unpack consecutive 7-byte entries (len(data) a multiple of 7).
+
+    Raises MalformedMessageError when a severity, persistence or status
+    byte is outside its enum.
+    """
+    try:
+        return [RmEntry(mid, _SEVERITIES[sev], _PERSISTENCES[pers],
+                        _STATUSES[status])
+                for mid, sev, pers, status in RM_ENTRY.iter_unpack(data)]
+    except IndexError:
+        i, name, value = next(
+            (i, name, value)
+            for i, (_mid, *values) in enumerate(RM_ENTRY.iter_unpack(data))
+            for (name, table), value in zip(_FIELDS, values)
+            if value >= len(table))
+        raise MalformedMessageError(
+            f"entry {i}: {name} byte {value} out of range") from None
 
 
 class ResourceMap:
@@ -68,6 +98,15 @@ class ResourceMap:
         never downgraded to PROPAGATED_FAULT and MAINTENANCE is never
         overwritten here.
         """
+        self._fold(module_id, severity, persistence, status)
+        # Forward the *incoming* values, not the stored maxima: the entry's
+        # maxima may include contributions whose dependency hop was already
+        # spent, and forwarding those across a fresh dependency edge would
+        # over-propagate.
+        self.propagate_fault(module_id, severity, persistence, _follow_deps)
+
+    def _fold(self, module_id: int, severity: Severity,
+              persistence: Persistence, status: ModuleStatus) -> None:
         e = self.entry(module_id)
         if severity > e.severity:
             e.severity = Severity(severity)
@@ -79,36 +118,36 @@ class ResourceMap:
             elif (status == ModuleStatus.PROPAGATED_FAULT
                     and e.status != ModuleStatus.OWN_FAULT):
                 e.status = ModuleStatus.PROPAGATED_FAULT
-        # Forward the *incoming* values, not the stored maxima: the entry's
-        # maxima may include contributions whose dependency hop was already
-        # spent, and forwarding those across a fresh dependency edge would
-        # over-propagate.
-        self.propagate_fault(module_id, severity, persistence, _follow_deps)
 
     def propagate_fault(self, module_id: int, severity: Severity,
                         persistence: Persistence,
                         _follow_deps: bool = True) -> None:
-        """Recursive child-to-parent propagation with criticality capping,
-        plus single-hop dependency propagation.
+        """Child-to-parent propagation with criticality capping, plus
+        single-hop dependency propagation.
+
+        One worklist of (module, incoming severity, dependency hop still
+        allowed) replaces recursion, so parent chains of any depth work.
+        Every fold takes maxima, so the visiting order does not matter.
         """
-        if severity == Severity.ZERO:
-            return
-        module = self._hm.modules[module_id]
-        if module.criticality != Severity.ZERO and module.parent is not None:
-            self.update_single_fault(
-                module.parent.id,
-                Severity(min(severity, module.criticality)),
-                persistence,
-                ModuleStatus.PROPAGATED_FAULT,
-                _follow_deps,
-            )
-        if _follow_deps:
-            for dep in module.dependencies:
-                capped = Severity(min(severity, dep.severity))
-                if capped != Severity.ZERO:
-                    self.update_single_fault(
-                        dep.dependent.id, capped, persistence,
-                        ModuleStatus.PROPAGATED_FAULT, _follow_deps=False)
+        work = [(module_id, severity, _follow_deps)]
+        while work:
+            mid, sev, follow_deps = work.pop()
+            if sev == Severity.ZERO:
+                continue
+            module = self._hm.modules[mid]
+            crit = module.criticality
+            if crit != Severity.ZERO and module.parent is not None:
+                capped = min(sev, crit)
+                self._fold(module.parent.id, capped, persistence,
+                           ModuleStatus.PROPAGATED_FAULT)
+                work.append((module.parent.id, capped, follow_deps))
+            if follow_deps:
+                for dep in module.dependencies:
+                    capped = min(sev, dep.severity)
+                    if capped != Severity.ZERO:
+                        self._fold(dep.dependent.id, capped, persistence,
+                                   ModuleStatus.PROPAGATED_FAULT)
+                        work.append((dep.dependent.id, capped, False))
 
     # -- maintenance -------------------------------------------------------
 

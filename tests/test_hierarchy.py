@@ -16,15 +16,19 @@ from healthmap import (
     simulate,
 )
 from healthmap.compiler import build_map, parse_description
+from healthmap.codec import crc32
 from healthmap.errors import (
     CrcMismatchError,
     MalformedMessageError,
     ScenarioError,
     TooManyEntriesError,
+    UnknownDetectorError,
+    UnknownModuleError,
     UnknownNodeError,
 )
 
 from conftest import DATA_DIR, FPU_C0_INSTRUMENT
+from helpers import oracle_resource_map, rm_state
 
 PARENT_XML = """<healthmap version="1">
   <module id="1" name="BOARD" criticality="ZERO">
@@ -91,6 +95,16 @@ def test_summary_malformed_rejected(table1_map):
         decode_summary(b"XXXX" + good[4:])
 
 
+@pytest.mark.parametrize("field_offset", [4, 5, 6],
+                         ids=["severity", "persistence", "status"])
+def test_summary_enum_byte_out_of_range_rejected(table1_map, field_offset):
+    message = bytearray(encode_summary(1, init_resource_map(table1_map)))
+    message[12 + 7 * 2 + field_offset] = 9          # third entry
+    message[-4:] = crc32(bytes(message[:-4])).to_bytes(4, "little")
+    with pytest.raises(MalformedMessageError, match="entry 2"):
+        decode_summary(bytes(message))
+
+
 def test_summary_entry_count_limit():
     class HugeRm:
         def encode(self):
@@ -135,6 +149,33 @@ def test_ingest_unknown_node_rejected(table1_map):
     message = encode_summary(9, init_resource_map(table1_map))
     with pytest.raises(UnknownNodeError):
         ingest_summary(hm, rm, message, mapping, 0)
+
+
+def test_ingest_without_downlink_detector_rejected(table1_map):
+    hm, _sidecar, rm = parent_state()
+    mapping = ChildMapping.parse("child 1 12 -> 2\n")
+    quiet = encode_summary(1, init_resource_map(table1_map))
+    assert ingest_summary(hm, rm, quiet, mapping, 0) == 0
+    with pytest.raises(UnknownDetectorError):
+        ingest_summary(hm, rm, child_summary(table1_map), mapping, 0)
+    assert hm.faults == []
+
+
+def test_ingest_route_to_missing_module_keeps_map_in_step(table1_map):
+    hm, _sidecar, rm = parent_state()
+    # CPU (module 1) comes before CPU.C0 (module 10) in the summary
+    mapping = ChildMapping.parse("downlink 1 5\nchild 1 1 -> 2\n"
+                                 "child 1 10 -> 99\n")
+    with pytest.raises(UnknownModuleError):
+        ingest_summary(hm, rm, child_summary(table1_map), mapping, 0)
+    assert len(hm.faults) == 1
+    assert rm_state(rm) == oracle_resource_map(hm)
+
+
+def test_mapping_built_directly_knows_its_nodes():
+    mapping = ChildMapping(routes={(3, 12): 2}, downlinks={4: 5})
+    assert mapping.knows_node(3) and mapping.knows_node(4)
+    assert not mapping.knows_node(12)
 
 
 def test_repeated_ingest_merges_into_counter(table1_map):
@@ -192,6 +233,18 @@ def test_simulate_quiet_scenario_stays_available(tmp_path, table1_xml):
     for rm in result.final_rms.values():
         assert all(e.severity == Severity.ZERO for e in rm.entries.values())
     # child emits at 5000 and 10000, parent at 10000
+    assert len(result.message_log) == 2
+    assert len(result.rm_log) == 3
+    assert result.skipped == {0: 0}
+
+
+def test_simulate_counts_unmapped_faulty_entries(tmp_path, table1_xml):
+    scenario = write_scenario(
+        tmp_path, table1_xml,
+        ["at 1000 node 1 detect 12 sev=HIGH class=1"])
+    result = simulate(scenario)
+    # both summaries carry CPU and CPU.C0 faulty (propagated) with no route
+    assert result.skipped == {0: 4}
     assert len(result.message_log) == 2
     assert len(result.rm_log) == 3
 

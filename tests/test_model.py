@@ -1,8 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from healthmap import HealthMap, Persistence, Severity, deserialize, serialize
+from healthmap import (
+    ChildMapping,
+    DetectionReport,
+    HealthMap,
+    ModuleStatus,
+    Persistence,
+    Severity,
+    deserialize,
+    encode_summary,
+    ingest_summary,
+    init_resource_map,
+    prune,
+    report_detection,
+    serialize,
+)
+from healthmap.resourcemap import RmEntry
 from healthmap.errors import (
     ClassificationRangeError,
     DuplicateIdError,
@@ -11,7 +28,7 @@ from healthmap.errors import (
     ZeroSeverityError,
 )
 
-from helpers import random_health_map
+from helpers import oracle_resource_map, random_health_map, rm_state
 
 
 def test_add_module_into_empty_map():
@@ -182,3 +199,94 @@ def test_subtree_ids_matches_parent_chain_walk_children_first():
             expected = [mid for mid, m in hm.modules.items()
                         if root in ancestors_or_self(m)]
             assert hm.subtree_ids(root) == expected
+
+
+# -- (module, classification) fault index ------------------------------------
+
+INDEX_MODULES = (1, 2, 3, 4)
+INDEX_CLASSES = range(4)
+INDEX_DETECTORS = (10, 11, 12, 13)
+# child node 7; child modules 1 and 257 share class 1 on parent module 2,
+# child module 9 is unmapped
+INDEX_MAPPING = ChildMapping.parse(
+    "downlink 7 13\nchild 7 1 -> 2\nchild 7 257 -> 2\n"
+    "child 7 2 -> 2\nchild 7 3 -> 4\nchild 7 258 -> 3\n")
+CHILD_MODULES = (1, 2, 3, 9, 257, 258)
+
+
+def index_map():
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2, 1, Severity.LOW)
+    hm.add_module(3, 1, Severity.HIGH)
+    hm.add_module(4, 3, Severity.MEDIUM)
+    hm.add_dependency(2, 4, Severity.MEDIUM)
+    for rid, owner in zip(INDEX_DETECTORS, (2, 3, 4, 1)):
+        hm.add_diag_resource(rid, owner)
+    return hm
+
+
+class _Summary:
+    def __init__(self, entries):
+        self.entries = entries
+
+    def encode(self):
+        return b"".join(RmEntry(*e).encode() for e in self.entries)
+
+
+severities = st.sampled_from(list(Severity)[1:])
+persistences = st.sampled_from(list(Persistence)[1:])
+index_steps = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(INDEX_MODULES),
+              st.sampled_from(INDEX_CLASSES), severities, persistences),
+    st.tuples(st.just("report"), st.sampled_from(INDEX_DETECTORS),
+              st.sampled_from(INDEX_CLASSES), severities, st.integers(0, 3)),
+    st.tuples(st.just("ingest"),
+              st.lists(st.tuples(st.sampled_from(CHILD_MODULES),
+                                 st.sampled_from(list(Severity)),
+                                 st.sampled_from(list(Persistence)),
+                                 st.sampled_from(list(ModuleStatus))),
+                       max_size=8),
+              st.integers(0, 3)),
+    # a copy of an existing fault, which prune then merges away
+    st.tuples(st.just("dup"), st.integers(0, 99)),
+    st.tuples(st.just("reload")),
+    st.tuples(st.just("prune")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(index_steps, max_size=25))
+def test_fault_index_matches_last_match_scan(steps):
+    hm = index_map()
+    rm = init_resource_map(hm)
+    for step in steps:
+        kind = step[0]
+        if kind == "add":
+            _, mid, cls, sev, pers = step
+            hm.add_fault(mid, sev, pers, cls)
+            rm.update_single_fault(mid, sev, pers, ModuleStatus.OWN_FAULT)
+        elif kind == "dup" and hm.faults:
+            f = hm.faults[step[1] % len(hm.faults)]
+            hm.add_fault(f.owner.id, f.severity, f.persistence,
+                         f.classification)
+        elif kind == "report":
+            _, det, cls, sev, t = step
+            report_detection(hm, DetectionReport(det, sev, cls, t), rm=rm)
+        elif kind == "ingest":
+            _, entries, t = step
+            message = encode_summary(7, _Summary(entries))
+            ingest_summary(hm, rm, message, INDEX_MAPPING, t)
+        elif kind == "reload":
+            hm = deserialize(serialize(hm))
+            rm = init_resource_map(hm)
+        elif kind == "prune":
+            prune(hm)
+        for mid in INDEX_MODULES:
+            for cls in INDEX_CLASSES:
+                scan = None
+                for fault in hm.modules[mid].faults:
+                    if fault.classification == cls:
+                        scan = fault
+                assert hm.find_fault(mid, cls) is scan
+        assert rm_state(rm) == oracle_resource_map(hm)

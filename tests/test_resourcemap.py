@@ -249,3 +249,28 @@ def test_propagation_cap_property():
             capped = Severity(min(rm.entry(module.id).severity,
                                   module.criticality))
             assert capped <= module.criticality
+
+
+def deep_chain(depth):
+    """Modules 1..depth, each the parent of the next; module 2 has ZERO
+    criticality (so the root sees nothing) and the leaf's parent feeds a
+    dependency into the middle of the chain."""
+    hm = HealthMap()
+    for mid in range(1, depth + 1):
+        crit = Severity.ZERO if mid == 2 else Severity(3 - mid % 2)
+        hm.add_module(mid, mid - 1 if mid > 1 else None, crit)
+    hm.add_dependency(depth - 1, depth // 2, Severity.HIGH)
+    hm.add_diag_resource(1, depth)
+    return hm
+
+
+def test_deep_chain_propagates_without_recursion_limit():
+    depth = 10_000
+    hm = deep_chain(depth)
+    rm = init_resource_map(hm)
+    report_detection(hm, DetectionReport(1, Severity.HIGH, 0, 0), rm=rm)
+    expected = oracle_resource_map(hm)
+    assert rm_state(rm) == expected
+    assert rm_state(init_resource_map(hm)) == expected
+    assert expected[3][0] == Severity.MEDIUM
+    assert expected[1][0] == Severity.ZERO
