@@ -37,6 +37,14 @@ def _replace_file(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _hex(text: str) -> int:
+    try:
+        return int(text, 16) if text else 0
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a hex number") from None
+
+
 def _fallback_sidecar(hm) -> compiler.Sidecar:
     sidecar = compiler.Sidecar()
     for mid in hm.modules:
@@ -53,7 +61,7 @@ def _load_sidecar(path, hm) -> compiler.Sidecar:
 def _maintenance_ids(values, sidecar) -> list[int]:
     ids = []
     for value in values or ():
-        if value.isdigit():
+        if value.isdecimal():   # int() accepts these; isdigit() is wider
             ids.append(int(value))
             continue
         mid = sidecar.id_for_name(value)
@@ -118,7 +126,7 @@ def cmd_inject(args) -> int:
         severity=Severity[args.sev],
         classification=args.clazz,
         timestamp=args.t,
-        payload=int(args.payload, 16) if args.payload else 0,
+        payload=args.payload,
     )
     fault, created = faultmgr.report_detection(hm, report)
     updated = codec.append_changes(image, hm)
@@ -209,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="clazz", type=int, required=True)
     p.add_argument("--t", type=int, required=True,
                    help="timestamp in microseconds")
-    p.add_argument("--payload", help="raw sensor word, hex")
+    p.add_argument("--payload", type=_hex, default=0,
+                   help="raw sensor word, hex")
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("rm", help="print the resource map table")

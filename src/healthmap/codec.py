@@ -15,6 +15,16 @@ appends the dynamic region may interleave fault and detection records;
 readers follow the linked lists and trust the header counts, never section
 contiguity.
 
+The append path (`append_changes`) copies the old image into one buffer
+with a zeroed tail for the new records and repacks every module, fault and
+detection record in place at its own offset, with links taken from the
+records' offsets. Repacking an unchanged record writes the bytes it already
+holds, so old bytes change only in the patchable words: a module's
+first-fault link, a fault's links, severity and persistence, and a
+detection's next link, counter and flags. Repacking everything, rather than
+tracking dirty records, keeps a field edited directly on a loaded record
+from being dropped silently.
+
 No two records overlap: every record the lists reach occupies its own byte
 range. Loading checks this for the dynamic region in linear time. Exact
 reuse (a detection linked from two lists, or a fault and a detection at one
@@ -63,6 +73,8 @@ from .errors import (
     UnknownFaultError,
 )
 from .model import (
+    PERSISTENCES,
+    SEVERITIES,
     Dependency,
     DiagResource,
     Fault,
@@ -235,7 +247,12 @@ def _pack_header(total, m, r, d, f, fd, body_crc) -> bytearray:
 
 
 class _Reader:
-    """Parses and cross-checks one image; hostile input tolerated."""
+    """Parses and cross-checks one image; hostile input tolerated.
+
+    The walks bind hot names to locals, build records positionally and map
+    enum bytes through the model's byte->member tables. A link that fails a
+    fast inline check goes to a helper that raises the specific error.
+    """
 
     def __init__(self, data: bytes) -> None:
         self.data = bytes(data)
@@ -249,26 +266,29 @@ class _Reader:
         self.dyn_base = self.dep_base + DEP_SIZE * d
         self.counts = (m, r, d, f, fd)
 
-        raw_modules = {o: MODULE_REC.unpack_from(self.data, o)
-                       for o in self._walk_modules(m)}
+        raw_modules = self._walk_modules(m)
 
         hm = HealthMap()
+        modules = hm.modules
         by_off: dict[int, Module] = {}
-        for o, fields in raw_modules.items():
-            mod = Module(id=fields[0], criticality=self._severity(fields[5]),
-                         shm_offset=o)
-            if mod.id in hm.modules:
-                raise BadLinkError(f"duplicate module id {mod.id}")
-            hm.modules[mod.id] = mod
-            by_off[o] = mod
+        for o, (mid, _parent, _diag, _dep, _fault, crit,
+                _next) in raw_modules.items():
+            try:
+                criticality = SEVERITIES[crit]
+            except IndexError:
+                raise _invalid("severity", crit) from None
+            if mid in modules:
+                raise BadLinkError(f"duplicate module id {mid}")
+            modules[mid] = by_off[o] = Module(mid, None, criticality,
+                                              [], [], [], o)
         # wire parents
         for o, fields in raw_modules.items():
             if fields[1]:
-                by_off[o].parent = by_off[self._require_module(fields[1])]
+                by_off[o].parent = self._module_at(by_off, fields[1])
 
-        self._read_diags(hm, by_off, raw_modules, r)
+        diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
-        self._read_dynamic(hm, by_off, raw_modules, f, fd)
+        self._read_dynamic(hm, by_off, raw_modules, diag_by_off, f, fd)
         return hm
 
     # -- header ----------------------------------------------------------
@@ -291,17 +311,11 @@ class _Reader:
         if total != image_length(m, r, d, f, fd):
             raise LengthMismatchError(
                 "total length inconsistent with entity counts")
-        if crc32(self.data[HEADER_SIZE:]) != body_crc:
+        if crc32(memoryview(self.data)[HEADER_SIZE:]) != body_crc:
             raise BodyCrcMismatchError("body checksum mismatch")
         return m, r, d, f, fd
 
     # -- link plumbing -----------------------------------------------------
-
-    def _severity(self, value: int) -> Severity:
-        try:
-            return Severity(value)
-        except ValueError:
-            raise BadLinkError(f"invalid severity value {value}") from None
 
     def _section_offset(self, off: int, base: int, size: int, count: int,
                         what: str) -> int:
@@ -319,78 +333,99 @@ class _Reader:
         return self._section_offset(off, self.mod_base, MODULE_SIZE, m,
                                     "module")
 
-    def _walk_modules(self, m: int) -> list[int]:
-        offsets: list[int] = []
-        seen: set[int] = set()
-        cur = self.mod_base if m else 0
+    def _module_at(self, by_off: dict[int, Module], off: int) -> Module:
+        module = by_off.get(off)
+        if module is None:
+            # the module walk claimed every module slot, so this raises
+            module = by_off[self._require_module(off)]
+        return module
+
+    def _walk_modules(self, m: int) -> dict[int, tuple]:
+        """Module record offset -> unpacked fields, in list order."""
+        raw: dict[int, tuple] = {}
+        data, unpack = self.data, MODULE_REC.unpack_from
+        base = self.mod_base
+        end = base + MODULE_SIZE * m
+        cur = base if m else 0
         while cur:
-            self._require_module(cur)
-            if cur in seen:
+            if not base <= cur < end or (cur - base) % MODULE_SIZE:
+                self._require_module(cur)
+            if cur in raw:
                 raise LinkCycleError(f"module list revisits offset {cur}")
-            seen.add(cur)
-            offsets.append(cur)
-            cur = MODULE_REC.unpack_from(self.data, cur)[6]
-        if len(offsets) != m:
+            fields = raw[cur] = unpack(data, cur)
+            cur = fields[6]
+        if len(raw) != m:
             raise RecordCountError(
-                f"module list has {len(offsets)} records, header says {m}")
-        return offsets
+                f"module list has {len(raw)} records, header says {m}")
+        return raw
 
     def _walk_list(self, head: int, base: int, size: int, count: int,
                    seen: set[int], what: str, next_index: int,
-                   rec: struct.Struct) -> list[int]:
-        offsets = []
+                   rec: struct.Struct) -> list[tuple[int, tuple]]:
+        """(offset, unpacked fields) of each record in one static list."""
+        out = []
+        data, unpack = self.data, rec.unpack_from
+        end = base + size * count
         cur = head
         while cur:
-            self._section_offset(cur, base, size, count, what)
+            if not base <= cur < end or (cur - base) % size:
+                self._section_offset(cur, base, size, count, what)
             if cur in seen:
                 raise LinkCycleError(f"{what} list revisits offset {cur}")
             seen.add(cur)
-            offsets.append(cur)
-            cur = rec.unpack_from(self.data, cur)[next_index]
-        return offsets
+            fields = unpack(data, cur)
+            out.append((cur, fields))
+            cur = fields[next_index]
+        return out
 
     def _read_diags(self, hm, by_off, raw_modules, r):
+        """Fill the diag resources; returns them keyed by offset."""
         seen: set[int] = set()
-        parsed: list[tuple[int, DiagResource]] = []
+        by_id: dict[int, DiagResource] = {}
+        parsed: dict[int, DiagResource] = {}
         for mod_off, fields in raw_modules.items():
-            for o in self._walk_list(fields[2], self.diag_base, DIAG_SIZE, r,
-                                     seen, "diag resource", 2, DIAG_REC):
-                rid, owner_off, _nxt, kind = DIAG_REC.unpack_from(self.data, o)
+            owner = by_off[mod_off]
+            owned = owner.diag_resources
+            for o, (rid, owner_off, _nxt, kind) in self._walk_list(
+                    fields[2], self.diag_base, DIAG_SIZE, r, seen,
+                    "diag resource", 2, DIAG_REC):
                 if owner_off != mod_off:
                     raise BadLinkError(
                         f"diag resource at {o} owner link mismatch")
-                res = DiagResource(id=rid, owner=by_off[mod_off], kind=kind,
-                                   shm_offset=o)
-                if rid in hm.diag_resources:
+                if rid in by_id:
                     raise BadLinkError(f"duplicate diag resource id {rid}")
-                by_off[mod_off].diag_resources.append(res)
-                parsed.append((o, res))
+                res = DiagResource(rid, owner, kind, o)
+                owned.append(res)
+                by_id[rid] = parsed[o] = res
         if len(parsed) != r:
             raise RecordCountError(
                 f"walked {len(parsed)} diag resources, header says {r}")
-        for _o, res in sorted(parsed, key=lambda p: p[0]):
-            hm.diag_resources[res.id] = res
+        hm.diag_resources = {parsed[o].id: parsed[o] for o in sorted(parsed)}
+        return parsed
 
     def _read_deps(self, hm, by_off, raw_modules, d):
         seen: set[int] = set()
-        parsed: list[tuple[int, Dependency]] = []
+        parsed: dict[int, Dependency] = {}
         for mod_off, fields in raw_modules.items():
-            for o in self._walk_list(fields[3], self.dep_base, DEP_SIZE, d,
-                                     seen, "dependency", 1, DEP_REC):
-                dep_off, _nxt, sev = DEP_REC.unpack_from(self.data, o)
-                dependent = by_off[self._require_module(dep_off)]
-                provider = by_off[mod_off]
+            provider = by_off[mod_off]
+            provided = provider.dependencies
+            for o, (dep_off, _nxt, sev) in self._walk_list(
+                    fields[3], self.dep_base, DEP_SIZE, d, seen,
+                    "dependency", 1, DEP_REC):
+                dependent = self._module_at(by_off, dep_off)
                 if dependent is provider:
                     raise BadLinkError(f"self-dependency at offset {o}")
-                dep = Dependency(provider=provider, dependent=dependent,
-                                 severity=self._severity(sev), shm_offset=o)
-                provider.dependencies.append(dep)
-                parsed.append((o, dep))
+                try:
+                    severity = SEVERITIES[sev]
+                except IndexError:
+                    raise _invalid("severity", sev) from None
+                dep = Dependency(provider, dependent, severity, o)
+                provided.append(dep)
+                parsed[o] = dep
         if len(parsed) != d:
             raise RecordCountError(
                 f"walked {len(parsed)} dependencies, header says {d}")
-        hm.dependencies = [dep for _o, dep in sorted(parsed,
-                                                     key=lambda p: p[0])]
+        hm.dependencies = [parsed[o] for o in sorted(parsed)]
 
     def _dynamic_record(self, off: int, size: int, claimed: dict,
                         what: str) -> None:
@@ -401,52 +436,62 @@ class _Reader:
         if off in claimed:
             raise BadLinkError(f"{what} at {off} reuses a claimed record")
 
-    def _read_dynamic(self, hm, by_off, raw_modules, f, fd):
-        # offset -> Fault or FaultDetection read there
+    def _reject_fault(self, off: int, claimed: dict) -> None:
+        """Raise for a fault link that failed the inline checks."""
+        if isinstance(claimed.get(off), Fault):
+            raise LinkCycleError(f"fault list revisits offset {off}")
+        self._dynamic_record(off, FAULT_SIZE, claimed, "fault")
+
+    def _reject_detection(self, off: int, claimed: dict,
+                          walked: list[FaultDetection]) -> None:
+        """Raise for a detection link that failed the inline checks;
+        `walked` is the current fault's list so far."""
+        if claimed.get(off) in walked:
+            raise LinkCycleError(f"detection list revisits offset {off}")
+        self._dynamic_record(off, DET_SIZE, claimed, "detection")
+
+    def _read_dynamic(self, hm, by_off, raw_modules, diag_by_off, f, fd):
+        data, total, dyn_base = self.data, self.total, self.dyn_base
+        unpack_fault, unpack_det = FAULT_REC.unpack_from, DET_REC.unpack_from
+        severities, persistences = SEVERITIES, PERSISTENCES
+        # offset -> Fault or FaultDetection read there; a fault met again
+        # is a list cycle, and so is a detection met again in one list
         claimed: dict[int, Fault | FaultDetection] = {}
-        seen_f: set[int] = set()
-        diag_by_off = {res.shm_offset: res
-                       for res in hm.diag_resources.values()}
         for mod_off, fields in raw_modules.items():
+            owner = by_off[mod_off]
+            owned = owner.faults
             cur = fields[4]
             while cur:
-                if cur in seen_f:
-                    raise LinkCycleError(f"fault list revisits offset {cur}")
-                seen_f.add(cur)
-                self._dynamic_record(cur, FAULT_SIZE, claimed, "fault")
-                nxt, first_det, sev, pers, cls, _resv = FAULT_REC.unpack_from(
-                    self.data, cur)
+                if (cur in claimed or cur < dyn_base
+                        or cur + FAULT_SIZE > total):
+                    self._reject_fault(cur, claimed)
+                nxt, first_det, sev, pers, cls, _resv = unpack_fault(data, cur)
                 try:
-                    persistence = Persistence(pers)
-                except ValueError:
-                    raise BadLinkError(
-                        f"invalid persistence value {pers}") from None
-                fault = Fault(owner=by_off[mod_off],
-                              severity=self._severity(sev),
-                              persistence=persistence,
-                              classification=cls, shm_offset=cur)
-                by_off[mod_off].faults.append(fault)
+                    fault = Fault(owner, severities[sev], persistences[pers],
+                                  cls, [], cur)
+                except IndexError:
+                    if pers >= len(persistences):
+                        raise _invalid("persistence", pers) from None
+                    raise _invalid("severity", sev) from None
+                owned.append(fault)
                 claimed[cur] = fault
                 # walk this fault's detections
+                dets = fault.detections
                 dcur = first_det
-                seen_d: set[int] = set()
                 while dcur:
-                    if dcur in seen_d:
-                        raise LinkCycleError(
-                            f"detection list revisits offset {dcur}")
-                    seen_d.add(dcur)
-                    self._dynamic_record(dcur, DET_SIZE, claimed, "detection")
+                    if (dcur in claimed or dcur < dyn_base
+                            or dcur + DET_SIZE > total):
+                        self._reject_detection(dcur, claimed, dets)
                     (dnxt, det_off, ts, counter, payload,
-                     flags) = DET_REC.unpack_from(self.data, dcur)
+                     flags) = unpack_det(data, dcur)
                     detector = diag_by_off.get(det_off)
                     if detector is None:
                         raise BadLinkError(
                             f"detection at {dcur} references non-detector "
                             f"offset {det_off}")
-                    det = FaultDetection(detector=detector, timestamp=ts,
-                                         counter=counter, payload=payload,
-                                         flags=flags, shm_offset=dcur)
-                    fault.detections.append(det)
+                    det = FaultDetection(detector, ts, counter, payload,
+                                         flags, dcur)
+                    dets.append(det)
                     claimed[dcur] = det
                     dcur = dnxt
                 cur = nxt
@@ -477,6 +522,10 @@ class _Reader:
         for i, rec in enumerate(faults + dets):
             rec.seq = i + 1
         hm._seq = len(faults) + len(dets)
+
+
+def _invalid(what: str, value: int) -> BadLinkError:
+    return BadLinkError(f"invalid {what} value {value}")
 
 
 def deserialize(data: bytes) -> HealthMap:
@@ -515,13 +564,23 @@ class NewFault:
     detections: list[NewDetection] = field(default_factory=list)
 
 
+def _next_links(records: list) -> list[int]:
+    """The offset of each record's successor in `records`, 0 after the last."""
+    links = [rec.shm_offset for rec in records[1:]]
+    links.append(0)
+    return links
+
+
 def append_changes(image: bytes, hm: HealthMap) -> bytes:
     """Write back a map that was deserialized from `image` and then grown.
 
     Only fault/detection additions plus in-place counter/flag/severity/
     persistence adjustments are representable; modules, diag resources and
-    dependencies must be untouched. Old record bytes change only where
-    list tails were spliced or detection counters/flags (or fault
+    dependencies must be untouched. New records get offsets past the old
+    end in creation order; then every module, fault and detection record
+    is repacked at its own offset, so a field edited directly on a loaded
+    record is written back too. Old record bytes change only where list
+    tails were spliced or detection counters/flags (or fault
     severity/persistence after reclassification) moved.
     """
     old_total = len(image)
@@ -545,30 +604,39 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
         pos += FAULT_SIZE if isinstance(rec, Fault) else DET_SIZE
     total = pos
 
-    off = {}
-    for group in (hm.modules.values(), hm.diag_resources.values(),
-                  hm.dependencies, hm.faults, hm.detections):
-        for entity in group:
-            off[id(entity)] = entity.shm_offset
-
-    buf = bytearray(image) + bytearray(total - old_total)
+    buf = bytearray(total)
+    buf[:old_total] = image
+    pack_module, pack_fault, pack_det = (MODULE_REC.pack_into,
+                                         FAULT_REC.pack_into,
+                                         DET_REC.pack_into)
     modules = list(hm.modules.values())
-    for i, mod in enumerate(modules):
-        buf[mod.shm_offset:mod.shm_offset + MODULE_SIZE] = \
-            _encode_module(mod, modules, i, off)
+    for mod, nxt in zip(modules, _next_links(modules)):
+        parent, diags, deps, faults = (mod.parent, mod.diag_resources,
+                                       mod.dependencies, mod.faults)
+        pack_module(buf, mod.shm_offset, mod.id,
+                    parent.shm_offset if parent else 0,
+                    diags[0].shm_offset if diags else 0,
+                    deps[0].shm_offset if deps else 0,
+                    faults[0].shm_offset if faults else 0,
+                    mod.criticality, nxt)
     for mod in modules:
-        for i, fault in enumerate(mod.faults):
-            buf[fault.shm_offset:fault.shm_offset + FAULT_SIZE] = \
-                _encode_fault(fault, _next_in(mod.faults, i), off)
+        faults = mod.faults
+        for fault, nxt in zip(faults, _next_links(faults)):
+            dets = fault.detections
+            pack_fault(buf, fault.shm_offset, nxt,
+                       dets[0].shm_offset if dets else 0, fault.severity,
+                       fault.persistence, fault.classification & 0xFF, 0)
     for fault in hm.faults:
-        for i, det in enumerate(fault.detections):
-            buf[det.shm_offset:det.shm_offset + DET_SIZE] = \
-                _encode_detection(det, _next_in(fault.detections, i), off)
+        dets = fault.detections
+        for det, nxt in zip(dets, _next_links(dets)):
+            pack_det(buf, det.shm_offset, nxt, det.detector.shm_offset,
+                     det.timestamp, det.counter, det.payload,
+                     det.flags & 0xFF)
 
     m, r, d, f, fd = _check_counts(hm)
     assert total == image_length(m, r, d, f, fd)
-    buf[:HEADER_SIZE] = _pack_header(total, m, r, d, f, fd,
-                                     crc32(bytes(buf[HEADER_SIZE:])))
+    body_crc = crc32(memoryview(buf)[HEADER_SIZE:])
+    buf[:HEADER_SIZE] = _pack_header(total, m, r, d, f, fd, body_crc)
     return bytes(buf)
 
 

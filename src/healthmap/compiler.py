@@ -148,9 +148,19 @@ class Sidecar:
                 if not parts[2].startswith("core="):
                     raise SchemaViolationError(
                         f"sidecar line {lineno}: bad field {parts[2]!r}")
-                core_id = int(parts[2][5:])
-            sc.add(int(parts[0]), parts[1], core_id)
+                core_id = _sidecar_int(parts[2][5:], lineno, "core id")
+            sc.add(_sidecar_int(parts[0], lineno, "module id"), parts[1],
+                   core_id)
         return sc
+
+
+def _sidecar_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise SchemaViolationError(
+            f"sidecar line {lineno}: bad {what} {token!r}: not an "
+            f"integer") from None
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,11 @@ class SelfDependencyError(HealthMapError):
     pass
 
 
-class ClassificationRangeError(HealthMapError):
+class FieldRangeError(HealthMapError):
+    """A value does not fit its fixed-width unsigned field in the image."""
+
+
+class ClassificationRangeError(FieldRangeError):
     """A fault classification does not fit the image's one-byte field."""
 
 

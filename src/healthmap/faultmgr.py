@@ -16,12 +16,15 @@ from typing import Optional
 from .errors import ScenarioError, UnknownDetectorError, ZeroSeverityError
 from .model import (
     FLAG_MERGED,
+    U32_MAX,
+    U64_MAX,
     Fault,
     HealthMap,
     ModuleStatus,
     Persistence,
     Severity,
     check_classification,
+    check_field,
 )
 
 DEFAULT_MERGE_WINDOW_US = 1_000_000
@@ -43,6 +46,8 @@ class DetectionReport:
             raise ZeroSeverityError("detection report severity must be "
                                     "above ZERO")
         check_classification(self.classification)
+        check_field(self.timestamp, U64_MAX, "detection timestamp")
+        check_field(self.payload, U32_MAX, "detection payload")
 
 
 @dataclass

@@ -81,6 +81,15 @@ def decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
     return node_id, decode_entries(data[_RMS_HEAD.size:expected - 4])
 
 
+def _int_token(token: str, what: str) -> int:
+    """A decimal integer token of a scenario or mapping line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ScenarioError(f"bad {what} {token!r}: not an integer") \
+            from None
+
+
 @dataclass
 class ChildMapping:
     """Routes (child node, child module) pairs onto parent modules and
@@ -111,18 +120,22 @@ class ChildMapping:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "child" and len(parts) == 5 and parts[3] == "->":
-                key = (int(parts[1]), int(parts[2]))
-                if key in routes:
-                    raise ScenarioError(
-                        f"mapping line {lineno}: duplicate route for "
-                        f"{key}")
-                routes[key] = int(parts[4])
-            elif parts[0] == "downlink" and len(parts) == 3:
-                downlinks[int(parts[1])] = int(parts[2])
-            else:
-                raise ScenarioError(
-                    f"mapping line {lineno}: bad syntax {line!r}")
+            try:
+                if (parts[0] == "child" and len(parts) == 5
+                        and parts[3] == "->"):
+                    key = (_int_token(parts[1], "node id"),
+                           _int_token(parts[2], "child module id"))
+                    if key in routes:
+                        raise ScenarioError(f"duplicate route for {key}")
+                    routes[key] = _int_token(parts[4], "parent module id")
+                elif parts[0] == "downlink" and len(parts) == 3:
+                    downlinks[_int_token(parts[1], "node id")] = \
+                        _int_token(parts[2], "diag resource id")
+                else:
+                    raise ScenarioError(f"bad syntax {line!r}")
+            except ScenarioError as exc:
+                raise ScenarioError(f"mapping line {lineno}: {exc}") \
+                    from None
         return cls(routes, downlinks)
 
 
@@ -235,7 +248,7 @@ class Scenario:
             parts = line.split()
             try:
                 if parts[0] == "duration" and len(parts) == 2:
-                    scenario.duration_us = int(parts[1])
+                    scenario.duration_us = _int_token(parts[1], "duration")
                 elif parts[0] == "node":
                     scenario._parse_node(parts, base_dir)
                 elif parts[0] == "at":
@@ -252,7 +265,7 @@ class Scenario:
         if len(parts) != 6:
             raise ScenarioError("node line needs id, hm=, map=, period=, "
                                 "parent=")
-        node_id = int(parts[1])
+        node_id = _int_token(parts[1], "node id")
         if node_id in self.nodes:
             raise ScenarioError(f"duplicate node id {node_id}")
         kv = {}
@@ -266,18 +279,21 @@ class Scenario:
             node_id=node_id,
             hm_path=base_dir / kv["hm"],
             map_path=None if kv["map"] == "none" else base_dir / kv["map"],
-            period_us=int(kv["period"]),
-            parent_id=None if kv["parent"] == "none" else int(kv["parent"]),
+            period_us=_int_token(kv["period"], "period"),
+            parent_id=(None if kv["parent"] == "none"
+                       else _int_token(kv["parent"], "parent node id")),
         )
 
     def _parse_event(self, parts: list[str], line: str) -> None:
         if len(parts) < 5 or parts[2] != "node":
             raise ScenarioError(f"bad event line {line!r}")
+        time_us = _int_token(parts[1], "event time")
+        node_id = _int_token(parts[3], "node id")
         report = parse_report_line(" ".join(parts[4:]),
-                                   default_timestamp=int(parts[1]))
+                                   default_timestamp=time_us)
         self.events.append(ScheduledDetection(
-            time_us=int(parts[1]),
-            node_id=int(parts[3]),
+            time_us=time_us,
+            node_id=node_id,
             report=report,
             seq=len(self.events),
         ))
@@ -286,6 +302,10 @@ class Scenario:
         if self.duration_us <= 0:
             raise ScenarioError("scenario needs a positive duration")
         for spec in self.nodes.values():
+            if spec.period_us <= 0:
+                # the emission schedule steps by the period
+                raise ScenarioError(
+                    f"node {spec.node_id} needs a positive period")
             if spec.parent_id is not None:
                 if spec.parent_id not in self.nodes:
                     raise ScenarioError(
@@ -367,12 +387,15 @@ def simulate(scenario: Scenario) -> SimulationResult:
         if kind == 0:
             report_detection(node.hm, payload, rm=node.rm)
             continue
-        rm_log.append(f"at {time_us} node {node_id} rm "
-                      f"{node.rm.encode().hex()}")
         parent_id = node.spec.parent_id
         if parent_id is None:
+            rm_log.append(f"at {time_us} node {node_id} rm "
+                          f"{node.rm.encode().hex()}")
             continue
+        # the summary carries the entries verbatim: encode the map once
         message = encode_summary(node_id, node.rm)
+        rm_log.append(f"at {time_us} node {node_id} rm "
+                      f"{message[_RMS_HEAD.size:-4].hex()}")
         message_log.append(f"at {time_us} node {node_id} -> {parent_id} "
                            f"{message.hex()}")
         parent = nodes[parent_id]

@@ -15,6 +15,7 @@ from typing import Optional
 from .errors import (
     ClassificationRangeError,
     DuplicateIdError,
+    FieldRangeError,
     SelfDependencyError,
     UnknownDetectorError,
     UnknownModuleError,
@@ -23,6 +24,7 @@ from .errors import (
 )
 
 U32_MAX = 0xFFFFFFFF
+U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 # Fault.classification is stored in one byte of the image.
 CLASS_MAX = 0xFF
@@ -60,15 +62,32 @@ class ModuleStatus(IntEnum):
         return self.name.replace("_", " ")
 
 
+# Byte -> member tables for decoding images and messages: each enum's values
+# run 0..n-1, so TABLE[byte] is the member for a byte, and a byte past the
+# end raises IndexError.
+SEVERITIES = tuple(Severity)
+PERSISTENCES = tuple(Persistence)
+STATUSES = tuple(ModuleStatus)
+
+
+def check_field(value: int, maximum: int, what: str,
+                error: type[FieldRangeError] = FieldRangeError) -> int:
+    """Return `value` if it fits an unsigned image field 0..maximum, else
+    raise `error`."""
+    if not 0 <= value <= maximum:
+        raise error(f"{what} {value} outside 0..{maximum}")
+    return value
+
+
 def check_classification(classification: int) -> int:
     """Return `classification` if it fits the image's u8 field, else raise."""
-    if not 0 <= classification <= CLASS_MAX:
-        raise ClassificationRangeError(
-            f"fault classification {classification} outside 0..{CLASS_MAX}")
-    return classification
+    return check_field(classification, CLASS_MAX, "fault classification",
+                       ClassificationRangeError)
 
 
-@dataclass(eq=False)
+# Records are slot-backed: a load builds thousands of them, and slots make
+# construction and attribute access cheaper than a per-instance dict.
+@dataclass(eq=False, slots=True)
 class Module:
     id: int
     parent: Optional["Module"] = None
@@ -80,7 +99,7 @@ class Module:
     shm_offset: Optional[int] = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DiagResource:
     id: int
     owner: Module
@@ -88,7 +107,7 @@ class DiagResource:
     shm_offset: Optional[int] = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Dependency:
     provider: Module
     dependent: Module
@@ -96,7 +115,7 @@ class Dependency:
     shm_offset: Optional[int] = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Fault:
     owner: Module
     severity: Severity
@@ -107,7 +126,7 @@ class Fault:
     seq: int = 0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FaultDetection:
     detector: DiagResource
     timestamp: int

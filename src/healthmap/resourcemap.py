@@ -18,7 +18,15 @@ from .errors import (
     MissingSymbolError,
     UnknownModuleError,
 )
-from .model import HealthMap, ModuleStatus, Persistence, Severity
+from .model import (
+    PERSISTENCES,
+    SEVERITIES,
+    STATUSES,
+    HealthMap,
+    ModuleStatus,
+    Persistence,
+    Severity,
+)
 
 RM_ENTRY = struct.Struct("<IBBB")
 RM_ENTRY_SIZE = RM_ENTRY.size  # 7
@@ -40,12 +48,8 @@ class RmEntry:
         return decode_entries(data[offset:offset + RM_ENTRY_SIZE])[0]
 
 
-# each enum's values run 0..n-1, so table[byte] is the member for a byte
-_SEVERITIES = tuple(Severity)
-_PERSISTENCES = tuple(Persistence)
-_STATUSES = tuple(ModuleStatus)
-_FIELDS = (("severity", _SEVERITIES), ("persistence", _PERSISTENCES),
-           ("status", _STATUSES))
+_FIELDS = (("severity", SEVERITIES), ("persistence", PERSISTENCES),
+           ("status", STATUSES))
 
 
 def decode_entries(data: bytes) -> list[RmEntry]:
@@ -55,8 +59,8 @@ def decode_entries(data: bytes) -> list[RmEntry]:
     byte is outside its enum.
     """
     try:
-        return [RmEntry(mid, _SEVERITIES[sev], _PERSISTENCES[pers],
-                        _STATUSES[status])
+        return [RmEntry(mid, SEVERITIES[sev], PERSISTENCES[pers],
+                        STATUSES[status])
                 for mid, sev, pers, status in RM_ENTRY.iter_unpack(data)]
     except IndexError:
         i, name, value = next(
@@ -179,8 +183,14 @@ class ResourceMap:
     # -- encoding -----------------------------------------------------------
 
     def encode(self) -> bytes:
-        """7 bytes per module, in module insertion order."""
-        return b"".join(self.entries[mid].encode() for mid in self._hm.modules)
+        """7 bytes per module, in module insertion order, packed by one
+        call."""
+        modules, entries = self._hm.modules, self.entries
+        values = []
+        for mid in modules:
+            e = entries[mid]
+            values += (e.module_id, e.severity, e.persistence, e.status)
+        return struct.pack("<" + "IBBB" * len(modules), *values)
 
 
 def init_resource_map(hm: HealthMap,

@@ -1,11 +1,15 @@
 """Shared test helpers: randomized map construction and independent
-oracles (bitwise CRC32, exhaustive propagation-path enumeration)."""
+oracles (bitwise CRC32, exhaustive propagation-path enumeration, a plain
+re-encoder for appended images)."""
 
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 from healthmap import HealthMap, ModuleStatus, Persistence, Severity
+from healthmap.model import Fault
 
 
 def crc32_reference(data: bytes) -> int:
@@ -118,3 +122,64 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
 def rm_state(rm):
     return {mid: (e.severity, e.persistence, e.status)
             for mid, e in rm.entries.items()}
+
+
+def reference_append(image: bytes, hm: HealthMap) -> bytes:
+    """What `codec.append_changes(image, hm)` must return, spelled out
+    plainly and without touching `hm`.
+
+    New faults and detections (no shm_offset yet) take offsets past the
+    old end in creation order; every module, fault and detection record is
+    then re-encoded from the map over a copy of the image, and the header
+    is rewritten with fresh counts and checksums.
+    """
+    off = {}
+    for group in (hm.modules.values(), hm.diag_resources.values(),
+                  hm.dependencies, hm.faults, hm.detections):
+        for entity in group:
+            off[id(entity)] = entity.shm_offset
+    pos = len(image)
+    new = [r for r in hm.faults + hm.detections if r.shm_offset is None]
+    for rec in sorted(new, key=lambda r: r.seq):
+        off[id(rec)] = pos
+        pos += 12 if isinstance(rec, Fault) else 25
+
+    def link(entity):
+        return 0 if entity is None else off[id(entity)]
+
+    def first(items):
+        return items[0] if items else None
+
+    def after(items, i):
+        return items[i + 1] if i + 1 < len(items) else None
+
+    out = bytearray(image) + bytearray(pos - len(image))
+
+    def put(entity, record: bytes) -> None:
+        start = off[id(entity)]
+        out[start:start + len(record)] = record
+
+    modules = list(hm.modules.values())
+    for i, m in enumerate(modules):
+        put(m, struct.pack("<IIIIIBI", m.id, link(m.parent),
+                           link(first(m.diag_resources)),
+                           link(first(m.dependencies)),
+                           link(first(m.faults)), int(m.criticality),
+                           link(after(modules, i))))
+    for m in modules:
+        for i, f in enumerate(m.faults):
+            put(f, struct.pack("<IIBBBB", link(after(m.faults, i)),
+                               link(first(f.detections)), int(f.severity),
+                               int(f.persistence), f.classification & 0xFF,
+                               0))
+    for f in hm.faults:
+        for i, d in enumerate(f.detections):
+            put(d, struct.pack("<IIQIIB", link(after(f.detections, i)),
+                               link(d.detector), d.timestamp, d.counter,
+                               d.payload, d.flags & 0xFF))
+    head = struct.pack("<4sHHIHHHHII", b"SHM1", 1, 0, pos, len(hm.modules),
+                       len(hm.diag_resources), len(hm.dependencies),
+                       len(hm.faults), len(hm.detections),
+                       zlib.crc32(bytes(out[32:])))
+    out[:32] = head + struct.pack("<I", zlib.crc32(head))
+    return bytes(out)

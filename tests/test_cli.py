@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from healthmap.cli import main
 
 from conftest import DATA_DIR
+
+DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
 
 TABLE1_RM = """\
 Module name  Worst severity  Worst persistence  Status
@@ -150,6 +153,13 @@ def test_unknown_maintenance_name_exits_1(compiled, capsys):
     assert "unknown module name" in capsys.readouterr().err
 
 
+def test_superscript_digit_maintenance_name_exits_1(compiled, capsys):
+    shm, sym = compiled
+    assert main(["rm", str(shm), "--sym", str(sym),
+                 "--maintenance", "\u00b2"]) == 1
+    assert "unknown module name" in capsys.readouterr().err
+
+
 def test_inject_class_outside_u8_exits_1_and_keeps_image(compiled, capsys):
     shm, _sym = compiled
     before = shm.read_bytes()
@@ -180,3 +190,64 @@ def test_failed_rewrite_leaves_image_intact(compiled, monkeypatch, capsys,
     assert "disk full" in capsys.readouterr().err
     assert shm.read_bytes() == before
     assert sorted(shm.parent.iterdir()) == files_before
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--t", "-1"),
+    ("--t", str(2**64)),
+    ("--payload", "1ffffffff"),
+])
+def test_inject_value_outside_field_exits_1_and_keeps_image(
+        compiled, capsys, option, value):
+    shm, _sym = compiled
+    before = shm.read_bytes()
+    values = {"--t": "1000", option: value}
+    argv = ["inject", str(shm), "--detector", "12", "--sev", "HIGH",
+            "--class", "1"]
+    for opt, val in values.items():
+        argv += [opt, val]
+    assert main(argv) == 1
+    assert "outside 0.." in capsys.readouterr().err
+    assert shm.read_bytes() == before
+
+
+def test_inject_payload_not_hex_is_usage_error(compiled):
+    shm, _sym = compiled
+    before = shm.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["inject", str(shm), "--detector", "12", "--sev", "HIGH",
+              "--class", "1", "--t", "1000", "--payload", "zz"])
+    assert exc.value.code == 2
+    assert shm.read_bytes() == before
+
+
+def demo_copy(tmp_path, name: str, old: str, new: str) -> Path:
+    """The demo data in tmp_path, with one line of `name` replaced."""
+    work = tmp_path / "data"
+    shutil.copytree(DEMO_DATA, work)
+    path = work / name
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return work
+
+
+@pytest.mark.parametrize("name, old, new, where", [
+    ("board.scn", "duration 10000", "duration abc", "scenario line 3"),
+    ("board.map", "child 1 12 -> 2", "child 1 x -> 2", "mapping line 4"),
+])
+def test_simulate_bad_integer_token_exits_1(tmp_path, capsys, name, old,
+                                            new, where):
+    work = demo_copy(tmp_path, name, old, new)
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "not an integer" in err
+
+
+def test_rm_bad_sidecar_integer_exits_1(compiled, tmp_path, capsys):
+    shm, _sym = compiled
+    sym = tmp_path / "bad.sym"
+    sym.write_text("1 CPU\nx B\n")
+    assert main(["rm", str(shm), "--sym", str(sym)]) == 1
+    err = capsys.readouterr().err
+    assert "sidecar line 2" in err and "not an integer" in err

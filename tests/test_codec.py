@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from healthmap import (
+    ClassifierConfig,
+    DetectionReport,
     HealthMap,
     NewDetection,
     NewFault,
@@ -16,6 +18,7 @@ from healthmap import (
     append_fault_data,
     crc32,
     deserialize,
+    report_detection,
     serialize,
     synthesize_map,
     validate_image,
@@ -27,11 +30,15 @@ from healthmap.errors import (
     BodyCrcMismatchError,
     HeaderCrcMismatchError,
     LengthMismatchError,
+    LinkCycleError,
+    OffsetMisalignedError,
+    OffsetOutOfBoundsError,
+    RecordCountError,
     ShmError,
     StructureInvalidError,
 )
 
-from helpers import crc32_reference, random_health_map
+from helpers import crc32_reference, random_health_map, reference_append
 
 
 def small_map():
@@ -239,6 +246,109 @@ def test_fault_and_detection_at_same_offset_is_reuse():
         deserialize(restamp(image))
 
 
+def enum_map() -> HealthMap:
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2, 1, Severity.LOW)
+    hm.add_diag_resource(10, 2)
+    hm.add_dependency(1, 2, Severity.MEDIUM)
+    hm.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 1,
+                                10, 5)
+    return hm
+
+
+@pytest.mark.parametrize("value", [4, 255])
+@pytest.mark.parametrize("record, field, what", [
+    ("module", 20, "severity"),        # criticality
+    ("dependency", 8, "severity"),
+    ("fault", 8, "severity"),
+    ("fault", 9, "persistence"),
+])
+def test_enum_byte_out_of_range_rejected(record, field, what, value):
+    image, hm = loaded(enum_map())
+    target = {"module": hm.modules[2], "dependency": hm.dependencies[0],
+              "fault": hm.faults[0]}[record]
+    image[target.shm_offset + field] = value
+    with pytest.raises(BadLinkError, match=f"^invalid {what} value {value}$"):
+        deserialize(restamp(image))
+
+
+# (link word to rewrite, value to write there, expected error, message).
+# Links are named by record and byte offset in it; values by record or a
+# number. Offsets below: modules at 32 and 57, diag resource 10 at 82,
+# dependency at 95, the fault at 104 and its detection at 116.
+LINK_CASES = {
+    "module cycle": (("module2", 21), "module1", LinkCycleError,
+                     "module list revisits offset 32"),
+    "module out of bounds": (("module1", 21), 9999, OffsetOutOfBoundsError,
+                             r"module offset 9999 outside section \[32, 82\)"),
+    "module misaligned": (("module1", 21), 33, OffsetMisalignedError,
+                          "module offset 33 not on a 25-byte record"),
+    "module count": (("module1", 21), 0, RecordCountError,
+                     "module list has 1 records, header says 2"),
+    "parent misaligned": (("module2", 4), 40, OffsetMisalignedError,
+                          "module offset 40 not on a 25-byte"),
+    "diag cycle": (("diag", 8), "diag", LinkCycleError,
+                   "diag resource list revisits offset 82"),
+    "diag outside section": (("module2", 8), "dep", OffsetOutOfBoundsError,
+                             "diag resource offset 95 outside section"),
+    "diag owner": (("diag", 4), "module1", BadLinkError,
+                   "diag resource at 82 owner link mismatch"),
+    "dependent out of bounds": (("dep", 0), 0, OffsetOutOfBoundsError,
+                                "module offset 0 outside section"),
+    "self-dependency": (("dep", 0), "module1", BadLinkError,
+                        "self-dependency at offset 95"),
+    "fault cycle": (("fault", 0), "fault", LinkCycleError,
+                    "fault list revisits offset 104"),
+    "fault outside dynamic region": (("module2", 16), "dep",
+                                     OffsetOutOfBoundsError,
+                                     "fault offset 95 outside dynamic region"),
+    "detection cycle": (("det", 0), "det", LinkCycleError,
+                        "detection list revisits offset 116"),
+    "detection past the end": (("det", 0), 130, OffsetOutOfBoundsError,
+                               "detection offset 130 outside dynamic region"),
+    "non-detector": (("det", 4), "module1", BadLinkError,
+                     "detection at 116 references non-detector offset 32"),
+    "fault count": (("module2", 16), 0, RecordCountError,
+                    "walked 0 faults, header says 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINK_CASES))
+def test_rewritten_link_raises_its_error(case):
+    (record, word), value, error, message = LINK_CASES[case]
+    image, hm = loaded(enum_map())
+    offsets = {"module1": hm.modules[1].shm_offset,
+               "module2": hm.modules[2].shm_offset,
+               "diag": hm.diag_resources[10].shm_offset,
+               "dep": hm.dependencies[0].shm_offset,
+               "fault": hm.faults[0].shm_offset,
+               "det": hm.detections[0].shm_offset}
+    assert list(offsets.values()) == [32, 57, 82, 95, 104, 116]
+    put_u32(image, offsets[record] + word, offsets.get(value, value))
+    with pytest.raises(error, match=f"^{message}"):
+        deserialize(restamp(image))
+
+
+def test_fault_with_both_enum_bytes_bad_names_persistence():
+    image, hm = loaded(enum_map())
+    fault = hm.faults[0].shm_offset
+    image[fault + 8:fault + 10] = b"\x07\x09"    # severity, persistence
+    with pytest.raises(BadLinkError, match="^invalid persistence value 9$"):
+        deserialize(restamp(image))
+
+
+def test_duplicate_diag_resource_id_rejected():
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(10, 1)
+    hm.add_diag_resource(11, 1)
+    image, hm = loaded(hm)
+    put_u32(image, hm.diag_resources[11].shm_offset, 10)
+    with pytest.raises(BadLinkError, match="duplicate diag resource id 10"):
+        deserialize(restamp(image))
+
+
 @functools.lru_cache(maxsize=None)
 def fuzz_bases() -> tuple[tuple[bytes, tuple[int, ...]], ...]:
     """(image, dynamic record offsets) pairs to mutate.
@@ -355,3 +465,65 @@ def test_append_updates_counter_in_place():
     again = deserialize(updated)
     assert again.modules[2].faults[0].detections[0].counter == det.counter
     assert again.modules[2].faults[0].detections[0].flags & 1
+
+
+# -- append path against the plain re-encoder in helpers ----------------------
+
+SEVERITIES = st.sampled_from([Severity.LOW, Severity.MEDIUM, Severity.HIGH])
+PERSISTENCES = st.sampled_from([Persistence.TRANSIENT,
+                                Persistence.INTERMITTENT,
+                                Persistence.PERMANENT])
+EDITS = ("report", "add_fault", "add_detection", "counter", "flags",
+         "severity", "persistence")
+
+
+def apply_edit(hm: HealthMap, edit: str, data) -> None:
+    """One change a loaded map may carry into append_changes: new records
+    through the model or the fault manager, or a direct field edit."""
+    detectors = st.sampled_from(sorted(hm.diag_resources))
+    timestamps = st.integers(0, 2**64 - 1)
+    if edit == "report":
+        window = data.draw(st.sampled_from([0, 1000, 1_000_000]))
+        report_detection(hm, DetectionReport(
+            data.draw(detectors), data.draw(SEVERITIES),
+            data.draw(st.integers(0, 7)), data.draw(st.integers(0, 3000)),
+            data.draw(st.integers(0, 0xFFFFFFFF))),
+            ClassifierConfig(merge_window_us=window))
+    elif edit == "add_fault":
+        fault = hm.add_fault(data.draw(st.sampled_from(sorted(hm.modules))),
+                             data.draw(SEVERITIES), data.draw(PERSISTENCES),
+                             data.draw(st.integers(0, 255)))
+        for _ in range(data.draw(st.integers(0, 2))):
+            hm.add_detection(fault, data.draw(detectors),
+                             data.draw(timestamps))
+    elif edit == "add_detection" and hm.faults:
+        hm.add_detection(data.draw(st.sampled_from(hm.faults)),
+                         data.draw(detectors), data.draw(timestamps),
+                         payload=data.draw(st.integers(0, 0xFFFFFFFF)))
+    elif edit == "severity" and hm.faults:
+        data.draw(st.sampled_from(hm.faults)).severity = data.draw(SEVERITIES)
+    elif edit == "persistence" and hm.faults:
+        fault = data.draw(st.sampled_from(hm.faults))
+        fault.persistence = data.draw(PERSISTENCES)
+    elif edit == "counter" and hm.detections:
+        det = data.draw(st.sampled_from(hm.detections))
+        det.counter = data.draw(st.integers(1, 0xFFFFFFFF))
+    elif edit == "flags" and hm.detections:
+        det = data.draw(st.sampled_from(hm.detections))
+        det.flags = data.draw(st.integers(0, 0xFF))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_append_changes_matches_reference_encoder(seed, data):
+    image = serialize(random_health_map(random.Random(seed)))
+    for _ in range(data.draw(st.integers(1, 3), label="appends")):
+        hm = deserialize(image)
+        for edit in data.draw(st.lists(st.sampled_from(EDITS), max_size=8),
+                              label="edits"):
+            apply_edit(hm, edit, data)
+        expected = reference_append(image, hm)
+        image = append_changes(image, hm)
+        assert image == expected
+        assert deserialize(image).equivalent(hm)

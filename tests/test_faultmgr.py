@@ -16,6 +16,7 @@ from healthmap import (
 )
 from healthmap.errors import (
     ClassificationRangeError,
+    FieldRangeError,
     UnknownDetectorError,
     ZeroSeverityError,
 )
@@ -98,6 +99,19 @@ def test_zero_severity_report_rejected():
 def test_report_class_outside_u8_rejected(classification):
     with pytest.raises(ClassificationRangeError):
         DetectionReport(1, Severity.LOW, classification, 0)
+
+
+@pytest.mark.parametrize("timestamp, payload, what", [
+    (-1, 0, "timestamp"),
+    (2**64, 0, "timestamp"),
+    (0, -1, "payload"),
+    (0, 2**32, "payload"),
+])
+def test_report_value_outside_its_field_rejected(timestamp, payload, what):
+    with pytest.raises(FieldRangeError, match=f"detection {what}"):
+        DetectionReport(1, Severity.LOW, 1, timestamp, payload)
+    # the largest values that fit are accepted
+    DetectionReport(1, Severity.LOW, 1, 2**64 - 1, 2**32 - 1)
 
 
 def test_severity_aggregates_by_max(table1_map):

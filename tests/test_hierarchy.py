@@ -15,6 +15,7 @@ from healthmap import (
     report_detection,
     simulate,
 )
+from healthmap.resourcemap import ResourceMap
 from healthmap.compiler import build_map, parse_description
 from healthmap.codec import crc32
 from healthmap.errors import (
@@ -194,6 +195,8 @@ def test_mapping_parse_errors():
         ChildMapping.parse("child 1 12 2\n")
     with pytest.raises(ScenarioError):
         ChildMapping.parse("child 1 12 -> 2\nchild 1 12 -> 3\n")
+    with pytest.raises(ScenarioError, match="mapping line 2: bad diag"):
+        ChildMapping.parse("child 1 12 -> 2\ndownlink 1 five\n")
 
 
 # -- scenario + simulation -----------------------------------------------------
@@ -224,6 +227,19 @@ def test_scenario_parse_validations(tmp_path, table1_xml):
     with pytest.raises(ScenarioError):
         Scenario.parse("duration 5\n"
                        "at 1 node 3 detect 12 sev=HIGH class=1\n", tmp_path)
+    with pytest.raises(ScenarioError, match="scenario line 2: bad period"):
+        Scenario.parse("duration 5\n"
+                       "node 0 hm=a map=none period=1ms parent=none\n",
+                       tmp_path)
+
+
+@pytest.mark.parametrize("period", [0, -5])
+def test_scenario_rejects_non_positive_period(tmp_path, period):
+    # the emission schedule steps by the period, so it must advance
+    with pytest.raises(ScenarioError, match="positive period"):
+        Scenario.parse("duration 5\n"
+                       f"node 0 hm=a map=none period={period} parent=none\n",
+                       tmp_path)
 
 
 def test_simulate_quiet_scenario_stays_available(tmp_path, table1_xml):
@@ -282,3 +298,26 @@ def test_simulate_is_deterministic(tmp_path, table1_xml):
             for e in entries} == {
         mid: (e.severity, e.persistence, e.status)
         for mid, e in runs[0].final_rms[1].entries.items()}
+
+
+def test_simulate_encodes_each_emission_once(tmp_path, table1_xml,
+                                             monkeypatch):
+    scenario = write_scenario(
+        tmp_path, table1_xml,
+        ["at 1000 node 1 detect 12 sev=HIGH class=1"])
+    calls = []
+    encode = ResourceMap.encode
+
+    def counted(self):
+        calls.append(self)
+        return encode(self)
+
+    monkeypatch.setattr(ResourceMap, "encode", counted)
+    result = simulate(scenario)
+    assert len(calls) == len(result.rm_log) == 3
+    # each child rm.log line carries its uplink message's entry bytes
+    child_rms = [line for line in result.rm_log if " node 1 " in line]
+    assert len(child_rms) == len(result.message_log) == 2
+    for rm_line, message_line in zip(child_rms, result.message_log):
+        message = bytes.fromhex(message_line.split()[-1])
+        assert bytes.fromhex(rm_line.split()[-1]) == message[12:-4]

@@ -19,6 +19,16 @@ from healthmap import (
     report_detection,
     serialize,
 )
+from healthmap.model import (
+    PERSISTENCES,
+    SEVERITIES,
+    STATUSES,
+    Dependency,
+    DiagResource,
+    Fault,
+    FaultDetection,
+    Module,
+)
 from healthmap.resourcemap import RmEntry
 from healthmap.errors import (
     ClassificationRangeError,
@@ -290,3 +300,22 @@ def test_fault_index_matches_last_match_scan(steps):
                         scan = fault
                 assert hm.find_fault(mid, cls) is scan
         assert rm_state(rm) == oracle_resource_map(hm)
+
+
+@pytest.mark.parametrize("table, enum", [
+    (SEVERITIES, Severity), (PERSISTENCES, Persistence),
+    (STATUSES, ModuleStatus)])
+def test_enum_tables_map_each_byte_to_its_member(table, enum):
+    assert len(table) == len(enum)
+    for byte, member in enumerate(table):
+        assert member is enum(byte)
+
+
+def test_records_are_slot_backed():
+    module, other = Module(1), Module(2)
+    res = DiagResource(3, module)
+    records = (module, res, Dependency(module, other, Severity.LOW),
+               Fault(module, Severity.LOW, Persistence.TRANSIENT, 0),
+               FaultDetection(res, 0))
+    for record in records:
+        assert not hasattr(record, "__dict__")

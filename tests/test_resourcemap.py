@@ -206,6 +206,15 @@ def test_entry_encoding_is_seven_bytes(table1_map):
     assert first.module_id == 1
 
 
+def test_encode_matches_entry_by_entry_encoding():
+    rng = random.Random(12)
+    for _ in range(50):
+        hm = random_health_map(rng)
+        rm = init_resource_map(hm)
+        assert rm.encode() == b"".join(rm.entries[mid].encode()
+                                       for mid in hm.modules)
+
+
 def test_init_matches_oracle_on_random_maps():
     rng = random.Random(9)
     for _ in range(200):
