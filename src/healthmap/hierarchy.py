@@ -29,6 +29,7 @@ from . import compiler
 from .codec import crc32
 from .errors import (
     CrcMismatchError,
+    HealthMapError,
     MalformedMessageError,
     ScenarioError,
     TooManyEntriesError,
@@ -255,9 +256,11 @@ class Scenario:
                     scenario._parse_event(parts, line)
                 else:
                     raise ScenarioError(f"bad directive {parts[0]!r}")
-            except ScenarioError as exc:
-                raise ScenarioError(f"scenario line {lineno}: {exc}") \
-                    from None
+            except HealthMapError as exc:
+                # any error of the line's own checks (a report's field
+                # ranges, say) keeps its class and gains the line number
+                exc.args = (f"scenario line {lineno}: {exc}",)
+                raise
         scenario._validate()
         return scenario
 

@@ -175,6 +175,7 @@ class HealthMap:
         parent_id: Optional[int] = None,
         criticality: Severity = Severity.ZERO,
     ) -> Module:
+        check_field(module_id, U32_MAX, "module id")
         if module_id in self.modules:
             raise DuplicateIdError(f"module id {module_id} already present")
         parent = None
@@ -188,6 +189,7 @@ class HealthMap:
         return module
 
     def add_diag_resource(self, res_id: int, owner_id: int, kind: int = 0) -> DiagResource:
+        check_field(res_id, U32_MAX, "diag resource id")
         if res_id in self.diag_resources:
             raise DuplicateIdError(f"diag resource id {res_id} already present")
         owner = self._module(owner_id)
@@ -272,17 +274,17 @@ class HealthMap:
         module holds several, the last one in module.faults order wins."""
         return self._fault_index.get((module_id, classification))
 
-    def subtree_ids(self, module_id: int) -> list[int]:
-        """The module and all its descendants, in insertion order."""
-        root = self._module(module_id)
+    def subtree_ids(self, *module_ids: int) -> list[int]:
+        """The given modules and all their descendants, in insertion
+        order; several roots give the union in one pass."""
+        selected = {self._module(mid).id for mid in module_ids}
         # deserialized maps keep the serialized order, so a child may come
         # before its parent: index children first, then walk down once
         children: dict[int, list[int]] = {}
         for m in self.modules.values():
             if m.parent is not None:
                 children.setdefault(m.parent.id, []).append(m.id)
-        selected = {root.id}
-        stack = [root.id]
+        stack = list(selected)
         while stack:
             for child in children.get(stack.pop(), ()):
                 if child not in selected:

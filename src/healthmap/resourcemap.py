@@ -31,6 +31,8 @@ from .model import (
 RM_ENTRY = struct.Struct("<IBBB")
 RM_ENTRY_SIZE = RM_ENTRY.size  # 7
 
+_PROPAGATED = ModuleStatus.PROPAGATED_FAULT
+
 
 @dataclass(slots=True)
 class RmEntry:
@@ -107,7 +109,7 @@ class ResourceMap:
         # maxima may include contributions whose dependency hop was already
         # spent, and forwarding those across a fresh dependency edge would
         # over-propagate.
-        self.propagate_fault(module_id, severity, persistence, _follow_deps)
+        self._propagate([(module_id, severity, persistence, _follow_deps)])
 
     def _fold(self, module_id: int, severity: Severity,
               persistence: Persistence, status: ModuleStatus) -> None:
@@ -127,31 +129,54 @@ class ResourceMap:
                         persistence: Persistence,
                         _follow_deps: bool = True) -> None:
         """Child-to-parent propagation with criticality capping, plus
-        single-hop dependency propagation.
+        single-hop dependency propagation, from one module whose own entry
+        is not touched."""
+        self._propagate([(module_id, severity, persistence, _follow_deps)])
 
-        One worklist of (module, incoming severity, dependency hop still
-        allowed) replaces recursion, so parent chains of any depth work.
-        Every fold takes maxima, so the visiting order does not matter.
+    def _propagate(self, work: list[tuple[int, Severity, Persistence,
+                                          bool]]) -> None:
+        """Walk from every (module, severity, persistence, dependency hop
+        still allowed) source in `work`, folding each contribution it
+        carries into the entries it reaches as PROPAGATED_FAULT.
+
+        One worklist replaces recursion, so parent chains of any depth
+        work. `best[hop][module]` is the highest (severity, persistence)
+        that has walked on from that module in that hop state. An arrival
+        that raises neither is dropped; one that raises either walks on
+        with the merged values. That is exact: every fold takes maxima and
+        every cap is a min, so the merged values reach the same entries
+        with the same maxima as the arrivals would one by one.
+
+        A ZERO severity is tested by truth (ZERO is 0), not compared with
+        Severity.ZERO: most walks are a few steps long, so their fixed cost
+        counts.
         """
-        work = [(module_id, severity, _follow_deps)]
+        modules = self._hm.modules
+        fold = self._fold
+        best: tuple[dict[int, tuple[Severity, Persistence]], ...] = ({}, {})
         while work:
-            mid, sev, follow_deps = work.pop()
-            if sev == Severity.ZERO:
+            mid, sev, pers, follow_deps = work.pop()
+            if not sev:
                 continue
-            module = self._hm.modules[mid]
+            seen = best[follow_deps]
+            walked = seen.get(mid)
+            if walked is not None:
+                if sev <= walked[0] and pers <= walked[1]:
+                    continue
+                sev, pers = max(sev, walked[0]), max(pers, walked[1])
+            seen[mid] = sev, pers
+            module = modules[mid]
             crit = module.criticality
-            if crit != Severity.ZERO and module.parent is not None:
+            if crit and module.parent is not None:
                 capped = min(sev, crit)
-                self._fold(module.parent.id, capped, persistence,
-                           ModuleStatus.PROPAGATED_FAULT)
-                work.append((module.parent.id, capped, follow_deps))
+                fold(module.parent.id, capped, pers, _PROPAGATED)
+                work.append((module.parent.id, capped, pers, follow_deps))
             if follow_deps:
                 for dep in module.dependencies:
                     capped = min(sev, dep.severity)
-                    if capped != Severity.ZERO:
-                        self._fold(dep.dependent.id, capped, persistence,
-                                   ModuleStatus.PROPAGATED_FAULT)
-                        work.append((dep.dependent.id, capped, False))
+                    if capped:
+                        fold(dep.dependent.id, capped, pers, _PROPAGATED)
+                        work.append((dep.dependent.id, capped, pers, False))
 
     # -- maintenance -------------------------------------------------------
 
@@ -160,13 +185,15 @@ class ResourceMap:
 
         Clearing recomputes each affected status from the fault data.
         """
-        subtree = self._hm.subtree_ids(module_id)
+        self._mark(self._hm.subtree_ids(module_id), on)
+
+    def _mark(self, module_ids: Iterable[int], on: bool) -> None:
         if on:
-            for mid in subtree:
+            for mid in module_ids:
                 self._maintenance.add(mid)
                 self.entries[mid].status = ModuleStatus.MAINTENANCE
         else:
-            for mid in subtree:
+            for mid in module_ids:
                 self._maintenance.discard(mid)
                 e = self.entries[mid]
                 if self._hm.modules[mid].faults:
@@ -195,19 +222,23 @@ class ResourceMap:
 
 def init_resource_map(hm: HealthMap,
                       maintenance: Iterable[int] = ()) -> ResourceMap:
-    """Populate a fresh resource map by scanning every module's faults and
-    propagating; the result is independent of iteration order.
+    """Populate a fresh resource map: fold every faulty module's own worst
+    values, then propagate from all of them in one walk; the result is
+    independent of iteration order.
     """
     rm = ResourceMap(hm)
-    for mid in maintenance:
-        rm.set_maintenance(mid, True)
+    roots = tuple(maintenance)
+    if roots:
+        rm._mark(hm.subtree_ids(*roots), True)
+    work = []
     for module in hm.modules.values():
         if not module.faults:
             continue
         severity = max(f.severity for f in module.faults)
         persistence = max(f.persistence for f in module.faults)
-        rm.update_single_fault(module.id, severity, persistence,
-                               ModuleStatus.OWN_FAULT)
+        rm._fold(module.id, severity, persistence, ModuleStatus.OWN_FAULT)
+        work.append((module.id, severity, persistence, True))
+    rm._propagate(work)
     return rm
 
 

@@ -251,3 +251,54 @@ def test_rm_bad_sidecar_integer_exits_1(compiled, tmp_path, capsys):
     assert main(["rm", str(shm), "--sym", str(sym)]) == 1
     err = capsys.readouterr().err
     assert "sidecar line 2" in err and "not an integer" in err
+
+
+def test_simulate_bad_report_names_its_line(tmp_path, capsys):
+    work = demo_copy(tmp_path, "board.scn", "class=1", "class=300")
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    assert ("scenario line 6: fault classification 300 outside 0..255"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("body, error", [
+    ('<module id="4294967296" name="CPU" criticality="ZERO"/>',
+     "module id 4294967296"),
+    ('<module id="1" name="CPU" criticality="ZERO">'
+     '<instrument id="4294967296" kind="0"/></module>',
+     "diag resource id 4294967296"),
+    # template expansion reaches 4294967290 + 1 * 10
+    ('<module id="1" name="CPU" criticality="ZERO">'
+     '<template name="cores" count="2" baseId="4294967290" idStride="10">'
+     '<module id="0" name="C{i}" criticality="LOW"/></template></module>',
+     "module id 4294967300"),
+], ids=["module", "instrument", "template"])
+def test_compile_id_outside_u32_exits_1(tmp_path, capsys, body, error):
+    xml = tmp_path / "big.xml"
+    xml.write_text(f'<healthmap version="1">{body}</healthmap>')
+    out = tmp_path / "big.shm"
+    assert main(["compile", str(xml), "-o", str(out)]) == 1
+    assert f"{error} outside 0..4294967295" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def rm_statuses(out: str) -> dict[str, str]:
+    return {line.split()[0]: line.split(None, 3)[3]
+            for line in out.splitlines()[1:]}
+
+
+def test_main_calls_share_no_state(compiled, capsys):
+    shm, sym = compiled
+    assert main(["rm", str(shm), "--sym", str(sym),
+                 "--maintenance", "CPU.C3"]) == 0
+    assert rm_statuses(capsys.readouterr().out)["CPU.C3"] == "MAINTENANCE"
+    # a second call in the same process marks only what it names
+    assert main(["rm", str(shm), "--sym", str(sym),
+                 "--maintenance", "CPU.C1"]) == 0
+    statuses = rm_statuses(capsys.readouterr().out)
+    assert statuses["CPU.C1"] == statuses["CPU.C1.FPU"] == "MAINTENANCE"
+    assert statuses["CPU.C3"] == statuses["CPU.C3.FPU"] == "AVAILABLE"
+    assert main(["rm", str(shm), "--sym", str(sym)]) == 0
+    assert "MAINTENANCE" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["rm"])
+    assert exc.value.code == 2

@@ -19,7 +19,9 @@ from healthmap.resourcemap import ResourceMap
 from healthmap.compiler import build_map, parse_description
 from healthmap.codec import crc32
 from healthmap.errors import (
+    ClassificationRangeError,
     CrcMismatchError,
+    FieldRangeError,
     MalformedMessageError,
     ScenarioError,
     TooManyEntriesError,
@@ -230,6 +232,19 @@ def test_scenario_parse_validations(tmp_path, table1_xml):
     with pytest.raises(ScenarioError, match="scenario line 2: bad period"):
         Scenario.parse("duration 5\n"
                        "node 0 hm=a map=none period=1ms parent=none\n",
+                       tmp_path)
+
+
+@pytest.mark.parametrize("fields, error", [
+    ("class=300", ClassificationRangeError),
+    ("class=1 payload=1ffffffff", FieldRangeError),
+])
+def test_scenario_report_error_keeps_class_and_names_line(tmp_path, fields,
+                                                          error):
+    with pytest.raises(error, match="^scenario line 3: .* outside 0[.][.]"):
+        Scenario.parse("duration 5\n"
+                       "node 0 hm=a map=none period=1 parent=none\n"
+                       f"at 1 node 0 detect 12 sev=HIGH {fields}\n",
                        tmp_path)
 
 

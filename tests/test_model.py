@@ -34,6 +34,7 @@ from healthmap.errors import (
     ClassificationRangeError,
     DuplicateIdError,
     UnknownDetectorError,
+    UnknownModuleError,
     UnknownParentError,
     ZeroSeverityError,
 )
@@ -209,6 +210,20 @@ def test_subtree_ids_matches_parent_chain_walk_children_first():
             expected = [mid for mid, m in hm.modules.items()
                         if root in ancestors_or_self(m)]
             assert hm.subtree_ids(root) == expected
+
+
+def test_subtree_ids_of_several_roots_is_their_union():
+    rng = random.Random(13)
+    for _ in range(50):
+        hm = random_health_map(rng, max_modules=20, with_faults=False)
+        hm.modules = dict(reversed(hm.modules.items()))
+        roots = rng.sample(list(hm.modules), min(3, len(hm.modules)))
+        union = {mid for root in roots for mid in hm.subtree_ids(root)}
+        assert hm.subtree_ids(*roots) == [mid for mid in hm.modules
+                                          if mid in union]
+        assert hm.subtree_ids() == []
+    with pytest.raises(UnknownModuleError):
+        hm.subtree_ids(roots[0], 0)
 
 
 # -- (module, classification) fault index ------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from healthmap import (
     DetectionReport,
@@ -283,3 +285,69 @@ def test_deep_chain_propagates_without_recursion_limit():
     assert rm_state(init_resource_map(hm)) == expected
     assert expected[3][0] == Severity.MEDIUM
     assert expected[1][0] == Severity.ZERO
+
+
+# -- one propagation walk for the rebuild and the incremental update ---------
+
+SEVERITIES = st.sampled_from(list(Severity))
+FAULT_SEVERITIES = st.sampled_from(list(Severity)[1:])
+PERSISTENCES = st.sampled_from(list(Persistence)[1:])
+
+
+@st.composite
+def propagation_cases(draw):
+    """A random forest with dependency fan-out (ZERO criticalities and ZERO
+    dependency severities included), some faults, 0-3 maintenance roots
+    and a sequence of incremental updates."""
+    n = draw(st.integers(1, 10))
+    hm = HealthMap()
+    for i in range(1, n + 1):
+        parent = draw(st.one_of(st.none(), st.integers(1, i - 1))) \
+            if i > 1 else None
+        hm.add_module(i, parent, draw(SEVERITIES))
+        hm.add_diag_resource(100 + i, i)
+    ids = st.integers(1, n)
+    for provider, dependent, sev in draw(st.lists(
+            st.tuples(ids, ids, SEVERITIES), max_size=2 * n)):
+        if provider != dependent:
+            hm.add_dependency(provider, dependent, sev)
+    for mid, sev, pers, cls in draw(st.lists(
+            st.tuples(ids, FAULT_SEVERITIES, PERSISTENCES,
+                      st.integers(0, 3)), max_size=n)):
+        hm.add_fault(mid, sev, pers, cls)
+    if draw(st.booleans()):
+        # children before parents, the order a deserialized map may keep
+        hm.modules = dict(reversed(hm.modules.items()))
+    roots = draw(st.lists(ids, max_size=3))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("fault"), ids, FAULT_SEVERITIES, PERSISTENCES,
+                  st.integers(0, 3)),
+        st.tuples(st.just("report"), ids, FAULT_SEVERITIES,
+                  st.integers(0, 3), st.integers(0, 3))), max_size=12))
+    return hm, roots, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(propagation_cases())
+def test_rebuild_and_incremental_match_oracle(case):
+    hm, roots, steps = case
+
+    def rebuilt():
+        rm = init_resource_map(hm, maintenance=roots)
+        assert list(rm.entries) == list(hm.modules)
+        return rm
+
+    rm = rebuilt()
+    assert rm_state(rm) == oracle_resource_map(hm, roots)
+    for step in steps:
+        if step[0] == "fault":
+            _, mid, sev, pers, cls = step
+            hm.add_fault(mid, sev, pers, cls)
+            rm.update_single_fault(mid, sev, pers, ModuleStatus.OWN_FAULT)
+        else:
+            _, mid, sev, cls, t = step
+            report_detection(hm, DetectionReport(100 + mid, sev, cls, t),
+                             rm=rm)
+        expected = oracle_resource_map(hm, roots)
+        assert rm_state(rm) == expected
+        assert rm_state(rebuilt()) == expected
