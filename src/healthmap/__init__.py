@@ -9,10 +9,7 @@ masks, and roll summaries up a node hierarchy.
 from .affinity import (AffinityMask, TaskRequirement, compute_affinity,
                        format_masks, parse_task_file)
 from .codec import (
-    NewDetection,
-    NewFault,
     append_changes,
-    append_fault_data,
     crc32,
     deserialize,
     serialize,
@@ -68,8 +65,6 @@ __all__ = [
     "HealthMapError",
     "HmDescription",
     "ModuleStatus",
-    "NewDetection",
-    "NewFault",
     "Persistence",
     "PrunePolicy",
     "ResourceMap",
@@ -79,7 +74,6 @@ __all__ = [
     "Sidecar",
     "TaskRequirement",
     "append_changes",
-    "append_fault_data",
     "build_map",
     "compile_description",
     "compile_xml",

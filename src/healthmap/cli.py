@@ -21,15 +21,21 @@ from .model import Severity
 
 
 def _replace_file(path: Path, data: bytes) -> None:
-    """Rewrite an existing file all or nothing: write a synced temp file in
-    the same directory, then rename it over `path` in one step."""
+    """Write a file all or nothing: write a synced temp file in the same
+    directory, then rename it over `path` in one step. An existing file
+    keeps its mode; a new one gets the mode a plain write would give it."""
     fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
                                 suffix=".tmp")
     os.close(fd)
     tmp = Path(name)
     try:
         tmp.write_bytes(data)
-        shutil.copymode(path, tmp)
+        try:
+            shutil.copymode(path, tmp)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            tmp.chmod(0o666 & ~umask)
         with tmp.open("rb") as fh:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -73,9 +79,9 @@ def _maintenance_ids(values, sidecar) -> list[int]:
 
 def cmd_compile(args) -> int:
     image, sidecar = compiler.compile_xml(Path(args.xml).read_text())
-    Path(args.output).write_bytes(image)
+    _replace_file(Path(args.output), image)
     if args.sym:
-        Path(args.sym).write_text(sidecar.format())
+        _replace_file(Path(args.sym), sidecar.format().encode())
     print(f"wrote {args.output} ({len(image)} bytes)")
     return 0
 

@@ -15,15 +15,20 @@ appends the dynamic region may interleave fault and detection records;
 readers follow the linked lists and trust the header counts, never section
 contiguity.
 
-The append path (`append_changes`) copies the old image into one buffer
-with a zeroed tail for the new records and repacks every module, fault and
-detection record in place at its own offset, with links taken from the
-records' offsets. Repacking an unchanged record writes the bytes it already
-holds, so old bytes change only in the patchable words: a module's
-first-fault link, a fault's links, severity and persistence, and a
-detection's next link, counter and flags. Repacking everything, rather than
-tracking dirty records, keeps a field edited directly on a loaded record
-from being dropped silently.
+One writer lays out every module, fault and detection record: it packs
+each at its own `shm_offset`, with links taken from the records' offsets,
+then stamps the header and CRCs. `serialize` first gives every record its
+canonical offset (modules, diag resources, dependencies, then faults and
+detections in map order), packs the diag resource and dependency records
+itself and hands the rest to that writer. The append path
+(`append_changes`) gives only the new faults and detections offsets past
+the old end, in creation order, copies the old image into a buffer with a
+zeroed tail, and calls the same writer. Repacking an unchanged record
+writes the bytes it already holds, so old bytes change only in the
+patchable words: a module's first-fault link, a fault's links, severity and
+persistence, and a detection's next link, counter and flags. Repacking
+everything, rather than tracking dirty records, keeps a field edited
+directly on a loaded record from being dropped silently.
 
 No two records overlap: every record the lists reach occupies its own byte
 range. Loading checks this for the dynamic region in linear time. Exact
@@ -54,8 +59,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AppendError,
@@ -70,7 +73,6 @@ from .errors import (
     OffsetOutOfBoundsError,
     RecordCountError,
     StructureInvalidError,
-    UnknownFaultError,
 )
 from .model import (
     PERSISTENCES,
@@ -81,8 +83,6 @@ from .model import (
     FaultDetection,
     HealthMap,
     Module,
-    Persistence,
-    Severity,
 )
 
 MAGIC = b"SHM1"
@@ -119,77 +119,51 @@ def image_length(m: int, r: int, d: int, f: int, fd: int) -> int:
 # serialize
 
 
-def _assign_offsets(hm: HealthMap) -> dict[int, int]:
-    """Map id(entity) -> byte offset, canonical section layout."""
-    off: dict[int, int] = {}
-    pos = HEADER_SIZE
-    for m in hm.modules.values():
-        off[id(m)] = pos
-        pos += MODULE_SIZE
-    for r in hm.diag_resources.values():
-        off[id(r)] = pos
-        pos += DIAG_SIZE
-    for d in hm.dependencies:
-        off[id(d)] = pos
-        pos += DEP_SIZE
-    for f in hm.faults:
-        off[id(f)] = pos
-        pos += FAULT_SIZE
-    for det in hm.detections:
-        off[id(det)] = pos
-        pos += DET_SIZE
-    return off
+def _next_links(records: list) -> list[int]:
+    """The offset of each record's successor in `records`, 0 after the last."""
+    links = [rec.shm_offset for rec in records[1:]]
+    links.append(0)
+    return links
 
 
-def _link(off: dict[int, int], entity) -> int:
-    return 0 if entity is None else off[id(entity)]
+def _write_linked(buf: bytearray, hm: HealthMap) -> bytes:
+    """Pack every module, fault and detection record of `hm` into `buf` at
+    its own `shm_offset`, with links taken from the records' offsets, then
+    stamp the header and both CRCs. `buf` is the whole image, and every
+    record already has its offset."""
+    total = len(buf)
+    pack_module, pack_fault, pack_det = (MODULE_REC.pack_into,
+                                         FAULT_REC.pack_into,
+                                         DET_REC.pack_into)
+    modules = list(hm.modules.values())
+    for mod, nxt in zip(modules, _next_links(modules)):
+        parent, diags, deps, faults = (mod.parent, mod.diag_resources,
+                                       mod.dependencies, mod.faults)
+        pack_module(buf, mod.shm_offset, mod.id,
+                    parent.shm_offset if parent else 0,
+                    diags[0].shm_offset if diags else 0,
+                    deps[0].shm_offset if deps else 0,
+                    faults[0].shm_offset if faults else 0,
+                    mod.criticality, nxt)
+    for mod in modules:
+        faults = mod.faults
+        for fault, nxt in zip(faults, _next_links(faults)):
+            dets = fault.detections
+            pack_fault(buf, fault.shm_offset, nxt,
+                       dets[0].shm_offset if dets else 0, fault.severity,
+                       fault.persistence, fault.classification & 0xFF, 0)
+    for fault in hm.faults:
+        dets = fault.detections
+        for det, nxt in zip(dets, _next_links(dets)):
+            pack_det(buf, det.shm_offset, nxt, det.detector.shm_offset,
+                     det.timestamp, det.counter, det.payload,
+                     det.flags & 0xFF)
 
-
-def _next_in(items: list, i: int):
-    return items[i + 1] if i + 1 < len(items) else None
-
-
-def _successors(lists: Iterable[list]) -> dict[int, object]:
-    """id(entity) -> the entity after it in its owner's list (None last)."""
-    return {id(item): _next_in(items, i)
-            for items in lists for i, item in enumerate(items)}
-
-
-def _encode_module(m: Module, hm_modules: list[Module], idx: int,
-                   off: dict[int, int]) -> bytes:
-    return MODULE_REC.pack(
-        m.id,
-        _link(off, m.parent),
-        _link(off, m.diag_resources[0] if m.diag_resources else None),
-        _link(off, m.dependencies[0] if m.dependencies else None),
-        _link(off, m.faults[0] if m.faults else None),
-        int(m.criticality),
-        _link(off, _next_in(hm_modules, idx)),
-    )
-
-
-def _encode_fault(f: Fault, next_fault: Optional[Fault],
-                  off: dict[int, int]) -> bytes:
-    return FAULT_REC.pack(
-        _link(off, next_fault),
-        _link(off, f.detections[0] if f.detections else None),
-        int(f.severity),
-        int(f.persistence),
-        f.classification & 0xFF,
-        0,
-    )
-
-
-def _encode_detection(d: FaultDetection, next_det: Optional[FaultDetection],
-                      off: dict[int, int]) -> bytes:
-    return DET_REC.pack(
-        _link(off, next_det),
-        off[id(d.detector)],
-        d.timestamp,
-        d.counter,
-        d.payload,
-        d.flags & 0xFF,
-    )
+    m, r, d, f, fd = _check_counts(hm)
+    assert total == image_length(m, r, d, f, fd)
+    body_crc = crc32(memoryview(buf)[HEADER_SIZE:])
+    buf[:HEADER_SIZE] = _pack_header(total, m, r, d, f, fd, body_crc)
+    return bytes(buf)
 
 
 def _check_counts(hm: HealthMap) -> tuple[int, int, int, int, int]:
@@ -203,36 +177,45 @@ def _check_counts(hm: HealthMap) -> tuple[int, int, int, int, int]:
 
 
 def serialize(hm: HealthMap) -> bytes:
-    """Produce the contiguous relocatable byte image of the map."""
+    """Produce the contiguous relocatable byte image of the map.
+
+    Every record first takes its canonical offset (modules, diag
+    resources, dependencies, `hm.faults`, `hm.detections`), so after
+    `serialize` returns the map's records hold their offsets in the image
+    it returned and `append_changes(serialize(hm), hm)` is valid. A
+    `serialize` that raises leaves every offset as it was.
+    """
     violations = hm.validate_structure()
     if violations:
         raise StructureInvalidError(violations)
     m, r, d, f, fd = _check_counts(hm)
-    total = image_length(m, r, d, f, fd)
-    off = _assign_offsets(hm)
-
-    body = bytearray()
-    modules = list(hm.modules.values())
-    for i, mod in enumerate(modules):
-        body += _encode_module(mod, modules, i, off)
-    nxt = _successors(mod.diag_resources for mod in modules)
-    for res in hm.diag_resources.values():
-        body += DIAG_REC.pack(res.id, off[id(res.owner)],
-                              _link(off, nxt[id(res)]), res.kind & 0xFF)
-    nxt = _successors(mod.dependencies for mod in modules)
-    for dep in hm.dependencies:
-        body += DEP_REC.pack(off[id(dep.dependent)], _link(off, nxt[id(dep)]),
-                             int(dep.severity))
-    nxt = _successors(mod.faults for mod in modules)
-    for fault in hm.faults:
-        body += _encode_fault(fault, nxt[id(fault)], off)
-    nxt = _successors(fault.detections for fault in hm.faults)
-    for det in hm.detections:
-        body += _encode_detection(det, nxt[id(det)], off)
-
-    assert HEADER_SIZE + len(body) == total
-    header = _pack_header(total, m, r, d, f, fd, crc32(bytes(body)))
-    return bytes(header + body)
+    sections = ((hm.modules.values(), MODULE_SIZE),
+                (hm.diag_resources.values(), DIAG_SIZE),
+                (hm.dependencies, DEP_SIZE), (hm.faults, FAULT_SIZE),
+                (hm.detections, DET_SIZE))
+    records = [rec for group, _size in sections for rec in group]
+    old = [rec.shm_offset for rec in records]
+    pos = HEADER_SIZE
+    for group, size in sections:
+        for rec in group:
+            rec.shm_offset = pos
+            pos += size
+    try:
+        buf = bytearray(image_length(m, r, d, f, fd))
+        pack_diag, pack_dep = DIAG_REC.pack_into, DEP_REC.pack_into
+        for mod in hm.modules.values():
+            diags, deps = mod.diag_resources, mod.dependencies
+            for res, nxt in zip(diags, _next_links(diags)):
+                pack_diag(buf, res.shm_offset, res.id, res.owner.shm_offset,
+                          nxt, res.kind & 0xFF)
+            for dep, nxt in zip(deps, _next_links(deps)):
+                pack_dep(buf, dep.shm_offset, dep.dependent.shm_offset, nxt,
+                         dep.severity)
+        return _write_linked(buf, hm)
+    except BaseException:
+        for rec, offset in zip(records, old):
+            rec.shm_offset = offset
+        raise
 
 
 def _pack_header(total, m, r, d, f, fd, body_crc) -> bytearray:
@@ -546,31 +529,6 @@ def validate_image(data: bytes) -> HealthMap:
 # append-only update
 
 
-@dataclass
-class NewDetection:
-    detector_id: int
-    timestamp: int
-    payload: int = 0
-    counter: int = 1
-    flags: int = 0
-
-
-@dataclass
-class NewFault:
-    module_id: int
-    severity: Severity
-    persistence: Persistence
-    classification: int
-    detections: list[NewDetection] = field(default_factory=list)
-
-
-def _next_links(records: list) -> list[int]:
-    """The offset of each record's successor in `records`, 0 after the last."""
-    links = [rec.shm_offset for rec in records[1:]]
-    links.append(0)
-    return links
-
-
 def append_changes(image: bytes, hm: HealthMap) -> bytes:
     """Write back a map that was deserialized from `image` and then grown.
 
@@ -602,72 +560,7 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     for rec in new_records:
         rec.shm_offset = pos
         pos += FAULT_SIZE if isinstance(rec, Fault) else DET_SIZE
-    total = pos
 
-    buf = bytearray(total)
+    buf = bytearray(pos)
     buf[:old_total] = image
-    pack_module, pack_fault, pack_det = (MODULE_REC.pack_into,
-                                         FAULT_REC.pack_into,
-                                         DET_REC.pack_into)
-    modules = list(hm.modules.values())
-    for mod, nxt in zip(modules, _next_links(modules)):
-        parent, diags, deps, faults = (mod.parent, mod.diag_resources,
-                                       mod.dependencies, mod.faults)
-        pack_module(buf, mod.shm_offset, mod.id,
-                    parent.shm_offset if parent else 0,
-                    diags[0].shm_offset if diags else 0,
-                    deps[0].shm_offset if deps else 0,
-                    faults[0].shm_offset if faults else 0,
-                    mod.criticality, nxt)
-    for mod in modules:
-        faults = mod.faults
-        for fault, nxt in zip(faults, _next_links(faults)):
-            dets = fault.detections
-            pack_fault(buf, fault.shm_offset, nxt,
-                       dets[0].shm_offset if dets else 0, fault.severity,
-                       fault.persistence, fault.classification & 0xFF, 0)
-    for fault in hm.faults:
-        dets = fault.detections
-        for det, nxt in zip(dets, _next_links(dets)):
-            pack_det(buf, det.shm_offset, nxt, det.detector.shm_offset,
-                     det.timestamp, det.counter, det.payload,
-                     det.flags & 0xFF)
-
-    m, r, d, f, fd = _check_counts(hm)
-    assert total == image_length(m, r, d, f, fd)
-    body_crc = crc32(memoryview(buf)[HEADER_SIZE:])
-    buf[:HEADER_SIZE] = _pack_header(total, m, r, d, f, fd, body_crc)
-    return bytes(buf)
-
-
-def append_fault_data(image: bytes,
-                      new_faults: Iterable[NewFault] = (),
-                      new_detections: Sequence[tuple[tuple[int, int],
-                                                     NewDetection]] = ()
-                      ) -> bytes:
-    """Append fault records/detections to an existing image.
-
-    `new_faults` carry their own detections; `new_detections` attach to an
-    existing fault addressed by (module id, classification). The image is
-    fully validated first; appending nothing returns the image unchanged.
-    """
-    hm = deserialize(image)
-    for nf in new_faults:
-        fault = hm.add_fault(nf.module_id, nf.severity, nf.persistence,
-                             nf.classification)
-        for nd in nf.detections:
-            hm.add_detection(fault, nd.detector_id, nd.timestamp,
-                             payload=nd.payload, counter=nd.counter,
-                             flags=nd.flags)
-    for (module_id, classification), nd in new_detections:
-        if module_id not in hm.modules:
-            raise UnknownFaultError(f"module {module_id} not found")
-        target = hm.find_fault(module_id, classification)
-        if target is None:
-            raise UnknownFaultError(
-                f"no fault with classification {classification} "
-                f"on module {module_id}")
-        hm.add_detection(target, nd.detector_id, nd.timestamp,
-                         payload=nd.payload, counter=nd.counter,
-                         flags=nd.flags)
-    return append_changes(image, hm)
+    return _write_linked(buf, hm)

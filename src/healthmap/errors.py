@@ -27,10 +27,6 @@ class UnknownDetectorError(HealthMapError):
     pass
 
 
-class UnknownFaultError(HealthMapError):
-    pass
-
-
 class ZeroSeverityError(HealthMapError):
     pass
 

@@ -95,7 +95,8 @@ class Module:
     diag_resources: list["DiagResource"] = field(default_factory=list)
     dependencies: list["Dependency"] = field(default_factory=list)
     faults: list["Fault"] = field(default_factory=list)
-    # byte offset of this record in the image it was deserialized from
+    # byte offset of this record in the image it was deserialized from or
+    # last serialized to
     shm_offset: Optional[int] = None
 
 
@@ -190,6 +191,7 @@ class HealthMap:
 
     def add_diag_resource(self, res_id: int, owner_id: int, kind: int = 0) -> DiagResource:
         check_field(res_id, U32_MAX, "diag resource id")
+        check_field(kind, 0xFF, "diag resource kind")
         if res_id in self.diag_resources:
             raise DuplicateIdError(f"diag resource id {res_id} already present")
         owner = self._module(owner_id)

@@ -1,4 +1,6 @@
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,43 @@ def test_failed_rewrite_leaves_image_intact(compiled, monkeypatch, capsys,
     assert sorted(shm.parent.iterdir()) == files_before
 
 
+def test_failed_recompile_leaves_image_and_sidecar_intact(
+        compiled, monkeypatch, capsys):
+    shm, sym = compiled
+    image, sidecar = shm.read_bytes(), sym.read_text()
+    files_before = sorted(shm.parent.iterdir())
+
+    def torn_write(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    assert main(["compile", str(DEMO_DATA / "board.xml"), "-o", str(shm),
+                 "--sym", str(sym)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert shm.read_bytes() == image
+    assert sym.read_text() == sidecar
+    assert sorted(shm.parent.iterdir()) == files_before
+
+
+def test_fresh_compile_gets_plain_write_mode(tmp_path):
+    shm, sym, plain = (tmp_path / "new.shm", tmp_path / "new.sym",
+                       tmp_path / "plain")
+    umask = os.umask(0o022)   # plain writes get 0o644, temp files 0o600
+    try:
+        assert main(["compile", str(DATA_DIR / "table1.xml"), "-o", str(shm),
+                     "--sym", str(sym)]) == 0
+        plain.write_bytes(b"")
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE(plain.stat().st_mode)
+    assert stat.S_IMODE(shm.stat().st_mode) == mode
+    assert stat.S_IMODE(sym.stat().st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "new.shm", "new.sym", "plain"]
+
+
 @pytest.mark.parametrize("option, value", [
     ("--t", "-1"),
     ("--t", str(2**64)),
@@ -262,22 +301,26 @@ def test_simulate_bad_report_names_its_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("body, error", [
     ('<module id="4294967296" name="CPU" criticality="ZERO"/>',
-     "module id 4294967296"),
+     "module id 4294967296 outside 0..4294967295"),
     ('<module id="1" name="CPU" criticality="ZERO">'
      '<instrument id="4294967296" kind="0"/></module>',
-     "diag resource id 4294967296"),
+     "diag resource id 4294967296 outside 0..4294967295"),
     # template expansion reaches 4294967290 + 1 * 10
     ('<module id="1" name="CPU" criticality="ZERO">'
      '<template name="cores" count="2" baseId="4294967290" idStride="10">'
      '<module id="0" name="C{i}" criticality="LOW"/></template></module>',
-     "module id 4294967300"),
-], ids=["module", "instrument", "template"])
+     "module id 4294967300 outside 0..4294967295"),
+    # the image stores an instrument kind in one byte
+    ('<module id="1" name="CPU" criticality="ZERO">'
+     '<instrument id="1" kind="300"/></module>',
+     "diag resource kind 300 outside 0..255"),
+], ids=["module", "instrument", "template", "kind"])
 def test_compile_id_outside_u32_exits_1(tmp_path, capsys, body, error):
     xml = tmp_path / "big.xml"
     xml.write_text(f'<healthmap version="1">{body}</healthmap>')
     out = tmp_path / "big.shm"
     assert main(["compile", str(xml), "-o", str(out)]) == 1
-    assert f"{error} outside 0..4294967295" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 

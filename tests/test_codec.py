@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,20 +12,20 @@ from healthmap import (
     ClassifierConfig,
     DetectionReport,
     HealthMap,
-    NewDetection,
-    NewFault,
     Persistence,
     Severity,
     append_changes,
-    append_fault_data,
+    compile_xml,
     crc32,
     deserialize,
+    prune,
     report_detection,
     serialize,
     synthesize_map,
     validate_image,
 )
-from healthmap.codec import DET_SIZE, FAULT_SIZE, HEADER_SIZE, MODULE_SIZE
+from healthmap.codec import (DEP_SIZE, DET_SIZE, DIAG_SIZE, FAULT_SIZE,
+                             HEADER_SIZE, MODULE_SIZE)
 from healthmap.errors import (
     BadLinkError,
     BadMagicError,
@@ -38,7 +40,10 @@ from healthmap.errors import (
     StructureInvalidError,
 )
 
+from conftest import DATA_DIR
 from helpers import crc32_reference, random_health_map, reference_append
+
+DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
 
 
 def small_map():
@@ -401,52 +406,42 @@ def test_rewritten_dynamic_links_raise_only_shm_errors(base, data):
 
 def test_append_one_fault_one_detection_grows_37_bytes():
     image = serialize(small_map())
-    updated = append_fault_data(image, new_faults=[
-        NewFault(2, Severity.LOW, Persistence.TRANSIENT, 9,
-                 [NewDetection(10, 2000)]),
-    ])
+    hm = deserialize(image)
+    fault = hm.add_fault(2, Severity.LOW, Persistence.INTERMITTENT, 9)
+    hm.add_detection(fault, 10, 2000, payload=5)
+    updated = append_changes(image, hm)
     assert len(updated) == len(image) + FAULT_SIZE + DET_SIZE
     validate_image(updated)
+    # reloading the appended image gives back the map that was grown
+    assert deserialize(updated).equivalent(hm)
 
 
 def test_append_nothing_is_identity():
     image = serialize(small_map())
-    assert append_fault_data(image) == image
-
-
-def test_append_then_deserialize_commutes_with_model_path():
-    image = serialize(small_map())
-    updated = append_fault_data(image, new_faults=[
-        NewFault(2, Severity.LOW, Persistence.INTERMITTENT, 9,
-                 [NewDetection(10, 2000, payload=5)]),
-    ])
-    via_append = deserialize(updated)
-
-    via_model = deserialize(image)
-    fault = via_model.add_fault(2, Severity.LOW, Persistence.INTERMITTENT, 9)
-    via_model.add_detection(fault, 10, 2000, payload=5)
-    assert via_append.equivalent(via_model)
+    assert append_changes(image, deserialize(image)) == image
 
 
 def test_append_detection_to_existing_fault():
     image = serialize(small_map())
-    updated = append_fault_data(
-        image, new_detections=[((2, 1), NewDetection(10, 9999))])
+    hm = deserialize(image)
+    # outside the merge window of the fault's detection at t=1000
+    fault, created = report_detection(
+        hm, DetectionReport(10, Severity.LOW, 1, 5_000_000))
+    assert not created
+    updated = append_changes(image, hm)
     assert len(updated) == len(image) + DET_SIZE
-    hm = deserialize(updated)
-    assert len(hm.modules[2].faults[0].detections) == 2
+    again = deserialize(updated)
+    assert len(again.modules[2].faults[0].detections) == 2
 
 
 def test_append_preserves_constant_part_bytes():
-    hm = small_map()
-    image = serialize(hm)
-    updated = append_fault_data(image, new_faults=[
-        NewFault(1, Severity.LOW, Persistence.TRANSIENT, 2,
-                 [NewDetection(10, 1)]),
-    ])
+    image = serialize(small_map())
+    hm = deserialize(image)
+    fault = hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT, 2)
+    hm.add_detection(fault, 10, 1)
+    updated = append_changes(image, hm)
     # module 1 had no faults: only its firstFaultOff word may change
-    old_map = deserialize(image)
-    mod_off = old_map.modules[1].shm_offset
+    mod_off = hm.modules[1].shm_offset
     allowed = set(range(mod_off + 16, mod_off + 20))
     allowed |= set(range(0, HEADER_SIZE))
     diffs = {i for i in range(len(image)) if image[i] != updated[i]}
@@ -527,3 +522,140 @@ def test_append_changes_matches_reference_encoder(seed, data):
         image = append_changes(image, hm)
         assert image == expected
         assert deserialize(image).equivalent(hm)
+
+
+# -- serialize: one writer, canonical layout ----------------------------------
+
+def layout(hm: HealthMap) -> list[tuple[object, int]]:
+    """(record, size) for every record of `hm` in canonical image order:
+    modules, diag resources, dependencies, faults, detections."""
+    return [(rec, size)
+            for group, size in ((hm.modules.values(), MODULE_SIZE),
+                                (hm.diag_resources.values(), DIAG_SIZE),
+                                (hm.dependencies, DEP_SIZE),
+                                (hm.faults, FAULT_SIZE),
+                                (hm.detections, DET_SIZE))
+            for rec in group]
+
+
+def all_offsets(hm: HealthMap) -> list:
+    return [rec.shm_offset for rec, _size in layout(hm)]
+
+
+def canonical_offsets(hm: HealthMap) -> list[int]:
+    """Where each record of `hm` sits in a freshly serialized image."""
+    out, pos = [], HEADER_SIZE
+    for _rec, size in layout(hm):
+        out.append(pos)
+        pos += size
+    return out
+
+
+def report_some(hm: HealthMap, rng: random.Random) -> None:
+    detectors = sorted(hm.diag_resources)
+    for _ in range(rng.randint(1, 4)):
+        report_detection(hm, DetectionReport(
+            rng.choice(detectors), Severity(rng.randint(1, 3)),
+            rng.randint(0, 7), rng.randint(0, 3_000_000)))
+
+
+def check_serialize_against_reference(hm: HealthMap,
+                                      rng: random.Random) -> None:
+    image = serialize(hm)
+    assert all_offsets(hm) == canonical_offsets(hm)
+    assert reference_append(image, hm) == image
+    assert deserialize(image).equivalent(hm)
+    report_some(hm, rng)
+    expected = reference_append(image, hm)
+    assert append_changes(image, hm) == expected
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_serialize_matches_reference_encoder(seed):
+    rng = random.Random(seed)
+    # a fresh map, whose records have no offsets yet
+    check_serialize_against_reference(random_health_map(rng), rng)
+    # a loaded map, grown by appends and then pruned
+    image = serialize(random_health_map(rng))
+    hm = deserialize(image)
+    report_some(hm, rng)
+    hm = deserialize(append_changes(image, hm))
+    report_some(hm, rng)
+    prune(hm)
+    check_serialize_against_reference(hm, rng)
+
+
+def break_structure(hm: HealthMap) -> None:
+    module = next(iter(hm.modules.values()))
+    module.parent = module
+
+
+def break_detection_field(hm: HealthMap) -> None:
+    hm.detections[0].timestamp = 2**64   # past the u64 field
+
+
+@pytest.mark.parametrize("loaded_first", [False, True])
+@pytest.mark.parametrize("breaker, error", [
+    (break_structure, StructureInvalidError),
+    (break_detection_field, struct.error),
+], ids=["structure", "field"])
+def test_failed_serialize_leaves_offsets_unchanged(breaker, error,
+                                                   loaded_first):
+    hm = small_map()
+    if loaded_first:
+        hm = deserialize(serialize(hm))
+        report_detection(hm, DetectionReport(10, Severity.LOW, 3, 7))
+    before = all_offsets(hm)
+    breaker(hm)
+    with pytest.raises(error):
+        serialize(hm)
+    assert all_offsets(hm) == before
+
+
+def compiled_image(path: Path) -> bytes:
+    return compile_xml(path.read_text())[0]
+
+
+def cpu_after_appends_and_prune() -> bytes:
+    """compile cpu.xml, three inject-style appends, then load, prune and
+    serialize."""
+    image = compiled_image(DEMO_DATA / "cpu.xml")
+    for detector, severity, classification, t in (
+            (12, Severity.LOW, 3, 1000), (12, Severity.HIGH, 3, 5_000_000),
+            (1, Severity.MEDIUM, 7, 9_000_000)):
+        hm = deserialize(image)
+        report_detection(hm, DetectionReport(detector, severity,
+                                             classification, t,
+                                             payload=0xBEEF))
+        image = append_changes(image, hm)
+    hm = deserialize(image)
+    assert prune(hm) == 1
+    return serialize(hm)
+
+
+# SHA-256 of images whose bytes must never change; a layout change made in
+# both the encoder and the decoder still round-trips, so only fixed bytes
+# catch it.
+GOLDEN_IMAGES = {
+    "cpu.xml": (
+        functools.partial(compiled_image, DEMO_DATA / "cpu.xml"),
+        "85a7e82a6a148c7f8188332740cb0a951acc192358dd24d84888232ff27867d8"),
+    "board.xml": (
+        functools.partial(compiled_image, DEMO_DATA / "board.xml"),
+        "c6d951e0eb905796aa7d737c8d92f3493d161c2c83239c444114f4e0d421e27c"),
+    "table1.xml": (
+        functools.partial(compiled_image, DATA_DIR / "table1.xml"),
+        "85a7e82a6a148c7f8188332740cb0a951acc192358dd24d84888232ff27867d8"),
+    "synthesize_map(8)": (
+        lambda: serialize(synthesize_map(8)),
+        "a4ed551fafeb5715f4ecdfc26fed2efd5b8da3b6dd89d8757553f3c130666f00"),
+    "cpu.xml appended and pruned": (
+        cpu_after_appends_and_prune,
+        "11c83d224a4ed3bc1151ec8153cce0c53afbecd5d20396a8aeccdef79eaa12f6"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_IMAGES))
+def test_golden_image_bytes(name):
+    build, digest = GOLDEN_IMAGES[name]
+    assert hashlib.sha256(build()).hexdigest() == digest
