@@ -412,13 +412,24 @@ def test_append_one_fault_one_detection_grows_37_bytes():
     updated = append_changes(image, hm)
     assert len(updated) == len(image) + FAULT_SIZE + DET_SIZE
     validate_image(updated)
-    # reloading the appended image gives back the map that was grown
-    assert deserialize(updated).equivalent(hm)
 
 
 def test_append_nothing_is_identity():
     image = serialize(small_map())
     assert append_changes(image, deserialize(image)) == image
+
+
+def test_append_then_deserialize_commutes_with_model_path():
+    image = serialize(small_map())
+    grown = deserialize(image)
+    fault = grown.add_fault(2, Severity.LOW, Persistence.INTERMITTENT, 9)
+    grown.add_detection(fault, 10, 2000, payload=5)
+    via_append = deserialize(append_changes(image, grown))
+
+    via_model = deserialize(image)
+    fault = via_model.add_fault(2, Severity.LOW, Persistence.INTERMITTENT, 9)
+    via_model.add_detection(fault, 10, 2000, payload=5)
+    assert via_append.equivalent(via_model)
 
 
 def test_append_detection_to_existing_fault():
