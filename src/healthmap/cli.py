@@ -20,27 +20,34 @@ from .errors import HealthMapError
 from .model import Severity
 
 
-def _replace_file(path: Path, data: bytes) -> None:
-    """Write a file all or nothing: write a synced temp file in the same
-    directory, then rename it over `path` in one step. An existing file
-    keeps its mode; a new one gets the mode a plain write would give it."""
-    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                suffix=".tmp")
-    os.close(fd)
-    tmp = Path(name)
+def _replace_files(*files: tuple[Path, bytes]) -> None:
+    """Write files all or nothing: write a synced temp file in each target's
+    directory, and only when every one is written rename each over its
+    target in one step. An existing file keeps its mode; a new one gets the
+    mode a plain write would give it."""
+    temps = []
     try:
-        tmp.write_bytes(data)
-        try:
-            shutil.copymode(path, tmp)
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            tmp.chmod(0o666 & ~umask)
-        with tmp.open("rb") as fh:
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        for path, data in files:
+            fd, name = tempfile.mkstemp(dir=path.parent,
+                                        prefix=f".{path.name}.",
+                                        suffix=".tmp")
+            os.close(fd)
+            tmp = Path(name)
+            temps.append(tmp)
+            tmp.write_bytes(data)
+            try:
+                shutil.copymode(path, tmp)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                tmp.chmod(0o666 & ~umask)
+            with tmp.open("rb") as fh:
+                os.fsync(fh.fileno())
+        for (path, _data), tmp in zip(files, temps):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _hex(text: str) -> int:
@@ -79,9 +86,10 @@ def _maintenance_ids(values, sidecar) -> list[int]:
 
 def cmd_compile(args) -> int:
     image, sidecar = compiler.compile_xml(Path(args.xml).read_text())
-    _replace_file(Path(args.output), image)
+    files = [(Path(args.output), image)]
     if args.sym:
-        _replace_file(Path(args.sym), sidecar.format().encode())
+        files.append((Path(args.sym), sidecar.format().encode()))
+    _replace_files(*files)
     print(f"wrote {args.output} ({len(image)} bytes)")
     return 0
 
@@ -136,7 +144,7 @@ def cmd_inject(args) -> int:
     )
     fault, created = faultmgr.report_detection(hm, report)
     updated = codec.append_changes(image, hm)
-    _replace_file(path, updated)
+    _replace_files((path, updated))
     action = "created fault" if created else "updated fault"
     print(f"{action} class={fault.classification} on module "
           f"{fault.owner.id}; image now {len(updated)} bytes")
@@ -168,7 +176,7 @@ def cmd_prune(args) -> int:
     hm = codec.deserialize(path.read_bytes())
     removed = faultmgr.prune(hm)
     image = codec.serialize(hm)
-    _replace_file(path, image)
+    _replace_files((path, image))
     print(f"merged {removed} records; image now {len(image)} bytes")
     return 0
 

@@ -102,8 +102,6 @@ DEP_SIZE = DEP_REC.size            # 9
 FAULT_SIZE = FAULT_REC.size        # 12
 DET_SIZE = DET_REC.size            # 25
 
-FILE_EXTENSION = ".shm"
-
 
 def crc32(data: bytes) -> int:
     """Reflected CRC-32 (poly 0xEDB88320, init/final-xor 0xFFFFFFFF)."""

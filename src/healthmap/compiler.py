@@ -43,8 +43,6 @@ from .errors import (
 )
 from .model import HealthMap, Severity
 
-SIDECAR_EXTENSION = ".sym"
-
 _MODULE_ATTRS = {"id", "name", "criticality", "coreId"}
 _INSTRUMENT_ATTRS = {"id", "kind"}
 

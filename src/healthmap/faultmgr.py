@@ -4,7 +4,8 @@ accumulated records during idle time.
 
 A fault is identified by (owner module, classification); one fault may be
 detected many times, potentially by different diagnostic resources, so the
-detector is not part of the identity.
+detector is not part of the identity. `record_event` is the one rule that
+records an event, for sensor reports and roll-up summaries alike.
 """
 
 from __future__ import annotations
@@ -83,6 +84,37 @@ class PrunePolicy:
     merge_faults: bool = True
 
 
+def record_event(hm: HealthMap, module_id: int, classification: int,
+                 severity: Severity, persistence: Persistence,
+                 detector_id: int, timestamp: int, payload: int,
+                 window_us: int) -> tuple[Fault, bool]:
+    """Record one event of fault (module, classification) seen by
+    `detector_id`; returns (fault, created).
+
+    The fault is found or created, and its severity and persistence rise
+    to the given ones (max). The event merges into the fault's latest
+    detection (counter + 1, MERGED flag) if that is from the same detector,
+    at most `window_us` away and its counter has room; otherwise it is a
+    new detection. So the sum of the fault's counters rises by exactly one.
+    """
+    fault = hm.find_fault(module_id, classification)
+    created = fault is None
+    if created:
+        fault = hm.add_fault(module_id, severity, persistence, classification)
+    else:
+        fault.severity = max(fault.severity, severity)
+        fault.persistence = max(fault.persistence, persistence)
+    latest = fault.detections[-1] if fault.detections else None
+    if (latest is not None and latest.detector.id == detector_id
+            and abs(timestamp - latest.timestamp) <= window_us
+            and latest.counter < U32_MAX):
+        latest.counter += 1
+        latest.flags |= FLAG_MERGED
+    else:
+        hm.add_detection(fault, detector_id, timestamp, payload=payload)
+    return fault, created
+
+
 def report_detection(hm: HealthMap, report: DetectionReport,
                      config: Optional[ClassifierConfig] = None,
                      rm=None) -> tuple[Fault, bool]:
@@ -97,31 +129,12 @@ def report_detection(hm: HealthMap, report: DetectionReport,
         raise UnknownDetectorError(
             f"diag resource {report.detector_id} not found")
     owner = detector.owner
-
-    fault = hm.find_fault(owner.id, report.classification)
-    created = fault is None
-
-    if created:
-        fault = hm.add_fault(owner.id, report.severity,
-                             Persistence.TRANSIENT, report.classification)
-        hm.add_detection(fault, report.detector_id, report.timestamp,
-                         payload=report.payload)
-    else:
-        latest = fault.detections[-1] if fault.detections else None
-        if (latest is not None
-                and latest.detector.id == report.detector_id
-                and abs(report.timestamp - latest.timestamp)
-                <= config.merge_window_us):
-            latest.counter += 1
-            latest.flags |= FLAG_MERGED
-        else:
-            hm.add_detection(fault, report.detector_id, report.timestamp,
-                             payload=report.payload)
-
-    fault.severity = Severity(max(fault.severity, report.severity))
+    fault, created = record_event(
+        hm, owner.id, report.classification, report.severity,
+        Persistence.TRANSIENT, report.detector_id, report.timestamp,
+        report.payload, config.merge_window_us)
     total = sum(d.counter for d in fault.detections)
-    fault.persistence = Persistence(max(fault.persistence,
-                                        config.classify(total)))
+    fault.persistence = max(fault.persistence, config.classify(total))
     if rm is not None:
         rm.update_single_fault(owner.id, fault.severity, fault.persistence,
                                ModuleStatus.OWN_FAULT)

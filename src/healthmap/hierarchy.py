@@ -8,8 +8,9 @@ Message format (little-endian):
     entryCount x 7-byte entry | crc32 u32 over all preceding bytes
 
 A parent ingests a summary in one pass: each faulty entry routed to a
-parent module finds its fault through the health map's (module,
-classification) index, and the parent's resource map is updated once per
+parent module is recorded there by `faultmgr.record_event`, the rule
+sensor reports follow, so a steady child fault merges into one parent
+detection per merge window. The parent's resource map is updated once per
 parent module touched, with the maxima over that module's faults, rather
 than once per entry. Both give the same map: propagation keeps maxima and
 caps severity only with min, and max_i min(s_i, c) = min(max_i s_i, c).
@@ -36,7 +37,13 @@ from .errors import (
     UnknownDetectorError,
     UnknownNodeError,
 )
-from .faultmgr import DetectionReport, parse_report_line, report_detection
+from .faultmgr import (
+    DEFAULT_MERGE_WINDOW_US,
+    DetectionReport,
+    parse_report_line,
+    record_event,
+    report_detection,
+)
 from .model import HealthMap, ModuleStatus, Persistence, Severity
 from .resourcemap import (
     RM_ENTRY_SIZE,
@@ -145,15 +152,16 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
                    timestamp: int) -> int:
     """Fold a child summary into the parent node's state.
 
-    Every faulty entry routed to a parent module P is recorded as a fault
-    at P (detected by the child's downlink instrument; the classification
-    is the low byte of the child module id) and applied to the parent
-    resource map as an own fault at P's level. The resource map is updated
-    once per parent module touched, with the maxima of the severities and
-    persistences of its faults seen in this summary; that equals one update
-    per entry, because propagation keeps maxima and only caps severity
-    with min, and the max of min(s_i, c) is min(max s_i, c). Returns the
-    number of faulty entries skipped because they were unmapped.
+    Every faulty entry routed to a parent module P is recorded at P by
+    `record_event` with DEFAULT_MERGE_WINDOW_US, as sensor reports are: an
+    event of the child's downlink detector, with persistence taken from
+    the entry, classification the low byte of the child module id and
+    payload the id. The parent resource map is updated once per parent
+    module touched, with the maxima of its faults seen in this summary;
+    that equals one own-fault update per entry, because propagation keeps
+    maxima and only caps severity with min, and the max of min(s_i, c) is
+    min(max s_i, c). Returns the number of faulty entries skipped because
+    they were unmapped.
     """
     node_id, entries = decode_summary(message)
     if not mapping.knows_node(node_id):
@@ -175,22 +183,11 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
             if not has_detector:
                 raise UnknownDetectorError(
                     f"no downlink diag resource for node {node_id}")
-            classification = entry.module_id & 0xFF
-            persistence = max(entry.persistence, Persistence.TRANSIENT)
-            fault = parent_hm.find_fault(parent_module, classification)
-            if fault is None:
-                fault = parent_hm.add_fault(parent_module, entry.severity,
-                                            persistence, classification)
-            else:
-                fault.severity = max(fault.severity, entry.severity)
-                fault.persistence = max(fault.persistence, persistence)
-            latest = fault.detections[-1] if fault.detections else None
-            if (latest is not None and latest.detector.id == detector_id
-                    and latest.timestamp == timestamp):
-                latest.counter += 1
-            else:
-                parent_hm.add_detection(fault, detector_id, timestamp,
-                                        payload=entry.module_id)
+            fault, _created = record_event(
+                parent_hm, parent_module, entry.module_id & 0xFF,
+                entry.severity, max(entry.persistence, Persistence.TRANSIENT),
+                detector_id, timestamp, entry.module_id,
+                DEFAULT_MERGE_WINDOW_US)
             sev, pers = worst.get(parent_module,
                                   (Severity.ZERO, Persistence.ZERO))
             worst[parent_module] = (max(sev, fault.severity),

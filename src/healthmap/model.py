@@ -233,6 +233,10 @@ class HealthMap:
         detector = self.diag_resources.get(detector_id)
         if detector is None:
             raise UnknownDetectorError(f"diag resource {detector_id} not found")
+        check_field(timestamp, U64_MAX, "detection timestamp")
+        check_field(payload, U32_MAX, "detection payload")
+        check_field(counter, U32_MAX, "detection counter")
+        check_field(flags, 0xFF, "detection flags")
         det = FaultDetection(detector=detector, timestamp=timestamp,
                              counter=counter, payload=payload, flags=flags,
                              seq=self.next_seq())

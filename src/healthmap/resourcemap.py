@@ -82,11 +82,6 @@ class ResourceMap:
         self.entries: dict[int, RmEntry] = {
             mid: RmEntry(mid) for mid in hm.modules
         }
-        self._maintenance: set[int] = set()
-
-    @property
-    def health_map(self) -> HealthMap:
-        return self._hm
 
     def entry(self, module_id: int) -> RmEntry:
         e = self.entries.get(module_id)
@@ -97,8 +92,8 @@ class ResourceMap:
     # -- update procedures ------------------------------------------------
 
     def update_single_fault(self, module_id: int, severity: Severity,
-                            persistence: Persistence, status: ModuleStatus,
-                            _follow_deps: bool = True) -> None:
+                            persistence: Persistence,
+                            status: ModuleStatus) -> None:
         """Fold one fault's (severity, persistence, status) into the entry
         and propagate upward. Worst values are kept (max); OWN_FAULT is
         never downgraded to PROPAGATED_FAULT and MAINTENANCE is never
@@ -109,7 +104,7 @@ class ResourceMap:
         # maxima may include contributions whose dependency hop was already
         # spent, and forwarding those across a fresh dependency edge would
         # over-propagate.
-        self._propagate([(module_id, severity, persistence, _follow_deps)])
+        self._propagate([(module_id, severity, persistence, True)])
 
     def _fold(self, module_id: int, severity: Severity,
               persistence: Persistence, status: ModuleStatus) -> None:
@@ -124,14 +119,6 @@ class ResourceMap:
             elif (status == ModuleStatus.PROPAGATED_FAULT
                     and e.status != ModuleStatus.OWN_FAULT):
                 e.status = ModuleStatus.PROPAGATED_FAULT
-
-    def propagate_fault(self, module_id: int, severity: Severity,
-                        persistence: Persistence,
-                        _follow_deps: bool = True) -> None:
-        """Child-to-parent propagation with criticality capping, plus
-        single-hop dependency propagation, from one module whose own entry
-        is not touched."""
-        self._propagate([(module_id, severity, persistence, _follow_deps)])
 
     def _propagate(self, work: list[tuple[int, Severity, Persistence,
                                           bool]]) -> None:
@@ -190,11 +177,9 @@ class ResourceMap:
     def _mark(self, module_ids: Iterable[int], on: bool) -> None:
         if on:
             for mid in module_ids:
-                self._maintenance.add(mid)
                 self.entries[mid].status = ModuleStatus.MAINTENANCE
         else:
             for mid in module_ids:
-                self._maintenance.discard(mid)
                 e = self.entries[mid]
                 if self._hm.modules[mid].faults:
                     e.status = ModuleStatus.OWN_FAULT
@@ -202,10 +187,6 @@ class ResourceMap:
                     e.status = ModuleStatus.PROPAGATED_FAULT
                 else:
                     e.status = ModuleStatus.AVAILABLE
-
-    @property
-    def maintenance(self) -> frozenset[int]:
-        return frozenset(self._maintenance)
 
     # -- encoding -----------------------------------------------------------
 

@@ -214,6 +214,27 @@ def test_failed_recompile_leaves_image_and_sidecar_intact(
     assert sorted(shm.parent.iterdir()) == files_before
 
 
+def test_failed_sidecar_write_leaves_image_intact(compiled, monkeypatch,
+                                                  capsys):
+    shm, sym = compiled
+    image, sidecar = shm.read_bytes(), sym.read_text()
+    files_before = sorted(shm.parent.iterdir())
+    write_bytes = Path.write_bytes
+
+    def sidecar_write_fails(self, data):
+        if self.name.startswith(f".{sym.name}."):
+            raise OSError("disk full")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", sidecar_write_fails)
+    assert main(["compile", str(DEMO_DATA / "board.xml"), "-o", str(shm),
+                 "--sym", str(sym)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert shm.read_bytes() == image
+    assert sym.read_text() == sidecar
+    assert sorted(shm.parent.iterdir()) == files_before
+
+
 def test_fresh_compile_gets_plain_write_mode(tmp_path):
     shm, sym, plain = (tmp_path / "new.shm", tmp_path / "new.sym",
                        tmp_path / "plain")

@@ -10,9 +10,11 @@ from healthmap import (
     Persistence,
     PrunePolicy,
     Severity,
+    deserialize,
     init_resource_map,
     prune,
     report_detection,
+    serialize,
 )
 from healthmap.errors import (
     ClassificationRangeError,
@@ -222,6 +224,17 @@ def test_merge_conserves_event_count(table1_map):
     for report in reports:
         fault, _ = report_detection(table1_map, report)
     assert sum(d.counter for d in fault.detections) == len(reports)
+
+
+def test_report_into_full_counter_starts_a_new_detection(table1_map):
+    fault, _ = report_detection(
+        table1_map, DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, 0))
+    fault.detections[0].counter = 2**32 - 1
+    report_detection(table1_map,
+                     DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, 10))
+    assert [d.counter for d in fault.detections] == [2**32 - 1, 1]
+    reloaded = deserialize(serialize(table1_map))
+    assert reloaded.equivalent(table1_map)
 
 
 # -- report line parsing -----------------------------------------------------

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from healthmap import (
     ChildMapping,
+    ClassifierConfig,
     DetectionReport,
+    HealthMap,
     ModuleStatus,
     Persistence,
     Scenario,
@@ -15,9 +21,12 @@ from healthmap import (
     report_detection,
     simulate,
 )
+from healthmap import hierarchy
 from healthmap.resourcemap import ResourceMap
 from healthmap.compiler import build_map, parse_description
 from healthmap.codec import crc32
+from healthmap.faultmgr import DEFAULT_MERGE_WINDOW_US
+from healthmap.model import FLAG_MERGED
 from healthmap.errors import (
     ClassificationRangeError,
     CrcMismatchError,
@@ -189,7 +198,92 @@ def test_repeated_ingest_merges_into_counter(table1_map):
     ingest_summary(hm, rm, message, mapping, timestamp=5000)
     ingest_summary(hm, rm, message, mapping, timestamp=10000)
     fault = hm.modules[2].faults[0]
-    assert [d.counter for d in fault.detections] == [2, 1]
+    assert [d.counter for d in fault.detections] == [3]
+    # the window runs from the detection's first event
+    ingest_summary(hm, rm, message, mapping,
+                   timestamp=5000 + DEFAULT_MERGE_WINDOW_US + 1)
+    assert [d.counter for d in fault.detections] == [3, 1]
+    assert fault.detections[0].flags & FLAG_MERGED
+
+
+# -- one recording rule, whatever the merge window ---------------------------
+
+DOWNLINK = 99
+SEVERITIES = st.sampled_from(list(Severity))
+PERSISTENCES = st.sampled_from(list(Persistence))
+
+
+@st.composite
+def recording_cases(draw):
+    """A parent forest of modules 1..n (instrument 100 + i on each, the
+    downlink on module 1, some dependencies), routes for child node 1's
+    modules 1..4, and a sequence of reports and summaries at
+    non-decreasing times."""
+    n = draw(st.integers(1, 6))
+    modules = [(i, draw(st.one_of(st.none(), st.integers(1, i - 1)))
+                if i > 1 else None, draw(SEVERITIES))
+               for i in range(1, n + 1)]
+    ids = st.integers(1, n)
+    deps = [(p, d, sev) for p, d, sev in draw(st.lists(
+        st.tuples(ids, ids, SEVERITIES), max_size=n)) if p != d]
+    routes = {(1, child): parent for child, parent in enumerate(
+        draw(st.lists(st.one_of(st.none(), ids), min_size=4, max_size=4)),
+        1) if parent is not None}
+    gaps = st.integers(0, 3 * DEFAULT_MERGE_WINDOW_US // 2)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("report"), gaps, ids,
+                  st.sampled_from(list(Severity)[1:]), st.integers(0, 4)),
+        st.tuples(st.just("summary"), gaps, st.lists(
+            st.tuples(SEVERITIES, PERSISTENCES), min_size=4, max_size=4))),
+        max_size=25))
+    return modules, deps, routes, steps
+
+
+def replay(case, window):
+    """Run a recording case with both merge windows set to `window`; returns
+    each fault's (severity, persistence, event total), the resource map and
+    the number of detections."""
+    modules, deps, routes, steps = case
+    hm = HealthMap()
+    for mid, parent, crit in modules:
+        hm.add_module(mid, parent, crit)
+        hm.add_diag_resource(100 + mid, mid)
+    hm.add_diag_resource(DOWNLINK, 1)
+    for provider, dependent, sev in deps:
+        hm.add_dependency(provider, dependent, sev)
+    rm = init_resource_map(hm)
+    child = HealthMap()
+    for mid in range(1, 5):
+        child.add_module(mid)
+    mapping = ChildMapping(routes=routes, downlinks={1: DOWNLINK})
+    config = ClassifierConfig(merge_window_us=window)
+    now = 0
+    with mock.patch.object(hierarchy, "DEFAULT_MERGE_WINDOW_US", window):
+        for kind, gap, *args in steps:
+            now += gap
+            if kind == "report":
+                mid, sev, cls = args
+                report_detection(hm, DetectionReport(100 + mid, sev, cls, now),
+                                 config, rm=rm)
+                continue
+            child_rm = ResourceMap(child)
+            for entry, (sev, pers) in zip(child_rm.entries.values(), args[0]):
+                entry.severity, entry.persistence = sev, pers
+            ingest_summary(hm, rm, encode_summary(1, child_rm), mapping, now)
+    assert rm_state(rm) == oracle_resource_map(hm)
+    faults = {(f.owner.id, f.classification): (
+        f.severity, f.persistence, sum(d.counter for d in f.detections))
+        for f in hm.faults}
+    return faults, rm_state(rm), len(hm.detections)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recording_cases())
+def test_merge_window_changes_only_detection_lists(case):
+    narrow, default, wide = (replay(case, window) for window in
+                             (0, DEFAULT_MERGE_WINDOW_US, 2**64))
+    assert narrow[:2] == default[:2] == wide[:2]
+    assert narrow[2] >= default[2] >= wide[2]
 
 
 def test_mapping_parse_errors():
@@ -203,13 +297,15 @@ def test_mapping_parse_errors():
 
 # -- scenario + simulation -----------------------------------------------------
 
-def write_scenario(tmp_path, table1_xml, events):
+def write_scenario(tmp_path, table1_xml, events, duration=10000,
+                   child_period=5000):
     (tmp_path / "child.xml").write_text(table1_xml)
     (tmp_path / "parent.xml").write_text(PARENT_XML)
     (tmp_path / "parent.map").write_text(MAPPING_TEXT)
-    lines = ["duration 10000",
-             "node 0 hm=parent.xml map=parent.map period=10000 parent=none",
-             "node 1 hm=child.xml map=none period=5000 parent=0"]
+    lines = [f"duration {duration}",
+             f"node 0 hm=parent.xml map=parent.map period={duration} "
+             "parent=none",
+             f"node 1 hm=child.xml map=none period={child_period} parent=0"]
     lines += events
     (tmp_path / "run.scn").write_text("\n".join(lines) + "\n")
     return Scenario.parse((tmp_path / "run.scn").read_text(), tmp_path)
@@ -336,3 +432,18 @@ def test_simulate_encodes_each_emission_once(tmp_path, table1_xml,
     for rm_line, message_line in zip(child_rms, result.message_log):
         message = bytes.fromhex(message_line.split()[-1])
         assert bytes.fromhex(rm_line.split()[-1]) == message[12:-4]
+
+
+def test_simulate_parent_detections_grow_with_windows_not_summaries(
+        tmp_path, table1_xml):
+    duration = 10_000_000
+    scenario = write_scenario(
+        tmp_path, table1_xml, ["at 1000 node 1 detect 12 sev=HIGH class=1"],
+        duration=duration, child_period=1000)
+    result = simulate(scenario)
+    assert len(result.message_log) == duration // 1000
+    parent = result.nodes[0].hm
+    windows = duration // DEFAULT_MERGE_WINDOW_US + 1
+    assert 0 < len(parent.detections) <= len(parent.faults) * windows
+    # every summary from the fault's detection on is still counted
+    assert sum(d.counter for d in parent.detections) == duration // 1000

@@ -33,6 +33,7 @@ from healthmap.resourcemap import RmEntry
 from healthmap.errors import (
     ClassificationRangeError,
     DuplicateIdError,
+    FieldRangeError,
     UnknownDetectorError,
     UnknownModuleError,
     UnknownParentError,
@@ -105,6 +106,27 @@ def test_add_fault_unknown_detector():
     with pytest.raises(UnknownDetectorError):
         hm.add_fault_with_detection(1, Severity.LOW,
                                     Persistence.TRANSIENT, 0, 7, 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timestamp", 2**64),
+    ("timestamp", -1),
+    ("payload", 2**32),
+    ("counter", 2**32),
+    ("flags", 0x100),
+])
+def test_add_detection_rejects_value_outside_its_field(field, value):
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(7, 1)
+    fault = hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT, 0)
+    values = {"timestamp": 0, field: value}
+    with pytest.raises(FieldRangeError, match=f"detection {field}"):
+        hm.add_detection(fault, 7, **values)
+    assert fault.detections == [] and hm.detections == []
+    # the largest values that fit are accepted
+    hm.add_detection(fault, 7, 2**64 - 1, payload=2**32 - 1,
+                     counter=2**32 - 1, flags=0xFF)
 
 
 def test_distinct_classifications_make_distinct_faults():
