@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import NoCoreIdsError, ScenarioError, UnknownSubmoduleError
-from .model import ModuleStatus, Persistence, Severity
+from .model import ModuleStatus, Persistence, Severity, text_lines
 from .resourcemap import ResourceMap
 
 
@@ -90,10 +90,7 @@ def parse_task_file(text: str) -> list[TaskRequirement]:
     `task <name> [needs=<SUB,...>] [maxSev=<SEV>] [maxPers=<PERS>]`.
     """
     tasks = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(text):
         match = _TASK_RE.match(line)
         if not match:
             raise ScenarioError(f"task file line {lineno}: bad syntax "

@@ -58,17 +58,14 @@ def _hex(text: str) -> int:
             f"{text!r} is not a hex number") from None
 
 
-def _fallback_sidecar(hm) -> compiler.Sidecar:
+def _load_sidecar(path, hm) -> compiler.Sidecar:
+    """The sidecar at `path`, or one naming each module by its id."""
+    if path is not None:
+        return compiler.Sidecar.parse(Path(path).read_text())
     sidecar = compiler.Sidecar()
     for mid in hm.modules:
         sidecar.add(mid, str(mid))
     return sidecar
-
-
-def _load_sidecar(path, hm) -> compiler.Sidecar:
-    if path is None:
-        return _fallback_sidecar(hm)
-    return compiler.Sidecar.parse(Path(path).read_text())
 
 
 def _maintenance_ids(values, sidecar) -> list[int]:

@@ -19,14 +19,18 @@ Schema:
 
 Template instances: every module/instrument id inside the subtree is
 treated as an offset added to baseId + k*idStride for instance k, and the
-placeholder "{i}" in name/coreId attributes is replaced with k. Module
-names in the binary live only in the sidecar (one line per module:
+placeholder "{i}" in name/coreId attributes is replaced with k. A template
+may sit at the root or in a module, but not inside another template;
+instruments and dependencies have no child elements. Module names in the
+binary live only in the sidecar (one line per module:
 "<id> <dotted-name> [core=<coreId>]").
+
+`parse_description` expands templates during its one walk over an explicit
+stack, and neither it nor `build_map` limits the nesting depth.
 """
 
 from __future__ import annotations
 
-import copy
 import xml.etree.ElementTree as ET
 import xml.parsers.expat as expat
 from dataclasses import dataclass, field
@@ -41,7 +45,8 @@ from .errors import (
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
-from .model import HealthMap, Severity
+from .model import (U32_MAX, HealthMap, Severity, check_field, int_token,
+                     text_lines)
 
 _MODULE_ATTRS = {"id", "name", "criticality", "coreId"}
 _INSTRUMENT_ATTRS = {"id", "kind"}
@@ -78,13 +83,6 @@ class HmDescription:
     modules: list[ModuleDecl] = field(default_factory=list)
     dependencies: list[DependencyDecl] = field(default_factory=list)
 
-    def iter_modules(self):
-        stack = list(self.modules)
-        while stack:
-            decl = stack.pop(0)
-            yield decl
-            stack = decl.children + stack
-
 
 class Sidecar:
     """Module id -> dotted name (and OS core id for processing cores)."""
@@ -106,7 +104,8 @@ class Sidecar:
         else:
             self._ids.setdefault(name, module_id)
         if core_id is not None:
-            self._core_ids[module_id] = core_id
+            self._core_ids[module_id] = check_field(core_id, U32_MAX,
+                                                    "core id")
 
     def name_for_id(self, module_id: int) -> Optional[str]:
         return self._names.get(module_id)
@@ -132,33 +131,24 @@ class Sidecar:
     @classmethod
     def parse(cls, text: str) -> "Sidecar":
         sc = cls()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in text_lines(text):
             parts = line.split()
-            if len(parts) not in (2, 3):
-                raise SchemaViolationError(
-                    f"sidecar line {lineno}: expected '<id> <name> "
-                    f"[core=<n>]', got {line!r}")
-            core_id = None
-            if len(parts) == 3:
-                if not parts[2].startswith("core="):
+            try:
+                if len(parts) not in (2, 3):
                     raise SchemaViolationError(
-                        f"sidecar line {lineno}: bad field {parts[2]!r}")
-                core_id = _sidecar_int(parts[2][5:], lineno, "core id")
-            sc.add(_sidecar_int(parts[0], lineno, "module id"), parts[1],
-                   core_id)
+                        f"expected '<id> <name> [core=<n>]', got {line!r}")
+                core_id = None
+                if len(parts) == 3:
+                    if not parts[2].startswith("core="):
+                        raise SchemaViolationError(f"bad field {parts[2]!r}")
+                    core_id = int_token(parts[2][5:], "core id",
+                                        SchemaViolationError, U32_MAX)
+                sc.add(int_token(parts[0], "module id", SchemaViolationError,
+                                 U32_MAX), parts[1], core_id)
+            except SchemaViolationError as exc:
+                raise SchemaViolationError(
+                    f"sidecar line {lineno}: {exc}") from None
         return sc
-
-
-def _sidecar_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SchemaViolationError(
-            f"sidecar line {lineno}: bad {what} {token!r}: not an "
-            f"integer") from None
 
 
 # --------------------------------------------------------------------------
@@ -186,24 +176,22 @@ def _parse_with_lines(xml_text: str) -> ET.Element:
     return builder.close()
 
 
-def _line(elem: ET.Element) -> Optional[int]:
-    value = elem.attrib.get("__line__")
-    return int(value) if value is not None else None
+def _line(elem: ET.Element) -> int:
+    return int(elem.attrib["__line__"])
 
 
-def _attrs(elem: ET.Element) -> dict[str, str]:
-    return {k: v for k, v in elem.attrib.items() if k != "__line__"}
-
-
-def _int_attr(elem: ET.Element, name: str, required: bool = True,
-              default: Optional[int] = None) -> Optional[int]:
+def _attr(elem: ET.Element, name: str, inst: Optional[tuple] = None) -> str:
+    """A required attribute, "{i}" read as the template instance's index."""
     raw = elem.attrib.get(name)
     if raw is None:
-        if required:
-            raise SchemaViolationError(
-                f"line {_line(elem)}: <{elem.tag}> missing attribute "
-                f"{name!r}")
-        return default
+        raise SchemaViolationError(
+            f"line {_line(elem)}: <{elem.tag}> missing attribute {name!r}")
+    return raw if inst is None else raw.replace("{i}", str(inst[1]))
+
+
+def _int_attr(elem: ET.Element, name: str,
+              inst: Optional[tuple] = None) -> int:
+    raw = _attr(elem, name, inst)
     try:
         value = int(raw, 0)
     except ValueError:
@@ -218,109 +206,48 @@ def _int_attr(elem: ET.Element, name: str, required: bool = True,
 
 def _severity_attr(elem: ET.Element, name: str,
                    allow_zero: bool) -> Severity:
-    raw = elem.attrib.get(name)
-    if raw is None:
-        raise SchemaViolationError(
-            f"line {_line(elem)}: <{elem.tag}> missing attribute {name!r}")
+    raw = _attr(elem, name)
     try:
         value = Severity[raw]
     except KeyError:
         raise BadEnumValueError(
             f"line {_line(elem)}: bad {name} value {raw!r}") from None
     if value == Severity.ZERO and not allow_zero:
-        raise BadEnumValueError(
-            f"line {_line(elem)}: {name} must not be ZERO")
+        raise BadEnumValueError(f"line {_line(elem)}: {name} must not be ZERO")
     return value
 
 
-def expand_templates(root: ET.Element) -> ET.Element:
-    """Materialize <template> elements in place; returns the same root."""
-    claimed_module: dict[int, int] = {}      # id -> line of claiming template
-    claimed_instrument: dict[int, int] = {}
-
-    def offset_ids(elem: ET.Element, offset: int, index: int,
-                   template_line: Optional[int]) -> None:
-        if elem.tag not in ("module", "instrument"):
-            raise SchemaViolationError(
-                f"line {_line(elem)}: <{elem.tag}> not allowed inside a "
-                f"template")
-        base = _int_attr(elem, "id")
-        new_id = base + offset
-        claims = claimed_module if elem.tag == "module" else claimed_instrument
-        if new_id in claims:
-            raise IdRangeCollisionError(
-                f"line {template_line}: {elem.tag} id {new_id} already "
-                f"claimed by template at line {claims[new_id]}")
-        claims[new_id] = template_line or 0
-        elem.set("id", str(new_id))
-        for attr in ("name", "coreId"):
-            if attr in elem.attrib:
-                elem.set(attr, elem.attrib[attr].replace("{i}", str(index)))
-        for child in elem:
-            offset_ids(child, offset, index, template_line)
-
-    def walk(elem: ET.Element) -> None:
-        for pos in range(len(elem) - 1, -1, -1):
-            child = elem[pos]
-            if child.tag != "template":
-                walk(child)
-                continue
-            count = _int_attr(child, "count")
-            base_id = _int_attr(child, "baseId")
-            stride = _int_attr(child, "idStride")
-            instances: list[ET.Element] = []
-            for k in range(count):
-                for sub in child:
-                    clone = copy.deepcopy(sub)
-                    offset_ids(clone, base_id + k * stride, k, _line(child))
-                    instances.append(clone)
-            elem.remove(child)
-            for i, inst in enumerate(instances):
-                elem.insert(pos + i, inst)
-
-    walk(root)
-    return root
-
-
-def _build_module_decl(elem: ET.Element) -> ModuleDecl:
-    unknown = set(_attrs(elem)) - _MODULE_ATTRS
+def _check_attrs(elem: ET.Element, allowed: set[str]) -> None:
+    unknown = set(elem.attrib) - allowed - {"__line__"}
     if unknown:
         raise SchemaViolationError(
-            f"line {_line(elem)}: unknown module attributes {sorted(unknown)}")
-    name = elem.attrib.get("name")
-    if not name:
-        raise SchemaViolationError(
-            f"line {_line(elem)}: <module> missing attribute 'name'")
-    decl = ModuleDecl(
-        id=_int_attr(elem, "id"),
-        name=name,
-        criticality=_severity_attr(elem, "criticality", allow_zero=True),
-        core_id=_int_attr(elem, "coreId", required=False),
-        line=_line(elem),
-    )
-    for child in elem:
-        if child.tag == "module":
-            decl.children.append(_build_module_decl(child))
-        elif child.tag == "instrument":
-            unknown = set(_attrs(child)) - _INSTRUMENT_ATTRS
-            if unknown:
-                raise SchemaViolationError(
-                    f"line {_line(child)}: unknown instrument attributes "
-                    f"{sorted(unknown)}")
-            decl.instruments.append(InstrumentDecl(
-                id=_int_attr(child, "id"),
-                kind=_int_attr(child, "kind"),
-                line=_line(child),
-            ))
+            f"line {_line(elem)}: unknown {elem.tag} attributes "
+            f"{sorted(unknown)}")
+
+
+def _expand(parent: ET.Element, inst: Optional[tuple]):
+    """The children of `parent` in document order, each with the template
+    instance it belongs to, as (id offset, index, line of the <template>),
+    or None; a <template> gives its children once per instance, k-major."""
+    for child in parent:
+        if child.tag != "template" or inst is not None:
+            pairs = ((child, inst),)
         else:
-            raise SchemaViolationError(
-                f"line {_line(child)}: unexpected element <{child.tag}> "
-                f"inside <module>")
-    return decl
+            count, base_id, stride = (_int_attr(child, name) for name in
+                                      ("count", "baseId", "idStride"))
+            line = _line(child)
+            pairs = ((sub, (base_id + k * stride, k, line))
+                     for k in range(count) for sub in child)
+        for elem, where in pairs:
+            if where is not None and elem.tag not in ("module", "instrument"):
+                raise SchemaViolationError(
+                    f"line {_line(elem)}: <{elem.tag}> not allowed inside "
+                    f"a template")
+            yield elem, where
 
 
 def parse_description(xml_text: str) -> HmDescription:
-    """Parse, expand templates and validate the XML description."""
+    """Parse, expand templates and check the XML description in one walk."""
     root = _parse_with_lines(xml_text)
     if root.tag != "healthmap":
         raise SchemaViolationError(
@@ -329,43 +256,88 @@ def parse_description(xml_text: str) -> HmDescription:
     if version != "1":
         raise SchemaViolationError(f"unsupported description version "
                                    f"{version!r}")
-    expand_templates(root)
+    # (tag, id) -> line of its element / of its template; an overlap of
+    # template ranges is raised at once, a duplicate id after the walk
+    seen: dict[tuple[str, int], int] = {}
+    claimed: dict[tuple[str, int], int] = {}
+    duplicates: list[str] = []
+
+    def element_id(elem: ET.Element, inst: Optional[tuple]) -> int:
+        value = _int_attr(elem, "id") + (inst[0] if inst else 0)
+        key = (elem.tag, value)
+        if inst is not None:
+            if key in claimed:
+                # the earlier template first, whichever claimed first
+                first, second = sorted((claimed[key], inst[2]))
+                raise IdRangeCollisionError(
+                    f"line {first}: {elem.tag} id {value} already claimed "
+                    f"by template at line {second}")
+            claimed[key] = inst[2]
+        if key in seen:
+            duplicates.append(f"duplicate {elem.tag} id {value} at lines "
+                              f"{seen[key]} and {_line(elem)}")
+        seen.setdefault(key, _line(elem))
+        return value
 
     desc = HmDescription()
-    for child in root:
-        if child.tag == "module":
-            desc.modules.append(_build_module_decl(child))
-        elif child.tag == "dependency":
-            desc.dependencies.append(DependencyDecl(
-                provider=_int_attr(child, "provider"),
-                dependent=_int_attr(child, "dependent"),
-                severity=_severity_attr(child, "severity", allow_zero=False),
-                line=_line(child),
-            ))
-        else:
-            raise SchemaViolationError(
-                f"line {_line(child)}: unexpected element <{child.tag}> "
-                f"under <healthmap>")
+    # (element, its template instance, its decl's parent or None); the root
+    # comes first, the children of each module in document order
+    stack: list[tuple] = [(root, None, None)]
+    while stack:
+        elem, inst, parent = stack.pop()
+        decl = None
+        if elem is not root:
+            _check_attrs(elem, _MODULE_ATTRS)
+            name = _attr(elem, "name", inst)
+            if not name:   # an empty name counts as missing
+                raise SchemaViolationError(
+                    f"line {_line(elem)}: <module> missing attribute 'name'")
+            decl = ModuleDecl(
+                id=element_id(elem, inst),
+                name=name,
+                criticality=_severity_attr(elem, "criticality",
+                                           allow_zero=True),
+                core_id=(_int_attr(elem, "coreId", inst)
+                         if "coreId" in elem.attrib else None),
+                line=_line(elem),
+            )
+            (desc.modules if parent is None else parent.children).append(decl)
+        # a module's instruments are claimed before its submodules' ids
+        first_child = len(stack)
+        for child, where in _expand(elem, inst):
+            if child.tag in ("instrument", "dependency") and len(child):
+                raise SchemaViolationError(
+                    f"line {_line(child[0])}: unexpected element "
+                    f"<{child[0].tag}> inside <{child.tag}>")
+            if child.tag == "module":
+                stack.append((child, where, decl))
+            elif child.tag == "instrument" and decl is not None:
+                _check_attrs(child, _INSTRUMENT_ATTRS)
+                decl.instruments.append(InstrumentDecl(
+                    id=element_id(child, where),
+                    kind=_int_attr(child, "kind"),
+                    line=_line(child),
+                ))
+            elif child.tag == "dependency" and decl is None:
+                desc.dependencies.append(DependencyDecl(
+                    provider=_int_attr(child, "provider"),
+                    dependent=_int_attr(child, "dependent"),
+                    severity=_severity_attr(child, "severity",
+                                            allow_zero=False),
+                    line=_line(child),
+                ))
+            else:
+                raise SchemaViolationError(
+                    f"line {_line(child)}: unexpected element <{child.tag}> "
+                    + ("inside <module>" if decl else "under <healthmap>"))
+        stack[first_child:] = reversed(stack[first_child:])
 
-    # id uniqueness with both locations reported
-    module_lines: dict[int, Optional[int]] = {}
-    instrument_lines: dict[int, Optional[int]] = {}
-    for decl in desc.iter_modules():
-        if decl.id in module_lines:
-            raise DuplicateIdError(
-                f"duplicate module id {decl.id} at lines "
-                f"{module_lines[decl.id]} and {decl.line}")
-        module_lines[decl.id] = decl.line
-        for inst in decl.instruments:
-            if inst.id in instrument_lines:
-                raise DuplicateIdError(
-                    f"duplicate instrument id {inst.id} at lines "
-                    f"{instrument_lines[inst.id]} and {inst.line}")
-            instrument_lines[inst.id] = inst.line
+    if duplicates:
+        raise DuplicateIdError(duplicates[0])
     for dep in desc.dependencies:
         for end, label in ((dep.provider, "provider"),
                            (dep.dependent, "dependent")):
-            if end not in module_lines:
+            if ("module", end) not in seen:
                 raise UnresolvedReferenceError(
                     f"line {dep.line}: dependency {label} {end} does not "
                     f"resolve to a module")
@@ -380,25 +352,22 @@ def build_map(description: HmDescription) -> tuple[HealthMap, Sidecar]:
     """Materialize the description as an in-memory map plus name sidecar."""
     hm = HealthMap()
     sidecar = Sidecar()
-    names_seen: dict[str, int] = {}
-
-    def add(decl: ModuleDecl, parent_id: Optional[int],
-            prefix: str) -> None:
+    # (decl, parent id, parent's dotted name), popped in preorder
+    stack = [(decl, None, "") for decl in reversed(description.modules)]
+    while stack:
+        decl, parent_id, prefix = stack.pop()
         dotted = f"{prefix}.{decl.name}" if prefix else decl.name
-        if dotted in names_seen:
+        other = sidecar.id_for_name(dotted)
+        if other is not None:
             raise SchemaViolationError(
                 f"line {decl.line}: duplicate module name {dotted!r} "
-                f"(also module id {names_seen[dotted]})")
-        names_seen[dotted] = decl.id
+                f"(also module id {other})")
         hm.add_module(decl.id, parent_id, decl.criticality)
         sidecar.add(decl.id, dotted, decl.core_id)
         for inst in decl.instruments:
             hm.add_diag_resource(inst.id, decl.id, inst.kind)
-        for child in decl.children:
-            add(child, decl.id, dotted)
-
-    for decl in description.modules:
-        add(decl, None, "")
+        stack += [(child, decl.id, dotted)
+                  for child in reversed(decl.children)]
     for dep in description.dependencies:
         hm.add_dependency(dep.provider, dep.dependent, dep.severity)
     return hm, sidecar

@@ -44,7 +44,8 @@ from .faultmgr import (
     record_event,
     report_detection,
 )
-from .model import HealthMap, ModuleStatus, Persistence, Severity
+from .model import (U32_MAX, HealthMap, ModuleStatus, Persistence, Severity,
+                     int_token, text_lines)
 from .resourcemap import (
     RM_ENTRY_SIZE,
     ResourceMap,
@@ -89,15 +90,6 @@ def decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
     return node_id, decode_entries(data[_RMS_HEAD.size:expected - 4])
 
 
-def _int_token(token: str, what: str) -> int:
-    """A decimal integer token of a scenario or mapping line."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ScenarioError(f"bad {what} {token!r}: not an integer") \
-            from None
-
-
 @dataclass
 class ChildMapping:
     """Routes (child node, child module) pairs onto parent modules and
@@ -123,22 +115,22 @@ class ChildMapping:
     def parse(cls, text: str) -> "ChildMapping":
         routes: dict[tuple[int, int], int] = {}
         downlinks: dict[int, int] = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in text_lines(text):
             parts = line.split()
             try:
                 if (parts[0] == "child" and len(parts) == 5
                         and parts[3] == "->"):
-                    key = (_int_token(parts[1], "node id"),
-                           _int_token(parts[2], "child module id"))
+                    key = (int_token(parts[1], "node id", ScenarioError),
+                           int_token(parts[2], "child module id",
+                                     ScenarioError))
                     if key in routes:
                         raise ScenarioError(f"duplicate route for {key}")
-                    routes[key] = _int_token(parts[4], "parent module id")
+                    routes[key] = int_token(parts[4], "parent module id",
+                                            ScenarioError)
                 elif parts[0] == "downlink" and len(parts) == 3:
-                    downlinks[_int_token(parts[1], "node id")] = \
-                        _int_token(parts[2], "diag resource id")
+                    node_id = int_token(parts[1], "node id", ScenarioError)
+                    downlinks[node_id] = int_token(
+                        parts[2], "diag resource id", ScenarioError)
                 else:
                     raise ScenarioError(f"bad syntax {line!r}")
             except ScenarioError as exc:
@@ -239,14 +231,12 @@ class Scenario:
     @classmethod
     def parse(cls, text: str, base_dir: Path) -> "Scenario":
         scenario = cls()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in text_lines(text):
             parts = line.split()
             try:
                 if parts[0] == "duration" and len(parts) == 2:
-                    scenario.duration_us = _int_token(parts[1], "duration")
+                    scenario.duration_us = int_token(parts[1], "duration",
+                                                     ScenarioError)
                 elif parts[0] == "node":
                     scenario._parse_node(parts, base_dir)
                 elif parts[0] == "at":
@@ -265,7 +255,7 @@ class Scenario:
         if len(parts) != 6:
             raise ScenarioError("node line needs id, hm=, map=, period=, "
                                 "parent=")
-        node_id = _int_token(parts[1], "node id")
+        node_id = int_token(parts[1], "node id", ScenarioError, U32_MAX)
         if node_id in self.nodes:
             raise ScenarioError(f"duplicate node id {node_id}")
         kv = {}
@@ -279,16 +269,17 @@ class Scenario:
             node_id=node_id,
             hm_path=base_dir / kv["hm"],
             map_path=None if kv["map"] == "none" else base_dir / kv["map"],
-            period_us=_int_token(kv["period"], "period"),
+            period_us=int_token(kv["period"], "period", ScenarioError),
             parent_id=(None if kv["parent"] == "none"
-                       else _int_token(kv["parent"], "parent node id")),
+                       else int_token(kv["parent"], "parent node id",
+                                      ScenarioError)),
         )
 
     def _parse_event(self, parts: list[str], line: str) -> None:
         if len(parts) < 5 or parts[2] != "node":
             raise ScenarioError(f"bad event line {line!r}")
-        time_us = _int_token(parts[1], "event time")
-        node_id = _int_token(parts[3], "node id")
+        time_us = int_token(parts[1], "event time", ScenarioError)
+        node_id = int_token(parts[3], "node id", ScenarioError)
         report = parse_report_line(" ".join(parts[4:]),
                                    default_timestamp=time_us)
         self.events.append(ScheduledDetection(

@@ -16,6 +16,7 @@ from .errors import (
     ClassificationRangeError,
     DuplicateIdError,
     FieldRangeError,
+    HealthMapError,
     SelfDependencyError,
     UnknownDetectorError,
     UnknownModuleError,
@@ -71,12 +72,31 @@ STATUSES = tuple(ModuleStatus)
 
 
 def check_field(value: int, maximum: int, what: str,
-                error: type[FieldRangeError] = FieldRangeError) -> int:
+                error: type[HealthMapError] = FieldRangeError) -> int:
     """Return `value` if it fits an unsigned image field 0..maximum, else
     raise `error`."""
     if not 0 <= value <= maximum:
         raise error(f"{what} {value} outside 0..{maximum}")
     return value
+
+
+def int_token(token: str, what: str, error: type[HealthMapError],
+              maximum: Optional[int] = None) -> int:
+    """A decimal integer token of a text line, in 0..maximum if given."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise error(f"bad {what} {token!r}: not an integer") from None
+    return value if maximum is None else check_field(value, maximum, what,
+                                                     error)
+
+
+def text_lines(text: str):
+    """(line number, stripped line) for each non-blank, non-"#" text line."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def check_classification(classification: int) -> int:
@@ -303,23 +323,44 @@ class HealthMap:
     def validate_structure(self) -> list[Violation]:
         """Check every structural invariant; returns violations, never raises."""
         out: list[Violation] = []
-        for mid, m in self.modules.items():
+        # Parent chains in linear time: a module takes its parent's verdict
+        # unless the chain comes back to its own id (a cycle through it, or
+        # a dangling parent with its id); one filed under another id's key
+        # always takes it.
+        modules = self.modules
+        verdicts: dict[int, Optional[tuple[str, int]]] = {}   # by id(module)
+        for m in modules.values():
+            path: list[Module] = []
+            while id(m) not in verdicts:
+                verdicts[id(m)] = None
+                path.append(m)
+                p = m.parent
+                if p is None or modules.get(p.id) is not p:
+                    break
+                m = p
+            else:
+                if m in path:   # the climb closed a cycle
+                    cut = path.index(m)
+                    for member in path[cut:]:
+                        verdicts[id(member)] = ("ParentCycle", member.id)
+                    del path[cut:]
+            for m in reversed(path):
+                p = m.parent
+                if p is None:
+                    continue   # a root: its verdict None stands
+                verdict = (verdicts[id(p)] if modules.get(p.id) is p
+                           else ("DanglingParent", p.id))
+                if verdict == ("DanglingParent", m.id):
+                    verdict = ("ParentCycle", m.id)
+                verdicts[id(m)] = verdict
+        for mid, m in modules.items():
             if m.id != mid:
                 out.append(Violation("IdMismatch", mid, "key differs from module id"))
-            # parent chain must terminate without revisiting
-            seen = {m.id}
-            cur = m.parent
-            while cur is not None:
-                if cur.id in seen:
-                    out.append(Violation("ParentCycle", m.id,
-                                         f"cycle through module {cur.id}"))
-                    break
-                if self.modules.get(cur.id) is not cur:
-                    out.append(Violation("DanglingParent", m.id,
-                                         f"parent {cur.id} not in map"))
-                    break
-                seen.add(cur.id)
-                cur = cur.parent
+            if verdicts[id(m)] is not None:
+                kind, at = verdicts[id(m)]
+                out.append(Violation(kind, m.id, (
+                    f"cycle through module {at}" if kind == "ParentCycle"
+                    else f"parent {at} not in map")))
         for rid, res in self.diag_resources.items():
             if self.modules.get(res.owner.id) is not res.owner:
                 out.append(Violation("DanglingOwner", rid,

@@ -9,7 +9,7 @@ import struct
 import zlib
 
 from healthmap import HealthMap, ModuleStatus, Persistence, Severity
-from healthmap.model import Fault
+from healthmap.model import Fault, Violation
 
 
 def crc32_reference(data: bytes) -> int:
@@ -183,3 +183,33 @@ def reference_append(image: bytes, hm: HealthMap) -> bytes:
                        zlib.crc32(bytes(out[32:])))
     out[:32] = head + struct.pack("<I", zlib.crc32(head))
     return bytes(out)
+
+
+def oracle_parent_violations(hm: HealthMap) -> list[Violation]:
+    """ParentCycle / DanglingParent violations by walking every module's
+    whole parent chain (quadratic in depth)."""
+    out = []
+    for m in hm.modules.values():
+        seen = {m.id}
+        cur = m.parent
+        while cur is not None:
+            if cur.id in seen:
+                out.append(Violation("ParentCycle", m.id,
+                                     f"cycle through module {cur.id}"))
+                break
+            if hm.modules.get(cur.id) is not cur:
+                out.append(Violation("DanglingParent", m.id,
+                                     f"parent {cur.id} not in map"))
+                break
+            seen.add(cur.id)
+            cur = cur.parent
+    return out
+
+
+def nest_xml(depth: int, first_id: int = 0, top: str = "M") -> str:
+    """XML for a chain of `depth` modules, each the only child of the one
+    before; the first is named `top`, the others "M"."""
+    names = [top] + ["M"] * (depth - 1)
+    return "".join(f'<module id="{first_id + d}" name="{names[d]}" '
+                   f'criticality="LOW">' for d in range(depth)) \
+        + "</module>" * depth

@@ -8,6 +8,7 @@ import pytest
 from healthmap.cli import main
 
 from conftest import DATA_DIR
+from helpers import nest_xml
 
 DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
 
@@ -313,6 +314,38 @@ def test_rm_bad_sidecar_integer_exits_1(compiled, tmp_path, capsys):
     assert "sidecar line 2" in err and "not an integer" in err
 
 
+@pytest.mark.parametrize("node", ["4294967296", "-1"])
+def test_simulate_node_id_outside_u32_exits_1(tmp_path, capsys, node):
+    # the summary header stores the node id in four bytes
+    work = demo_copy(tmp_path, "board.scn", "node 1 ", f"node {node} ")
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    assert (f"scenario line 5: node id {node} outside 0..4294967295"
+            in capsys.readouterr().err)
+
+
+def test_affinity_negative_sidecar_core_id_exits_1(compiled, tmp_path,
+                                                    capsys):
+    shm, sym = compiled
+    bad = tmp_path / "bad.sym"
+    bad.write_text(sym.read_text().replace("core=0", "core=-1"))
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("task any\n")
+    assert main(["affinity", str(shm), "--tasks", str(tasks),
+                 "--sym", str(bad)]) == 1
+    assert ("sidecar line 2: core id -1 outside 0..4294967295"
+            in capsys.readouterr().err)
+
+
+def test_compile_and_validate_three_thousand_deep_nest(tmp_path, capsys):
+    xml = tmp_path / "deep.xml"
+    xml.write_text(f'<healthmap version="1">{nest_xml(3_000)}</healthmap>')
+    shm = tmp_path / "deep.shm"
+    assert main(["compile", str(xml), "-o", str(shm),
+                 "--sym", str(tmp_path / "deep.sym")]) == 0
+    assert main(["validate", str(shm)]) == 0
+    assert "valid (3000 modules" in capsys.readouterr().out
+
+
 def test_simulate_bad_report_names_its_line(tmp_path, capsys):
     work = demo_copy(tmp_path, "board.scn", "class=1", "class=300")
     assert main(["simulate", str(work / "board.scn")]) == 1
@@ -335,7 +368,10 @@ def test_simulate_bad_report_names_its_line(tmp_path, capsys):
     ('<module id="1" name="CPU" criticality="ZERO">'
      '<instrument id="1" kind="300"/></module>',
      "diag resource kind 300 outside 0..255"),
-], ids=["module", "instrument", "template", "kind"])
+    # the sidecar's core ids are u32, as the schema declares
+    ('<module id="1" name="CPU" criticality="ZERO" coreId="4294967296"/>',
+     "core id 4294967296 outside 0..4294967295"),
+], ids=["module", "instrument", "template", "kind", "core"])
 def test_compile_id_outside_u32_exits_1(tmp_path, capsys, body, error):
     xml = tmp_path / "big.xml"
     xml.write_text(f'<healthmap version="1">{body}</healthmap>')

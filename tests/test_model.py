@@ -28,6 +28,7 @@ from healthmap.model import (
     Fault,
     FaultDetection,
     Module,
+    Violation,
 )
 from healthmap.resourcemap import RmEntry
 from healthmap.errors import (
@@ -40,7 +41,12 @@ from healthmap.errors import (
     ZeroSeverityError,
 )
 
-from helpers import oracle_resource_map, random_health_map, rm_state
+from helpers import (
+    oracle_parent_violations,
+    oracle_resource_map,
+    random_health_map,
+    rm_state,
+)
 
 
 def test_add_module_into_empty_map():
@@ -199,6 +205,51 @@ def test_single_injected_violation_is_reported():
             module = next(iter(hm.modules.values()))
             module.parent = module
         assert hm.validate_structure() != []
+
+
+PARENT_KINDS = ("ParentCycle", "DanglingParent")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_parent_chain_check_matches_full_chain_walk(seed, data):
+    hm = random_health_map(random.Random(seed), max_modules=15,
+                           with_faults=False)
+    modules = list(hm.modules.values())
+    foreign: list[Module] = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        module = data.draw(st.sampled_from(modules))
+        if data.draw(st.booleans()):
+            # re-hang inside the map: may close a cycle
+            module.parent = data.draw(st.sampled_from(modules))
+        else:
+            # a parent outside the map, possibly carrying an id in the map
+            # (the module's own among them) and a parent of its own
+            outside = Module(
+                id=data.draw(st.sampled_from(
+                    [module.id, 999_999, *(m.id for m in modules)])),
+                parent=data.draw(st.sampled_from([None, *modules, *foreign])))
+            foreign.append(outside)
+            module.parent = outside
+    found = [v for v in hm.validate_structure() if v.kind in PARENT_KINDS]
+    assert found == oracle_parent_violations(hm)
+
+
+def test_parent_chain_check_on_twenty_thousand_deep_chain():
+    n = 20_000
+    hm = HealthMap()
+    hm.add_module(0)
+    for mid in range(1, n):
+        hm.add_module(mid, mid - 1)
+    assert hm.validate_structure() == []
+    hm.modules[0].parent = Module(id=n)
+    assert hm.validate_structure() == [
+        Violation("DanglingParent", mid, f"parent {n} not in map")
+        for mid in range(n)]
+    hm.modules[0].parent = hm.modules[n - 1]
+    assert hm.validate_structure() == [
+        Violation("ParentCycle", mid, f"cycle through module {mid}")
+        for mid in range(n)]
 
 
 def test_severity_order_algebra():
