@@ -500,9 +500,6 @@ class _Reader:
         hm.faults = faults
         hm.detections = dets
         hm.reindex_faults()
-        for i, rec in enumerate(faults + dets):
-            rec.seq = i + 1
-        hm._seq = len(faults) + len(dets)
 
 
 def _invalid(what: str, value: int) -> BadLinkError:

@@ -96,14 +96,20 @@ def record_event(hm: HealthMap, module_id: int, classification: int,
     detection (counter + 1, MERGED flag) if that is from the same detector,
     at most `window_us` away and its counter has room; otherwise it is a
     new detection. So the sum of the fault's counters rises by exactly one.
+    A severity or persistence is converted to its member where it is
+    stored, so the fault never holds a plain int; roll-up ingest records
+    dozens of events per summary, mostly raising nothing, so the common
+    case pays no enum call.
     """
     fault = hm.find_fault(module_id, classification)
     created = fault is None
     if created:
         fault = hm.add_fault(module_id, severity, persistence, classification)
     else:
-        fault.severity = max(fault.severity, severity)
-        fault.persistence = max(fault.persistence, persistence)
+        if severity > fault.severity:
+            fault.severity = Severity(severity)
+        if persistence > fault.persistence:
+            fault.persistence = Persistence(persistence)
     latest = fault.detections[-1] if fault.detections else None
     if (latest is not None and latest.detector.id == detector_id
             and abs(timestamp - latest.timestamp) <= window_us

@@ -292,25 +292,41 @@ class Scenario:
     def _validate(self) -> None:
         if self.duration_us <= 0:
             raise ScenarioError("scenario needs a positive duration")
-        for spec in self.nodes.values():
+        # Parent chains in linear time: each node's chain verdict (None, or
+        # the message of the error its climb to a root meets) is its
+        # parent's, unless the node is on a cycle or its parent is unknown.
+        # So a cycle message names the first node of the cycle that the
+        # climb reaches, itself if it is on one.
+        nodes = self.nodes
+        verdicts: dict[int, Optional[str]] = {}
+        for spec in nodes.values():
             if spec.period_us <= 0:
                 # the emission schedule steps by the period
                 raise ScenarioError(
                     f"node {spec.node_id} needs a positive period")
-            if spec.parent_id is not None:
-                if spec.parent_id not in self.nodes:
-                    raise ScenarioError(
-                        f"node {spec.node_id} references unknown parent "
-                        f"{spec.parent_id}")
-            # tree must be acyclic
-            seen = {spec.node_id}
-            cur = spec.parent_id
-            while cur is not None:
-                if cur in seen:
-                    raise ScenarioError(
-                        f"node tree cycle through node {cur}")
-                seen.add(cur)
-                cur = self.nodes[cur].parent_id
+            climb: list[int] = []
+            nid = spec.node_id
+            while nid not in verdicts:
+                verdicts[nid] = None
+                climb.append(nid)
+                nid = nodes[nid].parent_id
+                if nid is None or nid not in nodes:
+                    break
+            else:
+                if nid in climb:   # the climb closed a cycle
+                    cut = climb.index(nid)
+                    for member in climb[cut:]:
+                        verdicts[member] = (
+                            f"node tree cycle through node {member}")
+                    del climb[cut:]
+            for nid in reversed(climb):
+                parent = nodes[nid].parent_id
+                if parent is not None:
+                    verdicts[nid] = (
+                        verdicts[parent] if parent in nodes
+                        else f"node {nid} references unknown parent {parent}")
+            if verdicts[spec.node_id] is not None:
+                raise ScenarioError(verdicts[spec.node_id])
         for event in self.events:
             if event.node_id not in self.nodes:
                 raise ScenarioError(

@@ -144,6 +144,8 @@ class Fault:
     classification: int
     detections: list["FaultDetection"] = field(default_factory=list)
     shm_offset: Optional[int] = None
+    # creation order; append_changes lays out the records that have no
+    # shm_offset yet by it, so loaded records keep the default
     seq: int = 0
 
 
@@ -236,9 +238,10 @@ class HealthMap:
     def add_fault(self, module_id: int, severity: Severity,
                   persistence: Persistence, classification: int) -> Fault:
         owner = self._module(module_id)
-        if Severity(severity) == Severity.ZERO:
+        severity = Severity(severity)
+        if not severity:
             raise ZeroSeverityError("fault severity must be above ZERO")
-        fault = Fault(owner=owner, severity=Severity(severity),
+        fault = Fault(owner=owner, severity=severity,
                       persistence=Persistence(persistence),
                       classification=check_classification(classification),
                       seq=self.next_seq())

@@ -5,6 +5,12 @@ persistence u8, status u8). Severity propagates from child to parent capped
 by the child's criticality (min), persistence propagates uncapped, and
 dependency edges forward a fault to the dependent module capped by the
 dependency severity, a single hop only.
+
+Every stored severity, persistence and status is an enum member: the model
+converts once at its public entry points (`HealthMap.add_fault`,
+`faultmgr.record_event`, `ResourceMap.update_single_fault`, the codec's
+byte tables), so the fold and the propagation walk store and compare the
+members they are given.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from .model import (
 RM_ENTRY = struct.Struct("<IBBB")
 RM_ENTRY_SIZE = RM_ENTRY.size  # 7
 
+_OWN = ModuleStatus.OWN_FAULT
 _PROPAGATED = ModuleStatus.PROPAGATED_FAULT
+_MAINTENANCE = ModuleStatus.MAINTENANCE
 
 
 @dataclass(slots=True)
@@ -99,7 +107,9 @@ class ResourceMap:
         never downgraded to PROPAGATED_FAULT and MAINTENANCE is never
         overwritten here.
         """
-        self._fold(module_id, severity, persistence, status)
+        severity = Severity(severity)
+        persistence = Persistence(persistence)
+        self._fold(module_id, severity, persistence, ModuleStatus(status))
         # Forward the *incoming* values, not the stored maxima: the entry's
         # maxima may include contributions whose dependency hop was already
         # spent, and forwarding those across a fresh dependency edge would
@@ -108,17 +118,20 @@ class ResourceMap:
 
     def _fold(self, module_id: int, severity: Severity,
               persistence: Persistence, status: ModuleStatus) -> None:
-        e = self.entry(module_id)
+        """Fold members (never plain ints) into the entry; see
+        update_single_fault."""
+        e = self.entries.get(module_id)
+        if e is None:
+            raise UnknownModuleError(f"module {module_id} has no entry")
         if severity > e.severity:
-            e.severity = Severity(severity)
+            e.severity = severity
         if persistence > e.persistence:
-            e.persistence = Persistence(persistence)
-        if severity > Severity.ZERO and e.status != ModuleStatus.MAINTENANCE:
-            if status == ModuleStatus.OWN_FAULT:
-                e.status = ModuleStatus.OWN_FAULT
-            elif (status == ModuleStatus.PROPAGATED_FAULT
-                    and e.status != ModuleStatus.OWN_FAULT):
-                e.status = ModuleStatus.PROPAGATED_FAULT
+            e.persistence = persistence
+        if severity and e.status is not _MAINTENANCE:
+            if status is _OWN:
+                e.status = _OWN
+            elif status is _PROPAGATED and e.status is not _OWN:
+                e.status = _PROPAGATED
 
     def _propagate(self, work: list[tuple[int, Severity, Persistence,
                                           bool]]) -> None:
@@ -213,11 +226,16 @@ def init_resource_map(hm: HealthMap,
         rm._mark(hm.subtree_ids(*roots), True)
     work = []
     for module in hm.modules.values():
-        if not module.faults:
+        faults = module.faults
+        if not faults:
             continue
-        severity = max(f.severity for f in module.faults)
-        persistence = max(f.persistence for f in module.faults)
-        rm._fold(module.id, severity, persistence, ModuleStatus.OWN_FAULT)
+        severity, persistence = faults[0].severity, faults[0].persistence
+        for f in faults:
+            if f.severity > severity:
+                severity = f.severity
+            if f.persistence > persistence:
+                persistence = f.persistence
+        rm._fold(module.id, severity, persistence, _OWN)
         work.append((module.id, severity, persistence, True))
     rm._propagate(work)
     return rm

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import struct
 import zlib
+from typing import Optional
 
 from healthmap import HealthMap, ModuleStatus, Persistence, Severity
 from healthmap.model import Fault, Violation
@@ -204,6 +205,27 @@ def oracle_parent_violations(hm: HealthMap) -> list[Violation]:
             seen.add(cur.id)
             cur = cur.parent
     return out
+
+
+def oracle_scenario_error(nodes) -> Optional[str]:
+    """The message of the first error `Scenario` validation finds in the
+    node tree `nodes` (node id -> NodeSpec), or None, by walking every
+    node's whole parent chain (quadratic in depth). Nodes are judged in
+    order: period, then the climb to a root; a climb that meets an unknown
+    parent names the node that references it."""
+    for spec in nodes.values():
+        if spec.period_us <= 0:
+            return f"node {spec.node_id} needs a positive period"
+        seen = {spec.node_id}
+        nid, cur = spec.node_id, spec.parent_id
+        while cur is not None:
+            if cur not in nodes:
+                return f"node {nid} references unknown parent {cur}"
+            if cur in seen:
+                return f"node tree cycle through node {cur}"
+            seen.add(cur)
+            nid, cur = cur, nodes[cur].parent_id
+    return None
 
 
 def nest_xml(depth: int, first_id: int = 0, top: str = "M") -> str:

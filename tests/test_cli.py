@@ -323,6 +323,15 @@ def test_simulate_node_id_outside_u32_exits_1(tmp_path, capsys, node):
             in capsys.readouterr().err)
 
 
+def test_simulate_unknown_parent_of_a_later_node_exits_1(tmp_path, capsys):
+    scn = tmp_path / "run.scn"
+    scn.write_text("duration 10\n"
+                   "node 1 hm=a.xml map=none period=5 parent=2\n"
+                   "node 2 hm=a.xml map=none period=5 parent=99\n")
+    assert main(["simulate", str(scn)]) == 1
+    assert "node 2 references unknown parent 99" in capsys.readouterr().err
+
+
 def test_affinity_negative_sidecar_core_id_exits_1(compiled, tmp_path,
                                                     capsys):
     shm, sym = compiled

@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from healthmap import (
     simulate,
 )
 from healthmap import hierarchy
+from healthmap.hierarchy import NodeSpec
 from healthmap.resourcemap import ResourceMap
 from healthmap.compiler import build_map, parse_description
 from healthmap.codec import crc32
@@ -40,7 +42,7 @@ from healthmap.errors import (
 )
 
 from conftest import DATA_DIR, FPU_C0_INSTRUMENT
-from helpers import oracle_resource_map, rm_state
+from helpers import oracle_resource_map, oracle_scenario_error, rm_state
 
 PARENT_XML = """<healthmap version="1">
   <module id="1" name="BOARD" criticality="ZERO">
@@ -351,6 +353,77 @@ def test_scenario_rejects_non_positive_period(tmp_path, period):
         Scenario.parse("duration 5\n"
                        f"node 0 hm=a map=none period={period} parent=none\n",
                        tmp_path)
+
+
+# -- node-tree validation -----------------------------------------------------
+
+def scenario_text(nodes) -> str:
+    return "duration 5\n" + "".join(
+        f"node {n.node_id} hm=a map=none period={n.period_us} "
+        f"parent={'none' if n.parent_id is None else n.parent_id}\n"
+        for n in nodes.values())
+
+
+@st.composite
+def node_forests(draw):
+    """Nodes in random line order whose parents are none, another node or
+    themselves (so cycles and tails into them), or an unknown id; now and
+    then a period of 0."""
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=12,
+                        unique=True))
+    nodes = {}
+    for nid in ids:
+        parent = draw(st.one_of(st.none(), st.sampled_from(ids),
+                                st.integers(0, 24)))
+        period = draw(st.sampled_from([1, 1, 1, 1, 1, 0]))
+        nodes[nid] = NodeSpec(nid, Path("a"), None, period, parent)
+    return nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_forests())
+def test_node_tree_check_matches_full_chain_walk(nodes):
+    try:
+        Scenario.parse(scenario_text(nodes), Path("."))
+        got = None
+    except ScenarioError as exc:
+        got = str(exc)
+    assert got == oracle_scenario_error(nodes)
+
+
+@pytest.mark.parametrize("parents, through", [
+    ({5: 5}, 5),                    # a node that is its own parent
+    ({4: 2, 1: 3, 2: 1, 3: 2}, 2),  # a tail first: the climb enters at 2
+    ({1: 3, 2: 1, 3: 2, 4: 2}, 1),  # a cycle member first: it names itself
+])
+def test_node_tree_cycle_names_the_node_the_climb_returns_to(parents,
+                                                             through):
+    nodes = {nid: NodeSpec(nid, Path("a"), None, 1, parent)
+             for nid, parent in parents.items()}
+    with pytest.raises(ScenarioError,
+                       match=f"^node tree cycle through node {through}$"):
+        Scenario.parse(scenario_text(nodes), Path("."))
+
+
+def test_node_tree_unknown_parent_of_a_later_node_is_a_scenario_error():
+    # node 1 is judged first; its climb meets node 2's unknown parent
+    nodes = {1: NodeSpec(1, Path("a"), None, 1, 2),
+             2: NodeSpec(2, Path("a"), None, 1, 99)}
+    with pytest.raises(ScenarioError,
+                       match="^node 2 references unknown parent 99$"):
+        Scenario.parse(scenario_text(nodes), Path("."))
+
+
+def test_node_tree_check_on_twenty_thousand_node_chain():
+    n = 20_000
+    # children before their parents, so every climb runs to the root
+    nodes = {nid: NodeSpec(nid, Path("a"), None, 1, nid - 1 if nid else None)
+             for nid in range(n - 1, -1, -1)}
+    assert len(Scenario.parse(scenario_text(nodes), Path(".")).nodes) == n
+    nodes[0].parent_id = n - 1
+    with pytest.raises(ScenarioError,
+                       match=f"^node tree cycle through node {n - 1}$"):
+        Scenario.parse(scenario_text(nodes), Path("."))
 
 
 def test_simulate_quiet_scenario_stays_available(tmp_path, table1_xml):

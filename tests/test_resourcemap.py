@@ -16,6 +16,7 @@ from healthmap import (
     report_detection,
 )
 from healthmap.errors import MissingSymbolError, UnknownModuleError
+from healthmap.faultmgr import DEFAULT_MERGE_WINDOW_US, record_event
 from healthmap.resourcemap import RM_ENTRY_SIZE, RmEntry
 
 from conftest import CPU_C3, FPU_C0_INSTRUMENT
@@ -351,3 +352,76 @@ def test_rebuild_and_incremental_match_oracle(case):
         expected = oracle_resource_map(hm, roots)
         assert rm_state(rm) == expected
         assert rm_state(rebuilt()) == expected
+
+
+# -- every stored severity, persistence and status is an enum member ---------
+
+def level(enum):
+    """A non-ZERO member of `enum`, drawn as the member or as its plain
+    int."""
+    return st.tuples(st.integers(1, 3), st.booleans()).map(
+        lambda t: enum(t[0]) if t[1] else t[0])
+
+
+@st.composite
+def member_cases(draw):
+    """A random map with maintenance roots (from propagation_cases) and
+    steps that hand severities, persistences and statuses to the public
+    entry points as members or as plain ints."""
+    hm, roots, _steps = draw(propagation_cases())
+    ids = st.integers(1, len(hm.modules))
+    classes = st.integers(0, 3)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("record"), ids, classes, level(Severity),
+                  level(Persistence), st.integers(0, 3)),
+        st.tuples(st.just("report"), ids, classes, level(Severity),
+                  st.integers(0, 3)),
+        st.tuples(st.just("fault"), ids, classes, level(Severity),
+                  level(Persistence), st.sampled_from(
+                      [ModuleStatus.OWN_FAULT, int(ModuleStatus.OWN_FAULT)]))),
+        max_size=12))
+    return hm, roots, steps
+
+
+def assert_members(hm, rm):
+    for f in hm.faults:
+        assert type(f.severity) is Severity
+        assert type(f.persistence) is Persistence
+    for e in rm.entries.values():
+        assert type(e.severity) is Severity
+        assert type(e.persistence) is Persistence
+        assert type(e.status) is ModuleStatus
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_cases())
+def test_stored_levels_are_enum_members(case):
+    hm, roots, steps = case
+
+    class Names:
+        def name_for_id(self, mid):
+            return f"M{mid}"
+
+    rm = init_resource_map(hm, maintenance=roots)
+    for step in steps:
+        kind, mid, cls = step[:3]
+        if kind == "record":
+            _, _, _, sev, pers, t = step
+            fault, _created = record_event(hm, mid, cls, sev, pers, 100 + mid,
+                                           t, 0, DEFAULT_MERGE_WINDOW_US)
+            rm.update_single_fault(mid, int(fault.severity),
+                                   int(fault.persistence),
+                                   int(ModuleStatus.OWN_FAULT))
+        elif kind == "report":
+            _, _, _, sev, t = step
+            report_detection(hm, DetectionReport(100 + mid, sev, cls, t),
+                             rm=rm)
+        else:
+            _, _, _, sev, pers, status = step
+            hm.add_fault(mid, sev, pers, cls)
+            rm.update_single_fault(mid, sev, pers, status)
+        rebuilt = init_resource_map(hm, maintenance=roots)
+        for built in (rm, rebuilt):
+            assert_members(hm, built)
+            render_table(built, Names())
+            assert rm_state(built) == oracle_resource_map(hm, roots)
