@@ -142,8 +142,8 @@ def report_detection(hm: HealthMap, report: DetectionReport,
     total = sum(d.counter for d in fault.detections)
     fault.persistence = max(fault.persistence, config.classify(total))
     if rm is not None:
-        rm.update_single_fault(owner.id, fault.severity, fault.persistence,
-                               ModuleStatus.OWN_FAULT)
+        rm._update(owner.id, fault.severity, fault.persistence,
+                   ModuleStatus.OWN_FAULT)
     return fault, created
 
 

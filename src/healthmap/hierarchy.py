@@ -7,13 +7,16 @@ Message format (little-endian):
     magic "RMS1" | version u16 | nodeId u32 | entryCount u16 |
     entryCount x 7-byte entry | crc32 u32 over all preceding bytes
 
-A parent ingests a summary in one pass: each faulty entry routed to a
-parent module is recorded there by `faultmgr.record_event`, the rule
-sensor reports follow, so a steady child fault merges into one parent
-detection per merge window. The parent's resource map is updated once per
-parent module touched, with the maxima over that module's faults, rather
-than once per entry. Both give the same map: propagation keeps maxima and
-caps severity only with min, and max_i min(s_i, c) = min(max_i s_i, c).
+A parent checks a summary once, header, length and CRC and then every
+enum byte, so a malformed message records nothing. It then ingests the raw
+entry tuples in one pass. Healthy (ZERO severity) entries, most of a
+summary, build nothing. Each faulty entry routed to a parent module is
+recorded there by `faultmgr.record_event`, the rule sensor reports follow,
+so a steady child fault merges into one parent detection per merge window.
+The parent's resource map is updated once per parent module touched, with
+the maxima over that module's faults, rather than once per entry. Both
+give the same map: propagation keeps maxima and caps severity only with
+min, and max_i min(s_i, c) = min(max_i s_i, c).
 
 The simulator is single-threaded discrete-event; the wire format is the
 contract a networked deployment would reuse.
@@ -44,12 +47,15 @@ from .faultmgr import (
     record_event,
     report_detection,
 )
-from .model import (U32_MAX, HealthMap, ModuleStatus, Persistence, Severity,
-                     int_token, text_lines)
+from .model import (PERSISTENCES, SEVERITIES, U32_MAX, HealthMap,
+                    ModuleStatus, Persistence, Severity, int_token,
+                    text_lines)
 from .resourcemap import (
+    RM_ENTRY,
     RM_ENTRY_SIZE,
     ResourceMap,
     RmEntry,
+    _check_enum_bytes,
     decode_entries,
     init_resource_map,
 )
@@ -70,9 +76,10 @@ def encode_summary(node_id: int, rm: ResourceMap) -> bytes:
     return body + struct.pack("<I", crc32(body))
 
 
-def decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
-    """Check and unpack one summary message; raises MessageError subclasses
-    on a short, over-long, foreign or corrupt message."""
+def _check_message(data: bytes) -> tuple[int, bytes]:
+    """Check one summary's header, length and CRC; returns (node id, the
+    entry bytes). Raises MessageError subclasses on a short, over-long,
+    foreign or corrupt message."""
     if len(data) < _RMS_HEAD.size + 4:
         raise MalformedMessageError("message shorter than minimum")
     magic, version, node_id, count = _RMS_HEAD.unpack_from(data, 0)
@@ -87,7 +94,14 @@ def decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
     (stored,) = struct.unpack_from("<I", data, expected - 4)
     if crc32(data[:expected - 4]) != stored:
         raise CrcMismatchError("summary message checksum mismatch")
-    return node_id, decode_entries(data[_RMS_HEAD.size:expected - 4])
+    return node_id, data[_RMS_HEAD.size:expected - 4]
+
+
+def decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
+    """Check and unpack one summary message; raises MessageError subclasses
+    on a short, over-long, foreign or corrupt message."""
+    node_id, body = _check_message(data)
+    return node_id, decode_entries(body)
 
 
 @dataclass
@@ -155,20 +169,22 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
     min(max s_i, c). Returns the number of faulty entries skipped because
     they were unmapped.
     """
-    node_id, entries = decode_summary(message)
+    node_id, body = _check_message(message)
+    _check_enum_bytes(body)
     if not mapping.knows_node(node_id):
         raise UnknownNodeError(f"summary from unmapped node {node_id}")
     detector_id = mapping.downlinks.get(node_id)
     has_detector = (detector_id is not None
                     and detector_id in parent_hm.diag_resources)
     routes = mapping.routes
+    transient = Persistence.TRANSIENT
     worst: dict[int, tuple[Severity, Persistence]] = {}
     skipped = 0
     try:
-        for entry in entries:
-            if entry.severity == Severity.ZERO:
+        for child_module, sev, pers, _status in RM_ENTRY.iter_unpack(body):
+            if not sev:
                 continue
-            parent_module = routes.get((node_id, entry.module_id))
+            parent_module = routes.get((node_id, child_module))
             if parent_module is None:
                 skipped += 1
                 continue
@@ -176,19 +192,22 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
                 raise UnknownDetectorError(
                     f"no downlink diag resource for node {node_id}")
             fault, _created = record_event(
-                parent_hm, parent_module, entry.module_id & 0xFF,
-                entry.severity, max(entry.persistence, Persistence.TRANSIENT),
-                detector_id, timestamp, entry.module_id,
+                parent_hm, parent_module, child_module & 0xFF,
+                SEVERITIES[sev],
+                PERSISTENCES[pers] if pers else transient,
+                detector_id, timestamp, child_module,
                 DEFAULT_MERGE_WINDOW_US)
-            sev, pers = worst.get(parent_module,
-                                  (Severity.ZERO, Persistence.ZERO))
-            worst[parent_module] = (max(sev, fault.severity),
-                                    max(pers, fault.persistence))
+            severity, persistence = fault.severity, fault.persistence
+            seen = worst.get(parent_module)
+            if seen is None:
+                worst[parent_module] = severity, persistence
+            elif severity > seen[0] or persistence > seen[1]:
+                worst[parent_module] = (max(severity, seen[0]),
+                                        max(persistence, seen[1]))
     finally:
         # also on error, so the map reflects every fault already recorded
         for module_id, (sev, pers) in worst.items():
-            parent_rm.update_single_fault(module_id, sev, pers,
-                                          ModuleStatus.OWN_FAULT)
+            parent_rm._update(module_id, sev, pers, ModuleStatus.OWN_FAULT)
     return skipped
 
 

@@ -62,24 +62,39 @@ _FIELDS = (("severity", SEVERITIES), ("persistence", PERSISTENCES),
            ("status", STATUSES))
 
 
+def _check_enum_bytes(data: bytes) -> None:
+    """Raise MalformedMessageError when a severity, persistence or status
+    byte of the 7-byte entries in `data` is outside its enum.
+
+    Each field is one column of the entries (every 7th byte), so a valid
+    body costs three C-level `max` scans. On the error path the message
+    names the first bad entry, and within it the first bad field in
+    (severity, persistence, status) order: the minimum entry index over
+    the columns, not the first column that fails.
+    """
+    bad = None
+    for offset, (name, table) in enumerate(_FIELDS, 4):
+        column = data[offset::RM_ENTRY_SIZE]
+        if max(column, default=0) >= len(table):
+            i = next(i for i, v in enumerate(column) if v >= len(table))
+            if bad is None or i < bad[0]:
+                bad = i, name, column[i]
+    if bad is not None:
+        raise MalformedMessageError(
+            f"entry {bad[0]}: {bad[1]} byte {bad[2]} out of range")
+
+
 def decode_entries(data: bytes) -> list[RmEntry]:
     """Unpack consecutive 7-byte entries (len(data) a multiple of 7).
 
     Raises MalformedMessageError when a severity, persistence or status
     byte is outside its enum.
     """
-    try:
-        return [RmEntry(mid, SEVERITIES[sev], PERSISTENCES[pers],
-                        STATUSES[status])
-                for mid, sev, pers, status in RM_ENTRY.iter_unpack(data)]
-    except IndexError:
-        i, name, value = next(
-            (i, name, value)
-            for i, (_mid, *values) in enumerate(RM_ENTRY.iter_unpack(data))
-            for (name, table), value in zip(_FIELDS, values)
-            if value >= len(table))
-        raise MalformedMessageError(
-            f"entry {i}: {name} byte {value} out of range") from None
+    rows = RM_ENTRY.iter_unpack(data)   # checks the length first
+    _check_enum_bytes(data)
+    return [RmEntry(mid, SEVERITIES[sev], PERSISTENCES[pers],
+                    STATUSES[status])
+            for mid, sev, pers, status in rows]
 
 
 class ResourceMap:
@@ -107,9 +122,14 @@ class ResourceMap:
         never downgraded to PROPAGATED_FAULT and MAINTENANCE is never
         overwritten here.
         """
-        severity = Severity(severity)
-        persistence = Persistence(persistence)
-        self._fold(module_id, severity, persistence, ModuleStatus(status))
+        self._update(module_id, Severity(severity),
+                     Persistence(persistence), ModuleStatus(status))
+
+    def _update(self, module_id: int, severity: Severity,
+                persistence: Persistence, status: ModuleStatus) -> None:
+        """update_single_fault for members (never plain ints); in-package
+        callers that hold members call it directly."""
+        self._fold(module_id, severity, persistence, status)
         # Forward the *incoming* values, not the stored maxima: the entry's
         # maxima may include contributions whose dependency hop was already
         # spent, and forwarding those across a fresh dependency edge would

@@ -1,6 +1,7 @@
 """Shared test helpers: randomized map construction and independent
 oracles (bitwise CRC32, exhaustive propagation-path enumeration, a plain
-re-encoder for appended images)."""
+re-encoder for appended images, summary decode and ingest built on one
+`RmEntry` per entry)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,22 @@ import zlib
 from typing import Optional
 
 from healthmap import HealthMap, ModuleStatus, Persistence, Severity
-from healthmap.model import Fault, Violation
+from healthmap.codec import crc32
+from healthmap.errors import (
+    CrcMismatchError,
+    MalformedMessageError,
+    UnknownDetectorError,
+    UnknownNodeError,
+)
+from healthmap.faultmgr import DEFAULT_MERGE_WINDOW_US, record_event
+from healthmap.model import (
+    PERSISTENCES,
+    SEVERITIES,
+    STATUSES,
+    Fault,
+    Violation,
+)
+from healthmap.resourcemap import RM_ENTRY, RmEntry
 
 
 def crc32_reference(data: bytes) -> int:
@@ -235,3 +251,83 @@ def nest_xml(depth: int, first_id: int = 0, top: str = "M") -> str:
     return "".join(f'<module id="{first_id + d}" name="{names[d]}" '
                    f'criticality="LOW">' for d in range(depth)) \
         + "</module>" * depth
+
+
+def reference_decode_entries(data: bytes) -> list[RmEntry]:
+    """What `resourcemap.decode_entries` must return: one RmEntry per
+    7-byte entry. A byte outside its enum is found by walking the entries
+    in order and, within one, the fields in (severity, persistence,
+    status) order."""
+    fields = (("severity", SEVERITIES), ("persistence", PERSISTENCES),
+              ("status", STATUSES))
+    entries = []
+    for i, (mid, *values) in enumerate(RM_ENTRY.iter_unpack(data)):
+        members = []
+        for (name, table), value in zip(fields, values):
+            if value >= len(table):
+                raise MalformedMessageError(
+                    f"entry {i}: {name} byte {value} out of range")
+            members.append(table[value])
+        entries.append(RmEntry(mid, *members))
+    return entries
+
+
+def reference_decode_summary(data: bytes) -> tuple[int, list[RmEntry]]:
+    """What `hierarchy.decode_summary` must return or raise."""
+    if len(data) < 16:
+        raise MalformedMessageError("message shorter than minimum")
+    magic, version, node_id, count = struct.unpack_from("<4sHIH", data, 0)
+    if magic != b"RMS1":
+        raise MalformedMessageError(f"bad magic {magic!r}")
+    if version != 1:
+        raise MalformedMessageError(f"unsupported version {version}")
+    expected = 12 + 7 * count + 4
+    if len(data) != expected:
+        raise MalformedMessageError(
+            f"message length {len(data)}, expected {expected}")
+    (stored,) = struct.unpack_from("<I", data, expected - 4)
+    if crc32(data[:expected - 4]) != stored:
+        raise CrcMismatchError("summary message checksum mismatch")
+    return node_id, reference_decode_entries(data[12:expected - 4])
+
+
+def reference_ingest_summary(parent_hm: HealthMap, parent_rm, message: bytes,
+                             mapping, timestamp: int) -> int:
+    """What `hierarchy.ingest_summary` must do, entry object by entry
+    object: decode the whole summary, skip ZERO entries, record each routed
+    faulty entry at its parent module and update the resource map once per
+    parent module with the maxima of its faults, also when an entry
+    fails. Returns the number of unrouted faulty entries."""
+    node_id, entries = reference_decode_summary(message)
+    if not mapping.knows_node(node_id):
+        raise UnknownNodeError(f"summary from unmapped node {node_id}")
+    detector_id = mapping.downlinks.get(node_id)
+    has_detector = (detector_id is not None
+                    and detector_id in parent_hm.diag_resources)
+    worst: dict[int, tuple[Severity, Persistence]] = {}
+    skipped = 0
+    try:
+        for entry in entries:
+            if entry.severity == Severity.ZERO:
+                continue
+            parent_module = mapping.routes.get((node_id, entry.module_id))
+            if parent_module is None:
+                skipped += 1
+                continue
+            if not has_detector:
+                raise UnknownDetectorError(
+                    f"no downlink diag resource for node {node_id}")
+            fault, _created = record_event(
+                parent_hm, parent_module, entry.module_id & 0xFF,
+                entry.severity, max(entry.persistence, Persistence.TRANSIENT),
+                detector_id, timestamp, entry.module_id,
+                DEFAULT_MERGE_WINDOW_US)
+            sev, pers = worst.get(parent_module,
+                                  (Severity.ZERO, Persistence.ZERO))
+            worst[parent_module] = (max(sev, fault.severity),
+                                    max(pers, fault.persistence))
+    finally:
+        for module_id, (sev, pers) in worst.items():
+            parent_rm.update_single_fault(module_id, sev, pers,
+                                          ModuleStatus.OWN_FAULT)
+    return skipped

@@ -1,3 +1,5 @@
+import hashlib
+import struct
 from pathlib import Path
 from unittest import mock
 
@@ -42,7 +44,15 @@ from healthmap.errors import (
 )
 
 from conftest import DATA_DIR, FPU_C0_INSTRUMENT
-from helpers import oracle_resource_map, oracle_scenario_error, rm_state
+from helpers import (
+    oracle_resource_map,
+    oracle_scenario_error,
+    reference_decode_summary,
+    reference_ingest_summary,
+    rm_state,
+)
+
+DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
 
 PARENT_XML = """<healthmap version="1">
   <module id="1" name="BOARD" criticality="ZERO">
@@ -208,12 +218,137 @@ def test_repeated_ingest_merges_into_counter(table1_map):
     assert fault.detections[0].flags & FLAG_MERGED
 
 
-# -- one recording rule, whatever the merge window ---------------------------
+# -- ingest against the entry-object reference -------------------------------
 
 DOWNLINK = 99
 SEVERITIES = st.sampled_from(list(Severity))
 PERSISTENCES = st.sampled_from(list(Persistence))
+CHILD_MODULES = [1, 2, 3, 257, 70_000]   # 1 and 257 share a low byte
+MISSING_MODULE = 50                      # a route target the parent lacks
+ENUM_SIZES = (len(Severity), len(Persistence), len(ModuleStatus))
 
+
+@st.composite
+def summary_messages(draw):
+    """One RMS1 message from node 1, 2 or the unmapped node 3 with 0..6
+    entries; it may carry 1-3 out-of-range enum bytes (CRC re-stamped), a
+    broken CRC, a wrong length or entry count, or a foreign header."""
+    node = draw(st.sampled_from([1, 1, 1, 2, 3]))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(CHILD_MODULES),
+        st.sampled_from([*range(1, ENUM_SIZES[0]), 0]),   # mostly faulty
+        st.integers(0, ENUM_SIZES[1] - 1),
+        st.integers(0, ENUM_SIZES[2] - 1)), max_size=6))
+    body = bytearray(b"".join(struct.pack("<IBBB", *row) for row in rows))
+    kinds = ["good"] * 8 + ["crc", "length", "count", "header"]
+    kind = draw(st.sampled_from(kinds + ["enum"] * 3 if rows else kinds))
+    if kind == "enum":
+        for _ in range(draw(st.integers(1, 3))):
+            entry = draw(st.integers(0, len(rows) - 1))
+            field = draw(st.integers(0, 2))
+            body[7 * entry + 4 + field] = draw(
+                st.integers(ENUM_SIZES[field], 255))
+    count = len(rows) + (draw(st.sampled_from([-1, 1]))
+                         if kind == "count" and rows else 0)
+    magic, version = b"RMS1", 1
+    if kind == "header":
+        magic, version = draw(st.sampled_from([(b"RMS2", 1), (b"RMS1", 2)]))
+    message = struct.pack("<4sHIH", magic, version, node, count) + body
+    message += crc32(message).to_bytes(4, "little")
+    if kind == "crc":
+        at = draw(st.integers(0, len(message) - 1))
+        message = (message[:at] + bytes([message[at] ^ draw(
+            st.integers(1, 255))]) + message[at + 1:])
+    elif kind == "length":
+        message = draw(st.sampled_from([message[:-1], message + b"\0",
+                                        message[:draw(st.integers(0, 15))]]))
+    return bytes(message)
+
+
+@st.composite
+def ingest_cases(draw):
+    """A parent forest of modules 1..n with some dependencies, the downlink
+    instrument on module 1 or absent, downlinks for node 1 and maybe node
+    2, routes from child modules to parent modules, to a missing module or
+    nowhere, and a few messages at non-decreasing times."""
+    n = draw(st.integers(1, 5))
+    modules = [(i, draw(st.one_of(st.none(), st.integers(1, i - 1)))
+                if i > 1 else None, draw(SEVERITIES))
+               for i in range(1, n + 1)]
+    ids = st.integers(1, n)
+    deps = [(p, d, sev) for p, d, sev in draw(st.lists(
+        st.tuples(ids, ids, SEVERITIES), max_size=n)) if p != d]
+    downlink_present = draw(st.sampled_from([True, True, True, False]))
+    downlinks = {node: DOWNLINK for node in
+                 draw(st.sampled_from([(1, 2), (1, 2), (1,)]))}
+    targets = st.sampled_from([None, MISSING_MODULE] + [*range(1, n + 1)] * 3)
+    routes = {(node, child): parent
+              for node in (1, 2) for child in CHILD_MODULES
+              for parent in [draw(targets)] if parent is not None}
+    gaps = st.integers(0, 3 * DEFAULT_MERGE_WINDOW_US // 2)
+    steps = draw(st.lists(st.tuples(gaps, summary_messages()),
+                          min_size=1, max_size=4))
+    return modules, deps, downlink_present, downlinks, routes, steps
+
+
+def ingest_parent(case):
+    modules, deps, downlink_present, _downlinks, _routes, _steps = case
+    hm = HealthMap()
+    for mid, parent, crit in modules:
+        hm.add_module(mid, parent, crit)
+    if downlink_present:
+        hm.add_diag_resource(DOWNLINK, 1)
+    for provider, dependent, sev in deps:
+        hm.add_dependency(provider, dependent, sev)
+    return hm, init_resource_map(hm)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # compared with the reference's, whatever it is
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ingest_cases())
+def test_ingest_matches_entry_object_reference(case):
+    *_, downlinks, routes, steps = case
+    mapping = ChildMapping(routes=routes, downlinks=downlinks)
+    hm, rm = ingest_parent(case)
+    ref_hm, ref_rm = ingest_parent(case)
+    now = 0
+    for gap, message in steps:
+        now += gap
+        assert (outcome(decode_summary, message)
+                == outcome(reference_decode_summary, message))
+        got = outcome(ingest_summary, hm, rm, message, mapping, now)
+        want = outcome(reference_ingest_summary, ref_hm, ref_rm, message,
+                       mapping, now)
+        assert got == want
+        assert hm.snapshot() == ref_hm.snapshot()
+        assert rm_state(rm) == rm_state(ref_rm)
+        assert all(type(e.severity) is Severity
+                   and type(e.persistence) is Persistence
+                   and type(e.status) is ModuleStatus
+                   for e in rm.entries.values())
+
+
+def test_demo_rollup_output_is_pinned(monkeypatch):
+    scenario = Scenario.parse((DEMO_DATA / "board.scn").read_text(),
+                              DEMO_DATA)
+    result = simulate(scenario)
+    text = result.message_text() + result.rm_text()
+    # `hm simulate demo/data/board.scn` stdout; CI checks the same digest
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bd35a98e30032dc2ea9b552feb9aa397dd40558d2ee29d083a390f9cd9d708b7")
+    monkeypatch.setattr(hierarchy, "ingest_summary", reference_ingest_summary)
+    reference = simulate(scenario)
+    assert result.nodes[0].hm.snapshot() == reference.nodes[0].hm.snapshot()
+    assert rm_state(result.nodes[0].rm) == rm_state(reference.nodes[0].rm)
+
+
+# -- one recording rule, whatever the merge window ---------------------------
 
 @st.composite
 def recording_cases(draw):
