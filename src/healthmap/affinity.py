@@ -1,6 +1,12 @@
 """Health-aware core affinity masks: compare per-core resource map entries
 (and required sub-modules) against task tolerances and emit one bit vector
 per task. Bit k set means OS core k may run the task.
+
+A mask is as wide as the largest core id plus one, so core ids are capped
+at MAX_CORE_ID (8191): a Linux kernel is built for at most 8192 CPUs
+(NR_CPUS), and a larger id would name no core while costing a mask of up
+to 2^32 bits per task. A sidecar may still declare any u32 core id;
+`compute_affinity` rejects one above the cap before it builds any mask.
 """
 
 from __future__ import annotations
@@ -9,9 +15,16 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import NoCoreIdsError, ScenarioError, UnknownSubmoduleError
+from .errors import (
+    CoreIdRangeError,
+    NoCoreIdsError,
+    ScenarioError,
+    UnknownSubmoduleError,
+)
 from .model import ModuleStatus, Persistence, Severity, text_lines
 from .resourcemap import ResourceMap
+
+MAX_CORE_ID = 8191        # NR_CPUS is at most 8192
 
 
 @dataclass
@@ -49,6 +62,10 @@ def compute_affinity(rm: ResourceMap, sidecar,
     if not cores:
         raise NoCoreIdsError("no module carries a core id")
     width = max(cores.values()) + 1
+    if width > MAX_CORE_ID + 1:
+        mid = next(m for m, c in cores.items() if c == width - 1)
+        raise CoreIdRangeError(f"module {mid}: core id {width - 1} above "
+                               f"{MAX_CORE_ID}")
     names_by_id = sidecar.names()
     ids_by_name = {name: mid for mid, name in names_by_id.items()}
 

@@ -131,7 +131,8 @@ def cmd_dump(args) -> int:
 def cmd_inject(args) -> int:
     path = Path(args.shm)
     image = path.read_bytes()
-    hm = codec.deserialize(image)
+    # only the detections of the module that owns the detector are read
+    hm = codec._load(image, args.detector)
     report = faultmgr.DetectionReport(
         detector_id=args.detector,
         severity=Severity[args.sev],
@@ -149,7 +150,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_rm(args) -> int:
-    hm = codec.deserialize(Path(args.shm).read_bytes())
+    hm = codec._load(Path(args.shm).read_bytes())    # faults suffice
     sidecar = _load_sidecar(args.sym, hm)
     marks = _maintenance_ids(args.maintenance, sidecar)
     rm = resourcemap.init_resource_map(hm, maintenance=marks)
@@ -158,7 +159,7 @@ def cmd_rm(args) -> int:
 
 
 def cmd_affinity(args) -> int:
-    hm = codec.deserialize(Path(args.shm).read_bytes())
+    hm = codec._load(Path(args.shm).read_bytes())
     sidecar = _load_sidecar(args.sym, hm)
     marks = _maintenance_ids(args.maintenance, sidecar)
     rm = resourcemap.init_resource_map(hm, maintenance=marks)

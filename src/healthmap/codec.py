@@ -15,28 +15,43 @@ appends the dynamic region may interleave fault and detection records;
 readers follow the linked lists and trust the header counts, never section
 contiguity.
 
-One writer lays out every module, fault and detection record: it packs
-each at its own `shm_offset`, with links taken from the records' offsets,
-then stamps the header and CRCs. `serialize` first gives every record its
+One writer lays out module, fault and detection records: it packs each
+at its own `shm_offset`, with links taken from the records' offsets, then
+stamps the header and CRCs. `serialize` first gives every record its
 canonical offset (modules, diag resources, dependencies, then faults and
 detections in map order), packs the diag resource and dependency records
-itself and hands the rest to that writer. The append path
+itself and hands every other record to that writer. The append path
 (`append_changes`) gives only the new faults and detections offsets past
 the old end, in creation order, copies the old image into a buffer with a
-zeroed tail, and calls the same writer. Repacking an unchanged record
-writes the bytes it already holds, so old bytes change only in the
-patchable words: a module's first-fault link, a fault's links, severity and
-persistence, and a detection's next link, counter and flags. Repacking
-everything, rather than tracking dirty records, keeps a field edited
-directly on a loaded record from being dropped silently.
+zeroed tail, and hands the writer the records the load built: every
+module, and the faults and detections of each module whose detections
+were built. Repacking an unchanged record writes the bytes it already
+holds, so old bytes change only in the patchable words: a module's
+first-fault link, a fault's links, severity and persistence, and a
+detection's next link, counter and flags. Every record handed over is
+repacked, rather than only records known to be dirty, so a field edited
+directly on a loaded record is never dropped silently; a detection that
+was never built cannot have changed. A fault record holds its
+first-detection link, so a fault is handed over only when its detections
+were built, and the writer refuses a new fault or detection in any other
+module. The new header counts are the old header's plus the new records.
+
+Loading runs in two passes. The check pass runs every header, checksum,
+bounds, alignment, cycle, reuse, overlap, enum and count check and builds
+the modules, diag resources, dependencies and faults; of a detection it
+reads only the next and detector links. The build pass then creates the
+detections of the modules a caller reads, walking again lists the check
+pass proved valid. `deserialize` builds every detection. The CLI's
+private `_load` builds those of the module that owns the reporting
+detector (`hm inject`) or none (`hm rm`, `hm affinity`), and such a map
+goes back to disk only through `append_changes`.
 
 No two records overlap: every record the lists reach occupies its own byte
-range. Loading checks this for the dynamic region in linear time. Exact
-reuse (a detection linked from two lists, or a fault and a detection at one
-offset) is caught during the walk by a lookup in the set of claimed
+range. The check pass verifies this for the dynamic region in linear time.
+Exact reuse (a detection linked from two lists, or a fault and a detection
+at one offset) is caught during the walk by a lookup in the set of claimed
 offsets, so the walk visits each offset at most once. Partial overlap is
-caught after the walk by one sort-and-sweep over the claimed
-(offset, size) pairs.
+caught after the walk by one sort-and-sweep over the claimed offsets.
 
 Record layouts:
 
@@ -59,6 +74,8 @@ from __future__ import annotations
 
 import struct
 import zlib
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from .errors import (
     AppendError,
@@ -94,6 +111,11 @@ DIAG_REC = struct.Struct("<IIIB")
 DEP_REC = struct.Struct("<IIB")
 FAULT_REC = struct.Struct("<IIBBBB")
 DET_REC = struct.Struct("<IIQIIB")
+_LINK = struct.Struct("<I")         # a fault's first-detection link
+_LINKS = struct.Struct("<II")       # a detection's next and detector links
+_COUNTS = struct.Struct("<HHHHI")   # the header's M, R, D, F, FD
+_COUNTS_AT = 12
+_offset = attrgetter("shm_offset")
 
 HEADER_SIZE = HEADER.size          # 32
 MODULE_SIZE = MODULE_REC.size      # 25
@@ -124,49 +146,49 @@ def _next_links(records: list) -> list[int]:
     return links
 
 
-def _write_linked(buf: bytearray, hm: HealthMap) -> bytes:
-    """Pack every module, fault and detection record of `hm` into `buf` at
-    its own `shm_offset`, with links taken from the records' offsets, then
-    stamp the header and both CRCs. `buf` is the whole image, and every
-    record already has its offset."""
+def _write_linked(buf: bytearray, modules: list[Module],
+                  owners: Iterable[Module], faults: Iterable[Fault],
+                  counts: tuple[int, int, int, int, int]) -> bytes:
+    """Pack each of `modules`, the fault list of each of `owners` and the
+    detection list of each of `faults` into `buf` at the records' own
+    `shm_offset`s, with links taken from the records' offsets, then stamp
+    the header with `counts` and both CRCs. `buf` is the whole image, and
+    every record packed already has its offset."""
     total = len(buf)
     pack_module, pack_fault, pack_det = (MODULE_REC.pack_into,
                                          FAULT_REC.pack_into,
                                          DET_REC.pack_into)
-    modules = list(hm.modules.values())
     for mod, nxt in zip(modules, _next_links(modules)):
-        parent, diags, deps, faults = (mod.parent, mod.diag_resources,
-                                       mod.dependencies, mod.faults)
+        parent, diags, deps, owned = (mod.parent, mod.diag_resources,
+                                      mod.dependencies, mod.faults)
         pack_module(buf, mod.shm_offset, mod.id,
                     parent.shm_offset if parent else 0,
                     diags[0].shm_offset if diags else 0,
                     deps[0].shm_offset if deps else 0,
-                    faults[0].shm_offset if faults else 0,
+                    owned[0].shm_offset if owned else 0,
                     mod.criticality, nxt)
-    for mod in modules:
-        faults = mod.faults
-        for fault, nxt in zip(faults, _next_links(faults)):
+    for mod in owners:
+        owned = mod.faults
+        for fault, nxt in zip(owned, _next_links(owned)):
             dets = fault.detections
             pack_fault(buf, fault.shm_offset, nxt,
                        dets[0].shm_offset if dets else 0, fault.severity,
                        fault.persistence, fault.classification & 0xFF, 0)
-    for fault in hm.faults:
+    for fault in faults:
         dets = fault.detections
         for det, nxt in zip(dets, _next_links(dets)):
             pack_det(buf, det.shm_offset, nxt, det.detector.shm_offset,
                      det.timestamp, det.counter, det.payload,
                      det.flags & 0xFF)
 
-    m, r, d, f, fd = _check_counts(hm)
-    assert total == image_length(m, r, d, f, fd)
+    assert total == image_length(*counts)
     body_crc = crc32(memoryview(buf)[HEADER_SIZE:])
-    buf[:HEADER_SIZE] = _pack_header(total, m, r, d, f, fd, body_crc)
+    buf[:HEADER_SIZE] = _pack_header(total, *counts, body_crc)
     return bytes(buf)
 
 
-def _check_counts(hm: HealthMap) -> tuple[int, int, int, int, int]:
-    m, r = len(hm.modules), len(hm.diag_resources)
-    d, f, fd = len(hm.dependencies), len(hm.faults), len(hm.detections)
+def _check_counts(m: int, r: int, d: int, f: int,
+                  fd: int) -> tuple[int, int, int, int, int]:
     if max(m, r, d, f) > 0xFFFF or fd > 0xFFFFFFFF:
         raise StructureInvalidError(
             [f"entity counts exceed header field ranges "
@@ -183,10 +205,15 @@ def serialize(hm: HealthMap) -> bytes:
     it returned and `append_changes(serialize(hm), hm)` is valid. A
     `serialize` that raises leaves every offset as it was.
     """
+    if hm._built is not None:
+        raise AppendError("cannot serialize a map loaded without all its "
+                          "detections")
     violations = hm.validate_structure()
     if violations:
         raise StructureInvalidError(violations)
-    m, r, d, f, fd = _check_counts(hm)
+    counts = _check_counts(len(hm.modules), len(hm.diag_resources),
+                           len(hm.dependencies), len(hm.faults),
+                           len(hm.detections))
     sections = ((hm.modules.values(), MODULE_SIZE),
                 (hm.diag_resources.values(), DIAG_SIZE),
                 (hm.dependencies, DEP_SIZE), (hm.faults, FAULT_SIZE),
@@ -199,7 +226,7 @@ def serialize(hm: HealthMap) -> bytes:
             rec.shm_offset = pos
             pos += size
     try:
-        buf = bytearray(image_length(m, r, d, f, fd))
+        buf = bytearray(image_length(*counts))
         pack_diag, pack_dep = DIAG_REC.pack_into, DEP_REC.pack_into
         for mod in hm.modules.values():
             diags, deps = mod.diag_resources, mod.dependencies
@@ -209,7 +236,8 @@ def serialize(hm: HealthMap) -> bytes:
             for dep, nxt in zip(deps, _next_links(deps)):
                 pack_dep(buf, dep.shm_offset, dep.dependent.shm_offset, nxt,
                          dep.severity)
-        return _write_linked(buf, hm)
+        modules = list(hm.modules.values())
+        return _write_linked(buf, modules, modules, hm.faults, counts)
     except BaseException:
         for rec, offset in zip(records, old):
             rec.shm_offset = offset
@@ -228,7 +256,14 @@ def _pack_header(total, m, r, d, f, fd, body_crc) -> bytearray:
 
 
 class _Reader:
-    """Parses and cross-checks one image; hostile input tolerated.
+    """Parses and cross-checks one image in two passes; hostile input
+    tolerated.
+
+    `check` runs every check of the image, in image order, and builds the
+    modules, diag resources, dependencies and faults; of each detection it
+    reads only the two link words, so it builds no detection object.
+    `build` then creates the detections of chosen modules by walking again
+    the lists `check` proved valid, so it cannot fail.
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
@@ -239,7 +274,9 @@ class _Reader:
         self.data = bytes(data)
         self.total = len(self.data)
 
-    def run(self) -> HealthMap:
+    def check(self) -> HealthMap:
+        """The image's map without detections; raises on the first
+        error."""
         m, r, d, f, fd = self._check_header()
         self.mod_base = HEADER_SIZE
         self.diag_base = self.mod_base + MODULE_SIZE * m
@@ -267,10 +304,30 @@ class _Reader:
             if fields[1]:
                 by_off[o].parent = self._module_at(by_off, fields[1])
 
-        diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
+        self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
-        self._read_dynamic(hm, by_off, raw_modules, diag_by_off, f, fd)
+        self._check_dynamic(hm, by_off, raw_modules, f, fd)
         return hm
+
+    def build(self, modules: Iterable[Module]) -> list[FaultDetection]:
+        """Create the detections of every fault of `modules`, appending
+        each to its fault's list; returns them in offset order."""
+        data, detectors = self.data, self.diag_by_off
+        unpack_det, unpack_link = DET_REC.unpack_from, _LINK.unpack_from
+        built: list[FaultDetection] = []
+        for module in modules:
+            for fault in module.faults:
+                dets = fault.detections
+                (cur,) = unpack_link(data, fault.shm_offset + 4)
+                while cur:
+                    nxt, det_off, ts, counter, payload, flags = unpack_det(
+                        data, cur)
+                    dets.append(FaultDetection(detectors[det_off], ts,
+                                               counter, payload, flags, cur))
+                    cur = nxt
+                built += dets
+        built.sort(key=_offset)
+        return built
 
     # -- header ----------------------------------------------------------
 
@@ -424,20 +481,24 @@ class _Reader:
         self._dynamic_record(off, FAULT_SIZE, claimed, "fault")
 
     def _reject_detection(self, off: int, claimed: dict,
-                          walked: list[FaultDetection]) -> None:
+                          fault_off: int) -> None:
         """Raise for a detection link that failed the inline checks;
-        `walked` is the current fault's list so far."""
-        if claimed.get(off) in walked:
+        `fault_off` is the offset of the fault whose list is walked."""
+        if claimed.get(off) == fault_off:
             raise LinkCycleError(f"detection list revisits offset {off}")
         self._dynamic_record(off, DET_SIZE, claimed, "detection")
 
-    def _read_dynamic(self, hm, by_off, raw_modules, diag_by_off, f, fd):
+    def _check_dynamic(self, hm, by_off, raw_modules, f, fd):
+        """Build the faults and check every fault and detection link."""
         data, total, dyn_base = self.data, self.total, self.dyn_base
-        unpack_fault, unpack_det = FAULT_REC.unpack_from, DET_REC.unpack_from
+        detectors = self.diag_by_off
+        unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
         severities, persistences = SEVERITIES, PERSISTENCES
-        # offset -> Fault or FaultDetection read there; a fault met again
-        # is a list cycle, and so is a detection met again in one list
-        claimed: dict[int, Fault | FaultDetection] = {}
+        # offset -> the Fault read there, or for a detection the offset of
+        # the fault whose list holds it; a fault met again is a list cycle,
+        # and so is a detection met again in one list
+        claimed: dict[int, Fault | int] = {}
+        faults: list[Fault] = []
         for mod_off, fields in raw_modules.items():
             owner = by_off[mod_off]
             owned = owner.faults
@@ -446,7 +507,7 @@ class _Reader:
                 if (cur in claimed or cur < dyn_base
                         or cur + FAULT_SIZE > total):
                     self._reject_fault(cur, claimed)
-                nxt, first_det, sev, pers, cls, _resv = unpack_fault(data, cur)
+                nxt, dcur, sev, pers, cls, _resv = unpack_fault(data, cur)
                 try:
                     fault = Fault(owner, severities[sev], persistences[pers],
                                   cls, [], cur)
@@ -455,50 +516,37 @@ class _Reader:
                         raise _invalid("persistence", pers) from None
                     raise _invalid("severity", sev) from None
                 owned.append(fault)
+                faults.append(fault)
                 claimed[cur] = fault
-                # walk this fault's detections
-                dets = fault.detections
-                dcur = first_det
+                # follow this fault's detection list
                 while dcur:
                     if (dcur in claimed or dcur < dyn_base
                             or dcur + DET_SIZE > total):
-                        self._reject_detection(dcur, claimed, dets)
-                    (dnxt, det_off, ts, counter, payload,
-                     flags) = unpack_det(data, dcur)
-                    detector = diag_by_off.get(det_off)
-                    if detector is None:
+                        self._reject_detection(dcur, claimed, cur)
+                    dnxt, det_off = unpack_links(data, dcur)
+                    if det_off not in detectors:
                         raise BadLinkError(
                             f"detection at {dcur} references non-detector "
                             f"offset {det_off}")
-                    det = FaultDetection(detector, ts, counter, payload,
-                                         flags, dcur)
-                    dets.append(det)
-                    claimed[dcur] = det
+                    claimed[dcur] = cur
                     dcur = dnxt
                 cur = nxt
         # sort-and-sweep: each record must end before the next one starts
-        faults: list[Fault] = []
-        dets: list[FaultDetection] = []
         end = prev = 0
         for off in sorted(claimed):
             if off < end:
                 raise BadLinkError(f"record at {off} overlaps record at {prev}")
-            rec = claimed[off]
-            if isinstance(rec, Fault):
-                faults.append(rec)
-                end = off + FAULT_SIZE
-            else:
-                dets.append(rec)
-                end = off + DET_SIZE
+            end = off + (DET_SIZE if claimed[off].__class__ is int
+                         else FAULT_SIZE)
             prev = off
         if len(faults) != f:
             raise RecordCountError(
                 f"walked {len(faults)} faults, header says {f}")
-        if len(dets) != fd:
+        if len(claimed) - f != fd:
             raise RecordCountError(
-                f"walked {len(dets)} detections, header says {fd}")
+                f"walked {len(claimed) - f} detections, header says {fd}")
+        faults.sort(key=_offset)
         hm.faults = faults
-        hm.detections = dets
         hm.reindex_faults()
 
 
@@ -508,7 +556,28 @@ def _invalid(what: str, value: int) -> BadLinkError:
 
 def deserialize(data: bytes) -> HealthMap:
     """Parse and fully validate an image; raises ShmError subclasses."""
-    return _Reader(data).run()
+    reader = _Reader(data)
+    hm = reader.check()
+    hm.detections = reader.build(hm.modules.values())
+    return hm
+
+
+def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
+    """`deserialize` for a command that reads few detections: the image
+    passes every check, but only the module that owns diag resource
+    `detector` (none if it is None or unknown) gets its detections.
+
+    The map may grow and change through that module only: `append_changes`
+    writes back no fault of another module, and `serialize` refuses the
+    map.
+    """
+    reader = _Reader(data)
+    hm = reader.check()
+    res = hm.diag_resources.get(detector)
+    owners = [] if res is None else [res.owner]
+    hm.detections = reader.build(owners)
+    hm._built = {module.id for module in owners}
+    return hm
 
 
 def validate_image(data: bytes) -> HealthMap:
@@ -525,16 +594,19 @@ def validate_image(data: bytes) -> HealthMap:
 
 
 def append_changes(image: bytes, hm: HealthMap) -> bytes:
-    """Write back a map that was deserialized from `image` and then grown.
+    """Write back a map that was loaded from `image` and then grown.
 
     Only fault/detection additions plus in-place counter/flag/severity/
     persistence adjustments are representable; modules, diag resources and
     dependencies must be untouched. New records get offsets past the old
-    end in creation order; then every module, fault and detection record
-    is repacked at its own offset, so a field edited directly on a loaded
-    record is written back too. Old record bytes change only where list
-    tails were spliced or detection counters/flags (or fault
-    severity/persistence after reclassification) moved.
+    end in creation order. Then every module, and every fault and
+    detection of each module whose detections the load built (every module
+    after `deserialize`), is repacked at its own offset, so a field edited
+    directly on one of them is written back too. The header counts are the
+    old ones plus the new records. Old record
+    bytes change only where list tails were spliced or detection
+    counters/flags (or fault severity/persistence after reclassification)
+    moved.
     """
     old_total = len(image)
     for m in hm.modules.values():
@@ -547,15 +619,26 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
         if d.shm_offset is None:
             raise AppendError("cannot append new dependencies to an image")
 
-    new_records = sorted(
-        [f for f in hm.faults if f.shm_offset is None]
-        + [d for d in hm.detections if d.shm_offset is None],
-        key=lambda rec: rec.seq)
+    modules = list(hm.modules.values())
+    new_faults = [f for f in hm.faults if f.shm_offset is None]
+    new_dets = [d for d in hm.detections if d.shm_offset is None]
+    if hm._built is None:
+        owners, faults = modules, hm.faults
+    else:
+        owners = [hm.modules[mid] for mid in hm._built]
+        faults = [f for mod in owners for f in mod.faults]
+        if (any(f.owner.id not in hm._built for f in new_faults)
+                or len(new_dets) != sum(d.shm_offset is None for f in faults
+                                        for d in f.detections)):
+            raise AppendError("cannot append to a module whose detections "
+                              "were not loaded")
     pos = old_total
-    for rec in new_records:
+    for rec in sorted(new_faults + new_dets, key=attrgetter("seq")):
         rec.shm_offset = pos
         pos += FAULT_SIZE if isinstance(rec, Fault) else DET_SIZE
 
+    m, r, d, f, fd = _COUNTS.unpack_from(image, _COUNTS_AT)
+    counts = _check_counts(m, r, d, f + len(new_faults), fd + len(new_dets))
     buf = bytearray(pos)
     buf[:old_total] = image
-    return _write_linked(buf, hm)
+    return _write_linked(buf, modules, owners, faults, counts)

@@ -146,6 +146,10 @@ class NoCoreIdsError(HealthMapError):
     pass
 
 
+class CoreIdRangeError(HealthMapError):
+    """A core id is above the largest one an affinity mask may name."""
+
+
 # --- hierarchy ----------------------------------------------------------------
 
 class MessageError(HealthMapError):

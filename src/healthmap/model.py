@@ -185,6 +185,9 @@ class HealthMap:
         # (module id, classification) -> the last such fault in
         # module.faults order; kept by add_fault and reindex_faults
         self._fault_index: dict[tuple[int, int], Fault] = {}
+        # ids of the modules whose detections a partial image load built
+        # (the codec's `_load`); None when the map holds every record
+        self._built: Optional[set[int]] = None
 
     # -- construction --------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Shared test helpers: randomized map construction and independent
 oracles (bitwise CRC32, exhaustive propagation-path enumeration, a plain
-re-encoder for appended images, summary decode and ingest built on one
-`RmEntry` per entry)."""
+re-encoder for appended images, a one-pass image reader, summary decode and
+ingest built on one `RmEntry` per entry)."""
 
 from __future__ import annotations
 
@@ -11,10 +11,37 @@ import zlib
 from typing import Optional
 
 from healthmap import HealthMap, ModuleStatus, Persistence, Severity
-from healthmap.codec import crc32
+from healthmap.codec import (
+    DEP_REC,
+    DEP_SIZE,
+    DET_REC,
+    DET_SIZE,
+    DIAG_REC,
+    DIAG_SIZE,
+    FAULT_REC,
+    FAULT_SIZE,
+    HEADER,
+    HEADER_SIZE,
+    MAGIC,
+    MODULE_REC,
+    MODULE_SIZE,
+    VERSION,
+    crc32,
+    image_length,
+)
 from healthmap.errors import (
+    BadLinkError,
+    BadMagicError,
+    BadVersionError,
+    BodyCrcMismatchError,
     CrcMismatchError,
+    HeaderCrcMismatchError,
+    LengthMismatchError,
+    LinkCycleError,
     MalformedMessageError,
+    OffsetMisalignedError,
+    OffsetOutOfBoundsError,
+    RecordCountError,
     UnknownDetectorError,
     UnknownNodeError,
 )
@@ -23,7 +50,11 @@ from healthmap.model import (
     PERSISTENCES,
     SEVERITIES,
     STATUSES,
+    Dependency,
+    DiagResource,
     Fault,
+    FaultDetection,
+    Module,
     Violation,
 )
 from healthmap.resourcemap import RM_ENTRY, RmEntry
@@ -200,6 +231,292 @@ def reference_append(image: bytes, hm: HealthMap) -> bytes:
                        zlib.crc32(bytes(out[32:])))
     out[:32] = head + struct.pack("<I", zlib.crc32(head))
     return bytes(out)
+
+
+class _ReferenceReader:
+    """The one-pass image reader `codec.deserialize` must agree with: it
+    parses, cross-checks and builds every record in a single walk.
+
+    The walks bind hot names to locals, build records positionally and map
+    enum bytes through the model's byte->member tables. A link that fails a
+    fast inline check goes to a helper that raises the specific error.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        self.data = bytes(data)
+        self.total = len(self.data)
+
+    def run(self) -> HealthMap:
+        m, r, d, f, fd = self._check_header()
+        self.mod_base = HEADER_SIZE
+        self.diag_base = self.mod_base + MODULE_SIZE * m
+        self.dep_base = self.diag_base + DIAG_SIZE * r
+        self.dyn_base = self.dep_base + DEP_SIZE * d
+        self.counts = (m, r, d, f, fd)
+
+        raw_modules = self._walk_modules(m)
+
+        hm = HealthMap()
+        modules = hm.modules
+        by_off: dict[int, Module] = {}
+        for o, (mid, _parent, _diag, _dep, _fault, crit,
+                _next) in raw_modules.items():
+            try:
+                criticality = SEVERITIES[crit]
+            except IndexError:
+                raise _invalid("severity", crit) from None
+            if mid in modules:
+                raise BadLinkError(f"duplicate module id {mid}")
+            modules[mid] = by_off[o] = Module(mid, None, criticality,
+                                              [], [], [], o)
+        # wire parents
+        for o, fields in raw_modules.items():
+            if fields[1]:
+                by_off[o].parent = self._module_at(by_off, fields[1])
+
+        diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
+        self._read_deps(hm, by_off, raw_modules, d)
+        self._read_dynamic(hm, by_off, raw_modules, diag_by_off, f, fd)
+        return hm
+
+    # -- header ----------------------------------------------------------
+
+    def _check_header(self):
+        if self.total < HEADER_SIZE:
+            raise LengthMismatchError(
+                f"image shorter than header ({self.total} bytes)")
+        (magic, version, _flags, total, m, r, d, f, fd, body_crc,
+         header_crc) = HEADER.unpack_from(self.data, 0)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise BadVersionError(f"unsupported version {version}")
+        if crc32(self.data[:28]) != header_crc:
+            raise HeaderCrcMismatchError("header checksum mismatch")
+        if total != self.total:
+            raise LengthMismatchError(
+                f"header claims {total} bytes, image has {self.total}")
+        if total != image_length(m, r, d, f, fd):
+            raise LengthMismatchError(
+                "total length inconsistent with entity counts")
+        if crc32(memoryview(self.data)[HEADER_SIZE:]) != body_crc:
+            raise BodyCrcMismatchError("body checksum mismatch")
+        return m, r, d, f, fd
+
+    # -- link plumbing -----------------------------------------------------
+
+    def _section_offset(self, off: int, base: int, size: int, count: int,
+                        what: str) -> int:
+        end = base + size * count
+        if not (base <= off < end) or off + size > self.total:
+            raise OffsetOutOfBoundsError(
+                f"{what} offset {off} outside section [{base}, {end})")
+        if (off - base) % size:
+            raise OffsetMisalignedError(
+                f"{what} offset {off} not on a {size}-byte record boundary")
+        return off
+
+    def _require_module(self, off: int) -> int:
+        m = self.counts[0]
+        return self._section_offset(off, self.mod_base, MODULE_SIZE, m,
+                                    "module")
+
+    def _module_at(self, by_off: dict[int, Module], off: int) -> Module:
+        module = by_off.get(off)
+        if module is None:
+            # the module walk claimed every module slot, so this raises
+            module = by_off[self._require_module(off)]
+        return module
+
+    def _walk_modules(self, m: int) -> dict[int, tuple]:
+        """Module record offset -> unpacked fields, in list order."""
+        raw: dict[int, tuple] = {}
+        data, unpack = self.data, MODULE_REC.unpack_from
+        base = self.mod_base
+        end = base + MODULE_SIZE * m
+        cur = base if m else 0
+        while cur:
+            if not base <= cur < end or (cur - base) % MODULE_SIZE:
+                self._require_module(cur)
+            if cur in raw:
+                raise LinkCycleError(f"module list revisits offset {cur}")
+            fields = raw[cur] = unpack(data, cur)
+            cur = fields[6]
+        if len(raw) != m:
+            raise RecordCountError(
+                f"module list has {len(raw)} records, header says {m}")
+        return raw
+
+    def _walk_list(self, head: int, base: int, size: int, count: int,
+                   seen: set[int], what: str, next_index: int,
+                   rec: struct.Struct) -> list[tuple[int, tuple]]:
+        """(offset, unpacked fields) of each record in one static list."""
+        out = []
+        data, unpack = self.data, rec.unpack_from
+        end = base + size * count
+        cur = head
+        while cur:
+            if not base <= cur < end or (cur - base) % size:
+                self._section_offset(cur, base, size, count, what)
+            if cur in seen:
+                raise LinkCycleError(f"{what} list revisits offset {cur}")
+            seen.add(cur)
+            fields = unpack(data, cur)
+            out.append((cur, fields))
+            cur = fields[next_index]
+        return out
+
+    def _read_diags(self, hm, by_off, raw_modules, r):
+        """Fill the diag resources; returns them keyed by offset."""
+        seen: set[int] = set()
+        by_id: dict[int, DiagResource] = {}
+        parsed: dict[int, DiagResource] = {}
+        for mod_off, fields in raw_modules.items():
+            owner = by_off[mod_off]
+            owned = owner.diag_resources
+            for o, (rid, owner_off, _nxt, kind) in self._walk_list(
+                    fields[2], self.diag_base, DIAG_SIZE, r, seen,
+                    "diag resource", 2, DIAG_REC):
+                if owner_off != mod_off:
+                    raise BadLinkError(
+                        f"diag resource at {o} owner link mismatch")
+                if rid in by_id:
+                    raise BadLinkError(f"duplicate diag resource id {rid}")
+                res = DiagResource(rid, owner, kind, o)
+                owned.append(res)
+                by_id[rid] = parsed[o] = res
+        if len(parsed) != r:
+            raise RecordCountError(
+                f"walked {len(parsed)} diag resources, header says {r}")
+        hm.diag_resources = {parsed[o].id: parsed[o] for o in sorted(parsed)}
+        return parsed
+
+    def _read_deps(self, hm, by_off, raw_modules, d):
+        seen: set[int] = set()
+        parsed: dict[int, Dependency] = {}
+        for mod_off, fields in raw_modules.items():
+            provider = by_off[mod_off]
+            provided = provider.dependencies
+            for o, (dep_off, _nxt, sev) in self._walk_list(
+                    fields[3], self.dep_base, DEP_SIZE, d, seen,
+                    "dependency", 1, DEP_REC):
+                dependent = self._module_at(by_off, dep_off)
+                if dependent is provider:
+                    raise BadLinkError(f"self-dependency at offset {o}")
+                try:
+                    severity = SEVERITIES[sev]
+                except IndexError:
+                    raise _invalid("severity", sev) from None
+                dep = Dependency(provider, dependent, severity, o)
+                provided.append(dep)
+                parsed[o] = dep
+        if len(parsed) != d:
+            raise RecordCountError(
+                f"walked {len(parsed)} dependencies, header says {d}")
+        hm.dependencies = [parsed[o] for o in sorted(parsed)]
+
+    def _dynamic_record(self, off: int, size: int, claimed: dict,
+                        what: str) -> None:
+        """Bounds-check a dynamic record and reject reuse of its offset."""
+        if off < self.dyn_base or off + size > self.total:
+            raise OffsetOutOfBoundsError(
+                f"{what} offset {off} outside dynamic region")
+        if off in claimed:
+            raise BadLinkError(f"{what} at {off} reuses a claimed record")
+
+    def _reject_fault(self, off: int, claimed: dict) -> None:
+        """Raise for a fault link that failed the inline checks."""
+        if isinstance(claimed.get(off), Fault):
+            raise LinkCycleError(f"fault list revisits offset {off}")
+        self._dynamic_record(off, FAULT_SIZE, claimed, "fault")
+
+    def _reject_detection(self, off: int, claimed: dict,
+                          walked: list[FaultDetection]) -> None:
+        """Raise for a detection link that failed the inline checks;
+        `walked` is the current fault's list so far."""
+        if claimed.get(off) in walked:
+            raise LinkCycleError(f"detection list revisits offset {off}")
+        self._dynamic_record(off, DET_SIZE, claimed, "detection")
+
+    def _read_dynamic(self, hm, by_off, raw_modules, diag_by_off, f, fd):
+        data, total, dyn_base = self.data, self.total, self.dyn_base
+        unpack_fault, unpack_det = FAULT_REC.unpack_from, DET_REC.unpack_from
+        severities, persistences = SEVERITIES, PERSISTENCES
+        # offset -> Fault or FaultDetection read there; a fault met again
+        # is a list cycle, and so is a detection met again in one list
+        claimed: dict[int, Fault | FaultDetection] = {}
+        for mod_off, fields in raw_modules.items():
+            owner = by_off[mod_off]
+            owned = owner.faults
+            cur = fields[4]
+            while cur:
+                if (cur in claimed or cur < dyn_base
+                        or cur + FAULT_SIZE > total):
+                    self._reject_fault(cur, claimed)
+                nxt, first_det, sev, pers, cls, _resv = unpack_fault(data, cur)
+                try:
+                    fault = Fault(owner, severities[sev], persistences[pers],
+                                  cls, [], cur)
+                except IndexError:
+                    if pers >= len(persistences):
+                        raise _invalid("persistence", pers) from None
+                    raise _invalid("severity", sev) from None
+                owned.append(fault)
+                claimed[cur] = fault
+                # walk this fault's detections
+                dets = fault.detections
+                dcur = first_det
+                while dcur:
+                    if (dcur in claimed or dcur < dyn_base
+                            or dcur + DET_SIZE > total):
+                        self._reject_detection(dcur, claimed, dets)
+                    (dnxt, det_off, ts, counter, payload,
+                     flags) = unpack_det(data, dcur)
+                    detector = diag_by_off.get(det_off)
+                    if detector is None:
+                        raise BadLinkError(
+                            f"detection at {dcur} references non-detector "
+                            f"offset {det_off}")
+                    det = FaultDetection(detector, ts, counter, payload,
+                                         flags, dcur)
+                    dets.append(det)
+                    claimed[dcur] = det
+                    dcur = dnxt
+                cur = nxt
+        # sort-and-sweep: each record must end before the next one starts
+        faults: list[Fault] = []
+        dets: list[FaultDetection] = []
+        end = prev = 0
+        for off in sorted(claimed):
+            if off < end:
+                raise BadLinkError(f"record at {off} overlaps record at {prev}")
+            rec = claimed[off]
+            if isinstance(rec, Fault):
+                faults.append(rec)
+                end = off + FAULT_SIZE
+            else:
+                dets.append(rec)
+                end = off + DET_SIZE
+            prev = off
+        if len(faults) != f:
+            raise RecordCountError(
+                f"walked {len(faults)} faults, header says {f}")
+        if len(dets) != fd:
+            raise RecordCountError(
+                f"walked {len(dets)} detections, header says {fd}")
+        hm.faults = faults
+        hm.detections = dets
+        hm.reindex_faults()
+
+
+def _invalid(what: str, value: int) -> BadLinkError:
+    return BadLinkError(f"invalid {what} value {value}")
+
+
+def reference_deserialize(data: bytes) -> HealthMap:
+    """What `codec.deserialize` must return or raise: the map every record
+    of the image builds, or the first error a single walk of it meets."""
+    return _ReferenceReader(data).run()
 
 
 def oracle_parent_violations(hm: HealthMap) -> list[Violation]:

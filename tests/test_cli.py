@@ -1,6 +1,8 @@
+import hashlib
 import os
 import shutil
 import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -136,6 +138,19 @@ def test_corrupt_image_exits_1(tmp_path, capsys):
     bad.write_bytes(b"\x00" * 64)
     assert main(["validate", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("detector", ["12", "999999"])
+def test_inject_reports_image_error_before_unknown_detector(
+        compiled, capsys, detector):
+    shm, _sym = compiled
+    image = bytearray(shm.read_bytes())
+    image[-1] ^= 0xFF
+    shm.write_bytes(image)
+    assert main(["inject", str(shm), "--detector", detector, "--sev", "LOW",
+                 "--class", "1", "--t", "0"]) == 1
+    assert capsys.readouterr().err == "error: body checksum mismatch\n"
+    assert shm.read_bytes() == image
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
@@ -345,6 +360,37 @@ def test_affinity_negative_sidecar_core_id_exits_1(compiled, tmp_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("core", ["8192", "4294967295"])
+def test_affinity_core_id_above_cap_exits_1_in_little_memory(
+        compiled, tmp_path, capsys, core):
+    shm, sym = compiled
+    bad = tmp_path / "bad.sym"
+    bad.write_text(sym.read_text().replace("core=0", f"core={core}"))
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("task any\n")
+    tracemalloc.start()
+    try:
+        code = main(["affinity", str(shm), "--tasks", str(tasks),
+                     "--sym", str(bad)])
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert f"module 10: core id {core} above 8191" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_affinity_core_id_at_cap_gets_its_bit(compiled, tmp_path, capsys):
+    shm, sym = compiled
+    top = tmp_path / "top.sym"
+    top.write_text(sym.read_text().replace("core=0", "core=8191"))
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("task any\n")
+    assert main(["affinity", str(shm), "--tasks", str(tasks),
+                 "--sym", str(top)]) == 0
+    assert capsys.readouterr().out == f"any 0x{(1 << 8191) | 0b1110:x}\n"
+
+
 def test_compile_and_validate_three_thousand_deep_nest(tmp_path, capsys):
     xml = tmp_path / "deep.xml"
     xml.write_text(f'<healthmap version="1">{nest_xml(3_000)}</healthmap>')
@@ -411,3 +457,35 @@ def test_main_calls_share_no_state(compiled, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rm"])
     assert exc.value.code == 2
+
+
+# sha256 of the final image, `hm rm` stdout and `hm affinity` stdout after
+# the inject chain of demo/data/inject_chain.txt (demo/inject_chain.sh
+# prints the same three through the installed `hm`; CI checks them there).
+CHAIN_DIGESTS = (
+    "6a7c41809d6b78d61de3f703696cf9087028018e4e428e01b386ec55e81df841",
+    "dccd42ad47636e1f15778ef72d34d3eeddf7073051bce9f1ce54b53a504e1a69",
+    "3f20fb18d8b9b13b99ac7a73d30ade1a2cc65f69607e5c475b8b20810931b9ed",
+)
+
+
+def test_inject_chain_golden_digests(tmp_path, capsys):
+    shm, sym = tmp_path / "cpu.shm", tmp_path / "cpu.sym"
+    assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", str(shm),
+                 "--sym", str(sym)]) == 0
+    chain = (DEMO_DATA / "inject_chain.txt").read_text().splitlines()
+    calls = [line.split() for line in chain if not line.startswith("#")]
+    assert len(calls) == 22
+    for options in calls:
+        assert main(["inject", str(shm), *options]) == 0
+    outs = [shm.read_bytes()]
+    capsys.readouterr()
+    assert main(["rm", str(shm), "--sym", str(sym),
+                 "--maintenance", "CPU.C3"]) == 0
+    outs.append(capsys.readouterr().out.encode())
+    assert main(["affinity", str(shm), "--tasks",
+                 str(DEMO_DATA / "tasks.txt"), "--sym", str(sym),
+                 "--maintenance", "CPU.C3"]) == 0
+    outs.append(capsys.readouterr().out.encode())
+    assert tuple(hashlib.sha256(out).hexdigest()
+                 for out in outs) == CHAIN_DIGESTS

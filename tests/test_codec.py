@@ -14,10 +14,14 @@ from healthmap import (
     HealthMap,
     Persistence,
     Severity,
+    Sidecar,
     append_changes,
     compile_xml,
+    compute_affinity,
     crc32,
     deserialize,
+    init_resource_map,
+    parse_task_file,
     prune,
     report_detection,
     serialize,
@@ -25,7 +29,7 @@ from healthmap import (
     validate_image,
 )
 from healthmap.codec import (DEP_SIZE, DET_SIZE, DIAG_SIZE, FAULT_SIZE,
-                             HEADER_SIZE, MODULE_SIZE)
+                             HEADER_SIZE, MODULE_SIZE, _load)
 from healthmap.errors import (
     BadLinkError,
     BadMagicError,
@@ -35,13 +39,20 @@ from healthmap.errors import (
     LinkCycleError,
     OffsetMisalignedError,
     OffsetOutOfBoundsError,
+    AppendError,
     RecordCountError,
     ShmError,
     StructureInvalidError,
 )
+from healthmap.model import U32_MAX
 
 from conftest import DATA_DIR
-from helpers import crc32_reference, random_health_map, reference_append
+from helpers import (
+    crc32_reference,
+    random_health_map,
+    reference_append,
+    reference_deserialize,
+)
 
 DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
 
@@ -670,3 +681,213 @@ GOLDEN_IMAGES = {
 def test_golden_image_bytes(name):
     build, digest = GOLDEN_IMAGES[name]
     assert hashlib.sha256(build()).hexdigest() == digest
+
+
+# -- partial loads against the one-pass reference reader ----------------------
+# `_load` is the CLI's load: every check of `deserialize`, but detections
+# only for the module that owns one detector. `deserialize` and both
+# partial shapes must fail exactly as the one-pass reference reader does.
+
+def outcome(load, image: bytes):
+    """(error class, message) of a load that raises, else its map."""
+    try:
+        return load(image)
+    except Exception as exc:   # a non-ShmError must match the reference too
+        return type(exc), str(exc)
+
+
+def partial_view(hm: HealthMap, module_ids) -> tuple:
+    """The map's snapshot with the detection lists of faults outside
+    `module_ids` left out."""
+    modules, resources, deps, faults, dets = hm.snapshot()
+    return (modules, resources, deps,
+            tuple((owner, sev, pers, cls,
+                   tuple(dets[i] for i in det_ids)
+                   if owner in module_ids else None)
+                  for owner, sev, pers, cls, det_ids in faults))
+
+
+def check_against_reference(image: bytes, detector: int) -> None:
+    expected = outcome(reference_deserialize, image)
+    got = outcome(deserialize, image)
+    partial_none = outcome(_load, image)
+    partial_one = outcome(lambda data: _load(data, detector), image)
+    unknown = outcome(lambda data: _load(data, 0xFFFFFFFF), image)
+    if isinstance(expected, tuple):
+        assert got == partial_none == partial_one == unknown == expected
+        return
+    assert got.snapshot() == expected.snapshot()
+    res = expected.diag_resources.get(detector)
+    owner = {res.owner.id} if res is not None else set()
+    assert partial_view(partial_none, set()) == partial_view(expected, set())
+    assert partial_view(partial_one, owner) == partial_view(expected, owner)
+    assert partial_none.detections == []
+    assert [d.shm_offset for d in partial_one.detections] == sorted(
+        d.shm_offset for f in partial_one.faults for d in f.detections)
+
+
+@functools.lru_cache(maxsize=None)
+def mutation_bases() -> tuple[tuple[bytes, tuple[int, ...], tuple[int, ...]],
+                              ...]:
+    """(image, dynamic record offsets, detector ids) to mutate: the two
+    random-map bases of `fuzz_bases` and random maps grown by appends, so
+    faults and detections interleave in the dynamic region."""
+    bases = []
+    for image, records in fuzz_bases()[1:]:
+        bases.append((image, records,
+                      tuple(sorted(deserialize(image).diag_resources))))
+    for seed in (7, 11, 13):
+        rng = random.Random(seed)
+        image = serialize(random_health_map(rng))
+        for _ in range(3):
+            hm = deserialize(image)
+            report_some(hm, rng)
+            image = append_changes(image, hm)
+        hm = deserialize(image)
+        bases.append((image,
+                      tuple(r.shm_offset for r in hm.faults + hm.detections),
+                      tuple(sorted(hm.diag_resources))))
+    return tuple(bases)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), data=st.data())
+def test_loads_match_reference_reader_on_mutated_images(base, data):
+    image, records, detectors = mutation_bases()[base]
+    mutated = bytearray(image)
+    for kind in data.draw(st.lists(st.sampled_from(("flip", "link")),
+                                   min_size=1, max_size=4), label="edits"):
+        if kind == "flip":
+            bit = data.draw(st.integers(0, len(mutated) * 8 - 1))
+            mutated[bit // 8] ^= 1 << (bit % 8)
+        else:
+            record = data.draw(st.sampled_from(records))
+            value = data.draw(st.one_of(
+                st.just(0), st.sampled_from(records),
+                st.integers(0, len(image) + 64), st.integers(0, 0xFFFFFFFF)))
+            put_u32(mutated, record + data.draw(st.sampled_from((0, 4))),
+                    value)
+    mutated = restamp(mutated)
+    if data.draw(st.integers(0, 3), label="truncate") == 3:
+        mutated = mutated[:data.draw(st.integers(0, len(mutated)))]
+    check_against_reference(mutated, data.draw(st.sampled_from(detectors)))
+
+
+@pytest.mark.parametrize("base", range(5))
+def test_loads_match_reference_reader_on_intact_images(base):
+    image, _records, detectors = mutation_bases()[base]
+    for detector in detectors:
+        check_against_reference(image, detector)
+
+
+# -- partial loads write and read what full loads do --------------------------
+
+CEILING_CLASS = 200
+
+
+def ceiling_map(rng: random.Random) -> tuple[HealthMap, int]:
+    """A random map plus a fault whose one detection, by a detector of the
+    fault's own module, is one event below the u32 counter ceiling; returns
+    the map and that detector's id."""
+    hm = random_health_map(rng)
+    res = rng.choice(list(hm.diag_resources.values()))
+    fault = hm.add_fault(res.owner.id, Severity.LOW, Persistence.PERMANENT,
+                         CEILING_CLASS)
+    hm.add_detection(fault, res.id, 500_000, counter=U32_MAX - 1)
+    return hm, res.id
+
+
+def report_strategy(detectors, ceiling_detector):
+    anywhere = st.builds(DetectionReport, st.sampled_from(detectors),
+                         SEVERITIES, st.integers(0, 3),
+                         st.integers(0, 3_000_000),
+                         st.integers(0, 0xFFFFFFFF))
+    # merges into the fault at the counter ceiling, then past it
+    at_ceiling = st.builds(DetectionReport, st.just(ceiling_detector),
+                           SEVERITIES, st.just(CEILING_CLASS),
+                           st.integers(0, 1_500_000))
+    return st.one_of(anywhere, at_ceiling)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_partial_load_inject_writes_full_load_bytes(seed, data):
+    hm, ceiling_detector = ceiling_map(random.Random(seed))
+    image = serialize(hm)
+    reports = data.draw(st.lists(
+        report_strategy(sorted(hm.diag_resources), ceiling_detector),
+        min_size=1, max_size=12), label="reports")
+    for report in reports:
+        full = deserialize(image)
+        expected_fault, expected_created = report_detection(full, report)
+        expected = append_changes(image, full)
+        part = _load(image, report.detector_id)
+        fault, created = report_detection(part, report)
+        image = append_changes(image, part)
+        assert image == expected
+        assert created == expected_created
+        assert fault.shm_offset == expected_fault.shm_offset
+    assert deserialize(image).snapshot() == full.snapshot()
+
+
+TOLERANCES = parse_task_file("task strict\n"
+                             "task low maxSev=LOW maxPers=INTERMITTENT\n"
+                             "task any maxSev=HIGH maxPers=PERMANENT\n")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_partial_load_rm_and_affinity_match_full_load(seed, data):
+    rng = random.Random(seed)
+    image = serialize(random_health_map(rng))
+    hm = deserialize(image)
+    report_some(hm, rng)
+    image = append_changes(image, hm)
+    full, part = deserialize(image), _load(image)
+    assert part.detections == []
+    ids = sorted(full.modules)
+    maintenance = data.draw(st.lists(st.sampled_from(ids), max_size=3),
+                            label="maintenance")
+    cores = data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                               unique=True), label="cores")
+    sidecar = Sidecar()
+    for mid in ids:
+        sidecar.add(mid, f"M{mid}",
+                    cores.index(mid) if mid in cores else None)
+    rm_full = init_resource_map(full, maintenance)
+    rm_part = init_resource_map(part, maintenance)
+    assert rm_part.encode() == rm_full.encode()
+    assert (compute_affinity(rm_part, sidecar, TOLERANCES)
+            == compute_affinity(rm_full, sidecar, TOLERANCES))
+
+
+def test_partial_map_grows_only_through_its_loaded_module():
+    hm = two_fault_map()
+    hm.add_module(2)
+    hm.add_diag_resource(20, 2)
+    hm.add_fault_with_detection(2, Severity.LOW, Persistence.TRANSIENT, 5,
+                                20, 0)
+    image = serialize(hm)
+    part = _load(image, 20)
+    # module 1's faults are there, their detections are not
+    assert [len(f.detections) for f in part.modules[1].faults] == [0, 0]
+    with pytest.raises(AppendError, match="cannot serialize"):
+        serialize(part)
+    part.add_detection(part.modules[1].faults[0], 10, 7)
+    with pytest.raises(AppendError, match="detections were not loaded"):
+        append_changes(image, part)
+    part = _load(image, 20)
+    part.add_fault(1, Severity.LOW, Persistence.TRANSIENT, 9)
+    with pytest.raises(AppendError, match="detections were not loaded"):
+        append_changes(image, part)
+    part = _load(image, 20)
+    part.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 9,
+                                  10, 7)
+    updated = append_changes(image, part)
+    full = deserialize(image)
+    full.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 9,
+                                  10, 7)
+    assert updated == append_changes(image, full)
