@@ -31,18 +31,20 @@ def _replace_files(*files: tuple[Path, bytes]) -> None:
             fd, name = tempfile.mkstemp(dir=path.parent,
                                         prefix=f".{path.name}.",
                                         suffix=".tmp")
-            os.close(fd)
             tmp = Path(name)
             temps.append(tmp)
-            tmp.write_bytes(data)
             try:
-                shutil.copymode(path, tmp)
-            except FileNotFoundError:
-                umask = os.umask(0)
-                os.umask(umask)
-                tmp.chmod(0o666 & ~umask)
-            with tmp.open("rb") as fh:
-                os.fsync(fh.fileno())
+                tmp.write_bytes(data)
+                try:
+                    shutil.copymode(path, tmp)
+                except FileNotFoundError:
+                    umask = os.umask(0)
+                    os.umask(umask)
+                    tmp.chmod(0o666 & ~umask)
+                # syncs the file, whichever descriptor wrote it
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         for (path, _data), tmp in zip(files, temps):
             os.replace(tmp, path)
     finally:
@@ -200,73 +202,83 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, help, arguments as (flags, keyword options) pairs), in
+# the order `hm -h` lists them
+_COMMANDS = {
+    "compile": (cmd_compile, "compile an XML description", (
+        (("xml",), {}),
+        (("-o", "--output"), {"required": True}),
+        (("--sym",), {"help": "write the name sidecar here"}),
+    )),
+    "validate": (cmd_validate, "validate a binary image", (
+        (("shm",), {}),
+    )),
+    "dump": (cmd_dump, "print image contents", (
+        (("shm",), {}),
+        (("--sym",), {}),
+    )),
+    "inject": (cmd_inject, "ingest one detection (append-only update)", (
+        (("shm",), {}),
+        (("--detector",), {"type": int, "required": True}),
+        (("--sev",), {"required": True,
+                      "choices": [s.name for s in Severity
+                                  if s != Severity.ZERO]}),
+        (("--class",), {"dest": "clazz", "type": int, "required": True}),
+        (("--t",), {"type": int, "required": True,
+                    "help": "timestamp in microseconds"}),
+        (("--payload",), {"type": _hex, "default": 0,
+                          "help": "raw sensor word, hex"}),
+    )),
+    "rm": (cmd_rm, "print the resource map table", (
+        (("shm",), {}),
+        (("--sym",), {}),
+        (("--maintenance",), {"action": "append", "metavar": "MODULE",
+                              "help": "mark a module (name or id) under "
+                                      "maintenance; repeatable"}),
+    )),
+    "affinity": (cmd_affinity, "compute task affinity masks", (
+        (("shm",), {}),
+        (("--tasks",), {"required": True}),
+        (("--sym",), {}),
+        (("--maintenance",), {"action": "append", "metavar": "MODULE"}),
+    )),
+    "prune": (cmd_prune, "merge duplicate fault data", (
+        (("shm",), {}),
+    )),
+    "estimate": (cmd_estimate, "footprint estimate for C cores", (
+        (("--cores",), {"type": int, "required": True}),
+    )),
+    "simulate": (cmd_simulate, "run a hierarchy scenario", (
+        (("scenario",), {}),
+        (("--out",), {"help": "directory for messages.log and rm.log"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `hm` parser. Given the name of a subcommand it builds only that
+    subcommand's parser, which is much cheaper and parses and reports any
+    command line that starts with that name as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="hm", description="Health map toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compile", help="compile an XML description")
-    p.add_argument("xml")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--sym", help="write the name sidecar here")
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("validate", help="validate a binary image")
-    p.add_argument("shm")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("dump", help="print image contents")
-    p.add_argument("shm")
-    p.add_argument("--sym")
-    p.set_defaults(func=cmd_dump)
-
-    p = sub.add_parser("inject",
-                       help="ingest one detection (append-only update)")
-    p.add_argument("shm")
-    p.add_argument("--detector", type=int, required=True)
-    p.add_argument("--sev", required=True,
-                   choices=[s.name for s in Severity if s != Severity.ZERO])
-    p.add_argument("--class", dest="clazz", type=int, required=True)
-    p.add_argument("--t", type=int, required=True,
-                   help="timestamp in microseconds")
-    p.add_argument("--payload", type=_hex, default=0,
-                   help="raw sensor word, hex")
-    p.set_defaults(func=cmd_inject)
-
-    p = sub.add_parser("rm", help="print the resource map table")
-    p.add_argument("shm")
-    p.add_argument("--sym")
-    p.add_argument("--maintenance", action="append", metavar="MODULE",
-                   help="mark a module (name or id) under maintenance; "
-                        "repeatable")
-    p.set_defaults(func=cmd_rm)
-
-    p = sub.add_parser("affinity", help="compute task affinity masks")
-    p.add_argument("shm")
-    p.add_argument("--tasks", required=True)
-    p.add_argument("--sym")
-    p.add_argument("--maintenance", action="append", metavar="MODULE")
-    p.set_defaults(func=cmd_affinity)
-
-    p = sub.add_parser("prune", help="merge duplicate fault data")
-    p.add_argument("shm")
-    p.set_defaults(func=cmd_prune)
-
-    p = sub.add_parser("estimate", help="footprint estimate for C cores")
-    p.add_argument("--cores", type=int, required=True)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("simulate", help="run a hierarchy scenario")
-    p.add_argument("scenario")
-    p.add_argument("--out", help="directory for messages.log and rm.log")
-    p.set_defaults(func=cmd_simulate)
-
+    # a parser that knows one command still lists all of them in its usage
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        func, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (HealthMapError, OSError) as exc:

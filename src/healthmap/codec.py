@@ -47,11 +47,18 @@ detector (`hm inject`) or none (`hm rm`, `hm affinity`), and such a map
 goes back to disk only through `append_changes`.
 
 No two records overlap: every record the lists reach occupies its own byte
-range. The check pass verifies this for the dynamic region in linear time.
-Exact reuse (a detection linked from two lists, or a fault and a detection
-at one offset) is caught during the walk by a lookup in the set of claimed
-offsets, so the walk visits each offset at most once. Partial overlap is
-caught after the walk by one sort-and-sweep over the claimed offsets.
+range. The check pass verifies this for the dynamic region in linear time,
+with one byte of marks per image byte: the walk marks the start of each
+record it reaches with the record's size. Exact reuse (a detection linked
+from two lists, or a fault and a detection at one offset) is a link to a
+marked byte, caught during the walk, so the walk visits each offset at
+most once; only then does it walk the current list again, to tell a
+detection list's cycle from reuse. After the walk one scan steps from the
+start of the dynamic region by the size marked at each step. When it lands
+exactly on the image's end and the walk met the header's counts, the
+records tile the region and none overlap. Otherwise a sweep over the marks
+in offset order names the first overlap, and with none the count check
+fails.
 
 Record layouts:
 
@@ -74,6 +81,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -89,6 +97,7 @@ from .errors import (
     OffsetMisalignedError,
     OffsetOutOfBoundsError,
     RecordCountError,
+    ShmError,
     StructureInvalidError,
 )
 from .model import (
@@ -267,7 +276,11 @@ class _Reader:
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
-    fast inline check goes to a helper that raises the specific error.
+    fast inline check goes to a helper that raises the specific error. A
+    diag resource or dependency list is walked to its end before the first
+    error of one of its records is raised, so a bounds, alignment or cycle
+    error of a list comes before an owner, duplicate-id, self-dependency or
+    enum error of the same list.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -397,44 +410,38 @@ class _Reader:
                 f"module list has {len(raw)} records, header says {m}")
         return raw
 
-    def _walk_list(self, head: int, base: int, size: int, count: int,
-                   seen: set[int], what: str, next_index: int,
-                   rec: struct.Struct) -> list[tuple[int, tuple]]:
-        """(offset, unpacked fields) of each record in one static list."""
-        out = []
-        data, unpack = self.data, rec.unpack_from
-        end = base + size * count
-        cur = head
-        while cur:
-            if not base <= cur < end or (cur - base) % size:
-                self._section_offset(cur, base, size, count, what)
-            if cur in seen:
-                raise LinkCycleError(f"{what} list revisits offset {cur}")
-            seen.add(cur)
-            fields = unpack(data, cur)
-            out.append((cur, fields))
-            cur = fields[next_index]
-        return out
-
     def _read_diags(self, hm, by_off, raw_modules, r):
         """Fill the diag resources; returns them keyed by offset."""
-        seen: set[int] = set()
+        data, unpack = self.data, DIAG_REC.unpack_from
+        base = self.diag_base
+        end = base + DIAG_SIZE * r
         by_id: dict[int, DiagResource] = {}
+        # offset -> resource, which is also the set of offsets walked
         parsed: dict[int, DiagResource] = {}
         for mod_off, fields in raw_modules.items():
             owner = by_off[mod_off]
             owned = owner.diag_resources
-            for o, (rid, owner_off, _nxt, kind) in self._walk_list(
-                    fields[2], self.diag_base, DIAG_SIZE, r, seen,
-                    "diag resource", 2, DIAG_REC):
-                if owner_off != mod_off:
-                    raise BadLinkError(
-                        f"diag resource at {o} owner link mismatch")
-                if rid in by_id:
-                    raise BadLinkError(f"duplicate diag resource id {rid}")
-                res = DiagResource(rid, owner, kind, o)
+            error = None     # a record's error waits for the list's links
+            cur = fields[2]
+            while cur:
+                if not base <= cur < end or (cur - base) % DIAG_SIZE:
+                    self._section_offset(cur, base, DIAG_SIZE, r,
+                                         "diag resource")
+                if cur in parsed:
+                    raise LinkCycleError(
+                        f"diag resource list revisits offset {cur}")
+                rid, owner_off, nxt, kind = unpack(data, cur)
+                if (owner_off != mod_off or rid in by_id) and error is None:
+                    error = BadLinkError(
+                        f"diag resource at {cur} owner link mismatch"
+                        if owner_off != mod_off
+                        else f"duplicate diag resource id {rid}")
+                res = DiagResource(rid, owner, kind, cur)
                 owned.append(res)
-                by_id[rid] = parsed[o] = res
+                by_id[rid] = parsed[cur] = res
+                cur = nxt
+            if error is not None:
+                raise error
         if len(parsed) != r:
             raise RecordCountError(
                 f"walked {len(parsed)} diag resources, header says {r}")
@@ -442,51 +449,90 @@ class _Reader:
         return parsed
 
     def _read_deps(self, hm, by_off, raw_modules, d):
-        seen: set[int] = set()
-        parsed: dict[int, Dependency] = {}
+        data, unpack = self.data, DEP_REC.unpack_from
+        base = self.dep_base
+        end = base + DEP_SIZE * d
+        severities = SEVERITIES
+        n_severities = len(severities)
+        # offset -> dependency (None for a bad record), which is also the
+        # set of offsets walked
+        parsed: dict[int, Dependency | None] = {}
         for mod_off, fields in raw_modules.items():
             provider = by_off[mod_off]
             provided = provider.dependencies
-            for o, (dep_off, _nxt, sev) in self._walk_list(
-                    fields[3], self.dep_base, DEP_SIZE, d, seen,
-                    "dependency", 1, DEP_REC):
-                dependent = self._module_at(by_off, dep_off)
-                if dependent is provider:
-                    raise BadLinkError(f"self-dependency at offset {o}")
-                try:
-                    severity = SEVERITIES[sev]
-                except IndexError:
-                    raise _invalid("severity", sev) from None
-                dep = Dependency(provider, dependent, severity, o)
-                provided.append(dep)
-                parsed[o] = dep
+            error = None     # a record's error waits for the list's links
+            cur = fields[3]
+            while cur:
+                if not base <= cur < end or (cur - base) % DEP_SIZE:
+                    self._section_offset(cur, base, DEP_SIZE, d, "dependency")
+                if cur in parsed:
+                    raise LinkCycleError(
+                        f"dependency list revisits offset {cur}")
+                dep_off, nxt, sev = unpack(data, cur)
+                dependent = by_off.get(dep_off)
+                if (dependent is None or dependent is provider
+                        or sev >= n_severities):
+                    parsed[cur] = None
+                    if error is None:
+                        error = self._dependency_error(by_off, cur, dep_off,
+                                                       provider, sev)
+                else:
+                    dep = parsed[cur] = Dependency(provider, dependent,
+                                                   severities[sev], cur)
+                    provided.append(dep)
+                cur = nxt
+            if error is not None:
+                raise error
         if len(parsed) != d:
             raise RecordCountError(
                 f"walked {len(parsed)} dependencies, header says {d}")
         hm.dependencies = [parsed[o] for o in sorted(parsed)]
 
-    def _dynamic_record(self, off: int, size: int, claimed: dict,
-                        what: str) -> None:
-        """Bounds-check a dynamic record and reject reuse of its offset."""
+    def _dependency_error(self, by_off, off, dep_off, provider,
+                          sev) -> ShmError:
+        """The first error of the dependency record at `off`: its dependent
+        link, then self-dependency, then its severity byte."""
+        try:
+            dependent = self._module_at(by_off, dep_off)
+        except ShmError as exc:
+            return exc
+        if dependent is provider:
+            return BadLinkError(f"self-dependency at offset {off}")
+        return _invalid("severity", sev)
+
+    def _require_dynamic(self, off: int, size: int, what: str) -> None:
         if off < self.dyn_base or off + size > self.total:
             raise OffsetOutOfBoundsError(
                 f"{what} offset {off} outside dynamic region")
-        if off in claimed:
-            raise BadLinkError(f"{what} at {off} reuses a claimed record")
 
-    def _reject_fault(self, off: int, claimed: dict) -> None:
+    def _reject_fault(self, off: int, marks: bytearray) -> None:
         """Raise for a fault link that failed the inline checks."""
-        if isinstance(claimed.get(off), Fault):
+        self._require_dynamic(off, FAULT_SIZE, "fault")
+        if marks[off] == FAULT_SIZE:
             raise LinkCycleError(f"fault list revisits offset {off}")
-        self._dynamic_record(off, FAULT_SIZE, claimed, "fault")
+        raise BadLinkError(f"fault at {off} reuses a claimed record")
 
-    def _reject_detection(self, off: int, claimed: dict,
+    def _reject_detection(self, off: int, marks: bytearray,
                           fault_off: int) -> None:
         """Raise for a detection link that failed the inline checks;
         `fault_off` is the offset of the fault whose list is walked."""
-        if claimed.get(off) == fault_off:
-            raise LinkCycleError(f"detection list revisits offset {off}")
-        self._dynamic_record(off, DET_SIZE, claimed, "detection")
+        self._require_dynamic(off, DET_SIZE, "detection")
+        if marks[off] == DET_SIZE:
+            # Walk this list again from its head. Its records before `off`
+            # were unmarked when walked, and an earlier list's records lead
+            # to that list's end, so the walk ends; it meets `off` twice
+            # only when `off` is in this list.
+            data, unpack_link = self.data, _LINK.unpack_from
+            met = 0
+            (cur,) = unpack_link(data, fault_off + 4)
+            while cur:
+                if cur == off:
+                    met += 1
+                    if met == 2:
+                        raise LinkCycleError(
+                            f"detection list revisits offset {off}")
+                (cur,) = unpack_link(data, cur)
+        raise BadLinkError(f"detection at {off} reuses a claimed record")
 
     def _check_dynamic(self, hm, by_off, raw_modules, f, fd):
         """Build the faults and check every fault and detection link."""
@@ -494,19 +540,21 @@ class _Reader:
         detectors = self.diag_by_off
         unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
         severities, persistences = SEVERITIES, PERSISTENCES
-        # offset -> the Fault read there, or for a detection the offset of
-        # the fault whose list holds it; a fault met again is a list cycle,
-        # and so is a detection met again in one list
-        claimed: dict[int, Fault | int] = {}
+        fault_size, det_size = FAULT_SIZE, DET_SIZE
+        last_fault, last_det = total - FAULT_SIZE, total - DET_SIZE
+        # the size of each record walked, at its start; a fault met again
+        # is a list cycle, and so is a detection met again in one list.
+        # The byte at `total` stays 0 and ends the tiling scan.
+        marks = bytearray(total + 1)
         faults: list[Fault] = []
+        walked_dets = 0
         for mod_off, fields in raw_modules.items():
             owner = by_off[mod_off]
             owned = owner.faults
             cur = fields[4]
             while cur:
-                if (cur in claimed or cur < dyn_base
-                        or cur + FAULT_SIZE > total):
-                    self._reject_fault(cur, claimed)
+                if not dyn_base <= cur <= last_fault or marks[cur]:
+                    self._reject_fault(cur, marks)
                 nxt, dcur, sev, pers, cls, _resv = unpack_fault(data, cur)
                 try:
                     fault = Fault(owner, severities[sev], persistences[pers],
@@ -517,34 +565,41 @@ class _Reader:
                     raise _invalid("severity", sev) from None
                 owned.append(fault)
                 faults.append(fault)
-                claimed[cur] = fault
+                marks[cur] = fault_size
                 # follow this fault's detection list
                 while dcur:
-                    if (dcur in claimed or dcur < dyn_base
-                            or dcur + DET_SIZE > total):
-                        self._reject_detection(dcur, claimed, cur)
+                    if not dyn_base <= dcur <= last_det or marks[dcur]:
+                        self._reject_detection(dcur, marks, cur)
                     dnxt, det_off = unpack_links(data, dcur)
                     if det_off not in detectors:
                         raise BadLinkError(
                             f"detection at {dcur} references non-detector "
                             f"offset {det_off}")
-                    claimed[dcur] = cur
+                    marks[dcur] = det_size
+                    walked_dets += 1
                     dcur = dnxt
                 cur = nxt
-        # sort-and-sweep: each record must end before the next one starts
-        end = prev = 0
-        for off in sorted(claimed):
-            if off < end:
-                raise BadLinkError(f"record at {off} overlaps record at {prev}")
-            end = off + (DET_SIZE if claimed[off].__class__ is int
-                         else FAULT_SIZE)
-            prev = off
-        if len(faults) != f:
-            raise RecordCountError(
-                f"walked {len(faults)} faults, header says {f}")
-        if len(claimed) - f != fd:
-            raise RecordCountError(
-                f"walked {len(claimed) - f} detections, header says {fd}")
+        # With the header's counts walked, the records fill the dynamic
+        # region to its last byte; a scan that steps from its start by each
+        # mark it meets and lands on its end has then passed through every
+        # record, so no two overlap. Else a sweep over the marks, in offset
+        # order, names the first overlap, if any.
+        pos = dyn_base
+        while step := marks[pos]:
+            pos += step
+        if pos != total or len(faults) != f or walked_dets != fd:
+            end = prev = 0
+            for off in compress(range(total), marks):
+                if off < end:
+                    raise BadLinkError(
+                        f"record at {off} overlaps record at {prev}")
+                end, prev = off + marks[off], off
+            if len(faults) != f:
+                raise RecordCountError(
+                    f"walked {len(faults)} faults, header says {f}")
+            if walked_dets != fd:
+                raise RecordCountError(
+                    f"walked {walked_dets} detections, header says {fd}")
         faults.sort(key=_offset)
         hm.faults = faults
         hm.reindex_faults()

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import shutil
 import stat
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from healthmap import cli, compile_xml
 from healthmap.cli import main
 
 from conftest import DATA_DIR
@@ -489,3 +492,70 @@ def test_inject_chain_golden_digests(tmp_path, capsys):
     outs.append(capsys.readouterr().out.encode())
     assert tuple(hashlib.sha256(out).hexdigest()
                  for out in outs) == CHAIN_DIGESTS
+
+
+# -- parser surface -----------------------------------------------------------
+# `main` builds only the parser of the subcommand it is given. Every command
+# line must still end as it does through the full parser: same exit code,
+# stdout and stderr, including the usage line of a top-level error.
+
+SURFACE_CALLS = {
+    "compile": ["compile", "table1.xml", "-o", "new.shm", "--sym", "new.sym"],
+    "validate": ["validate", "table1.shm"],
+    "dump": ["dump", "table1.shm", "--sym", "table1.sym"],
+    "inject": ["inject", "table1.shm", "--detector", "12", "--sev", "HIGH",
+               "--class", "1", "--t", "1000", "--payload", "ff"],
+    "rm": ["rm", "table1.shm", "--sym", "table1.sym",
+           "--maintenance", "CPU.C3"],
+    "affinity": ["affinity", "table1.shm", "--tasks", "tasks.txt",
+                 "--sym", "table1.sym"],
+    "prune": ["prune", "table1.shm"],
+    "estimate": ["estimate", "--cores", "8"],
+    "simulate": ["simulate", "board.scn"],
+}
+
+
+def surface_argvs(command):
+    """A valid call, help, missing arguments, a bad --sev choice, a bad
+    --payload value and an extra positional; [], -h and an unknown
+    command for no command."""
+    if command is None:
+        return [[], ["-h"], ["bogus"]]
+    call = SURFACE_CALLS[command]
+    return [call, [command, "-h"], [command], call + ["--sev", "NONE"],
+            call + ["--payload", "xyz"], call + ["extra"]]
+
+
+def cli_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", [None, *SURFACE_CALLS])
+def test_main_matches_full_parser(tmp_path, monkeypatch, command):
+    template = tmp_path / "template"
+    shutil.copytree(DEMO_DATA, template)
+    shutil.copy(DATA_DIR / "table1.xml", template)
+    image, sidecar = compile_xml((DATA_DIR / "table1.xml").read_text())
+    (template / "table1.shm").write_bytes(image)
+    (template / "table1.sym").write_text(sidecar.format())
+    full_parser = cli.build_parser
+    for i, argv in enumerate(surface_argvs(command)):
+        outcomes = []
+        for side in ("one command", "full"):
+            work = tmp_path / f"{i} {side}"
+            shutil.copytree(template, work)
+            monkeypatch.chdir(work)
+            with monkeypatch.context() as patch:
+                if side == "full":
+                    patch.setattr(cli, "build_parser",
+                                  lambda command=None: full_parser())
+                outcomes.append(cli_outcome(argv))
+        assert outcomes[0] == outcomes[1], argv
+        if argv[-1:] == ["extra"]:    # the top-level usage lists them all
+            assert ("{%s}" % ",".join(SURFACE_CALLS)) in outcomes[0][2]

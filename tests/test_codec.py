@@ -365,6 +365,76 @@ def test_duplicate_diag_resource_id_rejected():
         deserialize(restamp(image))
 
 
+def check_pass_map() -> HealthMap:
+    """Modules 1-3 (2 and 3 under 1), diag resources 10 and 11 on module 1
+    and 12 on module 2, dependencies 1 -> 2 and 1 -> 3, a fault on module
+    1 with three detections and one on module 2 with one."""
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2, 1, Severity.LOW)
+    hm.add_module(3, 1, Severity.LOW)
+    for res_id, owner in ((10, 1), (11, 1), (12, 2)):
+        hm.add_diag_resource(res_id, owner)
+    hm.add_dependency(1, 2, Severity.MEDIUM)
+    hm.add_dependency(1, 3, Severity.MEDIUM)
+    fault = hm.add_fault(1, Severity.HIGH, Persistence.TRANSIENT, 1)
+    for t in range(3):
+        hm.add_detection(fault, 10, t)
+    hm.add_fault_with_detection(2, Severity.LOW, Persistence.TRANSIENT, 2,
+                                12, 5)
+    return hm
+
+
+# (u32 words to rewrite, bytes to rewrite, expected error, message), each
+# as {offset: value}. Offsets in the check_pass_map image: modules at 32,
+# 57 and 82; diag resources 10, 11 and 12 at 107, 120 and 133;
+# dependencies at 146 and 155; faults at 164 (module 1) and 176 (module
+# 2); module 1's detections at 188, 213 and 238, module 2's at 263.
+CHECK_PASS_CASES = {
+    "detection cycle inside one list": (
+        {238: 213}, {}, LinkCycleError,
+        "detection list revisits offset 213"),
+    "fault in two modules' lists": (
+        {57 + 16: 164}, {}, LinkCycleError,
+        "fault list revisits offset 164"),
+    # 213 links past the unlinked 238 to a detection at 250, whose record
+    # runs into the next detection, module 2's at 263
+    "detection overlapping the next detection": (
+        {213: 250, 250: 0, 250 + 4: 107}, {}, BadLinkError,
+        "record at 263 overlaps record at 250"),
+    "gap without overlap": (
+        {213: 0}, {}, RecordCountError,
+        "walked 3 detections, header says 4"),
+    # the owner link of 107 is wrong, and 120 links back to 107: the list's
+    # cycle is raised before the record's error
+    "diag owner mismatch before a cycle": (
+        {107 + 4: 57, 120 + 8: 107}, {}, LinkCycleError,
+        "diag resource list revisits offset 107"),
+    "dependency severity before a misaligned link": (
+        {146 + 4: 156}, {146 + 8: 9}, OffsetMisalignedError,
+        "dependency offset 156 not on a 9-byte record boundary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_PASS_CASES))
+def test_check_pass_error_paths_match_reference(case):
+    words, byte_values, error, message = CHECK_PASS_CASES[case]
+    image, hm = loaded(check_pass_map())
+    records = (list(hm.modules.values()) + list(hm.diag_resources.values())
+               + hm.dependencies + hm.faults + hm.detections)
+    assert [r.shm_offset for r in records] == [
+        32, 57, 82, 107, 120, 133, 146, 155, 164, 176, 188, 213, 238, 263]
+    assert [d.shm_offset for d in hm.faults[0].detections] == [188, 213, 238]
+    for offset, value in words.items():
+        put_u32(image, offset, value)
+    for offset, value in byte_values.items():
+        image[offset] = value
+    mutated = restamp(image)
+    with pytest.raises(error, match=f"^{message}$"):
+        deserialize(mutated)
+    check_against_reference(mutated, 10)
+
+
 @functools.lru_cache(maxsize=None)
 def fuzz_bases() -> tuple[tuple[bytes, tuple[int, ...]], ...]:
     """(image, dynamic record offsets) pairs to mutate.
