@@ -27,7 +27,6 @@ from .errors import HealthMapError
 from .faultmgr import (
     ClassifierConfig,
     DetectionReport,
-    PrunePolicy,
     prune,
     report_detection,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "HmDescription",
     "ModuleStatus",
     "Persistence",
-    "PrunePolicy",
     "ResourceMap",
     "RmEntry",
     "Scenario",

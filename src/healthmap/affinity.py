@@ -55,8 +55,10 @@ def _entry_ok(entry, task: TaskRequirement) -> bool:
 def compute_affinity(rm: ResourceMap, sidecar,
                      tasks: Iterable[TaskRequirement]) -> list[AffinityMask]:
     """One mask per task; sub-modules are matched by dotted-name suffix
-    under the core's name (core "CPU.C0" + suffix "FPU" -> "CPU.C0.FPU").
-    A core lacking a required sub-module is excluded for that task.
+    under the core's name (core "CPU.C0" + suffix "FPU" -> "CPU.C0.FPU"),
+    resolved through the sidecar's own index, where the first id listed
+    under a repeated name wins. A core lacking a required sub-module is
+    excluded for that task.
     """
     cores = sidecar.core_modules()
     if not cores:
@@ -66,13 +68,12 @@ def compute_affinity(rm: ResourceMap, sidecar,
         mid = next(m for m, c in cores.items() if c == width - 1)
         raise CoreIdRangeError(f"module {mid}: core id {width - 1} above "
                                f"{MAX_CORE_ID}")
-    names_by_id = sidecar.names()
-    ids_by_name = {name: mid for mid, name in names_by_id.items()}
+    name_for_id, id_for_name = sidecar.name_for_id, sidecar.id_for_name
 
     tasks = list(tasks)
     for task in tasks:
         for suffix in task.required_submodules:
-            if not any(f"{names_by_id[cm]}.{suffix}" in ids_by_name
+            if not any(id_for_name(f"{name_for_id(cm)}.{suffix}") is not None
                        for cm in cores):
                 raise UnknownSubmoduleError(
                     f"task {task.name!r}: sub-module {suffix!r} resolves "
@@ -86,8 +87,7 @@ def compute_affinity(rm: ResourceMap, sidecar,
             for suffix in task.required_submodules:
                 if not ok:
                     break
-                sub_id = ids_by_name.get(
-                    f"{names_by_id[core_module]}.{suffix}")
+                sub_id = id_for_name(f"{name_for_id(core_module)}.{suffix}")
                 ok = sub_id is not None and _entry_ok(rm.entry(sub_id), task)
             if ok:
                 mask |= 1 << core_id

@@ -193,8 +193,8 @@ def cmd_simulate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "messages.log").write_text(result.message_text())
-        (out / "rm.log").write_text(result.rm_text())
+        _replace_files((out / "messages.log", result.message_text().encode()),
+                       (out / "rm.log", result.rm_text().encode()))
         print(f"wrote {out / 'messages.log'} and {out / 'rm.log'}")
     else:
         sys.stdout.write(result.message_text())

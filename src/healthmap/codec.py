@@ -156,10 +156,10 @@ def _next_links(records: list) -> list[int]:
 
 
 def _write_linked(buf: bytearray, modules: list[Module],
-                  owners: Iterable[Module], faults: Iterable[Fault],
+                  owners: Iterable[Module],
                   counts: tuple[int, int, int, int, int]) -> bytes:
-    """Pack each of `modules`, the fault list of each of `owners` and the
-    detection list of each of `faults` into `buf` at the records' own
+    """Pack each of `modules`, and the fault list of each of `owners` with
+    each fault's detection list, into `buf` at the records' own
     `shm_offset`s, with links taken from the records' offsets, then stamp
     the header with `counts` and both CRCs. `buf` is the whole image, and
     every record packed already has its offset."""
@@ -183,12 +183,10 @@ def _write_linked(buf: bytearray, modules: list[Module],
             pack_fault(buf, fault.shm_offset, nxt,
                        dets[0].shm_offset if dets else 0, fault.severity,
                        fault.persistence, fault.classification & 0xFF, 0)
-    for fault in faults:
-        dets = fault.detections
-        for det, nxt in zip(dets, _next_links(dets)):
-            pack_det(buf, det.shm_offset, nxt, det.detector.shm_offset,
-                     det.timestamp, det.counter, det.payload,
-                     det.flags & 0xFF)
+            for det, det_nxt in zip(dets, _next_links(dets)):
+                pack_det(buf, det.shm_offset, det_nxt, det.detector.shm_offset,
+                         det.timestamp, det.counter, det.payload,
+                         det.flags & 0xFF)
 
     assert total == image_length(*counts)
     body_crc = crc32(memoryview(buf)[HEADER_SIZE:])
@@ -246,7 +244,7 @@ def serialize(hm: HealthMap) -> bytes:
                 pack_dep(buf, dep.shm_offset, dep.dependent.shm_offset, nxt,
                          dep.severity)
         modules = list(hm.modules.values())
-        return _write_linked(buf, modules, modules, hm.faults, counts)
+        return _write_linked(buf, modules, modules, counts)
     except BaseException:
         for rec, offset in zip(records, old):
             rec.shm_offset = offset
@@ -678,12 +676,12 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     new_faults = [f for f in hm.faults if f.shm_offset is None]
     new_dets = [d for d in hm.detections if d.shm_offset is None]
     if hm._built is None:
-        owners, faults = modules, hm.faults
+        owners = modules
     else:
         owners = [hm.modules[mid] for mid in hm._built]
-        faults = [f for mod in owners for f in mod.faults]
         if (any(f.owner.id not in hm._built for f in new_faults)
-                or len(new_dets) != sum(d.shm_offset is None for f in faults
+                or len(new_dets) != sum(d.shm_offset is None
+                                        for mod in owners for f in mod.faults
                                         for d in f.detections)):
             raise AppendError("cannot append to a module whose detections "
                               "were not loaded")
@@ -696,4 +694,4 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     counts = _check_counts(m, r, d, f + len(new_faults), fd + len(new_dets))
     buf = bytearray(pos)
     buf[:old_total] = image
-    return _write_linked(buf, modules, owners, faults, counts)
+    return _write_linked(buf, modules, owners, counts)

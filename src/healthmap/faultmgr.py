@@ -78,12 +78,6 @@ class ClassifierConfig:
         return Persistence.TRANSIENT
 
 
-@dataclass
-class PrunePolicy:
-    merge_detections: bool = True
-    merge_faults: bool = True
-
-
 def record_event(hm: HealthMap, module_id: int, classification: int,
                  severity: Severity, persistence: Persistence,
                  detector_id: int, timestamp: int, payload: int,
@@ -147,7 +141,7 @@ def report_detection(hm: HealthMap, report: DetectionReport,
     return fault, created
 
 
-def prune(hm: HealthMap, policy: Optional[PrunePolicy] = None) -> int:
+def prune(hm: HealthMap) -> int:
     """Merge duplicate records; returns the number of records removed.
 
     Detections of the same fault from the same detector collapse into one
@@ -156,38 +150,34 @@ def prune(hm: HealthMap, policy: Optional[PrunePolicy] = None) -> int:
     classification) collapse with their detection lists concatenated. The
     total event count and the resulting resource map are unchanged.
     """
-    policy = policy or PrunePolicy()
     removed: list = []
 
-    if policy.merge_detections:
-        for fault in hm.faults:
-            by_detector: dict[int, list] = {}
-            for det in fault.detections:
-                by_detector.setdefault(det.detector.id, []).append(det)
-            for group in by_detector.values():
-                if len(group) < 2:
-                    continue
-                keeper = group[0]
-                keeper.counter = sum(d.counter for d in group)
-                keeper.timestamp = min(d.timestamp for d in group)
-                keeper.flags |= FLAG_MERGED
-                for extra in group[1:]:
-                    fault.detections.remove(extra)
-                    removed.append(extra)
+    for fault in hm.faults:
+        by_detector: dict[int, list] = {}
+        for det in fault.detections:
+            by_detector.setdefault(det.detector.id, []).append(det)
+        for group in by_detector.values():
+            if len(group) < 2:
+                continue
+            keeper = group[0]
+            keeper.counter = sum(d.counter for d in group)
+            keeper.timestamp = min(d.timestamp for d in group)
+            keeper.flags |= FLAG_MERGED
+            for extra in group[1:]:
+                fault.detections.remove(extra)
+                removed.append(extra)
 
-    if policy.merge_faults:
-        for module in hm.modules.values():
-            by_key: dict[tuple, Fault] = {}
-            for fault in list(module.faults):
-                key = (fault.severity, fault.persistence,
-                       fault.classification)
-                keeper = by_key.get(key)
-                if keeper is None:
-                    by_key[key] = fault
-                    continue
-                keeper.detections.extend(fault.detections)
-                module.faults.remove(fault)
-                removed.append(fault)
+    for module in hm.modules.values():
+        by_key: dict[tuple, Fault] = {}
+        for fault in list(module.faults):
+            key = (fault.severity, fault.persistence, fault.classification)
+            keeper = by_key.get(key)
+            if keeper is None:
+                by_key[key] = fault
+                continue
+            keeper.detections.extend(fault.detections)
+            module.faults.remove(fault)
+            removed.append(fault)
 
     if removed:
         dead = {id(r) for r in removed}

@@ -49,14 +49,6 @@ class RmEntry:
     persistence: Persistence = Persistence.ZERO
     status: ModuleStatus = ModuleStatus.AVAILABLE
 
-    def encode(self) -> bytes:
-        return RM_ENTRY.pack(self.module_id, int(self.severity),
-                             int(self.persistence), int(self.status))
-
-    @classmethod
-    def decode(cls, data: bytes, offset: int = 0) -> "RmEntry":
-        return decode_entries(data[offset:offset + RM_ENTRY_SIZE])[0]
-
 
 _FIELDS = (("severity", SEVERITIES), ("persistence", PERSISTENCES),
            ("status", STATUSES))
@@ -203,23 +195,25 @@ class ResourceMap:
     def set_maintenance(self, module_id: int, on: bool) -> None:
         """Mark or clear maintenance for a module and all its descendants.
 
-        Clearing recomputes each affected status from the fault data.
+        Clearing folds each affected entry's own maxima back in by the
+        rule `init_resource_map` uses, so it gives the status a rebuild
+        without that maintenance root would.
         """
         self._mark(self._hm.subtree_ids(module_id), on)
 
     def _mark(self, module_ids: Iterable[int], on: bool) -> None:
+        entries = self.entries
         if on:
             for mid in module_ids:
-                self.entries[mid].status = ModuleStatus.MAINTENANCE
-        else:
-            for mid in module_ids:
-                e = self.entries[mid]
-                if self._hm.modules[mid].faults:
-                    e.status = ModuleStatus.OWN_FAULT
-                elif e.severity > Severity.ZERO:
-                    e.status = ModuleStatus.PROPAGATED_FAULT
-                else:
-                    e.status = ModuleStatus.AVAILABLE
+                entries[mid].status = _MAINTENANCE
+            return
+        modules = self._hm.modules
+        for mid in module_ids:
+            e = entries[mid]
+            e.status = ModuleStatus.AVAILABLE
+            own = any(f.severity for f in modules[mid].faults)
+            self._fold(mid, e.severity, e.persistence,
+                       _OWN if own else _PROPAGATED)
 
     # -- encoding -----------------------------------------------------------
 

@@ -81,6 +81,33 @@ def test_affinity_masks(compiled, tmp_path, capsys):
     assert capsys.readouterr().out == "fpu_task 0x6\nany 0x7\n"
 
 
+def test_affinity_resolves_a_repeated_name_as_maintenance_does(
+        compiled, tmp_path, capsys):
+    shm, _sym = compiled
+    # ids 22 and 12 both carry CPU.C0.FPU; 22 is listed first
+    sym = tmp_path / "dup.sym"
+    sym.write_text("1 CPU\n22 CPU.C0.FPU\n10 CPU.C0 core=0\n12 CPU.C0.FPU\n"
+                   "20 CPU.C1 core=1\n30 CPU.C2 core=2\n32 CPU.C2.FPU\n"
+                   "40 CPU.C3 core=3\n42 CPU.C3.FPU\n")
+    main(["inject", str(shm), "--detector", "12", "--sev", "HIGH",
+          "--class", "1", "--t", "0"])
+    capsys.readouterr()
+    assert main(["rm", str(shm), "--sym", str(sym),
+                 "--maintenance", "CPU.C0.FPU"]) == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()
+            if r.startswith("CPU.C0.FPU")]
+    # module 12 holds the fault, so the marked one is 22
+    assert sorted(rows) == [
+        ["CPU.C0.FPU", "HIGH", "TRANSIENT", "OWN", "FAULT"],
+        ["CPU.C0.FPU", "ZERO", "ZERO", "MAINTENANCE"]]
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("task fpu needs=FPU maxSev=HIGH maxPers=PERMANENT\n")
+    assert main(["affinity", str(shm), "--tasks", str(tasks),
+                 "--sym", str(sym), "--maintenance", "CPU.C0.FPU"]) == 0
+    # core 0's FPU is module 22, in maintenance; core 1 has no FPU name
+    assert capsys.readouterr().out == "fpu 0xc\n"
+
+
 def test_dump_lists_modules_and_faults(compiled, capsys):
     shm, sym = compiled
     main(["inject", str(shm), "--detector", "12", "--sev", "LOW",
@@ -252,6 +279,29 @@ def test_failed_sidecar_write_leaves_image_intact(compiled, monkeypatch,
     assert shm.read_bytes() == image
     assert sym.read_text() == sidecar
     assert sorted(shm.parent.iterdir()) == files_before
+
+
+def test_failed_simulate_log_write_leaves_old_logs(tmp_path, monkeypatch,
+                                                  capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "messages.log").write_bytes(b"old messages\n")
+    (out / "rm.log").write_bytes(b"old rm\n")
+    write_bytes = Path.write_bytes
+
+    def rm_log_write_fails(self, data):
+        if self.name.startswith(".rm.log."):
+            raise OSError("disk full")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", rm_log_write_fails)
+    assert main(["simulate", str(DEMO_DATA / "board.scn"),
+                 "--out", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert (out / "messages.log").read_bytes() == b"old messages\n"
+    assert (out / "rm.log").read_bytes() == b"old rm\n"
+    assert sorted(p.name for p in out.iterdir()) == ["messages.log",
+                                                     "rm.log"]
 
 
 def test_fresh_compile_gets_plain_write_mode(tmp_path):

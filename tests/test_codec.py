@@ -12,6 +12,7 @@ from healthmap import (
     ClassifierConfig,
     DetectionReport,
     HealthMap,
+    ModuleStatus,
     Persistence,
     Severity,
     Sidecar,
@@ -52,6 +53,7 @@ from helpers import (
     random_health_map,
     reference_append,
     reference_deserialize,
+    rm_state,
 )
 
 DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
@@ -352,6 +354,17 @@ def test_fault_with_both_enum_bytes_bad_names_persistence():
     image[fault + 8:fault + 10] = b"\x07\x09"    # severity, persistence
     with pytest.raises(BadLinkError, match="^invalid persistence value 9$"):
         deserialize(restamp(image))
+
+
+def test_zero_severity_fault_clears_maintenance_like_a_rebuild():
+    # deserialize accepts a fault of severity ZERO, which add_fault refuses
+    image, hm = loaded(enum_map())
+    image[hm.faults[0].shm_offset + 8] = 0
+    hm = deserialize(restamp(image))
+    rm = init_resource_map(hm, maintenance=[1])
+    rm.set_maintenance(1, False)
+    assert rm_state(rm) == rm_state(init_resource_map(hm))
+    assert rm.entry(2).status is ModuleStatus.AVAILABLE
 
 
 def test_duplicate_diag_resource_id_rejected():

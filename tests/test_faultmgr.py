@@ -8,7 +8,6 @@ from healthmap import (
     HealthMap,
     ModuleStatus,
     Persistence,
-    PrunePolicy,
     Severity,
     deserialize,
     init_resource_map,
@@ -197,8 +196,7 @@ def test_prune_merges_identical_faults():
 def test_prune_no_duplicates_is_noop():
     hm, _fault = make_fault_with_detections([1, 1], detector_ids=[10, 11])
     before = hm.snapshot()
-    assert prune(hm, PrunePolicy(merge_faults=False,
-                                 merge_detections=False)) == 0
+    assert prune(hm) == 0
     assert hm.snapshot() == before
 
 

@@ -30,7 +30,7 @@ from healthmap.model import (
     Module,
     Violation,
 )
-from healthmap.resourcemap import RmEntry
+from healthmap.resourcemap import RM_ENTRY
 from healthmap.errors import (
     ClassificationRangeError,
     DuplicateIdError,
@@ -329,7 +329,7 @@ class _Summary:
         self.entries = entries
 
     def encode(self):
-        return b"".join(RmEntry(*e).encode() for e in self.entries)
+        return b"".join(RM_ENTRY.pack(*e) for e in self.entries)
 
 
 severities = st.sampled_from(list(Severity)[1:])

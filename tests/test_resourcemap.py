@@ -17,7 +17,7 @@ from healthmap import (
 )
 from healthmap.errors import MissingSymbolError, UnknownModuleError
 from healthmap.faultmgr import DEFAULT_MERGE_WINDOW_US, record_event
-from healthmap.resourcemap import RM_ENTRY_SIZE, RmEntry
+from healthmap.resourcemap import RM_ENTRY, RM_ENTRY_SIZE, decode_entries
 
 from conftest import CPU_C3, FPU_C0_INSTRUMENT
 from helpers import oracle_resource_map, random_health_map, rm_state
@@ -205,7 +205,7 @@ def test_entry_encoding_is_seven_bytes(table1_map):
     rm = init_resource_map(table1_map)
     encoded = rm.encode()
     assert len(encoded) == RM_ENTRY_SIZE * len(table1_map.modules)
-    first = RmEntry.decode(encoded, 0)
+    first = decode_entries(encoded[:RM_ENTRY_SIZE])[0]
     assert first.module_id == 1
 
 
@@ -214,8 +214,24 @@ def test_encode_matches_entry_by_entry_encoding():
     for _ in range(50):
         hm = random_health_map(rng)
         rm = init_resource_map(hm)
-        assert rm.encode() == b"".join(rm.entries[mid].encode()
-                                       for mid in hm.modules)
+        assert rm.encode() == b"".join(
+            RM_ENTRY.pack(e.module_id, e.severity, e.persistence, e.status)
+            for e in map(rm.entries.get, hm.modules))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_clearing_maintenance_matches_rebuild(seed, data):
+    hm = random_health_map(random.Random(seed))
+    # a loaded image may hold faults of severity ZERO (add_fault refuses
+    # them); clearing maintenance must not count those as OWN FAULT
+    for fault in hm.faults:
+        if data.draw(st.booleans()):
+            fault.severity = Severity.ZERO
+    root = data.draw(st.sampled_from(list(hm.modules)))
+    rm = init_resource_map(hm, maintenance=[root])
+    rm.set_maintenance(root, False)
+    assert rm_state(rm) == rm_state(init_resource_map(hm))
 
 
 def test_init_matches_oracle_on_random_maps():
