@@ -25,7 +25,6 @@ from .compiler import (
 )
 from .errors import HealthMapError
 from .faultmgr import (
-    ClassifierConfig,
     DetectionReport,
     prune,
     report_detection,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityMask",
     "ChildMapping",
-    "ClassifierConfig",
     "DetectionReport",
     "FootprintEstimate",
     "HealthMap",

@@ -29,6 +29,8 @@ from .model import (
 )
 
 DEFAULT_MERGE_WINDOW_US = 1_000_000
+INTERMITTENT_EVENTS = 3
+PERMANENT_EVENTS = 10
 
 
 @dataclass
@@ -51,45 +53,19 @@ class DetectionReport:
         check_field(self.payload, U32_MAX, "detection payload")
 
 
-@dataclass
-class ClassifierConfig:
-    """History-based persistence classification thresholds.
-
-    A fault starts TRANSIENT; once the total event count (sum of detection
-    counters) reaches intermittent_threshold it becomes INTERMITTENT, and
-    at permanent_threshold PERMANENT.
-    """
-
-    merge_window_us: int = DEFAULT_MERGE_WINDOW_US
-    intermittent_threshold: int = 3
-    permanent_threshold: int = 10
-
-    def __post_init__(self) -> None:
-        if not (0 < self.intermittent_threshold
-                <= self.permanent_threshold):
-            raise ValueError("need 0 < intermittent_threshold <= "
-                             "permanent_threshold")
-
-    def classify(self, total_events: int) -> Persistence:
-        if total_events >= self.permanent_threshold:
-            return Persistence.PERMANENT
-        if total_events >= self.intermittent_threshold:
-            return Persistence.INTERMITTENT
-        return Persistence.TRANSIENT
-
-
 def record_event(hm: HealthMap, module_id: int, classification: int,
                  severity: Severity, persistence: Persistence,
-                 detector_id: int, timestamp: int, payload: int,
-                 window_us: int) -> tuple[Fault, bool]:
+                 detector_id: int, timestamp: int,
+                 payload: int) -> tuple[Fault, bool]:
     """Record one event of fault (module, classification) seen by
     `detector_id`; returns (fault, created).
 
     The fault is found or created, and its severity and persistence rise
     to the given ones (max). The event merges into the fault's latest
     detection (counter + 1, MERGED flag) if that is from the same detector,
-    at most `window_us` away and its counter has room; otherwise it is a
-    new detection. So the sum of the fault's counters rises by exactly one.
+    at most DEFAULT_MERGE_WINDOW_US away and its counter has room;
+    otherwise it is a new detection. So the sum of the fault's counters
+    rises by exactly one.
     A severity or persistence is converted to its member where it is
     stored, so the fault never holds a plain int; roll-up ingest records
     dozens of events per summary, mostly raising nothing, so the common
@@ -106,7 +82,7 @@ def record_event(hm: HealthMap, module_id: int, classification: int,
             fault.persistence = Persistence(persistence)
     latest = fault.detections[-1] if fault.detections else None
     if (latest is not None and latest.detector.id == detector_id
-            and abs(timestamp - latest.timestamp) <= window_us
+            and abs(timestamp - latest.timestamp) <= DEFAULT_MERGE_WINDOW_US
             and latest.counter < U32_MAX):
         latest.counter += 1
         latest.flags |= FLAG_MERGED
@@ -115,15 +91,18 @@ def record_event(hm: HealthMap, module_id: int, classification: int,
     return fault, created
 
 
-def report_detection(hm: HealthMap, report: DetectionReport,
-                     config: Optional[ClassifierConfig] = None,
+def report_detection(hm: HealthMap, report: DetectionReport, *,
                      rm=None) -> tuple[Fault, bool]:
     """Ingest one report; returns (fault, created).
+
+    Persistence is classified from history: a fault starts TRANSIENT; once
+    its total event count (the sum of its detection counters) reaches
+    INTERMITTENT_EVENTS it becomes INTERMITTENT, and at PERMANENT_EVENTS
+    PERMANENT. It never falls.
 
     If `rm` (a ResourceMap) is given, the fault's current severity and
     persistence are folded into it via update_single_fault.
     """
-    config = config or ClassifierConfig()
     detector = hm.diag_resources.get(report.detector_id)
     if detector is None:
         raise UnknownDetectorError(
@@ -132,9 +111,12 @@ def report_detection(hm: HealthMap, report: DetectionReport,
     fault, created = record_event(
         hm, owner.id, report.classification, report.severity,
         Persistence.TRANSIENT, report.detector_id, report.timestamp,
-        report.payload, config.merge_window_us)
+        report.payload)
     total = sum(d.counter for d in fault.detections)
-    fault.persistence = max(fault.persistence, config.classify(total))
+    classified = (Persistence.PERMANENT if total >= PERMANENT_EVENTS else
+                  Persistence.INTERMITTENT if total >= INTERMITTENT_EVENTS
+                  else Persistence.TRANSIENT)
+    fault.persistence = max(fault.persistence, classified)
     if rm is not None:
         rm._update(owner.id, fault.severity, fault.persistence,
                    ModuleStatus.OWN_FAULT)

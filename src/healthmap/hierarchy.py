@@ -12,7 +12,8 @@ enum byte, so a malformed message records nothing. It then ingests the raw
 entry tuples in one pass. Healthy (ZERO severity) entries, most of a
 summary, build nothing. Each faulty entry routed to a parent module is
 recorded there by `faultmgr.record_event`, the rule sensor reports follow,
-so a steady child fault merges into one parent detection per merge window.
+so a steady child fault merges into one parent detection per merge window
+(`faultmgr.DEFAULT_MERGE_WINDOW_US`, 1 s).
 The parent's resource map is updated once per parent module touched, with
 the maxima over that module's faults, rather than once per entry. Both
 give the same map: propagation keeps maxima and caps severity only with
@@ -41,7 +42,6 @@ from .errors import (
     UnknownNodeError,
 )
 from .faultmgr import (
-    DEFAULT_MERGE_WINDOW_US,
     DetectionReport,
     parse_report_line,
     record_event,
@@ -159,7 +159,7 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
     """Fold a child summary into the parent node's state.
 
     Every faulty entry routed to a parent module P is recorded at P by
-    `record_event` with DEFAULT_MERGE_WINDOW_US, as sensor reports are: an
+    `record_event`, in the one merge window sensor reports use: an
     event of the child's downlink detector, with persistence taken from
     the entry, classification the low byte of the child module id and
     payload the id. The parent resource map is updated once per parent
@@ -195,8 +195,7 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
                 parent_hm, parent_module, child_module & 0xFF,
                 SEVERITIES[sev],
                 PERSISTENCES[pers] if pers else transient,
-                detector_id, timestamp, child_module,
-                DEFAULT_MERGE_WINDOW_US)
+                detector_id, timestamp, child_module)
             severity, persistence = fault.severity, fault.persistence
             seen = worst.get(parent_module)
             if seen is None:

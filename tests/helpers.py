@@ -45,7 +45,7 @@ from healthmap.errors import (
     UnknownDetectorError,
     UnknownNodeError,
 )
-from healthmap.faultmgr import DEFAULT_MERGE_WINDOW_US, record_event
+from healthmap.faultmgr import record_event
 from healthmap.model import (
     PERSISTENCES,
     SEVERITIES,
@@ -120,7 +120,10 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
     Valid paths climb parent edges (requiring nonzero criticality at each
     stepped-from module, severity capped by it) and may take at most one
     dependency edge (severity capped by the dependency); persistence rides
-    along uncapped. Returns {module_id: (severity, persistence, status)}.
+    along uncapped. A fault of severity ZERO (which a loaded image may hold)
+    is no fault: it neither makes its module OWN FAULT nor propagates, but
+    its persistence still folds into its own module's entry. Returns
+    {module_id: (severity, persistence, status)}.
     """
     sev = {mid: Severity.ZERO for mid in hm.modules}
     pers = {mid: Persistence.ZERO for mid in hm.modules}
@@ -135,6 +138,8 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
         s0 = Severity(max(f.severity for f in module.faults))
         p0 = Persistence(max(f.persistence for f in module.faults))
         contribute(module.id, s0, p0)
+        if s0 == Severity.ZERO:
+            continue
         stack = [(module, s0, False)]
         while stack:
             m, s, dep_used = stack.pop()
@@ -157,7 +162,7 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
     for mid, module in hm.modules.items():
         if mid in maintained:
             status = ModuleStatus.MAINTENANCE
-        elif module.faults:
+        elif any(f.severity for f in module.faults):
             status = ModuleStatus.OWN_FAULT
         elif sev[mid] > Severity.ZERO:
             status = ModuleStatus.PROPAGATED_FAULT
@@ -637,8 +642,7 @@ def reference_ingest_summary(parent_hm: HealthMap, parent_rm, message: bytes,
             fault, _created = record_event(
                 parent_hm, parent_module, entry.module_id & 0xFF,
                 entry.severity, max(entry.persistence, Persistence.TRANSIENT),
-                detector_id, timestamp, entry.module_id,
-                DEFAULT_MERGE_WINDOW_US)
+                detector_id, timestamp, entry.module_id)
             sev, pers = worst.get(parent_module,
                                   (Severity.ZERO, Persistence.ZERO))
             worst[parent_module] = (max(sev, fault.severity),

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import runpy
 import shutil
 import stat
 import tracemalloc
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import healthmap
 from healthmap import cli, compile_xml
 from healthmap.cli import main
 
@@ -542,6 +544,21 @@ def test_inject_chain_golden_digests(tmp_path, capsys):
     outs.append(capsys.readouterr().out.encode())
     assert tuple(hashlib.sha256(out).hexdigest()
                  for out in outs) == CHAIN_DIGESTS
+
+
+def test_library_tour_output_is_pinned(capsys):
+    # `python demo/library_tour.py` stdout; CI checks the same digest
+    tour = runpy.run_path(str(DEMO_DATA.parent / "library_tour.py"))
+    capsys.readouterr()
+    tour["main"]()
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "1e951063914c0ae4b766bcf9160180944f9fc39e57387390aa0bf27643a0dacb")
+
+
+def test_every_public_name_resolves():
+    assert len(set(healthmap.__all__)) == len(healthmap.__all__)
+    assert [name for name in healthmap.__all__
+            if not hasattr(healthmap, name)] == []
 
 
 # -- parser surface -----------------------------------------------------------

@@ -3,13 +3,13 @@ import hashlib
 import random
 import struct
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from healthmap import (
-    ClassifierConfig,
     DetectionReport,
     HealthMap,
     ModuleStatus,
@@ -29,6 +29,7 @@ from healthmap import (
     synthesize_map,
     validate_image,
 )
+from healthmap import faultmgr
 from healthmap.codec import (DEP_SIZE, DET_SIZE, DIAG_SIZE, FAULT_SIZE,
                              HEADER_SIZE, MODULE_SIZE, _load)
 from healthmap.errors import (
@@ -584,11 +585,12 @@ def apply_edit(hm: HealthMap, edit: str, data) -> None:
     timestamps = st.integers(0, 2**64 - 1)
     if edit == "report":
         window = data.draw(st.sampled_from([0, 1000, 1_000_000]))
-        report_detection(hm, DetectionReport(
+        report = DetectionReport(
             data.draw(detectors), data.draw(SEVERITIES),
             data.draw(st.integers(0, 7)), data.draw(st.integers(0, 3000)),
-            data.draw(st.integers(0, 0xFFFFFFFF))),
-            ClassifierConfig(merge_window_us=window))
+            data.draw(st.integers(0, 0xFFFFFFFF)))
+        with mock.patch.object(faultmgr, "DEFAULT_MERGE_WINDOW_US", window):
+            report_detection(hm, report)
     elif edit == "add_fault":
         fault = hm.add_fault(data.draw(st.sampled_from(sorted(hm.modules))),
                              data.draw(SEVERITIES), data.draw(PERSISTENCES),

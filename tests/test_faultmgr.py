@@ -3,7 +3,6 @@ import random
 import pytest
 
 from healthmap import (
-    ClassifierConfig,
     DetectionReport,
     HealthMap,
     ModuleStatus,
@@ -28,10 +27,14 @@ from conftest import FPU_C0_INSTRUMENT
 from helpers import random_health_map, rm_state
 
 
-def brute_force_persistence(event_log, config):
+def brute_force_persistence(event_log):
     """Independent reclassifier: replay the raw event log and classify by
-    total occurrence count only."""
-    return config.classify(len(event_log))
+    total occurrence count only (INTERMITTENT from 3, PERMANENT from 10)."""
+    if len(event_log) >= 10:
+        return Persistence.PERMANENT
+    if len(event_log) >= 3:
+        return Persistence.INTERMITTENT
+    return Persistence.TRANSIENT
 
 
 def test_first_report_creates_transient_fault_and_rm_row(table1_map,
@@ -47,27 +50,24 @@ def test_first_report_creates_transient_fault_and_rm_row(table1_map,
 
 
 def test_three_spaced_reports_become_intermittent(table1_map):
-    config = ClassifierConfig()
     times = [0, 10_000_000, 20_000_000]
     for t in times:
         fault, _ = report_detection(
             table1_map,
-            DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, t),
-            config)
+            DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, t))
     assert len(fault.detections) == 3
     assert fault.persistence == Persistence.INTERMITTENT
     assert fault.persistence == max(
-        Persistence.TRANSIENT, brute_force_persistence(times, config))
+        Persistence.TRANSIENT, brute_force_persistence(times))
 
 
 def test_close_reports_merge_into_counter(table1_map):
-    config = ClassifierConfig()
     fault, _ = report_detection(
         table1_map,
-        DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, 1000), config)
+        DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, 1000))
     fault2, created = report_detection(
         table1_map,
-        DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, 1100), config)
+        DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, 1100))
     assert fault2 is fault and not created
     assert len(fault.detections) == 1
     assert fault.detections[0].counter == 2
@@ -75,13 +75,11 @@ def test_close_reports_merge_into_counter(table1_map):
 
 
 def test_ten_events_become_permanent(table1_map):
-    config = ClassifierConfig()
     for i in range(10):
         fault, _ = report_detection(
             table1_map,
             DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1,
-                            i * 10_000_000),
-            config)
+                            i * 10_000_000))
     assert fault.persistence == Persistence.PERMANENT
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from healthmap import (
     ChildMapping,
-    ClassifierConfig,
     DetectionReport,
     HealthMap,
     ModuleStatus,
@@ -24,7 +23,7 @@ from healthmap import (
     report_detection,
     simulate,
 )
-from healthmap import hierarchy
+from healthmap import faultmgr, hierarchy
 from healthmap.hierarchy import NodeSpec
 from healthmap.resourcemap import ResourceMap
 from healthmap.compiler import build_map, parse_description
@@ -377,7 +376,7 @@ def recording_cases(draw):
 
 
 def replay(case, window):
-    """Run a recording case with both merge windows set to `window`; returns
+    """Run a recording case with the one merge window set to `window`; returns
     each fault's (severity, persistence, event total), the resource map and
     the number of detections."""
     modules, deps, routes, steps = case
@@ -393,15 +392,14 @@ def replay(case, window):
     for mid in range(1, 5):
         child.add_module(mid)
     mapping = ChildMapping(routes=routes, downlinks={1: DOWNLINK})
-    config = ClassifierConfig(merge_window_us=window)
     now = 0
-    with mock.patch.object(hierarchy, "DEFAULT_MERGE_WINDOW_US", window):
+    with mock.patch.object(faultmgr, "DEFAULT_MERGE_WINDOW_US", window):
         for kind, gap, *args in steps:
             now += gap
             if kind == "report":
                 mid, sev, cls = args
                 report_detection(hm, DetectionReport(100 + mid, sev, cls, now),
-                                 config, rm=rm)
+                                 rm=rm)
                 continue
             child_rm = ResourceMap(child)
             for entry, (sev, pers) in zip(child_rm.entries.values(), args[0]):
@@ -421,6 +419,36 @@ def test_merge_window_changes_only_detection_lists(case):
                              (0, DEFAULT_MERGE_WINDOW_US, 2**64))
     assert narrow[:2] == default[:2] == wide[:2]
     assert narrow[2] >= default[2] >= wide[2]
+
+
+def detections_per_pair():
+    """Two sensor reports 1 us apart at parent module 1, then two summaries
+    1 us apart of one faulty child entry routed to module 2; returns the
+    number of detections each pair made."""
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2)
+    hm.add_diag_resource(101, 1)
+    hm.add_diag_resource(DOWNLINK, 2)
+    rm = init_resource_map(hm)
+    for t in (0, 1):
+        report_detection(hm, DetectionReport(101, Severity.LOW, 1, t), rm=rm)
+    child = HealthMap()
+    child.add_module(1)
+    child_rm = ResourceMap(child)
+    child_rm.entries[1].severity = Severity.HIGH
+    child_rm.entries[1].persistence = Persistence.TRANSIENT
+    summary = encode_summary(1, child_rm)
+    mapping = ChildMapping(routes={(1, 1): 2}, downlinks={1: DOWNLINK})
+    for t in (0, 1):
+        ingest_summary(hm, rm, summary, mapping, t)
+    return [len(hm.modules[mid].faults[0].detections) for mid in (1, 2)]
+
+
+def test_one_merge_window_serves_reports_and_summaries():
+    assert detections_per_pair() == [1, 1]
+    with mock.patch.object(faultmgr, "DEFAULT_MERGE_WINDOW_US", 0):
+        assert detections_per_pair() == [2, 2]
 
 
 def test_mapping_parse_errors():

@@ -16,7 +16,7 @@ from healthmap import (
     report_detection,
 )
 from healthmap.errors import MissingSymbolError, UnknownModuleError
-from healthmap.faultmgr import DEFAULT_MERGE_WINDOW_US, record_event
+from healthmap.faultmgr import record_event
 from healthmap.resourcemap import RM_ENTRY, RM_ENTRY_SIZE, decode_entries
 
 from conftest import CPU_C3, FPU_C0_INSTRUMENT
@@ -241,6 +241,21 @@ def test_init_matches_oracle_on_random_maps():
         assert rm_state(init_resource_map(hm)) == oracle_resource_map(hm)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_init_matches_oracle_with_zero_severity_faults(seed, data):
+    hm = random_health_map(random.Random(seed))
+    # a loaded image may hold faults of severity ZERO (add_fault refuses
+    # them); they are no fault, but their persistence still counts
+    for fault in hm.faults:
+        if data.draw(st.booleans()):
+            fault.severity = Severity.ZERO
+    roots = data.draw(st.lists(st.sampled_from(list(hm.modules)),
+                               max_size=2))
+    assert (rm_state(init_resource_map(hm, roots))
+            == oracle_resource_map(hm, roots))
+
+
 def test_init_is_idempotent_and_order_free():
     rng = random.Random(10)
     for _ in range(50):
@@ -424,7 +439,7 @@ def test_stored_levels_are_enum_members(case):
         if kind == "record":
             _, _, _, sev, pers, t = step
             fault, _created = record_event(hm, mid, cls, sev, pers, 100 + mid,
-                                           t, 0, DEFAULT_MERGE_WINDOW_US)
+                                           t, 0)
             rm.update_single_fault(mid, int(fault.severity),
                                    int(fault.persistence),
                                    int(ModuleStatus.OWN_FAULT))
