@@ -3,11 +3,16 @@ inject detections (append-only), report resource maps, compute affinity
 masks, prune, estimate footprints and run hierarchy simulations.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
+
+`main` pauses automatic garbage collection while a command runs and
+restores the caller's setting when it returns; no command leaves cyclic
+garbage behind while it runs, so nothing waits on a collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shutil
 import sys
@@ -21,10 +26,12 @@ from .model import Severity
 
 
 def _replace_files(*files: tuple[Path, bytes]) -> None:
-    """Write files all or nothing: write a synced temp file in each target's
-    directory, and only when every one is written rename each over its
-    target in one step. An existing file keeps its mode; a new one gets the
-    mode a plain write would give it."""
+    """Write a synced temp file in each target's directory, and only when
+    every one is written rename each over its target in one step. Each
+    file is all or nothing, the set is not: a failure between two renames
+    leaves the files renamed so far beside the old ones, such as a new
+    image beside an old sidecar. An existing file keeps its mode; a new one
+    gets the mode a plain write would give it."""
     temps = []
     try:
         for path, data in files:
@@ -256,34 +263,57 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `hm` parser. Given the name of a subcommand it builds only that
-    subcommand's parser, which is much cheaper and parses and reports any
-    command line that starts with that name as the full parser does."""
+    """The `hm` parser, or given a subcommand's name a parser of that
+    subcommand alone (`hm NAME`), which parses its arguments as the full
+    parser's subparser does and costs a fraction of the full parser."""
+    if command is not None:
+        return _add_arguments(
+            argparse.ArgumentParser(prog=f"hm {command}"), command)
     parser = argparse.ArgumentParser(
         prog="hm", description="Health map toolkit")
-    # a parser that knows one command still lists all of them in its usage
-    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        func, help_text, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_func, help_text, _arguments) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _add_arguments(parser: argparse.ArgumentParser,
+                   command: str) -> argparse.ArgumentParser:
+    func, _help_text, arguments = _COMMANDS[command]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's own parser; anything it leaves
+    over, and a command line that names no subcommand, goes to the full
+    parser, which reports it with the top-level usage."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # automatic collection pauses while the command runs: the records it
+    # builds stay reachable until it returns, so a pass would only rescan
+    # them, and no command leaves cyclic garbage on the way (the one parse
+    # cycle is broken in `compiler._parse_with_lines`)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except (HealthMapError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        try:
+            return args.func(args)
+        except (HealthMapError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

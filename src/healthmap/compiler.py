@@ -173,6 +173,12 @@ def _parse_with_lines(xml_text: str) -> ET.Element:
         raise XmlSyntaxError(
             f"XML syntax error: {expat.errors.messages[exc.code]} at "
             f"line {exc.lineno}, column {exc.offset}") from None
+    finally:
+        # `start` refers to the parser that holds it; dropping the handlers
+        # breaks that cycle, so the parse is freed by reference counting
+        # and leaves nothing for the cyclic collector
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = None
     return builder.close()
 
 

@@ -130,7 +130,8 @@ def prune(hm: HealthMap) -> int:
     (counters summed, earliest timestamp kept, MERGED flag set); then
     faults of one module with identical (severity, persistence,
     classification) collapse with their detection lists concatenated. The
-    total event count and the resulting resource map are unchanged.
+    total event count and the resulting resource map are unchanged. Each
+    list is rebuilt once, so the cost is linear in the number of records.
     """
     removed: list = []
 
@@ -138,6 +139,8 @@ def prune(hm: HealthMap) -> int:
         by_detector: dict[int, list] = {}
         for det in fault.detections:
             by_detector.setdefault(det.detector.id, []).append(det)
+        if len(by_detector) == len(fault.detections):
+            continue
         for group in by_detector.values():
             if len(group) < 2:
                 continue
@@ -145,21 +148,19 @@ def prune(hm: HealthMap) -> int:
             keeper.counter = sum(d.counter for d in group)
             keeper.timestamp = min(d.timestamp for d in group)
             keeper.flags |= FLAG_MERGED
-            for extra in group[1:]:
-                fault.detections.remove(extra)
-                removed.append(extra)
+            removed.extend(group[1:])
+        fault.detections[:] = [group[0] for group in by_detector.values()]
 
     for module in hm.modules.values():
         by_key: dict[tuple, Fault] = {}
-        for fault in list(module.faults):
+        for fault in module.faults:
             key = (fault.severity, fault.persistence, fault.classification)
-            keeper = by_key.get(key)
-            if keeper is None:
-                by_key[key] = fault
-                continue
-            keeper.detections.extend(fault.detections)
-            module.faults.remove(fault)
-            removed.append(fault)
+            keeper = by_key.setdefault(key, fault)
+            if keeper is not fault:
+                keeper.detections.extend(fault.detections)
+                removed.append(fault)
+        if len(by_key) < len(module.faults):
+            module.faults[:] = by_key.values()
 
     if removed:
         dead = {id(r) for r in removed}

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,14 @@ def table1_map(table1_compiled):
 @pytest.fixture()
 def table1_sidecar(table1_compiled):
     return table1_compiled[1]
+
+
+@pytest.fixture()
+def paused_collector():
+    """Automatic garbage collection off for the test, as `hm` runs its
+    commands; the caller's setting comes back afterwards."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()

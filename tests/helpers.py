@@ -1,7 +1,7 @@
 """Shared test helpers: randomized map construction and independent
 oracles (bitwise CRC32, exhaustive propagation-path enumeration, a plain
 re-encoder for appended images, a one-pass image reader, summary decode and
-ingest built on one `RmEntry` per entry)."""
+ingest built on one `RmEntry` per entry, and the list-removal prune)."""
 
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from healthmap.errors import (
 )
 from healthmap.faultmgr import record_event
 from healthmap.model import (
+    FLAG_MERGED,
     PERSISTENCES,
     SEVERITIES,
     STATUSES,
@@ -652,3 +653,43 @@ def reference_ingest_summary(parent_hm: HealthMap, parent_rm, message: bytes,
             parent_rm.update_single_fault(module_id, sev, pers,
                                           ModuleStatus.OWN_FAULT)
     return skipped
+
+
+def reference_prune(hm: HealthMap) -> int:
+    """What `faultmgr.prune` must do: the list-removal merge it replaced,
+    one `list.remove` per merged detection and per merged fault."""
+    removed: list = []
+
+    for fault in hm.faults:
+        by_detector: dict[int, list] = {}
+        for det in fault.detections:
+            by_detector.setdefault(det.detector.id, []).append(det)
+        for group in by_detector.values():
+            if len(group) < 2:
+                continue
+            keeper = group[0]
+            keeper.counter = sum(d.counter for d in group)
+            keeper.timestamp = min(d.timestamp for d in group)
+            keeper.flags |= FLAG_MERGED
+            for extra in group[1:]:
+                fault.detections.remove(extra)
+                removed.append(extra)
+
+    for module in hm.modules.values():
+        by_key: dict[tuple, Fault] = {}
+        for fault in list(module.faults):
+            key = (fault.severity, fault.persistence, fault.classification)
+            keeper = by_key.get(key)
+            if keeper is None:
+                by_key[key] = fault
+                continue
+            keeper.detections.extend(fault.detections)
+            module.faults.remove(fault)
+            removed.append(fault)
+
+    if removed:
+        dead = {id(r) for r in removed}
+        hm.detections = [d for d in hm.detections if id(d) not in dead]
+        hm.faults = [f for f in hm.faults if id(f) not in dead]
+        hm.reindex_faults()
+    return len(removed)

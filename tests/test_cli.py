@@ -1,17 +1,19 @@
 import contextlib
+import gc
 import hashlib
 import io
 import os
 import runpy
 import shutil
 import stat
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import healthmap
-from healthmap import cli, compile_xml
+from healthmap import cli, compile_xml, footprint
 from healthmap.cli import main
 
 from conftest import DATA_DIR
@@ -620,9 +622,85 @@ def test_main_matches_full_parser(tmp_path, monkeypatch, command):
             monkeypatch.chdir(work)
             with monkeypatch.context() as patch:
                 if side == "full":
-                    patch.setattr(cli, "build_parser",
-                                  lambda command=None: full_parser())
+                    patch.setattr(cli, "_parse_args",
+                                  lambda argv: full_parser().parse_args(argv))
                 outcomes.append(cli_outcome(argv))
         assert outcomes[0] == outcomes[1], argv
         if argv[-1:] == ["extra"]:    # the top-level usage lists them all
             assert ("{%s}" % ",".join(SURFACE_CALLS)) in outcomes[0][2]
+
+
+# -- garbage collection -------------------------------------------------------
+# `main` pauses automatic collection while a command runs and gives the
+# caller back the setting it had.
+
+def collections_inside_main(argv):
+    """(exit code, generations of the collector passes that started while a
+    frame of `cli.main` was on the stack) of `main(argv)`."""
+    passes = []
+
+    def probe(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not cli.main.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            passes.append(info["generation"])
+
+    gc.callbacks.append(probe)
+    try:
+        code = main(argv)
+    finally:
+        gc.callbacks.remove(probe)
+    return code, passes
+
+
+def test_no_collection_pass_inside_main(tmp_path, capsys):
+    shm, sym = tmp_path / "cpu.shm", tmp_path / "cpu.sym"
+    assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", str(shm),
+                 "--sym", str(sym)]) == 0
+    chain = (DEMO_DATA / "inject_chain.txt").read_text().splitlines()
+    injects = [["inject", str(shm), *line.split()] for line in chain
+               if not line.startswith("#")]
+    for argv in [*injects,
+                 ["rm", str(shm), "--sym", str(sym), "--maintenance",
+                  "CPU.C3"],
+                 ["simulate", str(DEMO_DATA / "board.scn")]]:
+        assert collections_inside_main(argv) == (0, []), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["estimate", "--cores", "8"], 0),
+    (["validate", "missing.shm"], 1),
+    (["inject"], 2),
+])
+def test_main_restores_collector_state(tmp_path, monkeypatch, capsys,
+                                       enabled, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_state_on_exception(monkeypatch, enabled):
+    def fail(cores):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(footprint, "estimate", fail)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError):
+            main(["estimate", "--cores", "8"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

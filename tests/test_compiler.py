@@ -1,3 +1,6 @@
+import gc
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -428,3 +431,14 @@ def test_template_instance_two_thousand_deep():
     assert image == inline_image
     assert sidecar.format() == inline_sidecar.format()
     assert len(deserialize(image).modules) == 4_001
+
+
+def test_parse_leaves_no_cyclic_garbage(paused_collector):
+    # the expat parser and its handlers would hold each other, and with
+    # them the whole element tree, until a collection pass
+    text = (Path(__file__).parent.parent / "demo" / "data" /
+            "cpu.xml").read_text()
+    gc.collect()
+    description = parse_description(text)
+    assert gc.collect() == 0
+    assert description.modules

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from healthmap import (
     DetectionReport,
@@ -24,7 +26,7 @@ from healthmap.faultmgr import parse_report_line
 from healthmap.model import FLAG_MERGED
 
 from conftest import FPU_C0_INSTRUMENT
-from helpers import random_health_map, rm_state
+from helpers import random_health_map, reference_prune, rm_state
 
 
 def brute_force_persistence(event_log):
@@ -212,6 +214,44 @@ def test_prune_conserves_event_count_and_rm():
         assert total_events(hm) == before_events
         assert rm_state(init_resource_map(hm)) == before_rm
         assert hm.validate_structure() == []
+
+
+def map_with_duplicates(seed, copies, extra_detections):
+    """A random map, plus copies of some faults' (severity, persistence,
+    classification) on the same module and extra detections from detectors
+    already in use, so that both merges of `prune` have work."""
+    hm = random_health_map(random.Random(seed))
+    detectors = list(hm.diag_resources)
+    for pick in copies:
+        if hm.faults:
+            f = hm.faults[pick % len(hm.faults)]
+            hm.add_fault(f.owner.id, f.severity, f.persistence,
+                         f.classification)
+    for pick, detector, timestamp, counter in extra_detections:
+        if hm.faults:
+            hm.add_detection(hm.faults[pick % len(hm.faults)],
+                             detectors[detector % len(detectors)], timestamp,
+                             counter=counter)
+    return hm
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       copies=st.lists(st.integers(0, 63), max_size=6),
+       extra_detections=st.lists(
+           st.tuples(st.integers(0, 63), st.integers(0, 3),
+                     st.integers(0, 10**9), st.integers(0, 5)),
+           max_size=24))
+def test_prune_matches_list_removal_reference(seed, copies,
+                                              extra_detections):
+    hm = map_with_duplicates(seed, copies, extra_detections)
+    reference = map_with_duplicates(seed, copies, extra_detections)
+    assert prune(hm) == reference_prune(reference)
+    assert hm.snapshot() == reference.snapshot()
+    assert [[d.seq for d in f.detections] for f in hm.faults] == \
+        [[d.seq for d in f.detections] for f in reference.faults]
+    assert {key: f.seq for key, f in hm._fault_index.items()} == \
+        {key: f.seq for key, f in reference._fault_index.items()}
 
 
 def test_merge_conserves_event_count(table1_map):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import struct
 from pathlib import Path
@@ -345,6 +346,17 @@ def test_demo_rollup_output_is_pinned(monkeypatch):
     reference = simulate(scenario)
     assert result.nodes[0].hm.snapshot() == reference.nodes[0].hm.snapshot()
     assert rm_state(result.nodes[0].rm) == rm_state(reference.nodes[0].rm)
+
+
+def test_simulate_leaves_no_cyclic_garbage(paused_collector):
+    # every node's description is parsed inside simulate; each parse must
+    # be freed by reference counting, so `hm simulate` needs no collection
+    scenario = Scenario.parse((DEMO_DATA / "board.scn").read_text(),
+                              DEMO_DATA)
+    gc.collect()
+    result = simulate(scenario)
+    assert gc.collect() == 0
+    assert result.nodes
 
 
 # -- one recording rule, whatever the merge window ---------------------------
