@@ -39,7 +39,10 @@ module. The new header counts are the old header's plus the new records.
 Loading runs in two passes. The check pass runs every header, checksum,
 bounds, alignment, cycle, reuse, overlap, enum and count check and builds
 the modules, diag resources, dependencies and faults; of a detection it
-reads only the next and detector links. The build pass then creates the
+reads only the next and detector links and the counter. It also enforces
+the rest of `HealthMap.validate_structure` (no parent cycle, no fault
+severity or persistence ZERO, no detection counter 0), so every command
+accepts the same images. The build pass then creates the
 detections of the modules a caller reads, walking again lists the check
 pass proved valid. `deserialize` builds every detection. The CLI's
 private `_load` builds those of the module that owns the reporting
@@ -109,6 +112,7 @@ from .model import (
     FaultDetection,
     HealthMap,
     Module,
+    parent_verdicts,
 )
 
 MAGIC = b"SHM1"
@@ -121,7 +125,7 @@ DEP_REC = struct.Struct("<IIB")
 FAULT_REC = struct.Struct("<IIBBBB")
 DET_REC = struct.Struct("<IIQIIB")
 _LINK = struct.Struct("<I")         # a fault's first-detection link
-_LINKS = struct.Struct("<II")       # a detection's next and detector links
+_LINKS = struct.Struct("<II8xI")    # a detection's next, detector, counter
 _COUNTS = struct.Struct("<HHHHI")   # the header's M, R, D, F, FD
 _COUNTS_AT = 12
 _offset = attrgetter("shm_offset")
@@ -268,7 +272,8 @@ class _Reader:
 
     `check` runs every check of the image, in image order, and builds the
     modules, diag resources, dependencies and faults; of each detection it
-    reads only the two link words, so it builds no detection object.
+    reads only its links and counter, so it builds no detection object. It
+    also refuses parent cycles, ZERO fault enum bytes and counter 0.
     `build` then creates the detections of chosen modules by walking again
     the lists `check` proved valid, so it cannot fail.
 
@@ -310,10 +315,15 @@ class _Reader:
                 raise BadLinkError(f"duplicate module id {mid}")
             modules[mid] = by_off[o] = Module(mid, None, criticality,
                                               [], [], [], o)
-        # wire parents
+        # wire parents; each is in the map, so only a cycle fails a chain
         for o, fields in raw_modules.items():
             if fields[1]:
                 by_off[o].parent = self._module_at(by_off, fields[1])
+        verdicts = parent_verdicts(modules)
+        for m in modules.values():
+            if verdicts[id(m)]:
+                raise LinkCycleError(f"parent chain of module {m.id}: cycle "
+                                     f"through module {verdicts[id(m)][1]}")
 
         self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
@@ -538,6 +548,7 @@ class _Reader:
         detectors = self.diag_by_off
         unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
         severities, persistences = SEVERITIES, PERSISTENCES
+        n_sev, n_pers = len(severities), len(persistences)
         fault_size, det_size = FAULT_SIZE, DET_SIZE
         last_fault, last_det = total - FAULT_SIZE, total - DET_SIZE
         # the size of each record walked, at its start; a fault met again
@@ -554,13 +565,13 @@ class _Reader:
                 if not dyn_base <= cur <= last_fault or marks[cur]:
                     self._reject_fault(cur, marks)
                 nxt, dcur, sev, pers, cls, _resv = unpack_fault(data, cur)
-                try:
-                    fault = Fault(owner, severities[sev], persistences[pers],
-                                  cls, [], cur)
-                except IndexError:
-                    if pers >= len(persistences):
-                        raise _invalid("persistence", pers) from None
-                    raise _invalid("severity", sev) from None
+                # ZERO means no fault, so no fault record holds it
+                if not 0 < pers < n_pers:
+                    raise _invalid("persistence", pers)
+                if not 0 < sev < n_sev:
+                    raise _invalid("severity", sev)
+                fault = Fault(owner, severities[sev], persistences[pers], cls,
+                              [], cur)
                 owned.append(fault)
                 faults.append(fault)
                 marks[cur] = fault_size
@@ -568,11 +579,14 @@ class _Reader:
                 while dcur:
                     if not dyn_base <= dcur <= last_det or marks[dcur]:
                         self._reject_detection(dcur, marks, cur)
-                    dnxt, det_off = unpack_links(data, dcur)
+                    dnxt, det_off, counter = unpack_links(data, dcur)
                     if det_off not in detectors:
                         raise BadLinkError(
                             f"detection at {dcur} references non-detector "
                             f"offset {det_off}")
+                    if not counter:
+                        raise BadLinkError(
+                            f"detection at {dcur} has counter 0")
                     marks[dcur] = det_size
                     walked_dets += 1
                     dcur = dnxt
@@ -634,12 +648,8 @@ def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
 
 
 def validate_image(data: bytes) -> HealthMap:
-    """Deserialize and additionally run the structural validator."""
-    hm = deserialize(data)
-    violations = hm.validate_structure()
-    if violations:
-        raise StructureInvalidError(violations)
-    return hm
+    """`deserialize`; every map a load accepts passes validate_structure."""
+    return deserialize(data)
 
 
 # --------------------------------------------------------------------------
@@ -659,7 +669,8 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     old ones plus the new records. Old record
     bytes change only where list tails were spliced or detection
     counters/flags (or fault severity/persistence after reclassification)
-    moved.
+    moved. A ZERO fault severity or persistence, or a counter 0, among the
+    records repacked raises `AppendError` before any record gets an offset.
     """
     old_total = len(image)
     for m in hm.modules.values():
@@ -685,6 +696,11 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
                                         for d in f.detections)):
             raise AppendError("cannot append to a module whose detections "
                               "were not loaded")
+    for fault in (f for mod in owners for f in mod.faults):
+        if not (fault.severity and fault.persistence
+                and all(det.counter for det in fault.detections)):
+            raise AppendError(f"cannot write a ZERO severity, persistence "
+                              f"or counter (module {fault.owner.id})")
     pos = old_total
     for rec in sorted(new_faults + new_dets, key=attrgetter("seq")):
         rec.shm_offset = pos

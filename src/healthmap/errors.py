@@ -28,7 +28,7 @@ class UnknownDetectorError(HealthMapError):
 
 
 class ZeroSeverityError(HealthMapError):
-    pass
+    """A fault or report severity, or a fault persistence, is ZERO."""
 
 
 class SelfDependencyError(HealthMapError):

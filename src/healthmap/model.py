@@ -170,6 +170,44 @@ class Violation:
         return f"{self.kind}({self.entity_id}): {self.detail}"
 
 
+def parent_verdicts(
+        modules: dict[int, Module]) -> dict[int, Optional[tuple[str, int]]]:
+    """Each module's parent-chain verdict by id(module): None for a chain
+    to a root, else ("ParentCycle" or "DanglingParent", at). Linear time: a
+    module takes its parent's verdict unless the chain comes back to its own
+    id (a cycle through it, or a dangling parent with its id); one filed
+    under another id's key always takes it."""
+    verdicts: dict[int, Optional[tuple[str, int]]] = {}
+    get = modules.get
+    for m in modules.values():
+        path: list[Module] = []
+        while id(m) not in verdicts:
+            verdicts[id(m)] = None
+            path.append(m)
+            p = m.parent
+            if p is None or get(p.id) is not p:
+                break
+            m = p
+        else:
+            if m in path:   # the climb closed a cycle
+                cut = path.index(m)
+                for member in path[cut:]:
+                    verdicts[id(member)] = ("ParentCycle", member.id)
+                del path[cut:]
+            elif verdicts[id(m)] is None:
+                continue   # it joined a chain that ends at a root
+        for m in reversed(path):
+            p = m.parent
+            if p is None:
+                continue   # a root: its verdict None stands
+            verdict = (verdicts[id(p)] if get(p.id) is p
+                       else ("DanglingParent", p.id))
+            if verdict is not None and verdict == ("DanglingParent", m.id):
+                verdict = ("ParentCycle", m.id)
+            verdicts[id(m)] = verdict
+    return verdicts
+
+
 class HealthMap:
     """Mutable graph of modules, diagnostic resources, dependencies and
     fault history. Single-writer: mutate from one logical thread at a time.
@@ -241,11 +279,11 @@ class HealthMap:
     def add_fault(self, module_id: int, severity: Severity,
                   persistence: Persistence, classification: int) -> Fault:
         owner = self._module(module_id)
-        severity = Severity(severity)
-        if not severity:
-            raise ZeroSeverityError("fault severity must be above ZERO")
-        fault = Fault(owner=owner, severity=severity,
-                      persistence=Persistence(persistence),
+        severity, persistence = Severity(severity), Persistence(persistence)
+        if not (severity and persistence):
+            raise ZeroSeverityError(
+                "fault severity and persistence must be above ZERO")
+        fault = Fault(owner=owner, severity=severity, persistence=persistence,
                       classification=check_classification(classification),
                       seq=self.next_seq())
         owner.faults.append(fault)
@@ -261,7 +299,9 @@ class HealthMap:
             raise UnknownDetectorError(f"diag resource {detector_id} not found")
         check_field(timestamp, U64_MAX, "detection timestamp")
         check_field(payload, U32_MAX, "detection payload")
-        check_field(counter, U32_MAX, "detection counter")
+        if not 1 <= counter <= U32_MAX:   # a detection is at least one event
+            raise FieldRangeError(
+                f"detection counter {counter} outside 1..{U32_MAX}")
         check_field(flags, 0xFF, "detection flags")
         det = FaultDetection(detector=detector, timestamp=timestamp,
                              counter=counter, payload=payload, flags=flags,
@@ -329,37 +369,8 @@ class HealthMap:
     def validate_structure(self) -> list[Violation]:
         """Check every structural invariant; returns violations, never raises."""
         out: list[Violation] = []
-        # Parent chains in linear time: a module takes its parent's verdict
-        # unless the chain comes back to its own id (a cycle through it, or
-        # a dangling parent with its id); one filed under another id's key
-        # always takes it.
-        modules = self.modules
-        verdicts: dict[int, Optional[tuple[str, int]]] = {}   # by id(module)
-        for m in modules.values():
-            path: list[Module] = []
-            while id(m) not in verdicts:
-                verdicts[id(m)] = None
-                path.append(m)
-                p = m.parent
-                if p is None or modules.get(p.id) is not p:
-                    break
-                m = p
-            else:
-                if m in path:   # the climb closed a cycle
-                    cut = path.index(m)
-                    for member in path[cut:]:
-                        verdicts[id(member)] = ("ParentCycle", member.id)
-                    del path[cut:]
-            for m in reversed(path):
-                p = m.parent
-                if p is None:
-                    continue   # a root: its verdict None stands
-                verdict = (verdicts[id(p)] if modules.get(p.id) is p
-                           else ("DanglingParent", p.id))
-                if verdict == ("DanglingParent", m.id):
-                    verdict = ("ParentCycle", m.id)
-                verdicts[id(m)] = verdict
-        for mid, m in modules.items():
+        verdicts = parent_verdicts(self.modules)
+        for mid, m in self.modules.items():
             if m.id != mid:
                 out.append(Violation("IdMismatch", mid, "key differs from module id"))
             if verdicts[id(m)] is not None:

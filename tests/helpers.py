@@ -61,6 +61,14 @@ from healthmap.model import (
 from healthmap.resourcemap import RM_ENTRY, RmEntry
 
 
+def restamp(image: bytearray) -> bytes:
+    """`image` with both CRCs stamped again, so only its link and field
+    checks can reject an edit of its records."""
+    struct.pack_into("<I", image, 24, crc32(bytes(image[HEADER_SIZE:])))
+    struct.pack_into("<I", image, 28, crc32(bytes(image[:28])))
+    return bytes(image)
+
+
 def crc32_reference(data: bytes) -> int:
     """Bitwise reflected CRC-32, independent of zlib."""
     crc = 0xFFFFFFFF
@@ -121,10 +129,10 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
     Valid paths climb parent edges (requiring nonzero criticality at each
     stepped-from module, severity capped by it) and may take at most one
     dependency edge (severity capped by the dependency); persistence rides
-    along uncapped. A fault of severity ZERO (which a loaded image may hold)
-    is no fault: it neither makes its module OWN FAULT nor propagates, but
-    its persistence still folds into its own module's entry. Returns
-    {module_id: (severity, persistence, status)}.
+    along uncapped. A fault of severity ZERO (no image holds one, but a
+    direct edit can make one) is no fault: it neither makes its module OWN
+    FAULT nor propagates, but its persistence still folds into its own
+    module's entry. Returns {module_id: (severity, persistence, status)}.
     """
     sev = {mid: Severity.ZERO for mid in hm.modules}
     pers = {mid: Persistence.ZERO for mid in hm.modules}
@@ -279,6 +287,9 @@ class _ReferenceReader:
         for o, fields in raw_modules.items():
             if fields[1]:
                 by_off[o].parent = self._module_at(by_off, fields[1])
+        for v in oracle_parent_violations(hm):
+            raise LinkCycleError(f"parent chain of module {v.entity_id}: "
+                                 f"{v.detail}")
 
         diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
@@ -460,13 +471,13 @@ class _ReferenceReader:
                         or cur + FAULT_SIZE > total):
                     self._reject_fault(cur, claimed)
                 nxt, first_det, sev, pers, cls, _resv = unpack_fault(data, cur)
-                try:
-                    fault = Fault(owner, severities[sev], persistences[pers],
-                                  cls, [], cur)
-                except IndexError:
-                    if pers >= len(persistences):
-                        raise _invalid("persistence", pers) from None
-                    raise _invalid("severity", sev) from None
+                # ZERO is no fault, so no fault record holds it
+                if not 0 < pers < len(persistences):
+                    raise _invalid("persistence", pers)
+                if not 0 < sev < len(severities):
+                    raise _invalid("severity", sev)
+                fault = Fault(owner, severities[sev], persistences[pers], cls,
+                              [], cur)
                 owned.append(fault)
                 claimed[cur] = fault
                 # walk this fault's detections
@@ -483,6 +494,9 @@ class _ReferenceReader:
                         raise BadLinkError(
                             f"detection at {dcur} references non-detector "
                             f"offset {det_off}")
+                    if counter == 0:
+                        raise BadLinkError(
+                            f"detection at {dcur} has counter 0")
                     det = FaultDetection(detector, ts, counter, payload,
                                          flags, dcur)
                     dets.append(det)

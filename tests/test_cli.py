@@ -6,6 +6,7 @@ import os
 import runpy
 import shutil
 import stat
+import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -13,11 +14,13 @@ from pathlib import Path
 import pytest
 
 import healthmap
-from healthmap import cli, compile_xml, footprint
+from healthmap import (HealthMap, Persistence, Severity, cli, compile_xml,
+                       deserialize, footprint, serialize)
 from healthmap.cli import main
+from healthmap.codec import HEADER_SIZE, MODULE_SIZE
 
 from conftest import DATA_DIR
-from helpers import nest_xml
+from helpers import nest_xml, restamp
 
 DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
 
@@ -451,11 +454,74 @@ def test_affinity_core_id_at_cap_gets_its_bit(compiled, tmp_path, capsys):
 def test_compile_and_validate_three_thousand_deep_nest(tmp_path, capsys):
     xml = tmp_path / "deep.xml"
     xml.write_text(f'<healthmap version="1">{nest_xml(3_000)}</healthmap>')
-    shm = tmp_path / "deep.shm"
-    assert main(["compile", str(xml), "-o", str(shm),
-                 "--sym", str(tmp_path / "deep.sym")]) == 0
+    shm, sym = tmp_path / "deep.shm", tmp_path / "deep.sym"
+    assert main(["compile", str(xml), "-o", str(shm), "--sym", str(sym)]) == 0
     assert main(["validate", str(shm)]) == 0
     assert "valid (3000 modules" in capsys.readouterr().out
+    # hang the root under the deepest module: one 3 000-module cycle
+    image = bytearray(shm.read_bytes())
+    struct.pack_into("<I", image, HEADER_SIZE + 4,
+                     HEADER_SIZE + MODULE_SIZE * 2_999)
+    shm.write_bytes(restamp(image))
+    for argv in (["validate"], ["rm", "--sym", str(sym)], ["dump"]):
+        assert main([argv[0], str(shm), *argv[1:]]) == 1
+        assert capsys.readouterr().err == (
+            "error: parent chain of module 0: cycle through module 0\n")
+
+
+def two_module_image() -> tuple[bytes, HealthMap]:
+    """The image of module 2 under module 1, with a fault on module 2 that
+    diag resource 10 detected once, and its loaded map."""
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2, 1, Severity.LOW)
+    hm.add_diag_resource(10, 2)
+    hm.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 1,
+                                10, 5)
+    image = serialize(hm)
+    return image, deserialize(image)
+
+
+# each breaks one structural rule: (record, where in it, bytes written
+# there, the error); the image's CRCs are stamped again. Module 2 is at 57.
+BROKEN_RULES = {
+    "parent cycle": ("module 1", 4, struct.pack("<I", 57),
+                     "parent chain of module 1: cycle through module 1"),
+    "fault severity ZERO": ("fault", 8, b"\0", "invalid severity value 0"),
+    "fault persistence ZERO": ("fault", 9, b"\0",
+                               "invalid persistence value 0"),
+    "detection counter 0": ("detection", 16, bytes(4),
+                            "detection at 107 has counter 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "dump", "rm", "affinity",
+                                     "inject", "prune"])
+@pytest.mark.parametrize("rule", list(BROKEN_RULES))
+def test_every_command_rejects_an_image_that_breaks_a_rule(tmp_path, capsys,
+                                                          rule, command):
+    image, hm = two_module_image()
+    offsets = {"module 1": hm.modules[1].shm_offset,
+               "module 2": hm.modules[2].shm_offset,
+               "fault": hm.faults[0].shm_offset,
+               "detection": hm.detections[0].shm_offset}
+    assert list(offsets.values()) == [32, 57, 95, 107]
+    record, field, value, error = BROKEN_RULES[rule]
+    at = offsets[record] + field
+    broken = bytearray(image)
+    broken[at:at + len(value)] = value
+    broken = restamp(broken)
+    shm, tasks = tmp_path / "map.shm", tmp_path / "tasks.txt"
+    shm.write_bytes(broken)
+    tasks.write_text("task any\n")
+    files_before = sorted(tmp_path.iterdir())
+    options = {"affinity": ["--tasks", str(tasks)],
+               "inject": ["--detector", "10", "--sev", "LOW", "--class", "1",
+                          "--t", "9"]}.get(command, [])
+    assert main([command, str(shm), *options]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert shm.read_bytes() == broken
+    assert sorted(tmp_path.iterdir()) == files_before
 
 
 def test_simulate_bad_report_names_its_line(tmp_path, capsys):

@@ -54,6 +54,7 @@ from helpers import (
     random_health_map,
     reference_append,
     reference_deserialize,
+    restamp,
     rm_state,
 )
 
@@ -203,12 +204,6 @@ def test_fuzz_deserialize_never_escapes_shm_errors():
 # Each case edits link words of a valid image and re-stamps both CRCs, so the
 # link checks, not the checksums, must reject it.
 
-def restamp(image: bytearray) -> bytes:
-    struct.pack_into("<I", image, 24, crc32(bytes(image[HEADER_SIZE:])))
-    struct.pack_into("<I", image, 28, crc32(bytes(image[:28])))
-    return bytes(image)
-
-
 def put_u32(image: bytearray, offset: int, value: int) -> None:
     struct.pack_into("<I", image, offset, value)
 
@@ -237,14 +232,15 @@ def test_detection_inside_fault_record_is_overlap():
     first_det = hm.detections[0].shm_offset
     assert first_det == fault + 2 * FAULT_SIZE
     # Unlink the second fault and point the first fault's detection list
-    # at fault+8. A detection there reads its next link from the fault's
-    # severity..reserved bytes (zeroed: end of list) and its detector link
-    # from the now unreached second fault's next link.
-    inside = fault + 8
+    # at fault+11, the fault's reserved byte. A detection there reads its
+    # next link from that byte and the now unreached second fault's next
+    # link (zero: end of list), its detector link from the rest of the
+    # second fault's links, and its counter from bytes 3-6 of the unreached
+    # first detection (not zero), so only the overlap is wrong with it.
+    inside = fault + 11
     put_u32(image, fault, 0)
     put_u32(image, fault + 4, inside)
-    put_u32(image, fault + 8, 0)
-    put_u32(image, fault + FAULT_SIZE, hm.diag_resources[10].shm_offset)
+    put_u32(image, inside + 4, hm.diag_resources[10].shm_offset)
     with pytest.raises(BadLinkError, match="overlaps"):
         deserialize(restamp(image))
 
@@ -352,16 +348,20 @@ def test_rewritten_link_raises_its_error(case):
 def test_fault_with_both_enum_bytes_bad_names_persistence():
     image, hm = loaded(enum_map())
     fault = hm.faults[0].shm_offset
-    image[fault + 8:fault + 10] = b"\x07\x09"    # severity, persistence
-    with pytest.raises(BadLinkError, match="^invalid persistence value 9$"):
-        deserialize(restamp(image))
+    for pair, pers in ((b"\x07\x09", 9), (b"\x00\x00", 0)):
+        image[fault + 8:fault + 10] = pair    # severity, persistence
+        with pytest.raises(BadLinkError,
+                           match=f"^invalid persistence value {pers}$"):
+            deserialize(restamp(image))
 
 
 def test_zero_severity_fault_clears_maintenance_like_a_rebuild():
-    # deserialize accepts a fault of severity ZERO, which add_fault refuses
+    # no image holds a fault of severity ZERO, but a direct edit can make one
     image, hm = loaded(enum_map())
     image[hm.faults[0].shm_offset + 8] = 0
-    hm = deserialize(restamp(image))
+    with pytest.raises(BadLinkError, match="^invalid severity value 0$"):
+        deserialize(restamp(image))
+    hm.faults[0].severity = Severity.ZERO
     rm = init_resource_map(hm, maintenance=[1])
     rm.set_maintenance(1, False)
     assert rm_state(rm) == rm_state(init_resource_map(hm))
@@ -427,6 +427,20 @@ CHECK_PASS_CASES = {
     "dependency severity before a misaligned link": (
         {146 + 4: 156}, {146 + 8: 9}, OffsetMisalignedError,
         "dependency offset 156 not on a 9-byte record boundary"),
+    # module 1's parent link to module 2, whose parent is module 1
+    "parent cycle": (
+        {32 + 4: 57}, {}, LinkCycleError,
+        "parent chain of module 1: cycle through module 1"),
+    "fault severity ZERO": (
+        {}, {176 + 8: 0}, BadLinkError, "invalid severity value 0"),
+    "fault persistence ZERO": (
+        {}, {164 + 9: 0}, BadLinkError, "invalid persistence value 0"),
+    "detection counter 0": (
+        {213 + 16: 0}, {}, BadLinkError, "detection at 213 has counter 0"),
+    # the fault's bytes are read in the walk, the overlap only after it
+    "ZERO severity before a later overlap": (
+        {213: 250, 250: 0, 250 + 4: 107}, {164 + 8: 0}, BadLinkError,
+        "invalid severity value 0"),
 }
 
 
@@ -566,6 +580,24 @@ def test_append_updates_counter_in_place():
     again = deserialize(updated)
     assert again.modules[2].faults[0].detections[0].counter == det.counter
     assert again.modules[2].faults[0].detections[0].flags & 1
+
+
+@pytest.mark.parametrize("load", [deserialize, lambda data: _load(data, 10)],
+                         ids=["deserialize", "_load"])
+@pytest.mark.parametrize("field, value", [("severity", Severity.ZERO),
+                                          ("persistence", Persistence.ZERO),
+                                          ("counter", 0)])
+def test_append_refuses_fields_a_load_rejects(load, field, value):
+    image = serialize(small_map())
+    hm = load(image)
+    new = hm.add_fault(2, Severity.LOW, Persistence.TRANSIENT, 9)
+    fault = hm.modules[2].faults[0]
+    setattr(fault.detections[0] if field == "counter" else fault, field,
+            value)
+    with pytest.raises(AppendError,
+                       match=r"^cannot write a ZERO .*\(module 2\)$"):
+        append_changes(image, hm)
+    assert new.shm_offset is None
 
 
 # -- append path against the plain re-encoder in helpers ----------------------
@@ -793,6 +825,8 @@ def partial_view(hm: HealthMap, module_ids) -> tuple:
 
 
 def check_against_reference(image: bytes, detector: int) -> None:
+    """Every load of `image` fails as the reference reader does, or builds
+    what it builds; a map a load accepts breaks no structural rule."""
     expected = outcome(reference_deserialize, image)
     got = outcome(deserialize, image)
     partial_none = outcome(_load, image)
@@ -802,6 +836,8 @@ def check_against_reference(image: bytes, detector: int) -> None:
         assert got == partial_none == partial_one == unknown == expected
         return
     assert got.snapshot() == expected.snapshot()
+    for hm in (got, partial_none, partial_one, unknown):
+        assert hm.validate_structure() == []
     res = expected.diag_resources.get(detector)
     owner = {res.owner.id} if res is not None else set()
     assert partial_view(partial_none, set()) == partial_view(expected, set())
@@ -812,15 +848,11 @@ def check_against_reference(image: bytes, detector: int) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def mutation_bases() -> tuple[tuple[bytes, tuple[int, ...], tuple[int, ...]],
-                              ...]:
-    """(image, dynamic record offsets, detector ids) to mutate: the two
-    random-map bases of `fuzz_bases` and random maps grown by appends, so
-    faults and detections interleave in the dynamic region."""
-    bases = []
-    for image, records in fuzz_bases()[1:]:
-        bases.append((image, records,
-                      tuple(sorted(deserialize(image).diag_resources))))
+def mutation_bases() -> tuple[tuple[bytes, HealthMap], ...]:
+    """(image, its map) pairs to mutate: the two random-map bases of
+    `fuzz_bases` and random maps grown by appends, so faults and
+    detections interleave in the dynamic region."""
+    images = [image for image, _records in fuzz_bases()[1:]]
     for seed in (7, 11, 13):
         rng = random.Random(seed)
         image = serialize(random_health_map(rng))
@@ -828,41 +860,58 @@ def mutation_bases() -> tuple[tuple[bytes, tuple[int, ...], tuple[int, ...]],
             hm = deserialize(image)
             report_some(hm, rng)
             image = append_changes(image, hm)
-        hm = deserialize(image)
-        bases.append((image,
-                      tuple(r.shm_offset for r in hm.faults + hm.detections),
-                      tuple(sorted(hm.diag_resources))))
-    return tuple(bases)
+        images.append(image)
+    return tuple((image, deserialize(image)) for image in images)
+
+
+def offsets(records) -> list[int]:
+    return [rec.shm_offset for rec in records]
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(base=st.integers(0, 4), data=st.data())
 def test_loads_match_reference_reader_on_mutated_images(base, data):
-    image, records, detectors = mutation_bases()[base]
+    image, hm = mutation_bases()[base]
+    faults, dets = offsets(hm.faults), offsets(hm.detections)
+    modules = offsets(hm.modules.values())
+    records = faults + dets
     mutated = bytearray(image)
-    for kind in data.draw(st.lists(st.sampled_from(("flip", "link")),
-                                   min_size=1, max_size=4), label="edits"):
+    for kind in data.draw(st.lists(st.sampled_from(
+            ("flip", "link", "zero", "parent")), min_size=1, max_size=4),
+            label="edits"):
         if kind == "flip":
             bit = data.draw(st.integers(0, len(mutated) * 8 - 1))
             mutated[bit // 8] ^= 1 << (bit % 8)
-        else:
+        elif kind == "link":
             record = data.draw(st.sampled_from(records))
             value = data.draw(st.one_of(
                 st.just(0), st.sampled_from(records),
                 st.integers(0, len(image) + 64), st.integers(0, 0xFFFFFFFF)))
             put_u32(mutated, record + data.draw(st.sampled_from((0, 4))),
                     value)
+        elif kind == "zero":
+            # a fault's severity or persistence byte, or a detection's counter
+            record = data.draw(st.sampled_from(records))
+            if record in faults:
+                mutated[record + data.draw(st.sampled_from((8, 9)))] = 0
+            else:
+                put_u32(mutated, record + 16, 0)
+        elif kind == "parent":
+            put_u32(mutated, data.draw(st.sampled_from(modules)) + 4,
+                    data.draw(st.sampled_from(modules)))
     mutated = restamp(mutated)
     if data.draw(st.integers(0, 3), label="truncate") == 3:
         mutated = mutated[:data.draw(st.integers(0, len(mutated)))]
-    check_against_reference(mutated, data.draw(st.sampled_from(detectors)))
+    check_against_reference(mutated,
+                            data.draw(st.sampled_from(sorted(
+                                hm.diag_resources))))
 
 
 @pytest.mark.parametrize("base", range(5))
 def test_loads_match_reference_reader_on_intact_images(base):
-    image, _records, detectors = mutation_bases()[base]
-    for detector in detectors:
+    image, hm = mutation_bases()[base]
+    for detector in sorted(hm.diag_resources):
         check_against_reference(image, detector)
 
 

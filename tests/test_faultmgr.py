@@ -240,7 +240,7 @@ def map_with_duplicates(seed, copies, extra_detections):
        copies=st.lists(st.integers(0, 63), max_size=6),
        extra_detections=st.lists(
            st.tuples(st.integers(0, 63), st.integers(0, 3),
-                     st.integers(0, 10**9), st.integers(0, 5)),
+                     st.integers(0, 10**9), st.integers(1, 5)),
            max_size=24))
 def test_prune_matches_list_removal_reference(seed, copies,
                                               extra_detections):

@@ -92,9 +92,11 @@ def test_add_fault_zero_severity_rejected():
     hm = HealthMap()
     hm.add_module(1)
     hm.add_diag_resource(7, 1)
-    with pytest.raises(ZeroSeverityError):
-        hm.add_fault_with_detection(1, Severity.ZERO,
-                                    Persistence.TRANSIENT, 0, 7, 0)
+    for severity, persistence in ((Severity.ZERO, Persistence.TRANSIENT),
+                                  (Severity.LOW, Persistence.ZERO)):
+        with pytest.raises(ZeroSeverityError):
+            hm.add_fault_with_detection(1, severity, persistence, 0, 7, 0)
+    assert hm.faults == []
 
 
 @pytest.mark.parametrize("classification", [-1, 256])
@@ -119,6 +121,7 @@ def test_add_fault_unknown_detector():
     ("timestamp", -1),
     ("payload", 2**32),
     ("counter", 2**32),
+    ("counter", 0),
     ("flags", 0x100),
 ])
 def test_add_detection_rejects_value_outside_its_field(field, value):

@@ -223,8 +223,8 @@ def test_encode_matches_entry_by_entry_encoding():
 @given(st.integers(0, 2**32), st.data())
 def test_clearing_maintenance_matches_rebuild(seed, data):
     hm = random_health_map(random.Random(seed))
-    # a loaded image may hold faults of severity ZERO (add_fault refuses
-    # them); clearing maintenance must not count those as OWN FAULT
+    # a direct edit can make a fault of severity ZERO (add_fault and every
+    # load refuse one); clearing maintenance must not count it as OWN FAULT
     for fault in hm.faults:
         if data.draw(st.booleans()):
             fault.severity = Severity.ZERO
@@ -245,8 +245,8 @@ def test_init_matches_oracle_on_random_maps():
 @given(st.integers(0, 2**32), st.data())
 def test_init_matches_oracle_with_zero_severity_faults(seed, data):
     hm = random_health_map(random.Random(seed))
-    # a loaded image may hold faults of severity ZERO (add_fault refuses
-    # them); they are no fault, but their persistence still counts
+    # a direct edit can make a fault of severity ZERO (add_fault and every
+    # load refuse one); it is no fault, but its persistence still counts
     for fault in hm.faults:
         if data.draw(st.booleans()):
             fault.severity = Severity.ZERO
