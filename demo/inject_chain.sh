@@ -4,11 +4,21 @@
 # of `hm rm` stdout and of `hm affinity` stdout (both with CPU.C3 under
 # maintenance), one per line. Run after `pip install -e .`;
 # tests/test_cli.py pins the same three digests.
+#
+#     sh demo/inject_chain.sh [DIR]
+#
+# With DIR (an existing directory) the image and sidecar stay there as
+# DIR/cpu.shm and DIR/cpu.sym; without it they go to a temporary directory
+# that is removed on exit.
 set -eu
 
 here=$(dirname "$0")
-work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+if [ $# -gt 0 ]; then
+    work=$1
+else
+    work=$(mktemp -d)
+    trap 'rm -rf "$work"' EXIT
+fi
 
 hm compile "$here/data/cpu.xml" -o "$work/cpu.shm" --sym "$work/cpu.sym" \
     > /dev/null

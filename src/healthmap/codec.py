@@ -11,9 +11,10 @@ and dependencies form the constant part written once at compile time.
 Faults and detections form the dynamic part: updates append records at the
 end of the image and patch only list-tail link words and detection
 counter/flag words in place, so non-volatile rewrites stay minimal. After
-appends the dynamic region may interleave fault and detection records;
-readers follow the linked lists and trust the header counts, never section
-contiguity.
+appends the dynamic region may interleave fault and detection records. The
+load's column proof (below) reads the region as fault records with whole
+detection slots between them; the walker, its error path, follows the
+linked lists and trusts the header counts, never section contiguity.
 
 One writer lays out module, fault and detection records: it packs each
 at its own `shm_offset`, with links taken from the records' offsets, then
@@ -49,8 +50,30 @@ private `_load` builds those of the module that owns the reporting
 detector (`hm inject`) or none (`hm rm`, `hm affinity`), and such a map
 goes back to disk only through `append_changes`.
 
+The check pass proves the dynamic region valid with column scans, so
+Python works per fault and per list break, not per detection. It walks
+the fault lists, building each fault but attaching none to its module
+yet, sorts the faults by offset and takes the gaps between them as
+25-byte detection slots. It reads every slot's next, detector and counter
+words at once, with strided slices of the slots, and accepts only when:
+
+  * every gap is a whole number of slots (the header's length check then
+    leaves FD of them);
+  * no counter is 0, and every detector link is a diag resource offset;
+  * every next link that is not consecutive (not slot + 25 in the same
+    gap) is 0 or points forward, past slot + 25;
+  * the fault heads and those links name exactly the slots that no
+    consecutive link reaches, each one once.
+
+Forward links leave no cycle, and one incoming link per slot plus the
+tiling mean that every slot is reached from exactly one fault and no two
+records overlap. So the proof accepts only images the walker accepts, and
+builds the same faults. When it fails, for a hostile image or a valid one
+with a backward link, the walker runs as if the proof had not, and names
+the first error in image order; the error messages live only there.
+
 No two records overlap: every record the lists reach occupies its own byte
-range. The check pass verifies this for the dynamic region in linear time,
+range. The walker verifies this for the dynamic region in linear time,
 with one byte of marks per image byte: the walk marks the start of each
 record it reaches with the record's size. Exact reuse (a detection linked
 from two lists, or a fault and a detection at one offset) is a link to a
@@ -84,9 +107,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import compress
+from itertools import accumulate, chain, compress
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     AppendError,
@@ -94,6 +117,7 @@ from .errors import (
     BadMagicError,
     BadVersionError,
     BodyCrcMismatchError,
+    FieldRangeError,
     HeaderCrcMismatchError,
     LengthMismatchError,
     LinkCycleError,
@@ -106,6 +130,8 @@ from .errors import (
 from .model import (
     PERSISTENCES,
     SEVERITIES,
+    U32_MAX,
+    U64_MAX,
     Dependency,
     DiagResource,
     Fault,
@@ -186,11 +212,11 @@ def _write_linked(buf: bytearray, modules: list[Module],
             dets = fault.detections
             pack_fault(buf, fault.shm_offset, nxt,
                        dets[0].shm_offset if dets else 0, fault.severity,
-                       fault.persistence, fault.classification & 0xFF, 0)
+                       fault.persistence, fault.classification, 0)
             for det, det_nxt in zip(dets, _next_links(dets)):
                 pack_det(buf, det.shm_offset, det_nxt, det.detector.shm_offset,
                          det.timestamp, det.counter, det.payload,
-                         det.flags & 0xFF)
+                         det.flags)
 
     assert total == image_length(*counts)
     body_crc = crc32(memoryview(buf)[HEADER_SIZE:])
@@ -214,7 +240,8 @@ def serialize(hm: HealthMap) -> bytes:
     resources, dependencies, `hm.faults`, `hm.detections`), so after
     `serialize` returns the map's records hold their offsets in the image
     it returned and `append_changes(serialize(hm), hm)` is valid. A
-    `serialize` that raises leaves every offset as it was.
+    `serialize` that raises leaves every offset as it was; a value that its
+    field cannot hold raises `FieldRangeError` naming the field.
     """
     if hm._built is not None:
         raise AppendError("cannot serialize a map loaded without all its "
@@ -230,29 +257,74 @@ def serialize(hm: HealthMap) -> bytes:
                 (hm.dependencies, DEP_SIZE), (hm.faults, FAULT_SIZE),
                 (hm.detections, DET_SIZE))
     records = [rec for group, _size in sections for rec in group]
-    old = [rec.shm_offset for rec in records]
-    pos = HEADER_SIZE
-    for group, size in sections:
-        for rec in group:
-            rec.shm_offset = pos
-            pos += size
-    try:
+    sizes = [size for group, size in sections for _rec in group]
+    modules = list(hm.modules.values())
+
+    def write() -> bytes:
         buf = bytearray(image_length(*counts))
         pack_diag, pack_dep = DIAG_REC.pack_into, DEP_REC.pack_into
-        for mod in hm.modules.values():
+        for mod in modules:
             diags, deps = mod.diag_resources, mod.dependencies
             for res, nxt in zip(diags, _next_links(diags)):
                 pack_diag(buf, res.shm_offset, res.id, res.owner.shm_offset,
-                          nxt, res.kind & 0xFF)
+                          nxt, res.kind)
             for dep, nxt in zip(deps, _next_links(deps)):
                 pack_dep(buf, dep.shm_offset, dep.dependent.shm_offset, nxt,
                          dep.severity)
-        modules = list(hm.modules.values())
         return _write_linked(buf, modules, modules, counts)
-    except BaseException:
+
+    return _place(records, accumulate(sizes, initial=HEADER_SIZE), write,
+                  records)
+
+
+def _place(records: list, offsets: Iterable[int], write: Callable[[], bytes],
+           packed: Iterable) -> bytes:
+    """Give each of `records` its offset from `offsets`, then return
+    `write()`. If that raises, each of `records` gets its old offset back,
+    and a value that a pack could not hold becomes the `FieldRangeError`
+    of the first such field among the `packed` records."""
+    old = [rec.shm_offset for rec in records]
+    try:
+        for rec, offset in zip(records, offsets):
+            rec.shm_offset = offset
+        return write()
+    except BaseException as exc:
         for rec, offset in zip(records, old):
             rec.shm_offset = offset
+        if isinstance(exc, struct.error):
+            raise _field_error(packed, exc) from exc
         raise
+
+
+# The record fields that a pack can find out of range; the writer computes
+# the links.
+_PACKED_FIELDS = {
+    Module: (("module id", "id", U32_MAX),
+             ("module criticality", "criticality", 0xFF)),
+    DiagResource: (("diag resource id", "id", U32_MAX),
+                   ("diag resource kind", "kind", 0xFF)),
+    Dependency: (("dependency severity", "severity", 0xFF),),
+    Fault: (("fault severity", "severity", 0xFF),
+            ("fault persistence", "persistence", 0xFF),
+            ("fault classification", "classification", 0xFF)),
+    FaultDetection: (("detection timestamp", "timestamp", U64_MAX),
+                     ("detection counter", "counter", U32_MAX),
+                     ("detection payload", "payload", U32_MAX),
+                     ("detection flags", "flags", 0xFF)),
+}
+
+
+def _field_error(records: Iterable, exc: struct.error) -> FieldRangeError:
+    """The error naming the first field of `records` that its image field
+    cannot hold, for a pack that raised `exc`."""
+    for rec in records:
+        for what, name, maximum in _PACKED_FIELDS[type(rec)]:
+            value = getattr(rec, name)
+            if not isinstance(value, int):
+                return FieldRangeError(f"{what} {value!r} is not an integer")
+            if not 0 <= value <= maximum:
+                return FieldRangeError(f"{what} {value} outside 0..{maximum}")
+    return FieldRangeError(f"a record does not fit the image: {exc}")
 
 
 def _pack_header(total, m, r, d, f, fd, body_crc) -> bytearray:
@@ -273,9 +345,12 @@ class _Reader:
     `check` runs every check of the image, in image order, and builds the
     modules, diag resources, dependencies and faults; of each detection it
     reads only its links and counter, so it builds no detection object. It
-    also refuses parent cycles, ZERO fault enum bytes and counter 0.
-    `build` then creates the detections of chosen modules by walking again
-    the lists `check` proved valid, so it cannot fail.
+    also refuses parent cycles, ZERO fault enum bytes and counter 0. The
+    dynamic region is proven by column scans (`_prove_dynamic`); only when
+    the proof fails does the walker (`_check_dynamic`) follow every list,
+    and it alone raises the region's errors. `build` then creates the
+    detections of chosen modules by walking again the lists `check` proved
+    valid, so it cannot fail.
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
@@ -327,7 +402,11 @@ class _Reader:
 
         self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
-        self._check_dynamic(hm, by_off, raw_modules, f, fd)
+        faults = self._prove_dynamic(by_off, raw_modules, f, fd)
+        if faults is None:
+            faults = self._check_dynamic(by_off, raw_modules, f, fd)
+        hm.faults = faults
+        hm.reindex_faults()
         return hm
 
     def build(self, modules: Iterable[Module]) -> list[FaultDetection]:
@@ -542,8 +621,58 @@ class _Reader:
                 (cur,) = unpack_link(data, cur)
         raise BadLinkError(f"detection at {off} reuses a claimed record")
 
-    def _check_dynamic(self, hm, by_off, raw_modules, f, fd):
-        """Build the faults and check every fault and detection link."""
+    def _prove_dynamic(self, by_off, raw_modules, f, fd):
+        """The faults in offset order, attached to their modules, when
+        column scans prove the dynamic region valid; else None, with no
+        fault attached. See the module docstring for the proof."""
+        data, total, dyn_base = self.data, self.total, self.dyn_base
+        unpack_fault = FAULT_REC.unpack_from
+        severities, persistences = SEVERITIES, PERSISTENCES
+        n_sev, n_pers = len(severities), len(persistences)
+        last_fault = total - FAULT_SIZE
+        lists: list[tuple[Module, list[Fault]]] = []
+        faults: list[Fault] = []
+        heads: list[int] = []       # the nonzero first-detection links
+        for mod_off, fields in raw_modules.items():
+            cur = fields[4]
+            if not cur:
+                continue
+            owner = by_off[mod_off]
+            owned: list[Fault] = []
+            lists.append((owner, owned))
+            while cur:
+                # a fault past the header's count ends a cycle or a reuse
+                if not dyn_base <= cur <= last_fault or len(faults) == f:
+                    return None
+                nxt, head, sev, pers, cls, _resv = unpack_fault(data, cur)
+                if not (0 < sev < n_sev and 0 < pers < n_pers):
+                    return None
+                fault = Fault(owner, severities[sev], persistences[pers], cls,
+                              [], cur)
+                owned.append(fault)
+                faults.append(fault)
+                if head:
+                    heads.append(head)
+                cur = nxt
+        if len(faults) != f:
+            return None
+        faults.sort(key=_offset)
+        gaps = _slot_gaps(map(_offset, faults), dyn_base, total)
+        if gaps is None:
+            return None
+        # the header's length check leaves room for exactly FD slots
+        slots = b"".join([data[a:b] for a, b in gaps])
+        if (b"\0" in _fold(slots, 16, DET_SIZE, fd)     # a counter 0
+                or not self.diag_by_off.keys() >= set(_words(slots, 4, fd))
+                or not _lists_proven(slots, fd, gaps, heads, total)):
+            return None
+        for owner, owned in lists:
+            owner.faults = owned
+        return faults
+
+    def _check_dynamic(self, by_off, raw_modules, f, fd):
+        """Build the faults and check every fault and detection link;
+        returns the faults in offset order."""
         data, total, dyn_base = self.data, self.total, self.dyn_base
         detectors = self.diag_by_off
         unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
@@ -613,8 +742,101 @@ class _Reader:
                 raise RecordCountError(
                     f"walked {walked_dets} detections, header says {fd}")
         faults.sort(key=_offset)
-        hm.faults = faults
-        hm.reindex_faults()
+        return faults
+
+
+# -- column scans of the dynamic region ---------------------------------------
+# A detection slot is a 25-byte record in a gap between fault records; the
+# slots of all gaps are packed, in offset order, into one `slots` string.
+
+
+def _slot_gaps(fault_offsets: Iterable[int], start: int,
+               end: int) -> Optional[list[tuple[int, int]]]:
+    """The non-empty gaps [a, b) that fault records at the ascending
+    `fault_offsets` leave in [start, end), or None unless each gap is a
+    whole number of detection slots (a negative gap is an overlap)."""
+    gaps: list[tuple[int, int]] = []
+    pos = start
+    for off in chain(fault_offsets, (end,)):
+        gap = off - pos
+        if gap < 0 or gap % DET_SIZE:
+            return None
+        if gap:
+            gaps.append((pos, off))
+        pos = off + FAULT_SIZE
+    return gaps
+
+
+def _column(slots: bytes, at: int, n: int) -> bytearray:
+    """The u32 at byte `at` of each of the `n` slots, as 4n bytes."""
+    column = bytearray(4 * n)
+    for k in range(4):
+        column[k::4] = slots[at + k::DET_SIZE]
+    return column
+
+
+def _words(slots: bytes, at: int, n: int) -> tuple[int, ...]:
+    """The little-endian u32 at byte `at` of each of the `n` slots."""
+    return struct.unpack(f"<{n}I", _column(slots, at, n))
+
+
+def _fold(buf: bytes, at: int, stride: int, n: int) -> bytes:
+    """One byte for each of `n` records `stride` bytes apart in `buf`,
+    nonzero exactly when the record's u32 at byte `at` is."""
+    folded = 0
+    for k in range(at, at + 4):
+        folded |= int.from_bytes(buf[k::stride], "little")
+    return folded.to_bytes(n, "little")
+
+
+_TRUTH = bytes(1) + bytes([1]) * 255    # translate: each nonzero byte to 1
+
+
+def _lists_proven(slots: bytes, n: int, gaps: list[tuple[int, int]],
+                  heads: list[int], total: int) -> bool:
+    """Whether the next links of the `n` slots taken from `gaps`, with
+    the fault `heads`, form lists that reach every slot exactly once.
+
+    A link to slot + 25 inside one gap is consecutive; every other link,
+    0 included, is a break. Slot j is unreached unless slot j - 1 links to
+    it consecutively. The heads and the nonzero breaks must name every
+    unreached slot once and nothing else, and a break must point forward,
+    past slot + 25. Python works per gap and per name; the rest is byte
+    columns and integers."""
+    nexts = _column(slots, 0, n)
+    succs = struct.pack(f"<{n}I", *chain.from_iterable(   # slot + 25
+        range(a + DET_SIZE, b + DET_SIZE, DET_SIZE) for a, b in gaps))
+    diff = (int.from_bytes(nexts, "little")
+            ^ int.from_bytes(succs, "little")).to_bytes(4 * n, "little")
+    breaks = _fold(diff, 0, 4, n).translate(_TRUTH)
+    unreached = (b"\1" + breaks)[:n]
+    # the unreached slots, marked at their offsets
+    marks = bytearray(total)
+    j = 0
+    for a, b in gaps:
+        k = (b - a) // DET_SIZE
+        if not breaks[j + k - 1]:     # slot + 25 is past the gap
+            return False
+        marks[a:b:DET_SIZE] = unreached[j:j + k]
+        j += k
+    # the breaks that link somewhere
+    named = list(heads)
+    linked = _fold(nexts, 0, 4, n).translate(_TRUTH)
+    jumps = (int.from_bytes(breaks, "little")
+             & int.from_bytes(linked, "little")).to_bytes(n, "little")
+    j = jumps.find(1)
+    while j >= 0:
+        (nxt,) = _LINK.unpack_from(nexts, 4 * j)
+        (succ,) = _LINK.unpack_from(succs, 4 * j)
+        if nxt < succ:
+            return False
+        named.append(nxt)
+        j = jumps.find(1, j + 1)
+    for off in named:
+        if off >= total or not marks[off]:
+            return False
+        marks[off] = 0
+    return len(named) == unreached.count(1)
 
 
 def _invalid(what: str, value: int) -> BadLinkError:
@@ -671,6 +893,9 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     counters/flags (or fault severity/persistence after reclassification)
     moved. A ZERO fault severity or persistence, or a counter 0, among the
     records repacked raises `AppendError` before any record gets an offset.
+    A value that its field cannot hold raises `FieldRangeError` naming the
+    field, and an append that raises leaves the new records without
+    offsets, so it can be retried.
     """
     old_total = len(image)
     for m in hm.modules.values():
@@ -701,13 +926,17 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
                 and all(det.counter for det in fault.detections)):
             raise AppendError(f"cannot write a ZERO severity, persistence "
                               f"or counter (module {fault.owner.id})")
-    pos = old_total
-    for rec in sorted(new_faults + new_dets, key=attrgetter("seq")):
-        rec.shm_offset = pos
-        pos += FAULT_SIZE if isinstance(rec, Fault) else DET_SIZE
-
+    new = sorted(new_faults + new_dets, key=attrgetter("seq"))
+    sizes = [FAULT_SIZE if isinstance(rec, Fault) else DET_SIZE
+             for rec in new]
     m, r, d, f, fd = _COUNTS.unpack_from(image, _COUNTS_AT)
     counts = _check_counts(m, r, d, f + len(new_faults), fd + len(new_dets))
-    buf = bytearray(pos)
-    buf[:old_total] = image
-    return _write_linked(buf, modules, owners, counts)
+
+    def write() -> bytes:
+        buf = bytearray(old_total + sum(sizes))
+        buf[:old_total] = image
+        return _write_linked(buf, modules, owners, counts)
+
+    packed = chain(modules, chain.from_iterable(
+        (fault, *fault.detections) for mod in owners for fault in mod.faults))
+    return _place(new, accumulate(sizes, initial=old_total), write, packed)

@@ -10,12 +10,13 @@ import struct
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import healthmap
-from healthmap import (HealthMap, Persistence, Severity, cli, compile_xml,
-                       deserialize, footprint, serialize)
+from healthmap import (HealthMap, Persistence, Severity, cli, codec,
+                       compile_xml, deserialize, footprint, serialize)
 from healthmap.cli import main
 from healthmap.codec import HEADER_SIZE, MODULE_SIZE
 
@@ -612,6 +613,41 @@ def test_inject_chain_golden_digests(tmp_path, capsys):
     outs.append(capsys.readouterr().out.encode())
     assert tuple(hashlib.sha256(out).hexdigest()
                  for out in outs) == CHAIN_DIGESTS
+
+
+def chain_views(shm: Path, sym: Path, capsys) -> list[bytes]:
+    """`hm rm` and `hm affinity` stdout, with CPU.C3 under maintenance."""
+    capsys.readouterr()
+    outs = []
+    for argv in (["rm", str(shm), "--sym", str(sym)],
+                 ["affinity", str(shm), "--tasks",
+                  str(DEMO_DATA / "tasks.txt"), "--sym", str(sym)]):
+        assert main([*argv, "--maintenance", "CPU.C3"]) == 0
+        outs.append(capsys.readouterr().out.encode())
+    return outs
+
+
+def test_inject_chain_and_prune_load_by_the_column_proof(tmp_path, capsys):
+    # with the detection-list walker patched to fail, every image of the
+    # chain must load through the column proof; `hm prune` then keeps both
+    # views (criterion 6 at the CLI, as CI checks with the installed hm)
+    shm, sym = tmp_path / "cpu.shm", tmp_path / "cpu.sym"
+    walker = AssertionError("the detection-list walker ran")
+    with mock.patch.object(codec._Reader, "_check_dynamic",
+                           side_effect=walker):
+        assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", str(shm),
+                     "--sym", str(sym)]) == 0
+        for line in (DEMO_DATA / "inject_chain.txt").read_text().splitlines():
+            if not line.startswith("#"):
+                assert main(["inject", str(shm), *line.split()]) == 0
+        assert hashlib.sha256(shm.read_bytes()).hexdigest() == CHAIN_DIGESTS[0]
+        views = chain_views(shm, sym, capsys)
+        assert [hashlib.sha256(out).hexdigest()
+                for out in views] == list(CHAIN_DIGESTS[1:])
+        assert main(["prune", str(shm)]) == 0
+        assert "merged 4 records" in capsys.readouterr().out
+        assert main(["validate", str(shm)]) == 0
+        assert chain_views(shm, sym, capsys) == views
 
 
 def test_library_tour_output_is_pinned(capsys):

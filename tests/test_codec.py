@@ -29,13 +29,14 @@ from healthmap import (
     synthesize_map,
     validate_image,
 )
-from healthmap import faultmgr
+from healthmap import codec, faultmgr
 from healthmap.codec import (DEP_SIZE, DET_SIZE, DIAG_SIZE, FAULT_SIZE,
-                             HEADER_SIZE, MODULE_SIZE, _load)
+                             HEADER_SIZE, MODULE_SIZE, _load, _Reader)
 from healthmap.errors import (
     BadLinkError,
     BadMagicError,
     BodyCrcMismatchError,
+    FieldRangeError,
     HeaderCrcMismatchError,
     LengthMismatchError,
     LinkCycleError,
@@ -736,7 +737,7 @@ def break_detection_field(hm: HealthMap) -> None:
 @pytest.mark.parametrize("loaded_first", [False, True])
 @pytest.mark.parametrize("breaker, error", [
     (break_structure, StructureInvalidError),
-    (break_detection_field, struct.error),
+    (break_detection_field, FieldRangeError),
 ], ids=["structure", "field"])
 def test_failed_serialize_leaves_offsets_unchanged(breaker, error,
                                                    loaded_first):
@@ -749,6 +750,36 @@ def test_failed_serialize_leaves_offsets_unchanged(breaker, error,
     with pytest.raises(error):
         serialize(hm)
     assert all_offsets(hm) == before
+
+
+@pytest.mark.parametrize("record, field, value", [
+    ("detection", "timestamp", 2**64), ("detection", "counter", 2**32),
+    ("detection", "payload", -1), ("detection", "flags", 256),
+    ("fault", "severity", 256), ("fault", "classification", 300),
+])
+def test_failed_append_leaves_new_records_without_offsets(record, field,
+                                                          value):
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(10, 1)
+    image = serialize(hm)
+    hm = deserialize(image)
+    fault, _created = report_detection(hm, DetectionReport(10, Severity.LOW,
+                                                           3, 7))
+    target = fault if record == "fault" else fault.detections[0]
+    good = getattr(target, field)
+    setattr(target, field, value)
+    with pytest.raises(FieldRangeError,
+                       match=f"^{record} {field} {value} outside 0\\.\\."):
+        append_changes(image, hm)
+    assert offsets([fault, *fault.detections]) == [None, None]
+    setattr(target, field, "1")
+    with pytest.raises(FieldRangeError,
+                       match=f"^{record} {field} '1' is not an integer"):
+        append_changes(image, hm)
+    setattr(target, field, good)
+    expected = reference_append(image, hm)
+    assert append_changes(image, hm) == expected
 
 
 def compiled_image(path: Path) -> bytes:
@@ -868,11 +899,11 @@ def offsets(records) -> list[int]:
     return [rec.shm_offset for rec in records]
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(base=st.integers(0, 4), data=st.data())
-def test_loads_match_reference_reader_on_mutated_images(base, data):
-    image, hm = mutation_bases()[base]
+def mutated_image(data, image: bytes, hm: HealthMap) -> bytes:
+    """`image` after one to four drawn edits (bit flips, rewritten fault
+    and detection links, zeroed enum bytes and counters, rewritten parent
+    links) with both CRCs re-stamped, then truncated one time in four;
+    `hm` is the map of `image`."""
     faults, dets = offsets(hm.faults), offsets(hm.detections)
     modules = offsets(hm.modules.values())
     records = faults + dets
@@ -903,6 +934,15 @@ def test_loads_match_reference_reader_on_mutated_images(base, data):
     mutated = restamp(mutated)
     if data.draw(st.integers(0, 3), label="truncate") == 3:
         mutated = mutated[:data.draw(st.integers(0, len(mutated)))]
+    return mutated
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), data=st.data())
+def test_loads_match_reference_reader_on_mutated_images(base, data):
+    image, hm = mutation_bases()[base]
+    mutated = mutated_image(data, image, hm)
     check_against_reference(mutated,
                             data.draw(st.sampled_from(sorted(
                                 hm.diag_resources))))
@@ -913,6 +953,277 @@ def test_loads_match_reference_reader_on_intact_images(base):
     image, hm = mutation_bases()[base]
     for detector in sorted(hm.diag_resources):
         check_against_reference(image, detector)
+
+
+# -- the column proof of the dynamic region -----------------------------------
+# A load first tries to prove the dynamic region valid by column scans and
+# walks its lists only when the proof fails. With the walker patched to
+# fail, an image loads only through the proof; with the proof turned off,
+# only through the walker.
+
+class WalkerCalled(Exception):
+    """The load fell back to walking the detection lists."""
+
+
+def walker_fails(*_args):
+    raise WalkerCalled
+
+
+def proof_only():
+    return mock.patch.object(_Reader, "_check_dynamic", walker_fails)
+
+
+def by_proof(image: bytes) -> HealthMap:
+    with proof_only():
+        return deserialize(image)
+
+
+def by_walker(image: bytes) -> HealthMap:
+    with mock.patch.object(_Reader, "_prove_dynamic", lambda *_args: None):
+        return deserialize(image)
+
+
+def fault_offsets(hm: HealthMap) -> tuple:
+    """Each module's fault offsets in list order, and the map's in order."""
+    return ([offsets(m.faults) for m in hm.modules.values()],
+            offsets(hm.faults))
+
+
+def check_loads_by_proof(image: bytes) -> None:
+    proved = by_proof(image)
+    expected = reference_deserialize(image)
+    assert proved.snapshot() == expected.snapshot()
+    assert fault_offsets(proved) == fault_offsets(expected)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), data=st.data())
+def test_proof_accepts_only_what_the_walker_accepts(base, data):
+    image, hm = mutation_bases()[base]
+    mutated = mutated_image(data, image, hm)
+    proved = outcome(by_proof, mutated)
+    if isinstance(proved, HealthMap):
+        walked = by_walker(mutated)
+        assert walked.snapshot() == proved.snapshot()
+        assert fault_offsets(walked) == fault_offsets(proved)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), data=st.data())
+def test_proof_and_walker_agree_on_rewired_lists(base, data):
+    # Detection lists rewired: reversed, a tail moved to another fault, a
+    # list closed into a cycle cut off from its fault, or one next link
+    # rewritten. The proof accepts what the walker accepts, unless a list
+    # then links backward.
+    image, hm = mutation_bases()[base]
+    lists = {f.shm_offset: offsets(f.detections) for f in hm.faults}
+    dets = offsets(hm.detections)
+    cycles, nexts = set(), []
+    for kind in data.draw(st.lists(st.sampled_from(
+            ("reverse", "move", "cycle", "next")), min_size=1, max_size=4),
+            label="edits"):
+        longer = sorted(f for f, chain in lists.items() if len(chain) > 1)
+        if kind == "next" and dets:
+            nexts.append((data.draw(st.sampled_from(dets)),
+                          data.draw(st.sampled_from([0, *dets]))))
+        elif kind == "move" and len(lists) > 1:
+            source = data.draw(st.sampled_from(sorted(lists)))
+            target = data.draw(st.sampled_from(sorted(set(lists) - {source})))
+            cut = data.draw(st.integers(0, len(lists[source])))
+            lists[target] += lists[source][cut:]
+            del lists[source][cut:]
+        elif kind in ("reverse", "cycle") and longer:
+            fault = data.draw(st.sampled_from(longer))
+            if kind == "reverse":
+                lists[fault].reverse()
+            else:
+                cycles.add(fault)
+    rewired = bytearray(image)
+    for fault, chain in lists.items():
+        put_u32(rewired, fault + 4, 0 if fault in cycles or not chain
+                else chain[0])
+        for det, nxt in zip(chain, chain[1:] + chain[:1]):
+            put_u32(rewired, det, nxt if fault in cycles or nxt != chain[0]
+                    else 0)
+    for det, nxt in nexts:
+        put_u32(rewired, det, nxt)
+    rewired = restamp(rewired)
+    proved, walked = outcome(by_proof, rewired), outcome(by_walker, rewired)
+    if isinstance(proved, HealthMap):
+        assert walked.snapshot() == proved.snapshot()
+        assert fault_offsets(walked) == fault_offsets(proved)
+    elif isinstance(walked, HealthMap):
+        assert any(b.shm_offset < a.shm_offset for f in walked.faults
+                   for a, b in zip(f.detections, f.detections[1:]))
+    else:
+        assert proved == (WalkerCalled, "")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_proof_accepts_serialized_maps(seed):
+    rng = random.Random(seed)
+    hm = random_health_map(rng)
+    report_some(hm, rng)
+    check_loads_by_proof(serialize(hm))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_proof_accepts_append_chains(seed):
+    rng = random.Random(seed)
+    image = serialize(random_health_map(rng))
+    with proof_only():
+        for step in range(8):
+            if step % 2:
+                hm = deserialize(image)
+                report_some(hm, rng)
+            else:
+                detector = rng.choice(sorted(
+                    reference_deserialize(image).diag_resources))
+                hm = _load(image, detector)
+                report_detection(hm, DetectionReport(
+                    detector, Severity(rng.randint(1, 3)), rng.randint(0, 7),
+                    rng.randint(0, 3_000_000)))
+            image = append_changes(image, hm)
+    check_loads_by_proof(image)
+
+
+def test_proof_accepts_a_synthesized_image_grown_by_injects():
+    image = serialize(synthesize_map(8))
+    rng = random.Random(8)
+    detectors = sorted(reference_deserialize(image).diag_resources)
+    t = 0
+    with proof_only():
+        for _ in range(30):
+            detector = rng.choice(detectors)
+            t += rng.choice((10, 2_000_000))
+            hm = _load(image, detector)
+            report_detection(hm, DetectionReport(
+                detector, Severity(rng.randint(1, 3)), rng.randint(0, 3), t))
+            image = append_changes(image, hm)
+    check_loads_by_proof(image)
+
+
+def test_backward_detection_link_loads_through_the_walker():
+    hm = two_fault_map(detections_per_fault=3)
+    hm.faults[1].detections.reverse()   # each link now points backward
+    image = serialize(hm)
+    with pytest.raises(WalkerCalled):
+        by_proof(image)
+    assert deserialize(image).snapshot() == reference_deserialize(
+        image).snapshot()
+    assert [d.timestamp for d in deserialize(image).faults[1].detections] \
+        == [2, 1, 0]
+
+
+def proof_map() -> HealthMap:
+    """Two modules, three faults of three detections each, laid out as
+    three faults then nine detection slots in one gap."""
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2)
+    hm.add_diag_resource(10, 1)
+    hm.add_diag_resource(20, 2)
+    for module, classification in ((1, 1), (1, 2), (2, 1)):
+        fault = hm.add_fault(module, Severity.LOW, Persistence.TRANSIENT,
+                             classification)
+        for t in range(3):
+            hm.add_detection(fault, module * 10, t)
+    return hm
+
+
+def put_fault_in_slot(image: bytearray, hm: HealthMap) -> None:
+    """Module 2's fault list now starts with a fault record written 5
+    bytes into slot 7, so the gap before it is no whole number of slots."""
+    inside = hm.detections[7].shm_offset + 5
+    image[inside:inside + FAULT_SIZE] = bytes(8) + bytes([1, 1, 1, 0])
+    put_u32(image, hm.modules[2].shm_offset + 16, inside)
+
+
+def cut_off_cycle(image: bytearray, hm: HealthMap) -> None:
+    """Fault 1 loses its list, and the list's last slot links back to its
+    first: every slot is still named once, but by a backward link."""
+    f1, d = hm.faults[1].shm_offset, offsets(hm.detections)
+    put_u32(image, f1 + 4, 0)
+    put_u32(image, d[5], d[3])
+
+
+# name -> edit of proof_map()'s image; each breaks one rule of the proof
+PROOF_REJECTS = {
+    "counter 0": lambda image, hm: put_u32(
+        image, hm.detections[4].shm_offset + 16, 0),
+    "non-detector": lambda image, hm: put_u32(
+        image, hm.detections[4].shm_offset + 4, hm.faults[0].shm_offset),
+    "faults do not tile": put_fault_in_slot,
+    "cycle cut off from its fault": cut_off_cycle,
+    "slot named twice": lambda image, hm: put_u32(
+        image, hm.detections[2].shm_offset, hm.detections[4].shm_offset),
+    "link to a fault": lambda image, hm: put_u32(
+        image, hm.detections[2].shm_offset, hm.faults[1].shm_offset),
+    "link to the image end": lambda image, hm: put_u32(
+        image, hm.detections[8].shm_offset, len(image)),
+    "head past its first slot": lambda image, hm: put_u32(
+        image, hm.faults[1].shm_offset + 4, hm.detections[4].shm_offset),
+    "two heads name one slot": lambda image, hm: put_u32(
+        image, hm.faults[1].shm_offset + 4, hm.detections[0].shm_offset),
+    "list cut off from its fault": lambda image, hm: put_u32(
+        image, hm.faults[1].shm_offset + 4, 0),
+}
+
+
+def test_proof_map_layout():
+    image, hm = loaded(proof_map())
+    dyn = len(image) - 3 * FAULT_SIZE - 9 * DET_SIZE
+    assert offsets(hm.faults) == [dyn, dyn + 12, dyn + 24]
+    assert offsets(hm.detections) == list(range(dyn + 36, len(image), 25))
+    check_loads_by_proof(bytes(image))
+
+
+@pytest.mark.parametrize("case", sorted(PROOF_REJECTS))
+def test_proof_rejects_and_walker_decides(case):
+    image, hm = loaded(proof_map())
+    PROOF_REJECTS[case](image, hm)
+    image = restamp(image)
+    with pytest.raises(WalkerCalled):
+        by_proof(image)
+    check_against_reference(image, 20)
+
+
+def test_proof_rejects_gaps_that_are_not_whole_slots():
+    # the first fault moves 13 bytes into the dynamic region, leaving gaps
+    # of 13 and 12 bytes: one slot's worth in all, but no whole slot
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(10, 1)
+    first = hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT, 1)
+    hm.add_detection(first, 10, 0)
+    hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT, 2)
+    image, hm = loaded(hm)
+    dyn = hm.faults[0].shm_offset
+    assert offsets(hm.faults + hm.detections) == [dyn, dyn + 12, dyn + 24]
+    det = image[dyn + 24:]
+    image[dyn:] = det[:13] + image[dyn:dyn + 12] + det[13:] + image[
+        dyn + 12:dyn + 24]
+    put_u32(image, hm.modules[1].shm_offset + 16, dyn + 13)
+    put_u32(image, dyn + 13, dyn + 37)      # the first fault's next fault
+    put_u32(image, dyn + 17, dyn)           # and its first detection
+    image = restamp(image)
+    with pytest.raises(WalkerCalled):
+        by_proof(image)
+    check_against_reference(image, 10)
+
+
+@given(st.binary(max_size=10 * DET_SIZE).map(
+    lambda raw: raw[:len(raw) - len(raw) % DET_SIZE]), st.sampled_from(
+        (0, 4, 16, 20)))
+def test_column_reads_match_record_reads(slots, at):
+    n = len(slots) // DET_SIZE
+    words = [struct.unpack_from("<I", slots, DET_SIZE * j + at)[0]
+             for j in range(n)]
+    assert list(codec._words(slots, at, n)) == words
+    assert [bool(b) for b in codec._fold(slots, at, DET_SIZE, n)] == [
+        bool(w) for w in words]
 
 
 # -- partial loads write and read what full loads do --------------------------
