@@ -22,7 +22,7 @@ from pathlib import Path
 from . import affinity as affinity_mod
 from . import codec, compiler, faultmgr, footprint, hierarchy, resourcemap
 from .errors import HealthMapError
-from .model import Severity
+from .model import Severity, read_text
 
 
 def _replace_files(*files: tuple[Path, bytes]) -> None:
@@ -70,7 +70,7 @@ def _hex(text: str) -> int:
 def _load_sidecar(path, hm) -> compiler.Sidecar:
     """The sidecar at `path`, or one naming each module by its id."""
     if path is not None:
-        return compiler.Sidecar.parse(Path(path).read_text())
+        return compiler.Sidecar.parse(read_text(path))
     sidecar = compiler.Sidecar()
     for mid in hm.modules:
         sidecar.add(mid, str(mid))
@@ -91,7 +91,7 @@ def _maintenance_ids(values, sidecar) -> list[int]:
 
 
 def cmd_compile(args) -> int:
-    image, sidecar = compiler.compile_xml(Path(args.xml).read_text())
+    image, sidecar = compiler.compile_xml(read_text(args.xml))
     files = [(Path(args.output), image)]
     if args.sym:
         files.append((Path(args.sym), sidecar.format().encode()))
@@ -172,7 +172,7 @@ def cmd_affinity(args) -> int:
     sidecar = _load_sidecar(args.sym, hm)
     marks = _maintenance_ids(args.maintenance, sidecar)
     rm = resourcemap.init_resource_map(hm, maintenance=marks)
-    tasks = affinity_mod.parse_task_file(Path(args.tasks).read_text())
+    tasks = affinity_mod.parse_task_file(read_text(args.tasks))
     masks = affinity_mod.compute_affinity(rm, sidecar, tasks)
     print(affinity_mod.format_masks(masks))
     return 0
@@ -195,7 +195,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate(args) -> int:
     path = Path(args.scenario)
-    scenario = hierarchy.Scenario.parse(path.read_text(), path.parent)
+    scenario = hierarchy.Scenario.parse(read_text(path), path.parent)
     result = hierarchy.simulate(scenario)
     if args.out:
         out = Path(args.out)

@@ -73,18 +73,15 @@ with a backward link, the walker runs as if the proof had not, and names
 the first error in image order; the error messages live only there.
 
 No two records overlap: every record the lists reach occupies its own byte
-range. The walker verifies this for the dynamic region in linear time,
-with one byte of marks per image byte: the walk marks the start of each
-record it reaches with the record's size. Exact reuse (a detection linked
-from two lists, or a fault and a detection at one offset) is a link to a
-marked byte, caught during the walk, so the walk visits each offset at
-most once; only then does it walk the current list again, to tell a
-detection list's cycle from reuse. After the walk one scan steps from the
-start of the dynamic region by the size marked at each step. When it lands
-exactly on the image's end and the walk met the header's counts, the
-records tile the region and none overlap. Otherwise a sweep over the marks
-in offset order names the first overlap, and with none the count check
-fails.
+range. The walker verifies this for the dynamic region in linear time. It
+keeps one dict from each walked offset to the fault whose list holds the
+record there (0 for a fault). Exact reuse (a detection linked from two
+lists, or a fault and a detection at one offset) is a link to a claimed
+offset, caught during the walk, so the walk visits each offset at most
+once; the dict's entry tells a list's cycle (a fault met again, or a
+detection met again in the list being walked) from reuse. Partial overlap
+is caught after the walk by one sort-and-sweep over the claimed offsets,
+before the count checks.
 
 Record layouts:
 
@@ -107,7 +104,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -348,9 +345,9 @@ class _Reader:
     also refuses parent cycles, ZERO fault enum bytes and counter 0. The
     dynamic region is proven by column scans (`_prove_dynamic`); only when
     the proof fails does the walker (`_check_dynamic`) follow every list,
-    and it alone raises the region's errors. `build` then creates the
-    detections of chosen modules by walking again the lists `check` proved
-    valid, so it cannot fail.
+    claiming each record's offset in one dict, and it alone raises the
+    region's errors. `build` then creates the detections of chosen modules
+    by walking again the lists `check` proved valid, so it cannot fail.
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
@@ -587,39 +584,19 @@ class _Reader:
             return BadLinkError(f"self-dependency at offset {off}")
         return _invalid("severity", sev)
 
-    def _require_dynamic(self, off: int, size: int, what: str) -> None:
+    def _reject(self, off: int, claimed: dict[int, int],
+                holder: int) -> None:
+        """Raise for a dynamic link that failed the inline checks; `holder`
+        is 0 for a fault link, else the offset of the fault whose detection
+        list is walked."""
+        what = "detection" if holder else "fault"
+        size = DET_SIZE if holder else FAULT_SIZE
         if off < self.dyn_base or off + size > self.total:
             raise OffsetOutOfBoundsError(
                 f"{what} offset {off} outside dynamic region")
-
-    def _reject_fault(self, off: int, marks: bytearray) -> None:
-        """Raise for a fault link that failed the inline checks."""
-        self._require_dynamic(off, FAULT_SIZE, "fault")
-        if marks[off] == FAULT_SIZE:
-            raise LinkCycleError(f"fault list revisits offset {off}")
-        raise BadLinkError(f"fault at {off} reuses a claimed record")
-
-    def _reject_detection(self, off: int, marks: bytearray,
-                          fault_off: int) -> None:
-        """Raise for a detection link that failed the inline checks;
-        `fault_off` is the offset of the fault whose list is walked."""
-        self._require_dynamic(off, DET_SIZE, "detection")
-        if marks[off] == DET_SIZE:
-            # Walk this list again from its head. Its records before `off`
-            # were unmarked when walked, and an earlier list's records lead
-            # to that list's end, so the walk ends; it meets `off` twice
-            # only when `off` is in this list.
-            data, unpack_link = self.data, _LINK.unpack_from
-            met = 0
-            (cur,) = unpack_link(data, fault_off + 4)
-            while cur:
-                if cur == off:
-                    met += 1
-                    if met == 2:
-                        raise LinkCycleError(
-                            f"detection list revisits offset {off}")
-                (cur,) = unpack_link(data, cur)
-        raise BadLinkError(f"detection at {off} reuses a claimed record")
+        if claimed[off] == holder:
+            raise LinkCycleError(f"{what} list revisits offset {off}")
+        raise BadLinkError(f"{what} at {off} reuses a claimed record")
 
     def _prove_dynamic(self, by_off, raw_modules, f, fd):
         """The faults in offset order, attached to their modules, when
@@ -671,28 +648,24 @@ class _Reader:
         return faults
 
     def _check_dynamic(self, by_off, raw_modules, f, fd):
-        """Build the faults and check every fault and detection link;
-        returns the faults in offset order."""
-        data, total, dyn_base = self.data, self.total, self.dyn_base
+        """Build the faults and check every fault and detection link,
+        claiming each walked offset for the fault whose list holds it (0
+        for a fault); returns the faults in offset order."""
+        data, dyn_base = self.data, self.dyn_base
         detectors = self.diag_by_off
         unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
         severities, persistences = SEVERITIES, PERSISTENCES
         n_sev, n_pers = len(severities), len(persistences)
-        fault_size, det_size = FAULT_SIZE, DET_SIZE
-        last_fault, last_det = total - FAULT_SIZE, total - DET_SIZE
-        # the size of each record walked, at its start; a fault met again
-        # is a list cycle, and so is a detection met again in one list.
-        # The byte at `total` stays 0 and ends the tiling scan.
-        marks = bytearray(total + 1)
+        last_fault, last_det = self.total - FAULT_SIZE, self.total - DET_SIZE
+        claimed: dict[int, int] = {}
         faults: list[Fault] = []
-        walked_dets = 0
         for mod_off, fields in raw_modules.items():
             owner = by_off[mod_off]
             owned = owner.faults
             cur = fields[4]
             while cur:
-                if not dyn_base <= cur <= last_fault or marks[cur]:
-                    self._reject_fault(cur, marks)
+                if not dyn_base <= cur <= last_fault or cur in claimed:
+                    self._reject(cur, claimed, 0)
                 nxt, dcur, sev, pers, cls, _resv = unpack_fault(data, cur)
                 # ZERO means no fault, so no fault record holds it
                 if not 0 < pers < n_pers:
@@ -703,11 +676,11 @@ class _Reader:
                               [], cur)
                 owned.append(fault)
                 faults.append(fault)
-                marks[cur] = fault_size
+                claimed[cur] = 0
                 # follow this fault's detection list
                 while dcur:
-                    if not dyn_base <= dcur <= last_det or marks[dcur]:
-                        self._reject_detection(dcur, marks, cur)
+                    if not dyn_base <= dcur <= last_det or dcur in claimed:
+                        self._reject(dcur, claimed, cur)
                     dnxt, det_off, counter = unpack_links(data, dcur)
                     if det_off not in detectors:
                         raise BadLinkError(
@@ -716,31 +689,23 @@ class _Reader:
                     if not counter:
                         raise BadLinkError(
                             f"detection at {dcur} has counter 0")
-                    marks[dcur] = det_size
-                    walked_dets += 1
+                    claimed[dcur] = cur
                     dcur = dnxt
                 cur = nxt
-        # With the header's counts walked, the records fill the dynamic
-        # region to its last byte; a scan that steps from its start by each
-        # mark it meets and lands on its end has then passed through every
-        # record, so no two overlap. Else a sweep over the marks, in offset
-        # order, names the first overlap, if any.
-        pos = dyn_base
-        while step := marks[pos]:
-            pos += step
-        if pos != total or len(faults) != f or walked_dets != fd:
-            end = prev = 0
-            for off in compress(range(total), marks):
-                if off < end:
-                    raise BadLinkError(
-                        f"record at {off} overlaps record at {prev}")
-                end, prev = off + marks[off], off
-            if len(faults) != f:
-                raise RecordCountError(
-                    f"walked {len(faults)} faults, header says {f}")
-            if walked_dets != fd:
-                raise RecordCountError(
-                    f"walked {walked_dets} detections, header says {fd}")
+        # sort-and-sweep: each record must end before the next one starts
+        end = prev = 0
+        for off in sorted(claimed):
+            if off < end:
+                raise BadLinkError(
+                    f"record at {off} overlaps record at {prev}")
+            end = off + (DET_SIZE if claimed[off] else FAULT_SIZE)
+            prev = off
+        if len(faults) != f:
+            raise RecordCountError(
+                f"walked {len(faults)} faults, header says {f}")
+        if len(claimed) - f != fd:
+            raise RecordCountError(
+                f"walked {len(claimed) - f} detections, header says {fd}")
         faults.sort(key=_offset)
         return faults
 

@@ -172,7 +172,8 @@ def prune(hm: HealthMap) -> int:
 
 _REPORT_RE = re.compile(
     r"^detect\s+(?P<det>\d+)\s+sev=(?P<sev>\w+)\s+class=(?P<cls>\d+)"
-    r"(?:\s+t=(?P<t>\d+))?(?:\s+payload=(?P<payload>[0-9a-fA-Fx]+))?\s*$")
+    r"(?:\s+t=(?P<t>\d+))?"
+    r"(?:\s+payload=(?P<payload>(?:0[xX])?[0-9a-fA-F]+))?\s*$")
 
 
 def parse_report_line(line: str,

@@ -49,7 +49,7 @@ from .faultmgr import (
 )
 from .model import (PERSISTENCES, SEVERITIES, U32_MAX, HealthMap,
                     ModuleStatus, Persistence, Severity, int_token,
-                    text_lines)
+                    read_text, text_lines)
 from .resourcemap import (
     RM_ENTRY,
     RM_ENTRY_SIZE,
@@ -383,12 +383,11 @@ def simulate(scenario: Scenario) -> SimulationResult:
     """
     nodes: dict[int, _LiveNode] = {}
     for node_id, spec in sorted(scenario.nodes.items()):
-        description = compiler.parse_description(
-            spec.hm_path.read_text())
+        description = compiler.parse_description(read_text(spec.hm_path))
         hm, sidecar = compiler.build_map(description)
         mapping = None
         if spec.map_path is not None:
-            mapping = ChildMapping.parse(spec.map_path.read_text())
+            mapping = ChildMapping.parse(read_text(spec.map_path))
         nodes[node_id] = _LiveNode(spec=spec, hm=hm, sidecar=sidecar,
                                    rm=init_resource_map(hm), mapping=mapping)
 

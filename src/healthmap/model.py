@@ -91,6 +91,17 @@ def int_token(token: str, what: str, error: type[HealthMapError],
                                                      error)
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`; a HealthMapError naming the
+    file when its bytes are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise HealthMapError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def text_lines(text: str):
     """(line number, stripped line) for each non-blank, non-"#" text line."""
     for lineno, raw in enumerate(text.splitlines(), 1):

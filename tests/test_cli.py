@@ -532,6 +532,56 @@ def test_simulate_bad_report_names_its_line(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("payload", ["1x2", "x"])
+def test_simulate_payload_not_hex_names_its_line(tmp_path, capsys, payload):
+    work = demo_copy(tmp_path, "board.scn", "class=1",
+                     f"class=1 payload={payload}")
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: scenario line 6: bad detection report line")
+
+
+# (command, the demo file given a trailing 0xff byte); each command reads
+# that file as text
+NON_UTF8_INPUTS = [
+    ("compile", "cpu.xml"),
+    ("rm", "cpu.sym"),
+    ("dump", "cpu.sym"),
+    ("affinity", "cpu.sym"),
+    ("affinity", "tasks.txt"),
+    ("simulate", "board.scn"),
+    ("simulate", "board.xml"),
+    ("simulate", "board.map"),
+]
+
+
+@pytest.mark.parametrize("command, name", NON_UTF8_INPUTS)
+def test_non_utf8_text_input_exits_1(tmp_path, capsys, command, name):
+    work = tmp_path / "data"
+    shutil.copytree(DEMO_DATA, work)
+    shm, sym = work / "cpu.shm", work / "cpu.sym"
+    assert main(["compile", str(work / "cpu.xml"), "-o", str(shm),
+                 "--sym", str(sym)]) == 0
+    capsys.readouterr()
+    bad = work / name
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    before = {path: path.read_bytes() for path in work.iterdir()}
+    argv = {
+        "compile": [str(work / "cpu.xml"), "-o", str(work / "new.shm"),
+                    "--sym", str(work / "new.sym")],
+        "rm": [str(shm), "--sym", str(sym)],
+        "dump": [str(shm), "--sym", str(sym)],
+        "affinity": [str(shm), "--tasks", str(work / "tasks.txt"),
+                     "--sym", str(sym)],
+        "simulate": [str(work / "board.scn"), "--out", str(work / "out")],
+    }[command]
+    assert main([command, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in work.iterdir()} == before
+
+
 @pytest.mark.parametrize("body, error", [
     ('<module id="4294967296" name="CPU" criticality="ZERO"/>',
      "module id 4294967296 outside 0..4294967295"),

@@ -442,6 +442,17 @@ CHECK_PASS_CASES = {
     "ZERO severity before a later overlap": (
         {213: 250, 250: 0, 250 + 4: 107}, {164 + 8: 0}, BadLinkError,
         "invalid severity value 0"),
+    # a record met again is a cycle only when the list being walked holds
+    # it; a fault is held by no detection list, its own included
+    "fault's detection list starting at the fault": (
+        {164 + 4: 164}, {}, BadLinkError,
+        "detection at 164 reuses a claimed record"),
+    "detection in two faults' lists": (
+        {263: 213}, {}, BadLinkError,
+        "detection at 213 reuses a claimed record"),
+    "fault list linking to a detection": (
+        {164: 188}, {}, BadLinkError,
+        "fault at 188 reuses a claimed record"),
 }
 
 
@@ -1057,6 +1068,9 @@ def test_proof_and_walker_agree_on_rewired_lists(base, data):
     elif isinstance(walked, HealthMap):
         assert any(b.shm_offset < a.shm_offset for f in walked.faults
                    for a, b in zip(f.detections, f.detections[1:]))
+        expected = reference_deserialize(rewired)
+        assert walked.snapshot() == expected.snapshot()
+        assert fault_offsets(walked) == fault_offsets(expected)
     else:
         assert proved == (WalkerCalled, "")
 

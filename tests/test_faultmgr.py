@@ -281,6 +281,21 @@ def test_parse_report_line():
     assert report == DetectionReport(12, Severity.HIGH, 1, 1000, 0xDEAD)
 
 
+@pytest.mark.parametrize("payload, value", [
+    ("dead", 0xDEAD), ("0XDEAD", 0xDEAD), ("0", 0)])
+def test_parse_report_line_hex_payload(payload, value):
+    report = parse_report_line(
+        f"detect 12 sev=HIGH class=1 t=1 payload={payload}")
+    assert report.payload == value
+
+
+@pytest.mark.parametrize("payload", ["1x2", "x", "0x", "0x0x1"])
+def test_parse_report_line_rejects_payload_not_hex(payload):
+    from healthmap.errors import ScenarioError
+    with pytest.raises(ScenarioError, match="^bad detection report line"):
+        parse_report_line(f"detect 12 sev=HIGH class=1 t=1 payload={payload}")
+
+
 def test_parse_report_line_requires_timestamp():
     from healthmap.errors import ScenarioError
     with pytest.raises(ScenarioError):
