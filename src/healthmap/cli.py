@@ -59,14 +59,6 @@ def _replace_files(*files: tuple[Path, bytes]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _hex(text: str) -> int:
-    try:
-        return int(text, 16) if text else 0
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a hex number") from None
-
-
 def _load_sidecar(path, hm) -> compiler.Sidecar:
     """The sidecar at `path`, or one naming each module by its id."""
     if path is not None:
@@ -158,20 +150,23 @@ def cmd_inject(args) -> int:
     return 0
 
 
-def cmd_rm(args) -> int:
+def _resource_map(args) -> tuple[resourcemap.ResourceMap, compiler.Sidecar]:
+    """The resource map of `args.shm` with `args.maintenance` marked, and
+    the sidecar that names its modules."""
     hm = codec._load(Path(args.shm).read_bytes())    # faults suffice
     sidecar = _load_sidecar(args.sym, hm)
     marks = _maintenance_ids(args.maintenance, sidecar)
-    rm = resourcemap.init_resource_map(hm, maintenance=marks)
+    return resourcemap.init_resource_map(hm, maintenance=marks), sidecar
+
+
+def cmd_rm(args) -> int:
+    rm, sidecar = _resource_map(args)
     print(resourcemap.render_table(rm, sidecar))
     return 0
 
 
 def cmd_affinity(args) -> int:
-    hm = codec._load(Path(args.shm).read_bytes())
-    sidecar = _load_sidecar(args.sym, hm)
-    marks = _maintenance_ids(args.maintenance, sidecar)
-    rm = resourcemap.init_resource_map(hm, maintenance=marks)
+    rm, sidecar = _resource_map(args)
     tasks = affinity_mod.parse_task_file(read_text(args.tasks))
     masks = affinity_mod.compute_affinity(rm, sidecar, tasks)
     print(affinity_mod.format_masks(masks))
@@ -233,7 +228,7 @@ _COMMANDS = {
         (("--class",), {"dest": "clazz", "type": int, "required": True}),
         (("--t",), {"type": int, "required": True,
                     "help": "timestamp in microseconds"}),
-        (("--payload",), {"type": _hex, "default": 0,
+        (("--payload",), {"type": faultmgr.hexadecimal, "default": 0,
                           "help": "raw sensor word, hex"}),
     )),
     "rm": (cmd_rm, "print the resource map table", (

@@ -246,6 +246,7 @@ def serialize(hm: HealthMap) -> bytes:
     violations = hm.validate_structure()
     if violations:
         raise StructureInvalidError(violations)
+    _check_levels(hm.modules.values(), hm.dependencies, hm.faults)
     counts = _check_counts(len(hm.modules), len(hm.diag_resources),
                            len(hm.dependencies), len(hm.faults),
                            len(hm.detections))
@@ -309,6 +310,35 @@ _PACKED_FIELDS = {
                      ("detection payload", "payload", U32_MAX),
                      ("detection flags", "flags", 0xFF)),
 }
+
+
+# The values a load accepts in a criticality or severity byte, and in a
+# persistence byte
+_SEVERITY_VALUES = frozenset(SEVERITIES)
+_PERSISTENCE_VALUES = frozenset(PERSISTENCES)
+
+
+def _check_levels(modules: Iterable[Module],
+                  dependencies: Iterable[Dependency],
+                  faults: Iterable[Fault]) -> None:
+    """Raise the `FieldRangeError` of the first criticality, severity or
+    persistence of these records that is no member of its enum: a load
+    refuses such a byte, so no writer writes one."""
+    for records, what, get, members in (
+            (modules, "module criticality", attrgetter("criticality"),
+             _SEVERITY_VALUES),
+            (dependencies, "dependency severity", attrgetter("severity"),
+             _SEVERITY_VALUES),
+            (faults, "fault severity", attrgetter("severity"),
+             _SEVERITY_VALUES),
+            (faults, "fault persistence", attrgetter("persistence"),
+             _PERSISTENCE_VALUES)):
+        if not members.issuperset(map(get, records)):
+            value = next(v for v in map(get, records) if v not in members)
+            raise FieldRangeError(
+                f"{what} {value} outside 0..{max(members)}"
+                if isinstance(value, int) else
+                f"{what} {value!r} is not an integer")
 
 
 def _field_error(records: Iterable, exc: struct.error) -> FieldRangeError:
@@ -886,11 +916,13 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
                                         for d in f.detections)):
             raise AppendError("cannot append to a module whose detections "
                               "were not loaded")
-    for fault in (f for mod in owners for f in mod.faults):
+    faults = [f for mod in owners for f in mod.faults]
+    for fault in faults:
         if not (fault.severity and fault.persistence
                 and all(det.counter for det in fault.detections)):
             raise AppendError(f"cannot write a ZERO severity, persistence "
                               f"or counter (module {fault.owner.id})")
+    _check_levels(modules, (), faults)
     new = sorted(new_faults + new_dets, key=attrgetter("seq"))
     sizes = [FAULT_SIZE if isinstance(rec, Fault) else DET_SIZE
              for rec in new]
@@ -903,5 +935,5 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
         return _write_linked(buf, modules, owners, counts)
 
     packed = chain(modules, chain.from_iterable(
-        (fault, *fault.detections) for mod in owners for fault in mod.faults))
+        (fault, *fault.detections) for fault in faults))
     return _place(new, accumulate(sizes, initial=old_total), write, packed)

@@ -6,6 +6,10 @@ A fault is identified by (owner module, classification); one fault may be
 detected many times, potentially by different diagnostic resources, so the
 detector is not part of the identity. `record_event` is the one rule that
 records an event, for sensor reports and roll-up summaries alike.
+
+It is the one reader of a report's fields, for `hm inject`'s flags and a
+`detect` line alike: decimals as `int()` reads them, the payload by
+`hexadecimal`; `DetectionReport` range-checks all five fields.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ class DetectionReport:
     payload: int = 0
 
     def __post_init__(self) -> None:
+        check_field(self.detector_id, U32_MAX, "detector id")
         self.severity = Severity(self.severity)
         if self.severity == Severity.ZERO:
             raise ZeroSeverityError("detection report severity must be "
@@ -170,10 +175,15 @@ def prune(hm: HealthMap) -> int:
     return len(removed)
 
 
+def hexadecimal(text: str) -> int:
+    """A report's payload, read as `int(text, 16)` reads it; also
+    `--payload`'s argparse type, so a usage error names it."""
+    return int(text, 16)
+
+
 _REPORT_RE = re.compile(
-    r"^detect\s+(?P<det>\d+)\s+sev=(?P<sev>\w+)\s+class=(?P<cls>\d+)"
-    r"(?:\s+t=(?P<t>\d+))?"
-    r"(?:\s+payload=(?P<payload>(?:0[xX])?[0-9a-fA-F]+))?\s*$")
+    r"detect\s+(\S+)\s+sev=(\S+)\s+class=(\S+)"
+    r"(?:\s+t=(\S+))?(?:\s+payload=(\S+))?")
 
 
 def parse_report_line(line: str,
@@ -181,26 +191,23 @@ def parse_report_line(line: str,
                       ) -> DetectionReport:
     """Parse `detect <id> sev=<SEV> class=<n> t=<µs> [payload=<hex>]`.
 
-    The timestamp may be omitted when the caller supplies one (scenario
-    event lines carry the time in their `at` prefix).
+    Each field is read by the rule its `hm inject` flag is read by, so
+    `1_0`, `+5` and `payload=1_f` read as the flags read them; a token
+    that rule refuses makes the line bad. The timestamp may be omitted
+    when the caller supplies one (scenario event lines carry the time in
+    their `at` prefix).
     """
-    match = _REPORT_RE.match(line.strip())
+    match = _REPORT_RE.fullmatch(line.strip())
     if not match:
         raise ScenarioError(f"bad detection report line: {line!r}")
-    try:
-        severity = Severity[match.group("sev")]
-    except KeyError:
-        raise ScenarioError(
-            f"bad severity {match.group('sev')!r} in: {line!r}") from None
-    timestamp = match.group("t")
-    if timestamp is None and default_timestamp is None:
+    det, sev, cls, t, payload = match.groups()
+    if sev not in Severity.__members__:
+        raise ScenarioError(f"bad severity {sev!r} in: {line!r}")
+    if t is None and default_timestamp is None:
         raise ScenarioError(f"detection report line missing t=: {line!r}")
-    payload = match.group("payload")
-    return DetectionReport(
-        detector_id=int(match.group("det")),
-        severity=severity,
-        classification=int(match.group("cls")),
-        timestamp=int(timestamp) if timestamp is not None
-        else default_timestamp,
-        payload=int(payload, 16) if payload else 0,
-    )
+    try:
+        return DetectionReport(int(det), Severity[sev], int(cls),
+                               default_timestamp if t is None else int(t),
+                               hexadecimal(payload) if payload else 0)
+    except ValueError:    # a token its flag's rule refuses
+        raise ScenarioError(f"bad detection report line: {line!r}") from None

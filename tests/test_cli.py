@@ -248,6 +248,31 @@ def test_failed_rewrite_leaves_image_intact(compiled, monkeypatch, capsys,
     assert sorted(shm.parent.iterdir()) == files_before
 
 
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+@pytest.mark.parametrize("argv", [
+    ["inject", "--detector", "12", "--sev", "HIGH", "--class", "1",
+     "--t", "1000"],
+    ["prune"],
+])
+def test_failed_sync_or_rename_leaves_image_intact(compiled, monkeypatch,
+                                                   capsys, argv, call):
+    # the temp file is written in full; syncing it or renaming it over
+    # the image fails
+    shm, _sym = compiled
+    before = shm.read_bytes()
+    files_before = sorted(shm.parent.iterdir())
+
+    def fails(*_args):
+        raise OSError(f"{call} failed")
+
+    monkeypatch.setattr(os, call, fails)
+    assert main([argv[0], str(shm), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {call} failed\n"
+    assert shm.read_bytes() == before
+    assert not list(shm.parent.glob(f".{shm.name}.*.tmp"))
+    assert sorted(shm.parent.iterdir()) == files_before
+
+
 def test_failed_recompile_leaves_image_and_sidecar_intact(
         compiled, monkeypatch, capsys):
     shm, sym = compiled
@@ -356,6 +381,27 @@ def test_inject_payload_not_hex_is_usage_error(compiled):
               "--class", "1", "--t", "1000", "--payload", "zz"])
     assert exc.value.code == 2
     assert shm.read_bytes() == before
+
+
+def test_inject_payload_not_hex_names_the_flag(compiled, capsys):
+    shm, _sym = compiled
+    with pytest.raises(SystemExit):
+        main(["inject", str(shm), "--detector", "12", "--sev", "HIGH",
+              "--class", "1", "--t", "1000", "--payload", "zz"])
+    assert capsys.readouterr().err.endswith(
+        "error: argument --payload: invalid hexadecimal value: 'zz'\n")
+
+
+def test_inject_reads_flags_as_a_report_line_reads_them(compiled, capsys):
+    # underscores and a sign, which int() accepts, in every report field
+    shm, _sym = compiled
+    assert main(["inject", str(shm), "--detector", "1_2", "--sev", "HIGH",
+                 "--class", "+3", "--t", "4_2", "--payload", "1_f"]) == 0
+    capsys.readouterr()
+    assert main(["dump", str(shm)]) == 0
+    out = capsys.readouterr().out
+    assert "fault class=3 sev=HIGH pers=TRANSIENT" in out
+    assert "detection detector=12 t=42 count=1 payload=0x1f" in out
 
 
 def demo_copy(tmp_path, name: str, old: str, new: str) -> Path:
@@ -539,6 +585,23 @@ def test_simulate_payload_not_hex_names_its_line(tmp_path, capsys, payload):
     assert main(["simulate", str(work / "board.scn")]) == 1
     assert capsys.readouterr().err.startswith(
         "error: scenario line 6: bad detection report line")
+
+
+def test_simulate_reads_report_fields_as_inject_flags(tmp_path, capsys):
+    work = demo_copy(tmp_path, "board.scn", "detect 12 sev=HIGH class=1",
+                     "detect 1_2 sev=HIGH class=+1 payload=1_f")
+    assert main(["simulate", str(work / "board.scn")]) == 0
+    out = capsys.readouterr().out
+    assert main(["simulate", str(DEMO_DATA / "board.scn")]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_simulate_detector_outside_u32_names_its_line(tmp_path, capsys):
+    work = demo_copy(tmp_path, "board.scn", "detect 12", "detect 4294967296")
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    assert capsys.readouterr().err == (
+        "error: scenario line 6: detector id 4294967296 outside "
+        "0..4294967295\n")
 
 
 # (command, the demo file given a trailing 0xff byte); each command reads

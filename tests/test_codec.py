@@ -37,6 +37,7 @@ from healthmap.errors import (
     BadMagicError,
     BodyCrcMismatchError,
     FieldRangeError,
+    HealthMapError,
     HeaderCrcMismatchError,
     LengthMismatchError,
     LinkCycleError,
@@ -791,6 +792,91 @@ def test_failed_append_leaves_new_records_without_offsets(record, field,
     setattr(target, field, good)
     expected = reference_append(image, hm)
     assert append_changes(image, hm) == expected
+
+
+# -- the writers refuse a level value that a load refuses --------------------
+# A criticality, severity or persistence set directly on a loaded record
+# fits its byte whenever it is below 256, but a load accepts only a member
+# of its enum; both writers refuse any other value before an offset moves.
+
+@functools.lru_cache(maxsize=None)
+def synthesized_image() -> bytes:
+    return serialize(synthesize_map(1))
+
+
+def grown_synthesized_map() -> HealthMap:
+    """The map of `synthesized_image()` with one new fault and detection,
+    so an append has records that must stay without offsets."""
+    hm = deserialize(synthesized_image())
+    report_detection(hm, DetectionReport(min(hm.diag_resources),
+                                         Severity.LOW, 200, 7))
+    return hm
+
+
+WRITERS = {"serialize": lambda image, hm: serialize(hm),
+           "append_changes": append_changes}
+
+
+@pytest.mark.parametrize("record, field, value, writer", [
+    ("module", "criticality", 7, "serialize"),
+    ("module", "criticality", 7, "append_changes"),
+    ("fault", "severity", 7, "serialize"),
+    ("fault", "severity", 7, "append_changes"),
+    ("fault", "persistence", 9, "serialize"),
+    ("fault", "persistence", 9, "append_changes"),
+    ("dependency", "severity", 7, "serialize"),
+])
+def test_writers_refuse_a_level_a_load_refuses(record, field, value, writer):
+    hm = grown_synthesized_map()
+    target = {"module": list(hm.modules.values())[-1],
+              "fault": hm.faults[0],
+              "dependency": hm.dependencies[-1]}[record]
+    setattr(target, field, value)
+    before = all_offsets(hm)
+    assert None in before
+    with pytest.raises(FieldRangeError,
+                       match=f"^{record} {field} {value} outside 0[.][.]3$"):
+        WRITERS[writer](synthesized_image(), hm)
+    assert all_offsets(hm) == before
+
+
+LEVELS = st.one_of(st.integers(-1, 9), st.sampled_from((255, 256)))
+# (records of the map to edit, field, values drawn for it)
+DIRECT_EDITS = {
+    "criticality": (lambda hm: list(hm.modules.values()), "criticality",
+                    LEVELS),
+    "dependency severity": (lambda hm: hm.dependencies, "severity", LEVELS),
+    "severity": (lambda hm: hm.faults, "severity", LEVELS),
+    "persistence": (lambda hm: hm.faults, "persistence", LEVELS),
+    "counter": (lambda hm: hm.detections, "counter",
+                st.sampled_from((-1, 0, 1, 2**32 - 1, 2**32))),
+    "timestamp": (lambda hm: hm.detections, "timestamp",
+                  st.sampled_from((-1, 0, 2**64 - 1, 2**64))),
+    "payload": (lambda hm: hm.detections, "payload",
+                st.sampled_from((-1, 0, 2**32 - 1, 2**32))),
+    "flags": (lambda hm: hm.detections, "flags", st.integers(-1, 256)),
+}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(writer=st.sampled_from(sorted(WRITERS)), data=st.data())
+def test_writers_write_only_what_a_load_accepts(writer, data):
+    # after any direct edits, a writer either raises leaving every offset
+    # as it was, or returns an image that loads
+    hm = grown_synthesized_map()
+    for name in data.draw(st.lists(st.sampled_from(sorted(DIRECT_EDITS)),
+                                   min_size=1, max_size=4), label="edits"):
+        records, field, values = DIRECT_EDITS[name]
+        setattr(data.draw(st.sampled_from(records(hm))), field,
+                data.draw(values))
+    before = all_offsets(hm)
+    try:
+        image = WRITERS[writer](synthesized_image(), hm)
+    except HealthMapError:
+        assert all_offsets(hm) == before
+    else:
+        deserialize(image)
 
 
 def compiled_image(path: Path) -> bytes:

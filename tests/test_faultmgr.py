@@ -1,7 +1,9 @@
+import contextlib
+import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from healthmap import (
@@ -16,9 +18,11 @@ from healthmap import (
     report_detection,
     serialize,
 )
+from healthmap.cli import build_parser
 from healthmap.errors import (
     ClassificationRangeError,
     FieldRangeError,
+    HealthMapError,
     UnknownDetectorError,
     ZeroSeverityError,
 )
@@ -113,6 +117,14 @@ def test_report_value_outside_its_field_rejected(timestamp, payload, what):
         DetectionReport(1, Severity.LOW, 1, timestamp, payload)
     # the largest values that fit are accepted
     DetectionReport(1, Severity.LOW, 1, 2**64 - 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("detector_id", [-1, 2**32])
+def test_report_detector_outside_u32_rejected(detector_id):
+    with pytest.raises(FieldRangeError,
+                       match=f"^detector id {detector_id} outside 0[.][.]"):
+        DetectionReport(detector_id, Severity.LOW, 1, 0)
+    DetectionReport(2**32 - 1, Severity.LOW, 1, 0)
 
 
 def test_severity_aggregates_by_max(table1_map):
@@ -303,3 +315,70 @@ def test_parse_report_line_requires_timestamp():
     report = parse_report_line("detect 12 sev=HIGH class=1",
                                default_timestamp=77)
     assert report.timestamp == 77
+
+
+# -- one reader per report field: flags and lines agree -----------------------
+
+@pytest.mark.parametrize("line, expected", [
+    ("detect 1_2 sev=HIGH class=+1 t=1_000 payload=1_f",
+     DetectionReport(12, Severity.HIGH, 1, 1000, 0x1F)),
+    ("detect \u0661\u0662 sev=HIGH class=1 t=1 payload=0X1F",
+     DetectionReport(12, Severity.HIGH, 1, 1, 0x1F)),
+])
+def test_parse_report_line_reads_tokens_as_int_reads_them(line, expected):
+    assert parse_report_line(line) == expected
+
+
+@pytest.mark.parametrize("line", [
+    "detect -1 sev=HIGH class=1 t=1",
+    "detect 12 sev=HIGH class=-1 t=1",
+    "detect 12 sev=HIGH class=1 t=-1",
+    "detect 12 sev=HIGH class=1 t=1 payload=-1",
+])
+def test_parse_report_line_negative_value_fails_its_range_check(line):
+    with pytest.raises(FieldRangeError, match="outside 0[.][.]"):
+        parse_report_line(line)
+
+
+def report_by_flags(fields: dict[str, str]):
+    """The report `hm inject`'s parser reads from these flag values, as
+    `cmd_inject` builds it, or "refused". Each value is joined to its flag
+    by `=`: a value written apart that starts with `-`, such as `-0_0`, is
+    taken by argparse for an option before any reader sees it."""
+    argv = ["image.shm", "--sev", "HIGH",
+            *(f"--{flag}={value}" for flag, value in fields.items())]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = build_parser("inject").parse_args(argv)
+        return DetectionReport(args.detector, Severity[args.sev],
+                               args.clazz, args.t, args.payload)
+    except SystemExit as exc:
+        assert exc.code == 2
+    except HealthMapError:
+        pass
+    return "refused"
+
+
+def report_by_line(fields: dict[str, str]):
+    """The report `parse_report_line` reads from a line holding these
+    field values, or "refused"."""
+    try:
+        return parse_report_line(
+            f"detect {fields['detector']} sev=HIGH class={fields['class']} "
+            f"t={fields['t']} payload={fields['payload']}")
+    except HealthMapError:
+        return "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@example(field="detector", token="1_2")
+@example(field="payload", token="1_f")
+@given(field=st.sampled_from(["detector", "class", "t", "payload"]),
+       token=st.text("0123456789abcdefxX_+-\u0663", max_size=8))
+def test_flags_and_report_lines_read_fields_alike(field, token):
+    # a token gives one report through `hm inject`'s parser and through a
+    # report line, or both refuse it
+    fields = {"detector": "12", "class": "1", "t": "1000", "payload": "0"}
+    fields[field] = token
+    assert report_by_flags(fields) == report_by_line(fields)
+
