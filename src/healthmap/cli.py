@@ -257,15 +257,22 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses `--flag=--` as `--flag --` (argparse reads it as [] or "--")."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `hm` parser, or given a subcommand's name a parser of that
     subcommand alone (`hm NAME`), which parses its arguments as the full
     parser's subparser does and costs a fraction of the full parser."""
     if command is not None:
-        return _add_arguments(
-            argparse.ArgumentParser(prog=f"hm {command}"), command)
-    parser = argparse.ArgumentParser(
-        prog="hm", description="Health map toolkit")
+        return _add_arguments(_Parser(prog=f"hm {command}"), command)
+    parser = _Parser(prog="hm", description="Health map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_func, help_text, _arguments) in _COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=help_text), name)

@@ -889,8 +889,8 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     moved. A ZERO fault severity or persistence, or a counter 0, among the
     records repacked raises `AppendError` before any record gets an offset.
     A value that its field cannot hold raises `FieldRangeError` naming the
-    field, and an append that raises leaves the new records without
-    offsets, so it can be retried.
+    field, a parent cycle the load's `LinkCycleError`, and an append that
+    raises leaves the new records without offsets, so it can be retried.
     """
     old_total = len(image)
     for m in hm.modules.values():
@@ -932,7 +932,13 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     def write() -> bytes:
         buf = bytearray(old_total + sum(sizes))
         buf[:old_total] = image
-        return _write_linked(buf, modules, owners, counts)
+        updated = _write_linked(buf, modules, owners, counts)
+        # a moved parent word may close a cycle, which a load refuses
+        end = HEADER_SIZE + MODULE_SIZE * m
+        if any(image[at:end:MODULE_SIZE] != updated[at:end:MODULE_SIZE]
+               for at in range(HEADER_SIZE + 4, HEADER_SIZE + 8)):
+            _Reader(updated).check()
+        return updated
 
     packed = chain(modules, chain.from_iterable(
         (fault, *fault.detections) for fault in faults))

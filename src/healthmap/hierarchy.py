@@ -47,9 +47,9 @@ from .faultmgr import (
     record_event,
     report_detection,
 )
-from .model import (PERSISTENCES, SEVERITIES, U32_MAX, HealthMap,
+from .model import (PERSISTENCES, SEVERITIES, U32_MAX, HealthMap, Module,
                     ModuleStatus, Persistence, Severity, int_token,
-                    read_text, text_lines)
+                    parent_verdicts, read_text, text_lines)
 from .resourcemap import (
     RM_ENTRY,
     RM_ENTRY_SIZE,
@@ -143,6 +143,9 @@ class ChildMapping:
                                             ScenarioError)
                 elif parts[0] == "downlink" and len(parts) == 3:
                     node_id = int_token(parts[1], "node id", ScenarioError)
+                    if node_id in downlinks:
+                        raise ScenarioError(
+                            f"duplicate downlink for node {node_id}")
                     downlinks[node_id] = int_token(
                         parts[2], "diag resource id", ScenarioError)
                 else:
@@ -310,41 +313,21 @@ class Scenario:
     def _validate(self) -> None:
         if self.duration_us <= 0:
             raise ScenarioError("scenario needs a positive duration")
-        # Parent chains in linear time: each node's chain verdict (None, or
-        # the message of the error its climb to a root meets) is its
-        # parent's, unless the node is on a cycle or its parent is unknown.
-        # So a cycle message names the first node of the cycle that the
-        # climb reaches, itself if it is on one.
-        nodes = self.nodes
-        verdicts: dict[int, Optional[str]] = {}
-        for spec in nodes.values():
+        # a record per node; an unknown parent id gets a record outside the map
+        tree = {nid: Module(nid) for nid in self.nodes}
+        for nid, spec in self.nodes.items():
+            if (parent := spec.parent_id) is not None:
+                tree[nid].parent = tree.get(parent) or Module(parent)
+        verdicts = parent_verdicts(tree)
+        for nid, spec in self.nodes.items():
             if spec.period_us <= 0:
                 # the emission schedule steps by the period
+                raise ScenarioError(f"node {nid} needs a positive period")
+            if verdicts[id(tree[nid])] is not None:
+                _kind, at, *child = verdicts[id(tree[nid])]
                 raise ScenarioError(
-                    f"node {spec.node_id} needs a positive period")
-            climb: list[int] = []
-            nid = spec.node_id
-            while nid not in verdicts:
-                verdicts[nid] = None
-                climb.append(nid)
-                nid = nodes[nid].parent_id
-                if nid is None or nid not in nodes:
-                    break
-            else:
-                if nid in climb:   # the climb closed a cycle
-                    cut = climb.index(nid)
-                    for member in climb[cut:]:
-                        verdicts[member] = (
-                            f"node tree cycle through node {member}")
-                    del climb[cut:]
-            for nid in reversed(climb):
-                parent = nodes[nid].parent_id
-                if parent is not None:
-                    verdicts[nid] = (
-                        verdicts[parent] if parent in nodes
-                        else f"node {nid} references unknown parent {parent}")
-            if verdicts[spec.node_id] is not None:
-                raise ScenarioError(verdicts[spec.node_id])
+                    f"node {child[0]} references unknown parent {at}"
+                    if child else f"node tree cycle through node {at}")
         for event in self.events:
             if event.node_id not in self.nodes:
                 raise ScenarioError(

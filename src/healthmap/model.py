@@ -182,13 +182,14 @@ class Violation:
 
 
 def parent_verdicts(
-        modules: dict[int, Module]) -> dict[int, Optional[tuple[str, int]]]:
+        modules: dict[int, Module]) -> dict[int, Optional[tuple[str, ...]]]:
     """Each module's parent-chain verdict by id(module): None for a chain
-    to a root, else ("ParentCycle" or "DanglingParent", at). Linear time: a
-    module takes its parent's verdict unless the chain comes back to its own
-    id (a cycle through it, or a dangling parent with its id); one filed
-    under another id's key always takes it."""
-    verdicts: dict[int, Optional[tuple[str, int]]] = {}
+    to a root, else ("ParentCycle", at) or ("DanglingParent", at, child)
+    for a missing parent `at` of record `child`. Linear time: a module
+    takes its parent's verdict unless the chain comes back to its own id (a
+    cycle through it, or a dangling parent with its id); one filed under
+    another id's key always takes it."""
+    verdicts: dict[int, Optional[tuple[str, ...]]] = {}
     get = modules.get
     for m in modules.values():
         path: list[Module] = []
@@ -212,8 +213,8 @@ def parent_verdicts(
             if p is None:
                 continue   # a root: its verdict None stands
             verdict = (verdicts[id(p)] if get(p.id) is p
-                       else ("DanglingParent", p.id))
-            if verdict is not None and verdict == ("DanglingParent", m.id):
+                       else ("DanglingParent", p.id, m.id))
+            if verdict and verdict[:2] == ("DanglingParent", m.id):
                 verdict = ("ParentCycle", m.id)
             verdicts[id(m)] = verdict
     return verdicts
@@ -385,7 +386,7 @@ class HealthMap:
             if m.id != mid:
                 out.append(Violation("IdMismatch", mid, "key differs from module id"))
             if verdicts[id(m)] is not None:
-                kind, at = verdicts[id(m)]
+                kind, at = verdicts[id(m)][:2]
                 out.append(Violation(kind, m.id, (
                     f"cycle through module {at}" if kind == "ParentCycle"
                     else f"parent {at} not in map")))

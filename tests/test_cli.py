@@ -845,6 +845,40 @@ def test_main_matches_full_parser(tmp_path, monkeypatch, command):
             assert ("{%s}" % ",".join(SURFACE_CALLS)) in outcomes[0][2]
 
 
+# Every option given `--` as its attached value is a usage error on every
+# Python version: argparse up to 3.12 reads that `--` as an empty list, which
+# a command would then misread or crash on.
+
+# (command, option name as argparse gives it, the option's token with `--`)
+ATTACHED_DASHES = [
+    (command, "/".join(flags), f"{flags[-1]}=--")
+    for command, (_func, _help, arguments) in cli._COMMANDS.items()
+    for flags, _options in arguments if flags[0].startswith("-")
+] + [("compile", "-o/--output", "-o--")]
+
+
+@pytest.mark.parametrize("parser", ["one command", "full"])
+@pytest.mark.parametrize("command, name, token", ATTACHED_DASHES)
+def test_option_given_attached_double_dash_is_usage_error(
+        tmp_path, monkeypatch, parser, command, name, token):
+    shutil.copytree(DEMO_DATA, tmp_path, dirs_exist_ok=True)
+    shutil.copy(DATA_DIR / "table1.xml", tmp_path)
+    image, sidecar = compile_xml((DATA_DIR / "table1.xml").read_text())
+    (tmp_path / "table1.shm").write_bytes(image)
+    (tmp_path / "table1.sym").write_text(sidecar.format())
+    monkeypatch.chdir(tmp_path)
+    if parser == "full":
+        monkeypatch.setattr(cli, "_parse_args",
+                            lambda argv: cli.build_parser().parse_args(argv))
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")
+              if path.is_file()}
+    code, out, err = cli_outcome(SURFACE_CALLS[command] + [token])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {name}: expected one argument\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+            if path.is_file()} == before
+
+
 # -- garbage collection -------------------------------------------------------
 # `main` pauses automatic collection while a command runs and gives the
 # caller back the setting it had.

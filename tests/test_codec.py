@@ -855,6 +855,9 @@ DIRECT_EDITS = {
     "payload": (lambda hm: hm.detections, "payload",
                 st.sampled_from((-1, 0, 2**32 - 1, 2**32))),
     "flags": (lambda hm: hm.detections, "flags", st.integers(-1, 256)),
+    # drawn from the map being edited: may close a cycle
+    "parent": (lambda hm: list(hm.modules.values()), "parent",
+               lambda hm: st.sampled_from([None, *hm.modules.values()])),
 }
 
 
@@ -868,6 +871,8 @@ def test_writers_write_only_what_a_load_accepts(writer, data):
     for name in data.draw(st.lists(st.sampled_from(sorted(DIRECT_EDITS)),
                                    min_size=1, max_size=4), label="edits"):
         records, field, values = DIRECT_EDITS[name]
+        if callable(values):
+            values = values(hm)
         setattr(data.draw(st.sampled_from(records(hm))), field,
                 data.draw(values))
     before = all_offsets(hm)
@@ -877,6 +882,36 @@ def test_writers_write_only_what_a_load_accepts(writer, data):
         assert all_offsets(hm) == before
     else:
         deserialize(image)
+
+
+@pytest.mark.parametrize("load", ["deserialize", "partial"])
+@pytest.mark.parametrize("child, parent, first", [
+    (4, 4, 4),     # a module made its own parent
+    (1, 12, 1),    # the root hung under its grandchild: 1 -> 12 -> 11 -> 1
+])
+def test_append_refuses_a_parent_cycle_a_load_refuses(load, child, parent,
+                                                      first):
+    # `serialize` refuses such a map; the append raises the error a load of
+    # its image would raise and leaves every offset as it was
+    image = synthesized_image()
+    hm = (grown_synthesized_map() if load == "deserialize"
+          else _load(image, min(deserialize(image).diag_resources)))
+    hm.modules[child].parent = hm.modules[parent]
+    before = all_offsets(hm)
+    with pytest.raises(LinkCycleError, match=(
+            f"^parent chain of module {first}: cycle through module "
+            f"{first}$")):
+        append_changes(image, hm)
+    assert all_offsets(hm) == before
+
+
+def test_append_writes_a_parent_edit_that_closes_no_cycle():
+    hm = grown_synthesized_map()
+    hm.modules[12].parent = hm.modules[4]
+    hm.modules[4].parent = None
+    loaded = deserialize(append_changes(synthesized_image(), hm))
+    assert loaded.modules[12].parent is loaded.modules[4]
+    assert loaded.modules[4].parent is None
 
 
 def compiled_image(path: Path) -> bytes:

@@ -373,6 +373,7 @@ def report_by_line(fields: dict[str, str]):
 @settings(max_examples=300, deadline=None)
 @example(field="detector", token="1_2")
 @example(field="payload", token="1_f")
+@example(field="detector", token="--")
 @given(field=st.sampled_from(["detector", "class", "t", "payload"]),
        token=st.text("0123456789abcdefxX_+-\u0663", max_size=8))
 def test_flags_and_report_lines_read_fields_alike(field, token):

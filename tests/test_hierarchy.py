@@ -472,6 +472,13 @@ def test_mapping_parse_errors():
         ChildMapping.parse("child 1 12 -> 2\ndownlink 1 five\n")
 
 
+def test_mapping_duplicate_downlink_names_its_line():
+    # as a duplicate route does: a second downlink would replace the first
+    with pytest.raises(ScenarioError, match=(
+            "^mapping line 3: duplicate downlink for node 1$")):
+        ChildMapping.parse("downlink 1 5\nchild 1 12 -> 2\ndownlink 1 6\n")
+
+
 # -- scenario + simulation -----------------------------------------------------
 
 def write_scenario(tmp_path, table1_xml, events, duration=10000,
