@@ -309,13 +309,38 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         try:
-            return args.func(args)
+            status = args.func(args)
+            sys.stdout.flush()   # a closed pipe shows here, not at exit
+            return status
+        except BrokenPipeError:
+            # the reader closed stdout: every file goes through a temp
+            # file, so only a print can meet a pipe, and prints come after
+            # the command's files are written; stop quietly, as the reader
+            # chose
+            _discard_stdout()
+            return 0
         except (HealthMapError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:
         if enabled:
             gc.enable()
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the output
+    still buffered goes nowhere at the interpreter's final flush rather
+    than raising there. A stdout without a descriptor, an in-process
+    caller's stand-in, is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -889,13 +889,20 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     moved. A ZERO fault severity or persistence, or a counter 0, among the
     records repacked raises `AppendError` before any record gets an offset.
     A value that its field cannot hold raises `FieldRangeError` naming the
-    field, a parent cycle the load's `LinkCycleError`, and an append that
-    raises leaves the new records without offsets, so it can be retried.
+    field, a parent cycle the load's `LinkCycleError`, a parent that is not
+    the map's own record of its id the `StructureInvalidError` `serialize`
+    raises, and an append that raises leaves the new records without
+    offsets, so it can be retried.
     """
     old_total = len(image)
+    get = hm.modules.get
     for m in hm.modules.values():
         if m.shm_offset is None:
             raise AppendError("cannot append new modules to an image")
+        if m.parent is not None and get(m.parent.id) is not m.parent:
+            # the parent word would take a foreign record's offset, which
+            # may name another module: refuse the map as serialize does
+            raise StructureInvalidError(hm.validate_structure())
     for r in hm.diag_resources.values():
         if r.shm_offset is None:
             raise AppendError("cannot append new diag resources to an image")

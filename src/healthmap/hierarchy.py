@@ -8,10 +8,14 @@ Message format (little-endian):
     entryCount x 7-byte entry | crc32 u32 over all preceding bytes
 
 A parent checks a summary once, header, length and CRC and then every
-enum byte, so a malformed message records nothing. It then ingests the raw
-entry tuples in one pass. Healthy (ZERO severity) entries, most of a
-summary, build nothing. Each faulty entry routed to a parent module is
-recorded there by `faultmgr.record_event`, the rule sensor reports follow,
+enum byte, so a malformed message records nothing. These checks are C-level
+scans of the whole message (the CRC over a view of it, one
+`bytes.translate` per enum column), and the faulty entries are then picked
+out by their severity bytes, so healthy (ZERO severity) entries, most of a
+summary, are never unpacked and an ingest costs Python work per faulty
+entry, not per entry. Each faulty entry routed to a parent module (looked up
+in the mapping's per-node route index) is recorded there by
+`faultmgr.record_event`, the rule sensor reports follow,
 so a steady child fault merges into one parent detection per merge window
 (`faultmgr.DEFAULT_MERGE_WINDOW_US`, 1 s).
 The parent's resource map is updated once per parent module touched, with
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
@@ -63,6 +68,9 @@ from .resourcemap import (
 RMS_MAGIC = b"RMS1"
 RMS_VERSION = 1
 _RMS_HEAD = struct.Struct("<4sHIH")
+# persistence byte -> the persistence of a downlink event: a child entry
+# with ZERO persistence records a TRANSIENT event
+_EVENT_PERSISTENCES = (Persistence.TRANSIENT,) + PERSISTENCES[1:]
 
 
 def encode_summary(node_id: int, rm: ResourceMap) -> bytes:
@@ -92,7 +100,7 @@ def _check_message(data: bytes) -> tuple[int, bytes]:
         raise MalformedMessageError(
             f"message length {len(data)}, expected {expected}")
     (stored,) = struct.unpack_from("<I", data, expected - 4)
-    if crc32(data[:expected - 4]) != stored:
+    if crc32(memoryview(data)[:expected - 4]) != stored:
         raise CrcMismatchError("summary message checksum mismatch")
     return node_id, data[_RMS_HEAD.size:expected - 4]
 
@@ -119,11 +127,16 @@ class ChildMapping:
     downlinks: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # routes are fixed once the mapping is built
-        self._routed_nodes = {nid for nid, _ in self.routes}
+        # routes are fixed once the mapping is built: index them by node,
+        # {node: {child module: parent module}}, so an ingest resolves its
+        # node once and each entry by child module alone
+        self._node_routes: dict[int, dict[int, int]] = {}
+        for (node_id, child_module), parent_module in self.routes.items():
+            self._node_routes.setdefault(node_id, {})[child_module] = \
+                parent_module
 
     def knows_node(self, node_id: int) -> bool:
-        return node_id in self.downlinks or node_id in self._routed_nodes
+        return node_id in self.downlinks or node_id in self._node_routes
 
     @classmethod
     def parse(cls, text: str) -> "ChildMapping":
@@ -164,30 +177,36 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
     Every faulty entry routed to a parent module P is recorded at P by
     `record_event`, in the one merge window sensor reports use: an
     event of the child's downlink detector, with persistence taken from
-    the entry, classification the low byte of the child module id and
-    payload the id. The parent resource map is updated once per parent
-    module touched, with the maxima of its faults seen in this summary;
-    that equals one own-fault update per entry, because propagation keeps
-    maxima and only caps severity with min, and the max of min(s_i, c) is
-    min(max s_i, c). Returns the number of faulty entries skipped because
-    they were unmapped.
+    the entry (ZERO read as TRANSIENT), classification the low byte of the
+    child module id and payload the id. The parent resource map is updated
+    once per parent module touched, with the maxima of its faults seen in
+    this summary; that equals one own-fault update per entry, because
+    propagation keeps maxima and only caps severity with min, and the max
+    of min(s_i, c) is min(max s_i, c). Returns the number of faulty entries
+    skipped because they were unmapped.
+
+    The cost follows the faulty entries, not the summary's length: the
+    whole message is checked by C-level scans (CRC, one `translate` per
+    enum column), the faulty entries are picked out by their severity
+    bytes, and only those are unpacked.
     """
     node_id, body = _check_message(message)
     _check_enum_bytes(body)
     if not mapping.knows_node(node_id):
         raise UnknownNodeError(f"summary from unmapped node {node_id}")
+    routes = mapping._node_routes.get(node_id, {})
     detector_id = mapping.downlinks.get(node_id)
     has_detector = (detector_id is not None
                     and detector_id in parent_hm.diag_resources)
-    routes = mapping.routes
-    transient = Persistence.TRANSIENT
+    unpack = RM_ENTRY.unpack_from
     worst: dict[int, tuple[Severity, Persistence]] = {}
     skipped = 0
     try:
-        for child_module, sev, pers, _status in RM_ENTRY.iter_unpack(body):
-            if not sev:
-                continue
-            parent_module = routes.get((node_id, child_module))
+        # a nonzero severity byte marks a faulty entry
+        for offset in compress(range(0, len(body), RM_ENTRY_SIZE),
+                               body[4::RM_ENTRY_SIZE]):
+            child_module, sev, pers, _status = unpack(body, offset)
+            parent_module = routes.get(child_module)
             if parent_module is None:
                 skipped += 1
                 continue
@@ -196,8 +215,7 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
                     f"no downlink diag resource for node {node_id}")
             fault, _created = record_event(
                 parent_hm, parent_module, child_module & 0xFF,
-                SEVERITIES[sev],
-                PERSISTENCES[pers] if pers else transient,
+                SEVERITIES[sev], _EVENT_PERSISTENCES[pers],
                 detector_id, timestamp, child_module)
             severity, persistence = fault.severity, fault.persistence
             seen = worst.get(parent_module)

@@ -6,6 +6,7 @@ import os
 import runpy
 import shutil
 import stat
+import subprocess
 import struct
 import sys
 import tracemalloc
@@ -194,6 +195,47 @@ def test_inject_reports_image_error_before_unknown_detector(
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.shm")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+class FailingStdout(io.StringIO):
+    """A stdout without a file descriptor whose every write raises."""
+
+    def __init__(self, error: OSError) -> None:
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error, rc, err", [
+    (BrokenPipeError(32, "Broken pipe"), 0, ""),
+    (OSError(5, "Input/output error"), 1,
+     "error: [Errno 5] Input/output error\n"),
+])
+def test_stdout_write_error(compiled, monkeypatch, capsys, error, rc, err):
+    # a closed pipe ends the command quietly, any other write error is one
+    # error line; the caller's stdout stays in place either way
+    shm, sym = compiled
+    stdout = FailingStdout(error)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["rm", str(shm), "--sym", str(sym)]) == rc
+    assert sys.stdout is stdout
+    assert capsys.readouterr().err == err
+
+
+def test_closed_pipe_under_pipefail_exits_0(tmp_path):
+    # the dump outgrows the pipe, so `head` closes it while hm still
+    # writes; nothing reaches stderr, also at the interpreter's exit
+    image = tmp_path / "big.shm"
+    image.write_bytes(serialize(footprint.synthesize_map(8)))
+    env = dict(os.environ, PYTHONPATH=str(Path(healthmap.__file__).parents[1]))
+    done = subprocess.run(
+        ["bash", "-o", "pipefail", "-c",
+         '"$0" -m healthmap.cli dump "$1" | head -n 1', sys.executable,
+         str(image)], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("image: 82418 bytes, 138 modules")
 
 
 def test_usage_error_exits_2():

@@ -48,7 +48,7 @@ from healthmap.errors import (
     ShmError,
     StructureInvalidError,
 )
-from healthmap.model import U32_MAX
+from healthmap.model import U32_MAX, Module
 
 from conftest import DATA_DIR
 from helpers import (
@@ -912,6 +912,23 @@ def test_append_writes_a_parent_edit_that_closes_no_cycle():
     loaded = deserialize(append_changes(synthesized_image(), hm))
     assert loaded.modules[12].parent is loaded.modules[4]
     assert loaded.modules[4].parent is None
+
+
+@pytest.mark.parametrize("offset_of", [None, 6])
+def test_append_refuses_a_parent_outside_the_map(offset_of):
+    # a parent record that is not the map's own, without an offset or with
+    # another module's, gets serialize's error and moves no offset
+    hm = grown_synthesized_map()
+    hm.modules[4].parent = Module(99, shm_offset=(
+        None if offset_of is None else hm.modules[offset_of].shm_offset))
+    before = all_offsets(hm)
+    with pytest.raises(StructureInvalidError) as serialized:
+        serialize(hm)
+    with pytest.raises(StructureInvalidError) as appended:
+        append_changes(synthesized_image(), hm)
+    assert str(appended.value) == str(serialized.value)
+    assert "DanglingParent(4): parent 99 not in map" in str(appended.value)
+    assert all_offsets(hm) == before
 
 
 def compiled_image(path: Path) -> bytes:

@@ -223,30 +223,47 @@ def test_repeated_ingest_merges_into_counter(table1_map):
 DOWNLINK = 99
 SEVERITIES = st.sampled_from(list(Severity))
 PERSISTENCES = st.sampled_from(list(Persistence))
-CHILD_MODULES = [1, 2, 3, 257, 70_000]   # 1 and 257 share a low byte
+# 1, 257 and 513 share a low byte, so they may share a parent fault
+CHILD_MODULES = [1, 2, 3, 257, 513, 70_000]
 MISSING_MODULE = 50                      # a route target the parent lacks
 ENUM_SIZES = (len(Severity), len(Persistence), len(ModuleStatus))
 
 
 @st.composite
 def summary_messages(draw):
-    """One RMS1 message from node 1, 2 or the unmapped node 3 with 0..6
-    entries; it may carry 1-3 out-of-range enum bytes (CRC re-stamped), a
-    broken CRC, a wrong length or entry count, or a foreign header."""
+    """One RMS1 message from node 1, 2 or the unmapped node 3: 0..6
+    mostly faulty entries, or a few hundred mostly healthy ones with 0..6
+    faulty among them. It may carry out-of-range enum bytes (CRC
+    re-stamped) in 1-3 columns of one entry and in up to 2 more entries,
+    a broken CRC, a wrong length or entry count, or a foreign header."""
     node = draw(st.sampled_from([1, 1, 1, 2, 3]))
     rows = draw(st.lists(st.tuples(
         st.sampled_from(CHILD_MODULES),
         st.sampled_from([*range(1, ENUM_SIZES[0]), 0]),   # mostly faulty
         st.integers(0, ENUM_SIZES[1] - 1),
         st.integers(0, ENUM_SIZES[2] - 1)), max_size=6))
+    if draw(st.booleans()):
+        # healthy entries (severity 0, any persistence and status, routed
+        # ids or not) with the drawn rows at drawn places among them
+        ids = CHILD_MODULES + [4, 600]
+        healthy = [(ids[i % len(ids)], 0, i % ENUM_SIZES[1],
+                    i % ENUM_SIZES[2])
+                   for i in range(draw(st.integers(200, 400)) - len(rows))]
+        for row in rows:
+            healthy.insert(draw(st.integers(0, len(healthy))), row)
+        rows = healthy
     body = bytearray(b"".join(struct.pack("<IBBB", *row) for row in rows))
     kinds = ["good"] * 8 + ["crc", "length", "count", "header"]
     kind = draw(st.sampled_from(kinds + ["enum"] * 3 if rows else kinds))
     if kind == "enum":
-        for _ in range(draw(st.integers(1, 3))):
-            entry = draw(st.integers(0, len(rows) - 1))
-            field = draw(st.integers(0, 2))
-            body[7 * entry + 4 + field] = draw(
+        entry = st.integers(0, len(rows) - 1)
+        first = draw(entry)
+        bad = [(first, field) for field in draw(st.lists(
+            st.integers(0, 2), min_size=1, max_size=3, unique=True))]
+        bad += draw(st.lists(st.tuples(entry, st.integers(0, 2)),
+                             max_size=2))
+        for at, field in bad:
+            body[7 * at + 4 + field] = draw(
                 st.integers(ENUM_SIZES[field], 255))
     count = len(rows) + (draw(st.sampled_from([-1, 1]))
                          if kind == "count" and rows else 0)
@@ -270,7 +287,9 @@ def ingest_cases(draw):
     """A parent forest of modules 1..n with some dependencies, the downlink
     instrument on module 1 or absent, downlinks for node 1 and maybe node
     2, routes from child modules to parent modules, to a missing module or
-    nowhere, and a few messages at non-decreasing times."""
+    nowhere (a child above 255 may take the route of the child with its
+    low byte, so both file events under one parent fault), and a few
+    messages at non-decreasing times."""
     n = draw(st.integers(1, 5))
     modules = [(i, draw(st.one_of(st.none(), st.integers(1, i - 1)))
                 if i > 1 else None, draw(SEVERITIES))
@@ -282,9 +301,14 @@ def ingest_cases(draw):
     downlinks = {node: DOWNLINK for node in
                  draw(st.sampled_from([(1, 2), (1, 2), (1,)]))}
     targets = st.sampled_from([None, MISSING_MODULE] + [*range(1, n + 1)] * 3)
-    routes = {(node, child): parent
-              for node in (1, 2) for child in CHILD_MODULES
-              for parent in [draw(targets)] if parent is not None}
+    routes = {}
+    for node in (1, 2):
+        for child in CHILD_MODULES:   # ascending, so a low byte comes first
+            parent = draw(targets)
+            if child > 0xFF and draw(st.booleans()):
+                parent = routes.get((node, child & 0xFF))
+            if parent is not None:
+                routes[node, child] = parent
     gaps = st.integers(0, 3 * DEFAULT_MERGE_WINDOW_US // 2)
     steps = draw(st.lists(st.tuples(gaps, summary_messages()),
                           min_size=1, max_size=4))
