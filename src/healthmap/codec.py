@@ -125,16 +125,16 @@ from .errors import (
     StructureInvalidError,
 )
 from .model import (
+    FIELDS,
     PERSISTENCES,
     SEVERITIES,
-    U32_MAX,
-    U64_MAX,
     Dependency,
     DiagResource,
     Fault,
     FaultDetection,
     HealthMap,
     Module,
+    check_field,
     parent_verdicts,
 )
 
@@ -243,18 +243,19 @@ def serialize(hm: HealthMap) -> bytes:
     if hm._built is not None:
         raise AppendError("cannot serialize a map loaded without all its "
                           "detections")
-    violations = hm.validate_structure()
-    if violations:
-        raise StructureInvalidError(violations)
-    _check_levels(hm.modules.values(), hm.dependencies, hm.faults)
-    counts = _check_counts(len(hm.modules), len(hm.diag_resources),
-                           len(hm.dependencies), len(hm.faults),
-                           len(hm.detections))
     sections = ((hm.modules.values(), MODULE_SIZE),
                 (hm.diag_resources.values(), DIAG_SIZE),
                 (hm.dependencies, DEP_SIZE), (hm.faults, FAULT_SIZE),
                 (hm.detections, DET_SIZE))
     records = [rec for group, _size in sections for rec in group]
+    violations = hm.validate_structure()
+    if violations:
+        _check_rows(records)
+        raise StructureInvalidError(violations)
+    _check_levels(hm.modules.values(), hm.dependencies, hm.faults)
+    counts = _check_counts(len(hm.modules), len(hm.diag_resources),
+                           len(hm.dependencies), len(hm.faults),
+                           len(hm.detections))
     sizes = [size for group, size in sections for _rec in group]
     modules = list(hm.modules.values())
 
@@ -279,8 +280,8 @@ def _place(records: list, offsets: Iterable[int], write: Callable[[], bytes],
            packed: Iterable) -> bytes:
     """Give each of `records` its offset from `offsets`, then return
     `write()`. If that raises, each of `records` gets its old offset back,
-    and a value that a pack could not hold becomes the `FieldRangeError`
-    of the first such field among the `packed` records."""
+    and a value that a pack could not hold raises the error of the first
+    field among the `packed` records that its row refuses."""
     old = [rec.shm_offset for rec in records]
     try:
         for rec, offset in zip(records, offsets):
@@ -290,68 +291,38 @@ def _place(records: list, offsets: Iterable[int], write: Callable[[], bytes],
         for rec, offset in zip(records, old):
             rec.shm_offset = offset
         if isinstance(exc, struct.error):
-            raise _field_error(packed, exc) from exc
+            _check_rows(packed)
+            raise FieldRangeError(
+                f"a record does not fit the image: {exc}") from exc
         raise
-
-
-# The record fields that a pack can find out of range; the writer computes
-# the links.
-_PACKED_FIELDS = {
-    Module: (("module id", "id", U32_MAX),
-             ("module criticality", "criticality", 0xFF)),
-    DiagResource: (("diag resource id", "id", U32_MAX),
-                   ("diag resource kind", "kind", 0xFF)),
-    Dependency: (("dependency severity", "severity", 0xFF),),
-    Fault: (("fault severity", "severity", 0xFF),
-            ("fault persistence", "persistence", 0xFF),
-            ("fault classification", "classification", 0xFF)),
-    FaultDetection: (("detection timestamp", "timestamp", U64_MAX),
-                     ("detection counter", "counter", U32_MAX),
-                     ("detection payload", "payload", U32_MAX),
-                     ("detection flags", "flags", 0xFF)),
-}
-
-
-# The values a load accepts in a criticality or severity byte, and in a
-# persistence byte
-_SEVERITY_VALUES = frozenset(SEVERITIES)
-_PERSISTENCE_VALUES = frozenset(PERSISTENCES)
 
 
 def _check_levels(modules: Iterable[Module],
                   dependencies: Iterable[Dependency],
                   faults: Iterable[Fault]) -> None:
-    """Raise the `FieldRangeError` of the first criticality, severity or
-    persistence of these records that is no member of its enum: a load
-    refuses such a byte, so no writer writes one."""
-    for records, what, get, members in (
-            (modules, "module criticality", attrgetter("criticality"),
-             _SEVERITY_VALUES),
-            (dependencies, "dependency severity", attrgetter("severity"),
-             _SEVERITY_VALUES),
-            (faults, "fault severity", attrgetter("severity"),
-             _SEVERITY_VALUES),
-            (faults, "fault persistence", attrgetter("persistence"),
-             _PERSISTENCE_VALUES)):
-        if not members.issuperset(map(get, records)):
-            value = next(v for v in map(get, records) if v not in members)
-            raise FieldRangeError(
-                f"{what} {value} outside 0..{max(members)}"
-                if isinstance(value, int) else
-                f"{what} {value!r} is not an integer")
+    """Raise the error of the first criticality, severity or persistence
+    of these records that its `model.FIELDS` row refuses: a load refuses
+    such a byte, so no writer writes one. The valid case is one set test
+    per field."""
+    for records, rows in ((modules, FIELDS[Module]),
+                          (dependencies, FIELDS[Dependency]),
+                          (faults, FIELDS[Fault])):
+        for name, row in rows.items():
+            get, table = attrgetter(name), row[0]
+            if type(table) is tuple and not set(table).issuperset(
+                    map(get, records)):
+                check_field(next(v for v in map(get, records)
+                                 if v not in table), row)   # raises
 
 
-def _field_error(records: Iterable, exc: struct.error) -> FieldRangeError:
-    """The error naming the first field of `records` that its image field
-    cannot hold, for a pack that raised `exc`."""
+def _check_rows(records: Iterable) -> None:
+    """Raise the error of the first field of `records` that its
+    `model.FIELDS` row refuses. A writer runs it before it raises a ZERO,
+    counter or structure error, so such a value gets the error the entry
+    points give it, as a value set through them would."""
     for rec in records:
-        for what, name, maximum in _PACKED_FIELDS[type(rec)]:
-            value = getattr(rec, name)
-            if not isinstance(value, int):
-                return FieldRangeError(f"{what} {value!r} is not an integer")
-            if not 0 <= value <= maximum:
-                return FieldRangeError(f"{what} {value} outside 0..{maximum}")
-    return FieldRangeError(f"a record does not fit the image: {exc}")
+        for name, row in FIELDS[type(rec)].items():
+            check_field(getattr(rec, name), row)
 
 
 def _pack_header(total, m, r, d, f, fd, body_crc) -> bytearray:
@@ -889,10 +860,10 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     moved. A ZERO fault severity or persistence, or a counter 0, among the
     records repacked raises `AppendError` before any record gets an offset.
     A value that its field cannot hold raises `FieldRangeError` naming the
-    field, a parent cycle the load's `LinkCycleError`, a parent that is not
-    the map's own record of its id the `StructureInvalidError` `serialize`
-    raises, and an append that raises leaves the new records without
-    offsets, so it can be retried.
+    field, a parent cycle the load's `LinkCycleError`, a parent or a packed
+    detection's detector that is not the map's own record of its id the
+    `StructureInvalidError` `serialize` raises, and an append that raises
+    leaves the new records without offsets, so it can be retried.
     """
     old_total = len(image)
     get = hm.modules.get
@@ -924,11 +895,19 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
             raise AppendError("cannot append to a module whose detections "
                               "were not loaded")
     faults = [f for mod in owners for f in mod.faults]
+    detectors = hm.diag_resources
     for fault in faults:
+        dets = fault.detections
         if not (fault.severity and fault.persistence
-                and all(det.counter for det in fault.detections)):
+                and all(det.counter for det in dets)):
+            _check_rows((fault, *dets))
             raise AppendError(f"cannot write a ZERO severity, persistence "
                               f"or counter (module {fault.owner.id})")
+        if any(detectors.get(det.detector.id) is not det.detector
+               for det in dets):
+            # the detector word would take a foreign record's offset, or
+            # none: refuse the map as serialize does
+            raise StructureInvalidError(hm.validate_structure())
     _check_levels(modules, (), faults)
     new = sorted(new_faults + new_dets, key=attrgetter("seq"))
     sizes = [FAULT_SIZE if isinstance(rec, Fault) else DET_SIZE

@@ -51,6 +51,10 @@ from .model import (U32_MAX, HealthMap, Severity, check_field, int_token,
 _MODULE_ATTRS = {"id", "name", "criticality", "coreId"}
 _INSTRUMENT_ATTRS = {"id", "kind"}
 
+# The image header counts modules (M) and instruments (R) in u16 fields, so
+# a template may not expand past this many of either.
+MAX_DECLARED = 0xFFFF
+
 
 @dataclass
 class InstrumentDecl:
@@ -104,8 +108,8 @@ class Sidecar:
         else:
             self._ids.setdefault(name, module_id)
         if core_id is not None:
-            self._core_ids[module_id] = check_field(core_id, U32_MAX,
-                                                    "core id")
+            self._core_ids[module_id] = check_field(core_id,
+                                                    (U32_MAX, "core id"))
 
     def name_for_id(self, module_id: int) -> Optional[str]:
         return self._names.get(module_id)
@@ -231,10 +235,13 @@ def _check_attrs(elem: ET.Element, allowed: set[str]) -> None:
             f"{sorted(unknown)}")
 
 
-def _expand(parent: ET.Element, inst: Optional[tuple]):
+def _expand(parent: ET.Element, inst: Optional[tuple],
+            declared: dict[str, int]):
     """The children of `parent` in document order, each with the template
     instance it belongs to, as (id offset, index, line of the <template>),
-    or None; a <template> gives its children once per instance, k-major."""
+    or None; a <template> gives its children once per instance, k-major.
+    Before a template expands, its instances' modules and instruments are
+    added to the `declared` counts, which may not pass MAX_DECLARED."""
     for child in parent:
         if child.tag != "template" or inst is not None:
             pairs = ((child, inst),)
@@ -242,6 +249,15 @@ def _expand(parent: ET.Element, inst: Optional[tuple]):
             count, base_id, stride = (_int_attr(child, name) for name in
                                       ("count", "baseId", "idStride"))
             line = _line(child)
+            if count > MAX_DECLARED:
+                raise SchemaViolationError(f"line {line}: template count "
+                                           f"{count} above {MAX_DECLARED}")
+            for tag in declared:
+                declared[tag] += count * sum(1 for _ in child.iter(tag))
+                if declared[tag] > MAX_DECLARED:
+                    raise SchemaViolationError(
+                        f"line {line}: template takes the declared {tag}s "
+                        f"to {declared[tag]}, above {MAX_DECLARED}")
             pairs = ((sub, (base_id + k * stride, k, line))
                      for k in range(count) for sub in child)
         for elem, where in pairs:
@@ -267,6 +283,8 @@ def parse_description(xml_text: str) -> HmDescription:
     seen: dict[tuple[str, int], int] = {}
     claimed: dict[tuple[str, int], int] = {}
     duplicates: list[str] = []
+    # modules and instruments declared so far, template instances included
+    declared = {"module": 0, "instrument": 0}
 
     def element_id(elem: ET.Element, inst: Optional[tuple]) -> int:
         value = _int_attr(elem, "id") + (inst[0] if inst else 0)
@@ -279,6 +297,8 @@ def parse_description(xml_text: str) -> HmDescription:
                     f"line {first}: {elem.tag} id {value} already claimed "
                     f"by template at line {second}")
             claimed[key] = inst[2]
+        else:   # an instance was counted when its template was met
+            declared[elem.tag] += 1
         if key in seen:
             duplicates.append(f"duplicate {elem.tag} id {value} at lines "
                               f"{seen[key]} and {_line(elem)}")
@@ -310,7 +330,7 @@ def parse_description(xml_text: str) -> HmDescription:
             (desc.modules if parent is None else parent.children).append(decl)
         # a module's instruments are claimed before its submodules' ids
         first_child = len(stack)
-        for child, where in _expand(elem, inst):
+        for child, where in _expand(elem, inst, declared):
             if child.tag in ("instrument", "dependency") and len(child):
                 raise SchemaViolationError(
                     f"line {_line(child[0])}: unexpected element "

@@ -20,15 +20,15 @@ from typing import Optional
 
 from .errors import ScenarioError, UnknownDetectorError, ZeroSeverityError
 from .model import (
+    FIELDS,
     FLAG_MERGED,
     U32_MAX,
-    U64_MAX,
     Fault,
+    FaultDetection,
     HealthMap,
     ModuleStatus,
     Persistence,
     Severity,
-    check_classification,
     check_field,
 )
 
@@ -48,14 +48,14 @@ class DetectionReport:
     payload: int = 0
 
     def __post_init__(self) -> None:
-        check_field(self.detector_id, U32_MAX, "detector id")
-        self.severity = Severity(self.severity)
+        check_field(self.detector_id, (U32_MAX, "detector id"))
+        self.severity = check_field(self.severity, FIELDS[Fault]["severity"])
         if self.severity == Severity.ZERO:
             raise ZeroSeverityError("detection report severity must be "
                                     "above ZERO")
-        check_classification(self.classification)
-        check_field(self.timestamp, U64_MAX, "detection timestamp")
-        check_field(self.payload, U32_MAX, "detection payload")
+        check_field(self.classification, FIELDS[Fault]["classification"])
+        check_field(self.timestamp, FIELDS[FaultDetection]["timestamp"])
+        check_field(self.payload, FIELDS[FaultDetection]["payload"])
 
 
 def record_event(hm: HealthMap, module_id: int, classification: int,
@@ -71,20 +71,20 @@ def record_event(hm: HealthMap, module_id: int, classification: int,
     at most DEFAULT_MERGE_WINDOW_US away and its counter has room;
     otherwise it is a new detection. So the sum of the fault's counters
     rises by exactly one.
-    A severity or persistence is converted to its member where it is
-    stored, so the fault never holds a plain int; roll-up ingest records
-    dozens of events per summary, mostly raising nothing, so the common
-    case pays no enum call.
+    A raise checks both levels by their `model.FIELDS` rows before it
+    stores either member, so the fault never holds a plain int; roll-up
+    ingest records dozens of events per summary, mostly raising nothing,
+    so the common case only compares.
     """
     fault = hm.find_fault(module_id, classification)
     created = fault is None
     if created:
         fault = hm.add_fault(module_id, severity, persistence, classification)
-    else:
-        if severity > fault.severity:
-            fault.severity = Severity(severity)
-        if persistence > fault.persistence:
-            fault.persistence = Persistence(persistence)
+    elif severity > fault.severity or persistence > fault.persistence:
+        severity = check_field(severity, FIELDS[Fault]["severity"])
+        persistence = check_field(persistence, FIELDS[Fault]["persistence"])
+        fault.severity = max(fault.severity, severity)
+        fault.persistence = max(fault.persistence, persistence)
     latest = fault.detections[-1] if fault.detections else None
     if (latest is not None and latest.detector.id == detector_id
             and abs(timestamp - latest.timestamp) <= DEFAULT_MERGE_WINDOW_US
@@ -106,7 +106,8 @@ def report_detection(hm: HealthMap, report: DetectionReport, *,
     PERMANENT. It never falls.
 
     If `rm` (a ResourceMap) is given, the fault's current severity and
-    persistence are folded into it via update_single_fault.
+    persistence are folded into it by `ResourceMap._update`, the body of
+    update_single_fault for values that are already members.
     """
     detector = hm.diag_resources.get(report.detector_id)
     if detector is None:

@@ -121,6 +121,9 @@ class ChildMapping:
 
         child <nodeId> <childModuleId> -> <parentModuleId>
         downlink <nodeId> <diagResourceId>
+
+    Every id is a u32, as the node, module and diag resource ids it names
+    are.
     """
 
     routes: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -147,20 +150,22 @@ class ChildMapping:
             try:
                 if (parts[0] == "child" and len(parts) == 5
                         and parts[3] == "->"):
-                    key = (int_token(parts[1], "node id", ScenarioError),
+                    key = (int_token(parts[1], "node id", ScenarioError,
+                                     U32_MAX),
                            int_token(parts[2], "child module id",
-                                     ScenarioError))
+                                     ScenarioError, U32_MAX))
                     if key in routes:
                         raise ScenarioError(f"duplicate route for {key}")
                     routes[key] = int_token(parts[4], "parent module id",
-                                            ScenarioError)
+                                            ScenarioError, U32_MAX)
                 elif parts[0] == "downlink" and len(parts) == 3:
-                    node_id = int_token(parts[1], "node id", ScenarioError)
+                    node_id = int_token(parts[1], "node id", ScenarioError,
+                                        U32_MAX)
                     if node_id in downlinks:
                         raise ScenarioError(
                             f"duplicate downlink for node {node_id}")
                     downlinks[node_id] = int_token(
-                        parts[2], "diag resource id", ScenarioError)
+                        parts[2], "diag resource id", ScenarioError, U32_MAX)
                 else:
                     raise ScenarioError(f"bad syntax {line!r}")
             except ScenarioError as exc:

@@ -27,9 +27,6 @@ from .errors import (
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
 
-# Fault.classification is stored in one byte of the image.
-CLASS_MAX = 0xFF
-
 # FaultDetection.flags bit 0: the detection represents several merged events.
 FLAG_MERGED = 0x01
 
@@ -71,13 +68,22 @@ PERSISTENCES = tuple(Persistence)
 STATUSES = tuple(ModuleStatus)
 
 
-def check_field(value: int, maximum: int, what: str,
-                error: type[HealthMapError] = FieldRangeError) -> int:
-    """Return `value` if it fits an unsigned image field 0..maximum, else
-    raise `error`."""
-    if not 0 <= value <= maximum:
-        raise error(f"{what} {value} outside 0..{maximum}")
-    return value
+def check_field(value, row: tuple):
+    """`value` if `row` (limit, label[, error]) accepts it: an integer in
+    0..limit or, when `limit` is a level's byte -> member table, its member.
+    Else raise the row's error, FieldRangeError unless it names one."""
+    limit = row[0]
+    if isinstance(value, int):
+        if type(limit) is tuple:
+            if 0 <= value < len(limit):
+                return limit[value]
+            limit = len(limit) - 1
+        elif 0 <= value <= limit:
+            return value
+        message = f"{row[1]} {value} outside 0..{limit}"
+    else:
+        message = f"{row[1]} {value!r} is not an integer"
+    raise (row[2] if len(row) > 2 else FieldRangeError)(message)
 
 
 def int_token(token: str, what: str, error: type[HealthMapError],
@@ -87,8 +93,8 @@ def int_token(token: str, what: str, error: type[HealthMapError],
         value = int(token)
     except ValueError:
         raise error(f"bad {what} {token!r}: not an integer") from None
-    return value if maximum is None else check_field(value, maximum, what,
-                                                     error)
+    return value if maximum is None else check_field(
+        value, (maximum, what, error))
 
 
 def read_text(path) -> str:
@@ -110,14 +116,10 @@ def text_lines(text: str):
             yield lineno, line
 
 
-def check_classification(classification: int) -> int:
-    """Return `classification` if it fits the image's u8 field, else raise."""
-    return check_field(classification, CLASS_MAX, "fault classification",
-                       ClassificationRangeError)
-
-
 # Records are slot-backed: a load builds thousands of them, and slots make
-# construction and attribute access cheaper than a per-instance dict.
+# construction and attribute access cheaper than a per-instance dict. The
+# load and the HealthMap constructors build them positionally, which costs
+# half what keywords do.
 @dataclass(eq=False, slots=True)
 class Module:
     id: int
@@ -169,6 +171,27 @@ class FaultDetection:
     flags: int = 0
     shm_offset: Optional[int] = None
     seq: int = 0
+
+
+# The one table of record fields: the `check_field` row of each field that
+# a value may put outside the image, by record type and attribute. Entry
+# points and both image writers check a value by its row; the links, which
+# the writers compute, are not fields here.
+FIELDS = {
+    Module: {"id": (U32_MAX, "module id"),
+             "criticality": (SEVERITIES, "module criticality")},
+    DiagResource: {"id": (U32_MAX, "diag resource id"),
+                   "kind": (0xFF, "diag resource kind")},
+    Dependency: {"severity": (SEVERITIES, "dependency severity")},
+    Fault: {"severity": (SEVERITIES, "fault severity"),
+            "persistence": (PERSISTENCES, "fault persistence"),
+            "classification": (0xFF, "fault classification",
+                               ClassificationRangeError)},
+    FaultDetection: {"timestamp": (U64_MAX, "detection timestamp"),
+                     "counter": (U32_MAX, "detection counter"),
+                     "payload": (U32_MAX, "detection payload"),
+                     "flags": (0xFF, "detection flags")},
+}
 
 
 @dataclass(frozen=True)
@@ -251,7 +274,8 @@ class HealthMap:
         parent_id: Optional[int] = None,
         criticality: Severity = Severity.ZERO,
     ) -> Module:
-        check_field(module_id, U32_MAX, "module id")
+        check_field(module_id, FIELDS[Module]["id"])
+        criticality = check_field(criticality, FIELDS[Module]["criticality"])
         if module_id in self.modules:
             raise DuplicateIdError(f"module id {module_id} already present")
         parent = None
@@ -259,31 +283,30 @@ class HealthMap:
             parent = self.modules.get(parent_id)
             if parent is None:
                 raise UnknownParentError(f"parent module {parent_id} not found")
-        module = Module(id=module_id, parent=parent,
-                        criticality=Severity(criticality))
+        module = Module(module_id, parent, criticality)
         self.modules[module_id] = module
         return module
 
     def add_diag_resource(self, res_id: int, owner_id: int, kind: int = 0) -> DiagResource:
-        check_field(res_id, U32_MAX, "diag resource id")
-        check_field(kind, 0xFF, "diag resource kind")
+        check_field(res_id, FIELDS[DiagResource]["id"])
+        check_field(kind, FIELDS[DiagResource]["kind"])
         if res_id in self.diag_resources:
             raise DuplicateIdError(f"diag resource id {res_id} already present")
         owner = self._module(owner_id)
-        res = DiagResource(id=res_id, owner=owner, kind=kind)
+        res = DiagResource(res_id, owner, kind)
         self.diag_resources[res_id] = res
         owner.diag_resources.append(res)
         return res
 
     def add_dependency(self, provider_id: int, dependent_id: int,
                        severity: Severity) -> Dependency:
+        severity = check_field(severity, FIELDS[Dependency]["severity"])
         provider = self._module(provider_id)
         dependent = self._module(dependent_id)
         if provider is dependent:
             raise SelfDependencyError(
                 f"module {provider_id} cannot depend on itself")
-        dep = Dependency(provider=provider, dependent=dependent,
-                         severity=Severity(severity))
+        dep = Dependency(provider, dependent, severity)
         provider.dependencies.append(dep)
         self.dependencies.append(dep)
         return dep
@@ -291,13 +314,14 @@ class HealthMap:
     def add_fault(self, module_id: int, severity: Severity,
                   persistence: Persistence, classification: int) -> Fault:
         owner = self._module(module_id)
-        severity, persistence = Severity(severity), Persistence(persistence)
+        severity = check_field(severity, FIELDS[Fault]["severity"])
+        persistence = check_field(persistence, FIELDS[Fault]["persistence"])
         if not (severity and persistence):
             raise ZeroSeverityError(
                 "fault severity and persistence must be above ZERO")
-        fault = Fault(owner=owner, severity=severity, persistence=persistence,
-                      classification=check_classification(classification),
-                      seq=self.next_seq())
+        check_field(classification, FIELDS[Fault]["classification"])
+        fault = Fault(owner, severity, persistence, classification, [], None,
+                      self.next_seq())
         owner.faults.append(fault)
         self.faults.append(fault)
         self._fault_index[owner.id, fault.classification] = fault
@@ -309,15 +333,16 @@ class HealthMap:
         detector = self.diag_resources.get(detector_id)
         if detector is None:
             raise UnknownDetectorError(f"diag resource {detector_id} not found")
-        check_field(timestamp, U64_MAX, "detection timestamp")
-        check_field(payload, U32_MAX, "detection payload")
-        if not 1 <= counter <= U32_MAX:   # a detection is at least one event
+        check_field(timestamp, FIELDS[FaultDetection]["timestamp"])
+        check_field(payload, FIELDS[FaultDetection]["payload"])
+        if not isinstance(counter, int):
+            check_field(counter, FIELDS[FaultDetection]["counter"])   # raises
+        elif not 1 <= counter <= U32_MAX:   # a detection is at least one event
             raise FieldRangeError(
                 f"detection counter {counter} outside 1..{U32_MAX}")
-        check_field(flags, 0xFF, "detection flags")
-        det = FaultDetection(detector=detector, timestamp=timestamp,
-                             counter=counter, payload=payload, flags=flags,
-                             seq=self.next_seq())
+        check_field(flags, FIELDS[FaultDetection]["flags"])
+        det = FaultDetection(detector, timestamp, counter, payload, flags,
+                             None, self.next_seq())
         fault.detections.append(det)
         self.detections.append(det)
         return det
@@ -413,7 +438,7 @@ class HealthMap:
                 out.append(Violation("ZeroPersistence", fault.owner.id,
                                      "fault with ZERO persistence"))
             for det in fault.detections:
-                if det.counter < 1:
+                if isinstance(det.counter, int) and det.counter < 1:
                     out.append(Violation("BadCounter", fault.owner.id,
                                          "detection counter below 1"))
                 if self.diag_resources.get(det.detector.id) is not det.detector:

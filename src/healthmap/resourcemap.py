@@ -6,11 +6,11 @@ by the child's criticality (min), persistence propagates uncapped, and
 dependency edges forward a fault to the dependent module capped by the
 dependency severity, a single hop only.
 
-Every stored severity, persistence and status is an enum member: the model
-converts once at its public entry points (`HealthMap.add_fault`,
-`faultmgr.record_event`, `ResourceMap.update_single_fault`, the codec's
-byte tables), so the fold and the propagation walk store and compare the
-members they are given.
+Every stored severity, persistence and status is an enum member: a value
+becomes one where it enters, by its `model.FIELDS` row at the public entry
+points (`HealthMap.add_fault`, `faultmgr.record_event`, `update_single_fault`)
+or by the codec's byte tables, so the fold and the propagation walk store
+and compare the members they are given.
 """
 
 from __future__ import annotations
@@ -25,13 +25,16 @@ from .errors import (
     UnknownModuleError,
 )
 from .model import (
+    FIELDS,
     PERSISTENCES,
     SEVERITIES,
     STATUSES,
+    Fault,
     HealthMap,
     ModuleStatus,
     Persistence,
     Severity,
+    check_field,
 )
 
 RM_ENTRY = struct.Struct("<IBBB")
@@ -118,8 +121,10 @@ class ResourceMap:
         never downgraded to PROPAGATED_FAULT and MAINTENANCE is never
         overwritten here.
         """
-        self._update(module_id, Severity(severity),
-                     Persistence(persistence), ModuleStatus(status))
+        rows = FIELDS[Fault]
+        self._update(module_id, check_field(severity, rows["severity"]),
+                     check_field(persistence, rows["persistence"]),
+                     check_field(status, (STATUSES, "module status")))
 
     def _update(self, module_id: int, severity: Severity,
                 persistence: Persistence, status: ModuleStatus) -> None:

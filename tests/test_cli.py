@@ -529,6 +529,36 @@ def test_affinity_core_id_above_cap_exits_1_in_little_memory(
     assert peak < 1 << 20
 
 
+TEMPLATE_XML = ('<healthmap version="1"><template name="t" count="{count}" '
+                'baseId="0" idStride="1">{body}</template></healthmap>')
+ONE_MODULE = '<module id="0" name="M{i}" criticality="LOW"/>'
+
+
+@pytest.mark.parametrize("count, body, error", [
+    ("4294967295", ONE_MODULE, "line 1: template count 4294967295 above "
+     "65535"),
+    ("10000000", "", "line 1: template count 10000000 above 65535"),
+    ("65535", ONE_MODULE * 2, "line 1: template takes the declared "
+     "modules to 131070, above 65535"),
+], ids=["count-u32-max", "empty", "instances-past-u16"])
+def test_compile_template_past_the_header_counts_exits_1_in_little_memory(
+        tmp_path, capsys, count, body, error):
+    # refused at the template's line, before any instance is expanded
+    xml = tmp_path / "big.xml"
+    xml.write_text(TEMPLATE_XML.format(count=count, body=body))
+    out = tmp_path / "big.shm"
+    tracemalloc.start()
+    try:
+        code = main(["compile", str(xml), "-o", str(out)])
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
 def test_affinity_core_id_at_cap_gets_its_bit(compiled, tmp_path, capsys):
     shm, sym = compiled
     top = tmp_path / "top.sym"

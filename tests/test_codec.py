@@ -48,7 +48,7 @@ from healthmap.errors import (
     ShmError,
     StructureInvalidError,
 )
-from healthmap.model import U32_MAX, Module
+from healthmap.model import U32_MAX, DiagResource, Module
 
 from conftest import DATA_DIR
 from helpers import (
@@ -928,6 +928,25 @@ def test_append_refuses_a_parent_outside_the_map(offset_of):
         append_changes(synthesized_image(), hm)
     assert str(appended.value) == str(serialized.value)
     assert "DanglingParent(4): parent 99 not in map" in str(appended.value)
+    assert all_offsets(hm) == before
+
+
+@pytest.mark.parametrize("offset_of", [None, 6])
+def test_append_refuses_a_detector_outside_the_map(offset_of):
+    # a detector record that is not the map's own, without an offset or
+    # with another resource's, gets serialize's error and moves no offset
+    hm = grown_synthesized_map()
+    det = hm.detections[0]
+    det.detector = DiagResource(999, det.detector.owner, shm_offset=(
+        None if offset_of is None
+        else hm.diag_resources[offset_of].shm_offset))
+    before = all_offsets(hm)
+    with pytest.raises(StructureInvalidError) as serialized:
+        serialize(hm)
+    with pytest.raises(StructureInvalidError) as appended:
+        append_changes(synthesized_image(), hm)
+    assert str(appended.value) == str(serialized.value)
+    assert "DanglingDetector(999)" in str(appended.value)
     assert all_offsets(hm) == before
 
 

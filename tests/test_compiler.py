@@ -181,6 +181,31 @@ def test_template_overlap_outranks_duplicate_id():
         parse_description(text)
 
 
+def test_template_bound_counts_what_was_declared_before_it():
+    # the header's R count is u16: two instruments declared by hand and
+    # one by each of 65 534 instances would need 65 536
+    text = """<healthmap version="1">
+      <module id="1" name="TOP" criticality="ZERO">
+        <instrument id="1" kind="0"/>
+        <instrument id="2" kind="0"/>
+        <template name="a" count="{count}" baseId="10" idStride="1">
+          <module id="0" name="A{{i}}" criticality="LOW">
+            <instrument id="0" kind="0"/>
+          </module>
+        </template>
+      </module>
+    </healthmap>"""
+    with pytest.raises(SchemaViolationError,
+                       match="^line 5: template takes the declared "
+                             "instruments to 65536, above 65535$"):
+        parse_description(text.format(count=65534))
+    assert len(parse_description(text.format(count=3)).modules[0]
+               .children) == 3
+    # an empty template may run to the largest count
+    parse_description('<healthmap version="1"><template name="e" '
+                      'count="65535" baseId="0" idStride="1"/></healthmap>')
+
+
 def test_duplicate_dotted_names_rejected():
     text = """<healthmap version="1">
       <module id="1" name="A" criticality="ZERO"/>

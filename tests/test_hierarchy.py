@@ -503,6 +503,25 @@ def test_mapping_duplicate_downlink_names_its_line():
         ChildMapping.parse("downlink 1 5\nchild 1 12 -> 2\ndownlink 1 6\n")
 
 
+@pytest.mark.parametrize("line, what", [
+    ("child 4294967296 5 -> 2", "node id 4294967296"),
+    ("child 1 4294967296 -> 2", "child module id 4294967296"),
+    ("child 1 5 -> 4294967296", "parent module id 4294967296"),
+    ("downlink 99999999999999 10", "node id 99999999999999"),
+    ("downlink 1 4294967296", "diag resource id 4294967296"),
+], ids=["child-node", "child-module", "parent-module", "downlink-node",
+        "downlink-resource"])
+def test_mapping_ids_are_u32(line, what):
+    # an id no node, module or diag resource can have is refused, as a node
+    # line's id is, rather than kept as a route that never matches
+    with pytest.raises(ScenarioError, match=(
+            f"^mapping line 2: {what} outside 0[.][.]4294967295$")):
+        ChildMapping.parse(f"child 7 7 -> 7\n{line}\n")
+    # the largest id is kept
+    top = line.replace(what.split()[-1], str(2**32 - 1))
+    ChildMapping.parse(f"child 7 7 -> 7\n{top}\n")
+
+
 # -- scenario + simulation -----------------------------------------------------
 
 def write_scenario(tmp_path, table1_xml, events, duration=10000,

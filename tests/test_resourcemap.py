@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from healthmap import (
     render_table,
     report_detection,
 )
-from healthmap.errors import MissingSymbolError, UnknownModuleError
+from healthmap.errors import (FieldRangeError, MissingSymbolError,
+                              UnknownModuleError)
 from healthmap.faultmgr import record_event
 from healthmap.resourcemap import RM_ENTRY, RM_ENTRY_SIZE, decode_entries
 
@@ -117,6 +119,25 @@ def test_update_unknown_module(table1_map):
     with pytest.raises(UnknownModuleError):
         rm.update_single_fault(777, Severity.LOW, Persistence.TRANSIENT,
                                ModuleStatus.OWN_FAULT)
+
+
+@pytest.mark.parametrize("status, error", [
+    (4, "module status 4 outside 0..3"),
+    (-1, "module status -1 outside 0..3"),
+    ("1", "module status '1' is not an integer"),
+    (1.0, "module status 1.0 is not an integer"),
+])
+def test_update_refuses_a_status_outside_its_enum(table1_map, status, error):
+    # the status is no record field, but is checked as a level is: by the
+    # byte -> member table
+    rm = init_resource_map(table1_map)
+    before = rm_state(rm)
+    with pytest.raises(FieldRangeError, match=f"^{re.escape(error)}$"):
+        rm.update_single_fault(12, Severity.LOW, Persistence.TRANSIENT,
+                               status)
+    assert rm_state(rm) == before
+    rm.update_single_fault(12, Severity.LOW, Persistence.TRANSIENT, 1)
+    assert rm.entry(12).status is ModuleStatus.OWN_FAULT
 
 
 def test_propagation_zero_criticality_stops():
