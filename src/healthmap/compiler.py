@@ -98,18 +98,15 @@ class Sidecar:
 
     def add(self, module_id: int, name: str,
             core_id: Optional[int] = None) -> None:
-        renamed = self._names.get(module_id, name) != name
-        self._names[module_id] = name
-        if renamed:
-            # the old name may now belong to a later id: rebuild the index
-            self._ids = {}
-            for mid, n in self._names.items():
-                self._ids.setdefault(n, mid)
-        else:
-            self._ids.setdefault(name, module_id)
+        """Name module `module_id`, which the sidecar must not hold yet; a
+        refused id or core id stores nothing."""
+        if module_id in self._names:
+            raise DuplicateIdError(f"duplicate module id {module_id}")
         if core_id is not None:
             self._core_ids[module_id] = check_field(core_id,
                                                     (U32_MAX, "core id"))
+        self._names[module_id] = name
+        self._ids.setdefault(name, module_id)
 
     def name_for_id(self, module_id: int) -> Optional[str]:
         return self._names.get(module_id)
@@ -149,9 +146,8 @@ class Sidecar:
                                         SchemaViolationError, U32_MAX)
                 sc.add(int_token(parts[0], "module id", SchemaViolationError,
                                  U32_MAX), parts[1], core_id)
-            except SchemaViolationError as exc:
-                raise SchemaViolationError(
-                    f"sidecar line {lineno}: {exc}") from None
+            except (SchemaViolationError, DuplicateIdError) as exc:
+                raise type(exc)(f"sidecar line {lineno}: {exc}") from None
         return sc
 
 

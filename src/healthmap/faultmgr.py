@@ -65,22 +65,30 @@ def record_event(hm: HealthMap, module_id: int, classification: int,
     """Record one event of fault (module, classification) seen by
     `detector_id`; returns (fault, created).
 
-    The fault is found or created, and its severity and persistence rise
-    to the given ones (max). The event merges into the fault's latest
+    A missing fault is created, with this event as its first detection,
+    only by `HealthMap.add_fault_with_detection`, which checks every field
+    before it adds anything. An existing fault's severity and persistence
+    rise to the given ones (max), and the event merges into its latest
     detection (counter + 1, MERGED flag) if that is from the same detector,
-    at most DEFAULT_MERGE_WINDOW_US away and its counter has room;
-    otherwise it is a new detection. So the sum of the fault's counters
-    rises by exactly one.
+    at most DEFAULT_MERGE_WINDOW_US away and its counter is below the u32
+    ceiling; otherwise it is a new detection. So the sum of the fault's
+    counters rises by exactly one.
     A raise checks both levels by their `model.FIELDS` rows before it
-    stores either member, so the fault never holds a plain int; roll-up
-    ingest records dozens of events per summary, mostly raising nothing,
-    so the common case only compares.
+    stores either member, so the fault never holds a plain int, and a
+    level the comparison cannot order gets its row's error; roll-up ingest
+    records dozens of events per summary, mostly raising nothing, so the
+    common case only compares.
     """
     fault = hm.find_fault(module_id, classification)
-    created = fault is None
-    if created:
-        fault = hm.add_fault(module_id, severity, persistence, classification)
-    elif severity > fault.severity or persistence > fault.persistence:
+    if fault is None:
+        return hm.add_fault_with_detection(
+            module_id, severity, persistence, classification, detector_id,
+            timestamp, payload), True
+    try:
+        rises = severity > fault.severity or persistence > fault.persistence
+    except TypeError:   # not a level: its row names it
+        rises = True
+    if rises:
         severity = check_field(severity, FIELDS[Fault]["severity"])
         persistence = check_field(persistence, FIELDS[Fault]["persistence"])
         fault.severity = max(fault.severity, severity)
@@ -93,7 +101,7 @@ def record_event(hm: HealthMap, module_id: int, classification: int,
         latest.flags |= FLAG_MERGED
     else:
         hm.add_detection(fault, detector_id, timestamp, payload=payload)
-    return fault, created
+    return fault, False
 
 
 def report_detection(hm: HealthMap, report: DetectionReport, *,
@@ -132,30 +140,33 @@ def report_detection(hm: HealthMap, report: DetectionReport, *,
 def prune(hm: HealthMap) -> int:
     """Merge duplicate records; returns the number of records removed.
 
-    Detections of the same fault from the same detector collapse into one
-    (counters summed, earliest timestamp kept, MERGED flag set); then
-    faults of one module with identical (severity, persistence,
-    classification) collapse with their detection lists concatenated. The
-    total event count and the resulting resource map are unchanged. Each
-    list is rebuilt once, so the cost is linear in the number of records.
+    Detections of the same fault from the same detector collapse in one
+    pass under `record_event`'s u32 counter ceiling: a keeper absorbs a
+    later one (counters summed, earliest timestamp kept, MERGED flag set)
+    only while its counter stays <= U32_MAX, otherwise that detection
+    becomes the next keeper. Then faults of one module with identical
+    (severity, persistence, classification) collapse with their detection
+    lists concatenated. The total event count and the resulting resource
+    map are unchanged. Each list is rebuilt once, so the cost is linear in
+    the number of records.
     """
     removed: list = []
 
     for fault in hm.faults:
-        by_detector: dict[int, list] = {}
+        keepers: dict[int, FaultDetection] = {}
+        kept = []
         for det in fault.detections:
-            by_detector.setdefault(det.detector.id, []).append(det)
-        if len(by_detector) == len(fault.detections):
-            continue
-        for group in by_detector.values():
-            if len(group) < 2:
-                continue
-            keeper = group[0]
-            keeper.counter = sum(d.counter for d in group)
-            keeper.timestamp = min(d.timestamp for d in group)
-            keeper.flags |= FLAG_MERGED
-            removed.extend(group[1:])
-        fault.detections[:] = [group[0] for group in by_detector.values()]
+            keeper = keepers.get(det.detector.id)
+            if keeper is not None and keeper.counter + det.counter <= U32_MAX:
+                keeper.counter += det.counter
+                keeper.timestamp = min(keeper.timestamp, det.timestamp)
+                keeper.flags |= FLAG_MERGED
+                removed.append(det)
+            else:
+                keepers[det.detector.id] = det
+                kept.append(det)
+        if len(kept) < len(fault.detections):
+            fault.detections[:] = kept
 
     for module in hm.modules.values():
         by_key: dict[tuple, Fault] = {}

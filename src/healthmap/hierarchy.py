@@ -382,6 +382,17 @@ class SimulationResult:
         return "\n".join(self.rm_log) + "\n"
 
 
+def _parse_file(path: Path, parse):
+    """`parse` of the text of a node's file; its error, of the same class,
+    names the file (read_text's own error already does)."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except HealthMapError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def simulate(scenario: Scenario) -> SimulationResult:
     """Discrete-event run: detections apply at their timestamps, each node
     emits a summary every period, parents ingest in timestamp order.
@@ -389,11 +400,11 @@ def simulate(scenario: Scenario) -> SimulationResult:
     """
     nodes: dict[int, _LiveNode] = {}
     for node_id, spec in sorted(scenario.nodes.items()):
-        description = compiler.parse_description(read_text(spec.hm_path))
-        hm, sidecar = compiler.build_map(description)
+        hm, sidecar = _parse_file(spec.hm_path, lambda text: (
+            compiler.build_map(compiler.parse_description(text))))
         mapping = None
         if spec.map_path is not None:
-            mapping = ChildMapping.parse(read_text(spec.map_path))
+            mapping = _parse_file(spec.map_path, ChildMapping.parse)
         nodes[node_id] = _LiveNode(spec=spec, hm=hm, sidecar=sidecar,
                                    rm=init_resource_map(hm), mapping=mapping)
 

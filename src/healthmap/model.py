@@ -256,7 +256,7 @@ class HealthMap:
         self.detections: list[FaultDetection] = []
         self._seq = 0
         # (module id, classification) -> the last such fault in
-        # module.faults order; kept by add_fault and reindex_faults
+        # module.faults order; kept by _file_fault and reindex_faults
         self._fault_index: dict[tuple[int, int], Fault] = {}
         # ids of the modules whose detections a partial image load built
         # (the codec's `_load`); None when the map holds every record
@@ -313,6 +313,12 @@ class HealthMap:
 
     def add_fault(self, module_id: int, severity: Severity,
                   persistence: Persistence, classification: int) -> Fault:
+        return self._file_fault(self._new_fault(module_id, severity,
+                                                persistence, classification))
+
+    def _new_fault(self, module_id: int, severity: Severity,
+                   persistence: Persistence, classification: int) -> Fault:
+        """A fault with checked fields, not yet in the map."""
         owner = self._module(module_id)
         severity = check_field(severity, FIELDS[Fault]["severity"])
         persistence = check_field(persistence, FIELDS[Fault]["persistence"])
@@ -320,11 +326,13 @@ class HealthMap:
             raise ZeroSeverityError(
                 "fault severity and persistence must be above ZERO")
         check_field(classification, FIELDS[Fault]["classification"])
-        fault = Fault(owner, severity, persistence, classification, [], None,
-                      self.next_seq())
-        owner.faults.append(fault)
+        return Fault(owner, severity, persistence, classification, [])
+
+    def _file_fault(self, fault: Fault) -> Fault:
+        fault.seq = self.next_seq()
+        fault.owner.faults.append(fault)
         self.faults.append(fault)
-        self._fault_index[owner.id, fault.classification] = fault
+        self._fault_index[fault.owner.id, fault.classification] = fault
         return fault
 
     def add_detection(self, fault: Fault, detector_id: int, timestamp: int,
@@ -357,15 +365,27 @@ class HealthMap:
         timestamp: int,
         payload: int = 0,
     ) -> Fault:
-        if detector_id not in self.diag_resources:
+        """Add a fault and its first detection, one event. Every field of
+        both is checked before either is added, so a refusal adds
+        nothing: the detector, then add_fault's checks, then the
+        timestamp and payload."""
+        detector = self.diag_resources.get(detector_id)
+        if detector is None:
             raise UnknownDetectorError(f"diag resource {detector_id} not found")
-        fault = self.add_fault(module_id, severity, persistence, classification)
-        self.add_detection(fault, detector_id, timestamp, payload)
+        fault = self._new_fault(module_id, severity, persistence,
+                                classification)
+        check_field(timestamp, FIELDS[FaultDetection]["timestamp"])
+        check_field(payload, FIELDS[FaultDetection]["payload"])
+        self._file_fault(fault)
+        det = FaultDetection(detector, timestamp, 1, payload, 0, None,
+                             self.next_seq())
+        fault.detections.append(det)
+        self.detections.append(det)
         return fault
 
     def reindex_faults(self) -> None:
         """Rebuild the fault index after module.faults lists were filled or
-        edited other than through add_fault."""
+        edited other than through add_fault or add_fault_with_detection."""
         self._fault_index = {(m.id, f.classification): f
                              for m in self.modules.values() for f in m.faults}
 

@@ -8,9 +8,10 @@ dependency severity, a single hop only.
 
 Every stored severity, persistence and status is an enum member: a value
 becomes one where it enters, by its `model.FIELDS` row at the public entry
-points (`HealthMap.add_fault`, `faultmgr.record_event`, `update_single_fault`)
-or by the codec's byte tables, so the fold and the propagation walk store
-and compare the members they are given.
+points (`HealthMap.add_fault` and `add_fault_with_detection`,
+`faultmgr.record_event`, `update_single_fault`) or by the codec's byte
+tables, so the fold and the propagation walk store and compare the members
+they are given.
 """
 
 from __future__ import annotations

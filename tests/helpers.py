@@ -51,6 +51,7 @@ from healthmap.model import (
     PERSISTENCES,
     SEVERITIES,
     STATUSES,
+    U32_MAX,
     Dependency,
     DiagResource,
     Fault,
@@ -670,8 +671,10 @@ def reference_ingest_summary(parent_hm: HealthMap, parent_rm, message: bytes,
 
 
 def reference_prune(hm: HealthMap) -> int:
-    """What `faultmgr.prune` must do: the list-removal merge it replaced,
-    one `list.remove` per merged detection and per merged fault."""
+    """What `faultmgr.prune` must do: a list-removal merge, one
+    `list.remove` per merged detection and per merged fault. A detector's
+    keeper takes a later detection of it only while the sum fits a u32
+    counter; otherwise that detection keeps on as the next keeper."""
     removed: list = []
 
     for fault in hm.faults:
@@ -679,13 +682,14 @@ def reference_prune(hm: HealthMap) -> int:
         for det in fault.detections:
             by_detector.setdefault(det.detector.id, []).append(det)
         for group in by_detector.values():
-            if len(group) < 2:
-                continue
             keeper = group[0]
-            keeper.counter = sum(d.counter for d in group)
-            keeper.timestamp = min(d.timestamp for d in group)
-            keeper.flags |= FLAG_MERGED
             for extra in group[1:]:
+                if keeper.counter + extra.counter > U32_MAX:
+                    keeper = extra
+                    continue
+                keeper.counter += extra.counter
+                keeper.timestamp = min(keeper.timestamp, extra.timestamp)
+                keeper.flags |= FLAG_MERGED
                 fault.detections.remove(extra)
                 removed.append(extra)
 

@@ -469,6 +469,50 @@ def test_simulate_bad_integer_token_exits_1(tmp_path, capsys, name, old,
     assert where in err and "not an integer" in err
 
 
+def test_simulate_mapping_error_names_its_file(tmp_path, capsys):
+    work = demo_copy(tmp_path, "board.map", "child 1 12 -> 2",
+                     "child 1 12 -> 2\nchild 4294967296 5 -> 2")
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {work / 'board.map'}: mapping line 5: node id 4294967296 "
+        "outside 0..4294967295\n")
+
+
+def test_simulate_description_error_names_its_file(tmp_path, capsys):
+    work = demo_copy(tmp_path, "cpu.xml", 'criticality="LOW"',
+                     'criticality="BOGUS"')
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {work / 'cpu.xml'}: line ")
+    assert "bad criticality value 'BOGUS'" in err
+
+
+def test_rm_sidecar_repeating_an_id_exits_1(compiled, tmp_path, capsys):
+    shm, _sym = compiled
+    sym = tmp_path / "twice.sym"
+    sym.write_text("".join(f"{i} {n}{i}\n" for n in "MN" for i in range(8000)))
+    assert main(["rm", str(shm), "--sym", str(sym)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sidecar line 8001: duplicate module id 0\n")
+
+
+def test_prune_merges_under_the_counter_ceiling(compiled, capsys):
+    # counters 2**32 - 1, 1 and 1 of one detector: the last two merge
+    shm, _sym = compiled
+    hm = deserialize(shm.read_bytes())
+    fault = hm.add_fault(hm.diag_resources[12].owner.id, Severity.LOW,
+                         Persistence.TRANSIENT, 1)
+    for counter in (2**32 - 1, 1, 1):
+        hm.add_detection(fault, 12, 100, counter=counter)
+    shm.write_bytes(serialize(hm))
+    capsys.readouterr()
+    assert main(["prune", str(shm)]) == 0
+    assert "merged 1 records" in capsys.readouterr().out
+    assert main(["validate", str(shm)]) == 0
+    assert [d.counter for d in deserialize(shm.read_bytes()).detections] \
+        == [2**32 - 1, 2]
+
+
 def test_rm_bad_sidecar_integer_exits_1(compiled, tmp_path, capsys):
     shm, _sym = compiled
     sym = tmp_path / "bad.sym"

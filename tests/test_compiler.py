@@ -15,6 +15,7 @@ from healthmap.compiler import build_map, compile_description
 from healthmap.errors import (
     BadEnumValueError,
     DuplicateIdError,
+    FieldRangeError,
     IdRangeCollisionError,
     SchemaViolationError,
     UnresolvedReferenceError,
@@ -235,10 +236,30 @@ def test_sidecar_id_for_name_first_inserted_id_wins():
     assert sidecar.id_for_name("A") == 7
     assert sidecar.id_for_name("B") == 3
     assert sidecar.id_for_name("C") is None
-    # a repeated id renames its module: the old name passes to the next id
-    sidecar.add(7, "C")
-    assert sidecar.id_for_name("A") == 5
-    assert sidecar.id_for_name("C") == 7
+    # a sidecar holds each id once: a repeated id is refused, not renamed
+    with pytest.raises(DuplicateIdError, match="duplicate module id 7"):
+        sidecar.add(7, "C")
+    assert sidecar.id_for_name("A") == 7
+    assert sidecar.id_for_name("C") is None
+    assert sidecar.names() == {7: "A", 3: "B", 5: "A"}
+
+
+def test_sidecar_checks_before_it_stores():
+    sidecar = Sidecar()
+    with pytest.raises(FieldRangeError, match="core id -1 outside"):
+        sidecar.add(9, "D", core_id=-1)
+    assert sidecar.names() == {} and sidecar.id_for_name("D") is None
+    sidecar.add(9, "D", core_id=2)
+    assert sidecar.core_modules() == {9: 2}
+
+
+def test_sidecar_parse_refuses_a_repeated_id_at_its_line():
+    # every id listed twice under two names: refused at the first repeat,
+    # not renamed (each rename rebuilt the whole name index)
+    text = "".join(f"{i} {n}{i}\n" for n in "MN" for i in range(8000))
+    with pytest.raises(DuplicateIdError) as info:
+        Sidecar.parse(text)
+    assert str(info.value) == "sidecar line 8001: duplicate module id 0"
 
 
 @pytest.mark.parametrize("body, where", [

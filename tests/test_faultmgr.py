@@ -26,8 +26,8 @@ from healthmap.errors import (
     UnknownDetectorError,
     ZeroSeverityError,
 )
-from healthmap.faultmgr import parse_report_line
-from healthmap.model import FLAG_MERGED
+from healthmap.faultmgr import parse_report_line, record_event
+from healthmap.model import FLAG_MERGED, U32_MAX
 
 from conftest import FPU_C0_INSTRUMENT
 from helpers import random_health_map, reference_prune, rm_state
@@ -228,6 +228,24 @@ def test_prune_conserves_event_count_and_rm():
         assert hm.validate_structure() == []
 
 
+@pytest.mark.parametrize("counters, kept", [
+    ([U32_MAX, 1], [U32_MAX, 1]),
+    ([U32_MAX - 1, 1, 1], [U32_MAX, 1]),
+    # the keeper of a full sum is the next one: later ones merge into it
+    ([U32_MAX - 3, 2, 2, 1, 1], [U32_MAX - 1, 4]),
+])
+def test_prune_merges_under_record_events_counter_ceiling(counters, kept):
+    hm, fault = make_fault_with_detections(counters)
+    reference, _fault = make_fault_with_detections(counters)
+    rm_before = rm_state(init_resource_map(hm))
+    assert prune(hm) == len(counters) - len(kept) == reference_prune(reference)
+    assert [d.counter for d in fault.detections] == kept
+    assert hm.snapshot() == reference.snapshot()
+    assert total_events(hm) == sum(counters)
+    assert rm_state(init_resource_map(hm)) == rm_before
+    assert deserialize(serialize(hm)).equivalent(hm)
+
+
 def map_with_duplicates(seed, copies, extra_detections):
     """A random map, plus copies of some faults' (severity, persistence,
     classification) on the same module and extra detections from detectors
@@ -383,3 +401,30 @@ def test_flags_and_report_lines_read_fields_alike(field, token):
     fields[field] = token
     assert report_by_flags(fields) == report_by_line(fields)
 
+
+def one_fault_map():
+    """Module 1 with diag resource 7 and fault (class 5) seen once by it."""
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(7, 1)
+    record_event(hm, 1, 5, Severity.LOW, Persistence.TRANSIENT, 7, 0, 0)
+    return hm
+
+
+@pytest.mark.parametrize("create", [
+    lambda hm: hm.add_fault_with_detection(1, Severity.LOW,
+                                           Persistence.TRANSIENT, 0, 7,
+                                           2**64),
+    lambda hm: record_event(hm, 1, 6, Severity.LOW, Persistence.TRANSIENT, 7,
+                            -1, 0),
+    lambda hm: record_event(hm, 1, 6, Severity.LOW, Persistence.TRANSIENT, 7,
+                            0, 2**32),
+], ids=["add_fault_with_detection", "record_event timestamp",
+        "record_event payload"])
+def test_a_refused_first_detection_adds_no_fault(create):
+    hm = one_fault_map()
+    before = hm.snapshot()
+    with pytest.raises(FieldRangeError):
+        create(hm)
+    assert hm.snapshot() == before
+    assert len(hm.faults) == 1 and hm.find_fault(1, 6) is None

@@ -3,6 +3,7 @@ a record field checks the value by the field's row, and both image writers
 refuse a value that a direct edit puts on a loaded record with the error
 that entry point gives."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,25 @@ def event(hm, **levels):
                         values["persistence"], 2000, 5000, 0)[0]
 
 
+def created(hm, entry, name, value):
+    """The fault, class 7 unless `name` is the classification, that `entry`
+    creates with its first detection, field `name` set to `value`; the
+    detection for a detection field. record_event finds no such fault, so
+    it creates one."""
+    v = {"classification": 7, "severity": Severity.LOW,
+         "persistence": Persistence.TRANSIENT, "timestamp": 5000,
+         "payload": 0, name: value}
+    if entry == "add_fault_with_detection":
+        fault = hm.add_fault_with_detection(
+            1001, v["severity"], v["persistence"], v["classification"], 2000,
+            v["timestamp"], v["payload"])
+    else:
+        fault = record_event(hm, 1001, v["classification"], v["severity"],
+                             v["persistence"], 2000, v["timestamp"],
+                             v["payload"])[0]
+    return fault.detections[-1] if name in FIELDS[FaultDetection] else fault
+
+
 def rm_entry(hm, **levels):
     """The entry of module 1001 after update_single_fault folds `levels`."""
     rm = init_resource_map(hm)
@@ -82,9 +102,10 @@ def new_detection(hm, **fields):
 
 
 # (record type, field) -> {entry point: set the field to v, return the
-# object that stores it}. record_event and update_single_fault take int
-# levels only: their comparisons, which run before any check, stay
-# unchecked for speed.
+# object that stores it}. record_event on an existing fault and
+# update_single_fault take int levels only here: a level below the stored
+# one is compared, never checked, for speed (record_event's refusal of a
+# level it cannot compare is tested below).
 ENTRY_POINTS = {
     (Module, "id"): {"add_module": lambda hm, v: hm.add_module(v)},
     (Module, "criticality"): {
@@ -121,10 +142,21 @@ ENTRY_POINTS = {
     (FaultDetection, "flags"): {
         "add_detection": lambda hm, v: new_detection(hm, flags=v)},
 }
+# the two that create a fault with its first detection, checking every
+# field of both before they add either
+CREATES = ("add_fault_with_detection", "record_event (create)")
+for _entry in CREATES:
+    for _kind, _name in ((Fault, "severity"), (Fault, "persistence"),
+                         (Fault, "classification"),
+                         (FaultDetection, "timestamp"),
+                         (FaultDetection, "payload")):
+        ENTRY_POINTS[_kind, _name][_entry] = (
+            lambda hm, v, e=_entry, n=_name: created(hm, e, n, v))
 # the two that fold a level into a stored one, which only rises
 INT_LEVELS_ONLY = {"record_event", "update_single_fault"}
 # entry points that only add faults and detections, which an append writes
-APPENDABLE = {"add_fault", "DetectionReport", "record_event", "add_detection"}
+APPENDABLE = {"add_fault", "DetectionReport", "record_event", "add_detection",
+              *CREATES}
 
 
 def top(row) -> int:
@@ -251,3 +283,17 @@ def check_direct_edit(kind, name, value, refused: HealthMapError):
             raise AssertionError(f"a writer wrote {kind.__name__}.{name} "
                                  f"{value!r}")
         assert offsets(hm) == before
+
+
+@pytest.mark.parametrize("name", ["severity", "persistence"])
+@pytest.mark.parametrize("value", ["x", None])
+def test_record_event_refuses_a_level_it_cannot_compare(name, value):
+    # the existing fault's stored level cannot be ordered against `value`,
+    # so the row names it, as add_fault's check does
+    hm = deserialize(BASE_IMAGE)
+    before = hm.snapshot()
+    with pytest.raises(FieldRangeError) as info:
+        event(hm, **{name: value})
+    assert (type(info.value), str(info.value)) == \
+        row_error(FIELDS[Fault][name], value)
+    assert hm.snapshot() == before
