@@ -22,7 +22,7 @@ from pathlib import Path
 from . import affinity as affinity_mod
 from . import codec, compiler, faultmgr, footprint, hierarchy, resourcemap
 from .errors import HealthMapError
-from .model import Severity, read_text
+from .model import Severity, int_token, read_text
 
 
 def _replace_files(*files: tuple[Path, bytes]) -> None:
@@ -73,7 +73,7 @@ def _maintenance_ids(values, sidecar) -> list[int]:
     ids = []
     for value in values or ():
         if value.isdecimal():   # int() accepts these; isdigit() is wider
-            ids.append(int(value))
+            ids.append(int_token(value, "module id", HealthMapError))
             continue
         mid = sidecar.id_for_name(value)
         if mid is None:

@@ -860,7 +860,8 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     moved. A ZERO fault severity or persistence, or a counter 0, among the
     records repacked raises `AppendError` before any record gets an offset.
     A value that its field cannot hold raises `FieldRangeError` naming the
-    field, a parent cycle the load's `LinkCycleError`, a parent or a packed
+    field, a parent cycle or a repeated module id the load's
+    `LinkCycleError` or `BadLinkError`, a parent or a packed
     detection's detector that is not the map's own record of its id the
     `StructureInvalidError` `serialize` raises, and an append that raises
     leaves the new records without offsets, so it can be retried.
@@ -919,10 +920,11 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
         buf = bytearray(old_total + sum(sizes))
         buf[:old_total] = image
         updated = _write_linked(buf, modules, owners, counts)
-        # a moved parent word may close a cycle, which a load refuses
+        # a moved id or parent word may repeat an id or close a cycle,
+        # which a load refuses
         end = HEADER_SIZE + MODULE_SIZE * m
         if any(image[at:end:MODULE_SIZE] != updated[at:end:MODULE_SIZE]
-               for at in range(HEADER_SIZE + 4, HEADER_SIZE + 8)):
+               for at in range(HEADER_SIZE, HEADER_SIZE + 8)):
             _Reader(updated).check()
         return updated
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .errors import ScenarioError, UnknownDetectorError, ZeroSeverityError
@@ -140,51 +141,46 @@ def report_detection(hm: HealthMap, report: DetectionReport, *,
 def prune(hm: HealthMap) -> int:
     """Merge duplicate records; returns the number of records removed.
 
-    Detections of the same fault from the same detector collapse in one
-    pass under `record_event`'s u32 counter ceiling: a keeper absorbs a
-    later one (counters summed, earliest timestamp kept, MERGED flag set)
-    only while its counter stays <= U32_MAX, otherwise that detection
-    becomes the next keeper. Then faults of one module with identical
-    (severity, persistence, classification) collapse with their detection
-    lists concatenated. The total event count and the resulting resource
-    map are unchanged. Each list is rebuilt once, so the cost is linear in
-    the number of records.
+    One pass over the modules. First a module's faults with identical
+    (severity, persistence, classification) collapse into the first of
+    them, their detection lists concatenated in module.faults order. Then
+    each surviving fault's detections from one detector collapse under
+    `record_event`'s u32 counter ceiling: a keeper absorbs a later one
+    (counters summed, earliest timestamp kept, MERGED flag set) only while
+    its counter stays <= U32_MAX, otherwise that detection becomes the
+    next keeper. So a second `prune` removes nothing. `hm.faults` keeps
+    its order and `hm.detections` becomes the fault lists in that order,
+    so `serialize` writes every detection link forward. The total event
+    count and the resulting resource map are unchanged, and the cost is
+    linear in the number of records.
     """
-    removed: list = []
-
-    for fault in hm.faults:
-        keepers: dict[int, FaultDetection] = {}
-        kept = []
-        for det in fault.detections:
-            keeper = keepers.get(det.detector.id)
-            if keeper is not None and keeper.counter + det.counter <= U32_MAX:
-                keeper.counter += det.counter
-                keeper.timestamp = min(keeper.timestamp, det.timestamp)
-                keeper.flags |= FLAG_MERGED
-                removed.append(det)
-            else:
-                keepers[det.detector.id] = det
-                kept.append(det)
-        if len(kept) < len(fault.detections):
-            fault.detections[:] = kept
-
+    records = len(hm.faults) + len(hm.detections)
+    key = attrgetter("owner", "severity", "persistence", "classification")
+    keepers: dict[tuple, Fault] = {}
     for module in hm.modules.values():
-        by_key: dict[tuple, Fault] = {}
         for fault in module.faults:
-            key = (fault.severity, fault.persistence, fault.classification)
-            keeper = by_key.setdefault(key, fault)
+            keeper = keepers.setdefault(key(fault), fault)
             if keeper is not fault:
-                keeper.detections.extend(fault.detections)
-                removed.append(fault)
-        if len(by_key) < len(module.faults):
-            module.faults[:] = by_key.values()
-
-    if removed:
-        dead = {id(r) for r in removed}
-        hm.detections = [d for d in hm.detections if id(d) not in dead]
-        hm.faults = [f for f in hm.faults if id(f) not in dead]
-        hm.reindex_faults()
-    return len(removed)
+                keeper.detections += fault.detections
+        module.faults[:] = [f for f in module.faults if keepers[key(f)] is f]
+        for fault in module.faults:
+            by_detector: dict[int, FaultDetection] = {}
+            kept = []
+            for det in fault.detections:
+                keeper = by_detector.get(det.detector.id)
+                if (keeper is not None
+                        and keeper.counter + det.counter <= U32_MAX):
+                    keeper.counter += det.counter
+                    keeper.timestamp = min(keeper.timestamp, det.timestamp)
+                    keeper.flags |= FLAG_MERGED
+                else:
+                    by_detector[det.detector.id] = det
+                    kept.append(det)
+            fault.detections[:] = kept
+    hm.faults = [f for f in hm.faults if keepers.get(key(f), f) is f]
+    hm.detections = [d for f in hm.faults for d in f.detections]
+    hm.reindex_faults()
+    return records - len(hm.faults) - len(hm.detections)
 
 
 def hexadecimal(text: str) -> int:

@@ -99,7 +99,9 @@ def int_token(token: str, what: str, error: type[HealthMapError],
 
 def read_text(path) -> str:
     """The text of the UTF-8 file at `path`; a HealthMapError naming the
-    file when its bytes are not UTF-8."""
+    file when its path holds a NUL byte or its bytes are not UTF-8."""
+    if "\0" in str(path):   # open() would raise ValueError
+        raise HealthMapError(f"{str(path)!r}: a path cannot hold a NUL byte")
     try:
         with open(path, encoding="utf-8") as file:
             return file.read()

@@ -672,10 +672,26 @@ def reference_ingest_summary(parent_hm: HealthMap, parent_rm, message: bytes,
 
 def reference_prune(hm: HealthMap) -> int:
     """What `faultmgr.prune` must do: a list-removal merge, one
-    `list.remove` per merged detection and per merged fault. A detector's
-    keeper takes a later detection of it only while the sum fits a u32
-    counter; otherwise that detection keeps on as the next keeper."""
+    `list.remove` per merged fault and per merged detection. Faults of one
+    module with equal (severity, persistence, classification) merge first,
+    concatenating their detection lists. Then a detector's keeper in each
+    fault takes a later detection of it only while the sum fits a u32
+    counter; otherwise that detection keeps on as the next keeper. The
+    detections are then listed fault by fault, in `hm.faults` order."""
     removed: list = []
+
+    for module in hm.modules.values():
+        by_key: dict[tuple, Fault] = {}
+        for fault in list(module.faults):
+            key = (fault.severity, fault.persistence, fault.classification)
+            keeper = by_key.get(key)
+            if keeper is None:
+                by_key[key] = fault
+                continue
+            keeper.detections.extend(fault.detections)
+            module.faults.remove(fault)
+            hm.faults.remove(fault)
+            removed.append(fault)
 
     for fault in hm.faults:
         by_detector: dict[int, list] = {}
@@ -693,21 +709,6 @@ def reference_prune(hm: HealthMap) -> int:
                 fault.detections.remove(extra)
                 removed.append(extra)
 
-    for module in hm.modules.values():
-        by_key: dict[tuple, Fault] = {}
-        for fault in list(module.faults):
-            key = (fault.severity, fault.persistence, fault.classification)
-            keeper = by_key.get(key)
-            if keeper is None:
-                by_key[key] = fault
-                continue
-            keeper.detections.extend(fault.detections)
-            module.faults.remove(fault)
-            removed.append(fault)
-
-    if removed:
-        dead = {id(r) for r in removed}
-        hm.detections = [d for d in hm.detections if id(d) not in dead]
-        hm.faults = [f for f in hm.faults if id(f) not in dead]
-        hm.reindex_faults()
+    hm.detections = [d for f in hm.faults for d in f.detections]
+    hm.reindex_faults()
     return len(removed)

@@ -258,6 +258,22 @@ def test_superscript_digit_maintenance_name_exits_1(compiled, capsys):
     assert "unknown module name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rm", "affinity"])
+def test_maintenance_id_past_the_digit_limit_exits_1(compiled, tmp_path,
+                                                     capsys, command):
+    # int() refuses a string of more than 4 300 digits with ValueError
+    shm, sym = compiled
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("task any maxSev=HIGH\n")
+    extra = ["--tasks", str(tasks)] if command == "affinity" else []
+    assert main([command, str(shm), *extra, "--sym", str(sym),
+                 "--maintenance", "1" * 5000]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad module id '{'1' * 5000}': not an " \
+        "integer\n"
+    assert captured.out == ""
+
+
 def test_inject_class_outside_u8_exits_1_and_keeps_image(compiled, capsys):
     shm, _sym = compiled
     before = shm.read_bytes()
@@ -485,6 +501,14 @@ def test_simulate_description_error_names_its_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {work / 'cpu.xml'}: line ")
     assert "bad criticality value 'BOGUS'" in err
+
+
+def test_simulate_path_holding_a_nul_byte_exits_1(tmp_path, capsys):
+    work = demo_copy(tmp_path, "board.scn", "hm=cpu.xml", "hm=cpu\0.xml")
+    path = str(work / "cpu\0.xml")
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path!r}: a path cannot hold a NUL byte\n")
 
 
 def test_rm_sidecar_repeating_an_id_exits_1(compiled, tmp_path, capsys):

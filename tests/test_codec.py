@@ -858,6 +858,9 @@ DIRECT_EDITS = {
     # drawn from the map being edited: may close a cycle
     "parent": (lambda hm: list(hm.modules.values()), "parent",
                lambda hm: st.sampled_from([None, *hm.modules.values()])),
+    # the map's own ids: may repeat one
+    "id": (lambda hm: list(hm.modules.values()), "id",
+           lambda hm: st.sampled_from(sorted(hm.modules))),
 }
 
 
@@ -901,6 +904,19 @@ def test_append_refuses_a_parent_cycle_a_load_refuses(load, child, parent,
     with pytest.raises(LinkCycleError, match=(
             f"^parent chain of module {first}: cycle through module "
             f"{first}$")):
+        append_changes(image, hm)
+    assert all_offsets(hm) == before
+
+
+@pytest.mark.parametrize("load", ["deserialize", "partial"])
+def test_append_refuses_a_repeated_module_id(load):
+    # a moved id word goes through the load, as a moved parent word does
+    image = synthesized_image()
+    hm = (grown_synthesized_map() if load == "deserialize"
+          else _load(image, 1))
+    hm.modules[2].id = 1
+    before = all_offsets(hm)
+    with pytest.raises(BadLinkError, match="^duplicate module id 1$"):
         append_changes(image, hm)
     assert all_offsets(hm) == before
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from healthmap import (
     serialize,
 )
 from healthmap.cli import build_parser
+from healthmap.codec import _Reader
 from healthmap.errors import (
     ClassificationRangeError,
     FieldRangeError,
@@ -282,6 +284,34 @@ def test_prune_matches_list_removal_reference(seed, copies,
         [[d.seq for d in f.detections] for f in reference.faults]
     assert {key: f.seq for key, f in hm._fault_index.items()} == \
         {key: f.seq for key, f in reference._fault_index.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       copies=st.lists(st.integers(0, 63), max_size=6),
+       extra_detections=st.lists(
+           st.tuples(st.integers(0, 63), st.integers(0, 3),
+                     st.integers(0, 10**9), st.integers(1, 5)),
+           max_size=24))
+def test_prune_is_its_own_fixed_point_and_writes_links_forward(
+        seed, copies, extra_detections):
+    # one call merges everything a second would, and the pruned map's
+    # image loads by the column proof alone, which needs forward links
+    hm = map_with_duplicates(seed, copies, extra_detections)
+    reference = map_with_duplicates(seed, copies, extra_detections)
+    assert prune(hm) == reference_prune(reference)
+    pruned = hm.snapshot()
+    assert pruned == reference.snapshot()
+    assert [[d.seq for d in f.detections] for f in hm.faults] == \
+        [[d.seq for d in f.detections] for f in reference.faults]
+    assert {key: f.seq for key, f in hm._fault_index.items()} == \
+        {key: f.seq for key, f in reference._fault_index.items()}
+    assert prune(hm) == 0
+    assert hm.snapshot() == pruned
+    walker = AssertionError("the detection-list walker ran")
+    with mock.patch.object(_Reader, "_check_dynamic", side_effect=walker):
+        loaded = deserialize(serialize(hm))
+    assert loaded.snapshot() == pruned
 
 
 def test_merge_conserves_event_count(table1_map):
