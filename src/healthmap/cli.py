@@ -22,7 +22,8 @@ from pathlib import Path
 from . import affinity as affinity_mod
 from . import codec, compiler, faultmgr, footprint, hierarchy, resourcemap
 from .errors import HealthMapError
-from .model import Severity, int_token, read_text
+from .model import (Severity, check_path, int_token, quote_token,
+                    read_bytes, read_text)
 
 
 def _replace_files(*files: tuple[Path, bytes]) -> None:
@@ -32,6 +33,8 @@ def _replace_files(*files: tuple[Path, bytes]) -> None:
     leaves the files renamed so far beside the old ones, such as a new
     image beside an old sidecar. An existing file keeps its mode; a new one
     gets the mode a plain write would give it."""
+    for path, _data in files:
+        check_path(path)    # mkstemp would raise ValueError
     temps = []
     try:
         for path, data in files:
@@ -77,7 +80,7 @@ def _maintenance_ids(values, sidecar) -> list[int]:
             continue
         mid = sidecar.id_for_name(value)
         if mid is None:
-            raise HealthMapError(f"unknown module name {value!r}")
+            raise HealthMapError(f"unknown module name {quote_token(value)}")
         ids.append(mid)
     return ids
 
@@ -93,7 +96,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    data = Path(args.shm).read_bytes()
+    data = read_bytes(args.shm)
     hm = codec.validate_image(data)
     print(f"{args.shm}: valid ({len(hm.modules)} modules, "
           f"{len(hm.faults)} faults, {len(hm.detections)} detections)")
@@ -101,7 +104,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    data = Path(args.shm).read_bytes()
+    data = read_bytes(args.shm)
     hm = codec.deserialize(data)
     sidecar = _load_sidecar(args.sym, hm)
     print(f"image: {len(data)} bytes, {len(hm.modules)} modules, "
@@ -131,7 +134,7 @@ def cmd_dump(args) -> int:
 
 def cmd_inject(args) -> int:
     path = Path(args.shm)
-    image = path.read_bytes()
+    image = read_bytes(path)
     # only the detections of the module that owns the detector are read
     hm = codec._load(image, args.detector)
     report = faultmgr.DetectionReport(
@@ -152,8 +155,9 @@ def cmd_inject(args) -> int:
 
 def _resource_map(args) -> tuple[resourcemap.ResourceMap, compiler.Sidecar]:
     """The resource map of `args.shm` with `args.maintenance` marked, and
-    the sidecar that names its modules."""
-    hm = codec._load(Path(args.shm).read_bytes())    # faults suffice
+    the sidecar that names its modules. The load builds no diag resource
+    and no fault: each module's worst fault values suffice."""
+    hm = codec._load(read_bytes(args.shm))
     sidecar = _load_sidecar(args.sym, hm)
     marks = _maintenance_ids(args.maintenance, sidecar)
     return resourcemap.init_resource_map(hm, maintenance=marks), sidecar
@@ -175,7 +179,7 @@ def cmd_affinity(args) -> int:
 
 def cmd_prune(args) -> int:
     path = Path(args.shm)
-    hm = codec.deserialize(path.read_bytes())
+    hm = codec.deserialize(read_bytes(path))
     removed = faultmgr.prune(hm)
     image = codec.serialize(hm)
     _replace_files((path, image))
@@ -194,6 +198,7 @@ def cmd_simulate(args) -> int:
     result = hierarchy.simulate(scenario)
     if args.out:
         out = Path(args.out)
+        check_path(out)     # mkdir would raise ValueError
         out.mkdir(parents=True, exist_ok=True)
         _replace_files((out / "messages.log", result.message_text().encode()),
                        (out / "rm.log", result.rm_text().encode()))

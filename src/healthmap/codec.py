@@ -47,19 +47,51 @@ accepts the same images. The build pass then creates the
 detections of the modules a caller reads, walking again lists the check
 pass proved valid. `deserialize` builds every detection. The CLI's
 private `_load` builds those of the module that owns the reporting
-detector (`hm inject`) or none (`hm rm`, `hm affinity`), and such a map
-goes back to disk only through `append_changes`.
+detector (`hm inject`), and such a map goes back to disk only through
+`append_changes`.
+
+`hm rm` and `hm affinity` read no diag resource and no fault, only each
+module's worst fault values. For them `_load` runs the same checks
+fault-free: it builds the modules and dependencies, proves the diag
+resource section by byte columns, and while it walks the fault lists for
+the dynamic proof it keeps each faulty module's (id, worst severity,
+worst persistence) and builds no fault. The map carries those triples
+(`HealthMap._worst`) for `resourcemap.init_resource_map`, and every call
+that would read or write a fault refuses it.
+
+The diag resource proof reads each record's id, owner and next words as
+columns of the section (strided slices, as for detections below) and
+accepts only when:
+
+  * the R ids are distinct;
+  * the modules' nonzero first-diag links, in ascending order, start runs
+    that tile the section: the first at its start, each run up to the next
+    link, the last up to its end;
+  * each run is one list of consecutive records: next = record + 13 inside
+    the run and 0 at its end;
+  * each run's owner words equal its module's offset.
+
+Such lists are exactly what the walker `_read_diags` accepts without an
+error, so when the proof fails the walker runs as if it had not, and
+raises the first error in the usual order; what a successful walk built
+is dropped.
+
+A diag check that passes has claimed all R slots of the section, so a
+detection's detector link is valid exactly when it names one of them: one
+byte mark per diag slot, set from the header counts, answers that for the
+dynamic proof and the walker alike, with or without diag resource objects.
 
 The check pass proves the dynamic region valid with column scans, so
 Python works per fault and per list break, not per detection. It walks
-the fault lists, building each fault but attaching none to its module
-yet, sorts the faults by offset and takes the gaps between them as
-25-byte detection slots. It reads every slot's next, detector and counter
-words at once, with strided slices of the slots, and accepts only when:
+the fault lists, building each fault (or, fault-free, keeping its offset)
+but attaching none to its module yet, sorts the faults by offset and
+takes the gaps between them as 25-byte detection slots. It reads every
+slot's next, detector and counter words at once, with strided slices of
+the slots, and accepts only when:
 
   * every gap is a whole number of slots (the header's length check then
     leaves FD of them);
-  * no counter is 0, and every detector link is a diag resource offset;
+  * no counter is 0, and every detector link names a marked diag slot;
   * every next link that is not consecutive (not slot + 25 in the same
     gap) is 0 or points forward, past slot + 25;
   * the fault heads and those links name exactly the slots that no
@@ -70,7 +102,9 @@ tiling mean that every slot is reached from exactly one fault and no two
 records overlap. So the proof accepts only images the walker accepts, and
 builds the same faults. When it fails, for a hostile image or a valid one
 with a backward link, the walker runs as if the proof had not, and names
-the first error in image order; the error messages live only there.
+the first error in image order; the error messages live only there. A
+fault-free load takes its triples from the faults the walker built, by
+`model.worst_faults`, and then drops them.
 
 No two records overlap: every record the lists reach occupies its own byte
 range. The walker verifies this for the dynamic region in linear time. It
@@ -105,7 +139,7 @@ from __future__ import annotations
 import struct
 import zlib
 from itertools import accumulate, chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -136,6 +170,7 @@ from .model import (
     Module,
     check_field,
     parent_verdicts,
+    worst_faults,
 )
 
 MAGIC = b"SHM1"
@@ -240,6 +275,7 @@ def serialize(hm: HealthMap) -> bytes:
     `serialize` that raises leaves every offset as it was; a value that its
     field cannot hold raises `FieldRangeError` naming the field.
     """
+    hm.require_faults("serialize")
     if hm._built is not None:
         raise AppendError("cannot serialize a map loaded without all its "
                           "detections")
@@ -341,14 +377,16 @@ class _Reader:
     tolerated.
 
     `check` runs every check of the image, in image order, and builds the
-    modules, diag resources, dependencies and faults; of each detection it
-    reads only its links and counter, so it builds no detection object. It
-    also refuses parent cycles, ZERO fault enum bytes and counter 0. The
-    dynamic region is proven by column scans (`_prove_dynamic`); only when
-    the proof fails does the walker (`_check_dynamic`) follow every list,
-    claiming each record's offset in one dict, and it alone raises the
-    region's errors. `build` then creates the detections of chosen modules
-    by walking again the lists `check` proved valid, so it cannot fail.
+    modules, diag resources, dependencies and faults, or fault-free only
+    the modules and dependencies; of each detection it reads only its
+    links and counter, so it builds no detection object. It also refuses
+    parent cycles, ZERO fault enum bytes and counter 0. The diag resource
+    section (fault-free only) and the dynamic region are proven by column
+    scans (`_prove_diags`, `_prove_dynamic`); only when a proof fails does
+    its walker (`_read_diags`, `_check_dynamic`) follow every list, and it
+    alone raises the section's errors. `build` then creates the
+    detections of chosen modules by walking again the lists `check`
+    proved valid, so it cannot fail.
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
@@ -363,15 +401,24 @@ class _Reader:
         self.data = bytes(data)
         self.total = len(self.data)
 
-    def check(self) -> HealthMap:
-        """The image's map without detections; raises on the first
-        error."""
+    def check(self, build: bool = True) -> HealthMap:
+        """The image's map without detections; raises on the first error.
+
+        With `build` False the map holds the modules and dependencies but
+        no diag resource and no fault: `hm._worst` holds each faulty
+        module's (id, worst severity, worst persistence) instead. The
+        checks are the same; a section whose proof fails is walked, and
+        what the walk built is dropped."""
         m, r, d, f, fd = self._check_header()
         self.mod_base = HEADER_SIZE
         self.diag_base = self.mod_base + MODULE_SIZE * m
         self.dep_base = self.diag_base + DIAG_SIZE * r
         self.dyn_base = self.dep_base + DEP_SIZE * d
         self.counts = (m, r, d, f, fd)
+        # a mark at each diag resource slot: a diag check that passes has
+        # claimed every slot, so these are the offsets a detector may name
+        self.marks = bytearray(self.dep_base)
+        self.marks[self.diag_base::DIAG_SIZE] = b"\1" * r
 
         raw_modules = self._walk_modules(m)
 
@@ -398,13 +445,26 @@ class _Reader:
                 raise LinkCycleError(f"parent chain of module {m.id}: cycle "
                                      f"through module {verdicts[id(m)][1]}")
 
-        self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
+        walked = build or not self._prove_diags(raw_modules, r)
+        if walked:
+            self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
-        faults = self._prove_dynamic(by_off, raw_modules, f, fd)
-        if faults is None:
-            faults = self._check_dynamic(by_off, raw_modules, f, fd)
-        hm.faults = faults
-        hm.reindex_faults()
+        proven = self._prove_dynamic(by_off, raw_modules, f, fd, build)
+        if build:
+            if proven is None:
+                proven = self._check_dynamic(by_off, raw_modules, f, fd)
+            hm.faults = proven
+            hm.reindex_faults()
+            return hm
+        if proven is None:
+            self._check_dynamic(by_off, raw_modules, f, fd)
+            proven = list(worst_faults(modules.values()))
+            walked = True
+        if walked:
+            hm.diag_resources = {}
+            for module in modules.values():
+                module.diag_resources, module.faults = [], []
+        hm._worst = proven
         return hm
 
     def build(self, modules: Iterable[Module]) -> list[FaultDetection]:
@@ -599,17 +659,46 @@ class _Reader:
             raise LinkCycleError(f"{what} list revisits offset {off}")
         raise BadLinkError(f"{what} at {off} reuses a claimed record")
 
-    def _prove_dynamic(self, by_off, raw_modules, f, fd):
-        """The faults in offset order, attached to their modules, when
-        column scans prove the dynamic region valid; else None, with no
-        fault attached. See the module docstring for the proof."""
+    def _prove_diags(self, raw_modules, r) -> bool:
+        """Whether byte columns prove the diag resource section valid, so
+        that `_read_diags` would accept it; builds nothing. See the module
+        docstring for the proof."""
+        base = self.diag_base
+        end = base + DIAG_SIZE * r
+        runs = sorted((fields[2], mod_off)
+                      for mod_off, fields in raw_modules.items() if fields[2])
+        nexts = list(range(base + DIAG_SIZE, end + DIAG_SIZE, DIAG_SIZE))
+        owners = bytearray()
+        pos = base
+        for (head, mod_off), (stop, _next) in zip(
+                runs, chain(runs[1:], ((end, 0),))):
+            if head != pos or stop <= head or (stop - head) % DIAG_SIZE:
+                return False
+            nexts[(stop - base) // DIAG_SIZE - 1] = 0    # the run's end
+            owners += _LINK.pack(mod_off) * ((stop - head) // DIAG_SIZE)
+            pos = stop
+        if pos != end:
+            return False
+        section = self.data[base:end]
+        return (_column(section, 8, r, DIAG_SIZE)
+                == struct.pack(f"<{r}I", *nexts)
+                and _column(section, 4, r, DIAG_SIZE) == owners
+                and len(set(_words(section, 0, r, DIAG_SIZE))) == r)
+
+    def _prove_dynamic(self, by_off, raw_modules, f, fd, build=True):
+        """When column scans prove the dynamic region valid, the faults in
+        offset order, attached to their modules, or with `build` False
+        each faulty module's (id, worst severity, worst persistence), with
+        no fault built; else None, with no fault attached. See the module
+        docstring for the proof."""
         data, total, dyn_base = self.data, self.total, self.dyn_base
         unpack_fault = FAULT_REC.unpack_from
         severities, persistences = SEVERITIES, PERSISTENCES
         n_sev, n_pers = len(severities), len(persistences)
         last_fault = total - FAULT_SIZE
-        lists: list[tuple[Module, list[Fault]]] = []
-        faults: list[Fault] = []
+        # (module, its faults) with `build`, else the triples
+        lists: list[tuple] = []
+        found: list = []            # the faults, or without `build` offsets
         heads: list[int] = []       # the nonzero first-detection links
         for mod_off, fields in raw_modules.items():
             cur = fields[4]
@@ -617,43 +706,60 @@ class _Reader:
                 continue
             owner = by_off[mod_off]
             owned: list[Fault] = []
-            lists.append((owner, owned))
+            worst_sev = worst_pers = 0
             while cur:
                 # a fault past the header's count ends a cycle or a reuse
-                if not dyn_base <= cur <= last_fault or len(faults) == f:
+                if not dyn_base <= cur <= last_fault or len(found) == f:
                     return None
                 nxt, head, sev, pers, cls, _resv = unpack_fault(data, cur)
                 if not (0 < sev < n_sev and 0 < pers < n_pers):
                     return None
-                fault = Fault(owner, severities[sev], persistences[pers], cls,
-                              [], cur)
-                owned.append(fault)
-                faults.append(fault)
+                if build:
+                    fault = Fault(owner, severities[sev], persistences[pers],
+                                  cls, [], cur)
+                    owned.append(fault)
+                    found.append(fault)
+                else:
+                    found.append(cur)
+                    if sev > worst_sev:
+                        worst_sev = sev
+                    if pers > worst_pers:
+                        worst_pers = pers
                 if head:
                     heads.append(head)
                 cur = nxt
-        if len(faults) != f:
+            lists.append((owner, owned) if build else
+                         (owner.id, severities[worst_sev],
+                          persistences[worst_pers]))
+        if len(found) != f:
             return None
-        faults.sort(key=_offset)
-        gaps = _slot_gaps(map(_offset, faults), dyn_base, total)
+        if build:
+            found.sort(key=_offset)
+            gaps = _slot_gaps(map(_offset, found), dyn_base, total)
+        else:
+            found.sort()
+            gaps = _slot_gaps(found, dyn_base, total)
         if gaps is None:
             return None
         # the header's length check leaves room for exactly FD slots
         slots = b"".join([data[a:b] for a, b in gaps])
         if (b"\0" in _fold(slots, 16, DET_SIZE, fd)     # a counter 0
-                or not self.diag_by_off.keys() >= set(_words(slots, 4, fd))
+                or not _marked(self.marks, set(_words(slots, 4, fd)))
                 or not _lists_proven(slots, fd, gaps, heads, total)):
             return None
+        if not build:
+            return lists
         for owner, owned in lists:
             owner.faults = owned
-        return faults
+        return found
 
     def _check_dynamic(self, by_off, raw_modules, f, fd):
         """Build the faults and check every fault and detection link,
         claiming each walked offset for the fault whose list holds it (0
         for a fault); returns the faults in offset order."""
         data, dyn_base = self.data, self.dyn_base
-        detectors = self.diag_by_off
+        marks = self.marks
+        detectors_end = len(marks)
         unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
         severities, persistences = SEVERITIES, PERSISTENCES
         n_sev, n_pers = len(severities), len(persistences)
@@ -683,7 +789,7 @@ class _Reader:
                     if not dyn_base <= dcur <= last_det or dcur in claimed:
                         self._reject(dcur, claimed, cur)
                     dnxt, det_off, counter = unpack_links(data, dcur)
-                    if det_off not in detectors:
+                    if det_off >= detectors_end or not marks[det_off]:
                         raise BadLinkError(
                             f"detection at {dcur} references non-detector "
                             f"offset {det_off}")
@@ -733,17 +839,31 @@ def _slot_gaps(fault_offsets: Iterable[int], start: int,
     return gaps
 
 
-def _column(slots: bytes, at: int, n: int) -> bytearray:
-    """The u32 at byte `at` of each of the `n` slots, as 4n bytes."""
+def _column(records: bytes, at: int, n: int,
+            size: int = DET_SIZE) -> bytearray:
+    """The u32 at byte `at` of each of the `n` `size`-byte records packed
+    in `records`, as 4n bytes."""
     column = bytearray(4 * n)
     for k in range(4):
-        column[k::4] = slots[at + k::DET_SIZE]
+        column[k::4] = records[at + k::size]
     return column
 
 
-def _words(slots: bytes, at: int, n: int) -> tuple[int, ...]:
-    """The little-endian u32 at byte `at` of each of the `n` slots."""
-    return struct.unpack(f"<{n}I", _column(slots, at, n))
+def _words(records: bytes, at: int, n: int,
+           size: int = DET_SIZE) -> tuple[int, ...]:
+    """The little-endian u32 at byte `at` of each of the `n` records."""
+    return struct.unpack(f"<{n}I", _column(records, at, n, size))
+
+
+def _marked(marks: bytearray, offsets: set[int]) -> bool:
+    """Whether `marks` holds a mark at each of `offsets`; an `itemgetter`
+    of two or more reads them all in one call."""
+    try:
+        if len(offsets) > 1:
+            return 0 not in itemgetter(*offsets)(marks)
+        return all(marks[off] for off in offsets)
+    except IndexError:
+        return False
 
 
 def _fold(buf: bytes, at: int, stride: int, n: int) -> bytes:
@@ -818,15 +938,25 @@ def deserialize(data: bytes) -> HealthMap:
 
 
 def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
-    """`deserialize` for a command that reads few detections: the image
-    passes every check, but only the module that owns diag resource
-    `detector` (none if it is None or unknown) gets its detections.
+    """`deserialize` for a command that reads little of the map: the image
+    passes every check, and the map holds only what the command reads.
 
-    The map may grow and change through that module only: `append_changes`
-    writes back no fault of another module, and `serialize` refuses the
-    map.
+    With a `detector` (`hm inject`), only the module that owns that diag
+    resource (none if it is unknown) gets its detections. The map may grow
+    and change through that module only: `append_changes` writes back no
+    fault of another module, and `serialize` refuses the map.
+
+    Without one (`hm rm`, `hm affinity`), the map holds the modules and
+    dependencies, no diag resource and no fault; `hm._worst` holds each
+    faulty module's (id, worst severity, worst persistence), which
+    `resourcemap.init_resource_map` folds. Every writer, `report_detection`
+    and clearing maintenance refuse such a map (`HealthMap.require_faults`).
     """
     reader = _Reader(data)
+    if detector is None:
+        hm = reader.check(build=False)
+        hm._built = set()
+        return hm
     hm = reader.check()
     res = hm.diag_resources.get(detector)
     owners = [] if res is None else [res.owner]
@@ -866,6 +996,7 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     `StructureInvalidError` `serialize` raises, and an append that raises
     leaves the new records without offsets, so it can be retried.
     """
+    hm.require_faults("append")
     old_total = len(image)
     get = hm.modules.get
     for m in hm.modules.values():

@@ -43,6 +43,11 @@ class ClassificationRangeError(FieldRangeError):
     """A fault classification does not fit the image's one-byte field."""
 
 
+class FaultsNotBuiltError(HealthMapError):
+    """A map whose load folded each module's faults into its worst values,
+    building no fault, was asked to read or write faults."""
+
+
 class StructureInvalidError(HealthMapError):
     """Raised when an operation requires a structurally valid map."""
 

@@ -118,6 +118,7 @@ def report_detection(hm: HealthMap, report: DetectionReport, *,
     persistence are folded into it by `ResourceMap._update`, the body of
     update_single_fault for values that are already members.
     """
+    hm.require_faults("report a detection to")
     detector = hm.diag_resources.get(report.detector_id)
     if detector is None:
         raise UnknownDetectorError(

@@ -257,6 +257,11 @@ class ScheduledDetection:
     seq: int
 
 
+# The most summary emissions (Σ duration // period over the nodes) one
+# scenario may ask for: `simulate` schedules every emission before it runs.
+MAX_EMISSIONS = 1_000_000
+
+
 @dataclass
 class Scenario:
     """Node tree, timed detection events and the simulated duration.
@@ -351,6 +356,12 @@ class Scenario:
                 raise ScenarioError(
                     f"node {child[0]} references unknown parent {at}"
                     if child else f"node tree cycle through node {at}")
+        emissions = sum(self.duration_us // spec.period_us
+                        for spec in self.nodes.values())
+        if emissions > MAX_EMISSIONS:
+            raise ScenarioError(f"scenario makes {emissions} summary "
+                                f"emissions, above the cap of "
+                                f"{MAX_EMISSIONS}")
         for event in self.events:
             if event.node_id not in self.nodes:
                 raise ScenarioError(

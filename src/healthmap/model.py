@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     ClassificationRangeError,
     DuplicateIdError,
+    FaultsNotBuiltError,
     FieldRangeError,
     HealthMapError,
     SelfDependencyError,
@@ -86,22 +87,53 @@ def check_field(value, row: tuple):
     raise (row[2] if len(row) > 2 else FieldRangeError)(message)
 
 
+QUOTED_CHARS = 40    # an error quotes at most this much of a token
+
+
+def quote_token(token: str) -> str:
+    """`token` quoted for an error line; a longer one by its first
+    QUOTED_CHARS characters and its length, so hostile input stays out of
+    logs."""
+    if len(token) <= QUOTED_CHARS:
+        return repr(token)
+    return f"{token[:QUOTED_CHARS]!r}... ({len(token)} characters)"
+
+
 def int_token(token: str, what: str, error: type[HealthMapError],
               maximum: Optional[int] = None) -> int:
-    """A decimal integer token of a text line, in 0..maximum if given."""
+    """A decimal integer token of a text line, in 0..maximum if given. An
+    error quotes the token by `quote_token`."""
     try:
         value = int(token)
     except ValueError:
-        raise error(f"bad {what} {token!r}: not an integer") from None
-    return value if maximum is None else check_field(
-        value, (maximum, what, error))
+        raise error(f"bad {what} {quote_token(token)}: not an integer") \
+            from None
+    if maximum is None:
+        return value
+    if len(token) > QUOTED_CHARS and not 0 <= value <= maximum:
+        raise error(f"{what} {quote_token(token)} outside 0..{maximum}")
+    return check_field(value, (maximum, what, error))
+
+
+def check_path(path) -> None:
+    """Raise a HealthMapError naming `path` when it holds a NUL byte, which
+    every file call would refuse with a ValueError."""
+    if "\0" in str(path):
+        raise HealthMapError(f"{str(path)!r}: a path cannot hold a NUL byte")
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file at `path`; a HealthMapError naming it when its
+    path holds a NUL byte."""
+    check_path(path)
+    with open(path, "rb") as file:
+        return file.read()
 
 
 def read_text(path) -> str:
     """The text of the UTF-8 file at `path`; a HealthMapError naming the
     file when its path holds a NUL byte or its bytes are not UTF-8."""
-    if "\0" in str(path):   # open() would raise ValueError
-        raise HealthMapError(f"{str(path)!r}: a path cannot hold a NUL byte")
+    check_path(path)
     try:
         with open(path, encoding="utf-8") as file:
             return file.read()
@@ -195,6 +227,24 @@ FIELDS = {
                      "flags": (0xFF, "detection flags")},
 }
 
+def worst_faults(
+        modules: Iterable[Module]) -> Iterator[tuple[int, Severity,
+                                                     Persistence]]:
+    """(id, worst severity, worst persistence) of each of `modules` that
+    holds a fault, in the given order: what a module's own faults put into
+    its resource map entry. A load that builds no fault keeps the same
+    triples (`HealthMap._worst`)."""
+    for module in modules:
+        faults = module.faults
+        if faults:
+            severity, persistence = faults[0].severity, faults[0].persistence
+            for fault in faults:
+                if fault.severity > severity:
+                    severity = fault.severity
+                if fault.persistence > persistence:
+                    persistence = fault.persistence
+            yield module.id, severity, persistence
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -263,6 +313,17 @@ class HealthMap:
         # ids of the modules whose detections a partial image load built
         # (the codec's `_load`); None when the map holds every record
         self._built: Optional[set[int]] = None
+        # each faulty module's (id, worst severity, worst persistence) when
+        # a load folded the faults instead of building them (the codec's
+        # `_load` without a detector); None when the map holds its faults
+        self._worst: Optional[list[tuple[int, Severity, Persistence]]] = None
+
+    def require_faults(self, action: str) -> None:
+        """Raise FaultsNotBuiltError, naming `action`, when a load folded
+        this map's faults instead of building them."""
+        if self._worst is not None:
+            raise FaultsNotBuiltError(
+                f"cannot {action} a map loaded without its faults")
 
     # -- construction --------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import (
@@ -36,6 +37,7 @@ from .model import (
     Persistence,
     Severity,
     check_field,
+    worst_faults,
 )
 
 RM_ENTRY = struct.Struct("<IBBB")
@@ -167,7 +169,11 @@ class ResourceMap:
         that raises neither is dropped; one that raises either walks on
         with the merged values. That is exact: every fold takes maxima and
         every cap is a min, so the merged values reach the same entries
-        with the same maxima as the arrivals would one by one.
+        with the same maxima as the arrivals would one by one. An arrival
+        is dropped before it is folded when its target has already walked
+        on with values as high in the same hop state: each of those values
+        was folded into the target's entry when it arrived, so the fold
+        would change nothing.
 
         A ZERO severity is tested by truth (ZERO is 0), not compared with
         Severity.ZERO: most walks are a few steps long, so their fixed cost
@@ -191,14 +197,23 @@ class ResourceMap:
             crit = module.criticality
             if crit and module.parent is not None:
                 capped = min(sev, crit)
-                fold(module.parent.id, capped, pers, _PROPAGATED)
-                work.append((module.parent.id, capped, pers, follow_deps))
+                to = module.parent.id
+                walked = seen.get(to)
+                if (walked is None or capped > walked[0]
+                        or pers > walked[1]):
+                    fold(to, capped, pers, _PROPAGATED)
+                    work.append((to, capped, pers, follow_deps))
             if follow_deps:
+                after = best[False]
                 for dep in module.dependencies:
                     capped = min(sev, dep.severity)
                     if capped:
-                        fold(dep.dependent.id, capped, pers, _PROPAGATED)
-                        work.append((dep.dependent.id, capped, pers, False))
+                        to = dep.dependent.id
+                        walked = after.get(to)
+                        if (walked is None or capped > walked[0]
+                                or pers > walked[1]):
+                            fold(to, capped, pers, _PROPAGATED)
+                            work.append((to, capped, pers, False))
 
     # -- maintenance -------------------------------------------------------
 
@@ -207,8 +222,11 @@ class ResourceMap:
 
         Clearing folds each affected entry's own maxima back in by the
         rule `init_resource_map` uses, so it gives the status a rebuild
-        without that maintenance root would.
+        without that maintenance root would. Clearing reads the modules'
+        faults, so a map loaded without them refuses it.
         """
+        if not on:
+            self._hm.require_faults("clear maintenance on")
         self._mark(self._hm.subtree_ids(module_id), on)
 
     def _mark(self, module_ids: Iterable[int], on: bool) -> None:
@@ -240,41 +258,44 @@ class ResourceMap:
 
 def init_resource_map(hm: HealthMap,
                       maintenance: Iterable[int] = ()) -> ResourceMap:
-    """Populate a fresh resource map: fold every faulty module's own worst
-    values, then propagate from all of them in one walk; the result is
-    independent of iteration order.
+    """Populate a fresh resource map: fold each faulty module's own worst
+    values, the triples its load kept (`hm._worst`) or else
+    `model.worst_faults` of its faults, then propagate from all of them in
+    one walk; the result is independent of iteration order.
     """
     rm = ResourceMap(hm)
     roots = tuple(maintenance)
     if roots:
         rm._mark(hm.subtree_ids(*roots), True)
+    worst = (hm._worst if hm._worst is not None
+             else worst_faults(hm.modules.values()))
+    fold = rm._fold
     work = []
-    for module in hm.modules.values():
-        faults = module.faults
-        if not faults:
-            continue
-        severity, persistence = faults[0].severity, faults[0].persistence
-        for f in faults:
-            if f.severity > severity:
-                severity = f.severity
-            if f.persistence > persistence:
-                persistence = f.persistence
-        rm._fold(module.id, severity, persistence, _OWN)
-        work.append((module.id, severity, persistence, True))
+    for mid, severity, persistence in worst:
+        fold(mid, severity, persistence, _OWN)
+        work.append((mid, severity, persistence, True))
     rm._propagate(work)
     return rm
+
+
+# the table's text of each level byte
+_SEVERITY_NAMES = tuple(member.name for member in SEVERITIES)
+_PERSISTENCE_NAMES = tuple(member.name for member in PERSISTENCES)
+_STATUS_LABELS = tuple(member.label for member in STATUSES)
 
 
 def render_table(rm: ResourceMap, sidecar) -> str:
     """Four-column text table, rows sorted by dotted module name."""
     rows = []
+    name_for_id = sidecar.name_for_id
     for mid, e in rm.entries.items():
-        name = sidecar.name_for_id(mid)
+        name = name_for_id(mid)
         if name is None:
             raise MissingSymbolError(f"no symbol for module id {mid}")
-        rows.append((name, e.severity.name, e.persistence.name,
-                     e.status.label))
-    rows.sort(key=lambda r: r[0])
+        rows.append((name, _SEVERITY_NAMES[e.severity],
+                     _PERSISTENCE_NAMES[e.persistence],
+                     _STATUS_LABELS[e.status]))
+    rows.sort(key=itemgetter(0))
     header = ("Module name", "Worst severity", "Worst persistence", "Status")
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(3)]
     lines = []

@@ -269,8 +269,8 @@ def test_maintenance_id_past_the_digit_limit_exits_1(compiled, tmp_path,
     assert main([command, str(shm), *extra, "--sym", str(sym),
                  "--maintenance", "1" * 5000]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: bad module id '{'1' * 5000}': not an " \
-        "integer\n"
+    assert captured.err == f"error: bad module id '{'1' * 40}'... (5000 " \
+        "characters): not an integer\n"
     assert captured.out == ""
 
 
@@ -509,6 +509,49 @@ def test_simulate_path_holding_a_nul_byte_exits_1(tmp_path, capsys):
     assert main(["simulate", str(work / "board.scn")]) == 1
     assert capsys.readouterr().err == (
         f"error: {path!r}: a path cannot hold a NUL byte\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "dump", "inject", "rm",
+                                     "affinity", "prune"])
+def test_image_path_holding_a_nul_byte_exits_1(tmp_path, capsys, command):
+    tasks = tmp_path / "tasks.txt"
+    tasks.write_text("task any maxSev=HIGH\n")
+    extra = {"inject": ["--detector", "12", "--sev", "HIGH", "--class", "1",
+                        "--t", "5"],
+             "affinity": ["--tasks", str(tasks)]}.get(command, [])
+    assert main([command, "a\0b.shm", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: 'a\\x00b.shm': a path cannot hold a NUL " \
+        "byte\n"
+    assert captured.out == ""
+
+
+def test_output_path_holding_a_nul_byte_exits_1(tmp_path, capsys):
+    target = tmp_path / "x\0.shm"
+    assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", str(target),
+                 "--sym", str(tmp_path / "x.sym")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {str(target)!r}: a path cannot hold a NUL byte\n")
+    assert list(tmp_path.iterdir()) == []   # no temp file, no sidecar
+
+
+def test_simulate_out_dir_holding_a_nul_byte_exits_1(tmp_path, capsys):
+    out = tmp_path / "o\0"
+    assert main(["simulate", str(DEMO_DATA / "board.scn"), "--out",
+                 str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {str(out)!r}: a path cannot hold a NUL byte\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_past_the_emission_cap_exits_1(tmp_path, capsys):
+    work = demo_copy(tmp_path, "board.scn", "duration 10000",
+                     "duration 142949672960000")
+    assert main(["simulate", str(work / "board.scn")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: scenario makes 42884901888 summary "
+                            "emissions, above the cap of 1000000\n")
+    assert captured.out == ""
 
 
 def test_rm_sidecar_repeating_an_id_exits_1(compiled, tmp_path, capsys):

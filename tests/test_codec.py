@@ -44,15 +44,17 @@ from healthmap.errors import (
     OffsetMisalignedError,
     OffsetOutOfBoundsError,
     AppendError,
+    FaultsNotBuiltError,
     RecordCountError,
     ShmError,
     StructureInvalidError,
 )
-from healthmap.model import U32_MAX, DiagResource, Module
+from healthmap.model import U32_MAX, DiagResource, Module, worst_faults
 
 from conftest import DATA_DIR
 from helpers import (
     crc32_reference,
+    oracle_resource_map,
     random_health_map,
     reference_append,
     reference_deserialize,
@@ -326,6 +328,12 @@ LINK_CASES = {
                                "detection offset 130 outside dynamic region"),
     "non-detector": (("det", 4), "module1", BadLinkError,
                      "detection at 116 references non-detector offset 32"),
+    "detector between diag slots": (("det", 4), 83, BadLinkError,
+                                    "detection at 116 references "
+                                    "non-detector offset 83"),
+    "detector in the dependency section": (("det", 4), "dep", BadLinkError,
+                                           "detection at 116 references "
+                                           "non-detector offset 95"),
     "fault count": (("module2", 16), 0, RecordCountError,
                     "walked 0 faults, header says 1"),
 }
@@ -343,8 +351,9 @@ def test_rewritten_link_raises_its_error(case):
                "det": hm.detections[0].shm_offset}
     assert list(offsets.values()) == [32, 57, 82, 95, 104, 116]
     put_u32(image, offsets[record] + word, offsets.get(value, value))
-    with pytest.raises(error, match=f"^{message}"):
-        deserialize(restamp(image))
+    for load in (deserialize, _load):
+        with pytest.raises(error, match=f"^{message}"):
+            load(restamp(image))
 
 
 def test_fault_with_both_enum_bytes_bad_names_persistence():
@@ -1017,8 +1026,9 @@ def test_golden_image_bytes(name):
 
 # -- partial loads against the one-pass reference reader ----------------------
 # `_load` is the CLI's load: every check of `deserialize`, but detections
-# only for the module that owns one detector. `deserialize` and both
-# partial shapes must fail exactly as the one-pass reference reader does.
+# only for the module that owns one detector, or with no detector neither
+# diag resources nor faults. `deserialize` and every partial shape must
+# fail exactly as the one-pass reference reader does.
 
 def outcome(load, image: bytes):
     """(error class, message) of a load that raises, else its map."""
@@ -1039,9 +1049,21 @@ def partial_view(hm: HealthMap, module_ids) -> tuple:
                   for owner, sev, pers, cls, det_ids in faults))
 
 
+def resource_view(hm: HealthMap) -> tuple:
+    """What a load without a detector builds, from the map's snapshot: each
+    module's id, parent, criticality and dependencies, and the
+    dependencies."""
+    modules, _resources, deps, _faults, _dets = hm.snapshot()
+    return (tuple((mid, parent, crit, dep_ids)
+                  for mid, parent, crit, _diags, dep_ids, _owned in modules),
+            deps)
+
+
 def check_against_reference(image: bytes, detector: int) -> None:
     """Every load of `image` fails as the reference reader does, or builds
-    what it builds; a map a load accepts breaks no structural rule."""
+    what it builds; a map a load accepts breaks no structural rule. The
+    load without a detector builds no diag resource and no fault, and its
+    triples give the reference map's resource map."""
     expected = outcome(reference_deserialize, image)
     got = outcome(deserialize, image)
     partial_none = outcome(_load, image)
@@ -1055,9 +1077,17 @@ def check_against_reference(image: bytes, detector: int) -> None:
         assert hm.validate_structure() == []
     res = expected.diag_resources.get(detector)
     owner = {res.owner.id} if res is not None else set()
-    assert partial_view(partial_none, set()) == partial_view(expected, set())
+    assert resource_view(partial_none) == resource_view(expected)
+    assert partial_none.diag_resources == {} and partial_none.faults == []
+    assert all(m.diag_resources == [] and m.faults == []
+               for m in partial_none.modules.values())
+    assert partial_none._worst == list(worst_faults(
+        expected.modules.values()))
+    assert rm_state(init_resource_map(partial_none)) == oracle_resource_map(
+        expected)
     assert partial_view(partial_one, owner) == partial_view(expected, owner)
-    assert partial_none.detections == []
+    assert partial_view(unknown, set()) == partial_view(expected, set())
+    assert partial_none.detections == unknown.detections == []
     assert [d.shm_offset for d in partial_one.detections] == sorted(
         d.shm_offset for f in partial_one.faults for d in f.detections)
 
@@ -1342,6 +1372,9 @@ PROOF_REJECTS = {
         image, hm.detections[4].shm_offset + 16, 0),
     "non-detector": lambda image, hm: put_u32(
         image, hm.detections[4].shm_offset + 4, hm.faults[0].shm_offset),
+    "detector between diag slots": lambda image, hm: put_u32(
+        image, hm.detections[4].shm_offset + 4,
+        hm.detections[4].detector.shm_offset + 1),
     "faults do not tile": put_fault_in_slot,
     "cycle cut off from its fault": cut_off_cycle,
     "slot named twice": lambda image, hm: put_u32(
@@ -1523,3 +1556,146 @@ def test_partial_map_grows_only_through_its_loaded_module():
     full.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 9,
                                   10, 7)
     assert updated == append_changes(image, full)
+
+
+# -- the load without a detector ----------------------------------------------
+# `_load(image)` (`hm rm`, `hm affinity`) proves the diag resource section by
+# byte columns and walks it with `_read_diags` only when the proof fails; it
+# builds no diag resource and no fault, and keeps each faulty module's worst
+# values. With the walker patched to fail, an image loads only through the
+# proof; with the proof turned off, only through the walker.
+
+def diags_by_proof(image: bytes) -> HealthMap:
+    with mock.patch.object(_Reader, "_read_diags", walker_fails):
+        return _load(image)
+
+
+def diags_by_walker(image: bytes) -> HealthMap:
+    with mock.patch.object(_Reader, "_prove_diags", lambda *_args: False):
+        return _load(image)
+
+
+def lean_outcome(load, image: bytes):
+    """(error class, message) of a load that raises, else what a load
+    without a detector builds."""
+    hm = outcome(load, image)
+    if isinstance(hm, tuple):
+        return hm
+    return (resource_view(hm), hm._worst, hm.diag_resources, hm.faults,
+            [(m.diag_resources, m.faults) for m in hm.modules.values()])
+
+
+def check_lean_load(image: bytes) -> None:
+    """`image` loads through the diag proof to what the reference reader's
+    map gives."""
+    expected = reference_deserialize(image)
+    got = diags_by_proof(image)
+    assert resource_view(got) == resource_view(expected)
+    assert got._worst == list(worst_faults(expected.modules.values()))
+    assert rm_state(init_resource_map(got)) == oracle_resource_map(expected)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), appends=st.integers(0, 3))
+def test_diag_proof_accepts_canonical_images(seed, appends):
+    rng = random.Random(seed)
+    image = serialize(random_health_map(rng))
+    for _ in range(appends):
+        hm = deserialize(image)
+        report_some(hm, rng)
+        image = append_changes(image, hm)
+    check_lean_load(image)
+
+
+def test_diag_proof_accepts_compiled_and_synthesized_images():
+    check_lean_load(serialize(synthesize_map(8)))
+    for name in ("board.xml", "cpu.xml"):
+        check_lean_load(compile_xml((DEMO_DATA / name).read_text())[0])
+
+
+def test_interleaved_diag_lists_load_through_the_walker():
+    # serialize lays diag resources out in insertion order, so a module
+    # whose resources were added between another's holds no single run
+    hm = HealthMap()
+    for mid in (1, 2):
+        hm.add_module(mid)
+    for rid, owner in ((10, 1), (20, 2), (11, 1)):
+        hm.add_diag_resource(rid, owner)
+    hm.add_fault_with_detection(1, Severity.HIGH, Persistence.TRANSIENT, 3,
+                                11, 5)
+    image = serialize(hm)
+    with pytest.raises(WalkerCalled):
+        diags_by_proof(image)
+    lean, expected = _load(image), reference_deserialize(image)
+    assert resource_view(lean) == resource_view(expected)
+    assert lean.diag_resources == {} and lean.modules[1].diag_resources == []
+    assert lean._worst == [(1, Severity.HIGH, Persistence.TRANSIENT)]
+
+
+def mutated_diag_image(data, image: bytes, hm: HealthMap) -> bytes:
+    """`image` after one to four drawn edits of the diag resource section
+    and the modules' first-diag links, with both CRCs re-stamped."""
+    diags = offsets(hm.diag_resources.values())
+    modules = offsets(hm.modules.values())
+    ids = sorted(hm.diag_resources) + sorted(hm.modules)
+    mutated = bytearray(image)
+    for kind in data.draw(st.lists(st.sampled_from(
+            ("word", "head", "flip")), min_size=1, max_size=4),
+            label="edits"):
+        if kind == "word" and diags:
+            # a diag record's id, owner or next word
+            at = data.draw(st.sampled_from(diags)) + data.draw(
+                st.sampled_from((0, 4, 8)))
+            put_u32(mutated, at, data.draw(st.one_of(
+                st.just(0), st.sampled_from(diags + modules + ids),
+                st.integers(0, len(image) + 64))))
+        elif kind == "head":
+            put_u32(mutated, data.draw(st.sampled_from(modules)) + 8,
+                    data.draw(st.one_of(st.just(0),
+                                        st.sampled_from(diags or [0]),
+                                        st.integers(0, len(image) + 64))))
+        elif diags:
+            start, end = diags[0], diags[-1] + DIAG_SIZE
+            bit = data.draw(st.integers(8 * start, 8 * end - 1))
+            mutated[bit // 8] ^= 1 << (bit % 8)
+    return restamp(mutated)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), diag_edits=st.booleans(), data=st.data())
+def test_diag_proof_and_walker_agree_on_mutated_images(base, diag_edits,
+                                                       data):
+    image, hm = mutation_bases()[base]
+    mutated = (mutated_diag_image if diag_edits else mutated_image)(
+        data, image, hm)
+    walked = lean_outcome(diags_by_walker, mutated)
+    assert lean_outcome(_load, mutated) == walked
+    proved = lean_outcome(diags_by_proof, mutated)
+    if proved[0] is not WalkerCalled:
+        assert proved == walked
+
+
+@pytest.mark.parametrize("call", ["serialize", "append_changes",
+                                  "report_detection", "clear maintenance"])
+def test_a_map_loaded_without_faults_is_refused_where_faults_are_read(call):
+    image = serialize(two_fault_map())
+    hm = _load(image)
+    calls = {
+        "serialize": lambda: serialize(hm),
+        "append_changes": lambda: append_changes(image, hm),
+        "report_detection": lambda: report_detection(
+            hm, DetectionReport(10, Severity.HIGH, 1, 5)),
+        "clear maintenance": lambda: init_resource_map(
+            hm, [1]).set_maintenance(1, False),
+    }
+    with pytest.raises(FaultsNotBuiltError,
+                       match="a map loaded without its faults$"):
+        calls[call]()
+    assert hm._worst == [(1, Severity.LOW, Persistence.TRANSIENT)]
+    assert hm.faults == [] and hm.modules[1].faults == []
+    rm = init_resource_map(hm)
+    rm.set_maintenance(1, True)
+    assert rm_state(rm) == rm_state(init_resource_map(deserialize(image),
+                                                      [1]))

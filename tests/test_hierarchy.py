@@ -745,3 +745,23 @@ def test_simulate_parent_detections_grow_with_windows_not_summaries(
     assert 0 < len(parent.detections) <= len(parent.faults) * windows
     # every summary from the fault's detection on is still counted
     assert sum(d.counter for d in parent.detections) == duration // 1000
+
+
+def test_scenario_emission_count_is_capped():
+    # the count is the sum of duration // period over the nodes; a scenario
+    # above the cap is refused at parse time, before any node is compiled
+    at_cap = ("duration 1000000\n"
+              "node 0 hm=missing.xml map=none period=2 parent=none\n"
+              "node 1 hm=missing.xml map=none period=2 parent=0\n")
+    assert hierarchy.MAX_EMISSIONS == 1_000_000
+    assert len(Scenario.parse(at_cap, Path(".")).nodes) == 2
+    with pytest.raises(ScenarioError, match="^scenario makes 1000002 summary "
+                       "emissions, above the cap of 1000000$"):
+        Scenario.parse(at_cap.replace("duration 1000000",
+                                      "duration 1000002"), Path("."))
+    with pytest.raises(ScenarioError, match="^scenario makes 42884901888 "
+                       "summary emissions, above the cap of 1000000$"):
+        Scenario.parse("duration 142949672960000\n"
+                       "node 0 hm=a map=b period=10000 parent=none\n"
+                       "node 1 hm=c map=none period=5000 parent=0\n",
+                       Path("."))

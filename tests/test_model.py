@@ -28,7 +28,9 @@ from healthmap.model import (
     Fault,
     FaultDetection,
     Module,
+    QUOTED_CHARS,
     Violation,
+    int_token,
 )
 from healthmap.resourcemap import RM_ENTRY
 from healthmap.errors import (
@@ -410,3 +412,28 @@ def test_records_are_slot_backed():
                FaultDetection(res, 0))
     for record in records:
         assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("token, message", [
+    # a token of at most QUOTED_CHARS characters is quoted whole
+    ("1x", "bad module id '1x': not an integer"),
+    ("4294967296", "module id 4294967296 outside 0..4294967295"),
+    ("9" * QUOTED_CHARS, f"module id {'9' * QUOTED_CHARS} outside "
+                         f"0..4294967295"),
+    # a longer one by its first QUOTED_CHARS characters and its length
+    ("1" * 5000, f"bad module id '{'1' * QUOTED_CHARS}'... (5000 "
+                 f"characters): not an integer"),
+    ("9" * 41, f"module id '{'9' * QUOTED_CHARS}'... (41 characters) "
+               f"outside 0..4294967295"),
+    ("x" * 41, f"bad module id '{'x' * QUOTED_CHARS}'... (41 characters): "
+               f"not an integer"),
+])
+def test_int_token_quotes_at_most_the_head_of_a_long_token(token, message):
+    with pytest.raises(FieldRangeError) as info:
+        int_token(token, "module id", FieldRangeError, 0xFFFFFFFF)
+    assert str(info.value) == message
+
+
+def test_int_token_reads_a_long_token_in_range():
+    assert int_token("0" * 100 + "7", "module id", FieldRangeError,
+                     0xFFFFFFFF) == 7
