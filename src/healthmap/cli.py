@@ -263,12 +263,22 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses `--flag=--` as `--flag --` (argparse reads it as [] or "--")."""
+    """Refuses `--flag=--` as `--flag --` (argparse reads it as [] or "--").
+    A refused value gets argparse's message alone, without the usage, with
+    the value quoted by `quote_token`: argparse would echo it whole, so a
+    hostile value would fill the log."""
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
             raise argparse.ArgumentError(action, "expected one argument")
-        return super()._get_values(action, arg_strings)
+        try:
+            return super()._get_values(action, arg_strings)
+        except argparse.ArgumentError as exc:
+            message = exc.message
+            for token in arg_strings:
+                message = message.replace(repr(token), quote_token(token))
+            error = argparse.ArgumentError(action, message)
+            self.exit(2, f"{self.prog}: error: {error}\n")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

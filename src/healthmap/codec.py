@@ -25,17 +25,22 @@ itself and hands every other record to that writer. The append path
 (`append_changes`) gives only the new faults and detections offsets past
 the old end, in creation order, copies the old image into a buffer with a
 zeroed tail, and hands the writer the records the load built: every
-module, and the faults and detections of each module whose detections
-were built. Repacking an unchanged record writes the bytes it already
-holds, so old bytes change only in the patchable words: a module's
-first-fault link, a fault's links, severity and persistence, and a
-detection's next link, counter and flags. Every record handed over is
-repacked, rather than only records known to be dirty, so a field edited
-directly on a loaded record is never dropped silently; a detection that
-was never built cannot have changed. A fault record holds its
-first-detection link, so a fault is handed over only when its detections
-were built, and the writer refuses a new fault or detection in any other
-module. The new header counts are the old header's plus the new records.
+module, and the faults and detections of each module whose lists were
+built. Repacking an unchanged record writes the bytes it already holds,
+so old bytes change only in the patchable words: a module's first-fault
+link, a fault's links, severity and persistence, and a detection's next
+link, counter and flags. The writer packs a module's first-diag,
+first-dependency and first-fault words from its lists only when it
+writes those lists: the append writes no diag resource or dependency
+list, and no fault list of a module whose lists were not built, so those
+head words keep the image's, and a list reordered in memory or never
+built cannot move them. Every record handed over is repacked, rather
+than only records known to be dirty, so a field edited directly on a
+loaded record is never dropped silently; a detection that was never
+built cannot have changed. A fault record holds its first-detection
+link, so a fault is handed over only when its detections were built, and
+the writer refuses a new fault or detection in any other module. The new
+header counts are the old header's plus the new records.
 
 Loading runs in two passes. The check pass runs every header, checksum,
 bounds, alignment, cycle, reuse, overlap, enum and count check and builds
@@ -43,21 +48,24 @@ the modules, diag resources, dependencies and faults; of a detection it
 reads only the next and detector links and the counter. It also enforces
 the rest of `HealthMap.validate_structure` (no parent cycle, no fault
 severity or persistence ZERO, no detection counter 0), so every command
-accepts the same images. The build pass then creates the
-detections of the modules a caller reads, walking again lists the check
-pass proved valid. `deserialize` builds every detection. The CLI's
-private `_load` builds those of the module that owns the reporting
-detector (`hm inject`), and such a map goes back to disk only through
-`append_changes`.
+accepts the same images. The build pass then creates the detections,
+walking again lists the check pass proved valid. `deserialize` builds
+everything.
 
-`hm rm` and `hm affinity` read no diag resource and no fault, only each
-module's worst fault values. For them `_load` runs the same checks
-fault-free: it builds the modules and dependencies, proves the diag
-resource section by byte columns, and while it walks the fault lists for
-the dynamic proof it keeps each faulty module's (id, worst severity,
-worst persistence) and builds no fault. The map carries those triples
-(`HealthMap._worst`) for `resourcemap.init_resource_map`, and every call
-that would read or write a fault refuses it.
+The CLI's commands read less, and load through the private `_load`,
+which runs the same checks fault-free: it builds the modules and
+dependencies, proves the diag resource section by byte columns, and
+while it walks the fault lists for the dynamic proof it keeps each faulty
+module's (id, worst severity, worst persistence) and builds no fault.
+`hm rm` and `hm affinity` read only those values: the map carries the
+triples (`HealthMap._worst`) for `resourcemap.init_resource_map`, and
+every call that would read or write a fault refuses it. `hm inject`
+reads one detector and its owner's faults: after the check, `_load`
+finds the detector's slot in the checked id column and builds only the
+owner's diag resource list, the owner's faults in list order and their
+detections, each detector those name built once from its record. Such a
+map goes back to disk only through `append_changes`, and every call
+that would read every module's lists refuses it.
 
 The diag resource proof reads each record's id, owner and next words as
 columns of the section (strided slices, as for detections below) and
@@ -183,6 +191,7 @@ DEP_REC = struct.Struct("<IIB")
 FAULT_REC = struct.Struct("<IIBBBB")
 DET_REC = struct.Struct("<IIQIIB")
 _LINK = struct.Struct("<I")         # a fault's first-detection link
+_HEADS = struct.Struct("<8xIII")    # a module's first diag, dep and fault
 _LINKS = struct.Struct("<II8xI")    # a detection's next, detector, counter
 _COUNTS = struct.Struct("<HHHHI")   # the header's M, R, D, F, FD
 _COUNTS_AT = 12
@@ -218,26 +227,46 @@ def _next_links(records: list) -> list[int]:
 
 
 def _write_linked(buf: bytearray, modules: list[Module],
-                  owners: Iterable[Module],
+                  owners: Optional[list[Module]],
                   counts: tuple[int, int, int, int, int]) -> bytes:
     """Pack each of `modules`, and the fault list of each of `owners` with
     each fault's detection list, into `buf` at the records' own
     `shm_offset`s, with links taken from the records' offsets, then stamp
     the header with `counts` and both CRCs. `buf` is the whole image, and
-    every record packed already has its offset."""
+    every record packed already has its offset.
+
+    A module's first-diag, first-dependency and first-fault words are
+    packed from its lists only where those lists are written. With
+    `owners` None every list is: the caller packed each module's diag
+    resource and dependency lists into `buf`, and every fault list is
+    written here. Otherwise only the fault lists of `owners` are, and each
+    other head word keeps the word `buf` holds."""
     total = len(buf)
     pack_module, pack_fault, pack_det = (MODULE_REC.pack_into,
                                          FAULT_REC.pack_into,
                                          DET_REC.pack_into)
-    for mod, nxt in zip(modules, _next_links(modules)):
-        parent, diags, deps, owned = (mod.parent, mod.diag_resources,
-                                      mod.dependencies, mod.faults)
-        pack_module(buf, mod.shm_offset, mod.id,
-                    parent.shm_offset if parent else 0,
-                    diags[0].shm_offset if diags else 0,
-                    deps[0].shm_offset if deps else 0,
-                    owned[0].shm_offset if owned else 0,
-                    mod.criticality, nxt)
+    if owners is None:
+        owners = modules
+        for mod, nxt in zip(modules, _next_links(modules)):
+            parent, diags, deps, owned = (mod.parent, mod.diag_resources,
+                                          mod.dependencies, mod.faults)
+            pack_module(buf, mod.shm_offset, mod.id,
+                        parent.shm_offset if parent else 0,
+                        diags[0].shm_offset if diags else 0,
+                        deps[0].shm_offset if deps else 0,
+                        owned[0].shm_offset if owned else 0,
+                        mod.criticality, nxt)
+    else:
+        written = set(owners)
+        unpack_heads = _HEADS.unpack_from
+        for mod, nxt in zip(modules, _next_links(modules)):
+            parent, at = mod.parent, mod.shm_offset
+            diag, dep, fault = unpack_heads(buf, at)
+            if mod in written:
+                owned = mod.faults
+                fault = owned[0].shm_offset if owned else 0
+            pack_module(buf, at, mod.id, parent.shm_offset if parent else 0,
+                        diag, dep, fault, mod.criticality, nxt)
     for mod in owners:
         owned = mod.faults
         for fault, nxt in zip(owned, _next_links(owned)):
@@ -275,10 +304,7 @@ def serialize(hm: HealthMap) -> bytes:
     `serialize` that raises leaves every offset as it was; a value that its
     field cannot hold raises `FieldRangeError` naming the field.
     """
-    hm.require_faults("serialize")
-    if hm._built is not None:
-        raise AppendError("cannot serialize a map loaded without all its "
-                          "detections")
+    hm.require_whole("serialize")
     sections = ((hm.modules.values(), MODULE_SIZE),
                 (hm.diag_resources.values(), DIAG_SIZE),
                 (hm.dependencies, DEP_SIZE), (hm.faults, FAULT_SIZE),
@@ -306,7 +332,7 @@ def serialize(hm: HealthMap) -> bytes:
             for dep, nxt in zip(deps, _next_links(deps)):
                 pack_dep(buf, dep.shm_offset, dep.dependent.shm_offset, nxt,
                          dep.severity)
-        return _write_linked(buf, modules, modules, counts)
+        return _write_linked(buf, modules, None, counts)
 
     return _place(records, accumulate(sizes, initial=HEADER_SIZE), write,
                   records)
@@ -385,8 +411,9 @@ class _Reader:
     scans (`_prove_diags`, `_prove_dynamic`); only when a proof fails does
     its walker (`_read_diags`, `_check_dynamic`) follow every list, and it
     alone raises the section's errors. `build` then creates the
-    detections of chosen modules by walking again the lists `check`
-    proved valid, so it cannot fail.
+    detections of chosen modules, and after a fault-free check
+    `build_owner` one module's lists, by walking again lists `check`
+    proved valid, so neither can fail.
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
@@ -445,6 +472,7 @@ class _Reader:
                 raise LinkCycleError(f"parent chain of module {m.id}: cycle "
                                      f"through module {verdicts[id(m)][1]}")
 
+        self.by_off, self.raw_modules = by_off, raw_modules
         walked = build or not self._prove_diags(raw_modules, r)
         if walked:
             self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
@@ -486,6 +514,43 @@ class _Reader:
                 built += dets
         built.sort(key=_offset)
         return built
+
+    def build_owner(self, hm: HealthMap,
+                    detector: int) -> Optional[Module]:
+        """Build into `hm`, the map of `check(build=False)`, the diag
+        resource list of the module that owns the diag resource `detector`,
+        that module's faults in list order and their detections, with each
+        detector a detection names built once from its record; returns
+        that module, or None, building nothing, when no diag resource has
+        that id. The lists were proven valid, and the checked id column
+        holds each id once."""
+        data, base = self.data, self.diag_base
+        try:
+            slot = _words(data[base:self.dep_base], 0, self.counts[1],
+                          DIAG_SIZE).index(detector)
+        except ValueError:
+            return None
+        (owner_off,) = _LINK.unpack_from(data, base + DIAG_SIZE * slot + 4)
+        owner = self.by_off[owner_off]
+        _id, _parent, cur, _dep, fault_off, _crit, _next = (
+            self.raw_modules[owner_off])
+        detectors = self.diag_by_off = _Detectors(data, self.by_off)
+        unpack_link = _LINK.unpack_from
+        while cur:
+            owner.diag_resources.append(detectors[cur])
+            (cur,) = unpack_link(data, cur + 8)
+        owned, unpack_fault = owner.faults, FAULT_REC.unpack_from
+        while fault_off:
+            nxt, _head, sev, pers, cls, _resv = unpack_fault(data, fault_off)
+            owned.append(Fault(owner, SEVERITIES[sev], PERSISTENCES[pers],
+                               cls, [], fault_off))
+            fault_off = nxt
+        hm.detections = self.build((owner,))
+        hm.diag_resources = {res.id: res for res in sorted(
+            detectors.values(), key=_offset)}
+        hm.faults = owned[:]
+        hm.reindex_faults()
+        return owner
 
     # -- header ----------------------------------------------------------
 
@@ -672,7 +737,8 @@ class _Reader:
         pos = base
         for (head, mod_off), (stop, _next) in zip(
                 runs, chain(runs[1:], ((end, 0),))):
-            if head != pos or stop <= head or (stop - head) % DIAG_SIZE:
+            if (head != pos or not head < stop <= end
+                    or (stop - head) % DIAG_SIZE):
                 return False
             nexts[(stop - base) // DIAG_SIZE - 1] = 0    # the run's end
             owners += _LINK.pack(mod_off) * ((stop - head) // DIAG_SIZE)
@@ -817,6 +883,20 @@ class _Reader:
         return faults
 
 
+class _Detectors(dict):
+    """Diag resources by offset, each built from its record, with its owner
+    from `by_off`, when first asked for."""
+
+    def __init__(self, data: bytes, by_off: dict[int, Module]) -> None:
+        super().__init__()
+        self.data, self.by_off = data, by_off
+
+    def __missing__(self, off: int) -> DiagResource:
+        rid, owner_off, _next, kind = DIAG_REC.unpack_from(self.data, off)
+        res = self[off] = DiagResource(rid, self.by_off[owner_off], kind, off)
+        return res
+
+
 # -- column scans of the dynamic region ---------------------------------------
 # A detection slot is a 25-byte record in a gap between fault records; the
 # slots of all gaps are packed, in offset order, into one `slots` string.
@@ -939,29 +1019,35 @@ def deserialize(data: bytes) -> HealthMap:
 
 def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
     """`deserialize` for a command that reads little of the map: the image
-    passes every check, and the map holds only what the command reads.
+    passes every check of `_Reader.check(build=False)`, which builds the
+    modules and dependencies, and the map holds only what the command
+    reads.
 
-    With a `detector` (`hm inject`), only the module that owns that diag
-    resource (none if it is unknown) gets its detections. The map may grow
-    and change through that module only: `append_changes` writes back no
-    fault of another module, and `serialize` refuses the map.
-
-    Without one (`hm rm`, `hm affinity`), the map holds the modules and
-    dependencies, no diag resource and no fault; `hm._worst` holds each
-    faulty module's (id, worst severity, worst persistence), which
+    Without a `detector` (`hm rm`, `hm affinity`), it holds no diag
+    resource and no fault; `hm._worst` holds each faulty module's (id,
+    worst severity, worst persistence), which
     `resourcemap.init_resource_map` folds. Every writer, `report_detection`
     and clearing maintenance refuse such a map (`HealthMap.require_faults`).
+
+    With one (`hm inject`), the module that owns that diag resource holds
+    its diag resources and its faults with their detections; every other
+    module holds neither, and `hm.diag_resources`, `hm.faults` and
+    `hm.detections` hold those records and the detectors the detections
+    name, nothing else (nothing if no diag resource has that id, so
+    `report_detection` raises `UnknownDetectorError`). The map may grow and
+    change through that module only (`hm._built`): `append_changes` writes
+    back no list of another module and refuses a new fault there, and
+    `serialize`, `prune`, `init_resource_map` and clearing maintenance
+    refuse the map (`HealthMap.require_whole`).
     """
     reader = _Reader(data)
-    if detector is None:
-        hm = reader.check(build=False)
-        hm._built = set()
-        return hm
-    hm = reader.check()
-    res = hm.diag_resources.get(detector)
-    owners = [] if res is None else [res.owner]
-    hm.detections = reader.build(owners)
-    hm._built = {module.id for module in owners}
+    hm = reader.check(build=False)
+    hm._built = set()
+    if detector is not None:
+        hm._worst = None
+        owner = reader.build_owner(hm, detector)
+        if owner is not None:
+            hm._built.add(owner.id)
     return hm
 
 
@@ -981,9 +1067,11 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     persistence adjustments are representable; modules, diag resources and
     dependencies must be untouched. New records get offsets past the old
     end in creation order. Then every module, and every fault and
-    detection of each module whose detections the load built (every module
+    detection of each module whose lists the load built (every module
     after `deserialize`), is repacked at its own offset, so a field edited
-    directly on one of them is written back too. The header counts are the
+    directly on one of them is written back too; a module's first-diag and
+    first-dependency words, and the first-fault word of a module whose
+    lists were not built, keep the image's. The header counts are the
     old ones plus the new records. Old record
     bytes change only where list tails were spliced or detection
     counters/flags (or fault severity/persistence after reclassification)

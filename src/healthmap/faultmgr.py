@@ -155,6 +155,7 @@ def prune(hm: HealthMap) -> int:
     count and the resulting resource map are unchanged, and the cost is
     linear in the number of records.
     """
+    hm.require_whole("prune")
     records = len(hm.faults) + len(hm.detections)
     key = attrgetter("owner", "severity", "persistence", "classification")
     keepers: dict[tuple, Fault] = {}

@@ -54,7 +54,7 @@ from .faultmgr import (
 )
 from .model import (PERSISTENCES, SEVERITIES, U32_MAX, HealthMap, Module,
                     ModuleStatus, Persistence, Severity, int_token,
-                    parent_verdicts, read_text, text_lines)
+                    parent_verdicts, quote_token, read_text, text_lines)
 from .resourcemap import (
     RM_ENTRY,
     RM_ENTRY_SIZE,
@@ -291,7 +291,8 @@ class Scenario:
                 elif parts[0] == "at":
                     scenario._parse_event(parts, line)
                 else:
-                    raise ScenarioError(f"bad directive {parts[0]!r}")
+                    raise ScenarioError(
+                        f"bad directive {quote_token(parts[0])}")
             except HealthMapError as exc:
                 # any error of the line's own checks (a report's field
                 # ranges, say) keeps its class and gains the line number

@@ -69,24 +69,6 @@ PERSISTENCES = tuple(Persistence)
 STATUSES = tuple(ModuleStatus)
 
 
-def check_field(value, row: tuple):
-    """`value` if `row` (limit, label[, error]) accepts it: an integer in
-    0..limit or, when `limit` is a level's byte -> member table, its member.
-    Else raise the row's error, FieldRangeError unless it names one."""
-    limit = row[0]
-    if isinstance(value, int):
-        if type(limit) is tuple:
-            if 0 <= value < len(limit):
-                return limit[value]
-            limit = len(limit) - 1
-        elif 0 <= value <= limit:
-            return value
-        message = f"{row[1]} {value} outside 0..{limit}"
-    else:
-        message = f"{row[1]} {value!r} is not an integer"
-    raise (row[2] if len(row) > 2 else FieldRangeError)(message)
-
-
 QUOTED_CHARS = 40    # an error quotes at most this much of a token
 
 
@@ -97,6 +79,29 @@ def quote_token(token: str) -> str:
     if len(token) <= QUOTED_CHARS:
         return repr(token)
     return f"{token[:QUOTED_CHARS]!r}... ({len(token)} characters)"
+
+
+def check_field(value, row: tuple):
+    """`value` if `row` (limit, label[, error]) accepts it: an integer in
+    0..limit or, when `limit` is a level's byte -> member table, its member.
+    Else raise the row's error, FieldRangeError unless it names one; it
+    quotes an integer of more than QUOTED_CHARS characters by
+    `quote_token`."""
+    limit = row[0]
+    if isinstance(value, int):
+        if type(limit) is tuple:
+            if 0 <= value < len(limit):
+                return limit[value]
+            limit = len(limit) - 1
+        elif 0 <= value <= limit:
+            return value
+        digits = str(value)
+        if len(digits) > QUOTED_CHARS:
+            digits = quote_token(digits)
+        message = f"{row[1]} {digits} outside 0..{limit}"
+    else:
+        message = f"{row[1]} {value!r} is not an integer"
+    raise (row[2] if len(row) > 2 else FieldRangeError)(message)
 
 
 def int_token(token: str, what: str, error: type[HealthMapError],
@@ -310,8 +315,9 @@ class HealthMap:
         # (module id, classification) -> the last such fault in
         # module.faults order; kept by _file_fault and reindex_faults
         self._fault_index: dict[tuple[int, int], Fault] = {}
-        # ids of the modules whose detections a partial image load built
-        # (the codec's `_load`); None when the map holds every record
+        # ids of the modules whose diag resources, faults and detections a
+        # partial image load built (the codec's `_load`); None when the map
+        # holds every record
         self._built: Optional[set[int]] = None
         # each faulty module's (id, worst severity, worst persistence) when
         # a load folded the faults instead of building them (the codec's
@@ -324,6 +330,16 @@ class HealthMap:
         if self._worst is not None:
             raise FaultsNotBuiltError(
                 f"cannot {action} a map loaded without its faults")
+
+    def require_whole(self, action: str) -> None:
+        """`require_faults`, and raise FaultsNotBuiltError, naming
+        `action`, when a load built the lists of some modules only
+        (`_built`): a reader of every list would take the part for the
+        whole."""
+        self.require_faults(action)
+        if self._built is not None:
+            raise FaultsNotBuiltError(
+                f"cannot {action} a map loaded without all its faults")
 
     # -- construction --------------------------------------------------
 

@@ -223,10 +223,10 @@ class ResourceMap:
         Clearing folds each affected entry's own maxima back in by the
         rule `init_resource_map` uses, so it gives the status a rebuild
         without that maintenance root would. Clearing reads the modules'
-        faults, so a map loaded without them refuses it.
+        faults, so a map loaded without all of them refuses it.
         """
         if not on:
-            self._hm.require_faults("clear maintenance on")
+            self._hm.require_whole("clear maintenance on")
         self._mark(self._hm.subtree_ids(module_id), on)
 
     def _mark(self, module_ids: Iterable[int], on: bool) -> None:
@@ -261,14 +261,17 @@ def init_resource_map(hm: HealthMap,
     """Populate a fresh resource map: fold each faulty module's own worst
     values, the triples its load kept (`hm._worst`) or else
     `model.worst_faults` of its faults, then propagate from all of them in
-    one walk; the result is independent of iteration order.
+    one walk; the result is independent of iteration order. A map whose
+    load built the faults of some modules only is refused.
     """
+    worst = hm._worst
+    if worst is None:
+        hm.require_whole("build a resource map of")
+        worst = worst_faults(hm.modules.values())
     rm = ResourceMap(hm)
     roots = tuple(maintenance)
     if roots:
         rm._mark(hm.subtree_ids(*roots), True)
-    worst = (hm._worst if hm._worst is not None
-             else worst_faults(hm.modules.values()))
     fold = rm._fold
     work = []
     for mid, severity, persistence in worst:

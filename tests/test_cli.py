@@ -9,20 +9,25 @@ import stat
 import subprocess
 import struct
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import healthmap
-from healthmap import (HealthMap, Persistence, Severity, cli, codec,
-                       compile_xml, deserialize, footprint, serialize)
+from healthmap import (DetectionReport, HealthMap, Persistence, Severity,
+                       append_changes, cli, codec, compile_xml, deserialize,
+                       footprint, report_detection, serialize)
 from healthmap.cli import main
 from healthmap.codec import HEADER_SIZE, MODULE_SIZE
 
 from conftest import DATA_DIR
 from helpers import nest_xml, restamp
+from test_codec import mutated_image, mutation_bases
 
 DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
 
@@ -1136,3 +1141,60 @@ def test_main_restores_collector_state_on_exception(monkeypatch, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+# -- the `hm inject` slice of the hostile-input gate --------------------------
+# `cli.main(["inject", …])` in-process on mutated images with drawn argument
+# values: every run ends in exit 0, 1 or 2 with a short stderr and no temp
+# file, and only exit 0 changes the image, to what the library writes.
+
+# decimal tokens that int() reads, in and out of every field's range, and
+# digit strings past the error quote and past int()'s digit limit
+INT_TOKENS = st.one_of(
+    st.integers(0, 300).map(str), st.sampled_from(["-1", "4294967296"]),
+    st.integers(41, 5000).map(lambda n: "1" * n))
+HEX_TOKENS = st.one_of(
+    st.integers(0, 2**40).map("{:x}".format),
+    st.integers(41, 3000).map(lambda n: "f" * n),
+    st.integers(1, 3000).map(lambda n: "g" * n))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), mutate=st.booleans(), data=st.data())
+def test_inject_on_hostile_images_and_arguments_ends_in_an_exit_code(
+        base, mutate, data):
+    image, hm = mutation_bases()[base]
+    if mutate:
+        image = mutated_image(data, image, hm)
+    # values every field holds, or each one that or any token
+    fits = data.draw(st.booleans(), label="fits")
+
+    def draw(fitting, tokens, label):
+        return data.draw(fitting if fits else st.one_of(fitting, tokens),
+                         label=label)
+
+    detector = draw(st.sampled_from(sorted(hm.diag_resources)).map(str),
+                    INT_TOKENS, "detector")
+    sev = data.draw(st.sampled_from(["LOW", "MEDIUM", "HIGH"]), label="sev")
+    clazz = draw(st.integers(0, 255).map(str), INT_TOKENS, "class")
+    t = draw(st.integers(0, 2**64 - 1).map(str), INT_TOKENS, "t")
+    payload = draw(st.integers(0, 2**32 - 1).map("{:x}".format), HEX_TOKENS,
+                   "payload")
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "image.shm"
+        path.write_bytes(image)
+        code, _out, err = cli_outcome([
+            "inject", str(path), "--detector", detector, "--sev", sev,
+            "--class", clazz, "--t", t, "--payload", payload])
+        assert code in (0, 1, 2)
+        assert len(err) <= 200, err
+        assert os.listdir(work) == ["image.shm"]
+        written = path.read_bytes()
+    if code != 0:
+        assert written == image
+        return
+    expected = deserialize(image)
+    report_detection(expected, DetectionReport(
+        int(detector), Severity[sev], int(clazz), int(t), int(payload, 16)))
+    assert written == append_changes(image, expected)

@@ -29,7 +29,7 @@ from healthmap import (
     synthesize_map,
     validate_image,
 )
-from healthmap import codec, faultmgr
+from healthmap import codec, faultmgr, resourcemap
 from healthmap.codec import (DEP_SIZE, DET_SIZE, DIAG_SIZE, FAULT_SIZE,
                              HEADER_SIZE, MODULE_SIZE, _load, _Reader)
 from healthmap.errors import (
@@ -48,6 +48,7 @@ from healthmap.errors import (
     RecordCountError,
     ShmError,
     StructureInvalidError,
+    UnknownDetectorError,
 )
 from healthmap.model import U32_MAX, DiagResource, Module, worst_faults
 
@@ -866,10 +867,20 @@ DIRECT_EDITS = {
     "flags": (lambda hm: hm.detections, "flags", st.integers(-1, 256)),
     # drawn from the map being edited: may close a cycle
     "parent": (lambda hm: list(hm.modules.values()), "parent",
-               lambda hm: st.sampled_from([None, *hm.modules.values()])),
+               lambda hm, _module: st.sampled_from(
+                   [None, *hm.modules.values()])),
     # the map's own ids: may repeat one
     "id": (lambda hm: list(hm.modules.values()), "id",
-           lambda hm: st.sampled_from(sorted(hm.modules))),
+           lambda hm, _module: st.sampled_from(sorted(hm.modules))),
+    # a module's own list, reordered
+    "diag order": (lambda hm: list(hm.modules.values()), "diag_resources",
+                   lambda _hm, module: st.permutations(
+                       module.diag_resources)),
+    "dependency order": (lambda hm: list(hm.modules.values()),
+                         "dependencies", lambda _hm, module: st.permutations(
+                             module.dependencies)),
+    "fault order": (lambda hm: list(hm.modules.values()), "faults",
+                    lambda _hm, module: st.permutations(module.faults)),
 }
 
 
@@ -883,10 +894,10 @@ def test_writers_write_only_what_a_load_accepts(writer, data):
     for name in data.draw(st.lists(st.sampled_from(sorted(DIRECT_EDITS)),
                                    min_size=1, max_size=4), label="edits"):
         records, field, values = DIRECT_EDITS[name]
+        record = data.draw(st.sampled_from(records(hm)))
         if callable(values):
-            values = values(hm)
-        setattr(data.draw(st.sampled_from(records(hm))), field,
-                data.draw(values))
+            values = values(hm, record)
+        setattr(record, field, data.draw(values))
     before = all_offsets(hm)
     try:
         image = WRITERS[writer](synthesized_image(), hm)
@@ -1025,8 +1036,8 @@ def test_golden_image_bytes(name):
 
 
 # -- partial loads against the one-pass reference reader ----------------------
-# `_load` is the CLI's load: every check of `deserialize`, but detections
-# only for the module that owns one detector, or with no detector neither
+# `_load` is the CLI's load: every check of `deserialize`, but with a
+# detector only the lists of the module that owns it, and with none neither
 # diag resources nor faults. `deserialize` and every partial shape must
 # fail exactly as the one-pass reference reader does.
 
@@ -1036,17 +1047,6 @@ def outcome(load, image: bytes):
         return load(image)
     except Exception as exc:   # a non-ShmError must match the reference too
         return type(exc), str(exc)
-
-
-def partial_view(hm: HealthMap, module_ids) -> tuple:
-    """The map's snapshot with the detection lists of faults outside
-    `module_ids` left out."""
-    modules, resources, deps, faults, dets = hm.snapshot()
-    return (modules, resources, deps,
-            tuple((owner, sev, pers, cls,
-                   tuple(dets[i] for i in det_ids)
-                   if owner in module_ids else None)
-                  for owner, sev, pers, cls, det_ids in faults))
 
 
 def resource_view(hm: HealthMap) -> tuple:
@@ -1059,11 +1059,52 @@ def resource_view(hm: HealthMap) -> tuple:
             deps)
 
 
+def lists_view(hm: HealthMap, module_ids) -> tuple:
+    """The diag resource and fault lists of the modules in `module_ids`,
+    each fault with its detections, every record with its offset."""
+    def diag(res):
+        return res.id, res.owner.id, res.kind, res.shm_offset
+
+    return tuple(
+        (m.id, tuple(map(diag, m.diag_resources)),
+         tuple((int(f.severity), int(f.persistence), f.classification,
+                f.shm_offset,
+                tuple((diag(d.detector), d.timestamp, d.counter, d.payload,
+                       d.flags, d.shm_offset) for d in f.detections))
+               for f in m.faults))
+        for m in hm.modules.values() if m.id in module_ids)
+
+
+def check_inject_load(hm: HealthMap, expected: HealthMap,
+                      detector: int) -> None:
+    """`hm`, the load of `expected`'s image with `detector`, builds every
+    module and dependency, and of the module owning `detector` (if any)
+    its diag resources, faults and detections and the detectors those name,
+    each built once; nothing else."""
+    res = expected.diag_resources.get(detector)
+    owner = {res.owner.id} if res is not None else set()
+    assert hm._built == owner and hm._worst is None
+    assert resource_view(hm) == resource_view(expected)
+    assert lists_view(hm, owner) == lists_view(expected, owner)
+    assert all(m.diag_resources == [] and m.faults == []
+               for m in hm.modules.values() if m.id not in owner)
+    faults = [f for mid in owner for f in hm.modules[mid].faults]
+    dets = [d for f in faults for d in f.detections]
+    assert hm.faults == faults
+    assert hm.detections == sorted(dets, key=lambda d: d.shm_offset)
+    named = [r for mid in owner for r in hm.modules[mid].diag_resources]
+    named += [d.detector for d in dets]
+    assert hm.diag_resources == {r.id: r for r in named}
+    assert offsets(hm.diag_resources.values()) == sorted(
+        offsets(hm.diag_resources.values()))
+
+
 def check_against_reference(image: bytes, detector: int) -> None:
     """Every load of `image` fails as the reference reader does, or builds
     what it builds; a map a load accepts breaks no structural rule. The
     load without a detector builds no diag resource and no fault, and its
-    triples give the reference map's resource map."""
+    triples give the reference map's resource map; the load with one
+    builds its owner's lists only."""
     expected = outcome(reference_deserialize, image)
     got = outcome(deserialize, image)
     partial_none = outcome(_load, image)
@@ -1075,8 +1116,6 @@ def check_against_reference(image: bytes, detector: int) -> None:
     assert got.snapshot() == expected.snapshot()
     for hm in (got, partial_none, partial_one, unknown):
         assert hm.validate_structure() == []
-    res = expected.diag_resources.get(detector)
-    owner = {res.owner.id} if res is not None else set()
     assert resource_view(partial_none) == resource_view(expected)
     assert partial_none.diag_resources == {} and partial_none.faults == []
     assert all(m.diag_resources == [] and m.faults == []
@@ -1085,11 +1124,13 @@ def check_against_reference(image: bytes, detector: int) -> None:
         expected.modules.values()))
     assert rm_state(init_resource_map(partial_none)) == oracle_resource_map(
         expected)
-    assert partial_view(partial_one, owner) == partial_view(expected, owner)
-    assert partial_view(unknown, set()) == partial_view(expected, set())
+    check_inject_load(partial_one, expected, detector)
+    check_inject_load(unknown, expected, 0xFFFFFFFF)
     assert partial_none.detections == unknown.detections == []
-    assert [d.shm_offset for d in partial_one.detections] == sorted(
-        d.shm_offset for f in partial_one.faults for d in f.detections)
+    with pytest.raises(UnknownDetectorError,
+                       match="^diag resource 4294967295 not found$"):
+        report_detection(unknown, DetectionReport(0xFFFFFFFF, Severity.LOW,
+                                                  1, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1537,25 +1578,70 @@ def test_partial_map_grows_only_through_its_loaded_module():
                                 20, 0)
     image = serialize(hm)
     part = _load(image, 20)
-    # module 1's faults are there, their detections are not
-    assert [len(f.detections) for f in part.modules[1].faults] == [0, 0]
-    with pytest.raises(AppendError, match="cannot serialize"):
-        serialize(part)
-    part.add_detection(part.modules[1].faults[0], 10, 7)
-    with pytest.raises(AppendError, match="detections were not loaded"):
-        append_changes(image, part)
-    part = _load(image, 20)
+    # module 1's faults are not built, nor its diag resource
+    assert part.modules[1].faults == [] and part.faults == [
+        part.modules[2].faults[0]]
+    assert sorted(part.diag_resources) == [20]
     part.add_fault(1, Severity.LOW, Persistence.TRANSIENT, 9)
     with pytest.raises(AppendError, match="detections were not loaded"):
         append_changes(image, part)
     part = _load(image, 20)
     part.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 9,
-                                  10, 7)
+                                  20, 7)
     updated = append_changes(image, part)
     full = deserialize(image)
     full.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 9,
-                                  10, 7)
+                                  20, 7)
     assert updated == append_changes(image, full)
+
+
+@pytest.mark.parametrize("call", ["serialize", "prune", "init_resource_map",
+                                  "clear maintenance"])
+@pytest.mark.parametrize("detector", [20, 99])
+def test_partial_map_is_refused_where_every_list_is_read(call, detector):
+    # a reader of every module's lists would take the part for the whole
+    hm = two_fault_map()
+    hm.add_module(2, 1)
+    hm.add_diag_resource(20, 2)
+    image = serialize(hm)
+    part = _load(image, detector)
+    calls = {
+        "serialize": lambda: serialize(part),
+        "prune": lambda: prune(part),
+        "init_resource_map": lambda: init_resource_map(part),
+        "clear maintenance": lambda: resourcemap.ResourceMap(
+            part).set_maintenance(1, False),
+    }
+    action = {"serialize": "serialize", "prune": "prune",
+              "init_resource_map": "build a resource map of",
+              "clear maintenance": "clear maintenance on"}[call]
+    with pytest.raises(FaultsNotBuiltError, match=(
+            f"^cannot {action} a map loaded without all its faults$")):
+        calls[call]()
+    assert part.modules[1].faults == []
+
+
+def test_partial_load_builds_a_detector_of_another_module_once():
+    # a detection may name another module's diag resource: it is built
+    # from its record, once, and its module's lists stay unbuilt
+    hm = HealthMap()
+    for mid in (1, 2):
+        hm.add_module(mid)
+    hm.add_diag_resource(10, 1)
+    hm.add_diag_resource(20, 2)
+    fault = hm.add_fault(2, Severity.LOW, Persistence.TRANSIENT, 1)
+    for t in (1, 5_000_000):
+        hm.add_detection(fault, 10, t)
+    image = serialize(hm)
+    part = _load(image, 20)
+    first, second = part.modules[2].faults[0].detections
+    assert first.detector is second.detector is part.diag_resources[10]
+    assert first.detector.owner is part.modules[1]
+    assert part.modules[1].diag_resources == []
+    report_detection(part, DetectionReport(20, Severity.HIGH, 1, 9))
+    full = deserialize(image)
+    report_detection(full, DetectionReport(20, Severity.HIGH, 1, 9))
+    assert append_changes(image, part) == append_changes(image, full)
 
 
 # -- the load without a detector ----------------------------------------------
@@ -1631,6 +1717,38 @@ def test_interleaved_diag_lists_load_through_the_walker():
     assert resource_view(lean) == resource_view(expected)
     assert lean.diag_resources == {} and lean.modules[1].diag_resources == []
     assert lean._worst == [(1, Severity.HIGH, Persistence.TRANSIENT)]
+    # the inject load walks the owner's list, not a run of the section
+    for detector in (10, 11, 20):
+        with pytest.raises(WalkerCalled):
+            with mock.patch.object(_Reader, "_read_diags", walker_fails):
+                _load(image, detector)
+        check_inject_load(_load(image, detector), expected, detector)
+    part = _load(image, 11)
+    assert [r.id for r in part.modules[1].diag_resources] == [10, 11]
+    report_detection(part, DetectionReport(10, Severity.LOW, 3, 7))
+    full = deserialize(image)
+    report_detection(full, DetectionReport(10, Severity.LOW, 3, 7))
+    assert append_changes(image, part) == append_changes(image, full)
+
+
+@pytest.mark.parametrize("detector", [None, 10, 20])
+def test_diag_head_past_the_section_goes_to_the_walker(detector):
+    # a first-diag link past the section's end, a whole number of records
+    # after the run before it, fails the proof; the walker names it
+    hm = HealthMap()
+    for mid, rid in ((1, 10), (2, 20)):
+        hm.add_module(mid)
+        hm.add_diag_resource(rid, mid)
+    image = serialize(hm)
+    end = hm.diag_resources[20].shm_offset + DIAG_SIZE
+    mutated = bytearray(image)
+    put_u32(mutated, hm.modules[2].shm_offset + 8, end + DIAG_SIZE)
+    mutated = restamp(mutated)
+    expected = outcome(reference_deserialize, mutated)
+    assert expected == (OffsetOutOfBoundsError, (
+        f"diag resource offset {end + DIAG_SIZE} outside section "
+        f"[{end - 2 * DIAG_SIZE}, {end})"))
+    assert outcome(lambda data: _load(data, detector), mutated) == expected
 
 
 def mutated_diag_image(data, image: bytes, hm: HealthMap) -> bytes:
