@@ -4,6 +4,13 @@ masks, prune, estimate footprints and run hierarchy simulations.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 
+Each parser is built once per process (`build_parser` is cached): argparse
+keeps no state between parses, so a caller that runs `main` many times in
+one process, such as a test or a resident health daemon, pays for it once.
+Every file a command writes goes to a temp file in its directory, written
+through the descriptor that created it and renamed over the target
+(`_replace_files`).
+
 `main` pauses automatic garbage collection while a command runs and
 restores the caller's setting when it returns; no command leaves cyclic
 garbage behind while it runs, so nothing waits on a collection.
@@ -12,9 +19,10 @@ garbage behind while it runs, so nothing waits on a collection.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
-import shutil
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -22,8 +30,8 @@ from pathlib import Path
 from . import affinity as affinity_mod
 from . import codec, compiler, faultmgr, footprint, hierarchy, resourcemap
 from .errors import HealthMapError
-from .model import (Severity, check_path, int_token, quote_token,
-                    read_bytes, read_text)
+from .model import (QUOTED_CHARS, Severity, check_path, int_token,
+                    quote_token, read_bytes, read_text)
 
 
 def _replace_files(*files: tuple[Path, bytes]) -> None:
@@ -32,34 +40,44 @@ def _replace_files(*files: tuple[Path, bytes]) -> None:
     file is all or nothing, the set is not: a failure between two renames
     leaves the files renamed so far beside the old ones, such as a new
     image beside an old sidecar. An existing file keeps its mode; a new one
-    gets the mode a plain write would give it."""
+    gets the mode a plain write would give it.
+
+    Each temp file is written, given its mode and synced through the
+    descriptor `mkstemp` opened with O_EXCL, never reopened by name, so
+    the bytes go to the file that `mkstemp` created."""
     for path, _data in files:
         check_path(path)    # mkstemp would raise ValueError
-    temps = []
+    temps: list[str] = []
+    renamed = 0
     try:
         for path, data in files:
             fd, name = tempfile.mkstemp(dir=path.parent,
                                         prefix=f".{path.name}.",
                                         suffix=".tmp")
-            tmp = Path(name)
-            temps.append(tmp)
+            temps.append(name)
             try:
-                tmp.write_bytes(data)
+                view = memoryview(data)
+                while view:     # a write may take only part of it
+                    view = view[os.write(fd, view):]
                 try:
-                    shutil.copymode(path, tmp)
+                    mode = stat.S_IMODE(os.stat(path).st_mode)
                 except FileNotFoundError:
                     umask = os.umask(0)
                     os.umask(umask)
-                    tmp.chmod(0o666 & ~umask)
-                # syncs the file, whichever descriptor wrote it
+                    mode = 0o666 & ~umask
+                os.fchmod(fd, mode)
                 os.fsync(fd)
             finally:
                 os.close(fd)
-        for (path, _data), tmp in zip(files, temps):
-            os.replace(tmp, path)
+        for (path, _data), name in zip(files, temps):
+            os.replace(name, path)
+            renamed += 1
     finally:
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
+        for name in temps[renamed:]:
+            try:
+                os.unlink(name)
+            except FileNotFoundError:
+                pass
 
 
 def _load_sidecar(path, hm) -> compiler.Sidecar:
@@ -265,8 +283,10 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Refuses `--flag=--` as `--flag --` (argparse reads it as [] or "--").
     A refused value gets argparse's message alone, without the usage, with
-    the value quoted by `quote_token`: argparse would echo it whole, so a
-    hostile value would fill the log."""
+    the value quoted by `quote_token`. So is a list of unrecognized tokens
+    when one has more than QUOTED_CHARS characters, each such token quoted
+    by it: argparse would echo either whole, so a hostile token would fill
+    the log."""
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
@@ -280,11 +300,25 @@ class _Parser(argparse.ArgumentParser):
             error = argparse.ArgumentError(action, message)
             self.exit(2, f"{self.prog}: error: {error}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            quoted = [token if len(token) <= QUOTED_CHARS
+                      else quote_token(token) for token in extra]
+            message = f"unrecognized arguments: {' '.join(quoted)}"
+            if quoted == extra:
+                self.error(message)
+            # a quoted token's line stands alone, as a refused value's does
+            self.exit(2, f"{self.prog}: error: {message}\n")
+        return args
 
+
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `hm` parser, or given a subcommand's name a parser of that
     subcommand alone (`hm NAME`), which parses its arguments as the full
-    parser's subparser does and costs a fraction of the full parser."""
+    parser's subparser does and costs a fraction of the full parser. Each
+    is built once per process and shared: a parse leaves no state in it."""
     if command is not None:
         return _add_arguments(_Parser(prog=f"hm {command}"), command)
     parser = _Parser(prog="hm", description="Health map toolkit")

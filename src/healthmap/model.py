@@ -70,6 +70,9 @@ STATUSES = tuple(ModuleStatus)
 
 
 QUOTED_CHARS = 40    # an error quotes at most this much of a token
+# an error describes a longer integer by its bit length: CPython may refuse
+# str() of one past 640 digits (sys.set_int_max_str_digits)
+DESCRIBED_BITS = 2048
 
 
 def quote_token(token: str) -> str:
@@ -86,7 +89,8 @@ def check_field(value, row: tuple):
     0..limit or, when `limit` is a level's byte -> member table, its member.
     Else raise the row's error, FieldRangeError unless it names one; it
     quotes an integer of more than QUOTED_CHARS characters by
-    `quote_token`."""
+    `quote_token`, and one of more than DESCRIBED_BITS bits by its bit
+    length, never calling str() on it."""
     limit = row[0]
     if isinstance(value, int):
         if type(limit) is tuple:
@@ -95,9 +99,12 @@ def check_field(value, row: tuple):
             limit = len(limit) - 1
         elif 0 <= value <= limit:
             return value
-        digits = str(value)
-        if len(digits) > QUOTED_CHARS:
-            digits = quote_token(digits)
+        if value.bit_length() > DESCRIBED_BITS:
+            digits = f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
+        else:
+            digits = str(value)
+            if len(digits) > QUOTED_CHARS:
+                digits = quote_token(digits)
         message = f"{row[1]} {digits} outside 0..{limit}"
     else:
         message = f"{row[1]} {value!r} is not an integer"

@@ -24,6 +24,7 @@ from healthmap import (DetectionReport, HealthMap, Persistence, Severity,
                        footprint, report_detection, serialize)
 from healthmap.cli import main
 from healthmap.codec import HEADER_SIZE, MODULE_SIZE
+from healthmap.model import quote_token
 
 from conftest import DATA_DIR
 from helpers import nest_xml, restamp
@@ -288,6 +289,21 @@ def test_inject_class_outside_u8_exits_1_and_keeps_image(compiled, capsys):
     assert shm.read_bytes() == before
 
 
+def failing_write(monkeypatch, fails, torn=False) -> None:
+    """Patch `os.write` so that a write of bytes that `fails` picks raises
+    `OSError("disk full")`, after writing half of them when `torn`."""
+    write = os.write
+
+    def patched(fd, data):
+        if fails(bytes(data)):
+            if torn:
+                write(fd, data[:len(data) // 2])
+            raise OSError("disk full")
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", patched)
+
+
 @pytest.mark.parametrize("argv", [
     ["inject", "--detector", "12", "--sev", "HIGH", "--class", "1",
      "--t", "1000"],
@@ -298,13 +314,8 @@ def test_failed_rewrite_leaves_image_intact(compiled, monkeypatch, capsys,
     shm, _sym = compiled
     before = shm.read_bytes()
     files_before = sorted(shm.parent.iterdir())
-
-    def torn_write(self, data):
-        with open(self, "wb") as fh:
-            fh.write(data[:len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    failing_write(monkeypatch, lambda data: data.startswith(b"SHM1"),
+                  torn=True)
     assert main([argv[0], str(shm), *argv[1:]]) == 1
     assert "disk full" in capsys.readouterr().err
     assert shm.read_bytes() == before
@@ -341,13 +352,8 @@ def test_failed_recompile_leaves_image_and_sidecar_intact(
     shm, sym = compiled
     image, sidecar = shm.read_bytes(), sym.read_text()
     files_before = sorted(shm.parent.iterdir())
-
-    def torn_write(self, data):
-        with open(self, "wb") as fh:
-            fh.write(data[:len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    failing_write(monkeypatch, lambda data: data.startswith(b"SHM1"),
+                  torn=True)
     assert main(["compile", str(DEMO_DATA / "board.xml"), "-o", str(shm),
                  "--sym", str(sym)]) == 1
     assert "disk full" in capsys.readouterr().err
@@ -361,14 +367,8 @@ def test_failed_sidecar_write_leaves_image_intact(compiled, monkeypatch,
     shm, sym = compiled
     image, sidecar = shm.read_bytes(), sym.read_text()
     files_before = sorted(shm.parent.iterdir())
-    write_bytes = Path.write_bytes
-
-    def sidecar_write_fails(self, data):
-        if self.name.startswith(f".{sym.name}."):
-            raise OSError("disk full")
-        return write_bytes(self, data)
-
-    monkeypatch.setattr(Path, "write_bytes", sidecar_write_fails)
+    # the sidecar is the one file that is not an image
+    failing_write(monkeypatch, lambda data: not data.startswith(b"SHM1"))
     assert main(["compile", str(DEMO_DATA / "board.xml"), "-o", str(shm),
                  "--sym", str(sym)]) == 1
     assert "disk full" in capsys.readouterr().err
@@ -383,14 +383,8 @@ def test_failed_simulate_log_write_leaves_old_logs(tmp_path, monkeypatch,
     out.mkdir()
     (out / "messages.log").write_bytes(b"old messages\n")
     (out / "rm.log").write_bytes(b"old rm\n")
-    write_bytes = Path.write_bytes
-
-    def rm_log_write_fails(self, data):
-        if self.name.startswith(".rm.log."):
-            raise OSError("disk full")
-        return write_bytes(self, data)
-
-    monkeypatch.setattr(Path, "write_bytes", rm_log_write_fails)
+    # rm.log lines read `at T node N rm HEX`, messages.log lines `... -> P`
+    failing_write(monkeypatch, lambda data: b" rm " in data)
     assert main(["simulate", str(DEMO_DATA / "board.scn"),
                  "--out", str(out)]) == 1
     assert "disk full" in capsys.readouterr().err
@@ -398,6 +392,35 @@ def test_failed_simulate_log_write_leaves_old_logs(tmp_path, monkeypatch,
     assert (out / "rm.log").read_bytes() == b"old rm\n"
     assert sorted(p.name for p in out.iterdir()) == ["messages.log",
                                                      "rm.log"]
+
+
+def test_short_writes_still_write_the_whole_image(tmp_path, monkeypatch):
+    # each os.write takes at most 1 000 bytes; the replace writes the rest,
+    # and with the temp file renamed it has nothing to unlink
+    shm = tmp_path / "big.shm"
+    image = serialize(footprint.synthesize_map(8))
+    shm.write_bytes(image)
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return write(fd, data[:1000])
+
+    def unlink(name):
+        raise AssertionError(f"unlinked {name}")
+
+    monkeypatch.setattr(os, "write", short_write)
+    monkeypatch.setattr(os, "unlink", unlink)
+    detector = next(iter(deserialize(image).diag_resources))
+    assert main(["inject", str(shm), "--detector", str(detector), "--sev",
+                 "HIGH", "--class", "1", "--t", "1000"]) == 0
+    hm = deserialize(image)
+    report_detection(hm, DetectionReport(detector, Severity.HIGH, 1, 1000))
+    expected = append_changes(image, hm)
+    assert len(sizes) == -(-len(expected) // 1000) > 80
+    assert shm.read_bytes() == expected
+    assert deserialize(shm.read_bytes()).snapshot() == hm.snapshot()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.shm"]
 
 
 def test_fresh_compile_gets_plain_write_mode(tmp_path):
@@ -415,6 +438,19 @@ def test_fresh_compile_gets_plain_write_mode(tmp_path):
     assert stat.S_IMODE(sym.stat().st_mode) == mode
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "new.shm", "new.sym", "plain"]
+
+
+def test_rewrite_keeps_each_file_mode(compiled):
+    shm, sym = compiled
+    shm.chmod(0o640)
+    sym.chmod(0o604)
+    assert main(["inject", str(shm), "--detector", "12", "--sev", "HIGH",
+                 "--class", "1", "--t", "1000"]) == 0
+    assert main(["prune", str(shm)]) == 0
+    assert main(["compile", str(DATA_DIR / "table1.xml"), "-o", str(shm),
+                 "--sym", str(sym)]) == 0
+    assert stat.S_IMODE(shm.stat().st_mode) == 0o640
+    assert stat.S_IMODE(sym.stat().st_mode) == 0o604
 
 
 @pytest.mark.parametrize("option, value", [
@@ -1033,6 +1069,38 @@ def test_main_matches_full_parser(tmp_path, monkeypatch, command):
             assert ("{%s}" % ",".join(SURFACE_CALLS)) in outcomes[0][2]
 
 
+def test_cached_parsers_carry_nothing_from_one_call_to_the_next(compiled,
+                                                                capsys):
+    # each parser is built once per process, so one call's options, and a
+    # usage error, must not reach the next call
+    shm, sym = compiled
+    assert cli.build_parser("rm") is cli.build_parser("rm")
+    assert cli.build_parser() is cli.build_parser()
+    rm = ["rm", str(shm), "--sym", str(sym)]
+    assert main(rm) == 0
+    plain = capsys.readouterr().out
+    assert "MAINTENANCE" not in plain
+    assert main(rm + ["--maintenance", "CPU.C3"]) == 0
+    assert "MAINTENANCE" in capsys.readouterr().out
+    assert main(rm) == 0
+    assert capsys.readouterr().out == plain
+    # a usage error on either parser path, then a valid call
+    for bad in (["inject", str(shm), "--detector", "12"], rm + ["extra"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(rm) == 0
+        assert capsys.readouterr().out == plain
+    inject = ["inject", str(shm), "--detector", "12", "--sev", "HIGH",
+              "--t", "1000"]
+    assert main(inject + ["--class", "1", "--payload", "ff"]) == 0
+    assert main(inject + ["--class", "2"]) == 0
+    payloads = {f.classification: [d.payload for d in f.detections]
+                for f in deserialize(shm.read_bytes()).faults}
+    assert payloads == {1: [0xFF], 2: [0]}
+
+
 # Every option given `--` as its attached value is a usage error on every
 # Python version: argparse up to 3.12 reads that `--` as an empty list, which
 # a command would then misread or crash on.
@@ -1198,3 +1266,21 @@ def test_inject_on_hostile_images_and_arguments_ends_in_an_exit_code(
     report_detection(expected, DetectionReport(
         int(detector), Severity[sev], int(clazz), int(t), int(payload, 16)))
     assert written == append_changes(image, expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["inject", "IMAGE", "--detector", "12", "--sev", "HIGH", "--class", "1",
+     "--t", "1000", "x" * 3000],
+    ["rm", "IMAGE", "--bogus" + "x" * 3000],
+], ids=["inject", "rm"])
+def test_unrecognized_long_token_is_quoted(compiled, argv):
+    # argparse would echo the token whole, on either parser path
+    shm, _sym = compiled
+    before = shm.read_bytes()
+    argv = [str(shm) if arg == "IMAGE" else arg for arg in argv]
+    code, _out, err = cli_outcome(argv)
+    assert code == 2
+    assert err == (f"hm: error: unrecognized arguments: "
+                   f"{quote_token(argv[-1])}\n")
+    assert len(err) <= 200
+    assert shm.read_bytes() == before

@@ -28,6 +28,7 @@ from healthmap.model import (
     Fault,
     FaultDetection,
     Module,
+    DESCRIBED_BITS,
     QUOTED_CHARS,
     Violation,
     int_token,
@@ -432,6 +433,23 @@ def test_int_token_quotes_at_most_the_head_of_a_long_token(token, message):
     with pytest.raises(FieldRangeError) as info:
         int_token(token, "module id", FieldRangeError, 0xFFFFFFFF)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10**5000, "<16610-bit integer>"),
+    (-10**5000, "-<16610-bit integer>"),
+    (2**DESCRIBED_BITS, f"<{DESCRIBED_BITS + 1}-bit integer>"),
+    (2**DESCRIBED_BITS - 1, f"'{str(2**DESCRIBED_BITS - 1)[:QUOTED_CHARS]}'"
+                            f"... (617 characters)"),
+], ids=["10**5000", "-10**5000", "2**DESCRIBED_BITS",
+        "2**DESCRIBED_BITS - 1"])
+def test_check_field_describes_a_huge_integer_by_its_bit_length(value,
+                                                                 shown):
+    # str() of an integer past CPython's digit limit raises ValueError
+    with pytest.raises(FieldRangeError) as info:
+        HealthMap().add_module(value)
+    assert str(info.value) == f"module id {shown} outside 0..4294967295"
+    assert len(str(info.value)) <= 200
 
 
 def test_int_token_reads_a_long_token_in_range():
