@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 
 Each parser is built once per process (`build_parser` is cached): argparse
 keeps no state between parses, so a caller that runs `main` many times in
-one process, such as a test or a resident health daemon, pays for it once.
+one process, such as the test suite or the `perfbench` load model, pays
+for it once; a one-shot `hm` command builds its parser once either way.
 Every file a command writes goes to a temp file in its directory, written
 through the descriptor that created it and renamed over the target
 (`_replace_files`).
@@ -283,10 +284,9 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Refuses `--flag=--` as `--flag --` (argparse reads it as [] or "--").
     A refused value gets argparse's message alone, without the usage, with
-    the value quoted by `quote_token`. So is a list of unrecognized tokens
-    when one has more than QUOTED_CHARS characters, each such token quoted
-    by it: argparse would echo either whole, so a hostile token would fill
-    the log."""
+    the value quoted by `quote_token`. So is the line of unrecognized
+    tokens when it has more than QUOTED_CHARS characters: argparse would
+    echo either whole, so a hostile token, or many, would fill the log."""
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and arg_strings == ["--"]:
@@ -303,13 +303,12 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         args, extra = self.parse_known_args(args, namespace)
         if extra:
-            quoted = [token if len(token) <= QUOTED_CHARS
-                      else quote_token(token) for token in extra]
-            message = f"unrecognized arguments: {' '.join(quoted)}"
-            if quoted == extra:
-                self.error(message)
-            # a quoted token's line stands alone, as a refused value's does
-            self.exit(2, f"{self.prog}: error: {message}\n")
+            line = " ".join(extra)
+            if len(line) <= QUOTED_CHARS:
+                self.error(f"unrecognized arguments: {line}")
+            # a quoted line stands alone, as a refused value's does
+            self.exit(2, f"{self.prog}: error: unrecognized arguments: "
+                         f"{quote_token(line)}\n")
         return args
 
 

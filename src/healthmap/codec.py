@@ -53,43 +53,36 @@ walking again lists the check pass proved valid. `deserialize` builds
 everything.
 
 The CLI's commands read less, and load through the private `_load`,
-which runs the same checks fault-free: it builds the modules, proves the
-diag resource section by byte columns, and while it walks the fault
-lists for the dynamic proof it keeps each faulty module's (id, worst
-severity, worst persistence) and builds no fault. What each load builds:
+which runs the same checks fault-free: it builds the modules and
+dependencies, proves the diag resource section by byte columns, and
+while it walks the fault lists for the dynamic proof it keeps each faulty
+module's (id, worst severity, worst persistence) and builds no fault.
+`hm rm` and `hm affinity` read only those values: the map carries the
+triples (`HealthMap._worst`) for `resourcemap.init_resource_map`, and
+every call that would read or write a fault refuses it. `hm inject`
+reads one detector and its owner's faults: after the check, `_load`
+finds the detector's slot in the checked id column and builds only the
+owner's diag resource list, the owner's faults in list order and their
+detections, each detector those name built once from its record. Such a
+map goes back to disk only through `append_changes`, and every call
+that would read every module's lists refuses it.
 
-  * `deserialize` (`hm dump`, `validate`, `prune`): everything;
-  * `_load(data)` (`hm rm`, `hm affinity`): the modules and the
-    dependencies, which `resourcemap` propagates along; the map carries
-    the triples (`HealthMap._worst`) for `resourcemap.init_resource_map`,
-    and every call that would read or write a fault refuses it;
-  * `_load(data, detector)` (`hm inject`): the modules, no dependency
-    (the dependency section is proven by byte columns too), and one
-    detector's owner: after the check, `_load` finds the detector's slot
-    in the checked id column and builds only the owner's diag resource
-    list, the owner's faults in list order and their detections, each
-    detector those name built once from its record. Such a map goes back
-    to disk only through `append_changes`, which keeps the image's
-    first-diag and first-dependency words, and every call that would
-    read every module's lists refuses it.
+The diag resource proof reads each record's id, owner and next words as
+columns of the section (strided slices, as for detections below) and
+accepts only when:
 
-The diag resource and dependency proofs share one run rule (`_runs`):
-the modules' nonzero head links (first-diag or first-dependency), in
-ascending order, start runs that tile the section: the first at its
-start, each run up to the next link, the last up to its end; and each
-run is one list of consecutive records: next = record + size inside the
-run and 0 at its end. Each proof reads the section's words as columns
-(strided slices, as for detections below). The diag resource proof
-accepts only when the run rule holds, the R ids are distinct and each
-run's owner words equal its module's offset. The dependency proof
-accepts only when the run rule holds, each dependent word is a module
-record offset other than its run's module (the provider) and each
-severity byte is in range.
+  * the R ids are distinct;
+  * the modules' nonzero first-diag links, in ascending order, start runs
+    that tile the section: the first at its start, each run up to the next
+    link, the last up to its end;
+  * each run is one list of consecutive records: next = record + 13 inside
+    the run and 0 at its end;
+  * each run's owner words equal its module's offset.
 
-Such lists are exactly what the walkers `_read_diags` and `_read_deps`
-accept without an error, so when a proof fails its walker runs as if it
-had not, and raises the first error in the usual order; what a
-successful walk built that the load does not keep is dropped.
+Such lists are exactly what the walker `_read_diags` accepts without an
+error, so when the proof fails the walker runs as if it had not, and
+raises the first error in the usual order; what a successful walk built
+is dropped.
 
 A diag check that passes has claimed all R slots of the section, so a
 detection's detector link is valid exactly when it names one of them: one
@@ -411,20 +404,16 @@ class _Reader:
 
     `check` runs every check of the image, in image order, and builds the
     modules, diag resources, dependencies and faults, or fault-free only
-    the modules and, unless told not to, the dependencies; of each
-    detection it reads only its links and counter, so it builds no
-    detection object. It also refuses parent cycles, ZERO fault enum bytes
-    and counter 0. The diag resource section (fault-free only), the
-    dependency section (without dependencies) and the dynamic region are
-    proven by column scans (`_prove_diags`, `_prove_deps`,
-    `_prove_dynamic`); only when a proof fails does its walker
-    (`_read_diags`, `_read_deps`, `_check_dynamic`) follow every list, and
-    it alone raises the section's errors. A diag resource or dependency
-    section whose records the load builds is walked, which builds and
-    checks in one pass. `build` then creates the detections of chosen
-    modules, and after a fault-free check `build_owner` one module's
-    lists, by walking again lists `check` proved valid, so neither can
-    fail.
+    the modules and dependencies; of each detection it reads only its
+    links and counter, so it builds no detection object. It also refuses
+    parent cycles, ZERO fault enum bytes and counter 0. The diag resource
+    section (fault-free only) and the dynamic region are proven by column
+    scans (`_prove_diags`, `_prove_dynamic`); only when a proof fails does
+    its walker (`_read_diags`, `_check_dynamic`) follow every list, and it
+    alone raises the section's errors. `build` then creates the
+    detections of chosen modules, and after a fault-free check
+    `build_owner` one module's lists, by walking again lists `check`
+    proved valid, so neither can fail.
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
@@ -439,15 +428,14 @@ class _Reader:
         self.data = bytes(data)
         self.total = len(self.data)
 
-    def check(self, build: bool = True, deps: bool = True) -> HealthMap:
+    def check(self, build: bool = True) -> HealthMap:
         """The image's map without detections; raises on the first error.
 
         With `build` False the map holds the modules and dependencies but
         no diag resource and no fault: `hm._worst` holds each faulty
-        module's (id, worst severity, worst persistence) instead. With
-        `deps` False it holds no dependency. The checks are the same; a
-        section whose proof fails is walked, and what the walk built that
-        the map does not hold is dropped."""
+        module's (id, worst severity, worst persistence) instead. The
+        checks are the same; a section whose proof fails is walked, and
+        what the walk built is dropped."""
         m, r, d, f, fd = self._check_header()
         self.mod_base = HEADER_SIZE
         self.diag_base = self.mod_base + MODULE_SIZE * m
@@ -488,12 +476,7 @@ class _Reader:
         walked = build or not self._prove_diags(raw_modules, r)
         if walked:
             self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
-        if deps or not self._prove_deps(raw_modules, d):
-            self._read_deps(hm, by_off, raw_modules, d)
-            if not deps:
-                hm.dependencies = []
-                for module in modules.values():
-                    module.dependencies = []
+        self._read_deps(hm, by_off, raw_modules, d)
         proven = self._prove_dynamic(by_off, raw_modules, f, fd, build)
         if build:
             if proven is None:
@@ -746,34 +729,27 @@ class _Reader:
         that `_read_diags` would accept it; builds nothing. See the module
         docstring for the proof."""
         base = self.diag_base
-        runs = _runs(raw_modules, 2, base, DIAG_SIZE, r)
-        if runs is None:
+        end = base + DIAG_SIZE * r
+        runs = sorted((fields[2], mod_off)
+                      for mod_off, fields in raw_modules.items() if fields[2])
+        nexts = list(range(base + DIAG_SIZE, end + DIAG_SIZE, DIAG_SIZE))
+        owners = bytearray()
+        pos = base
+        for (head, mod_off), (stop, _next) in zip(
+                runs, chain(runs[1:], ((end, 0),))):
+            if (head != pos or not head < stop <= end
+                    or (stop - head) % DIAG_SIZE):
+                return False
+            nexts[(stop - base) // DIAG_SIZE - 1] = 0    # the run's end
+            owners += _LINK.pack(mod_off) * ((stop - head) // DIAG_SIZE)
+            pos = stop
+        if pos != end:
             return False
-        section = self.data[base:self.dep_base]
-        nexts, owners = runs
-        return (_column(section, 8, r, DIAG_SIZE) == nexts
+        section = self.data[base:end]
+        return (_column(section, 8, r, DIAG_SIZE)
+                == struct.pack(f"<{r}I", *nexts)
                 and _column(section, 4, r, DIAG_SIZE) == owners
                 and len(set(_words(section, 0, r, DIAG_SIZE))) == r)
-
-    def _prove_deps(self, raw_modules, d) -> bool:
-        """Whether byte columns prove the dependency section valid, so that
-        `_read_deps` would accept it; builds nothing. See the module
-        docstring for the proof."""
-        base = self.dep_base
-        runs = _runs(raw_modules, 3, base, DEP_SIZE, d)
-        if runs is None:
-            return False
-        section = self.data[base:self.dyn_base]
-        nexts, providers = runs
-        dependents = _column(section, 0, d, DEP_SIZE)
-        differ = (int.from_bytes(dependents, "little")
-                  ^ int.from_bytes(providers, "little")).to_bytes(4 * d,
-                                                                 "little")
-        return (_column(section, 4, d, DEP_SIZE) == nexts
-                and b"\0" not in _fold(differ, 0, 4, d)  # no self-dependency
-                and not section[8::DEP_SIZE].translate(None, _SEVERITY_BYTES)
-                and self.by_off.keys() >= set(
-                    struct.unpack(f"<{d}I", dependents)))
 
     def _prove_dynamic(self, by_off, raw_modules, f, fd, build=True):
         """When column scans prove the dynamic region valid, the faults in
@@ -959,33 +935,6 @@ def _words(records: bytes, at: int, n: int,
     return struct.unpack(f"<{n}I", _column(records, at, n, size))
 
 
-def _runs(raw_modules: dict[int, tuple], field: int, base: int, size: int,
-          n: int) -> Optional[tuple[bytes, bytearray]]:
-    """The next and owner columns that one list per module must hold in
-    the section of `n` `size`-byte records at `base`, when the modules'
-    nonzero head links (`field` of their raw fields), in ascending order,
-    start runs that tile the section: the first at its start, each run up
-    to the next head, the last up to its end. Inside a run next is record
-    + size, at its end 0; owner is the run's module offset. None when the
-    heads tile no section."""
-    end = base + size * n
-    runs = sorted((fields[field], mod_off)
-                  for mod_off, fields in raw_modules.items() if fields[field])
-    nexts = list(range(base + size, end + size, size))
-    owners = bytearray()
-    pos = base
-    for (head, mod_off), (stop, _next) in zip(
-            runs, chain(runs[1:], ((end, 0),))):
-        if head != pos or not head < stop <= end or (stop - head) % size:
-            return None
-        nexts[(stop - base) // size - 1] = 0    # the run's end
-        owners += _LINK.pack(mod_off) * ((stop - head) // size)
-        pos = stop
-    if pos != end:
-        return None
-    return struct.pack(f"<{n}I", *nexts), owners
-
-
 def _marked(marks: bytearray, offsets: set[int]) -> bool:
     """Whether `marks` holds a mark at each of `offsets`; an `itemgetter`
     of two or more reads them all in one call."""
@@ -1007,7 +956,6 @@ def _fold(buf: bytes, at: int, stride: int, n: int) -> bytes:
 
 
 _TRUTH = bytes(1) + bytes([1]) * 255    # translate: each nonzero byte to 1
-_SEVERITY_BYTES = bytes(range(len(SEVERITIES)))   # translate: delete these
 
 
 def _lists_proven(slots: bytes, n: int, gaps: list[tuple[int, int]],
@@ -1072,20 +1020,19 @@ def deserialize(data: bytes) -> HealthMap:
 def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
     """`deserialize` for a command that reads little of the map: the image
     passes every check of `_Reader.check(build=False)`, which builds the
-    modules, and the map holds only what the command reads.
+    modules and dependencies, and the map holds only what the command
+    reads.
 
-    Without a `detector` (`hm rm`, `hm affinity`), it holds the
-    dependencies, which `resourcemap` propagates along, but no diag
+    Without a `detector` (`hm rm`, `hm affinity`), it holds no diag
     resource and no fault; `hm._worst` holds each faulty module's (id,
     worst severity, worst persistence), which
     `resourcemap.init_resource_map` folds. Every writer, `report_detection`
     and clearing maintenance refuse such a map (`HealthMap.require_faults`).
 
-    With one (`hm inject`), the map holds no dependency, and the module
-    that owns that diag resource holds its diag resources and its faults
-    with their detections; every other module holds neither, and
-    `hm.diag_resources`, `hm.faults` and `hm.detections` hold those
-    records and the detectors the detections
+    With one (`hm inject`), the module that owns that diag resource holds
+    its diag resources and its faults with their detections; every other
+    module holds neither, and `hm.diag_resources`, `hm.faults` and
+    `hm.detections` hold those records and the detectors the detections
     name, nothing else (nothing if no diag resource has that id, so
     `report_detection` raises `UnknownDetectorError`). The map may grow and
     change through that module only (`hm._built`): `append_changes` writes
@@ -1094,7 +1041,7 @@ def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
     refuse the map (`HealthMap.require_whole`).
     """
     reader = _Reader(data)
-    hm = reader.check(build=False, deps=detector is None)
+    hm = reader.check(build=False)
     hm._built = set()
     if detector is not None:
         hm._worst = None

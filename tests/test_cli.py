@@ -1268,19 +1268,31 @@ def test_inject_on_hostile_images_and_arguments_ends_in_an_exit_code(
     assert written == append_changes(image, expected)
 
 
-@pytest.mark.parametrize("argv", [
-    ["inject", "IMAGE", "--detector", "12", "--sev", "HIGH", "--class", "1",
-     "--t", "1000", "x" * 3000],
-    ["rm", "IMAGE", "--bogus" + "x" * 3000],
-], ids=["inject", "rm"])
-def test_unrecognized_long_token_is_quoted(compiled, argv):
-    # argparse would echo the token whole, on either parser path
+@pytest.mark.parametrize("argv, extra", [
+    (["inject", "IMAGE", "--detector", "12", "--sev", "HIGH", "--class", "1",
+      "--t", "1000"], ["x" * 3000]),
+    (["rm", "IMAGE"], ["--bogus" + "x" * 3000]),
+    (["rm", "IMAGE"], ["x"] * 2000),
+], ids=["inject", "rm", "many tokens"])
+def test_unrecognized_long_line_is_quoted(compiled, argv, extra):
+    # argparse would echo the tokens whole, on either parser path
     shm, _sym = compiled
     before = shm.read_bytes()
     argv = [str(shm) if arg == "IMAGE" else arg for arg in argv]
-    code, _out, err = cli_outcome(argv)
+    code, _out, err = cli_outcome(argv + extra)
     assert code == 2
     assert err == (f"hm: error: unrecognized arguments: "
-                   f"{quote_token(argv[-1])}\n")
+                   f"{quote_token(' '.join(extra))}\n")
     assert len(err) <= 200
     assert shm.read_bytes() == before
+
+
+def test_unrecognized_short_line_keeps_the_usage(compiled):
+    # a line of QUOTED_CHARS characters or fewer keeps argparse's message
+    shm, _sym = compiled
+    extra = ["x" * 19, "y" * 20]    # 40 characters joined
+    code, _out, err = cli_outcome(["rm", str(shm), *extra])
+    assert code == 2
+    assert err.startswith("usage: hm ")
+    assert err.endswith(f"hm: error: unrecognized arguments: "
+                        f"{' '.join(extra)}\n")

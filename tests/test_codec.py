@@ -1078,16 +1078,13 @@ def lists_view(hm: HealthMap, module_ids) -> tuple:
 def check_inject_load(hm: HealthMap, expected: HealthMap,
                       detector: int) -> None:
     """`hm`, the load of `expected`'s image with `detector`, builds every
-    module, no dependency, and of the module owning `detector` (if any)
+    module and dependency, and of the module owning `detector` (if any)
     its diag resources, faults and detections and the detectors those name,
     each built once; nothing else."""
     res = expected.diag_resources.get(detector)
     owner = {res.owner.id} if res is not None else set()
     assert hm._built == owner and hm._worst is None
-    modules, deps = resource_view(hm)
-    assert deps == () and all(row[3] == () for row in modules)
-    assert [row[:3] for row in modules] == [
-        row[:3] for row in resource_view(expected)[0]]
+    assert resource_view(hm) == resource_view(expected)
     assert lists_view(hm, owner) == lists_view(expected, owner)
     assert all(m.diag_resources == [] and m.faults == []
                for m in hm.modules.values() if m.id not in owner)
@@ -1794,205 +1791,6 @@ def test_diag_proof_and_walker_agree_on_mutated_images(base, diag_edits,
     walked = lean_outcome(diags_by_walker, mutated)
     assert lean_outcome(_load, mutated) == walked
     proved = lean_outcome(diags_by_proof, mutated)
-    if proved[0] is not WalkerCalled:
-        assert proved == walked
-
-
-# -- the dependency proof -----------------------------------------------------
-# The inject load (`_load(image, detector)`) proves the dependency section by
-# byte columns, walks it with `_read_deps` only when the proof fails, and
-# builds no dependency either way; `deserialize` and the rm load walk it, as
-# they build every dependency. With the walker patched to fail, an image
-# loads only through the proof; with the proof turned off, only through the
-# walker.
-
-def inject_load(detector: int):
-    return lambda data: _load(data, detector)
-
-
-def deps_by_proof(load, image: bytes):
-    with mock.patch.object(_Reader, "_read_deps", walker_fails):
-        return load(image)
-
-
-def deps_by_walker(load, image: bytes):
-    with mock.patch.object(_Reader, "_prove_deps", lambda *_args: False):
-        return load(image)
-
-
-def dep_outcome(load, image: bytes):
-    """(error class, message) of a load that raises, else what it built."""
-    hm = outcome(load, image)
-    if isinstance(hm, tuple):
-        return hm
-    return (hm.snapshot(), hm._worst, hm._built,
-            [m.dependencies for m in hm.modules.values()])
-
-
-def grouped_image(rng: random.Random, appends: int = 0) -> bytes:
-    """A random map's image in which each module's dependency list is one
-    run of consecutive records, grown by `appends` appends."""
-    hm = random_health_map(rng)
-    order = {mid: i for i, mid in enumerate(hm.modules)}
-    hm.dependencies.sort(key=lambda dep: order[dep.provider.id])
-    image = serialize(hm)
-    for _ in range(appends):
-        hm = deserialize(image)
-        report_some(hm, rng)
-        image = append_changes(image, hm)
-    return image
-
-
-def check_dep_proof(image: bytes) -> None:
-    """The inject load of `image` goes through the dependency proof, builds
-    no `Dependency` and builds what `check_inject_load` asks of it."""
-    expected = reference_deserialize(image)
-    detector = next(iter(expected.diag_resources), 0xFFFFFFFF)
-    with mock.patch.object(codec, "Dependency", walker_fails):
-        part = deps_by_proof(inject_load(detector), image)
-    check_inject_load(part, expected, detector)
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**16), appends=st.integers(0, 3))
-def test_dep_proof_accepts_canonical_images(seed, appends):
-    check_dep_proof(grouped_image(random.Random(seed), appends))
-
-
-def test_dep_proof_accepts_compiled_and_synthesized_images():
-    check_dep_proof(serialize(synthesize_map(8)))
-    for name in ("board.xml", "cpu.xml"):
-        check_dep_proof(compile_xml((DEMO_DATA / name).read_text())[0])
-    check_dep_proof(compile_xml((DATA_DIR / "table1.xml").read_text())[0])
-
-
-def test_interleaved_dependency_lists_load_through_the_walker():
-    # serialize lays dependencies out in insertion order, so a module whose
-    # dependencies were added between another's holds no single run
-    hm = HealthMap()
-    for mid in (1, 2, 3):
-        hm.add_module(mid)
-    hm.add_diag_resource(10, 1)
-    for provider, dependent in ((1, 2), (2, 3), (1, 3)):
-        hm.add_dependency(provider, dependent, Severity.LOW)
-    image = serialize(hm)
-    with pytest.raises(WalkerCalled):
-        deps_by_proof(inject_load(10), image)
-    check_inject_load(_load(image, 10), reference_deserialize(image), 10)
-
-
-def dep_map() -> HealthMap:
-    """Three modules whose dependency lists are runs of 2, 1 and 1
-    records, and one fault."""
-    hm = HealthMap()
-    for mid in (1, 2, 3):
-        hm.add_module(mid)
-    hm.add_diag_resource(10, 2)
-    hm.add_fault_with_detection(2, Severity.HIGH, Persistence.TRANSIENT, 1,
-                                10, 5)
-    for provider, dependent, sev in ((1, 2, Severity.LOW),
-                                     (1, 3, Severity.HIGH),
-                                     (2, 3, Severity.LOW),
-                                     (3, 1, Severity.ZERO)):
-        hm.add_dependency(provider, dependent, sev)
-    return hm
-
-
-@pytest.mark.parametrize("edit", [
-    "self-dependency", "severity", "run end", "run continues", "head",
-    "no head", "dependent in the dependency section", "dependent misaligned",
-])
-def test_dep_proof_refuses_what_the_walker_refuses(edit):
-    hm = dep_map()
-    image = serialize(hm)
-    deps, modules = hm.dependencies, hm.modules
-    mutated = bytearray(image)
-    if edit == "self-dependency":     # 2 -> 3 becomes 2 -> 2
-        put_u32(mutated, deps[2].shm_offset, modules[2].shm_offset)
-    elif edit == "severity":
-        mutated[deps[3].shm_offset + 8] = len(Severity)
-    elif edit == "run end":           # module 1's list runs into module 2's
-        put_u32(mutated, deps[1].shm_offset + 4, deps[2].shm_offset)
-    elif edit == "run continues":     # module 1's list ends after one
-        put_u32(mutated, deps[0].shm_offset + 4, 0)
-    elif edit == "head":              # module 3 starts module 2's run
-        put_u32(mutated, modules[3].shm_offset + 12, deps[2].shm_offset)
-    elif edit == "no head":           # one chain through the section
-        for module in modules.values():
-            put_u32(mutated, module.shm_offset + 12, 0)
-        for dep in deps:
-            put_u32(mutated, dep.shm_offset + 4, dep.shm_offset + DEP_SIZE)
-    elif edit == "dependent in the dependency section":
-        put_u32(mutated, deps[0].shm_offset, deps[1].shm_offset)
-    else:
-        put_u32(mutated, deps[0].shm_offset, modules[2].shm_offset + 1)
-    mutated = restamp(mutated)
-    expected = outcome(reference_deserialize, mutated)
-    assert isinstance(expected, tuple)
-    for load in (deserialize, _load, inject_load(10)):
-        assert outcome(load, mutated) == expected
-    with pytest.raises(WalkerCalled):
-        deps_by_proof(inject_load(10), mutated)
-
-
-@functools.lru_cache(maxsize=None)
-def dep_bases() -> tuple[tuple[bytes, HealthMap], ...]:
-    """(image, its map) pairs whose dependency lists are runs, so the
-    proof accepts them, some grown by appends."""
-    images = [grouped_image(random.Random(seed), appends)
-              for seed, appends in ((3, 0), (7, 2), (11, 3), (13, 1))]
-    images.append(serialize(dep_map()))
-    for image in images:
-        deps_by_proof(inject_load(0), image)
-    return tuple((image, deserialize(image)) for image in images)
-
-
-def mutated_dep_image(data, image: bytes, hm: HealthMap) -> bytes:
-    """`image` after one to four drawn edits of the dependency section and
-    the modules' first-dependency links, with both CRCs re-stamped."""
-    deps = offsets(hm.dependencies)
-    modules = offsets(hm.modules.values())
-    mutated = bytearray(image)
-    for kind in data.draw(st.lists(st.sampled_from(
-            ("word", "self", "severity", "head", "flip")), min_size=1,
-            max_size=4), label="edits"):
-        if kind == "word" and deps:
-            # a dependency's dependent or next word
-            at = data.draw(st.sampled_from(deps)) + data.draw(
-                st.sampled_from((0, 4)))
-            put_u32(mutated, at, data.draw(st.one_of(
-                st.just(0), st.sampled_from(deps + modules),
-                st.integers(0, len(image) + 64))))
-        elif kind == "self" and deps:
-            dep = data.draw(st.sampled_from(hm.dependencies))
-            put_u32(mutated, dep.shm_offset, dep.provider.shm_offset)
-        elif kind == "severity" and deps:
-            at = data.draw(st.sampled_from(deps)) + 8
-            mutated[at] = data.draw(st.integers(0, 255))
-        elif kind == "head":
-            put_u32(mutated, data.draw(st.sampled_from(modules)) + 12,
-                    data.draw(st.one_of(st.just(0),
-                                        st.sampled_from(deps or [0]),
-                                        st.integers(0, len(image) + 64))))
-        elif deps:
-            start, end = deps[0], deps[-1] + DEP_SIZE
-            bit = data.draw(st.integers(8 * start, 8 * end - 1))
-            mutated[bit // 8] ^= 1 << (bit % 8)
-    return restamp(mutated)
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(base=st.integers(0, 4), dep_edits=st.booleans(), data=st.data())
-def test_dep_proof_and_walker_agree_on_mutated_images(base, dep_edits, data):
-    image, hm = dep_bases()[base]
-    mutated = (mutated_dep_image if dep_edits else mutated_image)(
-        data, image, hm)
-    load = inject_load(next(iter(hm.diag_resources)))
-    walked = dep_outcome(lambda data: deps_by_walker(load, data), mutated)
-    assert dep_outcome(load, mutated) == walked
-    proved = dep_outcome(lambda data: deps_by_proof(load, data), mutated)
     if proved[0] is not WalkerCalled:
         assert proved == walked
 
