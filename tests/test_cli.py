@@ -24,7 +24,7 @@ from healthmap import (DetectionReport, HealthMap, Persistence, Severity,
                        footprint, report_detection, serialize)
 from healthmap.cli import main
 from healthmap.codec import HEADER_SIZE, MODULE_SIZE
-from healthmap.model import quote_token
+from healthmap.model import QUOTED_CHARS, quote_token
 
 from conftest import DATA_DIR
 from helpers import nest_xml, restamp
@@ -1273,26 +1273,22 @@ def test_inject_on_hostile_images_and_arguments_ends_in_an_exit_code(
       "--t", "1000"], ["x" * 3000]),
     (["rm", "IMAGE"], ["--bogus" + "x" * 3000]),
     (["rm", "IMAGE"], ["x"] * 2000),
-], ids=["inject", "rm", "many tokens"])
+    (["rm", "IMAGE"], ["x" * 19, "y" * 20]),
+], ids=["inject", "rm", "many tokens", "40 characters"])
 def test_unrecognized_long_line_is_quoted(compiled, argv, extra):
-    # argparse would echo the tokens whole, on either parser path
+    # argparse would echo the tokens whole, on either parser path; a line
+    # of QUOTED_CHARS characters or fewer keeps argparse's message
     shm, _sym = compiled
     before = shm.read_bytes()
     argv = [str(shm) if arg == "IMAGE" else arg for arg in argv]
     code, _out, err = cli_outcome(argv + extra)
+    line = " ".join(extra)
     assert code == 2
-    assert err == (f"hm: error: unrecognized arguments: "
-                   f"{quote_token(' '.join(extra))}\n")
-    assert len(err) <= 200
+    if len(line) > QUOTED_CHARS:
+        assert err == (f"hm: error: unrecognized arguments: "
+                       f"{quote_token(line)}\n")
+        assert len(err) <= 200
+    else:
+        assert err.startswith("usage: hm ")
+        assert err.endswith(f"hm: error: unrecognized arguments: {line}\n")
     assert shm.read_bytes() == before
-
-
-def test_unrecognized_short_line_keeps_the_usage(compiled):
-    # a line of QUOTED_CHARS characters or fewer keeps argparse's message
-    shm, _sym = compiled
-    extra = ["x" * 19, "y" * 20]    # 40 characters joined
-    code, _out, err = cli_outcome(["rm", str(shm), *extra])
-    assert code == 2
-    assert err.startswith("usage: hm ")
-    assert err.endswith(f"hm: error: unrecognized arguments: "
-                        f"{' '.join(extra)}\n")
