@@ -42,30 +42,28 @@ link, so a fault is handed over only when its detections were built, and
 the writer refuses a new fault or detection in any other module. The new
 header counts are the old header's plus the new records.
 
-Loading runs in two passes. The check pass runs every header, checksum,
-bounds, alignment, cycle, reuse, overlap, enum and count check and builds
-the modules, diag resources, dependencies and faults; of a detection it
-reads only the next and detector links and the counter. It also enforces
-the rest of `HealthMap.validate_structure` (no parent cycle, no fault
-severity or persistence ZERO, no detection counter 0), so every command
-accepts the same images. The build pass then creates the detections,
-walking again lists the check pass proved valid. `deserialize` builds
-everything.
+Loading is one check and one build. The check (`_Reader.check`) runs
+every header, checksum, bounds, alignment, cycle, reuse, overlap, enum and
+count check and builds only the modules and dependencies; it proves the
+diag resource section and the dynamic region by byte columns, and while
+it walks the fault lists it keeps each faulty module's (id, worst
+severity, worst persistence). It also enforces the rest of
+`HealthMap.validate_structure` (no parent cycle, no fault severity or
+persistence ZERO, no detection counter 0), so every command accepts the
+same images. The build (`_Reader.build`) then walks again, for chosen
+modules, lists the check proved valid: each module's diag resource list,
+its faults in list order and their detections, with each detector a
+detection names built once from its record. `deserialize` builds every
+module's lists.
 
-The CLI's commands read less, and load through the private `_load`,
-which runs the same checks fault-free: it builds the modules and
-dependencies, proves the diag resource section by byte columns, and
-while it walks the fault lists for the dynamic proof it keeps each faulty
-module's (id, worst severity, worst persistence) and builds no fault.
-`hm rm` and `hm affinity` read only those values: the map carries the
-triples (`HealthMap._worst`) for `resourcemap.init_resource_map`, and
-every call that would read or write a fault refuses it. `hm inject`
-reads one detector and its owner's faults: after the check, `_load`
-finds the detector's slot in the checked id column and builds only the
-owner's diag resource list, the owner's faults in list order and their
-detections, each detector those name built once from its record. Such a
-map goes back to disk only through `append_changes`, and every call
-that would read every module's lists refuses it.
+The CLI's commands read less, and load through the private `_load`.
+`hm rm` and `hm affinity` read only the triples: the map of the check
+carries them (`HealthMap._worst`) for `resourcemap.init_resource_map`,
+and every call that would read or write a fault refuses it. `hm inject`
+reads one detector and its owner's faults: `_load` finds the owner in
+the checked id column and builds that module's lists only. Such a map
+goes back to disk only through `append_changes`, and every call that
+would read every module's lists refuses it.
 
 The diag resource proof reads each record's id, owner and next words as
 columns of the section (strided slices, as for detections below) and
@@ -81,21 +79,19 @@ accepts only when:
 
 Such lists are exactly what the walker `_read_diags` accepts without an
 error, so when the proof fails the walker runs as if it had not, and
-raises the first error in the usual order; what a successful walk built
-is dropped.
+raises the first error in the usual order. The walker builds nothing.
 
 A diag check that passes has claimed all R slots of the section, so a
 detection's detector link is valid exactly when it names one of them: one
 byte mark per diag slot, set from the header counts, answers that for the
-dynamic proof and the walker alike, with or without diag resource objects.
+dynamic proof and the walker alike, without diag resource objects.
 
-The check pass proves the dynamic region valid with column scans, so
+The check proves the dynamic region valid with column scans, so
 Python works per fault and per list break, not per detection. It walks
-the fault lists, building each fault (or, fault-free, keeping its offset)
-but attaching none to its module yet, sorts the faults by offset and
-takes the gaps between them as 25-byte detection slots. It reads every
-slot's next, detector and counter words at once, with strided slices of
-the slots, and accepts only when:
+the fault lists, keeping each fault's offset and each module's worst
+values, sorts the offsets and takes the gaps between them as 25-byte
+detection slots. It reads every slot's next, detector and counter words
+at once, with strided slices of the slots, and accepts only when:
 
   * every gap is a whole number of slots (the header's length check then
     leaves FD of them);
@@ -108,11 +104,10 @@ the slots, and accepts only when:
 Forward links leave no cycle, and one incoming link per slot plus the
 tiling mean that every slot is reached from exactly one fault and no two
 records overlap. So the proof accepts only images the walker accepts, and
-builds the same faults. When it fails, for a hostile image or a valid one
+keeps the same triples. When it fails, for a hostile image or a valid one
 with a backward link, the walker runs as if the proof had not, and names
-the first error in image order; the error messages live only there. A
-fault-free load takes its triples from the faults the walker built, by
-`model.worst_faults`, and then drops them.
+the first error in image order; the error messages live only there. The
+walker keeps the triples as it checks, and attaches no fault.
 
 No two records overlap: every record the lists reach occupies its own byte
 range. The walker verifies this for the dynamic region in linear time. It
@@ -176,9 +171,10 @@ from .model import (
     FaultDetection,
     HealthMap,
     Module,
+    Persistence,
+    Severity,
     check_field,
     parent_verdicts,
-    worst_faults,
 )
 
 MAGIC = b"SHM1"
@@ -399,21 +395,18 @@ def _pack_header(total, m, r, d, f, fd, body_crc) -> bytearray:
 
 
 class _Reader:
-    """Parses and cross-checks one image in two passes; hostile input
-    tolerated.
+    """Parses and cross-checks one image; hostile input tolerated.
 
     `check` runs every check of the image, in image order, and builds the
-    modules, diag resources, dependencies and faults, or fault-free only
-    the modules and dependencies; of each detection it reads only its
-    links and counter, so it builds no detection object. It also refuses
-    parent cycles, ZERO fault enum bytes and counter 0. The diag resource
-    section (fault-free only) and the dynamic region are proven by column
-    scans (`_prove_diags`, `_prove_dynamic`); only when a proof fails does
-    its walker (`_read_diags`, `_check_dynamic`) follow every list, and it
-    alone raises the section's errors. `build` then creates the
-    detections of chosen modules, and after a fault-free check
-    `build_owner` one module's lists, by walking again lists `check`
-    proved valid, so neither can fail.
+    modules and dependencies; of each fault it keeps only its module's
+    worst values, and of each detection it reads only its links and
+    counter. It also refuses parent cycles, ZERO fault enum bytes and
+    counter 0. The diag resource section and the dynamic region are proven
+    by column scans (`_prove_diags`, `_prove_dynamic`); only when a proof
+    fails does its walker (`_read_diags`, `_check_dynamic`) follow every
+    list, and it alone raises the section's errors. `build` then creates
+    the lists of chosen modules by walking again lists `check` proved
+    valid, so it cannot fail.
 
     The walks bind hot names to locals, build records positionally and map
     enum bytes through the model's byte->member tables. A link that fails a
@@ -428,14 +421,11 @@ class _Reader:
         self.data = bytes(data)
         self.total = len(self.data)
 
-    def check(self, build: bool = True) -> HealthMap:
-        """The image's map without detections; raises on the first error.
-
-        With `build` False the map holds the modules and dependencies but
-        no diag resource and no fault: `hm._worst` holds each faulty
-        module's (id, worst severity, worst persistence) instead. The
-        checks are the same; a section whose proof fails is walked, and
-        what the walk built is dropped."""
+    def check(self) -> HealthMap:
+        """The image's map with its modules and dependencies, and in
+        `hm._worst` each faulty module's (id, worst severity, worst
+        persistence); raises on the first error. A section whose proof
+        fails is walked, and the walk attaches nothing to the modules."""
         m, r, d, f, fd = self._check_header()
         self.mod_base = HEADER_SIZE
         self.diag_base = self.mod_base + MODULE_SIZE * m
@@ -473,57 +463,18 @@ class _Reader:
                                      f"through module {verdicts[id(m)][1]}")
 
         self.by_off, self.raw_modules = by_off, raw_modules
-        walked = build or not self._prove_diags(raw_modules, r)
-        if walked:
-            self.diag_by_off = self._read_diags(hm, by_off, raw_modules, r)
+        if not self._prove_diags(raw_modules, r):
+            self._read_diags(raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
-        proven = self._prove_dynamic(by_off, raw_modules, f, fd, build)
-        if build:
-            if proven is None:
-                proven = self._check_dynamic(by_off, raw_modules, f, fd)
-            hm.faults = proven
-            hm.reindex_faults()
-            return hm
-        if proven is None:
-            self._check_dynamic(by_off, raw_modules, f, fd)
-            proven = list(worst_faults(modules.values()))
-            walked = True
-        if walked:
-            hm.diag_resources = {}
-            for module in modules.values():
-                module.diag_resources, module.faults = [], []
-        hm._worst = proven
+        worst = self._prove_dynamic(raw_modules, f, fd)
+        hm._worst = (worst if worst is not None
+                     else self._check_dynamic(raw_modules, f, fd))
         return hm
 
-    def build(self, modules: Iterable[Module]) -> list[FaultDetection]:
-        """Create the detections of every fault of `modules`, appending
-        each to its fault's list; returns them in offset order."""
-        data, detectors = self.data, self.diag_by_off
-        unpack_det, unpack_link = DET_REC.unpack_from, _LINK.unpack_from
-        built: list[FaultDetection] = []
-        for module in modules:
-            for fault in module.faults:
-                dets = fault.detections
-                (cur,) = unpack_link(data, fault.shm_offset + 4)
-                while cur:
-                    nxt, det_off, ts, counter, payload, flags = unpack_det(
-                        data, cur)
-                    dets.append(FaultDetection(detectors[det_off], ts,
-                                               counter, payload, flags, cur))
-                    cur = nxt
-                built += dets
-        built.sort(key=_offset)
-        return built
-
-    def build_owner(self, hm: HealthMap,
-                    detector: int) -> Optional[Module]:
-        """Build into `hm`, the map of `check(build=False)`, the diag
-        resource list of the module that owns the diag resource `detector`,
-        that module's faults in list order and their detections, with each
-        detector a detection names built once from its record; returns
-        that module, or None, building nothing, when no diag resource has
-        that id. The lists were proven valid, and the checked id column
-        holds each id once."""
+    def owner_of(self, detector: int) -> Optional[Module]:
+        """The module that owns the diag resource `detector`, or None when
+        no diag resource has that id; the checked id column holds each id
+        once."""
         data, base = self.data, self.diag_base
         try:
             slot = _words(data[base:self.dep_base], 0, self.counts[1],
@@ -531,26 +482,50 @@ class _Reader:
         except ValueError:
             return None
         (owner_off,) = _LINK.unpack_from(data, base + DIAG_SIZE * slot + 4)
-        owner = self.by_off[owner_off]
-        _id, _parent, cur, _dep, fault_off, _crit, _next = (
-            self.raw_modules[owner_off])
-        detectors = self.diag_by_off = _Detectors(data, self.by_off)
-        unpack_link = _LINK.unpack_from
-        while cur:
-            owner.diag_resources.append(detectors[cur])
-            (cur,) = unpack_link(data, cur + 8)
-        owned, unpack_fault = owner.faults, FAULT_REC.unpack_from
-        while fault_off:
-            nxt, _head, sev, pers, cls, _resv = unpack_fault(data, fault_off)
-            owned.append(Fault(owner, SEVERITIES[sev], PERSISTENCES[pers],
-                               cls, [], fault_off))
-            fault_off = nxt
-        hm.detections = self.build((owner,))
+        return self.by_off[owner_off]
+
+    def build(self, hm: HealthMap, owners: Iterable[Module]) -> None:
+        """Build into `hm`, the map of `check`, the diag resource list of
+        each of `owners`, its faults in list order and their detections,
+        with each detector a detection names built once from its record.
+        `hm.diag_resources`, `hm.faults` and `hm.detections` then hold
+        those records, each in offset order, and `hm._worst` is None. The
+        lists were proven valid, so this cannot fail."""
+        data, raw_modules = self.data, self.raw_modules
+        detectors = _Detectors(data, self.by_off)
+        unpack_link, unpack_fault, unpack_det = (
+            _LINK.unpack_from, FAULT_REC.unpack_from, DET_REC.unpack_from)
+        faults: list[Fault] = []
+        detections: list[FaultDetection] = []
+        for owner in owners:
+            _id, _parent, cur, _dep, fault_off, _crit, _next = raw_modules[
+                owner.shm_offset]
+            while cur:
+                owner.diag_resources.append(detectors[cur])
+                (cur,) = unpack_link(data, cur + 8)
+            owned = owner.faults
+            while fault_off:
+                nxt, dcur, sev, pers, cls, _resv = unpack_fault(data,
+                                                                fault_off)
+                fault = Fault(owner, SEVERITIES[sev], PERSISTENCES[pers], cls,
+                              [], fault_off)
+                dets = fault.detections
+                while dcur:
+                    dnxt, det_off, ts, counter, payload, flags = unpack_det(
+                        data, dcur)
+                    dets.append(FaultDetection(detectors[det_off], ts,
+                                               counter, payload, flags, dcur))
+                    dcur = dnxt
+                owned.append(fault)
+                detections += dets
+                fault_off = nxt
+            faults += owned
+        hm.faults = sorted(faults, key=_offset)
+        hm.detections = sorted(detections, key=_offset)
         hm.diag_resources = {res.id: res for res in sorted(
             detectors.values(), key=_offset)}
-        hm.faults = owned[:]
+        hm._worst = None
         hm.reindex_faults()
-        return owner
 
     # -- header ----------------------------------------------------------
 
@@ -620,43 +595,37 @@ class _Reader:
                 f"module list has {len(raw)} records, header says {m}")
         return raw
 
-    def _read_diags(self, hm, by_off, raw_modules, r):
-        """Fill the diag resources; returns them keyed by offset."""
+    def _read_diags(self, raw_modules, r):
+        """Check every diag resource list; builds nothing."""
         data, unpack = self.data, DIAG_REC.unpack_from
         base = self.diag_base
         end = base + DIAG_SIZE * r
-        by_id: dict[int, DiagResource] = {}
-        # offset -> resource, which is also the set of offsets walked
-        parsed: dict[int, DiagResource] = {}
+        ids: set[int] = set()
+        walked: set[int] = set()
         for mod_off, fields in raw_modules.items():
-            owner = by_off[mod_off]
-            owned = owner.diag_resources
             error = None     # a record's error waits for the list's links
             cur = fields[2]
             while cur:
                 if not base <= cur < end or (cur - base) % DIAG_SIZE:
                     self._section_offset(cur, base, DIAG_SIZE, r,
                                          "diag resource")
-                if cur in parsed:
+                if cur in walked:
                     raise LinkCycleError(
                         f"diag resource list revisits offset {cur}")
-                rid, owner_off, nxt, kind = unpack(data, cur)
-                if (owner_off != mod_off or rid in by_id) and error is None:
+                rid, owner_off, nxt, _kind = unpack(data, cur)
+                if (owner_off != mod_off or rid in ids) and error is None:
                     error = BadLinkError(
                         f"diag resource at {cur} owner link mismatch"
                         if owner_off != mod_off
                         else f"duplicate diag resource id {rid}")
-                res = DiagResource(rid, owner, kind, cur)
-                owned.append(res)
-                by_id[rid] = parsed[cur] = res
+                ids.add(rid)
+                walked.add(cur)
                 cur = nxt
             if error is not None:
                 raise error
-        if len(parsed) != r:
+        if len(walked) != r:
             raise RecordCountError(
-                f"walked {len(parsed)} diag resources, header says {r}")
-        hm.diag_resources = {parsed[o].id: parsed[o] for o in sorted(parsed)}
-        return parsed
+                f"walked {len(walked)} diag resources, header says {r}")
 
     def _read_deps(self, hm, by_off, raw_modules, d):
         data, unpack = self.data, DEP_REC.unpack_from
@@ -751,60 +720,42 @@ class _Reader:
                 and _column(section, 4, r, DIAG_SIZE) == owners
                 and len(set(_words(section, 0, r, DIAG_SIZE))) == r)
 
-    def _prove_dynamic(self, by_off, raw_modules, f, fd, build=True):
-        """When column scans prove the dynamic region valid, the faults in
-        offset order, attached to their modules, or with `build` False
-        each faulty module's (id, worst severity, worst persistence), with
-        no fault built; else None, with no fault attached. See the module
-        docstring for the proof."""
+    def _prove_dynamic(self, raw_modules, f, fd):
+        """When column scans prove the dynamic region valid, each faulty
+        module's (id, worst severity, worst persistence); else None. See
+        the module docstring for the proof."""
         data, total, dyn_base = self.data, self.total, self.dyn_base
         unpack_fault = FAULT_REC.unpack_from
-        severities, persistences = SEVERITIES, PERSISTENCES
-        n_sev, n_pers = len(severities), len(persistences)
+        n_sev, n_pers = len(SEVERITIES), len(PERSISTENCES)
         last_fault = total - FAULT_SIZE
-        # (module, its faults) with `build`, else the triples
-        lists: list[tuple] = []
-        found: list = []            # the faults, or without `build` offsets
+        worst: list[tuple[int, Severity, Persistence]] = []
+        found: list[int] = []       # the fault offsets
         heads: list[int] = []       # the nonzero first-detection links
-        for mod_off, fields in raw_modules.items():
+        for fields in raw_modules.values():
             cur = fields[4]
-            if not cur:
-                continue
-            owner = by_off[mod_off]
-            owned: list[Fault] = []
             worst_sev = worst_pers = 0
             while cur:
                 # a fault past the header's count ends a cycle or a reuse
                 if not dyn_base <= cur <= last_fault or len(found) == f:
                     return None
-                nxt, head, sev, pers, cls, _resv = unpack_fault(data, cur)
+                nxt, head, sev, pers, _cls, _resv = unpack_fault(data, cur)
                 if not (0 < sev < n_sev and 0 < pers < n_pers):
                     return None
-                if build:
-                    fault = Fault(owner, severities[sev], persistences[pers],
-                                  cls, [], cur)
-                    owned.append(fault)
-                    found.append(fault)
-                else:
-                    found.append(cur)
-                    if sev > worst_sev:
-                        worst_sev = sev
-                    if pers > worst_pers:
-                        worst_pers = pers
+                found.append(cur)
+                if sev > worst_sev:
+                    worst_sev = sev
+                if pers > worst_pers:
+                    worst_pers = pers
                 if head:
                     heads.append(head)
                 cur = nxt
-            lists.append((owner, owned) if build else
-                         (owner.id, severities[worst_sev],
-                          persistences[worst_pers]))
+            if worst_sev:
+                worst.append((fields[0], SEVERITIES[worst_sev],
+                              PERSISTENCES[worst_pers]))
         if len(found) != f:
             return None
-        if build:
-            found.sort(key=_offset)
-            gaps = _slot_gaps(map(_offset, found), dyn_base, total)
-        else:
-            found.sort()
-            gaps = _slot_gaps(found, dyn_base, total)
+        found.sort()
+        gaps = _slot_gaps(found, dyn_base, total)
         if gaps is None:
             return None
         # the header's length check leaves room for exactly FD slots
@@ -813,42 +764,36 @@ class _Reader:
                 or not _marked(self.marks, set(_words(slots, 4, fd)))
                 or not _lists_proven(slots, fd, gaps, heads, total)):
             return None
-        if not build:
-            return lists
-        for owner, owned in lists:
-            owner.faults = owned
-        return found
+        return worst
 
-    def _check_dynamic(self, by_off, raw_modules, f, fd):
-        """Build the faults and check every fault and detection link,
-        claiming each walked offset for the fault whose list holds it (0
-        for a fault); returns the faults in offset order."""
+    def _check_dynamic(self, raw_modules, f, fd):
+        """Check every fault and detection link, claiming each walked
+        offset for the fault whose list holds it (0 for a fault); returns
+        each faulty module's (id, worst severity, worst persistence)."""
         data, dyn_base = self.data, self.dyn_base
         marks = self.marks
         detectors_end = len(marks)
         unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
-        severities, persistences = SEVERITIES, PERSISTENCES
-        n_sev, n_pers = len(severities), len(persistences)
+        n_sev, n_pers = len(SEVERITIES), len(PERSISTENCES)
         last_fault, last_det = self.total - FAULT_SIZE, self.total - DET_SIZE
         claimed: dict[int, int] = {}
-        faults: list[Fault] = []
-        for mod_off, fields in raw_modules.items():
-            owner = by_off[mod_off]
-            owned = owner.faults
+        worst: list[tuple[int, Severity, Persistence]] = []
+        for fields in raw_modules.values():
             cur = fields[4]
+            worst_sev = worst_pers = 0
             while cur:
                 if not dyn_base <= cur <= last_fault or cur in claimed:
                     self._reject(cur, claimed, 0)
-                nxt, dcur, sev, pers, cls, _resv = unpack_fault(data, cur)
+                nxt, dcur, sev, pers, _cls, _resv = unpack_fault(data, cur)
                 # ZERO means no fault, so no fault record holds it
                 if not 0 < pers < n_pers:
                     raise _invalid("persistence", pers)
                 if not 0 < sev < n_sev:
                     raise _invalid("severity", sev)
-                fault = Fault(owner, severities[sev], persistences[pers], cls,
-                              [], cur)
-                owned.append(fault)
-                faults.append(fault)
+                if sev > worst_sev:
+                    worst_sev = sev
+                if pers > worst_pers:
+                    worst_pers = pers
                 claimed[cur] = 0
                 # follow this fault's detection list
                 while dcur:
@@ -865,6 +810,9 @@ class _Reader:
                     claimed[dcur] = cur
                     dcur = dnxt
                 cur = nxt
+            if worst_sev:
+                worst.append((fields[0], SEVERITIES[worst_sev],
+                              PERSISTENCES[worst_pers]))
         # sort-and-sweep: each record must end before the next one starts
         end = prev = 0
         for off in sorted(claimed):
@@ -873,14 +821,14 @@ class _Reader:
                     f"record at {off} overlaps record at {prev}")
             end = off + (DET_SIZE if claimed[off] else FAULT_SIZE)
             prev = off
-        if len(faults) != f:
+        faults = list(claimed.values()).count(0)
+        if faults != f:
             raise RecordCountError(
-                f"walked {len(faults)} faults, header says {f}")
+                f"walked {faults} faults, header says {f}")
         if len(claimed) - f != fd:
             raise RecordCountError(
                 f"walked {len(claimed) - f} detections, header says {fd}")
-        faults.sort(key=_offset)
-        return faults
+        return worst
 
 
 class _Detectors(dict):
@@ -1013,41 +961,38 @@ def deserialize(data: bytes) -> HealthMap:
     """Parse and fully validate an image; raises ShmError subclasses."""
     reader = _Reader(data)
     hm = reader.check()
-    hm.detections = reader.build(hm.modules.values())
+    reader.build(hm, hm.modules.values())
     return hm
 
 
 def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
     """`deserialize` for a command that reads little of the map: the image
-    passes every check of `_Reader.check(build=False)`, which builds the
-    modules and dependencies, and the map holds only what the command
-    reads.
+    passes every check of `_Reader.check`, and the map holds only what the
+    command reads.
 
-    Without a `detector` (`hm rm`, `hm affinity`), it holds no diag
-    resource and no fault; `hm._worst` holds each faulty module's (id,
-    worst severity, worst persistence), which
-    `resourcemap.init_resource_map` folds. Every writer, `report_detection`
-    and clearing maintenance refuse such a map (`HealthMap.require_faults`).
+    Without a `detector` (`hm rm`, `hm affinity`), it is the map of the
+    check: the modules and dependencies, no diag resource and no fault;
+    `hm._worst` holds each faulty module's (id, worst severity, worst
+    persistence), which `resourcemap.init_resource_map` folds. Every
+    writer, `report_detection` and clearing maintenance refuse such a map
+    (`HealthMap.require_faults`).
 
-    With one (`hm inject`), the module that owns that diag resource holds
-    its diag resources and its faults with their detections; every other
-    module holds neither, and `hm.diag_resources`, `hm.faults` and
-    `hm.detections` hold those records and the detectors the detections
-    name, nothing else (nothing if no diag resource has that id, so
-    `report_detection` raises `UnknownDetectorError`). The map may grow and
-    change through that module only (`hm._built`): `append_changes` writes
-    back no list of another module and refuses a new fault there, and
-    `serialize`, `prune`, `init_resource_map` and clearing maintenance
-    refuse the map (`HealthMap.require_whole`).
+    With one (`hm inject`), `_Reader.build` builds the lists of the module
+    that owns that diag resource only (of none if no diag resource has
+    that id, so `report_detection` raises `UnknownDetectorError`). The map
+    may grow and change through that module only (`hm._built`):
+    `append_changes` writes back no list of another module and refuses a
+    new fault there, and `serialize`, `prune`, `init_resource_map` and
+    clearing maintenance refuse the map (`HealthMap.require_whole`).
     """
     reader = _Reader(data)
-    hm = reader.check(build=False)
+    hm = reader.check()
     hm._built = set()
     if detector is not None:
-        hm._worst = None
-        owner = reader.build_owner(hm, detector)
-        if owner is not None:
-            hm._built.add(owner.id)
+        owner = reader.owner_of(detector)
+        owners = [] if owner is None else [owner]
+        reader.build(hm, owners)
+        hm._built = {module.id for module in owners}
     return hm
 
 

@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 import healthmap
 from healthmap import (DetectionReport, HealthMap, Persistence, Severity,
                        append_changes, cli, codec, compile_xml, deserialize,
-                       footprint, report_detection, serialize)
+                       footprint, prune, report_detection, serialize)
 from healthmap.cli import main
 from healthmap.codec import HEADER_SIZE, MODULE_SIZE
+from healthmap.errors import HealthMapError
 from healthmap.model import QUOTED_CHARS, quote_token
 
 from conftest import DATA_DIR
-from helpers import nest_xml, restamp
+from helpers import nest_xml, reference_deserialize, restamp
 from test_codec import mutated_image, mutation_bases
 
 DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
@@ -928,6 +929,10 @@ CHAIN_DIGESTS = (
     "dccd42ad47636e1f15778ef72d34d3eeddf7073051bce9f1ce54b53a504e1a69",
     "3f20fb18d8b9b13b99ac7a73d30ade1a2cc65f69607e5c475b8b20810931b9ed",
 )
+# sha256 of `hm dump` stdout of that final image with its sidecar: the one
+# output that shows a whole load's list and record order (CI checks it too)
+CHAIN_DUMP_DIGEST = (
+    "43e4ef0ca532888fce0e09fb0a7aeffebe0d175129618c7b5056b7a0a7e635dd")
 
 
 def test_inject_chain_golden_digests(tmp_path, capsys):
@@ -950,6 +955,9 @@ def test_inject_chain_golden_digests(tmp_path, capsys):
     outs.append(capsys.readouterr().out.encode())
     assert tuple(hashlib.sha256(out).hexdigest()
                  for out in outs) == CHAIN_DIGESTS
+    assert main(["dump", str(shm), "--sym", str(sym)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+        == CHAIN_DUMP_DIGEST
 
 
 def chain_views(shm: Path, sym: Path, capsys) -> list[bytes]:
@@ -1266,6 +1274,40 @@ def test_inject_on_hostile_images_and_arguments_ends_in_an_exit_code(
     report_detection(expected, DetectionReport(
         int(detector), Severity[sev], int(clazz), int(t), int(payload, 16)))
     assert written == append_changes(image, expected)
+
+
+# -- the whole-load slice of the hostile-input gate ---------------------------
+# `hm validate`, `hm dump` and `hm prune` load the whole image: on mutated
+# images each ends in exit 0 exactly when the reference reader accepts the
+# image, else 1, with a short stderr and no temp file, and only an accepted
+# `hm prune` changes the image, to what the library writes.
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), mutate=st.booleans(),
+       command=st.sampled_from(["validate", "dump", "prune"]), data=st.data())
+def test_whole_loads_on_hostile_images_end_in_an_exit_code(base, mutate,
+                                                           command, data):
+    image, hm = mutation_bases()[base]
+    if mutate:
+        image = mutated_image(data, image, hm)
+    try:
+        expected = reference_deserialize(image)
+    except HealthMapError:
+        expected = None
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "image.shm"
+        path.write_bytes(image)
+        code, _out, err = cli_outcome([command, str(path)])
+        assert code == (1 if expected is None else 0)
+        assert len(err) <= 200 and "Traceback" not in err, err
+        assert os.listdir(work) == ["image.shm"]
+        written = path.read_bytes()
+    if command != "prune" or expected is None:
+        assert written == image
+        return
+    prune(expected)
+    assert written == serialize(expected)
 
 
 @pytest.mark.parametrize("argv, extra", [

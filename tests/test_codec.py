@@ -1036,9 +1036,9 @@ def test_golden_image_bytes(name):
 
 
 # -- partial loads against the one-pass reference reader ----------------------
-# `_load` is the CLI's load: every check of `deserialize`, but with a
-# detector only the lists of the module that owns it, and with none neither
-# diag resources nor faults. `deserialize` and every partial shape must
+# Every load is one check and then one build of chosen modules' lists:
+# `deserialize` builds every module's, `_load` with a detector only those of
+# the module that owns it, and `_load` without one none. Every shape must
 # fail exactly as the one-pass reference reader does.
 
 def outcome(load, image: bytes):
@@ -1090,7 +1090,7 @@ def check_inject_load(hm: HealthMap, expected: HealthMap,
                for m in hm.modules.values() if m.id not in owner)
     faults = [f for mid in owner for f in hm.modules[mid].faults]
     dets = [d for f in faults for d in f.detections]
-    assert hm.faults == faults
+    assert hm.faults == sorted(faults, key=lambda f: f.shm_offset)
     assert hm.detections == sorted(dets, key=lambda d: d.shm_offset)
     named = [r for mid in owner for r in hm.modules[mid].diag_resources]
     named += [d.detector for d in dets]
@@ -1233,9 +1233,9 @@ def by_proof(image: bytes) -> HealthMap:
         return deserialize(image)
 
 
-def by_walker(image: bytes) -> HealthMap:
+def by_walker(image: bytes, load=deserialize) -> HealthMap:
     with mock.patch.object(_Reader, "_prove_dynamic", lambda *_args: None):
-        return deserialize(image)
+        return load(image)
 
 
 def fault_offsets(hm: HealthMap) -> tuple:
@@ -1262,6 +1262,8 @@ def test_proof_accepts_only_what_the_walker_accepts(base, data):
         walked = by_walker(mutated)
         assert walked.snapshot() == proved.snapshot()
         assert fault_offsets(walked) == fault_offsets(proved)
+        # the walker keeps the triples the proof keeps
+        assert by_walker(mutated, _load)._worst == _load(mutated)._worst
 
 
 @settings(max_examples=200, deadline=None,
@@ -1373,6 +1375,7 @@ def test_backward_detection_link_loads_through_the_walker():
         image).snapshot()
     assert [d.timestamp for d in deserialize(image).faults[1].detections] \
         == [2, 1, 0]
+    assert _load(image)._worst == [(1, Severity.LOW, Persistence.TRANSIENT)]
 
 
 def proof_map() -> HealthMap:
@@ -1644,21 +1647,22 @@ def test_partial_load_builds_a_detector_of_another_module_once():
     assert append_changes(image, part) == append_changes(image, full)
 
 
-# -- the load without a detector ----------------------------------------------
-# `_load(image)` (`hm rm`, `hm affinity`) proves the diag resource section by
-# byte columns and walks it with `_read_diags` only when the proof fails; it
-# builds no diag resource and no fault, and keeps each faulty module's worst
-# values. With the walker patched to fail, an image loads only through the
-# proof; with the proof turned off, only through the walker.
+# -- the diag resource check, and the load without a detector ----------------
+# Every load proves the diag resource section by byte columns and walks it
+# with `_read_diags` only when the proof fails. `_load(image)` (`hm rm`,
+# `hm affinity`) then builds no diag resource and no fault, and keeps each
+# faulty module's worst values. With the walker patched to fail, an image
+# loads only through the proof; with the proof turned off, only through the
+# walker.
 
-def diags_by_proof(image: bytes) -> HealthMap:
+def diags_by_proof(image: bytes, load=_load) -> HealthMap:
     with mock.patch.object(_Reader, "_read_diags", walker_fails):
-        return _load(image)
+        return load(image)
 
 
-def diags_by_walker(image: bytes) -> HealthMap:
+def diags_by_walker(image: bytes, load=_load) -> HealthMap:
     with mock.patch.object(_Reader, "_prove_diags", lambda *_args: False):
-        return _load(image)
+        return load(image)
 
 
 def lean_outcome(load, image: bytes):
@@ -1673,12 +1677,17 @@ def lean_outcome(load, image: bytes):
 
 def check_lean_load(image: bytes) -> None:
     """`image` loads through the diag proof to what the reference reader's
-    map gives."""
+    map gives, and `deserialize` of it through either diag path to the
+    reference reader's map."""
     expected = reference_deserialize(image)
     got = diags_by_proof(image)
     assert resource_view(got) == resource_view(expected)
     assert got._worst == list(worst_faults(expected.modules.values()))
     assert rm_state(init_resource_map(got)) == oracle_resource_map(expected)
+    for load in (diags_by_proof, diags_by_walker):
+        whole = load(image, deserialize)
+        assert whole.snapshot() == expected.snapshot()
+        assert fault_offsets(whole) == fault_offsets(expected)
 
 
 @settings(max_examples=60, deadline=None,
@@ -1714,6 +1723,9 @@ def test_interleaved_diag_lists_load_through_the_walker():
     with pytest.raises(WalkerCalled):
         diags_by_proof(image)
     lean, expected = _load(image), reference_deserialize(image)
+    with pytest.raises(WalkerCalled):
+        diags_by_proof(image, deserialize)
+    assert deserialize(image).snapshot() == expected.snapshot()
     assert resource_view(lean) == resource_view(expected)
     assert lean.diag_resources == {} and lean.modules[1].diag_resources == []
     assert lean._worst == [(1, Severity.HIGH, Persistence.TRANSIENT)]
@@ -1817,3 +1829,43 @@ def test_a_map_loaded_without_faults_is_refused_where_faults_are_read(call):
     rm.set_maintenance(1, True)
     assert rm_state(rm) == rm_state(init_resource_map(deserialize(image),
                                                       [1]))
+
+
+def test_faults_and_detections_are_in_offset_order_after_every_load():
+    # module 1's fault list is rewired to run backward, and module 2's
+    # fault lies before both, so the lists in module order are not in
+    # offset order and only the build's one sort puts the map's there
+    hm = HealthMap()
+    for mid in (1, 2):
+        hm.add_module(mid)
+        hm.add_diag_resource(mid * 10, mid)
+    for mid, classification in ((2, 1), (1, 1), (1, 2)):
+        fault = hm.add_fault(mid, Severity.LOW, Persistence.TRANSIENT,
+                             classification)
+        for t in range(2):
+            hm.add_detection(fault, mid * 10, t)
+    image, hm = loaded(hm)
+    first, second = offsets(hm.modules[1].faults)
+    put_u32(image, hm.modules[1].shm_offset + 16, second)
+    put_u32(image, second, first)
+    put_u32(image, first, 0)
+    image = restamp(image)
+    expected = reference_deserialize(image)
+    assert offsets(expected.modules[1].faults) == [second, first]
+    check_against_reference(image, 10)
+    loads = {"whole": (deserialize, 3, 6),
+             "one owner": (lambda data: _load(data, 10), 2, 4),
+             "unknown detector": (lambda data: _load(data, 99), 0, 0),
+             "none": (_load, 0, 0)}
+    for name, (load, n_faults, n_dets) in loads.items():
+        got = load(image)
+        faults = [f for m in got.modules.values() for f in m.faults]
+        dets = [d for f in faults for d in f.detections]
+        assert (len(got.faults), len(got.detections)) == (n_faults,
+                                                          n_dets), name
+        assert got.faults == sorted(faults, key=lambda f: f.shm_offset)
+        assert got.detections == sorted(dets, key=lambda d: d.shm_offset)
+        if n_faults:
+            assert offsets(faults) != offsets(got.faults), name
+            assert offsets(dets) != offsets(got.detections), name
+            assert offsets(got.modules[1].faults) == [second, first]
