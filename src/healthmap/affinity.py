@@ -21,7 +21,7 @@ from .errors import (
     ScenarioError,
     UnknownSubmoduleError,
 )
-from .model import ModuleStatus, Persistence, Severity, text_lines
+from .model import Persistence, Severity, text_lines
 from .resourcemap import ResourceMap
 
 MAX_CORE_ID = 8191        # NR_CPUS is at most 8192
@@ -43,13 +43,6 @@ class AffinityMask:
 
     def format(self) -> str:
         return f"{self.task_name} 0x{self.mask:x}"
-
-
-def _entry_ok(entry, task: TaskRequirement) -> bool:
-    # a PROPAGATED_FAULT core counts by its numeric values only
-    return (entry.status != ModuleStatus.MAINTENANCE
-            and entry.severity <= task.max_severity
-            and entry.persistence <= task.max_persistence)
 
 
 def compute_affinity(rm: ResourceMap, sidecar,
@@ -79,16 +72,18 @@ def compute_affinity(rm: ResourceMap, sidecar,
                     f"task {task.name!r}: sub-module {suffix!r} resolves "
                     f"for no core")
 
+    admits = rm._admits
     masks = []
     for task in tasks:
         mask = 0
+        max_sev, max_pers = task.max_severity, task.max_persistence
         for core_module, core_id in cores.items():
-            ok = _entry_ok(rm.entry(core_module), task)
+            ok = admits(core_module, max_sev, max_pers)
             for suffix in task.required_submodules:
                 if not ok:
                     break
                 sub_id = id_for_name(f"{name_for_id(core_module)}.{suffix}")
-                ok = sub_id is not None and _entry_ok(rm.entry(sub_id), task)
+                ok = sub_id is not None and admits(sub_id, max_sev, max_pers)
             if ok:
                 mask |= 1 << core_id
         masks.append(AffinityMask(task.name, mask, width))

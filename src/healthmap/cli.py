@@ -116,9 +116,9 @@ def cmd_compile(args) -> int:
 
 def cmd_validate(args) -> int:
     data = read_bytes(args.shm)
-    hm = codec.validate_image(data)
-    print(f"{args.shm}: valid ({len(hm.modules)} modules, "
-          f"{len(hm.faults)} faults, {len(hm.detections)} detections)")
+    modules, _r, _d, faults, detections = codec._checked_counts(data)
+    print(f"{args.shm}: valid ({modules} modules, {faults} faults, "
+          f"{detections} detections)")
     return 0
 
 

@@ -965,6 +965,15 @@ def deserialize(data: bytes) -> HealthMap:
     return hm
 
 
+def _checked_counts(data: bytes) -> tuple[int, int, int, int, int]:
+    """The header's (M, R, D, F, FD) of an image that passes every check of
+    `deserialize`, which raises the same errors in the same order; builds
+    no record beyond the check's (`hm validate`)."""
+    reader = _Reader(data)
+    reader.check()
+    return reader.counts
+
+
 def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
     """`deserialize` for a command that reads little of the map: the image
     passes every check of `_Reader.check`, and the map holds only what the
@@ -1022,8 +1031,10 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     counters/flags (or fault severity/persistence after reclassification)
     moved. A ZERO fault severity or persistence, or a counter 0, among the
     records repacked raises `AppendError` before any record gets an offset.
-    A value that its field cannot hold raises `FieldRangeError` naming the
-    field, a parent cycle or a repeated module id the load's
+    A map that already holds a record past the image's end, because it was
+    appended to this image before, raises `AppendError`. A value that its
+    field cannot hold raises `FieldRangeError` naming the field, a parent
+    cycle or a repeated module id the load's
     `LinkCycleError` or `BadLinkError`, a parent or a packed
     detection's detector that is not the map's own record of its id the
     `StructureInvalidError` `serialize` raises, and an append that raises
@@ -1060,6 +1071,16 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
             raise AppendError("cannot append to a module whose detections "
                               "were not loaded")
     faults = [f for mod in owners for f in mod.faults]
+    # offsets are never 0 (the header is there); None marks a new record
+    placed = max(filter(None, map(_offset, chain(faults, chain.from_iterable(
+        map(attrgetter("detections"), faults))))), default=0)
+    if placed >= old_total:
+        # an earlier append to this image placed it: the map now belongs to
+        # that append's result, and an offset past this end fits nothing
+        raise AppendError(
+            f"the map already holds a record at offset {placed}, past this "
+            f"image's end ({old_total} bytes): it was appended before; "
+            f"append to the image that append returned")
     detectors = hm.diag_resources
     for fault in faults:
         dets = fault.detections

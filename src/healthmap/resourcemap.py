@@ -1,25 +1,31 @@
 """Per-module health summary and the propagation procedures that fill it.
 
-Each module gets one 7-byte entry (id u32, worst severity u8, worst
-persistence u8, status u8). Severity propagates from child to parent capped
-by the child's criticality (min), persistence propagates uncapped, and
-dependency edges forward a fault to the dependent module capped by the
-dependency severity, a single hop only.
+A resource map is its RMS1 entry table: one `bytearray` of 7-byte entries
+(id u32, worst severity u8, worst persistence u8, status u8), one per
+module in `hm.modules` order, exactly the bytes a summary message carries.
+A dict maps each module id to the offset of its entry's severity byte. So a
+rebuild packs the id column in one call and builds no per-module object,
+the fold and the propagation walk read and write bytes, and `encode` is one
+copy. Severity propagates from child to parent capped by the child's
+criticality (min), persistence propagates uncapped, and dependency edges
+forward a fault to the dependent module capped by the dependency severity,
+a single hop only.
 
-Every stored severity, persistence and status is an enum member: a value
-becomes one where it enters, by its `model.FIELDS` row at the public entry
-points (`HealthMap.add_fault` and `add_fault_with_detection`,
-`faultmgr.record_event`, `update_single_fault`) or by the codec's byte
-tables, so the fold and the propagation walk store and compare the members
-they are given.
+Levels become enum members at the API. A value is checked where it enters,
+by its `model.FIELDS` row at the public entry points (`HealthMap.add_fault`
+and `add_fault_with_detection`, `faultmgr.record_event`,
+`update_single_fault`, the `RmEntry` setters) or by the codec's byte
+tables, so only a level's byte is ever stored. An `RmEntry` is a view of
+one entry of a table: its `severity`, `persistence` and `status` read
+members through `SEVERITIES` / `PERSISTENCES` / `STATUSES`, and a write
+goes through to the table.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import (
     MalformedMessageError,
@@ -33,6 +39,7 @@ from .model import (
     STATUSES,
     Fault,
     HealthMap,
+    Module,
     ModuleStatus,
     Persistence,
     Severity,
@@ -42,25 +49,84 @@ from .model import (
 
 RM_ENTRY = struct.Struct("<IBBB")
 RM_ENTRY_SIZE = RM_ENTRY.size  # 7
+_ID = struct.Struct("<I")
 
 _OWN = ModuleStatus.OWN_FAULT
 _PROPAGATED = ModuleStatus.PROPAGATED_FAULT
 _MAINTENANCE = ModuleStatus.MAINTENANCE
 
+# the status is no record field, but is checked as a level is
+_STATUS_ROW = (STATUSES, "module status")
+# (field name, its `check_field` row, the bytes that are members), in
+# entry order from the severity byte on; a row's limit is the field's
+# byte -> member table
+_FIELDS = tuple((name, row, bytes(range(len(row[0]))))
+                for name, row in (("severity", FIELDS[Fault]["severity"]),
+                                  ("persistence",
+                                   FIELDS[Fault]["persistence"]),
+                                  ("status", _STATUS_ROW)))
 
-@dataclass(slots=True)
+
 class RmEntry:
-    module_id: int
-    severity: Severity = Severity.ZERO
-    persistence: Persistence = Persistence.ZERO
-    status: ModuleStatus = ModuleStatus.AVAILABLE
+    """One resource map entry: a view of the 7 bytes of a table whose
+    severity byte is at `_at`. `RmEntry(module_id, severity, persistence,
+    status)` builds a standalone entry over a table of its own; views of a
+    map's table come from `ResourceMap.entry` and `.entries`, and of a
+    decoded body from `decode_entries`. A level setter checks its value by
+    the field's row and raises the row's `FieldRangeError`."""
+
+    __slots__ = ("_table", "_at")
+
+    def __init__(self, module_id: int, severity: Severity = Severity.ZERO,
+                 persistence: Persistence = Persistence.ZERO,
+                 status: ModuleStatus = ModuleStatus.AVAILABLE) -> None:
+        self._table = bytearray(RM_ENTRY_SIZE)
+        self._at = 4
+        _ID.pack_into(self._table, 0,
+                      check_field(module_id, FIELDS[Module]["id"]))
+        self.severity, self.persistence, self.status = (severity,
+                                                        persistence, status)
+
+    @property
+    def module_id(self) -> int:
+        return _ID.unpack_from(self._table, self._at - 4)[0]
+
+    def __eq__(self, other):
+        if type(other) is not RmEntry:
+            return NotImplemented
+        return (self._table[self._at - 4:self._at + 3]
+                == other._table[other._at - 4:other._at + 3])
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"RmEntry(module_id={self.module_id}, "
+                f"severity={self.severity!r}, "
+                f"persistence={self.persistence!r}, status={self.status!r})")
 
 
-# (field name, byte -> member table, the bytes that are members)
-_FIELDS = tuple((name, table, bytes(range(len(table))))
-                for name, table in (("severity", SEVERITIES),
-                                    ("persistence", PERSISTENCES),
-                                    ("status", STATUSES)))
+def _level(at: int, row: tuple) -> property:
+    members = row[0]
+
+    def get(self):
+        return members[self._table[self._at + at]]
+
+    def put(self, value) -> None:
+        self._table[self._at + at] = check_field(value, row)
+
+    return property(get, put)
+
+
+for _i, (_name, _row, _members) in enumerate(_FIELDS):
+    setattr(RmEntry, _name, _level(_i, _row))
+del _i, _name, _row, _members
+
+
+def _view(table: bytearray, at: int) -> RmEntry:
+    """The entry of `table` whose severity byte is at `at`."""
+    entry = object.__new__(RmEntry)
+    entry._table, entry._at = table, at
+    return entry
 
 
 def _check_enum_bytes(data: bytes) -> None:
@@ -75,10 +141,10 @@ def _check_enum_bytes(data: bytes) -> None:
     not the first column that fails.
     """
     bad = None
-    for offset, (name, table, members) in enumerate(_FIELDS, 4):
+    for offset, (name, _row, members) in enumerate(_FIELDS, 4):
         column = data[offset::RM_ENTRY_SIZE]
         if column.translate(None, members):
-            i = next(i for i, v in enumerate(column) if v >= len(table))
+            i = next(i for i, v in enumerate(column) if v >= len(members))
             if bad is None or i < bad[0]:
                 bad = i, name, column[i]
     if bad is not None:
@@ -87,32 +153,54 @@ def _check_enum_bytes(data: bytes) -> None:
 
 
 def decode_entries(data: bytes) -> list[RmEntry]:
-    """Unpack consecutive 7-byte entries (len(data) a multiple of 7).
+    """Views of consecutive 7-byte entries (len(data) a multiple of 7)
+    over one copy of `data`.
 
     Raises MalformedMessageError when a severity, persistence or status
     byte is outside its enum.
     """
-    rows = RM_ENTRY.iter_unpack(data)   # checks the length first
+    RM_ENTRY.iter_unpack(data)   # checks the length
     _check_enum_bytes(data)
-    return [RmEntry(mid, SEVERITIES[sev], PERSISTENCES[pers],
-                    STATUSES[status])
-            for mid, sev, pers, status in rows]
+    table = bytearray(data)
+    return [_view(table, at) for at in range(4, len(table), RM_ENTRY_SIZE)]
 
 
 class ResourceMap:
-    """Snapshot summary over one health map; one entry per module."""
+    """Snapshot summary over one health map: its RMS1 entry table, one
+    entry per module of `hm.modules` at build time, in that order."""
 
     def __init__(self, hm: HealthMap) -> None:
         self._hm = hm
-        self.entries: dict[int, RmEntry] = {
-            mid: RmEntry(mid) for mid in hm.modules
-        }
+        ids = hm.modules
+        self._table = bytearray(struct.pack("<" + "I3x" * len(ids), *ids))
+        # module id -> the offset of its entry's severity byte
+        self._offsets = dict(zip(ids, range(4, len(self._table),
+                                            RM_ENTRY_SIZE)))
 
     def entry(self, module_id: int) -> RmEntry:
-        e = self.entries.get(module_id)
-        if e is None:
+        at = self._offsets.get(module_id)
+        if at is None:
             raise UnknownModuleError(f"module {module_id} has no entry")
-        return e
+        return _view(self._table, at)
+
+    @property
+    def entries(self) -> dict[int, RmEntry]:
+        """A view of each entry by module id, in table order; a write to
+        one changes the table."""
+        table = self._table
+        return {mid: _view(table, at) for mid, at in self._offsets.items()}
+
+    def _admits(self, module_id: int, max_severity: int,
+                max_persistence: int) -> bool:
+        """Whether the entry's bytes are out of maintenance and within both
+        maxima (`affinity.compute_affinity`): a PROPAGATED_FAULT entry
+        counts by its levels only."""
+        at = self._offsets.get(module_id)
+        if at is None:
+            raise UnknownModuleError(f"module {module_id} has no entry")
+        table = self._table
+        return (table[at + 2] != _MAINTENANCE and table[at] <= max_severity
+                and table[at + 1] <= max_persistence)
 
     # -- update procedures ------------------------------------------------
 
@@ -127,41 +215,30 @@ class ResourceMap:
         rows = FIELDS[Fault]
         self._update(module_id, check_field(severity, rows["severity"]),
                      check_field(persistence, rows["persistence"]),
-                     check_field(status, (STATUSES, "module status")))
+                     check_field(status, _STATUS_ROW))
 
     def _update(self, module_id: int, severity: Severity,
                 persistence: Persistence, status: ModuleStatus) -> None:
-        """update_single_fault for members (never plain ints); in-package
-        callers that hold members call it directly."""
-        self._fold(module_id, severity, persistence, status)
+        """update_single_fault for checked levels; in-package callers that
+        hold members call it directly."""
         # Forward the *incoming* values, not the stored maxima: the entry's
         # maxima may include contributions whose dependency hop was already
         # spent, and forwarding those across a fresh dependency edge would
         # over-propagate.
-        self._propagate([(module_id, severity, persistence, True)])
+        self._propagate([(module_id, severity, persistence, True, status)])
 
-    def _fold(self, module_id: int, severity: Severity,
-              persistence: Persistence, status: ModuleStatus) -> None:
-        """Fold members (never plain ints) into the entry; see
-        update_single_fault."""
-        e = self.entries.get(module_id)
-        if e is None:
-            raise UnknownModuleError(f"module {module_id} has no entry")
-        if severity > e.severity:
-            e.severity = severity
-        if persistence > e.persistence:
-            e.persistence = persistence
-        if severity and e.status is not _MAINTENANCE:
-            if status is _OWN:
-                e.status = _OWN
-            elif status is _PROPAGATED and e.status is not _OWN:
-                e.status = _PROPAGATED
+    def _propagate(self, work: list[tuple[int, Severity, Persistence, bool,
+                                          ModuleStatus]]) -> None:
+        """Fold every (module, severity, persistence, dependency hop still
+        allowed, status) source in `work` into its entry, then walk from
+        it, folding each contribution it carries into the entries it
+        reaches as PROPAGATED_FAULT.
 
-    def _propagate(self, work: list[tuple[int, Severity, Persistence,
-                                          bool]]) -> None:
-        """Walk from every (module, severity, persistence, dependency hop
-        still allowed) source in `work`, folding each contribution it
-        carries into the entries it reaches as PROPAGATED_FAULT.
+        The fold keeps the worst values (max). A source's status is taken
+        when its severity is not ZERO: OWN_FAULT replaces anything but
+        MAINTENANCE, and PROPAGATED_FAULT replaces AVAILABLE only; any
+        other status changes nothing. Every arrival is folded as it leaves
+        the worklist, in this one place, on the entry's bytes.
 
         One worklist replaces recursion, so parent chains of any depth
         work. `best[hop][module]` is the highest (severity, persistence)
@@ -170,22 +247,36 @@ class ResourceMap:
         with the merged values. That is exact: every fold takes maxima and
         every cap is a min, so the merged values reach the same entries
         with the same maxima as the arrivals would one by one. An arrival
-        is dropped before it is folded when its target has already walked
+        is dropped before it is queued when its target has already walked
         on with values as high in the same hop state: each of those values
-        was folded into the target's entry when it arrived, so the fold
-        would change nothing.
+        was folded into the target's entry when it left the worklist, so
+        its fold would change nothing.
 
         A ZERO severity is tested by truth (ZERO is 0), not compared with
         Severity.ZERO: most walks are a few steps long, so their fixed cost
         counts.
         """
-        modules = self._hm.modules
-        fold = self._fold
+        modules, offsets, table = (self._hm.modules, self._offsets,
+                                   self._table)
         best: tuple[dict[int, tuple[Severity, Persistence]], ...] = ({}, {})
         while work:
-            mid, sev, pers, follow_deps = work.pop()
+            mid, sev, pers, follow_deps, status = work.pop()
+            try:
+                at = offsets[mid]
+            except KeyError:
+                raise UnknownModuleError(
+                    f"module {mid} has no entry") from None
+            if sev > table[at]:
+                table[at] = sev
+            if pers > table[at + 1]:
+                table[at + 1] = pers
             if not sev:
                 continue
+            if status is _PROPAGATED:
+                if not table[at + 2]:       # AVAILABLE
+                    table[at + 2] = _PROPAGATED
+            elif status is _OWN and table[at + 2] != _MAINTENANCE:
+                table[at + 2] = _OWN
             seen = best[follow_deps]
             walked = seen.get(mid)
             if walked is not None:
@@ -201,8 +292,7 @@ class ResourceMap:
                 walked = seen.get(to)
                 if (walked is None or capped > walked[0]
                         or pers > walked[1]):
-                    fold(to, capped, pers, _PROPAGATED)
-                    work.append((to, capped, pers, follow_deps))
+                    work.append((to, capped, pers, follow_deps, _PROPAGATED))
             if follow_deps:
                 after = best[False]
                 for dep in module.dependencies:
@@ -212,8 +302,8 @@ class ResourceMap:
                         walked = after.get(to)
                         if (walked is None or capped > walked[0]
                                 or pers > walked[1]):
-                            fold(to, capped, pers, _PROPAGATED)
-                            work.append((to, capped, pers, False))
+                            work.append((to, capped, pers, False,
+                                         _PROPAGATED))
 
     # -- maintenance -------------------------------------------------------
 
@@ -230,38 +320,31 @@ class ResourceMap:
         self._mark(self._hm.subtree_ids(module_id), on)
 
     def _mark(self, module_ids: Iterable[int], on: bool) -> None:
-        entries = self.entries
+        table, offsets = self._table, self._offsets
         if on:
             for mid in module_ids:
-                entries[mid].status = _MAINTENANCE
+                table[offsets[mid] + 2] = _MAINTENANCE
             return
         modules = self._hm.modules
         for mid in module_ids:
-            e = entries[mid]
-            e.status = ModuleStatus.AVAILABLE
+            at = offsets[mid]
             own = any(f.severity for f in modules[mid].faults)
-            self._fold(mid, e.severity, e.persistence,
-                       _OWN if own else _PROPAGATED)
+            table[at + 2] = ((_OWN if own else _PROPAGATED) if table[at]
+                             else ModuleStatus.AVAILABLE)
 
     # -- encoding -----------------------------------------------------------
 
     def encode(self) -> bytes:
-        """7 bytes per module, in module insertion order, packed by one
-        call."""
-        modules, entries = self._hm.modules, self.entries
-        values = []
-        for mid in modules:
-            e = entries[mid]
-            values += (e.module_id, e.severity, e.persistence, e.status)
-        return struct.pack("<" + "IBBB" * len(modules), *values)
+        """The entry table: 7 bytes per module, in module order."""
+        return bytes(self._table)
 
 
 def init_resource_map(hm: HealthMap,
                       maintenance: Iterable[int] = ()) -> ResourceMap:
     """Populate a fresh resource map: fold each faulty module's own worst
     values, the triples its load kept (`hm._worst`) or else
-    `model.worst_faults` of its faults, then propagate from all of them in
-    one walk; the result is independent of iteration order. A map whose
+    `model.worst_faults` of its faults, as OWN_FAULT and propagate from all
+    of them, in one walk; the result is independent of iteration order. A map whose
     load built the faults of some modules only is refused.
     """
     worst = hm._worst
@@ -272,12 +355,8 @@ def init_resource_map(hm: HealthMap,
     roots = tuple(maintenance)
     if roots:
         rm._mark(hm.subtree_ids(*roots), True)
-    fold = rm._fold
-    work = []
-    for mid, severity, persistence in worst:
-        fold(mid, severity, persistence, _OWN)
-        work.append((mid, severity, persistence, True))
-    rm._propagate(work)
+    rm._propagate([(mid, severity, persistence, True, _OWN)
+                   for mid, severity, persistence in worst])
     return rm
 
 
@@ -291,13 +370,15 @@ def render_table(rm: ResourceMap, sidecar) -> str:
     """Four-column text table, rows sorted by dotted module name."""
     rows = []
     name_for_id = sidecar.name_for_id
-    for mid, e in rm.entries.items():
+    table = rm._table
+    for mid, sev, pers, status in zip(rm._offsets, table[4::RM_ENTRY_SIZE],
+                                      table[5::RM_ENTRY_SIZE],
+                                      table[6::RM_ENTRY_SIZE]):
         name = name_for_id(mid)
         if name is None:
             raise MissingSymbolError(f"no symbol for module id {mid}")
-        rows.append((name, _SEVERITY_NAMES[e.severity],
-                     _PERSISTENCE_NAMES[e.persistence],
-                     _STATUS_LABELS[e.status]))
+        rows.append((name, _SEVERITY_NAMES[sev], _PERSISTENCE_NAMES[pers],
+                     _STATUS_LABELS[status]))
     rows.sort(key=itemgetter(0))
     header = ("Module name", "Worst severity", "Worst persistence", "Status")
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(3)]

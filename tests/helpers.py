@@ -1,7 +1,9 @@
 """Shared test helpers: randomized map construction and independent
 oracles (bitwise CRC32, exhaustive propagation-path enumeration, a plain
 re-encoder for appended images, a one-pass image reader, summary decode and
-ingest built on one `RmEntry` per entry, and the list-removal prune)."""
+ingest built on one `RmEntry` per entry, resource map encode, render and
+affinity from the propagation oracle's rows, and the list-removal
+prune)."""
 
 from __future__ import annotations
 
@@ -185,6 +187,55 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
 def rm_state(rm):
     return {mid: (e.severity, e.persistence, e.status)
             for mid, e in rm.entries.items()}
+
+
+def reference_encode(rows) -> bytes:
+    """What `ResourceMap.encode` must return for `rows`, the
+    {module id: (severity, persistence, status)} of `oracle_resource_map`
+    in module order: each row packed with RM_ENTRY."""
+    return b"".join(RM_ENTRY.pack(mid, sev, pers, status)
+                    for mid, (sev, pers, status) in rows.items())
+
+
+def reference_render_table(rows, sidecar) -> str:
+    """What `render_table` must return for oracle `rows`: a header and one
+    line per module, sorted by dotted name, the first three columns padded
+    to their widest cell and two spaces apart."""
+    lines = [("Module name", "Worst severity", "Worst persistence", "Status")]
+    lines += sorted((sidecar.name_for_id(mid), sev.name, pers.name,
+                     status.name.replace("_", " "))
+                    for mid, (sev, pers, status) in rows.items())
+    widths = [max(len(line[i]) for line in lines) for i in range(3)]
+    out = []
+    for line in lines:
+        text = "  ".join([line[i].ljust(widths[i]) for i in range(3)]
+                         + [line[3]])
+        out.append(text.rstrip())
+    return "\n".join(out)
+
+
+def reference_affinity(rows, sidecar, tasks) -> list[tuple[str, int, int]]:
+    """(task name, mask, width) of each task for oracle `rows`: bit c is set
+    when core c's row and the row of each required sub-module (core name +
+    "." + suffix) are out of maintenance and within the task's maxima; a
+    missing sub-module excludes the core."""
+    cores = sidecar.core_modules()
+    width = max(cores.values()) + 1
+    out = []
+    for task in tasks:
+        mask = 0
+        for core, core_id in cores.items():
+            name = sidecar.name_for_id(core)
+            ids = [core] + [sidecar.id_for_name(f"{name}.{suffix}")
+                            for suffix in task.required_submodules]
+            if all(mid is not None
+                   and rows[mid][2] != ModuleStatus.MAINTENANCE
+                   and rows[mid][0] <= task.max_severity
+                   and rows[mid][1] <= task.max_persistence
+                   for mid in ids):
+                mask |= 1 << core_id
+        out.append((task.name, mask, width))
+    return out
 
 
 def reference_append(image: bytes, hm: HealthMap) -> bytes:

@@ -1310,6 +1310,34 @@ def test_whole_loads_on_hostile_images_end_in_an_exit_code(base, mutate,
     assert written == serialize(expected)
 
 
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), mutate=st.booleans(), data=st.data())
+def test_validate_prints_what_a_whole_load_gives(base, mutate, data):
+    # `hm validate` runs the load's check only: its counts, error class,
+    # message and first error are those of `deserialize`
+    image, hm = mutation_bases()[base]
+    if mutate:
+        image = mutated_image(data, image, hm)
+    try:
+        loaded = deserialize(image)
+    except HealthMapError as exc:
+        with pytest.raises(HealthMapError) as checked:
+            codec._checked_counts(image)
+        assert type(checked.value) is type(exc)
+        assert str(checked.value) == str(exc)
+        expected = 1, "", f"error: {exc}\n"
+    else:
+        expected = 0, (f"IMAGE: valid ({len(loaded.modules)} modules, "
+                       f"{len(loaded.faults)} faults, "
+                       f"{len(loaded.detections)} detections)\n"), ""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "image.shm"
+        path.write_bytes(image)
+        code, out, err = cli_outcome(["validate", str(path)])
+    assert (code, out.replace(str(path), "IMAGE"), err) == expected
+
+
 @pytest.mark.parametrize("argv, extra", [
     (["inject", "IMAGE", "--detector", "12", "--sev", "HIGH", "--class", "1",
       "--t", "1000"], ["x" * 3000]),

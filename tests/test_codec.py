@@ -551,6 +551,25 @@ def test_append_nothing_is_identity():
     assert append_changes(image, deserialize(image)) == image
 
 
+def test_a_second_append_to_the_same_image_is_refused():
+    # the first append gave the new records offsets past this image's end;
+    # the map now belongs to the image that append returned
+    image = serialize(synthesize_map(1))
+    hm = deserialize(image)
+    fault = hm.add_fault(2, Severity.LOW, Persistence.INTERMITTENT, 9)
+    hm.add_detection(fault, min(hm.diag_resources), 2000)
+    updated = append_changes(image, hm)
+    before = all_offsets(hm)
+    with pytest.raises(AppendError, match=(
+            f"^the map already holds a record at offset "
+            f"{fault.detections[0].shm_offset}, past this image's end "
+            f"\\({len(image)} bytes\\): it was appended before; append to "
+            f"the image that append returned$")):
+        append_changes(image, hm)
+    assert all_offsets(hm) == before
+    assert append_changes(updated, hm) == updated
+
+
 def test_append_then_deserialize_commutes_with_model_path():
     image = serialize(small_map())
     grown = deserialize(image)

@@ -11,18 +11,31 @@ from healthmap import (
     ModuleStatus,
     Persistence,
     ResourceMap,
+    RmEntry,
     Severity,
+    TaskRequirement,
+    compute_affinity,
     init_resource_map,
     render_table,
     report_detection,
 )
+from healthmap import resourcemap
+from healthmap.compiler import Sidecar
 from healthmap.errors import (FieldRangeError, MissingSymbolError,
                               UnknownModuleError)
 from healthmap.faultmgr import record_event
 from healthmap.resourcemap import RM_ENTRY, RM_ENTRY_SIZE, decode_entries
 
 from conftest import CPU_C3, FPU_C0_INSTRUMENT
-from helpers import oracle_resource_map, random_health_map, rm_state
+from helpers import (
+    oracle_resource_map,
+    random_health_map,
+    reference_affinity,
+    reference_decode_entries,
+    reference_encode,
+    reference_render_table,
+    rm_state,
+)
 
 TABLE1_RENDERING = """\
 Module name  Worst severity  Worst persistence  Status
@@ -477,3 +490,147 @@ def test_stored_levels_are_enum_members(case):
             assert_members(hm, built)
             render_table(built, Names())
             assert rm_state(built) == oracle_resource_map(hm, roots)
+
+
+# -- the entry table -----------------------------------------------------------
+
+def dotted(hm, mid):
+    """A module's name by its parent chain: "M1.M4" for module 4 under 1."""
+    module = hm.modules[mid]
+    own = f"M{mid}"
+    return own if module.parent is None else \
+        f"{dotted(hm, module.parent.id)}.{own}"
+
+
+@st.composite
+def table_cases(draw):
+    """propagation_cases with a sidecar naming each module by its parent
+    chain, OS core ids for some modules, tasks whose required sub-modules
+    are children of some core, and one write of all three levels of an
+    entry."""
+    hm, roots, steps = draw(propagation_cases())
+    ids = list(hm.modules)
+    cores = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    core_ids = draw(st.lists(st.integers(0, 15), min_size=len(cores),
+                             max_size=len(cores), unique=True))
+    core_of = dict(zip(cores, core_ids))
+    sidecar = Sidecar()
+    for mid in ids:
+        sidecar.add(mid, dotted(hm, mid), core_of.get(mid))
+    suffixes = sorted({f"M{m.id}" for m in hm.modules.values()
+                       if m.parent is not None and m.parent.id in core_of})
+    tasks = [TaskRequirement(f"t{i}", needs, sev, pers)
+             for i, (needs, sev, pers) in enumerate(draw(st.lists(
+                 st.tuples(st.lists(st.sampled_from(suffixes), max_size=2)
+                           if suffixes else st.just([]),
+                           SEVERITIES, st.sampled_from(list(Persistence))),
+                 max_size=3)))]
+    write = draw(st.tuples(st.sampled_from(ids), SEVERITIES,
+                           st.sampled_from(list(Persistence)),
+                           st.sampled_from(list(ModuleStatus))))
+    return hm, roots, steps, sidecar, tasks, write
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # compared with the reference's, whatever it is
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_cases(), st.data())
+def test_entry_table_matches_the_oracle(case, data):
+    hm, roots, steps, sidecar, tasks, write = case
+
+    def check(rm, rows):
+        encoded = rm.encode()
+        assert encoded == reference_encode(rows)
+        assert render_table(rm, sidecar) == reference_render_table(rows,
+                                                                   sidecar)
+        assert [(m.task_name, m.mask, m.width) for m in compute_affinity(
+            rm, sidecar, tasks)] == reference_affinity(rows, sidecar, tasks)
+        assert decode_entries(encoded) == reference_decode_entries(encoded)
+        # one byte rewritten, maybe to a value outside its field's enum
+        body = bytearray(encoded)
+        at = data.draw(st.integers(0, len(body) - 1), label="at")
+        body[at] = data.draw(st.integers(0, 255), label="byte")
+        assert (outcome(decode_entries, bytes(body))
+                == outcome(reference_decode_entries, bytes(body)))
+
+    rm = init_resource_map(hm, maintenance=roots)
+    check(rm, oracle_resource_map(hm, roots))
+    for step in steps:
+        if step[0] == "fault":
+            _, mid, sev, pers, cls = step
+            hm.add_fault(mid, sev, pers, cls)
+            rm.update_single_fault(mid, sev, pers, ModuleStatus.OWN_FAULT)
+        else:
+            _, mid, sev, cls, t = step
+            report_detection(hm, DetectionReport(100 + mid, sev, cls, t),
+                             rm=rm)
+    rows = oracle_resource_map(hm, roots)
+    check(rm, rows)
+    # a write through a view changes what encode and affinity read
+    mid, sev, pers, status = write
+    entry = rm.entries[mid]
+    entry.severity, entry.persistence, entry.status = sev, pers, status
+    rows[mid] = (sev, pers, status)
+    check(rm, rows)
+    assert rm.entry(mid) == RmEntry(mid, sev, pers, status)
+
+
+@pytest.mark.parametrize("name, label, too_high", [
+    ("severity", "fault severity", 7),
+    ("persistence", "fault persistence", 9),
+    ("status", "module status", 4),
+])
+def test_entry_setter_checks_its_field(table1_map, name, label, too_high):
+    # a level is checked by its row as update_single_fault checks it: the
+    # row's FieldRangeError, never bytearray's ValueError or TypeError, and
+    # nothing stored that would read back as IndexError
+    rm = init_resource_map(table1_map)
+    rm.update_single_fault(12, Severity.LOW, Persistence.TRANSIENT,
+                           ModuleStatus.OWN_FAULT)
+    before = rm.encode()
+    for value, error in [
+            (too_high, f"{label} {too_high} outside 0..3"),
+            (256, f"{label} 256 outside 0..3"),
+            (-1, f"{label} -1 outside 0..3"),
+            ("1", f"{label} '1' is not an integer"),
+            (1.0, f"{label} 1.0 is not an integer"),
+            (None, f"{label} None is not an integer")]:
+        with pytest.raises(FieldRangeError) as refused:
+            setattr(rm.entries[12], name, value)
+        assert type(refused.value) is FieldRangeError
+        assert str(refused.value) == error
+        assert rm.encode() == before
+        with pytest.raises(FieldRangeError, match=f"^{re.escape(error)}$"):
+            RmEntry(12, **{name: value})
+    entry = rm.entry(12)
+    setattr(entry, name, 2)
+    assert getattr(entry, name) is getattr(rm.entry(12), name)
+    assert int(getattr(rm.entry(12), name)) == 2
+    assert type(getattr(rm.entry(12), name)) is {
+        "severity": Severity, "persistence": Persistence,
+        "status": ModuleStatus}[name]
+    assert rm.encode() != before
+
+
+def test_the_table_paths_make_no_entry_object(table1_map, table1_sidecar,
+                                              monkeypatch):
+    # a rebuild, an update, encode, render and affinity read and write the
+    # table's bytes; only entry() and entries make per-entry views
+    def refuse(*_args):
+        raise AssertionError("an entry object was made")
+
+    monkeypatch.setattr(resourcemap, "_view", refuse)
+    monkeypatch.setattr(resourcemap.RmEntry, "__init__", refuse)
+    hm = table1_with_fault(table1_map)
+    rm = init_resource_map(hm, maintenance=[CPU_C3])
+    rm.update_single_fault(12, Severity.MEDIUM, Persistence.PERMANENT,
+                           ModuleStatus.OWN_FAULT)
+    rm.set_maintenance(CPU_C3, False)
+    assert len(rm.encode()) == RM_ENTRY_SIZE * len(hm.modules)
+    render_table(rm, table1_sidecar)
+    compute_affinity(rm, table1_sidecar, [TaskRequirement("t", ["FPU"])])
