@@ -21,7 +21,7 @@ from .errors import (
     ScenarioError,
     UnknownSubmoduleError,
 )
-from .model import Persistence, Severity, text_lines
+from .model import Persistence, Severity, quote_token, text_lines
 from .resourcemap import ResourceMap
 
 MAX_CORE_ID = 8191        # NR_CPUS is at most 8192
@@ -69,8 +69,8 @@ def compute_affinity(rm: ResourceMap, sidecar,
             if not any(id_for_name(f"{name_for_id(cm)}.{suffix}") is not None
                        for cm in cores):
                 raise UnknownSubmoduleError(
-                    f"task {task.name!r}: sub-module {suffix!r} resolves "
-                    f"for no core")
+                    f"task {quote_token(task.name)}: sub-module "
+                    f"{quote_token(suffix)} resolves for no core")
 
     admits = rm._admits
     masks = []
@@ -106,15 +106,15 @@ def parse_task_file(text: str) -> list[TaskRequirement]:
         match = _TASK_RE.match(line)
         if not match:
             raise ScenarioError(f"task file line {lineno}: bad syntax "
-                                f"{line!r}")
+                                f"{quote_token(line)}")
         try:
             max_sev = (Severity[match.group("sev")]
                        if match.group("sev") else Severity.ZERO)
             max_pers = (Persistence[match.group("pers")]
                         if match.group("pers") else Persistence.ZERO)
         except KeyError as exc:
-            raise ScenarioError(
-                f"task file line {lineno}: bad enum value {exc}") from None
+            raise ScenarioError(f"task file line {lineno}: bad enum value "
+                                f"{quote_token(exc.args[0])}") from None
         needs = (match.group("needs").split(",")
                  if match.group("needs") else [])
         tasks.append(TaskRequirement(match.group("name"), needs,

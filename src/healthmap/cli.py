@@ -31,7 +31,7 @@ from pathlib import Path
 from . import affinity as affinity_mod
 from . import codec, compiler, faultmgr, footprint, hierarchy, resourcemap
 from .errors import HealthMapError
-from .model import (QUOTED_CHARS, Severity, check_path, int_token,
+from .model import (QUOTED_CHARS, U32_MAX, Severity, check_path, int_token,
                     quote_token, read_bytes, read_text)
 
 
@@ -95,7 +95,10 @@ def _maintenance_ids(values, sidecar) -> list[int]:
     ids = []
     for value in values or ():
         if value.isdecimal():   # int() accepts these; isdigit() is wider
-            ids.append(int_token(value, "module id", HealthMapError))
+            # a long id is bounded, so an error quotes it and never prints
+            # its digits whole; no module has an id past U32_MAX
+            ids.append(int_token(value, "module id", HealthMapError, U32_MAX
+                                 if len(value) > QUOTED_CHARS else None))
             continue
         mid = sidecar.id_for_name(value)
         if mid is None:
@@ -115,8 +118,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    data = read_bytes(args.shm)
-    modules, _r, _d, faults, detections = codec._checked_counts(data)
+    _hm, _triples, counts = codec._check(read_bytes(args.shm))
+    modules, _r, _d, faults, detections = counts
     print(f"{args.shm}: valid ({modules} modules, {faults} faults, "
           f"{detections} detections)")
     return 0
@@ -174,12 +177,13 @@ def cmd_inject(args) -> int:
 
 def _resource_map(args) -> tuple[resourcemap.ResourceMap, compiler.Sidecar]:
     """The resource map of `args.shm` with `args.maintenance` marked, and
-    the sidecar that names its modules. The load builds no diag resource
-    and no fault: each module's worst fault values suffice."""
-    hm = codec._load(read_bytes(args.shm))
+    the sidecar that names its modules. The image's check builds no diag
+    resource and no fault: each module's worst fault values suffice."""
+    hm, worst, _counts = codec._check(read_bytes(args.shm))
     sidecar = _load_sidecar(args.sym, hm)
     marks = _maintenance_ids(args.maintenance, sidecar)
-    return resourcemap.init_resource_map(hm, maintenance=marks), sidecar
+    return (resourcemap.init_resource_map(hm, maintenance=marks,
+                                          worst=worst), sidecar)
 
 
 def cmd_rm(args) -> int:
@@ -368,7 +372,13 @@ def main(argv=None) -> int:
             _discard_stdout()
             return 0
         except (HealthMapError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            # an OSError echoes its file names whole: quote them as tokens
+            message = str(exc)
+            for name in (getattr(exc, "filename", None),
+                         getattr(exc, "filename2", None)):
+                if isinstance(name, str):
+                    message = message.replace(repr(name), quote_token(name))
+            print(f"error: {message}", file=sys.stderr)
             return 1
     finally:
         if enabled:

@@ -29,9 +29,10 @@ module, and the faults and detections of each module whose lists were
 built. Repacking an unchanged record writes the bytes it already holds,
 so old bytes change only in the patchable words: a module's first-fault
 link, a fault's links, severity and persistence, and a detection's next
-link, counter and flags. The writer packs a module's first-diag,
-first-dependency and first-fault words from its lists only when it
-writes those lists: the append writes no diag resource or dependency
+link, counter and flags. The code that writes a list writes its head
+word (`serialize` the first-diag and first-dependency words, the writer
+the first-fault word), and a module record takes the head words the
+buffer then holds. The append writes no diag resource or dependency
 list, and no fault list of a module whose lists were not built, so those
 head words keep the image's, and a list reordered in memory or never
 built cannot move them. Every record handed over is repacked, rather
@@ -56,14 +57,17 @@ its faults in list order and their detections, with each detector a
 detection names built once from its record. `deserialize` builds every
 module's lists.
 
-The CLI's commands read less, and load through the private `_load`.
-`hm rm` and `hm affinity` read only the triples: the map of the check
-carries them (`HealthMap._worst`) for `resourcemap.init_resource_map`,
-and every call that would read or write a fault refuses it. `hm inject`
-reads one detector and its owner's faults: `_load` finds the owner in
-the checked id column and builds that module's lists only. Such a map
-goes back to disk only through `append_changes`, and every call that
-would read every module's lists refuses it.
+A map has one mark, `HealthMap._built`, of the modules whose lists it
+holds: the check's map none, the build adds each module it builds, and
+`deserialize` clears the mark (None: the whole map). A reader of every
+list refuses a marked map (`HealthMap.require_whole`); where no list was
+built there is no fault to lose, so `report_detection` finds no diag
+resource and `append_changes` writes no list there and refuses a new
+fault there. The CLI's commands read less, through two private entries:
+`_check` (`hm validate`, `hm rm`, `hm affinity`) is the check alone and
+returns its map, the triples (for `resourcemap.init_resource_map`) and
+the header counts; `_load` (`hm inject`) builds the lists of one
+detector's owner only.
 
 The diag resource proof reads each record's id, owner and next words as
 columns of the section (strided slices, as for detections below) and
@@ -223,48 +227,25 @@ def _next_links(records: list) -> list[int]:
 
 
 def _write_linked(buf: bytearray, modules: list[Module],
-                  owners: Optional[list[Module]],
+                  owners: list[Module],
                   counts: tuple[int, int, int, int, int]) -> bytes:
-    """Pack each of `modules`, and the fault list of each of `owners` with
-    each fault's detection list, into `buf` at the records' own
-    `shm_offset`s, with links taken from the records' offsets, then stamp
-    the header with `counts` and both CRCs. `buf` is the whole image, and
-    every record packed already has its offset.
+    """Pack the fault list of each of `owners`, with each fault's
+    detection list and the module's first-fault word, and then each of
+    `modules` into `buf` at the records' own `shm_offset`s, with links
+    taken from the records' offsets; then stamp the header with `counts`
+    and both CRCs. `buf` is the whole image, and every record packed
+    already has its offset.
 
-    A module's first-diag, first-dependency and first-fault words are
-    packed from its lists only where those lists are written. With
-    `owners` None every list is: the caller packed each module's diag
-    resource and dependency lists into `buf`, and every fault list is
-    written here. Otherwise only the fault lists of `owners` are, and each
-    other head word keeps the word `buf` holds."""
+    The code that writes a list writes its head word: a module record is
+    packed with the first-diag, first-dependency and first-fault words
+    that `buf` holds once its fault list, if any, is written here."""
     total = len(buf)
-    pack_module, pack_fault, pack_det = (MODULE_REC.pack_into,
-                                         FAULT_REC.pack_into,
-                                         DET_REC.pack_into)
-    if owners is None:
-        owners = modules
-        for mod, nxt in zip(modules, _next_links(modules)):
-            parent, diags, deps, owned = (mod.parent, mod.diag_resources,
-                                          mod.dependencies, mod.faults)
-            pack_module(buf, mod.shm_offset, mod.id,
-                        parent.shm_offset if parent else 0,
-                        diags[0].shm_offset if diags else 0,
-                        deps[0].shm_offset if deps else 0,
-                        owned[0].shm_offset if owned else 0,
-                        mod.criticality, nxt)
-    else:
-        written = set(owners)
-        unpack_heads = _HEADS.unpack_from
-        for mod, nxt in zip(modules, _next_links(modules)):
-            parent, at = mod.parent, mod.shm_offset
-            diag, dep, fault = unpack_heads(buf, at)
-            if mod in written:
-                owned = mod.faults
-                fault = owned[0].shm_offset if owned else 0
-            pack_module(buf, at, mod.id, parent.shm_offset if parent else 0,
-                        diag, dep, fault, mod.criticality, nxt)
+    pack_fault, pack_det, pack_link = (FAULT_REC.pack_into,
+                                       DET_REC.pack_into, _LINK.pack_into)
     for mod in owners:
         owned = mod.faults
+        pack_link(buf, mod.shm_offset + 16, owned[0].shm_offset if owned
+                  else 0)
         for fault, nxt in zip(owned, _next_links(owned)):
             dets = fault.detections
             pack_fault(buf, fault.shm_offset, nxt,
@@ -274,6 +255,11 @@ def _write_linked(buf: bytearray, modules: list[Module],
                 pack_det(buf, det.shm_offset, det_nxt, det.detector.shm_offset,
                          det.timestamp, det.counter, det.payload,
                          det.flags)
+    pack_module, unpack_heads = MODULE_REC.pack_into, _HEADS.unpack_from
+    for mod, nxt in zip(modules, _next_links(modules)):
+        parent, at = mod.parent, mod.shm_offset
+        pack_module(buf, at, mod.id, parent.shm_offset if parent else 0,
+                    *unpack_heads(buf, at), mod.criticality, nxt)
 
     assert total == image_length(*counts)
     body_crc = crc32(memoryview(buf)[HEADER_SIZE:])
@@ -319,16 +305,20 @@ def serialize(hm: HealthMap) -> bytes:
 
     def write() -> bytes:
         buf = bytearray(image_length(*counts))
-        pack_diag, pack_dep = DIAG_REC.pack_into, DEP_REC.pack_into
+        pack_diag, pack_dep, pack_link = (DIAG_REC.pack_into,
+                                          DEP_REC.pack_into, _LINK.pack_into)
         for mod in modules:
-            diags, deps = mod.diag_resources, mod.dependencies
+            at, diags, deps = (mod.shm_offset, mod.diag_resources,
+                               mod.dependencies)
+            pack_link(buf, at + 8, diags[0].shm_offset if diags else 0)
+            pack_link(buf, at + 12, deps[0].shm_offset if deps else 0)
             for res, nxt in zip(diags, _next_links(diags)):
                 pack_diag(buf, res.shm_offset, res.id, res.owner.shm_offset,
                           nxt, res.kind)
             for dep, nxt in zip(deps, _next_links(deps)):
                 pack_dep(buf, dep.shm_offset, dep.dependent.shm_offset, nxt,
                          dep.severity)
-        return _write_linked(buf, modules, None, counts)
+        return _write_linked(buf, modules, modules, counts)
 
     return _place(records, accumulate(sizes, initial=HEADER_SIZE), write,
                   records)
@@ -422,10 +412,11 @@ class _Reader:
         self.total = len(self.data)
 
     def check(self) -> HealthMap:
-        """The image's map with its modules and dependencies, and in
-        `hm._worst` each faulty module's (id, worst severity, worst
-        persistence); raises on the first error. A section whose proof
-        fails is walked, and the walk attaches nothing to the modules."""
+        """The image's map with its modules and dependencies, marked as
+        holding no module's lists (`hm._built` empty), with each faulty
+        module's (id, worst severity, worst persistence) in `self.worst`;
+        raises on the first error. A section whose proof fails is walked,
+        and the walk attaches nothing to the modules."""
         m, r, d, f, fd = self._check_header()
         self.mod_base = HEADER_SIZE
         self.diag_base = self.mod_base + MODULE_SIZE * m
@@ -467,8 +458,9 @@ class _Reader:
             self._read_diags(raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
         worst = self._prove_dynamic(raw_modules, f, fd)
-        hm._worst = (worst if worst is not None
-                     else self._check_dynamic(raw_modules, f, fd))
+        self.worst = (worst if worst is not None
+                      else self._check_dynamic(raw_modules, f, fd))
+        hm._built = set()
         return hm
 
     def owner_of(self, detector: int) -> Optional[Module]:
@@ -489,15 +481,17 @@ class _Reader:
         each of `owners`, its faults in list order and their detections,
         with each detector a detection names built once from its record.
         `hm.diag_resources`, `hm.faults` and `hm.detections` then hold
-        those records, each in offset order, and `hm._worst` is None. The
-        lists were proven valid, so this cannot fail."""
+        those records, each in offset order, and `hm._built` gains the
+        owners' ids. The lists were proven valid, so this cannot fail."""
         data, raw_modules = self.data, self.raw_modules
         detectors = _Detectors(data, self.by_off)
         unpack_link, unpack_fault, unpack_det = (
             _LINK.unpack_from, FAULT_REC.unpack_from, DET_REC.unpack_from)
         faults: list[Fault] = []
         detections: list[FaultDetection] = []
+        built = hm._built
         for owner in owners:
+            built.add(owner.id)
             _id, _parent, cur, _dep, fault_off, _crit, _next = raw_modules[
                 owner.shm_offset]
             while cur:
@@ -524,7 +518,6 @@ class _Reader:
         hm.detections = sorted(detections, key=_offset)
         hm.diag_resources = {res.id: res for res in sorted(
             detectors.values(), key=_offset)}
-        hm._worst = None
         hm.reindex_faults()
 
     # -- header ----------------------------------------------------------
@@ -962,51 +955,41 @@ def deserialize(data: bytes) -> HealthMap:
     reader = _Reader(data)
     hm = reader.check()
     reader.build(hm, hm.modules.values())
+    hm._built = None
     return hm
 
 
-def _checked_counts(data: bytes) -> tuple[int, int, int, int, int]:
-    """The header's (M, R, D, F, FD) of an image that passes every check of
-    `deserialize`, which raises the same errors in the same order; builds
-    no record beyond the check's (`hm validate`)."""
-    reader = _Reader(data)
-    reader.check()
-    return reader.counts
-
-
-def _load(data: bytes, detector: Optional[int] = None) -> HealthMap:
-    """`deserialize` for a command that reads little of the map: the image
-    passes every check of `_Reader.check`, and the map holds only what the
-    command reads.
-
-    Without a `detector` (`hm rm`, `hm affinity`), it is the map of the
-    check: the modules and dependencies, no diag resource and no fault;
-    `hm._worst` holds each faulty module's (id, worst severity, worst
-    persistence), which `resourcemap.init_resource_map` folds. Every
-    writer, `report_detection` and clearing maintenance refuse such a map
-    (`HealthMap.require_faults`).
-
-    With one (`hm inject`), `_Reader.build` builds the lists of the module
-    that owns that diag resource only (of none if no diag resource has
-    that id, so `report_detection` raises `UnknownDetectorError`). The map
-    may grow and change through that module only (`hm._built`):
-    `append_changes` writes back no list of another module and refuses a
-    new fault there, and `serialize`, `prune`, `init_resource_map` and
-    clearing maintenance refuse the map (`HealthMap.require_whole`).
-    """
+def _check(data: bytes) -> tuple[HealthMap, list, tuple[int, ...]]:
+    """`deserialize` for a command that reads no fault: the image passes
+    every check of `_Reader.check`, which raises the same errors in the
+    same order, and no list is built. Returns the check's map (the modules
+    and dependencies; no diag resource and no fault), each faulty module's
+    (id, worst severity, worst persistence), which
+    `resourcemap.init_resource_map` folds (`hm rm`, `hm affinity`), and
+    the header's (M, R, D, F, FD) (`hm validate`)."""
     reader = _Reader(data)
     hm = reader.check()
-    hm._built = set()
-    if detector is not None:
-        owner = reader.owner_of(detector)
-        owners = [] if owner is None else [owner]
-        reader.build(hm, owners)
-        hm._built = {module.id for module in owners}
+    return hm, reader.worst, reader.counts
+
+
+def _load(data: bytes, detector: int) -> HealthMap:
+    """`deserialize` for `hm inject`, which reads one detector and its
+    owner's faults: the image passes every check of `_Reader.check`, and
+    `_Reader.build` builds the lists of the module that owns that diag
+    resource only (of none if no diag resource has that id, so
+    `report_detection` raises `UnknownDetectorError`), and marks the map
+    with that module's id alone (`hm._built`)."""
+    reader = _Reader(data)
+    hm = reader.check()
+    owner = reader.owner_of(detector)
+    reader.build(hm, [] if owner is None else [owner])
     return hm
 
 
 def validate_image(data: bytes) -> HealthMap:
-    """`deserialize`; every map a load accepts passes validate_structure."""
+    """`deserialize`, kept as its exported alias (the benchmark's tracer
+    wraps it by name); every map a load accepts passes
+    validate_structure."""
     return deserialize(data)
 
 
@@ -1040,7 +1023,6 @@ def append_changes(image: bytes, hm: HealthMap) -> bytes:
     `StructureInvalidError` `serialize` raises, and an append that raises
     leaves the new records without offsets, so it can be retried.
     """
-    hm.require_faults("append")
     old_total = len(image)
     get = hm.modules.get
     for m in hm.modules.values():

@@ -46,7 +46,7 @@ from .errors import (
     XmlSyntaxError,
 )
 from .model import (U32_MAX, HealthMap, Severity, check_field, int_token,
-                     text_lines)
+                     quote_token, text_lines)
 
 _MODULE_ATTRS = {"id", "name", "criticality", "coreId"}
 _INSTRUMENT_ATTRS = {"id", "kind"}
@@ -137,11 +137,13 @@ class Sidecar:
             try:
                 if len(parts) not in (2, 3):
                     raise SchemaViolationError(
-                        f"expected '<id> <name> [core=<n>]', got {line!r}")
+                        f"expected '<id> <name> [core=<n>]', got "
+                        f"{quote_token(line)}")
                 core_id = None
                 if len(parts) == 3:
                     if not parts[2].startswith("core="):
-                        raise SchemaViolationError(f"bad field {parts[2]!r}")
+                        raise SchemaViolationError(
+                            f"bad field {quote_token(parts[2])}")
                     core_id = int_token(parts[2][5:], "core id",
                                         SchemaViolationError, U32_MAX)
                 sc.add(int_token(parts[0], "module id", SchemaViolationError,
@@ -202,11 +204,12 @@ def _int_attr(elem: ET.Element, name: str,
         value = int(raw, 0)
     except ValueError:
         raise SchemaViolationError(
-            f"line {_line(elem)}: attribute {name}={raw!r} is not an "
-            f"integer") from None
+            f"line {_line(elem)}: attribute {name}={quote_token(raw)} is "
+            f"not an integer") from None
     if value < 0:
         raise SchemaViolationError(
-            f"line {_line(elem)}: attribute {name}={raw!r} must be >= 0")
+            f"line {_line(elem)}: attribute {name}={quote_token(raw)} "
+            f"must be >= 0")
     return value
 
 
@@ -217,7 +220,8 @@ def _severity_attr(elem: ET.Element, name: str,
         value = Severity[raw]
     except KeyError:
         raise BadEnumValueError(
-            f"line {_line(elem)}: bad {name} value {raw!r}") from None
+            f"line {_line(elem)}: bad {name} value {quote_token(raw)}") \
+            from None
     if value == Severity.ZERO and not allow_zero:
         raise BadEnumValueError(f"line {_line(elem)}: {name} must not be ZERO")
     return value
@@ -273,7 +277,7 @@ def parse_description(xml_text: str) -> HmDescription:
     version = root.attrib.get("version", "1")
     if version != "1":
         raise SchemaViolationError(f"unsupported description version "
-                                   f"{version!r}")
+                                   f"{quote_token(version)}")
     # (tag, id) -> line of its element / of its template; an overlap of
     # template ranges is raised at once, a duplicate id after the walk
     seen: dict[tuple[str, int], int] = {}
@@ -382,7 +386,8 @@ def build_map(description: HmDescription) -> tuple[HealthMap, Sidecar]:
         other = sidecar.id_for_name(dotted)
         if other is not None:
             raise SchemaViolationError(
-                f"line {decl.line}: duplicate module name {dotted!r} "
+                f"line {decl.line}: duplicate module name "
+                f"{quote_token(dotted)} "
                 f"(also module id {other})")
         hm.add_module(decl.id, parent_id, decl.criticality)
         sidecar.add(decl.id, dotted, decl.core_id)

@@ -44,10 +44,8 @@ class ClassificationRangeError(FieldRangeError):
 
 
 class FaultsNotBuiltError(HealthMapError):
-    """A map whose load folded each module's faults into its worst values,
-    building no fault, was asked to read or write faults, or a map whose
-    load built the faults of some modules only was asked to read every
-    module's."""
+    """A map whose load built the diag resource, fault and detection lists
+    of some modules only, or of none, was asked to read every module's."""
 
 
 class StructureInvalidError(HealthMapError):

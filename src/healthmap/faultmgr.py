@@ -31,6 +31,7 @@ from .model import (
     Persistence,
     Severity,
     check_field,
+    quote_token,
 )
 
 DEFAULT_MERGE_WINDOW_US = 1_000_000
@@ -118,7 +119,6 @@ def report_detection(hm: HealthMap, report: DetectionReport, *,
     persistence are folded into it by `ResourceMap._update`, the body of
     update_single_fault for values that are already members.
     """
-    hm.require_faults("report a detection to")
     detector = hm.diag_resources.get(report.detector_id)
     if detector is None:
         raise UnknownDetectorError(
@@ -209,15 +209,18 @@ def parse_report_line(line: str,
     """
     match = _REPORT_RE.fullmatch(line.strip())
     if not match:
-        raise ScenarioError(f"bad detection report line: {line!r}")
+        raise ScenarioError(f"bad detection report line: {quote_token(line)}")
     det, sev, cls, t, payload = match.groups()
     if sev not in Severity.__members__:
-        raise ScenarioError(f"bad severity {sev!r} in: {line!r}")
+        raise ScenarioError(f"bad severity {quote_token(sev)} in: "
+                            f"{quote_token(line)}")
     if t is None and default_timestamp is None:
-        raise ScenarioError(f"detection report line missing t=: {line!r}")
+        raise ScenarioError(f"detection report line missing t=: "
+                            f"{quote_token(line)}")
     try:
         return DetectionReport(int(det), Severity[sev], int(cls),
                                default_timestamp if t is None else int(t),
                                hexadecimal(payload) if payload else 0)
     except ValueError:    # a token its flag's rule refuses
-        raise ScenarioError(f"bad detection report line: {line!r}") from None
+        raise ScenarioError(
+            f"bad detection report line: {quote_token(line)}") from None

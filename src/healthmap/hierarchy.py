@@ -167,7 +167,7 @@ class ChildMapping:
                     downlinks[node_id] = int_token(
                         parts[2], "diag resource id", ScenarioError, U32_MAX)
                 else:
-                    raise ScenarioError(f"bad syntax {line!r}")
+                    raise ScenarioError(f"bad syntax {quote_token(line)}")
             except ScenarioError as exc:
                 raise ScenarioError(f"mapping line {lineno}: {exc}") \
                     from None
@@ -327,7 +327,7 @@ class Scenario:
 
     def _parse_event(self, parts: list[str], line: str) -> None:
         if len(parts) < 5 or parts[2] != "node":
-            raise ScenarioError(f"bad event line {line!r}")
+            raise ScenarioError(f"bad event line {quote_token(line)}")
         time_us = int_token(parts[1], "event time", ScenarioError)
         node_id = int_token(parts[3], "node id", ScenarioError)
         report = parse_report_line(" ".join(parts[4:]),

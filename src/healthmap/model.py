@@ -244,8 +244,8 @@ def worst_faults(
                                                      Persistence]]:
     """(id, worst severity, worst persistence) of each of `modules` that
     holds a fault, in the given order: what a module's own faults put into
-    its resource map entry. A load that builds no fault keeps the same
-    triples (`HealthMap._worst`)."""
+    its resource map entry. The check of an image load keeps the same
+    triples without building a fault (`codec._check`)."""
     for module in modules:
         faults = module.faults
         if faults:
@@ -322,28 +322,15 @@ class HealthMap:
         # (module id, classification) -> the last such fault in
         # module.faults order; kept by _file_fault and reindex_faults
         self._fault_index: dict[tuple[int, int], Fault] = {}
-        # ids of the modules whose diag resources, faults and detections a
-        # partial image load built (the codec's `_load`); None when the map
-        # holds every record
+        # ids of the modules whose diag resources, faults and detections an
+        # image load built (the codec's `_Reader`: its check builds none);
+        # None when the map holds every record
         self._built: Optional[set[int]] = None
-        # each faulty module's (id, worst severity, worst persistence) when
-        # a load folded the faults instead of building them (the codec's
-        # `_load` without a detector); None when the map holds its faults
-        self._worst: Optional[list[tuple[int, Severity, Persistence]]] = None
-
-    def require_faults(self, action: str) -> None:
-        """Raise FaultsNotBuiltError, naming `action`, when a load folded
-        this map's faults instead of building them."""
-        if self._worst is not None:
-            raise FaultsNotBuiltError(
-                f"cannot {action} a map loaded without its faults")
 
     def require_whole(self, action: str) -> None:
-        """`require_faults`, and raise FaultsNotBuiltError, naming
-        `action`, when a load built the lists of some modules only
-        (`_built`): a reader of every list would take the part for the
-        whole."""
-        self.require_faults(action)
+        """Raise FaultsNotBuiltError, naming `action`, when a load built
+        the lists of some modules only, or of none (`_built`): a reader of
+        every list would take the part for the whole."""
         if self._built is not None:
             raise FaultsNotBuiltError(
                 f"cannot {action} a map loaded without all its faults")

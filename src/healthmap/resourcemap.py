@@ -339,15 +339,17 @@ class ResourceMap:
         return bytes(self._table)
 
 
-def init_resource_map(hm: HealthMap,
-                      maintenance: Iterable[int] = ()) -> ResourceMap:
+def init_resource_map(
+        hm: HealthMap, maintenance: Iterable[int] = (),
+        worst: Iterable[tuple[int, Severity, Persistence]] | None = None
+) -> ResourceMap:
     """Populate a fresh resource map: fold each faulty module's own worst
-    values, the triples its load kept (`hm._worst`) or else
-    `model.worst_faults` of its faults, as OWN_FAULT and propagate from all
-    of them, in one walk; the result is independent of iteration order. A map whose
-    load built the faults of some modules only is refused.
+    values, the (id, severity, persistence) triples `worst` if given (those
+    an image check keeps, `codec._check`) or else `model.worst_faults` of
+    the map's faults, as OWN_FAULT and propagate from all of them, in one
+    walk; the result is independent of iteration order. Without `worst`, a
+    map whose load built the faults of some modules only is refused.
     """
-    worst = hm._worst
     if worst is None:
         hm.require_whole("build a resource map of")
         worst = worst_faults(hm.modules.values())

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -1323,7 +1324,7 @@ def test_validate_prints_what_a_whole_load_gives(base, mutate, data):
         loaded = deserialize(image)
     except HealthMapError as exc:
         with pytest.raises(HealthMapError) as checked:
-            codec._checked_counts(image)
+            codec._check(image)
         assert type(checked.value) is type(exc)
         assert str(checked.value) == str(exc)
         expected = 1, "", f"error: {exc}\n"
@@ -1362,3 +1363,185 @@ def test_unrecognized_long_line_is_quoted(compiled, argv, extra):
         assert err.startswith("usage: hm ")
         assert err.endswith(f"hm: error: unrecognized arguments: {line}\n")
     assert shm.read_bytes() == before
+
+
+# -- text-input errors quote their tokens --------------------------------------
+# Each site quotes a token, or a whole line, of a text input through
+# `quote_token`: as `repr` up to QUOTED_CHARS characters, so a short token's
+# message is what it always was, and beyond by its start and its length.
+# TOKEN in a file or an argument stands for the token; the message is built
+# from it.
+
+AFFINITY = ["affinity", "t.shm", "--tasks", "tasks", "--sym", "t.sym"]
+EVENT = "at 1000 node 1 detect 12 sev=HIGH class=1"
+XML_MODULE = '<healthmap version="1">\n<module {}/>\n</healthmap>\n'
+QUOTE_SITES = {
+    "task line": (AFFINITY, "tasks", "task a TOKEN", lambda t: (
+        f"task file line 1: bad syntax {quote_token('task a ' + t)}")),
+    "needs": (AFFINITY, "tasks", "task a needs=TOKEN", lambda t: (
+        f"task 'a': sub-module {quote_token(t)} resolves for no core")),
+    "maxSev": (AFFINITY, "tasks", "task a maxSev=TOKEN", lambda t: (
+        f"task file line 1: bad enum value {quote_token(t)}")),
+    "sidecar line": (["rm", "t.shm", "--sym", "x.sym"], "x.sym",
+                     "1 CPU x TOKEN", lambda t: (
+        f"sidecar line 1: expected '<id> <name> [core=<n>]', got "
+        f"{quote_token('1 CPU x ' + t)}")),
+    "sidecar field": (["rm", "t.shm", "--sym", "x.sym"], "x.sym",
+                      "1 CPU TOKEN", lambda t: (
+        f"sidecar line 1: bad field {quote_token(t)}")),
+    "mapping line": (["simulate", "board.scn"], "board.map",
+                     ("child 1 12 -> 2", "bogus TOKEN"), lambda t: (
+        f"board.map: mapping line 4: bad syntax "
+        f"{quote_token('bogus ' + t)}")),
+    "event line": (["simulate", "board.scn"], "board.scn",
+                   (EVENT, "at TOKEN"), lambda t: (
+        f"scenario line 6: bad event line {quote_token('at ' + t)}")),
+    "detect line": (["simulate", "board.scn"], "board.scn",
+                    (EVENT, "at 1000 node 1 detect TOKEN"), lambda t: (
+        f"scenario line 6: bad detection report line: "
+        f"{quote_token('detect ' + t)}")),
+    "sev": (["simulate", "board.scn"], "board.scn",
+            (EVENT, "at 1000 node 1 detect 12 sev=TOKEN class=1"),
+            lambda t: (
+        f"scenario line 6: bad severity {quote_token(t)} in: "
+        f"{quote_token(f'detect 12 sev={t} class=1')}")),
+    "hm path": (["simulate", "board.scn"], "board.scn",
+                ("hm=cpu.xml", "hm=TOKEN"), lambda t: (
+        f"[Errno 2] No such file or directory: {quote_token(t)}"
+        if len(t) < 256 else
+        f"[Errno 36] File name too long: {quote_token(t)}")),
+    "XML integer": (["compile", "x.xml", "-o", "x.shm"], "x.xml",
+                    XML_MODULE.format('id="TOKEN" name="A" criticality="LOW"'),
+                    lambda t: (
+        f"line 2: attribute id={quote_token(t)} is not an integer")),
+    "XML negative": (["compile", "x.xml", "-o", "x.shm"], "x.xml",
+                     XML_MODULE.format('id="-1TOKEN" name="A" '
+                                       'criticality="LOW"'), lambda t: (
+        f"line 2: attribute id={quote_token('-1' + t)} must be >= 0")),
+    "XML severity": (["compile", "x.xml", "-o", "x.shm"], "x.xml",
+                     XML_MODULE.format('id="1" name="A" criticality="TOKEN"'),
+                     lambda t: (
+        f"line 2: bad criticality value {quote_token(t)}")),
+    "XML version": (["compile", "x.xml", "-o", "x.shm"], "x.xml",
+                    '<healthmap version="TOKEN">\n</healthmap>\n', lambda t: (
+        f"unsupported description version {quote_token(t)}")),
+    "maintenance id": (["rm", "t.shm", "--sym", "t.sym", "--maintenance",
+                        "TOKEN"], None, "", lambda t: (
+        f"module id {quote_token(t)} outside 0..4294967295"
+        if len(t) > QUOTED_CHARS else f"module {t} not found")),
+    "XML name": (["compile", "x.xml", "-o", "x.shm"], "x.xml",
+                 '<healthmap version="1">\n'
+                 '<module id="1" name="TOKEN" criticality="LOW"/>\n'
+                 '<module id="2" name="TOKEN" criticality="LOW"/>\n'
+                 '</healthmap>\n', lambda t: (
+        f"line 3: duplicate module name {quote_token(t)} "
+        f"(also module id 1)")),
+}
+
+
+@pytest.mark.parametrize("length", [5, 3000])
+@pytest.mark.parametrize("site", list(QUOTE_SITES))
+def test_text_input_error_quotes_its_token(tmp_path, monkeypatch, site,
+                                           length):
+    argv, name, text, message = QUOTE_SITES[site]
+    # digits where an integer is read, word characters elsewhere
+    token = ("1" if site in ("XML negative", "maintenance id") else "B") \
+        * length
+    work = tmp_path / "data"
+    shutil.copytree(DEMO_DATA, work)
+    monkeypatch.chdir(work)
+    assert main(["compile", str(DATA_DIR / "table1.xml"), "-o", "t.shm",
+                 "--sym", "t.sym"]) == 0
+    if isinstance(text, tuple):
+        old, new = text
+        text = Path(name).read_text()
+        assert old in text
+        text = text.replace(old, new)
+    if name is not None:
+        Path(name).write_text(text.replace("TOKEN", token) + "\n")
+    code, out, err = cli_outcome([arg.replace("TOKEN", token)
+                                  for arg in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: {message(token)}\n"
+    assert len(err) <= 200
+    assert (token in err) == (length <= QUOTED_CHARS)
+
+
+# -- the `hm rm` / `hm affinity` slice of the hostile-input gate --------------
+# `cli.main(["rm" | "affinity", …])` in-process on the table1 image with a
+# mutated sidecar, task file and maintenance list: every run ends in exit 0,
+# 1 or 2 with a short stderr and no traceback, and no file is left behind or
+# changed.
+
+@functools.lru_cache(maxsize=None)
+def table1_files() -> tuple[bytes, str]:
+    image, sidecar = compile_xml((DATA_DIR / "table1.xml").read_text())
+    return image, sidecar.format()
+
+
+TEXT_TOKENS = st.one_of(
+    INT_TOKENS,
+    st.sampled_from(["CPU", "CPU.C0", "CPU.C0.FPU", "FPU", "C{i}", "task",
+                     "needs=FPU", "needs=FPU,X", "maxSev=HIGH", "maxSev=ZERO",
+                     "maxPers=PERMANENT", "maxSev=", "core=0", "core=-1",
+                     "core=8191", "core=8192", "core=", "#", "=", ",", "."]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.integers(41, 3000).map(lambda n: "F" * n),
+    st.integers(41, 3000).map(lambda n: "maxSev=" + "H" * n),
+    st.integers(41, 3000).map(lambda n: "needs=" + "F" * n),
+    st.integers(41, 3000).map(lambda n: "core=" + "9" * n))
+
+
+def mutated_text(data, text: str, label: str) -> str:
+    """`text` after one to four drawn line edits: a word replaced by a
+    drawn token, a line of drawn tokens inserted, a line dropped or one
+    repeated."""
+    lines = text.splitlines()
+    for kind in data.draw(st.lists(st.sampled_from(
+            ("word", "insert", "drop", "repeat")), min_size=1, max_size=4),
+            label=f"{label} edits"):
+        at = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        if kind == "insert" or not lines:
+            lines.insert(at, " ".join(data.draw(
+                st.lists(TEXT_TOKENS, min_size=1, max_size=4))))
+        elif kind == "word":
+            words = lines[at].split(" ")
+            words[data.draw(st.integers(0, len(words) - 1))] = data.draw(
+                TEXT_TOKENS)
+            lines[at] = " ".join(words)
+        elif kind == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["rm", "affinity"]), data=st.data())
+def test_rm_and_affinity_on_hostile_text_inputs_end_in_an_exit_code(
+        command, data):
+    image, sidecar = table1_files()
+    files = {"image.shm": image}
+    files["image.sym"] = (mutated_text(data, sidecar, "sidecar")
+                          if data.draw(st.booleans(), label="bad sidecar")
+                          else sidecar).encode()
+    argv = [command, "image.shm", "--sym", "image.sym"]
+    if command == "affinity":
+        tasks = (DEMO_DATA / "tasks.txt").read_text()
+        files["tasks.txt"] = mutated_text(data, tasks, "tasks").encode()
+        argv += ["--tasks", "tasks.txt"]
+    for module in data.draw(st.lists(st.one_of(
+            st.sampled_from(["CPU", "CPU.C3", "11", "0"]), TEXT_TOKENS),
+            max_size=2), label="maintenance"):
+        argv += ["--maintenance", module]
+    with tempfile.TemporaryDirectory() as work:
+        for name, content in files.items():
+            (Path(work) / name).write_bytes(content)
+        code, _out, err = cli_outcome(
+            [str(Path(work) / arg) if arg in files else arg for arg in argv])
+        assert code in (0, 1, 2)
+        assert len(err) <= 200 and "Traceback" not in err, err
+        assert sorted(os.listdir(work)) == sorted(files)
+        for name, content in files.items():
+            assert (Path(work) / name).read_bytes() == content

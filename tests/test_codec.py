@@ -31,7 +31,8 @@ from healthmap import (
 )
 from healthmap import codec, faultmgr, resourcemap
 from healthmap.codec import (DEP_SIZE, DET_SIZE, DIAG_SIZE, FAULT_SIZE,
-                             HEADER_SIZE, MODULE_SIZE, _load, _Reader)
+                             HEADER_SIZE, MODULE_SIZE, _check, _load,
+                             _Reader)
 from healthmap.errors import (
     BadLinkError,
     BadMagicError,
@@ -352,7 +353,7 @@ def test_rewritten_link_raises_its_error(case):
                "det": hm.detections[0].shm_offset}
     assert list(offsets.values()) == [32, 57, 82, 95, 104, 116]
     put_u32(image, offsets[record] + word, offsets.get(value, value))
-    for load in (deserialize, _load):
+    for load in (deserialize, _check):
         with pytest.raises(error, match=f"^{message}"):
             load(restamp(image))
 
@@ -1057,8 +1058,8 @@ def test_golden_image_bytes(name):
 # -- partial loads against the one-pass reference reader ----------------------
 # Every load is one check and then one build of chosen modules' lists:
 # `deserialize` builds every module's, `_load` with a detector only those of
-# the module that owns it, and `_load` without one none. Every shape must
-# fail exactly as the one-pass reference reader does.
+# the module that owns it, and `_check` none. Every shape must fail exactly
+# as the one-pass reference reader does.
 
 def outcome(load, image: bytes):
     """(error class, message) of a load that raises, else its map."""
@@ -1102,7 +1103,7 @@ def check_inject_load(hm: HealthMap, expected: HealthMap,
     each built once; nothing else."""
     res = expected.diag_resources.get(detector)
     owner = {res.owner.id} if res is not None else set()
-    assert hm._built == owner and hm._worst is None
+    assert hm._built == owner
     assert resource_view(hm) == resource_view(expected)
     assert lists_view(hm, owner) == lists_view(expected, owner)
     assert all(m.diag_resources == [] and m.faults == []
@@ -1126,23 +1127,27 @@ def check_against_reference(image: bytes, detector: int) -> None:
     builds its owner's lists only."""
     expected = outcome(reference_deserialize, image)
     got = outcome(deserialize, image)
-    partial_none = outcome(_load, image)
+    checked = outcome(_check, image)
     partial_one = outcome(lambda data: _load(data, detector), image)
     unknown = outcome(lambda data: _load(data, 0xFFFFFFFF), image)
     if isinstance(expected, tuple):
-        assert got == partial_none == partial_one == unknown == expected
+        assert got == checked == partial_one == unknown == expected
         return
+    partial_none, worst, counts = checked
+    assert counts == (len(expected.modules), len(expected.diag_resources),
+                      len(expected.dependencies), len(expected.faults),
+                      len(expected.detections))
     assert got.snapshot() == expected.snapshot()
+    assert got._built is None and partial_none._built == set()
     for hm in (got, partial_none, partial_one, unknown):
         assert hm.validate_structure() == []
     assert resource_view(partial_none) == resource_view(expected)
     assert partial_none.diag_resources == {} and partial_none.faults == []
     assert all(m.diag_resources == [] and m.faults == []
                for m in partial_none.modules.values())
-    assert partial_none._worst == list(worst_faults(
-        expected.modules.values()))
-    assert rm_state(init_resource_map(partial_none)) == oracle_resource_map(
-        expected)
+    assert worst == list(worst_faults(expected.modules.values()))
+    assert rm_state(init_resource_map(partial_none, worst=worst)) == \
+        oracle_resource_map(expected)
     check_inject_load(partial_one, expected, detector)
     check_inject_load(unknown, expected, 0xFFFFFFFF)
     assert partial_none.detections == unknown.detections == []
@@ -1282,7 +1287,7 @@ def test_proof_accepts_only_what_the_walker_accepts(base, data):
         assert walked.snapshot() == proved.snapshot()
         assert fault_offsets(walked) == fault_offsets(proved)
         # the walker keeps the triples the proof keeps
-        assert by_walker(mutated, _load)._worst == _load(mutated)._worst
+        assert by_walker(mutated, _check)[1] == _check(mutated)[1]
 
 
 @settings(max_examples=200, deadline=None,
@@ -1394,7 +1399,7 @@ def test_backward_detection_link_loads_through_the_walker():
         image).snapshot()
     assert [d.timestamp for d in deserialize(image).faults[1].detections] \
         == [2, 1, 0]
-    assert _load(image)._worst == [(1, Severity.LOW, Persistence.TRANSIENT)]
+    assert _check(image)[1] == [(1, Severity.LOW, Persistence.TRANSIENT)]
 
 
 def proof_map() -> HealthMap:
@@ -1574,7 +1579,7 @@ def test_partial_load_rm_and_affinity_match_full_load(seed, data):
     hm = deserialize(image)
     report_some(hm, rng)
     image = append_changes(image, hm)
-    full, part = deserialize(image), _load(image)
+    full, (part, worst, _counts) = deserialize(image), _check(image)
     assert part.detections == []
     ids = sorted(full.modules)
     maintenance = data.draw(st.lists(st.sampled_from(ids), max_size=3),
@@ -1586,7 +1591,7 @@ def test_partial_load_rm_and_affinity_match_full_load(seed, data):
         sidecar.add(mid, f"M{mid}",
                     cores.index(mid) if mid in cores else None)
     rm_full = init_resource_map(full, maintenance)
-    rm_part = init_resource_map(part, maintenance)
+    rm_part = init_resource_map(part, maintenance, worst=worst)
     assert rm_part.encode() == rm_full.encode()
     assert (compute_affinity(rm_part, sidecar, TOLERANCES)
             == compute_affinity(rm_full, sidecar, TOLERANCES))
@@ -1619,14 +1624,19 @@ def test_partial_map_grows_only_through_its_loaded_module():
 
 @pytest.mark.parametrize("call", ["serialize", "prune", "init_resource_map",
                                   "clear maintenance"])
-@pytest.mark.parametrize("detector", [20, 99])
+@pytest.mark.parametrize("detector", [20, 99, None])
 def test_partial_map_is_refused_where_every_list_is_read(call, detector):
-    # a reader of every module's lists would take the part for the whole
+    # a reader of every module's lists would take the part for the whole;
+    # detector None is the check's map (`hm rm`, `hm affinity`), which
+    # holds no module's lists
     hm = two_fault_map()
     hm.add_module(2, 1)
     hm.add_diag_resource(20, 2)
     image = serialize(hm)
-    part = _load(image, detector)
+    if detector is None:
+        part, worst, _counts = _check(image)
+    else:
+        part = _load(image, detector)
     calls = {
         "serialize": lambda: serialize(part),
         "prune": lambda: prune(part),
@@ -1641,6 +1651,23 @@ def test_partial_map_is_refused_where_every_list_is_read(call, detector):
             f"^cannot {action} a map loaded without all its faults$")):
         calls[call]()
     assert part.modules[1].faults == []
+    if detector is not None:
+        return
+    # no fault is read or written where no list was built: the append of
+    # the unchanged map writes the image back, a report finds no detector
+    # and leaves the map as it was, and the triples give the resource map
+    assert append_changes(image, part) == image
+    before = part.snapshot()
+    with pytest.raises(UnknownDetectorError,
+                       match="^diag resource 10 not found$"):
+        report_detection(part, DetectionReport(10, Severity.HIGH, 1, 5))
+    assert part.snapshot() == before and part.faults == []
+    assert append_changes(image, part) == image
+    assert worst == [(1, Severity.LOW, Persistence.TRANSIENT)]
+    rm = init_resource_map(part, worst=worst)
+    rm.set_maintenance(1, True)
+    assert rm_state(rm) == rm_state(init_resource_map(deserialize(image),
+                                                      [1]))
 
 
 def test_partial_load_builds_a_detector_of_another_module_once():
@@ -1666,31 +1693,32 @@ def test_partial_load_builds_a_detector_of_another_module_once():
     assert append_changes(image, part) == append_changes(image, full)
 
 
-# -- the diag resource check, and the load without a detector ----------------
+# -- the diag resource check, and the check alone ----------------------------
 # Every load proves the diag resource section by byte columns and walks it
-# with `_read_diags` only when the proof fails. `_load(image)` (`hm rm`,
+# with `_read_diags` only when the proof fails. `_check(image)` (`hm rm`,
 # `hm affinity`) then builds no diag resource and no fault, and keeps each
 # faulty module's worst values. With the walker patched to fail, an image
 # loads only through the proof; with the proof turned off, only through the
 # walker.
 
-def diags_by_proof(image: bytes, load=_load) -> HealthMap:
+def diags_by_proof(image: bytes, load=_check):
     with mock.patch.object(_Reader, "_read_diags", walker_fails):
         return load(image)
 
 
-def diags_by_walker(image: bytes, load=_load) -> HealthMap:
+def diags_by_walker(image: bytes, load=_check):
     with mock.patch.object(_Reader, "_prove_diags", lambda *_args: False):
         return load(image)
 
 
-def lean_outcome(load, image: bytes):
-    """(error class, message) of a load that raises, else what a load
-    without a detector builds."""
-    hm = outcome(load, image)
-    if isinstance(hm, tuple):
-        return hm
-    return (resource_view(hm), hm._worst, hm.diag_resources, hm.faults,
+def lean_outcome(check, image: bytes):
+    """(error class, message) of a check that raises, else what it builds
+    and the triples it keeps."""
+    got = outcome(check, image)
+    if not isinstance(got[0], HealthMap):
+        return got
+    hm, worst, _counts = got
+    return (resource_view(hm), worst, hm.diag_resources, hm.faults,
             [(m.diag_resources, m.faults) for m in hm.modules.values()])
 
 
@@ -1699,10 +1727,11 @@ def check_lean_load(image: bytes) -> None:
     map gives, and `deserialize` of it through either diag path to the
     reference reader's map."""
     expected = reference_deserialize(image)
-    got = diags_by_proof(image)
+    got, worst, _counts = diags_by_proof(image)
     assert resource_view(got) == resource_view(expected)
-    assert got._worst == list(worst_faults(expected.modules.values()))
-    assert rm_state(init_resource_map(got)) == oracle_resource_map(expected)
+    assert worst == list(worst_faults(expected.modules.values()))
+    assert rm_state(init_resource_map(got, worst=worst)) == \
+        oracle_resource_map(expected)
     for load in (diags_by_proof, diags_by_walker):
         whole = load(image, deserialize)
         assert whole.snapshot() == expected.snapshot()
@@ -1741,13 +1770,14 @@ def test_interleaved_diag_lists_load_through_the_walker():
     image = serialize(hm)
     with pytest.raises(WalkerCalled):
         diags_by_proof(image)
-    lean, expected = _load(image), reference_deserialize(image)
+    (lean, worst, _counts), expected = _check(image), reference_deserialize(
+        image)
     with pytest.raises(WalkerCalled):
         diags_by_proof(image, deserialize)
     assert deserialize(image).snapshot() == expected.snapshot()
     assert resource_view(lean) == resource_view(expected)
     assert lean.diag_resources == {} and lean.modules[1].diag_resources == []
-    assert lean._worst == [(1, Severity.HIGH, Persistence.TRANSIENT)]
+    assert worst == [(1, Severity.HIGH, Persistence.TRANSIENT)]
     # the inject load walks the owner's list, not a run of the section
     for detector in (10, 11, 20):
         with pytest.raises(WalkerCalled):
@@ -1779,7 +1809,9 @@ def test_diag_head_past_the_section_goes_to_the_walker(detector):
     assert expected == (OffsetOutOfBoundsError, (
         f"diag resource offset {end + DIAG_SIZE} outside section "
         f"[{end - 2 * DIAG_SIZE}, {end})"))
-    assert outcome(lambda data: _load(data, detector), mutated) == expected
+    load = _check if detector is None else (lambda data: _load(data,
+                                                               detector))
+    assert outcome(load, mutated) == expected
 
 
 def mutated_diag_image(data, image: bytes, hm: HealthMap) -> bytes:
@@ -1820,34 +1852,10 @@ def test_diag_proof_and_walker_agree_on_mutated_images(base, diag_edits,
     mutated = (mutated_diag_image if diag_edits else mutated_image)(
         data, image, hm)
     walked = lean_outcome(diags_by_walker, mutated)
-    assert lean_outcome(_load, mutated) == walked
+    assert lean_outcome(_check, mutated) == walked
     proved = lean_outcome(diags_by_proof, mutated)
     if proved[0] is not WalkerCalled:
         assert proved == walked
-
-
-@pytest.mark.parametrize("call", ["serialize", "append_changes",
-                                  "report_detection", "clear maintenance"])
-def test_a_map_loaded_without_faults_is_refused_where_faults_are_read(call):
-    image = serialize(two_fault_map())
-    hm = _load(image)
-    calls = {
-        "serialize": lambda: serialize(hm),
-        "append_changes": lambda: append_changes(image, hm),
-        "report_detection": lambda: report_detection(
-            hm, DetectionReport(10, Severity.HIGH, 1, 5)),
-        "clear maintenance": lambda: init_resource_map(
-            hm, [1]).set_maintenance(1, False),
-    }
-    with pytest.raises(FaultsNotBuiltError,
-                       match="a map loaded without its faults$"):
-        calls[call]()
-    assert hm._worst == [(1, Severity.LOW, Persistence.TRANSIENT)]
-    assert hm.faults == [] and hm.modules[1].faults == []
-    rm = init_resource_map(hm)
-    rm.set_maintenance(1, True)
-    assert rm_state(rm) == rm_state(init_resource_map(deserialize(image),
-                                                      [1]))
 
 
 def test_faults_and_detections_are_in_offset_order_after_every_load():
@@ -1875,7 +1883,7 @@ def test_faults_and_detections_are_in_offset_order_after_every_load():
     loads = {"whole": (deserialize, 3, 6),
              "one owner": (lambda data: _load(data, 10), 2, 4),
              "unknown detector": (lambda data: _load(data, 99), 0, 0),
-             "none": (_load, 0, 0)}
+             "check": (lambda data: _check(data)[0], 0, 0)}
     for name, (load, n_faults, n_dets) in loads.items():
         got = load(image)
         faults = [f for m in got.modules.values() for f in m.faults]
