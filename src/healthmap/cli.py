@@ -32,7 +32,7 @@ from . import affinity as affinity_mod
 from . import codec, compiler, faultmgr, footprint, hierarchy, resourcemap
 from .errors import HealthMapError
 from .model import (QUOTED_CHARS, U32_MAX, Severity, check_path, int_token,
-                    quote_token, read_bytes, read_text)
+                    quote_path, quote_token, read_bytes, read_text)
 
 
 def _replace_files(*files: tuple[Path, bytes]) -> None:
@@ -372,12 +372,13 @@ def main(argv=None) -> int:
             _discard_stdout()
             return 0
         except (HealthMapError, OSError) as exc:
-            # an OSError echoes its file names whole: quote them as tokens
+            # an OSError echoes its file names whole: quote them as paths
             message = str(exc)
             for name in (getattr(exc, "filename", None),
                          getattr(exc, "filename2", None)):
                 if isinstance(name, str):
-                    message = message.replace(repr(name), quote_token(name))
+                    message = message.replace(repr(name),
+                                              quote_path(name, repr))
             print(f"error: {message}", file=sys.stderr)
             return 1
     finally:

@@ -45,8 +45,8 @@ header counts are the old header's plus the new records.
 
 Loading is one check and one build. The check (`_Reader.check`) runs
 every header, checksum, bounds, alignment, cycle, reuse, overlap, enum and
-count check and builds only the modules and dependencies; it proves the
-diag resource section and the dynamic region by byte columns, and while
+count check and builds only the modules and dependencies; it walks the
+diag resource lists, proves the dynamic region by byte columns, and while
 it walks the fault lists it keeps each faulty module's (id, worst
 severity, worst persistence). It also enforces the rest of
 `HealthMap.validate_structure` (no parent cycle, no fault severity or
@@ -69,26 +69,13 @@ returns its map, the triples (for `resourcemap.init_resource_map`) and
 the header counts; `_load` (`hm inject`) builds the lists of one
 detector's owner only.
 
-The diag resource proof reads each record's id, owner and next words as
-columns of the section (strided slices, as for detections below) and
-accepts only when:
-
-  * the R ids are distinct;
-  * the modules' nonzero first-diag links, in ascending order, start runs
-    that tile the section: the first at its start, each run up to the next
-    link, the last up to its end;
-  * each run is one list of consecutive records: next = record + 13 inside
-    the run and 0 at its end;
-  * each run's owner words equal its module's offset.
-
-Such lists are exactly what the walker `_read_diags` accepts without an
-error, so when the proof fails the walker runs as if it had not, and
-raises the first error in the usual order. The walker builds nothing.
-
-A diag check that passes has claimed all R slots of the section, so a
-detection's detector link is valid exactly when it names one of them: one
-byte mark per diag slot, set from the header counts, answers that for the
-dynamic proof and the walker alike, without diag resource objects.
+The diag resource check is one walk, `_read_diags`, of every module's
+list; it builds no record. A walk that passes has claimed all R slots of
+the section, each once, so its set of walked offsets is exactly the set a
+detection's detector link may name: the dynamic proof and the walker
+both test detector links against it, without diag resource objects. The
+same walk indexes each id's owner offset, so `hm inject` finds the
+reporting detector's owner with one lookup.
 
 The check proves the dynamic region valid with column scans, so
 Python works per fault and per list break, not per detection. It walks
@@ -99,7 +86,7 @@ at once, with strided slices of the slots, and accepts only when:
 
   * every gap is a whole number of slots (the header's length check then
     leaves FD of them);
-  * no counter is 0, and every detector link names a marked diag slot;
+  * no counter is 0, and every detector link names a walked diag slot;
   * every next link that is not consecutive (not slot + 25 in the same
     gap) is 0 or points forward, past slot + 25;
   * the fault heads and those links name exactly the slots that no
@@ -146,7 +133,7 @@ from __future__ import annotations
 import struct
 import zlib
 from itertools import accumulate, chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -391,10 +378,11 @@ class _Reader:
     modules and dependencies; of each fault it keeps only its module's
     worst values, and of each detection it reads only its links and
     counter. It also refuses parent cycles, ZERO fault enum bytes and
-    counter 0. The diag resource section and the dynamic region are proven
-    by column scans (`_prove_diags`, `_prove_dynamic`); only when a proof
-    fails does its walker (`_read_diags`, `_check_dynamic`) follow every
-    list, and it alone raises the section's errors. `build` then creates
+    counter 0. The diag resource lists are walked (`_read_diags`), which
+    keeps the walked slots and an id -> owner index. The dynamic region is
+    proven by column scans (`_prove_dynamic`); only when that proof fails
+    does its walker (`_check_dynamic`) follow every list, and it alone
+    raises the region's errors. `build` then creates
     the lists of chosen modules by walking again lists `check` proved
     valid, so it cannot fail.
 
@@ -415,18 +403,14 @@ class _Reader:
         """The image's map with its modules and dependencies, marked as
         holding no module's lists (`hm._built` empty), with each faulty
         module's (id, worst severity, worst persistence) in `self.worst`;
-        raises on the first error. A section whose proof fails is walked,
-        and the walk attaches nothing to the modules."""
+        raises on the first error. No walk attaches anything to the
+        modules."""
         m, r, d, f, fd = self._check_header()
         self.mod_base = HEADER_SIZE
         self.diag_base = self.mod_base + MODULE_SIZE * m
         self.dep_base = self.diag_base + DIAG_SIZE * r
         self.dyn_base = self.dep_base + DEP_SIZE * d
         self.counts = (m, r, d, f, fd)
-        # a mark at each diag resource slot: a diag check that passes has
-        # claimed every slot, so these are the offsets a detector may name
-        self.marks = bytearray(self.dep_base)
-        self.marks[self.diag_base::DIAG_SIZE] = b"\1" * r
 
         raw_modules = self._walk_modules(m)
 
@@ -454,8 +438,7 @@ class _Reader:
                                      f"through module {verdicts[id(m)][1]}")
 
         self.by_off, self.raw_modules = by_off, raw_modules
-        if not self._prove_diags(raw_modules, r):
-            self._read_diags(raw_modules, r)
+        self._read_diags(raw_modules, r)
         self._read_deps(hm, by_off, raw_modules, d)
         worst = self._prove_dynamic(raw_modules, f, fd)
         self.worst = (worst if worst is not None
@@ -465,16 +448,9 @@ class _Reader:
 
     def owner_of(self, detector: int) -> Optional[Module]:
         """The module that owns the diag resource `detector`, or None when
-        no diag resource has that id; the checked id column holds each id
-        once."""
-        data, base = self.data, self.diag_base
-        try:
-            slot = _words(data[base:self.dep_base], 0, self.counts[1],
-                          DIAG_SIZE).index(detector)
-        except ValueError:
-            return None
-        (owner_off,) = _LINK.unpack_from(data, base + DIAG_SIZE * slot + 4)
-        return self.by_off[owner_off]
+        no diag resource has that id (`by_off` has no key None): one lookup
+        in the id index the diag check built."""
+        return self.by_off.get(self.owners.get(detector))
 
     def build(self, hm: HealthMap, owners: Iterable[Module]) -> None:
         """Build into `hm`, the map of `check`, the diag resource list of
@@ -589,12 +565,12 @@ class _Reader:
         return raw
 
     def _read_diags(self, raw_modules, r):
-        """Check every diag resource list; builds nothing."""
+        """Check every diag resource list; builds no record. Keeps the
+        walked offsets in `self.slots` and an id index in `self.owners`."""
         data, unpack = self.data, DIAG_REC.unpack_from
-        base = self.diag_base
-        end = base + DIAG_SIZE * r
-        ids: set[int] = set()
-        walked: set[int] = set()
+        base, end = self.diag_base, self.dep_base
+        self.owners = owners = {}     # id -> its owner module's offset
+        self.slots = walked = set()   # the slots a detector may name
         for mod_off, fields in raw_modules.items():
             error = None     # a record's error waits for the list's links
             cur = fields[2]
@@ -606,12 +582,12 @@ class _Reader:
                     raise LinkCycleError(
                         f"diag resource list revisits offset {cur}")
                 rid, owner_off, nxt, _kind = unpack(data, cur)
-                if (owner_off != mod_off or rid in ids) and error is None:
+                if (owner_off != mod_off or rid in owners) and error is None:
                     error = BadLinkError(
                         f"diag resource at {cur} owner link mismatch"
                         if owner_off != mod_off
                         else f"duplicate diag resource id {rid}")
-                ids.add(rid)
+                owners[rid] = mod_off
                 walked.add(cur)
                 cur = nxt
             if error is not None:
@@ -686,33 +662,6 @@ class _Reader:
             raise LinkCycleError(f"{what} list revisits offset {off}")
         raise BadLinkError(f"{what} at {off} reuses a claimed record")
 
-    def _prove_diags(self, raw_modules, r) -> bool:
-        """Whether byte columns prove the diag resource section valid, so
-        that `_read_diags` would accept it; builds nothing. See the module
-        docstring for the proof."""
-        base = self.diag_base
-        end = base + DIAG_SIZE * r
-        runs = sorted((fields[2], mod_off)
-                      for mod_off, fields in raw_modules.items() if fields[2])
-        nexts = list(range(base + DIAG_SIZE, end + DIAG_SIZE, DIAG_SIZE))
-        owners = bytearray()
-        pos = base
-        for (head, mod_off), (stop, _next) in zip(
-                runs, chain(runs[1:], ((end, 0),))):
-            if (head != pos or not head < stop <= end
-                    or (stop - head) % DIAG_SIZE):
-                return False
-            nexts[(stop - base) // DIAG_SIZE - 1] = 0    # the run's end
-            owners += _LINK.pack(mod_off) * ((stop - head) // DIAG_SIZE)
-            pos = stop
-        if pos != end:
-            return False
-        section = self.data[base:end]
-        return (_column(section, 8, r, DIAG_SIZE)
-                == struct.pack(f"<{r}I", *nexts)
-                and _column(section, 4, r, DIAG_SIZE) == owners
-                and len(set(_words(section, 0, r, DIAG_SIZE))) == r)
-
     def _prove_dynamic(self, raw_modules, f, fd):
         """When column scans prove the dynamic region valid, each faulty
         module's (id, worst severity, worst persistence); else None. See
@@ -754,7 +703,7 @@ class _Reader:
         # the header's length check leaves room for exactly FD slots
         slots = b"".join([data[a:b] for a, b in gaps])
         if (b"\0" in _fold(slots, 16, DET_SIZE, fd)     # a counter 0
-                or not _marked(self.marks, set(_words(slots, 4, fd)))
+                or not self.slots.issuperset(_words(slots, 4, fd))
                 or not _lists_proven(slots, fd, gaps, heads, total)):
             return None
         return worst
@@ -763,9 +712,7 @@ class _Reader:
         """Check every fault and detection link, claiming each walked
         offset for the fault whose list holds it (0 for a fault); returns
         each faulty module's (id, worst severity, worst persistence)."""
-        data, dyn_base = self.data, self.dyn_base
-        marks = self.marks
-        detectors_end = len(marks)
+        data, dyn_base, detectors = self.data, self.dyn_base, self.slots
         unpack_fault, unpack_links = FAULT_REC.unpack_from, _LINKS.unpack_from
         n_sev, n_pers = len(SEVERITIES), len(PERSISTENCES)
         last_fault, last_det = self.total - FAULT_SIZE, self.total - DET_SIZE
@@ -793,7 +740,7 @@ class _Reader:
                     if not dyn_base <= dcur <= last_det or dcur in claimed:
                         self._reject(dcur, claimed, cur)
                     dnxt, det_off, counter = unpack_links(data, dcur)
-                    if det_off >= detectors_end or not marks[det_off]:
+                    if det_off not in detectors:
                         raise BadLinkError(
                             f"detection at {dcur} references non-detector "
                             f"offset {det_off}")
@@ -860,31 +807,18 @@ def _slot_gaps(fault_offsets: Iterable[int], start: int,
     return gaps
 
 
-def _column(records: bytes, at: int, n: int,
-            size: int = DET_SIZE) -> bytearray:
-    """The u32 at byte `at` of each of the `n` `size`-byte records packed
-    in `records`, as 4n bytes."""
+def _column(slots: bytes, at: int, n: int) -> bytearray:
+    """The u32 at byte `at` of each of the `n` slots packed in `slots`, as
+    4n bytes."""
     column = bytearray(4 * n)
     for k in range(4):
-        column[k::4] = records[at + k::size]
+        column[k::4] = slots[at + k::DET_SIZE]
     return column
 
 
-def _words(records: bytes, at: int, n: int,
-           size: int = DET_SIZE) -> tuple[int, ...]:
-    """The little-endian u32 at byte `at` of each of the `n` records."""
-    return struct.unpack(f"<{n}I", _column(records, at, n, size))
-
-
-def _marked(marks: bytearray, offsets: set[int]) -> bool:
-    """Whether `marks` holds a mark at each of `offsets`; an `itemgetter`
-    of two or more reads them all in one call."""
-    try:
-        if len(offsets) > 1:
-            return 0 not in itemgetter(*offsets)(marks)
-        return all(marks[off] for off in offsets)
-    except IndexError:
-        return False
+def _words(slots: bytes, at: int, n: int) -> tuple[int, ...]:
+    """The little-endian u32 at byte `at` of each of the `n` slots."""
+    return struct.unpack(f"<{n}I", _column(slots, at, n))
 
 
 def _fold(buf: bytes, at: int, stride: int, n: int) -> bytes:

@@ -45,8 +45,8 @@ from .errors import (
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
-from .model import (U32_MAX, HealthMap, Severity, check_field, int_token,
-                     quote_token, text_lines)
+from .model import (QUOTED_CHARS, U32_MAX, HealthMap, Severity, check_field,
+                     int_token, quote_int, quote_token, text_lines)
 
 _MODULE_ATTRS = {"id", "name", "criticality", "coreId"}
 _INSTRUMENT_ATTRS = {"id", "kind"}
@@ -188,12 +188,19 @@ def _line(elem: ET.Element) -> int:
     return int(elem.attrib["__line__"])
 
 
+def _name(text: str) -> str:
+    """An XML name (or names) for an error line: as it is up to
+    QUOTED_CHARS characters, a longer one quoted by `quote_token`."""
+    return text if len(text) <= QUOTED_CHARS else quote_token(text)
+
+
 def _attr(elem: ET.Element, name: str, inst: Optional[tuple] = None) -> str:
     """A required attribute, "{i}" read as the template instance's index."""
     raw = elem.attrib.get(name)
     if raw is None:
         raise SchemaViolationError(
-            f"line {_line(elem)}: <{elem.tag}> missing attribute {name!r}")
+            f"line {_line(elem)}: <{_name(elem.tag)}> missing attribute "
+            f"{name!r}")
     return raw if inst is None else raw.replace("{i}", str(inst[1]))
 
 
@@ -231,8 +238,8 @@ def _check_attrs(elem: ET.Element, allowed: set[str]) -> None:
     unknown = set(elem.attrib) - allowed - {"__line__"}
     if unknown:
         raise SchemaViolationError(
-            f"line {_line(elem)}: unknown {elem.tag} attributes "
-            f"{sorted(unknown)}")
+            f"line {_line(elem)}: unknown {_name(elem.tag)} attributes "
+            f"{_name(str(sorted(unknown)))}")
 
 
 def _expand(parent: ET.Element, inst: Optional[tuple],
@@ -251,7 +258,8 @@ def _expand(parent: ET.Element, inst: Optional[tuple],
             line = _line(child)
             if count > MAX_DECLARED:
                 raise SchemaViolationError(f"line {line}: template count "
-                                           f"{count} above {MAX_DECLARED}")
+                                           f"{quote_int(count)} above "
+                                           f"{MAX_DECLARED}")
             for tag in declared:
                 declared[tag] += count * sum(1 for _ in child.iter(tag))
                 if declared[tag] > MAX_DECLARED:
@@ -263,8 +271,8 @@ def _expand(parent: ET.Element, inst: Optional[tuple],
         for elem, where in pairs:
             if where is not None and elem.tag not in ("module", "instrument"):
                 raise SchemaViolationError(
-                    f"line {_line(elem)}: <{elem.tag}> not allowed inside "
-                    f"a template")
+                    f"line {_line(elem)}: <{_name(elem.tag)}> not allowed "
+                    f"inside a template")
             yield elem, where
 
 
@@ -273,7 +281,7 @@ def parse_description(xml_text: str) -> HmDescription:
     root = _parse_with_lines(xml_text)
     if root.tag != "healthmap":
         raise SchemaViolationError(
-            f"root element must be <healthmap>, got <{root.tag}>")
+            f"root element must be <healthmap>, got <{_name(root.tag)}>")
     version = root.attrib.get("version", "1")
     if version != "1":
         raise SchemaViolationError(f"unsupported description version "
@@ -294,14 +302,14 @@ def parse_description(xml_text: str) -> HmDescription:
                 # the earlier template first, whichever claimed first
                 first, second = sorted((claimed[key], inst[2]))
                 raise IdRangeCollisionError(
-                    f"line {first}: {elem.tag} id {value} already claimed "
-                    f"by template at line {second}")
+                    f"line {first}: {elem.tag} id {quote_int(value)} already "
+                    f"claimed by template at line {second}")
             claimed[key] = inst[2]
         else:   # an instance was counted when its template was met
             declared[elem.tag] += 1
         if key in seen:
-            duplicates.append(f"duplicate {elem.tag} id {value} at lines "
-                              f"{seen[key]} and {_line(elem)}")
+            duplicates.append(f"duplicate {elem.tag} id {quote_int(value)} "
+                              f"at lines {seen[key]} and {_line(elem)}")
         seen.setdefault(key, _line(elem))
         return value
 
@@ -334,7 +342,7 @@ def parse_description(xml_text: str) -> HmDescription:
             if child.tag in ("instrument", "dependency") and len(child):
                 raise SchemaViolationError(
                     f"line {_line(child[0])}: unexpected element "
-                    f"<{child[0].tag}> inside <{child.tag}>")
+                    f"<{_name(child[0].tag)}> inside <{child.tag}>")
             if child.tag == "module":
                 stack.append((child, where, decl))
             elif child.tag == "instrument" and decl is not None:
@@ -354,7 +362,8 @@ def parse_description(xml_text: str) -> HmDescription:
                 ))
             else:
                 raise SchemaViolationError(
-                    f"line {_line(child)}: unexpected element <{child.tag}> "
+                    f"line {_line(child)}: unexpected element "
+                    f"<{_name(child.tag)}> "
                     + ("inside <module>" if decl else "under <healthmap>"))
         stack[first_child:] = reversed(stack[first_child:])
 
@@ -365,8 +374,8 @@ def parse_description(xml_text: str) -> HmDescription:
                            (dep.dependent, "dependent")):
             if ("module", end) not in seen:
                 raise UnresolvedReferenceError(
-                    f"line {dep.line}: dependency {label} {end} does not "
-                    f"resolve to a module")
+                    f"line {dep.line}: dependency {label} {quote_int(end)} "
+                    f"does not resolve to a module")
     return desc
 
 

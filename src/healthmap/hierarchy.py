@@ -54,7 +54,8 @@ from .faultmgr import (
 )
 from .model import (PERSISTENCES, SEVERITIES, U32_MAX, HealthMap, Module,
                     ModuleStatus, Persistence, Severity, int_token,
-                    parent_verdicts, quote_token, read_text, text_lines)
+                    parent_verdicts, quote_path, quote_token, read_text,
+                    text_lines)
 from .resourcemap import (
     RM_ENTRY,
     RM_ENTRY_SIZE,
@@ -401,7 +402,7 @@ def _parse_file(path: Path, parse):
     try:
         return parse(text)
     except HealthMapError as exc:
-        exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{quote_path(path)}: {exc}",)
         raise
 
 

@@ -70,6 +70,7 @@ STATUSES = tuple(ModuleStatus)
 
 
 QUOTED_CHARS = 40    # an error quotes at most this much of a token
+QUOTED_PATH_CHARS = 100    # and at most this much of a path's tail
 # an error describes a longer integer by its bit length: CPython may refuse
 # str() of one past 640 digits (sys.set_int_max_str_digits)
 DESCRIBED_BITS = 2048
@@ -84,13 +85,31 @@ def quote_token(token: str) -> str:
     return f"{token[:QUOTED_CHARS]!r}... ({len(token)} characters)"
 
 
+def quote_path(path, show=str) -> str:
+    """`show(str(path))` for an error line; a longer path by "...", then
+    its last QUOTED_PATH_CHARS characters, which keep its file name, shown
+    so, then its length."""
+    text = str(path)
+    if len(text) <= QUOTED_PATH_CHARS:
+        return show(text)
+    return f"...{show(text[-QUOTED_PATH_CHARS:])} ({len(text)} characters)"
+
+
+def quote_int(value: int) -> str:
+    """`value` in decimal for an error line; one of more than QUOTED_CHARS
+    digits quoted by `quote_token`, and one of more than DESCRIBED_BITS
+    bits by its bit length, never calling str() on it."""
+    if value.bit_length() > DESCRIBED_BITS:
+        return f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
+    digits = str(value)
+    return digits if len(digits) <= QUOTED_CHARS else quote_token(digits)
+
+
 def check_field(value, row: tuple):
     """`value` if `row` (limit, label[, error]) accepts it: an integer in
     0..limit or, when `limit` is a level's byte -> member table, its member.
-    Else raise the row's error, FieldRangeError unless it names one; it
-    quotes an integer of more than QUOTED_CHARS characters by
-    `quote_token`, and one of more than DESCRIBED_BITS bits by its bit
-    length, never calling str() on it."""
+    Else raise the row's error, FieldRangeError unless it names one, with
+    the integer quoted by `quote_int`."""
     limit = row[0]
     if isinstance(value, int):
         if type(limit) is tuple:
@@ -99,13 +118,7 @@ def check_field(value, row: tuple):
             limit = len(limit) - 1
         elif 0 <= value <= limit:
             return value
-        if value.bit_length() > DESCRIBED_BITS:
-            digits = f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
-        else:
-            digits = str(value)
-            if len(digits) > QUOTED_CHARS:
-                digits = quote_token(digits)
-        message = f"{row[1]} {digits} outside 0..{limit}"
+        message = f"{row[1]} {quote_int(value)} outside 0..{limit}"
     else:
         message = f"{row[1]} {value!r} is not an integer"
     raise (row[2] if len(row) > 2 else FieldRangeError)(message)
@@ -128,10 +141,11 @@ def int_token(token: str, what: str, error: type[HealthMapError],
 
 
 def check_path(path) -> None:
-    """Raise a HealthMapError naming `path` when it holds a NUL byte, which
-    every file call would refuse with a ValueError."""
+    """Raise a HealthMapError naming `path` (`quote_path`) when it holds a
+    NUL byte, which every file call would refuse with a ValueError."""
     if "\0" in str(path):
-        raise HealthMapError(f"{str(path)!r}: a path cannot hold a NUL byte")
+        raise HealthMapError(
+            f"{quote_path(path, repr)}: a path cannot hold a NUL byte")
 
 
 def read_bytes(path) -> bytes:
@@ -151,7 +165,8 @@ def read_text(path) -> str:
             return file.read()
     except UnicodeDecodeError as exc:
         raise HealthMapError(
-            f"{path}: not UTF-8 text (byte {exc.start})") from None
+            f"{quote_path(path)}: not UTF-8 text (byte {exc.start})") \
+            from None
 
 
 def text_lines(text: str):

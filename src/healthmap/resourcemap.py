@@ -172,7 +172,13 @@ class ResourceMap:
     def __init__(self, hm: HealthMap) -> None:
         self._hm = hm
         ids = hm.modules
-        self._table = bytearray(struct.pack("<" + "I3x" * len(ids), *ids))
+        # the ids packed as one u32 column, then spread over the entries
+        # byte by byte: a format of one code per entry would stay cached
+        # in `struct`, as large as the table
+        packed = struct.pack(f"<{len(ids)}I", *ids)
+        table = self._table = bytearray(RM_ENTRY_SIZE * len(ids))
+        for k in range(4):
+            table[k::RM_ENTRY_SIZE] = packed[k::4]
         # module id -> the offset of its entry's severity byte
         self._offsets = dict(zip(ids, range(4, len(self._table),
                                             RM_ENTRY_SIZE)))

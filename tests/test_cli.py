@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import os
+import re
 import runpy
 import shutil
 import stat
@@ -26,7 +27,8 @@ from healthmap import (DetectionReport, HealthMap, Persistence, Severity,
 from healthmap.cli import main
 from healthmap.codec import HEADER_SIZE, MODULE_SIZE
 from healthmap.errors import HealthMapError
-from healthmap.model import QUOTED_CHARS, quote_token
+from healthmap.model import (QUOTED_CHARS, QUOTED_PATH_CHARS, quote_path,
+                             quote_token)
 
 from conftest import DATA_DIR
 from helpers import nest_xml, reference_deserialize, restamp
@@ -551,7 +553,7 @@ def test_simulate_path_holding_a_nul_byte_exits_1(tmp_path, capsys):
     path = str(work / "cpu\0.xml")
     assert main(["simulate", str(work / "board.scn")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {path!r}: a path cannot hold a NUL byte\n")
+        f"error: {quote_path(path, repr)}: a path cannot hold a NUL byte\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "dump", "inject", "rm",
@@ -574,7 +576,7 @@ def test_output_path_holding_a_nul_byte_exits_1(tmp_path, capsys):
     assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", str(target),
                  "--sym", str(tmp_path / "x.sym")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {str(target)!r}: a path cannot hold a NUL byte\n")
+        f"error: {quote_path(target, repr)}: a path cannot hold a NUL byte\n")
     assert list(tmp_path.iterdir()) == []   # no temp file, no sidecar
 
 
@@ -583,8 +585,57 @@ def test_simulate_out_dir_holding_a_nul_byte_exits_1(tmp_path, capsys):
     assert main(["simulate", str(DEMO_DATA / "board.scn"), "--out",
                  str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {str(out)!r}: a path cannot hold a NUL byte\n")
+        f"error: {quote_path(out, repr)}: a path cannot hold a NUL byte\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def long_copy(tmp_path) -> Path:
+    """The demo data and the compiled CPU image in a directory more than
+    200 characters below `tmp_path`, nested since no one name may pass 255
+    bytes."""
+    work = tmp_path.joinpath(*["d" * 50] * 4, "data")
+    shutil.copytree(DEMO_DATA, work)
+    assert main(["compile", str(work / "cpu.xml"), "-o",
+                 str(work / "cpu.shm")]) == 0
+    return work
+
+
+def long_path_case(work: Path, case: str) -> tuple[list[str], str, str]:
+    """(argv, expected message, the path) of one long-path error."""
+    if case == "NUL byte":
+        path = "/" + "b" * 2999 + "\0"
+        return (["rm", str(work / "cpu.shm"), "--sym", path],
+                f"{quote_path(path, repr)}: a path cannot hold a NUL byte",
+                path)
+    if case == "not UTF-8":
+        path = work / "cpu.sym"
+        path.write_bytes(b"1 CPU\n\xff\n")
+        return (["rm", str(work / "cpu.shm"), "--sym", str(path)],
+                f"{quote_path(path)}: not UTF-8 text (byte 6)", path)
+    if case == "node file":
+        path = work / "board.map"
+        path.write_text(path.read_text() + "child 4294967296 5 -> 2\n")
+        return (["simulate", str(work / "board.scn")],
+                f"{quote_path(path)}: mapping line 5: node id 4294967296 "
+                f"outside 0..4294967295", path)
+    path = work / "missing.shm"
+    return (["validate", str(path)],
+            f"[Errno 2] No such file or directory: {quote_path(path, repr)}",
+            path)
+
+
+@pytest.mark.parametrize("case", ["NUL byte", "not UTF-8", "node file",
+                                  "missing"])
+def test_long_path_is_quoted_by_its_tail(tmp_path, case):
+    # a path longer than QUOTED_PATH_CHARS is quoted by its last
+    # QUOTED_PATH_CHARS characters, which hold its file name, and its
+    # length
+    argv, message, path = long_path_case(long_copy(tmp_path), case)
+    code, out, err = cli_outcome(argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert len(err) <= 200
+    assert f"{str(path)[-QUOTED_PATH_CHARS:]!r}"[1:-1] in err
+    assert f" ({len(str(path))} characters)" in err
 
 
 def test_simulate_past_the_emission_cap_exits_1(tmp_path, capsys):
@@ -1407,9 +1458,9 @@ QUOTE_SITES = {
         f"{quote_token(f'detect 12 sev={t} class=1')}")),
     "hm path": (["simulate", "board.scn"], "board.scn",
                 ("hm=cpu.xml", "hm=TOKEN"), lambda t: (
-        f"[Errno 2] No such file or directory: {quote_token(t)}"
+        f"[Errno 2] No such file or directory: {quote_path(t, repr)}"
         if len(t) < 256 else
-        f"[Errno 36] File name too long: {quote_token(t)}")),
+        f"[Errno 36] File name too long: {quote_path(t, repr)}")),
     "XML integer": (["compile", "x.xml", "-o", "x.shm"], "x.xml",
                     XML_MODULE.format('id="TOKEN" name="A" criticality="LOW"'),
                     lambda t: (
@@ -1545,3 +1596,79 @@ def test_rm_and_affinity_on_hostile_text_inputs_end_in_an_exit_code(
         assert sorted(os.listdir(work)) == sorted(files)
         for name, content in files.items():
             assert (Path(work) / name).read_bytes() == content
+
+
+# -- the `hm compile` slice of the hostile-input gate ------------------------
+# `cli.main(["compile", …])` in-process on a mutated description: every run
+# ends in exit 0, 1 or 2 with a short stderr and no traceback, leaves no
+# temp file behind, and writes its image and sidecar only on exit 0.
+
+COMPILE_SOURCES = (DEMO_DATA / "cpu.xml", DEMO_DATA / "board.xml",
+                   DATA_DIR / "table1.xml")
+XML_NAME = re.compile(rb"(?<=<)/?[A-Za-z_][\w.-]*|[A-Za-z_][\w.-]*(?==\")")
+XML_VALUE = re.compile(rb'(?<==")[^"]*')
+# Values at the edges of each attribute's range, and long ones. Integers
+# from 301 to 65 534 are left out, for runtime alone: as a template count
+# one could expand tens of thousands of modules, seconds per run. A count
+# of 65 535 or more takes the CPU template past the declared-module cap,
+# which refuses it before it expands.
+XML_VALUES = st.one_of(
+    st.integers(0, 300).map(str),
+    st.sampled_from(["-1", "-0", "0x0", "0xff", "0b1", "1_0", " 1", "1.5",
+                     "", "{i}", "x{i}", "65535", "65536", "4294967295",
+                     "4294967296", "18446744073709551616", "ZERO", "LOW",
+                     "HIGH", "BOGUS", "1", "2", ".", "C0.FPU"]),
+    st.integers(41, 3000).map(lambda n: "9" * n),
+    st.integers(41, 5000).map(lambda n: "0x" + "f" * n),
+    st.integers(41, 3000).map(lambda n: "V" * n))
+
+
+def mutated_description(data, text: bytes) -> bytes:
+    """`text` after one to four drawn edits: a byte flip, a truncation, an
+    element tag or attribute name replaced by a long one (at one place or
+    at every place it appears), or an attribute value replaced by a
+    boundary value."""
+    for kind in data.draw(st.lists(st.sampled_from(
+            ("flip", "truncate", "name", "value")), min_size=1, max_size=4),
+            label="edits"):
+        names, values = (list(pattern.finditer(text))
+                         for pattern in (XML_NAME, XML_VALUE))
+        if kind == "flip" and text:
+            bit = data.draw(st.integers(0, 8 * len(text) - 1))
+            text = bytearray(text)
+            text[bit // 8] ^= 1 << (bit % 8)
+            text = bytes(text)
+        elif kind == "truncate":
+            text = text[:data.draw(st.integers(0, len(text)))]
+        elif kind == "name" and names:
+            at = data.draw(st.sampled_from(names))
+            name = at.group().lstrip(b"/")
+            long = data.draw(st.integers(41, 3000)) * b"n"
+            if data.draw(st.booleans(), label="everywhere"):
+                text = re.sub(rb"(?<![\w.-])" + re.escape(name)
+                              + rb"(?![\w.-])", long, text)
+            else:
+                start = at.end() - len(name)
+                text = text[:start] + long + text[at.end():]
+        elif kind == "value" and values:
+            at = data.draw(st.sampled_from(values))
+            text = (text[:at.start()] + data.draw(XML_VALUES).encode()
+                    + text[at.end():])
+    return text
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=st.sampled_from(COMPILE_SOURCES), data=st.data())
+def test_compile_of_hostile_descriptions_ends_in_an_exit_code(source, data):
+    text = mutated_description(data, source.read_bytes())
+    with tempfile.TemporaryDirectory() as work:
+        xml, shm, sym = (Path(work) / name
+                         for name in ("x.xml", "x.shm", "x.sym"))
+        xml.write_bytes(text)
+        code, _out, err = cli_outcome(["compile", str(xml), "-o", str(shm),
+                                       "--sym", str(sym)])
+        assert code in (0, 1, 2)
+        assert len(err) <= 200 and "Traceback" not in err, err
+        written = ["x.shm", "x.sym"] if code == 0 else []
+        assert sorted(os.listdir(work)) == sorted(["x.xml", *written])

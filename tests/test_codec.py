@@ -1694,54 +1694,30 @@ def test_partial_load_builds_a_detector_of_another_module_once():
 
 
 # -- the diag resource check, and the check alone ----------------------------
-# Every load proves the diag resource section by byte columns and walks it
-# with `_read_diags` only when the proof fails. `_check(image)` (`hm rm`,
-# `hm affinity`) then builds no diag resource and no fault, and keeps each
-# faulty module's worst values. With the walker patched to fail, an image
-# loads only through the proof; with the proof turned off, only through the
-# walker.
-
-def diags_by_proof(image: bytes, load=_check):
-    with mock.patch.object(_Reader, "_read_diags", walker_fails):
-        return load(image)
-
-
-def diags_by_walker(image: bytes, load=_check):
-    with mock.patch.object(_Reader, "_prove_diags", lambda *_args: False):
-        return load(image)
-
-
-def lean_outcome(check, image: bytes):
-    """(error class, message) of a check that raises, else what it builds
-    and the triples it keeps."""
-    got = outcome(check, image)
-    if not isinstance(got[0], HealthMap):
-        return got
-    hm, worst, _counts = got
-    return (resource_view(hm), worst, hm.diag_resources, hm.faults,
-            [(m.diag_resources, m.faults) for m in hm.modules.values()])
-
+# Every load checks the diag resource section with one walk, `_read_diags`,
+# which builds no record. `_check(image)` (`hm rm`, `hm affinity`) then
+# builds no diag resource and no fault, and keeps each faulty module's worst
+# values.
 
 def check_lean_load(image: bytes) -> None:
-    """`image` loads through the diag proof to what the reference reader's
-    map gives, and `deserialize` of it through either diag path to the
+    """`_check` of the valid `image` gives the reference reader's modules,
+    dependencies, triples and resource map, and `deserialize` of it the
     reference reader's map."""
     expected = reference_deserialize(image)
-    got, worst, _counts = diags_by_proof(image)
+    got, worst, _counts = _check(image)
     assert resource_view(got) == resource_view(expected)
     assert worst == list(worst_faults(expected.modules.values()))
     assert rm_state(init_resource_map(got, worst=worst)) == \
         oracle_resource_map(expected)
-    for load in (diags_by_proof, diags_by_walker):
-        whole = load(image, deserialize)
-        assert whole.snapshot() == expected.snapshot()
-        assert fault_offsets(whole) == fault_offsets(expected)
+    whole = deserialize(image)
+    assert whole.snapshot() == expected.snapshot()
+    assert fault_offsets(whole) == fault_offsets(expected)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), appends=st.integers(0, 3))
-def test_diag_proof_accepts_canonical_images(seed, appends):
+def test_check_matches_reference_on_canonical_images(seed, appends):
     rng = random.Random(seed)
     image = serialize(random_health_map(rng))
     for _ in range(appends):
@@ -1751,7 +1727,7 @@ def test_diag_proof_accepts_canonical_images(seed, appends):
     check_lean_load(image)
 
 
-def test_diag_proof_accepts_compiled_and_synthesized_images():
+def test_check_matches_reference_on_compiled_and_synthesized_images():
     check_lean_load(serialize(synthesize_map(8)))
     for name in ("board.xml", "cpu.xml"):
         check_lean_load(compile_xml((DEMO_DATA / name).read_text())[0])
@@ -1768,21 +1744,14 @@ def test_interleaved_diag_lists_load_through_the_walker():
     hm.add_fault_with_detection(1, Severity.HIGH, Persistence.TRANSIENT, 3,
                                 11, 5)
     image = serialize(hm)
-    with pytest.raises(WalkerCalled):
-        diags_by_proof(image)
     (lean, worst, _counts), expected = _check(image), reference_deserialize(
         image)
-    with pytest.raises(WalkerCalled):
-        diags_by_proof(image, deserialize)
     assert deserialize(image).snapshot() == expected.snapshot()
     assert resource_view(lean) == resource_view(expected)
     assert lean.diag_resources == {} and lean.modules[1].diag_resources == []
     assert worst == [(1, Severity.HIGH, Persistence.TRANSIENT)]
     # the inject load walks the owner's list, not a run of the section
     for detector in (10, 11, 20):
-        with pytest.raises(WalkerCalled):
-            with mock.patch.object(_Reader, "_read_diags", walker_fails):
-                _load(image, detector)
         check_inject_load(_load(image, detector), expected, detector)
     part = _load(image, 11)
     assert [r.id for r in part.modules[1].diag_resources] == [10, 11]
@@ -1793,9 +1762,9 @@ def test_interleaved_diag_lists_load_through_the_walker():
 
 
 @pytest.mark.parametrize("detector", [None, 10, 20])
-def test_diag_head_past_the_section_goes_to_the_walker(detector):
+def test_diag_head_past_the_section_is_out_of_bounds(detector):
     # a first-diag link past the section's end, a whole number of records
-    # after the run before it, fails the proof; the walker names it
+    # after the list before it, names the section's bounds
     hm = HealthMap()
     for mid, rid in ((1, 10), (2, 20)):
         hm.add_module(mid)
@@ -1845,17 +1814,14 @@ def mutated_diag_image(data, image: bytes, hm: HealthMap) -> bytes:
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(base=st.integers(0, 4), diag_edits=st.booleans(), data=st.data())
-def test_diag_proof_and_walker_agree_on_mutated_images(base, diag_edits,
-                                                       data):
+@given(base=st.integers(0, 4), data=st.data())
+def test_diag_edits_load_as_the_reference_reader_does(base, data):
+    # `_check`, `_load` with a drawn detector and `deserialize` each fail
+    # with the reference reader's error or build what its map holds
     image, hm = mutation_bases()[base]
-    mutated = (mutated_diag_image if diag_edits else mutated_image)(
-        data, image, hm)
-    walked = lean_outcome(diags_by_walker, mutated)
-    assert lean_outcome(_check, mutated) == walked
-    proved = lean_outcome(diags_by_proof, mutated)
-    if proved[0] is not WalkerCalled:
-        assert proved == walked
+    mutated = mutated_diag_image(data, image, hm)
+    check_against_reference(mutated, data.draw(st.sampled_from(sorted(
+        hm.diag_resources)), label="detector"))
 
 
 def test_faults_and_detections_are_in_offset_order_after_every_load():

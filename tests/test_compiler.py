@@ -21,7 +21,7 @@ from healthmap.errors import (
     UnresolvedReferenceError,
     XmlSyntaxError,
 )
-from healthmap.model import Severity
+from healthmap.model import Severity, quote_token
 
 from helpers import nest_xml
 
@@ -205,6 +205,42 @@ def test_template_bound_counts_what_was_declared_before_it():
     # an empty template may run to the largest count
     parse_description('<healthmap version="1"><template name="e" '
                       'count="65535" baseId="0" idStride="1"/></healthmap>')
+
+
+@pytest.mark.parametrize("count, shown", [
+    ("9" * 158, f"'{'9' * 40}'... (158 characters)"),
+    ("0x" + "f" * 4000, "<16000-bit integer>"),
+])
+def test_long_template_count_is_quoted(count, shown):
+    # a count past the cap is named by quote_int: one of more than 40
+    # digits by its head and length, one past str()'s digit limit by its
+    # bit length
+    text = (f'<healthmap version="1"><template name="t" count="{count}" '
+            f'baseId="0" idStride="1"/></healthmap>')
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_description(text)
+    assert str(exc.value) == f"line 1: template count {shown} above 65535"
+
+
+LONG_NAME = "n" * 3000
+MODULE_A = '<module id="1" name="A" criticality="LOW"'
+
+
+@pytest.mark.parametrize("text, message", [
+    (f'<healthmap version="1">{MODULE_A} {LONG_NAME}="1"/></healthmap>',
+     f"line 1: unknown module attributes "
+     f"{quote_token(str([LONG_NAME]))}"),
+    (f'<healthmap version="1">{MODULE_A}><{LONG_NAME}/></module>'
+     f'</healthmap>',
+     f"line 1: unexpected element <{quote_token(LONG_NAME)}> inside "
+     f"<module>"),
+    (f'<{LONG_NAME} version="1"/>',
+     f"root element must be <healthmap>, got <{quote_token(LONG_NAME)}>"),
+])
+def test_long_xml_name_is_quoted(text, message):
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_description(text)
+    assert str(exc.value) == message and len(message) < 200
 
 
 def test_duplicate_dotted_names_rejected():

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -634,3 +636,23 @@ def test_the_table_paths_make_no_entry_object(table1_map, table1_sidecar,
     assert len(rm.encode()) == RM_ENTRY_SIZE * len(hm.modules)
     render_table(rm, table1_sidecar)
     compute_affinity(rm, table1_sidecar, [TaskRequirement("t", ["FPU"])])
+
+
+def test_a_dropped_resource_map_leaves_no_memory_behind():
+    # a map of 20 000 modules: the table is 140 KB, and nothing built for
+    # it, such as a packing format cached in `struct`, may outlive it
+    hm = HealthMap()
+    for mid in range(1, 20_001):
+        hm.add_module(mid)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rm = ResourceMap(hm)
+        assert rm.entry(20_000).module_id == 20_000
+        del rm
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
