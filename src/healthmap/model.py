@@ -341,6 +341,10 @@ class HealthMap:
         # image load built (the codec's `_Reader`: its check builds none);
         # None when the map holds every record
         self._built: Optional[set[int]] = None
+        # subtree_ids' tree index: (the modules dict it was built from, its
+        # length, key -> position, id -> child ids in insertion order)
+        self._tree: Optional[tuple[dict, int, dict[int, int],
+                                   dict[int, list[int]]]] = None
 
     def require_whole(self, action: str) -> None:
         """Raise FaultsNotBuiltError, naming `action`, when a load built
@@ -493,21 +497,35 @@ class HealthMap:
 
     def subtree_ids(self, *module_ids: int) -> list[int]:
         """The given modules and all their descendants, in insertion
-        order; several roots give the union in one pass."""
+        order; several roots give the union in one pass.
+
+        The first call indexes the tree (each module's position and child
+        ids), and later calls reuse the index while `self.modules` is the
+        same dict with the same length: `add_module`, a direct insert and
+        a replaced dict are seen. A direct edit of a `Module.parent`, or
+        an entry replaced in place, after the first call is not; as
+        `reindex_faults` is for fault lists, `self.modules =
+        dict(self.modules)` after such an edit makes it seen."""
         selected = {self._module(mid).id for mid in module_ids}
-        # deserialized maps keep the serialized order, so a child may come
-        # before its parent: index children first, then walk down once
-        children: dict[int, list[int]] = {}
-        for m in self.modules.values():
-            if m.parent is not None:
-                children.setdefault(m.parent.id, []).append(m.id)
+        modules, tree = self.modules, self._tree
+        if tree is None or tree[0] is not modules or tree[1] != len(modules):
+            # deserialized maps keep the serialized order, so a child may
+            # come before its parent: index every module before any walk
+            children: dict[int, list[int]] = {}
+            for m in modules.values():
+                if m.parent is not None:
+                    children.setdefault(m.parent.id, []).append(m.id)
+            position = dict(zip(modules, range(len(modules))))
+            tree = self._tree = (modules, len(modules), position, children)
+        _, _, position, children = tree
         stack = list(selected)
         while stack:
             for child in children.get(stack.pop(), ()):
                 if child not in selected:
                     selected.add(child)
                     stack.append(child)
-        return [mid for mid in self.modules if mid in selected]
+        # the selected keys of self.modules, in insertion order
+        return sorted(position.keys() & selected, key=position.__getitem__)
 
     # -- validation ------------------------------------------------------
 

@@ -126,6 +126,22 @@ def random_health_map(rng: random.Random, max_modules: int = 12,
     return hm
 
 
+def chain_subtree(hm: HealthMap, roots) -> list[int]:
+    """Reference `hm.subtree_ids(*roots)`, by each module's own parent
+    chain: the modules whose chain meets one of the ids in `roots`, in
+    insertion order. A cycle ends a climb."""
+    def meets(module):
+        seen = set()
+        while module is not None and id(module) not in seen:
+            if module.id in roots:
+                return True
+            seen.add(id(module))
+            module = module.parent
+        return False
+
+    return [mid for mid, m in hm.modules.items() if meets(m)]
+
+
 def oracle_resource_map(hm: HealthMap, maintenance=()):
     """Brute-force summary: enumerate every propagation path explicitly.
 
@@ -135,7 +151,8 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
     along uncapped. A fault of severity ZERO (no image holds one, but a
     direct edit can make one) is no fault: it neither makes its module OWN
     FAULT nor propagates, but its persistence still folds into its own
-    module's entry. Returns {module_id: (severity, persistence, status)}.
+    module's entry. A module is MAINTENANCE when it or an ancestor is in
+    `maintenance`. Returns {module_id: (severity, persistence, status)}.
     """
     sev = {mid: Severity.ZERO for mid in hm.modules}
     pers = {mid: Persistence.ZERO for mid in hm.modules}
@@ -166,9 +183,7 @@ def oracle_resource_map(hm: HealthMap, maintenance=()):
                         contribute(dep.dependent.id, capped, p0)
                         stack.append((dep.dependent, capped, True))
 
-    maintained = set()
-    for mid in maintenance:
-        maintained.update(hm.subtree_ids(mid))
+    maintained = set(chain_subtree(hm, set(maintenance)))
 
     result = {}
     for mid, module in hm.modules.items():

@@ -535,8 +535,8 @@ def test_simulate_mapping_error_names_its_file(tmp_path, capsys):
                      "child 1 12 -> 2\nchild 4294967296 5 -> 2")
     assert main(["simulate", str(work / "board.scn")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {work / 'board.map'}: mapping line 5: node id 4294967296 "
-        "outside 0..4294967295\n")
+        f"error: {quote_path(work / 'board.map')}: mapping line 5: node id "
+        "4294967296 outside 0..4294967295\n")
 
 
 def test_simulate_description_error_names_its_file(tmp_path, capsys):
@@ -544,7 +544,7 @@ def test_simulate_description_error_names_its_file(tmp_path, capsys):
                      'criticality="BOGUS"')
     assert main(["simulate", str(work / "board.scn")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {work / 'cpu.xml'}: line ")
+    assert err.startswith(f"error: {quote_path(work / 'cpu.xml')}: line ")
     assert "bad criticality value 'BOGUS'" in err
 
 

@@ -45,6 +45,7 @@ from healthmap.errors import (
 )
 
 from helpers import (
+    chain_subtree,
     oracle_parent_violations,
     oracle_resource_map,
     random_health_map,
@@ -279,16 +280,8 @@ def test_subtree_ids_matches_parent_chain_walk_children_first():
         built.modules = dict(reversed(built.modules.items()))
         hm = deserialize(serialize(built))
         assert list(hm.modules) == list(built.modules)
-
-        def ancestors_or_self(module):
-            while module is not None:
-                yield module.id
-                module = module.parent
-
         for root in hm.modules:
-            expected = [mid for mid, m in hm.modules.items()
-                        if root in ancestors_or_self(m)]
-            assert hm.subtree_ids(root) == expected
+            assert hm.subtree_ids(root) == chain_subtree(hm, {root})
 
 
 def test_subtree_ids_of_several_roots_is_their_union():
@@ -303,6 +296,63 @@ def test_subtree_ids_of_several_roots_is_their_union():
         assert hm.subtree_ids() == []
     with pytest.raises(UnknownModuleError):
         hm.subtree_ids(roots[0], 0)
+
+
+def children_first_map(parents) -> HealthMap:
+    """A map loaded from an image that lists every child before its
+    parent: module i + 2's parent is one of modules 1..i + 1."""
+    built = HealthMap()
+    built.add_module(1)
+    for i, pick in enumerate(parents):
+        built.add_module(i + 2, pick % (i + 1) + 1)
+    built.modules = dict(reversed(built.modules.items()))
+    return deserialize(serialize(built))
+
+
+# each step changes the module set (or not), then names up to three roots
+# by their position in hm.modules
+picks = st.lists(st.integers(0, 2**16), max_size=3)
+subtree_steps = st.tuples(
+    st.sampled_from(["add_module", "insert", "replace", "query"]),
+    st.integers(0, 2**16), picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parents=st.lists(st.integers(0, 2**16), min_size=1, max_size=10),
+       steps=st.lists(subtree_steps, max_size=20))
+def test_subtree_index_follows_every_change_of_the_module_set(parents, steps):
+    hm = children_first_map(parents)
+    assert list(hm.modules)[-2:] == [2, 1]
+    for _ in range(2):   # the second query reuses the index
+        for root in hm.modules:
+            assert hm.subtree_ids(root) == chain_subtree(hm, {root})
+    next_id = len(hm.modules) + 1
+    for kind, pick, root_picks in steps:
+        ids = list(hm.modules)
+        parent = ids[pick % len(ids)]
+        if kind == "add_module":
+            hm.add_module(next_id, parent)
+        elif kind == "insert":
+            hm.modules[next_id] = Module(next_id, hm.modules[parent])
+        elif kind == "replace":
+            hm.modules = dict(reversed(hm.modules.items()))
+        next_id += kind in ("add_module", "insert")
+        ids = list(hm.modules)
+        roots = [ids[p % len(ids)] for p in root_picks]
+        assert hm.subtree_ids(*roots) == chain_subtree(hm, set(roots))
+        rm = init_resource_map(hm, maintenance=roots)
+        assert rm_state(rm) == oracle_resource_map(hm, roots)
+
+
+def test_a_parent_edit_is_seen_once_the_modules_dict_is_replaced():
+    hm = HealthMap()
+    for mid, parent in ((1, None), (2, 1), (3, None), (4, 3)):
+        hm.add_module(mid, parent)
+    assert hm.subtree_ids(1) == [1, 2]
+    hm.modules[4].parent = hm.modules[2]
+    hm.modules = dict(hm.modules)
+    assert hm.subtree_ids(1) == [1, 2, 4]
+    assert hm.subtree_ids(3) == [3]
 
 
 # -- (module, classification) fault index ------------------------------------
