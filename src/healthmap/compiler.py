@@ -21,7 +21,8 @@ Template instances: every module/instrument id inside the subtree is
 treated as an offset added to baseId + k*idStride for instance k, and the
 placeholder "{i}" in name/coreId attributes is replaced with k. A template
 may sit at the root or in a module, but not inside another template;
-instruments and dependencies have no child elements. Module names in the
+instruments and dependencies have no child elements. Every element takes
+only the attributes shown; any other is refused. Module names in the
 binary live only in the sidecar (one line per module:
 "<id> <dotted-name> [core=<coreId>]").
 
@@ -50,6 +51,10 @@ from .model import (QUOTED_CHARS, U32_MAX, HealthMap, Severity, check_field,
 
 _MODULE_ATTRS = {"id", "name", "criticality", "coreId"}
 _INSTRUMENT_ATTRS = {"id", "kind"}
+_DEPENDENCY_ATTRS = {"provider", "dependent", "severity"}
+_TEMPLATE_ATTRS = {"name", "count", "baseId", "idStride"}
+# the key of an element's source line, an int; no XML name can spell it
+_LINE = "#line"
 
 # The image header counts modules (M) and instruments (R) in u16 fields, so
 # a template may not expand past this many of either.
@@ -164,7 +169,7 @@ def _parse_with_lines(xml_text: str) -> ET.Element:
 
     def start(tag, attrs):
         element = builder.start(tag, attrs)
-        element.set("__line__", str(parser.CurrentLineNumber))
+        element.set(_LINE, parser.CurrentLineNumber)
 
     parser.StartElementHandler = start
     parser.EndElementHandler = lambda tag: builder.end(tag)
@@ -185,7 +190,7 @@ def _parse_with_lines(xml_text: str) -> ET.Element:
 
 
 def _line(elem: ET.Element) -> int:
-    return int(elem.attrib["__line__"])
+    return elem.attrib[_LINE]
 
 
 def _name(text: str) -> str:
@@ -235,7 +240,7 @@ def _severity_attr(elem: ET.Element, name: str,
 
 
 def _check_attrs(elem: ET.Element, allowed: set[str]) -> None:
-    unknown = set(elem.attrib) - allowed - {"__line__"}
+    unknown = set(elem.attrib) - allowed - {_LINE}
     if unknown:
         raise SchemaViolationError(
             f"line {_line(elem)}: unknown {_name(elem.tag)} attributes "
@@ -253,6 +258,7 @@ def _expand(parent: ET.Element, inst: Optional[tuple],
         if child.tag != "template" or inst is not None:
             pairs = ((child, inst),)
         else:
+            _check_attrs(child, _TEMPLATE_ATTRS)
             count, base_id, stride = (_int_attr(child, name) for name in
                                       ("count", "baseId", "idStride"))
             line = _line(child)
@@ -282,6 +288,7 @@ def parse_description(xml_text: str) -> HmDescription:
     if root.tag != "healthmap":
         raise SchemaViolationError(
             f"root element must be <healthmap>, got <{_name(root.tag)}>")
+    _check_attrs(root, {"version"})
     version = root.attrib.get("version", "1")
     if version != "1":
         raise SchemaViolationError(f"unsupported description version "
@@ -353,6 +360,7 @@ def parse_description(xml_text: str) -> HmDescription:
                     line=_line(child),
                 ))
             elif child.tag == "dependency" and decl is None:
+                _check_attrs(child, _DEPENDENCY_ATTRS)
                 desc.dependencies.append(DependencyDecl(
                     provider=_int_attr(child, "provider"),
                     dependent=_int_attr(child, "dependent"),

@@ -29,6 +29,7 @@ contract a networked deployment would reuse.
 
 from __future__ import annotations
 
+import heapq
 import struct
 from dataclasses import dataclass, field
 from itertools import compress
@@ -54,8 +55,8 @@ from .faultmgr import (
 )
 from .model import (PERSISTENCES, SEVERITIES, U32_MAX, HealthMap, Module,
                     ModuleStatus, Persistence, Severity, int_token,
-                    parent_verdicts, quote_path, quote_token, read_text,
-                    text_lines)
+                    parent_verdicts, quote_int, quote_path, quote_token,
+                    read_text, text_lines)
 from .resourcemap import (
     RM_ENTRY,
     RM_ENTRY_SIZE,
@@ -250,16 +251,8 @@ class NodeSpec:
     parent_id: Optional[int]
 
 
-@dataclass
-class ScheduledDetection:
-    time_us: int
-    node_id: int
-    report: DetectionReport
-    seq: int
-
-
 # The most summary emissions (Σ duration // period over the nodes) one
-# scenario may ask for: `simulate` schedules every emission before it runs.
+# scenario may ask for: the cap bounds a run's time.
 MAX_EMISSIONS = 1_000_000
 
 
@@ -272,10 +265,14 @@ class Scenario:
         duration <µs>
         node <id> hm=<xml> map=<file|none> period=<µs> parent=<id|none>
         at <µs> node <id> detect <detectorId> sev=<SEV> class=<n>
+
+    Each detection is kept as the event `simulate` merges:
+    (time, node id, 0, sequence, report).
     """
 
     nodes: dict[int, NodeSpec] = field(default_factory=dict)
-    events: list[ScheduledDetection] = field(default_factory=list)
+    events: list[tuple[int, int, int, int, DetectionReport]] = field(
+        default_factory=list)
     duration_us: int = 0
 
     @classmethod
@@ -323,22 +320,17 @@ class Scenario:
             period_us=int_token(kv["period"], "period", ScenarioError),
             parent_id=(None if kv["parent"] == "none"
                        else int_token(kv["parent"], "parent node id",
-                                      ScenarioError)),
+                                      ScenarioError, U32_MAX)),
         )
 
     def _parse_event(self, parts: list[str], line: str) -> None:
         if len(parts) < 5 or parts[2] != "node":
             raise ScenarioError(f"bad event line {quote_token(line)}")
         time_us = int_token(parts[1], "event time", ScenarioError)
-        node_id = int_token(parts[3], "node id", ScenarioError)
+        node_id = int_token(parts[3], "node id", ScenarioError, U32_MAX)
         report = parse_report_line(" ".join(parts[4:]),
                                    default_timestamp=time_us)
-        self.events.append(ScheduledDetection(
-            time_us=time_us,
-            node_id=node_id,
-            report=report,
-            seq=len(self.events),
-        ))
+        self.events.append((time_us, node_id, 0, len(self.events), report))
 
     def _validate(self) -> None:
         if self.duration_us <= 0:
@@ -361,13 +353,13 @@ class Scenario:
         emissions = sum(self.duration_us // spec.period_us
                         for spec in self.nodes.values())
         if emissions > MAX_EMISSIONS:
-            raise ScenarioError(f"scenario makes {emissions} summary "
-                                f"emissions, above the cap of "
+            raise ScenarioError(f"scenario makes {quote_int(emissions)} "
+                                f"summary emissions, above the cap of "
                                 f"{MAX_EMISSIONS}")
-        for event in self.events:
-            if event.node_id not in self.nodes:
+        for _time, node_id, *_ in self.events:
+            if node_id not in self.nodes:
                 raise ScenarioError(
-                    f"event references unknown node {event.node_id}")
+                    f"event references unknown node {node_id}")
 
 
 @dataclass
@@ -406,6 +398,12 @@ def _parse_file(path: Path, parse):
         raise
 
 
+def _emissions(spec: NodeSpec, duration_us: int):
+    """A node's emission events, in time order, up to `duration_us`."""
+    for k in range(1, duration_us // spec.period_us + 1):
+        yield k * spec.period_us, spec.node_id, 1, k, None
+
+
 def simulate(scenario: Scenario) -> SimulationResult:
     """Discrete-event run: detections apply at their timestamps, each node
     emits a summary every period, parents ingest in timestamp order.
@@ -421,18 +419,13 @@ def simulate(scenario: Scenario) -> SimulationResult:
         nodes[node_id] = _LiveNode(spec=spec, hm=hm, sidecar=sidecar,
                                    rm=init_resource_map(hm), mapping=mapping)
 
-    # event tuples: (time, node_id, kind, seq, payload); detections (kind 0)
-    # apply before emissions (kind 1) at the same instant
-    events: list[tuple] = []
-    for det in scenario.events:
-        events.append((det.time_us, det.node_id, 0, det.seq, det.report))
-    for node_id, spec in scenario.nodes.items():
-        k = 1
-        while k * spec.period_us <= scenario.duration_us:
-            events.append((k * spec.period_us, node_id, 1, k, None))
-            k += 1
-    events.sort(key=lambda e: e[:4])
-
+    # events (time, node id, kind, seq, payload), merged lazily: detections
+    # (kind 0) apply before emissions (kind 1) at the same instant, and the
+    # first four fields are unique, so a payload is never compared
+    duration_us = scenario.duration_us
+    events = heapq.merge(sorted(scenario.events), *(
+        _emissions(spec, duration_us) for spec in scenario.nodes.values()
+        if spec.period_us <= duration_us))
     message_log: list[str] = []
     rm_log: list[str] = []
     skipped: dict[int, int] = {}

@@ -153,13 +153,15 @@ def _check_enum_bytes(data: bytes) -> None:
 
 
 def decode_entries(data: bytes) -> list[RmEntry]:
-    """Views of consecutive 7-byte entries (len(data) a multiple of 7)
-    over one copy of `data`.
+    """Views of consecutive 7-byte entries over one copy of `data`.
 
-    Raises MalformedMessageError when a severity, persistence or status
-    byte is outside its enum.
+    Raises MalformedMessageError when len(data) is not a multiple of 7 or
+    a severity, persistence or status byte is outside its enum.
     """
-    RM_ENTRY.iter_unpack(data)   # checks the length
+    if len(data) % RM_ENTRY_SIZE:
+        raise MalformedMessageError(
+            f"entry table of {len(data)} bytes, not a multiple of "
+            f"{RM_ENTRY_SIZE}")
     _check_enum_bytes(data)
     table = bytearray(data)
     return [_view(table, at) for at in range(4, len(table), RM_ENTRY_SIZE)]

@@ -130,6 +130,9 @@ def chain_subtree(hm: HealthMap, roots) -> list[int]:
     """Reference `hm.subtree_ids(*roots)`, by each module's own parent
     chain: the modules whose chain meets one of the ids in `roots`, in
     insertion order. A cycle ends a climb."""
+    if not roots:
+        return []
+
     def meets(module):
         seen = set()
         while module is not None and id(module) not in seen:
@@ -659,9 +662,12 @@ def nest_xml(depth: int, first_id: int = 0, top: str = "M") -> str:
 
 def reference_decode_entries(data: bytes) -> list[RmEntry]:
     """What `resourcemap.decode_entries` must return: one RmEntry per
-    7-byte entry. A byte outside its enum is found by walking the entries
-    in order and, within one, the fields in (severity, persistence,
-    status) order."""
+    7-byte entry, or an error for a length not a multiple of 7. A byte
+    outside its enum is found by walking the entries in order and, within
+    one, the fields in (severity, persistence, status) order."""
+    if len(data) % 7:
+        raise MalformedMessageError(
+            f"entry table of {len(data)} bytes, not a multiple of 7")
     fields = (("severity", SEVERITIES), ("persistence", PERSISTENCES),
               ("status", STATUSES))
     entries = []

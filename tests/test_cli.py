@@ -17,13 +17,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import healthmap
-from healthmap import (DetectionReport, HealthMap, Persistence, Severity,
-                       append_changes, cli, codec, compile_xml, deserialize,
-                       footprint, prune, report_detection, serialize)
+from healthmap import (DetectionReport, HealthMap, Persistence, Scenario,
+                       Severity, append_changes, cli, codec, compile_xml,
+                       deserialize, footprint, prune, report_detection,
+                       serialize)
 from healthmap.cli import main
 from healthmap.codec import HEADER_SIZE, MODULE_SIZE
 from healthmap.errors import HealthMapError
@@ -1543,7 +1544,7 @@ TEXT_TOKENS = st.one_of(
     st.integers(41, 3000).map(lambda n: "core=" + "9" * n))
 
 
-def mutated_text(data, text: str, label: str) -> str:
+def mutated_text(data, text: str, label: str, tokens=TEXT_TOKENS) -> str:
     """`text` after one to four drawn line edits: a word replaced by a
     drawn token, a line of drawn tokens inserted, a line dropped or one
     repeated."""
@@ -1554,11 +1555,11 @@ def mutated_text(data, text: str, label: str) -> str:
         at = data.draw(st.integers(0, max(len(lines) - 1, 0)))
         if kind == "insert" or not lines:
             lines.insert(at, " ".join(data.draw(
-                st.lists(TEXT_TOKENS, min_size=1, max_size=4))))
+                st.lists(tokens, min_size=1, max_size=4))))
         elif kind == "word":
             words = lines[at].split(" ")
             words[data.draw(st.integers(0, len(words) - 1))] = data.draw(
-                TEXT_TOKENS)
+                tokens)
             lines[at] = " ".join(words)
         elif kind == "drop":
             del lines[at]
@@ -1672,3 +1673,88 @@ def test_compile_of_hostile_descriptions_ends_in_an_exit_code(source, data):
         assert len(err) <= 200 and "Traceback" not in err, err
         written = ["x.shm", "x.sym"] if code == 0 else []
         assert sorted(os.listdir(work)) == sorted(["x.xml", *written])
+
+
+# -- the `hm simulate` slice of the hostile-input gate -----------------------
+# `cli.main(["simulate", …])` in-process on the demo roll-up with a mutated
+# scenario, mapping and node descriptions, printed or written with `--out`:
+# every run ends in exit 0, 1 or 2 with a short stderr and no traceback,
+# leaves no temp file behind, and writes its logs only on exit 0.
+
+SIMULATE_FILES = ("board.scn", "board.map", "board.xml", "cpu.xml")
+SCENARIO_TOKENS = st.one_of(TEXT_TOKENS, st.sampled_from([
+    "duration", "node", "at", "detect", "child", "downlink", "->",
+    "hm=cpu.xml", "hm=board.xml", "hm=board.map", "map=none",
+    "map=board.map", "map=cpu.xml", "period=0", "period=1", "period=5000",
+    "parent=none", "parent=0", "parent=1", "parent=2", "sev=HIGH",
+    "sev=ZERO", "class=1", "class=256", "payload=ff", "t=5"]),
+    st.integers(41, 5000).map(lambda n: "parent=" + "1" * n),
+    st.integers(41, 5000).map(lambda n: "period=" + "1" * n))
+# the scenario's count of summary emissions above which a drawn example is
+# left out, for runtime alone: up to the cap a run takes seconds. A count
+# past the cap stays in, since the parse refuses it before any run.
+DRAWN_EMISSIONS = 2000
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(out=st.booleans(), data=st.data())
+def test_simulate_on_hostile_scenarios_ends_in_an_exit_code(out, data):
+    bad = data.draw(st.sets(st.sampled_from(SIMULATE_FILES), max_size=2),
+                    label="bad files")
+    files = {}
+    for name in SIMULATE_FILES:
+        text = (DEMO_DATA / name).read_bytes()
+        if name in bad:
+            text = (mutated_description(data, text) if name.endswith(".xml")
+                    else mutated_text(data, text.decode(), name,
+                                      SCENARIO_TOKENS).encode())
+        files[name] = text
+    try:
+        scenario = Scenario.parse(files["board.scn"].decode(), Path("."))
+    except HealthMapError:
+        pass
+    else:
+        assume(sum(scenario.duration_us // spec.period_us
+                   for spec in scenario.nodes.values()) <= DRAWN_EMISSIONS)
+    with tempfile.TemporaryDirectory() as work:
+        for name, content in files.items():
+            (Path(work) / name).write_bytes(content)
+        argv = ["simulate", str(Path(work) / "board.scn")]
+        if out:
+            argv += ["--out", str(Path(work) / "out")]
+        code, _out, err = cli_outcome(argv)
+        assert code in (0, 1, 2)
+        assert len(err) <= 200 and "Traceback" not in err, err
+        written = ["out"] if out and code == 0 else []
+        assert sorted(os.listdir(work)) == sorted([*files, *written])
+        if written:
+            assert sorted(os.listdir(Path(work) / "out")) == [
+                "messages.log", "rm.log"]
+
+
+LONG_DIGITS = "1" * 4000
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("at 1000 node 1", f"at 1000 node {LONG_DIGITS}",
+     f"scenario line 6: node id {quote_token(LONG_DIGITS)} outside "
+     f"0..4294967295"),
+    ("parent=0", f"parent={LONG_DIGITS}",
+     f"scenario line 5: parent node id {quote_token(LONG_DIGITS)} outside "
+     f"0..4294967295"),
+    ("duration 10000", f"duration {LONG_DIGITS}",
+     "scenario makes <13273-bit integer> summary emissions, above the cap "
+     "of 1000000"),
+], ids=["event-node", "parent", "duration"])
+def test_simulate_long_integer_is_refused_in_a_short_line(tmp_path, old, new,
+                                                          message):
+    for name in SIMULATE_FILES:
+        shutil.copy(DEMO_DATA / name, tmp_path)
+    scn = tmp_path / "board.scn"
+    text = scn.read_text()
+    assert old in text
+    scn.write_text(text.replace(old, new))
+    assert cli_outcome(["simulate", str(scn)]) == (
+        1, "", f"error: {message}\n")

@@ -552,6 +552,22 @@ def test_append_nothing_is_identity():
     assert append_changes(image, deserialize(image)) == image
 
 
+@pytest.mark.parametrize("add, what", [
+    (lambda hm: hm.add_module(3, 1), "modules"),
+    (lambda hm: hm.add_diag_resource(11, 1), "diag resources"),
+    (lambda hm: hm.add_dependency(1, 2, Severity.LOW), "dependencies"),
+])
+def test_append_refuses_a_new_structural_record(add, what):
+    # an image is append-only for faults and detections; its module, diag
+    # resource and dependency sections have no room to grow
+    image = serialize(small_map())
+    hm = deserialize(image)
+    add(hm)
+    with pytest.raises(AppendError,
+                       match=f"^cannot append new {what} to an image$"):
+        append_changes(image, hm)
+
+
 def test_a_second_append_to_the_same_image_is_refused():
     # the first append gave the new records offsets past this image's end;
     # the map now belongs to the image that append returned

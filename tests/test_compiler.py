@@ -243,6 +243,40 @@ def test_long_xml_name_is_quoted(text, message):
     assert str(exc.value) == message and len(message) < 200
 
 
+@pytest.mark.parametrize("body, error, message", [
+    (f'{MODULE_A} __line__="x"/>', SchemaViolationError,
+     "line 1: unknown module attributes ['__line__']"),
+    ('<module id="1" name="A" criticality="LOW"><instrument id="1" '
+     'kind="0" bogus="x"/></module>', SchemaViolationError,
+     "line 1: unknown instrument attributes ['bogus']"),
+    (f'{MODULE_A}/><module id="2" name="B" criticality="LOW"/>'
+     '<dependency provider="1" dependent="2" severity="LOW" bogus="x"/>',
+     SchemaViolationError,
+     "line 1: unknown dependency attributes ['bogus']"),
+    ('<template name="t" count="1" baseId="0" idStride="1" junk="y">'
+     '<module id="0" name="M" criticality="LOW"/></template>',
+     SchemaViolationError, "line 1: unknown template attributes ['junk']"),
+    (f'{MODULE_A}/><module id="2" name="B" criticality="LOW"/>'
+     '<dependency provider="1" dependent="2" severity="ZERO"/>',
+     BadEnumValueError, "line 1: severity must not be ZERO"),
+    ('<module id="1" name="" criticality="LOW"/>', SchemaViolationError,
+     "line 1: <module> missing attribute 'name'"),
+], ids=["module-line-key", "instrument", "dependency", "template",
+        "zero-dependency", "empty-name"])
+def test_element_refusal_names_its_line(body, error, message):
+    with pytest.raises(error) as exc:
+        parse_description(f'<healthmap version="1">{body}</healthmap>')
+    assert str(exc.value) == message
+
+
+def test_root_takes_only_its_version():
+    with pytest.raises(SchemaViolationError) as exc:
+        parse_description('<healthmap version="1" extra="x">\n'
+                          '</healthmap>')
+    assert str(exc.value) == "line 1: unknown healthmap attributes ['extra']"
+    assert parse_description('<healthmap>\n</healthmap>').modules == []
+
+
 def test_duplicate_dotted_names_rejected():
     text = """<healthmap version="1">
       <module id="1" name="A" criticality="ZERO"/>

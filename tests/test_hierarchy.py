@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import struct
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -580,6 +581,28 @@ def test_scenario_rejects_non_positive_period(tmp_path, period):
                        tmp_path)
 
 
+NODE_LINE = "node 0 hm=a map=none period=1 parent=none"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["bogus 1"], "scenario line 2: bad directive 'bogus'"),
+    (["node 0 hm=a map=none period=1"],
+     "scenario line 2: node line needs id, hm=, map=, period=, parent="),
+    ([NODE_LINE, NODE_LINE], "scenario line 3: duplicate node id 0"),
+    (["node 0 hm=a map=none period=1 parnt=none"],
+     "scenario line 2: node line missing parent="),
+    ([NODE_LINE.replace("parent=none", "parent=4294967296")],
+     "scenario line 2: parent node id 4294967296 outside 0..4294967295"),
+    ([NODE_LINE, "at 1 node 4294967296 detect 12 sev=HIGH class=1"],
+     "scenario line 3: node id 4294967296 outside 0..4294967295"),
+], ids=["directive", "node-arity", "duplicate-node", "missing-key",
+        "parent-past-u32", "event-node-past-u32"])
+def test_scenario_line_refusal_names_its_line(tmp_path, lines, message):
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.parse("\n".join(["duration 5", *lines]) + "\n", tmp_path)
+    assert str(exc.value) == message
+
+
 # -- node-tree validation -----------------------------------------------------
 
 def scenario_text(nodes) -> str:
@@ -765,3 +788,84 @@ def test_scenario_emission_count_is_capped():
                        "node 0 hm=a map=b period=10000 parent=none\n"
                        "node 1 hm=c map=none period=5000 parent=0\n",
                        Path("."))
+
+
+def test_simulate_refuses_a_summary_to_a_parent_without_mapping(
+        tmp_path, table1_xml):
+    write_scenario(tmp_path, table1_xml, [])
+    text = (tmp_path / "run.scn").read_text().replace("map=parent.map",
+                                                      "map=none")
+    scenario = Scenario.parse(text, tmp_path)
+    with pytest.raises(ScenarioError, match=(
+            "^node 0 receives summaries but has no mapping$")):
+        simulate(scenario)
+
+
+def test_simulate_holds_no_schedule():
+    # board.scn run for about 20 000 emissions: the run's peak memory is
+    # what its result still holds (the logs), not a list of every event
+    text = (DEMO_DATA / "board.scn").read_text()
+    assert "duration 10000\n" in text
+    scenario = Scenario.parse(text.replace("duration 10000\n",
+                                           "duration 66665000\n"), DEMO_DATA)
+    tracemalloc.start()
+    try:
+        result = simulate(scenario)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.message_log) + len(result.rm_log) == 33332
+    assert peak <= 1.1 * held, (peak, held)
+
+
+@st.composite
+def rollup_scenarios(draw):
+    """A root node over one to four children, each with a drawn period,
+    and detections at drawn times; periods and times share factors, so
+    events of several nodes and kinds meet at one instant."""
+    ids = draw(st.lists(st.integers(0, 9), min_size=2, max_size=5,
+                        unique=True))
+    root, children = ids[0], ids[1:]
+    duration = draw(st.integers(1, 8)) * 1000
+    periods = st.sampled_from([500, 1000, 2000, 3000, 10_000])
+    lines = [f"duration {duration}",
+             f"node {root} hm=parent.xml map=parent.map "
+             f"period={draw(periods)} parent=none"]
+    lines += [f"node {c} hm=child.xml map=none period={draw(periods)} "
+              f"parent={root}" for c in children]
+    for _ in range(draw(st.integers(0, 6))):
+        node = draw(st.sampled_from(ids))
+        detector = 5 if node == root else draw(st.sampled_from([12, 22]))
+        sev = draw(st.sampled_from(["LOW", "HIGH"]))
+        lines.append(f"at {draw(st.integers(0, 8)) * 500} node {node} "
+                     f"detect {detector} sev={sev} "
+                     f"class={draw(st.integers(0, 2))}")
+    mapping = "".join(f"downlink {c} 5\nchild {c} 12 -> 2\n"
+                      for c in children)
+    return "\n".join(lines) + "\n", mapping
+
+
+def sorted_merge(*iterables):
+    """The reference schedule: every event in one list, sorted on (time,
+    node id, kind, sequence)."""
+    return iter(sorted((e for it in iterables for e in it),
+                       key=lambda e: e[:4]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rollup_scenarios())
+def test_lazy_merge_runs_the_sorted_schedule(tmp_path_factory, case):
+    text, mapping = case
+    work = tmp_path_factory.mktemp("rollup")
+    (work / "child.xml").write_text((DATA_DIR / "table1.xml").read_text())
+    (work / "parent.xml").write_text(PARENT_XML)
+    (work / "parent.map").write_text(mapping)
+    scenario = Scenario.parse(text, work)
+    lazy = simulate(scenario)
+    with mock.patch.object(hierarchy.heapq, "merge", sorted_merge):
+        eager = simulate(scenario)
+    assert lazy.message_log == eager.message_log
+    assert lazy.rm_log == eager.rm_log
+    assert lazy.skipped == eager.skipped
+    for nid, node in lazy.nodes.items():
+        assert node.hm.snapshot() == eager.nodes[nid].hm.snapshot()

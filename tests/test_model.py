@@ -38,6 +38,7 @@ from healthmap.errors import (
     ClassificationRangeError,
     DuplicateIdError,
     FieldRangeError,
+    SelfDependencyError,
     UnknownDetectorError,
     UnknownModuleError,
     UnknownParentError,
@@ -118,6 +119,25 @@ def test_add_fault_unknown_detector():
     with pytest.raises(UnknownDetectorError):
         hm.add_fault_with_detection(1, Severity.LOW,
                                     Persistence.TRANSIENT, 0, 7, 0)
+
+
+@pytest.mark.parametrize("add, error, message", [
+    (lambda hm: hm.add_diag_resource(7, 1), DuplicateIdError,
+     "^diag resource id 7 already present$"),
+    (lambda hm: hm.add_dependency(1, 1, Severity.LOW), SelfDependencyError,
+     "^module 1 cannot depend on itself$"),
+    (lambda hm: hm.add_detection(hm.faults[0], 8, 0), UnknownDetectorError,
+     "^diag resource 8 not found$"),
+], ids=["duplicate-diag-resource", "self-dependency", "unknown-detector"])
+def test_add_refuses_a_record_and_leaves_the_map(add, error, message):
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_diag_resource(7, 1)
+    hm.add_fault(1, Severity.LOW, Persistence.TRANSIENT, 0)
+    before = hm.snapshot()
+    with pytest.raises(error, match=message):
+        add(hm)
+    assert hm.snapshot() == before
 
 
 @pytest.mark.parametrize("field, value", [

@@ -23,8 +23,8 @@ from healthmap import (
 )
 from healthmap import resourcemap
 from healthmap.compiler import Sidecar
-from healthmap.errors import (FieldRangeError, MissingSymbolError,
-                              UnknownModuleError)
+from healthmap.errors import (FieldRangeError, MalformedMessageError,
+                              MissingSymbolError, UnknownModuleError)
 from healthmap.faultmgr import record_event
 from healthmap.resourcemap import RM_ENTRY, RM_ENTRY_SIZE, decode_entries
 
@@ -243,6 +243,17 @@ def test_entry_encoding_is_seven_bytes(table1_map):
     assert len(encoded) == RM_ENTRY_SIZE * len(table1_map.modules)
     first = decode_entries(encoded[:RM_ENTRY_SIZE])[0]
     assert first.module_id == 1
+
+
+@pytest.mark.parametrize("length", [1, 5, 6, 8, 13, 15])
+def test_decode_entries_refuses_a_partial_entry(table1_map, length):
+    encoded = (init_resource_map(table1_map).encode() * 2)[:length]
+    with pytest.raises(MalformedMessageError,
+                       match=f"^entry table of {length} bytes, not a "
+                             f"multiple of 7$"):
+        decode_entries(encoded)
+    assert (outcome(decode_entries, encoded)
+            == outcome(reference_decode_entries, encoded))
 
 
 def test_encode_matches_entry_by_entry_encoding():
