@@ -3,7 +3,7 @@
 # data/inject_chain.txt in order, then print the sha256 of the final image,
 # of `hm rm` stdout and of `hm affinity` stdout (both with CPU.C3 under
 # maintenance), one per line. Run after `pip install -e .`;
-# tests/test_cli.py pins the same three digests.
+# tests/golden.py pins the three digests (`CHAIN`).
 #
 #     sh demo/inject_chain.sh [DIR]
 #

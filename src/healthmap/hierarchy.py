@@ -23,6 +23,11 @@ the maxima over that module's faults, rather than once per entry. Both
 give the same map: propagation keeps maxima and caps severity only with
 min, and max_i min(s_i, c) = min(max_i s_i, c).
 
+A summary carries fault history, not availability. The parent records
+only entries of nonzero severity and never acts on an entry's status byte
+(it only checks that the byte is a status), so a child module in
+MAINTENANCE with no fault shows AVAILABLE at the parent.
+
 The simulator is single-threaded discrete-event; the wire format is the
 contract a networked deployment would reuse.
 """
@@ -266,7 +271,9 @@ class Scenario:
         node <id> hm=<xml> map=<file|none> period=<µs> parent=<id|none>
         at <µs> node <id> detect <detectorId> sev=<SEV> class=<n>
 
-    Each detection is kept as the event `simulate` merges:
+    An event may come at any time up to `duration` (at it too), so every
+    detection applies before the run's last emission; a later one is
+    refused. Each detection is kept as the event `simulate` merges:
     (time, node id, 0, sequence, report).
     """
 
@@ -356,10 +363,14 @@ class Scenario:
             raise ScenarioError(f"scenario makes {quote_int(emissions)} "
                                 f"summary emissions, above the cap of "
                                 f"{MAX_EMISSIONS}")
-        for _time, node_id, *_ in self.events:
+        for time_us, node_id, *_ in self.events:
             if node_id not in self.nodes:
                 raise ScenarioError(
                     f"event references unknown node {node_id}")
+            if time_us > self.duration_us:
+                raise ScenarioError(
+                    f"event at {quote_int(time_us)} µs is after the "
+                    f"duration of {quote_int(self.duration_us)} µs")
 
 
 @dataclass

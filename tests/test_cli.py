@@ -31,6 +31,7 @@ from healthmap.errors import HealthMapError
 from healthmap.model import (QUOTED_CHARS, QUOTED_PATH_CHARS, quote_path,
                              quote_token)
 
+import golden
 from conftest import DATA_DIR
 from helpers import nest_xml, reference_deserialize, restamp
 from test_codec import mutated_image, mutation_bases
@@ -649,6 +650,16 @@ def test_simulate_past_the_emission_cap_exits_1(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_simulate_event_after_the_duration_exits_1(tmp_path, capsys):
+    # it would apply after the last emission, so no log would show it
+    work = demo_copy(tmp_path, "board.scn", "at 1000 node 1", "at 10001 node 1")
+    out = tmp_path / "out"
+    assert main(["simulate", str(work / "board.scn"), "--out", str(out)]) == 1
+    assert tuple(capsys.readouterr()) == (
+        "", "error: event at 10001 µs is after the duration of 10000 µs\n")
+    assert not out.exists()
+
+
 def test_rm_sidecar_repeating_an_id_exits_1(compiled, tmp_path, capsys):
     shm, _sym = compiled
     sym = tmp_path / "twice.sym"
@@ -974,20 +985,9 @@ def test_main_calls_share_no_state(compiled, capsys):
     assert exc.value.code == 2
 
 
-# sha256 of the final image, `hm rm` stdout and `hm affinity` stdout after
-# the inject chain of demo/data/inject_chain.txt (demo/inject_chain.sh
-# prints the same three through the installed `hm`; CI checks them there).
-CHAIN_DIGESTS = (
-    "6a7c41809d6b78d61de3f703696cf9087028018e4e428e01b386ec55e81df841",
-    "dccd42ad47636e1f15778ef72d34d3eeddf7073051bce9f1ce54b53a504e1a69",
-    "3f20fb18d8b9b13b99ac7a73d30ade1a2cc65f69607e5c475b8b20810931b9ed",
-)
-# sha256 of `hm dump` stdout of that final image with its sidecar: the one
-# output that shows a whole load's list and record order (CI checks it too)
-CHAIN_DUMP_DIGEST = (
-    "43e4ef0ca532888fce0e09fb0a7aeffebe0d175129618c7b5056b7a0a7e635dd")
-
-
+# the inject chain of demo/data/inject_chain.txt, which demo/inject_chain.sh
+# runs through `hm`: its final image, `hm rm`, `hm affinity` and `hm dump`
+# output are pinned in tests/golden.py
 def test_inject_chain_golden_digests(tmp_path, capsys):
     shm, sym = tmp_path / "cpu.shm", tmp_path / "cpu.sym"
     assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", str(shm),
@@ -1007,10 +1007,10 @@ def test_inject_chain_golden_digests(tmp_path, capsys):
                  "--maintenance", "CPU.C3"]) == 0
     outs.append(capsys.readouterr().out.encode())
     assert tuple(hashlib.sha256(out).hexdigest()
-                 for out in outs) == CHAIN_DIGESTS
+                 for out in outs) == golden.CHAIN
     assert main(["dump", str(shm), "--sym", str(sym)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
-        == CHAIN_DUMP_DIGEST
+        == golden.CHAIN_DUMP
 
 
 def chain_views(shm: Path, sym: Path, capsys) -> list[bytes]:
@@ -1028,7 +1028,7 @@ def chain_views(shm: Path, sym: Path, capsys) -> list[bytes]:
 def test_inject_chain_and_prune_load_by_the_column_proof(tmp_path, capsys):
     # with the detection-list walker patched to fail, every image of the
     # chain must load through the column proof; `hm prune` then keeps both
-    # views (criterion 6 at the CLI, as CI checks with the installed hm)
+    # views (criterion 6 at the CLI, as `ci/checks.py prune` checks with hm)
     shm, sym = tmp_path / "cpu.shm", tmp_path / "cpu.sym"
     walker = AssertionError("the detection-list walker ran")
     with mock.patch.object(codec._Reader, "_check_dynamic",
@@ -1038,10 +1038,10 @@ def test_inject_chain_and_prune_load_by_the_column_proof(tmp_path, capsys):
         for line in (DEMO_DATA / "inject_chain.txt").read_text().splitlines():
             if not line.startswith("#"):
                 assert main(["inject", str(shm), *line.split()]) == 0
-        assert hashlib.sha256(shm.read_bytes()).hexdigest() == CHAIN_DIGESTS[0]
+        assert hashlib.sha256(shm.read_bytes()).hexdigest() == golden.CHAIN[0]
         views = chain_views(shm, sym, capsys)
         assert [hashlib.sha256(out).hexdigest()
-                for out in views] == list(CHAIN_DIGESTS[1:])
+                for out in views] == list(golden.CHAIN[1:])
         assert main(["prune", str(shm)]) == 0
         assert "merged 4 records" in capsys.readouterr().out
         assert main(["validate", str(shm)]) == 0
@@ -1049,12 +1049,12 @@ def test_inject_chain_and_prune_load_by_the_column_proof(tmp_path, capsys):
 
 
 def test_library_tour_output_is_pinned(capsys):
-    # `python demo/library_tour.py` stdout; CI checks the same digest
+    # `python demo/library_tour.py` stdout, pinned in tests/golden.py
     tour = runpy.run_path(str(DEMO_DATA.parent / "library_tour.py"))
     capsys.readouterr()
     tour["main"]()
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "1e951063914c0ae4b766bcf9160180944f9fc39e57387390aa0bf27643a0dacb")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+        == golden.LIBRARY_TOUR
 
 
 def test_every_public_name_resolves():
@@ -1747,7 +1747,11 @@ LONG_DIGITS = "1" * 4000
     ("duration 10000", f"duration {LONG_DIGITS}",
      "scenario makes <13273-bit integer> summary emissions, above the cap "
      "of 1000000"),
-], ids=["event-node", "parent", "duration"])
+    # a line giving its own `t=` leaves its `at` time unbounded
+    ("at 1000 node 1 detect 12 sev=HIGH class=1",
+     f"at {LONG_DIGITS} node 1 detect 12 sev=HIGH class=1 t=1000",
+     "event at <13285-bit integer> µs is after the duration of 10000 µs"),
+], ids=["event-node", "parent", "duration", "event-time"])
 def test_simulate_long_integer_is_refused_in_a_short_line(tmp_path, old, new,
                                                           message):
     for name in SIMULATE_FILES:

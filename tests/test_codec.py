@@ -53,6 +53,7 @@ from healthmap.errors import (
 )
 from healthmap.model import U32_MAX, DiagResource, Module, worst_faults
 
+import golden
 from conftest import DATA_DIR
 from helpers import (
     crc32_reference,
@@ -1043,25 +1044,18 @@ def cpu_after_appends_and_prune() -> bytes:
     return serialize(hm)
 
 
-# SHA-256 of images whose bytes must never change; a layout change made in
-# both the encoder and the decoder still round-trips, so only fixed bytes
-# catch it.
+# images whose bytes must never change, by their digests in tests/golden.py
 GOLDEN_IMAGES = {
-    "cpu.xml": (
-        functools.partial(compiled_image, DEMO_DATA / "cpu.xml"),
-        "85a7e82a6a148c7f8188332740cb0a951acc192358dd24d84888232ff27867d8"),
-    "board.xml": (
-        functools.partial(compiled_image, DEMO_DATA / "board.xml"),
-        "c6d951e0eb905796aa7d737c8d92f3493d161c2c83239c444114f4e0d421e27c"),
-    "table1.xml": (
-        functools.partial(compiled_image, DATA_DIR / "table1.xml"),
-        "85a7e82a6a148c7f8188332740cb0a951acc192358dd24d84888232ff27867d8"),
-    "synthesize_map(8)": (
-        lambda: serialize(synthesize_map(8)),
-        "a4ed551fafeb5715f4ecdfc26fed2efd5b8da3b6dd89d8757553f3c130666f00"),
-    "cpu.xml appended and pruned": (
-        cpu_after_appends_and_prune,
-        "11c83d224a4ed3bc1151ec8153cce0c53afbecd5d20396a8aeccdef79eaa12f6"),
+    "cpu.xml": (functools.partial(compiled_image, DEMO_DATA / "cpu.xml"),
+                golden.CPU_IMAGE),
+    "board.xml": (functools.partial(compiled_image, DEMO_DATA / "board.xml"),
+                  golden.BOARD_IMAGE),
+    "table1.xml": (functools.partial(compiled_image, DATA_DIR / "table1.xml"),
+                   golden.CPU_IMAGE),
+    "synthesize_map(8)": (lambda: serialize(synthesize_map(8)),
+                          golden.SYNTHESIZED_8_IMAGE),
+    "cpu.xml appended and pruned": (cpu_after_appends_and_prune,
+                                    golden.CPU_PRUNED_IMAGE),
 }
 
 

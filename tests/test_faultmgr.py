@@ -28,7 +28,8 @@ from healthmap.errors import (
     UnknownDetectorError,
     ZeroSeverityError,
 )
-from healthmap.faultmgr import parse_report_line, record_event
+from healthmap.faultmgr import (DEFAULT_MERGE_WINDOW_US, parse_report_line,
+                                record_event)
 from healthmap.model import FLAG_MERGED, U32_MAX
 
 from conftest import FPU_C0_INSTRUMENT
@@ -80,6 +81,25 @@ def test_close_reports_merge_into_counter(table1_map):
     assert len(fault.detections) == 1
     assert fault.detections[0].counter == 2
     assert fault.detections[0].flags & FLAG_MERGED
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("beyond, merges", [(0, True), (1, False)])
+def test_merge_window_edge(table1_map, sign, beyond, merges):
+    # a report exactly one window from the latest detection merges, one
+    # microsecond further starts a detection, on either side of it
+    start = 2 * DEFAULT_MERGE_WINDOW_US
+    fault, _ = report_detection(
+        table1_map, DetectionReport(FPU_C0_INSTRUMENT, Severity.LOW, 1, start))
+    report_detection(table1_map, DetectionReport(
+        FPU_C0_INSTRUMENT, Severity.LOW, 1,
+        start + sign * (DEFAULT_MERGE_WINDOW_US + beyond)))
+    if merges:
+        assert [d.counter for d in fault.detections] == [2]
+        assert fault.detections[0].flags & FLAG_MERGED
+    else:
+        assert [d.counter for d in fault.detections] == [1, 1]
+        assert not any(d.flags & FLAG_MERGED for d in fault.detections)
 
 
 def test_ten_events_become_permanent(table1_map):

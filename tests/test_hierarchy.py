@@ -44,6 +44,7 @@ from healthmap.errors import (
     UnknownNodeError,
 )
 
+import golden
 from conftest import DATA_DIR, FPU_C0_INSTRUMENT
 from helpers import (
     oracle_resource_map,
@@ -364,9 +365,8 @@ def test_demo_rollup_output_is_pinned(monkeypatch):
                               DEMO_DATA)
     result = simulate(scenario)
     text = result.message_text() + result.rm_text()
-    # `hm simulate demo/data/board.scn` stdout; CI checks the same digest
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "bd35a98e30032dc2ea9b552feb9aa397dd40558d2ee29d083a390f9cd9d708b7")
+    # `hm simulate demo/data/board.scn` stdout, pinned in tests/golden.py
+    assert hashlib.sha256(text.encode()).hexdigest() == golden.ROLLUP
     monkeypatch.setattr(hierarchy, "ingest_summary", reference_ingest_summary)
     reference = simulate(scenario)
     assert result.nodes[0].hm.snapshot() == reference.nodes[0].hm.snapshot()
@@ -790,6 +790,26 @@ def test_scenario_emission_count_is_capped():
                        Path("."))
 
 
+def test_scenario_refuses_an_event_after_its_duration():
+    # an event at the duration applies before the last emission; a later
+    # one would apply after every emission, and no log would show it
+    head = "duration 10000\nnode 1 hm=a map=none period=5000 parent=none\n"
+    event = "at {} node {} detect 12 sev=HIGH class=1\n"
+    scenario = Scenario.parse(head + event.format(10000, 1), Path("."))
+    assert [e[0] for e in scenario.events] == [10000]
+    with pytest.raises(ScenarioError, match="^event at 10001 µs is after the "
+                       "duration of 10000 µs$"):
+        Scenario.parse(head + event.format(10001, 1), Path("."))
+    # events are checked in line order, each for its node first
+    for events, message in (
+            ([(1, 2), (10001, 1)], "^event references unknown node 2$"),
+            ([(10001, 1), (1, 2)], "^event at 10001 µs"),
+            ([(10001, 2)], "^event references unknown node 2$")):
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.parse(head + "".join(event.format(*e) for e in events),
+                           Path("."))
+
+
 def test_simulate_refuses_a_summary_to_a_parent_without_mapping(
         tmp_path, table1_xml):
     write_scenario(tmp_path, table1_xml, [])
@@ -837,8 +857,8 @@ def rollup_scenarios(draw):
         node = draw(st.sampled_from(ids))
         detector = 5 if node == root else draw(st.sampled_from([12, 22]))
         sev = draw(st.sampled_from(["LOW", "HIGH"]))
-        lines.append(f"at {draw(st.integers(0, 8)) * 500} node {node} "
-                     f"detect {detector} sev={sev} "
+        lines.append(f"at {draw(st.integers(0, duration // 500)) * 500} "
+                     f"node {node} detect {detector} sev={sev} "
                      f"class={draw(st.integers(0, 2))}")
     mapping = "".join(f"downlink {c} 5\nchild {c} 12 -> 2\n"
                       for c in children)
