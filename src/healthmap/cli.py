@@ -45,9 +45,19 @@ def _replace_files(*files: tuple[Path, bytes]) -> None:
 
     Each temp file is written, given its mode and synced through the
     descriptor `mkstemp` opened with O_EXCL, never reopened by name, so
-    the bytes go to the file that `mkstemp` created."""
+    the bytes go to the file that `mkstemp` created.
+
+    Two targets that name one directory entry, such as "out.shm" and
+    "./out.shm", are refused before anything is written: the second rename
+    would put its bytes in place of the first's."""
+    entries = set()
     for path, _data in files:
         check_path(path)    # mkstemp would raise ValueError
+        entry = (os.path.realpath(path.parent), path.name)
+        if entry in entries:
+            raise HealthMapError(
+                f"two outputs name one file: {quote_path(path, repr)}")
+        entries.add(entry)
     temps: list[str] = []
     renamed = 0
     try:

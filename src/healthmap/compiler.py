@@ -27,7 +27,10 @@ binary live only in the sidecar (one line per module:
 "<id> <dotted-name> [core=<coreId>]").
 
 `parse_description` expands templates during its one walk over an explicit
-stack, and neither it nor `build_map` limits the nesting depth.
+stack, and neither it nor `build_map` limits the nesting depth. A module
+inside a template is read and checked once, at its first visit, and each
+later instance of it is stamped from that read: its ids offset, "{i}"
+replaced in its name, and only a coreId holding "{i}" parsed again.
 """
 
 from __future__ import annotations
@@ -283,7 +286,9 @@ def _expand(parent: ET.Element, inst: Optional[tuple],
 
 
 def parse_description(xml_text: str) -> HmDescription:
-    """Parse, expand templates and check the XML description in one walk."""
+    """Parse, expand templates and check the XML description in one walk.
+    A module inside a template is read and checked at its first visit, and
+    each later instance of it is stamped from that read."""
     root = _parse_with_lines(xml_text)
     if root.tag != "healthmap":
         raise SchemaViolationError(
@@ -301,31 +306,61 @@ def parse_description(xml_text: str) -> HmDescription:
     # modules and instruments declared so far, template instances included
     declared = {"module": 0, "instrument": 0}
 
-    def element_id(elem: ET.Element, inst: Optional[tuple]) -> int:
-        value = _int_attr(elem, "id") + (inst[0] if inst else 0)
-        key = (elem.tag, value)
+    def claim(tag: str, value: int, inst: Optional[tuple], line: int) -> int:
+        key = (tag, value)
         if inst is not None:
             if key in claimed:
                 # the earlier template first, whichever claimed first
                 first, second = sorted((claimed[key], inst[2]))
                 raise IdRangeCollisionError(
-                    f"line {first}: {elem.tag} id {quote_int(value)} already "
+                    f"line {first}: {tag} id {quote_int(value)} already "
                     f"claimed by template at line {second}")
             claimed[key] = inst[2]
         else:   # an instance was counted when its template was met
-            declared[elem.tag] += 1
+            declared[tag] += 1
         if key in seen:
-            duplicates.append(f"duplicate {elem.tag} id {quote_int(value)} "
-                              f"at lines {seen[key]} and {_line(elem)}")
-        seen.setdefault(key, _line(elem))
+            duplicates.append(f"duplicate {tag} id {quote_int(value)} "
+                              f"at lines {seen[key]} and {line}")
+        seen.setdefault(key, line)
         return value
 
+    def element_id(elem: ET.Element, inst: Optional[tuple]) -> int:
+        value = _int_attr(elem, "id") + (inst[0] if inst else 0)
+        return claim(elem.tag, value, inst, _line(elem))
+
+    # module in a template -> what its first visit read: (local id, raw
+    # name, criticality, core id, whether coreId holds "{i}", line, its
+    # instruments' (local id, kind, line), its submodules in pop order)
+    reads: dict[ET.Element, tuple] = {}
     desc = HmDescription()
     # (element, its template instance, its decl's parent or None); the root
     # comes first, the children of each module in document order
     stack: list[tuple] = [(root, None, None)]
     while stack:
         elem, inst, parent = stack.pop()
+        read = reads.get(elem)
+        if read is not None:
+            # a later instance: its first passed every check that does not
+            # depend on the instance, in the order this one would meet it
+            local, name, crit, core_id, core_varies, line, instruments, \
+                subs = read
+            offset = inst[0]
+            decl = ModuleDecl(
+                id=claim("module", local + offset, inst, line),
+                name=name.replace("{i}", str(inst[1])),
+                criticality=crit,
+                # "-{i}" is a valid coreId at instance 0, not at 1
+                core_id=(_int_attr(elem, "coreId", inst) if core_varies
+                         else core_id),
+                instruments=[InstrumentDecl(
+                    claim("instrument", child_local + offset, inst,
+                          child_line), kind, child_line)
+                    for child_local, kind, child_line in instruments],
+                line=line,
+            )
+            (desc.modules if parent is None else parent.children).append(decl)
+            stack += [(sub, inst, decl) for sub in subs]
+            continue
         decl = None
         if elem is not root:
             _check_attrs(elem, _MODULE_ATTRS)
@@ -374,6 +409,14 @@ def parse_description(xml_text: str) -> HmDescription:
                     f"<{_name(child.tag)}> "
                     + ("inside <module>" if decl else "under <healthmap>"))
         stack[first_child:] = reversed(stack[first_child:])
+        if inst is not None:
+            offset = inst[0]
+            reads[elem] = (
+                decl.id - offset, elem.attrib["name"], decl.criticality,
+                decl.core_id, "{i}" in elem.attrib.get("coreId", ""),
+                decl.line,
+                [(i.id - offset, i.kind, i.line) for i in decl.instruments],
+                [sub for sub, _, _ in stack[first_child:]])
 
     if duplicates:
         raise DuplicateIdError(duplicates[0])

@@ -270,11 +270,13 @@ class Scenario:
         duration <µs>
         node <id> hm=<xml> map=<file|none> period=<µs> parent=<id|none>
         at <µs> node <id> detect <detectorId> sev=<SEV> class=<n>
+            [t=<µs>] [payload=<hex>]
 
     An event may come at any time up to `duration` (at it too), so every
     detection applies before the run's last emission; a later one is
-    refused. Each detection is kept as the event `simulate` merges:
-    (time, node id, 0, sequence, report).
+    refused. Its detection is timestamped with its `at` time, which a
+    `t=` may repeat but not contradict. Each detection is kept as the event
+    `simulate` merges: (time, node id, 0, sequence, report).
     """
 
     nodes: dict[int, NodeSpec] = field(default_factory=dict)
@@ -337,6 +339,11 @@ class Scenario:
         node_id = int_token(parts[3], "node id", ScenarioError, U32_MAX)
         report = parse_report_line(" ".join(parts[4:]),
                                    default_timestamp=time_us)
+        if report.timestamp != time_us:
+            # one clock: the run applies the event at its `at` time
+            raise ScenarioError(
+                f"event t={quote_int(report.timestamp)} is not the line's "
+                f"at time {quote_int(time_us)}")
         self.events.append((time_us, node_id, 0, len(self.events), report))
 
     def _validate(self) -> None:

@@ -2,8 +2,8 @@
 oracles (bitwise CRC32, exhaustive propagation-path enumeration, a plain
 re-encoder for appended images, a one-pass image reader, summary decode and
 ingest built on one `RmEntry` per entry, resource map encode, render and
-affinity from the propagation oracle's rows, and the list-removal
-prune)."""
+affinity from the propagation oracle's rows, the list-removal prune, and
+a description parser that reads every template instance again)."""
 
 from __future__ import annotations
 
@@ -31,21 +31,42 @@ from healthmap.codec import (
     crc32,
     image_length,
 )
+from healthmap.compiler import (
+    _DEPENDENCY_ATTRS,
+    _INSTRUMENT_ATTRS,
+    _MODULE_ATTRS,
+    DependencyDecl,
+    HmDescription,
+    InstrumentDecl,
+    ModuleDecl,
+    _attr,
+    _check_attrs,
+    _expand,
+    _int_attr,
+    _line,
+    _name,
+    _parse_with_lines,
+    _severity_attr,
+)
 from healthmap.errors import (
     BadLinkError,
     BadMagicError,
     BadVersionError,
     BodyCrcMismatchError,
     CrcMismatchError,
+    DuplicateIdError,
     HeaderCrcMismatchError,
+    IdRangeCollisionError,
     LengthMismatchError,
     LinkCycleError,
     MalformedMessageError,
     OffsetMisalignedError,
     OffsetOutOfBoundsError,
     RecordCountError,
+    SchemaViolationError,
     UnknownDetectorError,
     UnknownNodeError,
+    UnresolvedReferenceError,
 )
 from healthmap.faultmgr import record_event
 from healthmap.model import (
@@ -60,6 +81,8 @@ from healthmap.model import (
     FaultDetection,
     Module,
     Violation,
+    quote_int,
+    quote_token,
 )
 from healthmap.resourcemap import RM_ENTRY, RmEntry
 
@@ -607,6 +630,113 @@ def reference_deserialize(data: bytes) -> HealthMap:
     """What `codec.deserialize` must return or raise: the map every record
     of the image builds, or the first error a single walk of it meets."""
     return _ReferenceReader(data).run()
+
+
+def reference_parse_description(xml_text: str) -> HmDescription:
+    """What `compiler.parse_description` must return or raise: the
+    description one walk builds when it reads every attribute of every
+    template instance again, or the first error that walk meets."""
+    root = _parse_with_lines(xml_text)
+    if root.tag != "healthmap":
+        raise SchemaViolationError(
+            f"root element must be <healthmap>, got <{_name(root.tag)}>")
+    _check_attrs(root, {"version"})
+    version = root.attrib.get("version", "1")
+    if version != "1":
+        raise SchemaViolationError(f"unsupported description version "
+                                   f"{quote_token(version)}")
+    # (tag, id) -> line of its element / of its template; an overlap of
+    # template ranges is raised at once, a duplicate id after the walk
+    seen: dict[tuple[str, int], int] = {}
+    claimed: dict[tuple[str, int], int] = {}
+    duplicates: list[str] = []
+    # modules and instruments declared so far, template instances included
+    declared = {"module": 0, "instrument": 0}
+
+    def element_id(elem: ET.Element, inst: Optional[tuple]) -> int:
+        value = _int_attr(elem, "id") + (inst[0] if inst else 0)
+        key = (elem.tag, value)
+        if inst is not None:
+            if key in claimed:
+                # the earlier template first, whichever claimed first
+                first, second = sorted((claimed[key], inst[2]))
+                raise IdRangeCollisionError(
+                    f"line {first}: {elem.tag} id {quote_int(value)} already "
+                    f"claimed by template at line {second}")
+            claimed[key] = inst[2]
+        else:   # an instance was counted when its template was met
+            declared[elem.tag] += 1
+        if key in seen:
+            duplicates.append(f"duplicate {elem.tag} id {quote_int(value)} "
+                              f"at lines {seen[key]} and {_line(elem)}")
+        seen.setdefault(key, _line(elem))
+        return value
+
+    desc = HmDescription()
+    # (element, its template instance, its decl's parent or None); the root
+    # comes first, the children of each module in document order
+    stack: list[tuple] = [(root, None, None)]
+    while stack:
+        elem, inst, parent = stack.pop()
+        decl = None
+        if elem is not root:
+            _check_attrs(elem, _MODULE_ATTRS)
+            name = _attr(elem, "name", inst)
+            if not name:   # an empty name counts as missing
+                raise SchemaViolationError(
+                    f"line {_line(elem)}: <module> missing attribute 'name'")
+            decl = ModuleDecl(
+                id=element_id(elem, inst),
+                name=name,
+                criticality=_severity_attr(elem, "criticality",
+                                           allow_zero=True),
+                core_id=(_int_attr(elem, "coreId", inst)
+                         if "coreId" in elem.attrib else None),
+                line=_line(elem),
+            )
+            (desc.modules if parent is None else parent.children).append(decl)
+        # a module's instruments are claimed before its submodules' ids
+        first_child = len(stack)
+        for child, where in _expand(elem, inst, declared):
+            if child.tag in ("instrument", "dependency") and len(child):
+                raise SchemaViolationError(
+                    f"line {_line(child[0])}: unexpected element "
+                    f"<{_name(child[0].tag)}> inside <{child.tag}>")
+            if child.tag == "module":
+                stack.append((child, where, decl))
+            elif child.tag == "instrument" and decl is not None:
+                _check_attrs(child, _INSTRUMENT_ATTRS)
+                decl.instruments.append(InstrumentDecl(
+                    id=element_id(child, where),
+                    kind=_int_attr(child, "kind"),
+                    line=_line(child),
+                ))
+            elif child.tag == "dependency" and decl is None:
+                _check_attrs(child, _DEPENDENCY_ATTRS)
+                desc.dependencies.append(DependencyDecl(
+                    provider=_int_attr(child, "provider"),
+                    dependent=_int_attr(child, "dependent"),
+                    severity=_severity_attr(child, "severity",
+                                            allow_zero=False),
+                    line=_line(child),
+                ))
+            else:
+                raise SchemaViolationError(
+                    f"line {_line(child)}: unexpected element "
+                    f"<{_name(child.tag)}> "
+                    + ("inside <module>" if decl else "under <healthmap>"))
+        stack[first_child:] = reversed(stack[first_child:])
+
+    if duplicates:
+        raise DuplicateIdError(duplicates[0])
+    for dep in desc.dependencies:
+        for end, label in ((dep.provider, "provider"),
+                           (dep.dependent, "dependent")):
+            if ("module", end) not in seen:
+                raise UnresolvedReferenceError(
+                    f"line {dep.line}: dependency {label} {quote_int(end)} "
+                    f"does not resolve to a module")
+    return desc
 
 
 def oracle_parent_violations(hm: HealthMap) -> list[Violation]:

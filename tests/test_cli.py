@@ -459,6 +459,26 @@ def test_rewrite_keeps_each_file_mode(compiled):
     assert stat.S_IMODE(sym.stat().st_mode) == 0o604
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot", "linked-dir"])
+def test_compile_refuses_one_file_named_twice(compiled, capsys, spelling):
+    # the sidecar's rename used to land on the image: exit 0, "wrote
+    # table1.shm (... bytes)", and a sidecar where the image should be
+    shm, _sym = compiled
+    before = shm.read_bytes()
+    (shm.parent / "link").symlink_to(shm.parent)
+    files_before = sorted(shm.parent.iterdir())
+    sym = {"same": str(shm),
+           "dot": f"{shm.parent}/./{shm.name}",
+           "linked-dir": str(shm.parent / "link" / shm.name)}[spelling]
+    assert main(["compile", str(DATA_DIR / "table1.xml"), "-o", str(shm),
+                 "--sym", sym]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: two outputs name one file: "
+            f"{quote_path(Path(sym), repr)}\n")
+    assert shm.read_bytes() == before
+    assert sorted(shm.parent.iterdir()) == files_before
+
+
 @pytest.mark.parametrize("option, value", [
     ("--t", "-1"),
     ("--t", str(2**64)),
@@ -1747,10 +1767,11 @@ LONG_DIGITS = "1" * 4000
     ("duration 10000", f"duration {LONG_DIGITS}",
      "scenario makes <13273-bit integer> summary emissions, above the cap "
      "of 1000000"),
-    # a line giving its own `t=` leaves its `at` time unbounded
+    # a line giving its own `t=` is refused when its `at` time differs
     ("at 1000 node 1 detect 12 sev=HIGH class=1",
      f"at {LONG_DIGITS} node 1 detect 12 sev=HIGH class=1 t=1000",
-     "event at <13285-bit integer> µs is after the duration of 10000 µs"),
+     "scenario line 6: event t=1000 is not the line's at time "
+     "<13285-bit integer>"),
 ], ids=["event-node", "parent", "duration", "event-time"])
 def test_simulate_long_integer_is_refused_in_a_short_line(tmp_path, old, new,
                                                           message):

@@ -1,4 +1,5 @@
 import gc
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from healthmap.errors import (
     BadEnumValueError,
     DuplicateIdError,
     FieldRangeError,
+    HealthMapError,
     IdRangeCollisionError,
     SchemaViolationError,
     UnresolvedReferenceError,
@@ -23,7 +25,7 @@ from healthmap.errors import (
 )
 from healthmap.model import Severity, quote_token
 
-from helpers import nest_xml
+from helpers import nest_xml, reference_parse_description
 
 MINIMAL = '<healthmap version="1"><module id="1" name="SOC" criticality="ZERO"/></healthmap>'
 
@@ -180,6 +182,65 @@ def test_template_overlap_outranks_duplicate_id():
                        match="^line 4: module id 11 already claimed by "
                              "template at line 7$"):
         parse_description(text)
+
+
+def _in_top(body: str) -> str:
+    return ('<healthmap version="1">\n'
+            '<module id="1" name="TOP" criticality="ZERO">\n'
+            f'{body}</module>\n</healthmap>')
+
+
+@pytest.mark.parametrize("body, error, message", [
+    # "-0" is a valid core id, "-1" is not
+    ('<template name="c" count="2" baseId="10" idStride="10">\n'
+     '<module id="0" name="C{i}" criticality="LOW" coreId="-{i}"/>\n'
+     '</template>\n', SchemaViolationError,
+     "line 4: attribute coreId='-1' must be >= 0"),
+    # instance 0 of b lands on 8, instance 1 on 10, which a claimed
+    ('<template name="a" count="3" baseId="10" idStride="1">\n'
+     '<module id="0" name="A{i}" criticality="LOW"/>\n</template>\n'
+     '<template name="b" count="2" baseId="8" idStride="2">\n'
+     '<module id="0" name="B{i}" criticality="LOW"/>\n</template>\n',
+     IdRangeCollisionError,
+     "line 3: module id 10 already claimed by template at line 6"),
+    # a stride too short for the body: instance 1's instrument 11 is
+    # instance 0's second one
+    ('<template name="a" count="2" baseId="10" idStride="1">\n'
+     '<module id="0" name="A{i}" criticality="LOW">\n'
+     '<instrument id="0" kind="1"/>\n<instrument id="1" kind="1"/>\n'
+     '</module>\n</template>\n', IdRangeCollisionError,
+     "line 3: instrument id 11 already claimed by template at line 3"),
+    # stride 0: instance 1 claims instance 0's id before its coreId "-1"
+    # is read
+    ('<template name="a" count="2" baseId="10" idStride="0">\n'
+     '<module id="0" name="A{i}" criticality="LOW" coreId="-{i}"/>\n'
+     '</template>\n', IdRangeCollisionError,
+     "line 3: module id 10 already claimed by template at line 3"),
+    # instance 1 repeats an id declared outside any template
+    ('<module id="12" name="X" criticality="LOW"/>\n'
+     '<template name="a" count="2" baseId="10" idStride="2">\n'
+     '<module id="0" name="A{i}" criticality="LOW"/>\n</template>\n',
+     DuplicateIdError, "duplicate module id 12 at lines 3 and 5"),
+    ('<template name="a" count="2" baseId="10" idStride="2">\n'
+     '<module id="0" name="A{i}" criticality="LOW"/>\n</template>\n'
+     '<module id="12" name="X" criticality="LOW"/>\n',
+     DuplicateIdError, "duplicate module id 12 at lines 4 and 6"),
+    # the colliding id is read before the bad criticality
+    ('<template name="a" count="2" baseId="10" idStride="1">\n'
+     '<module id="0" name="A{i}" criticality="LOW"/>\n</template>\n'
+     '<template name="b" count="1" baseId="11" idStride="1">\n'
+     '<module id="0" name="B{i}" criticality="BAD"/>\n</template>\n',
+     IdRangeCollisionError,
+     "line 3: module id 11 already claimed by template at line 6"),
+], ids=["core-id-at-instance-1", "collision-at-instance-1",
+        "instrument-collision-at-instance-1", "collision-before-core-id",
+        "duplicate-at-instance-1", "duplicate-after-instances",
+        "collision-before-criticality"])
+def test_instance_refusal_is_the_walks_first(body, error, message):
+    # each refusal is met at one instance of an element, in walk order
+    with pytest.raises(error) as exc:
+        parse_description(_in_top(body))
+    assert str(exc.value) == message
 
 
 def test_template_bound_counts_what_was_declared_before_it():
@@ -520,6 +581,63 @@ def test_overlapping_template_instances_collide(case, data):
     templated, _inline_text = _render(forest, deps)
     with pytest.raises(IdRangeCollisionError):
         parse_description(templated)
+
+
+# -- one read per template element, against the walk that reads every instance
+
+ATTR_NAMES = ["id", "name", "criticality", "coreId", "kind", "count",
+              "baseId", "idStride", "bogus"]
+ATTR_VALUES = ["0", "1", "2", "11", "-1", "-{i}", "{i}", "0{i}", "1{i}", "",
+               "x", "0x10", "ZERO", "LOW", "BAD", "9" * 50]
+INSERTS = ['<instrument id="V" kind="1"/>',
+           '<module id="V" name="N{i}" criticality="LOW" coreId="{i}"/>',
+           '<template name="t" count="2" baseId="V" idStride="1">'
+           '<module id="0" name="T{i}" criticality="LOW"/></template>',
+           '<dependency provider="V" dependent="1" severity="LOW"/>',
+           '<widget/>']
+
+
+@st.composite
+def mutated_descriptions(draw):
+    """A `_templated` forest with up to three mutations, each on one line:
+    an attribute set (to a value valid or not at some instance) or
+    dropped, an element inserted, or a leaf element repeated."""
+    lines = _render(*draw(forests()))[0].split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["set", "drop", "insert", "repeat"]))
+        line = lines[pos]
+        if op == "insert":
+            lines.insert(pos + 1, draw(st.sampled_from(INSERTS)).replace(
+                "V", draw(st.sampled_from(ATTR_VALUES[:4]))))
+        elif op == "repeat":
+            if line.endswith("/>"):
+                lines.insert(pos, line)
+        elif not line.startswith("</"):
+            name = draw(st.sampled_from(ATTR_NAMES))
+            line = re.sub(f' {name}="[^"]*"', "", line)
+            if op == "set":
+                end = -2 if line.endswith("/>") else -1
+                line = (f'{line[:end]} {name}='
+                        f'"{draw(st.sampled_from(ATTR_VALUES))}"{line[end:]}')
+            lines[pos] = line
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    """The description with every line number (repr shows the fields that
+    == skips), or the refusal's class and message."""
+    try:
+        return repr(parse(text))
+    except HealthMapError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_descriptions())
+def test_parse_matches_the_walk_that_reads_every_instance(text):
+    assert (_outcome(parse_description, text)
+            == _outcome(reference_parse_description, text))
 
 
 # -- depth ---------------------------------------------------------------------

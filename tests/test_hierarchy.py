@@ -595,8 +595,11 @@ NODE_LINE = "node 0 hm=a map=none period=1 parent=none"
      "scenario line 2: parent node id 4294967296 outside 0..4294967295"),
     ([NODE_LINE, "at 1 node 4294967296 detect 12 sev=HIGH class=1"],
      "scenario line 3: node id 4294967296 outside 0..4294967295"),
+    # an event applies at its `at` time, so a `t=` may only repeat it
+    ([NODE_LINE, "at 1 node 0 detect 12 sev=HIGH class=1 t=99999999"],
+     "scenario line 3: event t=99999999 is not the line's at time 1"),
 ], ids=["directive", "node-arity", "duplicate-node", "missing-key",
-        "parent-past-u32", "event-node-past-u32"])
+        "parent-past-u32", "event-node-past-u32", "event-t-not-at"])
 def test_scenario_line_refusal_names_its_line(tmp_path, lines, message):
     with pytest.raises(ScenarioError) as exc:
         Scenario.parse("\n".join(["duration 5", *lines]) + "\n", tmp_path)
@@ -797,6 +800,10 @@ def test_scenario_refuses_an_event_after_its_duration():
     event = "at {} node {} detect 12 sev=HIGH class=1\n"
     scenario = Scenario.parse(head + event.format(10000, 1), Path("."))
     assert [e[0] for e in scenario.events] == [10000]
+    # a `t=` equal to the `at` time is the same event
+    again = Scenario.parse(head + event.format(10000, 1).replace(
+        "\n", " t=10000\n"), Path("."))
+    assert again.events == scenario.events
     with pytest.raises(ScenarioError, match="^event at 10001 µs is after the "
                        "duration of 10000 µs$"):
         Scenario.parse(head + event.format(10001, 1), Path("."))
