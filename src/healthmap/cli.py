@@ -13,8 +13,10 @@ through the descriptor that created it and renamed over the target
 (`_replace_files`).
 
 `main` pauses automatic garbage collection while a command runs and
-restores the caller's setting when it returns; no command leaves cyclic
-garbage behind while it runs, so nothing waits on a collection.
+restores the caller's setting when it returns. No command leaves cyclic
+garbage behind: a map the command drops frees itself by reference
+counting (`HealthMap.__del__`), inside `main`, so nothing waits on a
+collection, during the command or after it.
 """
 
 from __future__ import annotations
@@ -364,8 +366,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     # automatic collection pauses while the command runs: the records it
     # builds stay reachable until it returns, so a pass would only rescan
-    # them, and no command leaves cyclic garbage on the way (the one parse
-    # cycle is broken in `compiler._parse_with_lines`)
+    # them, and no command leaves cyclic garbage, on the way or at its end
+    # (the one parse cycle is broken in `compiler._parse_with_lines`, and a
+    # dropped map frees itself)
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -254,9 +254,15 @@ def _write_linked(buf: bytearray, modules: list[Module],
     return bytes(buf)
 
 
+def counts_fit(m: int, r: int, d: int, f: int, fd: int) -> bool:
+    """Whether the header counts these records: M, R, D and F in u16
+    fields, FD in a u32 field."""
+    return max(m, r, d, f) <= 0xFFFF and fd <= 0xFFFFFFFF
+
+
 def _check_counts(m: int, r: int, d: int, f: int,
                   fd: int) -> tuple[int, int, int, int, int]:
-    if max(m, r, d, f) > 0xFFFF or fd > 0xFFFFFFFF:
+    if not counts_fit(m, r, d, f, fd):
         raise StructureInvalidError(
             [f"entity counts exceed header field ranges "
              f"(M={m} R={r} D={d} F={f} FD={fd})"])

@@ -30,7 +30,9 @@ binary live only in the sidecar (one line per module:
 stack, and neither it nor `build_map` limits the nesting depth. A module
 inside a template is read and checked once, at its first visit, and each
 later instance of it is stamped from that read: its ids offset, "{i}"
-replaced in its name, and only a coreId holding "{i}" parsed again.
+replaced in its name, and only a coreId holding "{i}" parsed again. A
+template of count 0 adds nothing, but its body is read and checked as
+instance 0 would be.
 """
 
 from __future__ import annotations
@@ -253,10 +255,13 @@ def _check_attrs(elem: ET.Element, allowed: set[str]) -> None:
 def _expand(parent: ET.Element, inst: Optional[tuple],
             declared: dict[str, int]):
     """The children of `parent` in document order, each with the template
-    instance it belongs to, as (id offset, index, line of the <template>),
-    or None; a <template> gives its children once per instance, k-major.
-    Before a template expands, its instances' modules and instruments are
-    added to the `declared` counts, which may not pass MAX_DECLARED."""
+    instance it belongs to, as (id offset, index, line of the <template>,
+    live), or None; a <template> gives its children once per instance,
+    k-major. A template of count 0 gives them once, as instance 0 with
+    `live` False: its body is read and checked, but claims no id and adds
+    nothing. Before a template expands, its instances' modules and
+    instruments are added to the `declared` counts, which may not pass
+    MAX_DECLARED."""
     for child in parent:
         if child.tag != "template" or inst is not None:
             pairs = ((child, inst),)
@@ -275,8 +280,8 @@ def _expand(parent: ET.Element, inst: Optional[tuple],
                     raise SchemaViolationError(
                         f"line {line}: template takes the declared {tag}s "
                         f"to {declared[tag]}, above {MAX_DECLARED}")
-            pairs = ((sub, (base_id + k * stride, k, line))
-                     for k in range(count) for sub in child)
+            pairs = ((sub, (base_id + k * stride, k, line, count > 0))
+                     for k in range(max(count, 1)) for sub in child)
         for elem, where in pairs:
             if where is not None and elem.tag not in ("module", "instrument"):
                 raise SchemaViolationError(
@@ -309,6 +314,8 @@ def parse_description(xml_text: str) -> HmDescription:
     def claim(tag: str, value: int, inst: Optional[tuple], line: int) -> int:
         key = (tag, value)
         if inst is not None:
+            if not inst[3]:
+                return value    # a count-0 template's body declares nothing
             if key in claimed:
                 # the earlier template first, whichever claimed first
                 first, second = sorted((claimed[key], inst[2]))
@@ -377,7 +384,9 @@ def parse_description(xml_text: str) -> HmDescription:
                          if "coreId" in elem.attrib else None),
                 line=_line(elem),
             )
-            (desc.modules if parent is None else parent.children).append(decl)
+            if inst is None or inst[3]:
+                (desc.modules if parent is None
+                 else parent.children).append(decl)
         # a module's instruments are claimed before its submodules' ids
         first_child = len(stack)
         for child, where in _expand(elem, inst, declared):
@@ -389,11 +398,13 @@ def parse_description(xml_text: str) -> HmDescription:
                 stack.append((child, where, decl))
             elif child.tag == "instrument" and decl is not None:
                 _check_attrs(child, _INSTRUMENT_ATTRS)
-                decl.instruments.append(InstrumentDecl(
+                instrument = InstrumentDecl(
                     id=element_id(child, where),
                     kind=_int_attr(child, "kind"),
                     line=_line(child),
-                ))
+                )
+                if where is None or where[3]:
+                    decl.instruments.append(instrument)
             elif child.tag == "dependency" and decl is None:
                 _check_attrs(child, _DEPENDENCY_ATTRS)
                 desc.dependencies.append(DependencyDecl(

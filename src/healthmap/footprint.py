@@ -25,10 +25,11 @@ from .codec import (
     FAULT_SIZE,
     HEADER_SIZE,
     MODULE_SIZE,
+    counts_fit,
     image_length,
 )
 from .errors import InvalidCoreCountError
-from .model import HealthMap, Persistence, Severity
+from .model import HealthMap, Persistence, Severity, quote_int
 from .resourcemap import RM_ENTRY_SIZE
 
 
@@ -63,6 +64,9 @@ class FootprintEstimate:
 
 
 def estimate(core_count: int) -> FootprintEstimate:
+    """The entity counts and byte totals of a `core_count`-core map. A
+    count whose image the header cannot count (above 1 364 cores, where R
+    passes 0xFFFF) is refused, quoted by `quote_int`."""
     if core_count < 1:
         raise InvalidCoreCountError("core count must be at least 1")
     m = 16 * core_count + 10
@@ -70,6 +74,10 @@ def estimate(core_count: int) -> FootprintEstimate:
     d = m
     f = 2 * d
     fd = 10 * f
+    if not counts_fit(m, r, d, f, fd):
+        raise InvalidCoreCountError(
+            f"core count {quote_int(core_count)}: an image header cannot "
+            f"count the records of that many cores")
     return FootprintEstimate(
         core_count=core_count,
         modules=m,

@@ -325,6 +325,15 @@ def parent_verdicts(
 class HealthMap:
     """Mutable graph of modules, diagnostic resources, dependencies and
     fault history. Single-writer: mutate from one logical thread at a time.
+
+    A dropped map frees itself: its records point at each other (a module
+    holds its faults, diag resources and dependencies, and each of those
+    points back at its module), but no record points at the map, so when
+    the last reference to the map goes `__del__` empties every module's
+    three lists and reference counting frees every record at once, without
+    waiting for a collection. A record kept after its map is gone keeps
+    its own fields (a fault its owner and detections, a module its parent),
+    but its module's lists are empty.
     """
 
     def __init__(self) -> None:
@@ -345,6 +354,14 @@ class HealthMap:
         # length, key -> position, id -> child ids in insertion order)
         self._tree: Optional[tuple[dict, int, dict[int, int],
                                    dict[int, list[int]]]] = None
+
+    def __del__(self) -> None:
+        # breaks the owner and provider cycles, the map's only ones; the
+        # lists are emptied in place, so this allocates nothing per module
+        for module in self.modules.values():
+            module.diag_resources.clear()
+            module.dependencies.clear()
+            module.faults.clear()
 
     def require_whole(self, action: str) -> None:
         """Raise FaultsNotBuiltError, naming `action`, when a load built

@@ -657,6 +657,8 @@ def reference_parse_description(xml_text: str) -> HmDescription:
         value = _int_attr(elem, "id") + (inst[0] if inst else 0)
         key = (elem.tag, value)
         if inst is not None:
+            if not inst[3]:
+                return value    # a count-0 template's body declares nothing
             if key in claimed:
                 # the earlier template first, whichever claimed first
                 first, second = sorted((claimed[key], inst[2]))
@@ -694,7 +696,9 @@ def reference_parse_description(xml_text: str) -> HmDescription:
                          if "coreId" in elem.attrib else None),
                 line=_line(elem),
             )
-            (desc.modules if parent is None else parent.children).append(decl)
+            if inst is None or inst[3]:
+                (desc.modules if parent is None
+                 else parent.children).append(decl)
         # a module's instruments are claimed before its submodules' ids
         first_child = len(stack)
         for child, where in _expand(elem, inst, declared):
@@ -706,11 +710,13 @@ def reference_parse_description(xml_text: str) -> HmDescription:
                 stack.append((child, where, decl))
             elif child.tag == "instrument" and decl is not None:
                 _check_attrs(child, _INSTRUMENT_ATTRS)
-                decl.instruments.append(InstrumentDecl(
+                instrument = InstrumentDecl(
                     id=element_id(child, where),
                     kind=_int_attr(child, "kind"),
                     line=_line(child),
-                ))
+                )
+                if where is None or where[3]:
+                    decl.instruments.append(instrument)
             elif child.tag == "dependency" and decl is None:
                 _check_attrs(child, _DEPENDENCY_ATTRS)
                 desc.dependencies.append(DependencyDecl(

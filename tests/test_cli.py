@@ -162,6 +162,23 @@ def test_estimate_output(capsys):
     assert "RM 138 x 7 = 966 bytes" in out
 
 
+@pytest.mark.parametrize("cores, shown", [
+    ("1365", "1365"), ("9" * 4299, "<14281-bit integer>")])
+def test_estimate_refuses_a_count_the_header_cannot_hold(cores, shown):
+    # at 1 365 cores R = 48 C + 30 passes the header's u16 field; a count
+    # of 4 299 digits used to end in a traceback when the table was drawn
+    code, out, err = cli_outcome(["estimate", "--cores", cores])
+    assert (code, out) == (1, "")
+    assert err == (f"error: core count {shown}: an image header cannot "
+                   f"count the records of that many cores\n")
+
+
+def test_estimate_takes_the_largest_count_the_header_holds():
+    code, out, _err = cli_outcome(["estimate", "--cores", "1364"])
+    assert code == 0
+    assert "Diag resource      65502    13  851526" in out
+
+
 def test_simulate_writes_logs(tmp_path, table1_xml):
     (tmp_path / "child.xml").write_text(table1_xml)
     (tmp_path / "parent.xml").write_text(
@@ -1292,6 +1309,55 @@ def test_main_restores_collector_state_on_exception(monkeypatch, enabled):
         gc.enable()
 
 
+# -- a finished command leaves nothing for the collector ----------------------
+# Each map a command builds frees itself when the command drops it
+# (`HealthMap.__del__`), so once the command's parser is built a run leaves
+# no cyclic garbage: on the demo CPU image grown by the inject chain, and
+# on the image of `synthesize_map(8)`.
+
+FREED_CALLS = {
+    "compile": ["compile", "DATA/cpu.xml", "-o", "WORK/new.shm",
+                "--sym", "WORK/new.sym"],
+    "validate": ["validate", "WORK/cpu.shm"],
+    "dump": ["dump", "WORK/cpu.shm", "--sym", "WORK/cpu.sym"],
+    "inject": ["inject", "WORK/cpu.shm", "--detector", "22", "--sev", "HIGH",
+               "--class", "1", "--t", "9000000"],
+    "rm": ["rm", "WORK/cpu.shm", "--sym", "WORK/cpu.sym",
+           "--maintenance", "CPU.C3"],
+    "affinity": ["affinity", "WORK/cpu.shm", "--tasks", "DATA/tasks.txt",
+                 "--sym", "WORK/cpu.sym"],
+    "prune": ["prune", "WORK/cpu.shm"],
+    "estimate": ["estimate", "--cores", "8"],
+    "simulate": ["simulate", "DATA/board.scn", "--out", "WORK/out"],
+    "validate soc": ["validate", "WORK/soc.shm"],
+    "dump soc": ["dump", "WORK/soc.shm"],
+    "inject soc": ["inject", "WORK/soc.shm", "--detector", "7", "--sev",
+                   "LOW", "--class", "2", "--t", "1"],
+    "rm soc": ["rm", "WORK/soc.shm", "--maintenance", "11"],
+    "prune soc": ["prune", "WORK/soc.shm"],
+}
+
+
+@pytest.mark.parametrize("call", FREED_CALLS)
+def test_a_finished_command_leaves_no_cyclic_garbage(tmp_path, capsys,
+                                                     paused_collector, call):
+    image, sidecar = compile_xml((DEMO_DATA / "cpu.xml").read_text())
+    (tmp_path / "cpu.shm").write_bytes(image)
+    (tmp_path / "cpu.sym").write_text(sidecar.format())
+    (tmp_path / "soc.shm").write_bytes(serialize(footprint.synthesize_map(8)))
+    for line in (DEMO_DATA / "inject_chain.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            assert main(["inject", str(tmp_path / "cpu.shm"),
+                         *line.split()]) == 0
+    argv = [arg.replace("WORK", str(tmp_path)).replace("DATA", str(DEMO_DATA))
+            for arg in FREED_CALLS[call]]
+    cli.build_parser(argv[0])
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0
+    capsys.readouterr()
+
+
 # -- the `hm inject` slice of the hostile-input gate --------------------------
 # `cli.main(["inject", …])` in-process on mutated images with drawn argument
 # values: every run ends in exit 0, 1 or 2 with a short stderr and no temp
@@ -1409,6 +1475,79 @@ def test_validate_prints_what_a_whole_load_gives(base, mutate, data):
         path.write_bytes(image)
         code, out, err = cli_outcome(["validate", str(path)])
     assert (code, out.replace(str(path), "IMAGE"), err) == expected
+
+
+# -- the argument slice of `estimate`, `validate`, `dump` and `prune` ---------
+# `cli.main` in-process with drawn argument values: core counts of any
+# length, and paths that name an image, a mutated image, no file, a
+# directory, a text file, a name too long for the file system or one with
+# a NUL byte, and for `hm dump` sidecars of drawn lines. Every run ends in
+# exit 0, 1 or 2 with a short stderr, no traceback and no temp file, and
+# only an `hm prune` that exits 0 changes its file.
+
+CORE_TOKENS = st.one_of(
+    st.integers(-3, 1400).map(str), INT_TOKENS,
+    st.sampled_from(["", "x", "0x10", "1_000", "+8", " 8", "1364", "1365"]),
+    st.integers(4290, 4310).map(lambda n: "9" * n))
+SIDECAR_LINES = st.one_of(
+    st.sampled_from(["1 A", "2 B core=0", "1 A core=4294967296", "x A", "1",
+                     "1 A nope=1", "1 A core=", "# comment", ""]),
+    INT_TOKENS.map(lambda token: f"{token} N"),
+    INT_TOKENS.map(lambda token: f"3 C core={token}"),
+    st.integers(41, 3000).map(lambda n: "4 " + "n" * n),
+    st.text(max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cores=CORE_TOKENS)
+def test_estimate_with_drawn_core_counts_ends_in_an_exit_code(cores):
+    code, out, err = cli_outcome(["estimate", "--cores", cores])
+    assert code in (0, 1, 2)
+    assert len(err) <= 200 and "Traceback" not in err, err
+    if code == 0:
+        assert out.startswith(f"Cores: {int(cores)}\n")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.integers(0, 4), mutate=st.booleans(),
+       command=st.sampled_from(["validate", "dump", "prune"]), data=st.data())
+def test_loads_with_drawn_paths_end_in_an_exit_code(base, mutate, command,
+                                                    data):
+    image, hm = mutation_bases()[base]
+    if mutate:
+        image = mutated_image(data, image, hm)
+    with tempfile.TemporaryDirectory() as work:
+        files = {"image.shm": image, "notes.txt": b"1 A\n\xff\n"}
+        if data.draw(st.booleans(), label="sidecar"):
+            text = "\n".join(data.draw(st.lists(SIDECAR_LINES, max_size=4),
+                                       label="lines"))
+            files["image.sym"] = text.encode("utf-8", "surrogatepass")
+        for name, content in files.items():
+            (Path(work) / name).write_bytes(content)
+        os.mkdir(Path(work) / "dir")
+
+        def path(label, names):
+            kind = data.draw(st.sampled_from(
+                [*names, "missing", "dir", "long name", "long path", "nul"]),
+                label=label)
+            return str(Path(work) / {
+                "long name": "n" * 300, "long path": "d/" * 2100 + "x",
+                "nul": "image\0.shm"}.get(kind, kind))
+
+        argv = [command, path("image", ["image.shm", "notes.txt"])]
+        if command == "dump" and data.draw(st.booleans(), label="--sym"):
+            argv += ["--sym", path("sidecar", [*files])]
+        code, _out, err = cli_outcome(argv)
+        assert code in (0, 1, 2)
+        assert len(err) <= 200 and "Traceback" not in err, err
+        assert sorted(os.listdir(work)) == sorted([*files, "dir"])
+        changed = [name for name, content in files.items()
+                   if (Path(work) / name).read_bytes() != content]
+    if code or command != "prune":
+        assert changed == []
+    else:
+        assert set(changed) <= {Path(argv[1]).name}
 
 
 @pytest.mark.parametrize("argv, extra", [

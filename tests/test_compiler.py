@@ -243,6 +243,57 @@ def test_instance_refusal_is_the_walks_first(body, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("body, message", [
+    ('<module id="x" name="" criticality="SEVERE" bogus="1"><widget/>'
+     '</module>', "line 1: unknown module attributes ['bogus']"),
+    ('<module id="x" name="" criticality="SEVERE"><widget/></module>',
+     "line 1: <module> missing attribute 'name'"),
+    ('<module id="x" name="A" criticality="SEVERE"><widget/></module>',
+     "line 1: attribute id='x' is not an integer"),
+    ('<module id="0" name="A" criticality="SEVERE"><widget/></module>',
+     "line 1: bad criticality value 'SEVERE'"),
+    ('<module id="0" name="A" criticality="LOW"><widget/></module>',
+     "line 1: <widget> not allowed inside a template"),
+    ('<module id="0" name="A" criticality="LOW" coreId="1-{i}"/>',
+     "line 1: attribute coreId='1-0' is not an integer"),
+    ('<instrument id="0" kind="1"/>',
+     "line 1: unexpected element <instrument> under <healthmap>"),
+    ('<dependency provider="1" dependent="2" severity="LOW"/>',
+     "line 1: <dependency> not allowed inside a template"),
+], ids=["unknown-attribute", "empty-name", "bad-id", "bad-criticality",
+        "unknown-child", "bad-core-id", "instrument-at-root",
+        "dependency"])
+@pytest.mark.parametrize("count", ["0", "1"])
+def test_empty_template_body_is_checked_as_instance_0(count, body, message):
+    # a count-0 template expands to nothing, but its body is read and
+    # checked as its instance 0 would be, with the same first error
+    text = (f'<healthmap version="1"><template name="t" count="{count}" '
+            f'baseId="0" idStride="1">{body}</template></healthmap>')
+    with pytest.raises(HealthMapError) as exc:
+        parse_description(text)
+    assert str(exc.value) == message
+
+
+def test_valid_empty_template_claims_no_id_and_adds_nothing():
+    # its body's ids collide with a module and an instrument outside it,
+    # and a dependency names its module: none of them is declared
+    empty = ('<template name="c" count="0" baseId="1" idStride="10">\n'
+             '<module id="0" name="C{i}" criticality="LOW" coreId="{i}">\n'
+             '<instrument id="6" kind="1"/>\n'
+             '<module id="1" name="F" criticality="LOW"/>\n'
+             '</module>\n<instrument id="5" kind="1"/>\n</template>\n')
+    plain = _in_top('<instrument id="7" kind="1"/>\n')
+    image, sidecar = compile_xml(plain)
+    templated = plain.replace("</module>", f"{empty}</module>", 1)
+    assert compile_xml(templated)[0] == image
+    assert compile_xml(templated)[1].format() == sidecar.format()
+    assert parse_description(templated) == parse_description(plain)
+    with pytest.raises(UnresolvedReferenceError):
+        parse_description(templated.replace(
+            "</healthmap>", '<dependency provider="1" dependent="2" '
+                            'severity="LOW"/></healthmap>'))
+
+
 def test_template_bound_counts_what_was_declared_before_it():
     # the header's R count is u16: two instruments declared by hand and
     # one by each of 65 534 instances would need 65 536

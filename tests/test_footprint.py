@@ -26,6 +26,14 @@ def test_nonpositive_core_count_rejected():
             estimate(bad)
 
 
+def test_core_count_past_the_header_rejected():
+    # the header counts R = 48 C + 30 diag resources in a u16 field
+    assert estimate(1364).diag_resources == 0xFFDE
+    for bad in (1365, 10 ** 5000):
+        with pytest.raises(InvalidCoreCountError):
+            estimate(bad)
+
+
 def test_total_matches_record_arithmetic():
     est = estimate(8)
     assert est.total_shm_bytes == image_length(

@@ -1,4 +1,6 @@
+import gc
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,21 @@ from healthmap import (
     HealthMap,
     ModuleStatus,
     Persistence,
+    Scenario,
     Severity,
+    codec,
     deserialize,
     encode_summary,
     ingest_summary,
     init_resource_map,
     prune,
+    parse_description,
     report_detection,
     serialize,
+    simulate,
+    synthesize_map,
 )
+from healthmap.compiler import build_map
 from healthmap.model import (
     PERSISTENCES,
     SEVERITIES,
@@ -525,3 +533,79 @@ def test_check_field_describes_a_huge_integer_by_its_bit_length(value,
 def test_int_token_reads_a_long_token_in_range():
     assert int_token("0" * 100 + "7", "module id", FieldRangeError,
                      0xFFFFFFFF) == 7
+
+
+# -- a dropped map frees itself ------------------------------------------------
+# Each record points at its module, and each module at its faults, diag
+# resources and dependencies; no record points at the map, whose finalizer
+# empties the modules' lists, so reference counting frees a dropped map
+# whole and the cyclic collector finds nothing.
+
+DEMO_DATA = Path(__file__).parent.parent / "demo" / "data"
+
+
+def _eight_core_image() -> bytes:
+    return serialize(synthesize_map(8))
+
+
+def _simulated():
+    scenario = Scenario.parse((DEMO_DATA / "board.scn").read_text(),
+                              DEMO_DATA)
+    return simulate(scenario)
+
+
+MAP_MAKERS = {
+    "deserialize": lambda: deserialize(_eight_core_image()),
+    "check": lambda: codec._check(_eight_core_image()),
+    "load": lambda: codec._load(_eight_core_image(), 7),
+    "build_map": lambda: build_map(parse_description(
+        (DEMO_DATA / "cpu.xml").read_text())),
+    "synthesize_map": lambda: synthesize_map(8),
+    "simulate": _simulated,
+}
+
+
+@pytest.mark.parametrize("make", MAP_MAKERS.values(), ids=MAP_MAKERS)
+def test_a_dropped_map_leaves_no_cyclic_garbage(paused_collector, make):
+    gc.collect()
+    made = make()
+    del made
+    assert gc.collect() == 0
+
+
+def test_a_dropped_map_with_a_200_000_deep_parent_chain_frees_itself(
+        paused_collector):
+    # freeing the chain frees each module from its child's release, which
+    # must not recurse once per level
+    hm = HealthMap()
+    for mid in range(200_000):
+        hm.add_module(mid, mid - 1 if mid else None, Severity.LOW)
+        hm.add_diag_resource(mid, mid)
+        if mid:
+            hm.add_dependency(mid, mid - 1, Severity.LOW)
+    hm.add_fault_with_detection(199_999, Severity.HIGH,
+                                Persistence.PERMANENT, 1, 199_999, 5)
+    gc.collect()
+    del hm
+    assert gc.collect() == 0
+
+
+def test_a_record_kept_after_its_map_keeps_its_fields_but_not_its_lists(
+        paused_collector):
+    image = _eight_core_image()
+    gc.collect()
+    hm = deserialize(image)
+    fault = hm.modules[11].faults[1]
+    resource, dependency = hm.diag_resources[32], hm.dependencies[0]
+    del hm
+    assert gc.collect() == 0
+    assert (fault.owner.id, fault.classification, fault.severity) == (
+        11, 1, Severity.LOW)
+    assert [d.detector.id for d in fault.detections] == [31] * 10
+    assert fault.owner.parent.id == 1
+    assert (resource.id, resource.owner.id) == (32, 11)
+    assert (dependency.provider.id, dependency.dependent.id) == (1, 2)
+    for module in (fault.owner, resource.owner, dependency.provider,
+                   dependency.dependent):
+        assert (module.faults, module.diag_resources,
+                module.dependencies) == ([], [], [])
