@@ -329,6 +329,13 @@ def hostile():
     stdout("hm", "compile", DATA / "cpu.xml", "-o", "hostile/cpu.shm")
     refused("hm", "rm", "hostile/cpu.shm", "--maintenance", "1" * 5000,
             bound=STDERR_BOUND)
+    # an output that is a directory is refused before any file is replaced
+    Path("hostile/out.shm").write_bytes(b"old image\n")
+    os.mkdir("hostile/out.sym")
+    refused("hm", "compile", DATA / "cpu.xml", "-o", "hostile/out.shm",
+            "--sym", "hostile/out.sym")
+    check(Path("hostile/out.shm").read_bytes() == b"old image\n",
+          "hm compile replaced hostile/out.shm")
     # a refused argument value, an unrecognized argument or a scenario
     # directive is quoted by its head and length, so stderr stays short
     inject = ("hm", "inject", "hostile/cpu.shm", "--sev", "HIGH", "--class",

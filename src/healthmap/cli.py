@@ -51,10 +51,15 @@ def _replace_files(*files: tuple[Path, bytes]) -> None:
 
     Two targets that name one directory entry, such as "out.shm" and
     "./out.shm", are refused before anything is written: the second rename
-    would put its bytes in place of the first's."""
+    would put its bytes in place of the first's. So is a target that is a
+    directory, which a rename cannot replace: an earlier target would
+    already hold its new bytes."""
     entries = set()
     for path, _data in files:
         check_path(path)    # mkstemp would raise ValueError
+        if path.is_dir() and not path.is_symlink():
+            raise HealthMapError(
+                f"output is a directory: {quote_path(path, repr)}")
         entry = (os.path.realpath(path.parent), path.name)
         if entry in entries:
             raise HealthMapError(

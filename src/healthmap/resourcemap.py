@@ -313,33 +313,6 @@ class ResourceMap:
                             work.append((to, capped, pers, False,
                                          _PROPAGATED))
 
-    # -- maintenance -------------------------------------------------------
-
-    def set_maintenance(self, module_id: int, on: bool) -> None:
-        """Mark or clear maintenance for a module and all its descendants.
-
-        Clearing folds each affected entry's own maxima back in by the
-        rule `init_resource_map` uses, so it gives the status a rebuild
-        without that maintenance root would. Clearing reads the modules'
-        faults, so a map loaded without all of them refuses it.
-        """
-        if not on:
-            self._hm.require_whole("clear maintenance on")
-        self._mark(self._hm.subtree_ids(module_id), on)
-
-    def _mark(self, module_ids: Iterable[int], on: bool) -> None:
-        table, offsets = self._table, self._offsets
-        if on:
-            for mid in module_ids:
-                table[offsets[mid] + 2] = _MAINTENANCE
-            return
-        modules = self._hm.modules
-        for mid in module_ids:
-            at = offsets[mid]
-            own = any(f.severity for f in modules[mid].faults)
-            table[at + 2] = ((_OWN if own else _PROPAGATED) if table[at]
-                             else ModuleStatus.AVAILABLE)
-
     # -- encoding -----------------------------------------------------------
 
     def encode(self) -> bytes:
@@ -355,8 +328,10 @@ def init_resource_map(
     values, the (id, severity, persistence) triples `worst` if given (those
     an image check keeps, `codec._check`) or else `model.worst_faults` of
     the map's faults, as OWN_FAULT and propagate from all of them, in one
-    walk; the result is independent of iteration order. Without `worst`, a
-    map whose load built the faults of some modules only is refused.
+    walk; the result is independent of iteration order. Each module of a
+    `maintenance` root's subtree is marked MAINTENANCE first, a status the
+    walk keeps. Without `worst`, a map whose load built the faults of some
+    modules only is refused.
     """
     if worst is None:
         hm.require_whole("build a resource map of")
@@ -364,7 +339,9 @@ def init_resource_map(
     rm = ResourceMap(hm)
     roots = tuple(maintenance)
     if roots:
-        rm._mark(hm.subtree_ids(*roots), True)
+        table, offsets = rm._table, rm._offsets
+        for mid in hm.subtree_ids(*roots):
+            table[offsets[mid] + 2] = _MAINTENANCE
     rm._propagate([(mid, severity, persistence, True, _OWN)
                    for mid, severity, persistence in worst])
     return rm

@@ -496,6 +496,40 @@ def test_compile_refuses_one_file_named_twice(compiled, capsys, spelling):
     assert sorted(shm.parent.iterdir()) == files_before
 
 
+@pytest.mark.parametrize("flag", ["-o", "--sym"])
+def test_compile_refuses_a_directory_target(compiled, capsys, flag):
+    # a directory given to --sym used to fail at its rename, after the image
+    # was replaced: exit 1, a new image, no sidecar, and an error line
+    # naming the hidden temp file
+    shm, sym = compiled
+    target = shm.parent / "dir"
+    target.mkdir()
+    before = {path: path.read_bytes() for path in (shm, sym)}
+    files_before = sorted(shm.parent.iterdir())
+    outputs = {"-o": str(shm), "--sym": str(sym), flag: str(target)}
+    assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", outputs["-o"],
+                 "--sym", outputs["--sym"]]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: output is a directory: "
+            f"{quote_path(target, repr)}\n")
+    assert {path: path.read_bytes() for path in (shm, sym)} == before
+    assert sorted(shm.parent.iterdir()) == files_before
+
+
+def test_simulate_refuses_a_directory_log(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "rm.log").mkdir(parents=True)
+    (out / "messages.log").write_bytes(b"old log\n")
+    assert main(["simulate", str(DEMO_DATA / "board.scn"), "--out",
+                 str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: output is a directory: "
+            f"{quote_path(out / 'rm.log', repr)}\n")
+    assert (out / "messages.log").read_bytes() == b"old log\n"
+    assert sorted(p.name for p in out.iterdir()) == ["messages.log",
+                                                     "rm.log"]
+
+
 @pytest.mark.parametrize("option, value", [
     ("--t", "-1"),
     ("--t", str(2**64)),
@@ -1260,16 +1294,22 @@ def collections_inside_main(argv):
 
 
 def test_no_collection_pass_inside_main(tmp_path, capsys):
+    # the demo commands build too few records to start a pass; a whole load
+    # of the 8-core image starts several without the pause
     shm, sym = tmp_path / "cpu.shm", tmp_path / "cpu.sym"
     assert main(["compile", str(DEMO_DATA / "cpu.xml"), "-o", str(shm),
                  "--sym", str(sym)]) == 0
+    soc = tmp_path / "soc.shm"
+    soc.write_bytes(serialize(footprint.synthesize_map(8)))
     chain = (DEMO_DATA / "inject_chain.txt").read_text().splitlines()
     injects = [["inject", str(shm), *line.split()] for line in chain
                if not line.startswith("#")]
     for argv in [*injects,
                  ["rm", str(shm), "--sym", str(sym), "--maintenance",
                   "CPU.C3"],
-                 ["simulate", str(DEMO_DATA / "board.scn")]]:
+                 ["simulate", str(DEMO_DATA / "board.scn")],
+                 ["dump", str(soc)], ["prune", str(soc)],
+                 ["validate", str(soc)]]:
         assert collections_inside_main(argv) == (0, []), argv
     capsys.readouterr()
 
@@ -1548,6 +1588,80 @@ def test_loads_with_drawn_paths_end_in_an_exit_code(base, mutate, command,
         assert changed == []
     else:
         assert set(changed) <= {Path(argv[1]).name}
+
+
+@functools.cache
+def demo_image():
+    return compile_xml((DEMO_DATA / "cpu.xml").read_text())
+
+
+def tree_bytes(root: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in root.rglob("*")
+            if path.is_file()}
+
+
+# The output paths of `compile` and `simulate`, and the input paths of `rm`
+# and `affinity`, drawn as above, plus the same file named twice and an
+# output directory whose rm.log is a directory. Every run ends in exit 0, 1
+# or 2 with a short stderr, no traceback and no temp file; a nonzero exit
+# leaves every file as it was, and exit 0 changes only the command's
+# outputs.
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["compile", "simulate", "rm", "affinity"]),
+       data=st.data())
+def test_writes_with_drawn_paths_end_in_an_exit_code(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(DEMO_DATA, work, dirs_exist_ok=True)
+        image, sidecar = demo_image()
+        (work / "cpu.shm").write_bytes(image)
+        (work / "cpu.sym").write_text(sidecar.format())
+        (work / "old.shm").write_bytes(b"old image")
+        (work / "old.sym").write_bytes(b"old sidecar")
+        (work / "dir").mkdir()
+        (work / "trap" / "rm.log").mkdir(parents=True)
+        (work / "trap" / "messages.log").write_bytes(b"old log")
+        before = tree_bytes(work)
+
+        def path(label, names):
+            kind = data.draw(st.sampled_from(
+                [*names, "missing", "dir", "long name", "long path", "nul"]),
+                label=label)
+            return str(work / {
+                "long name": "n" * 300, "long path": "d/" * 2100 + "x",
+                "nul": "image\0.shm"}.get(kind, kind))
+
+        outputs = []
+        if command == "compile":
+            outputs.append(path("-o", ["old.shm", "old.sym"]))
+            argv = ["compile", str(work / "cpu.xml"), "-o", outputs[-1]]
+            if data.draw(st.booleans(), label="--sym"):
+                outputs.append(path("--sym", ["old.sym", "old.shm"]))
+                argv += ["--sym", outputs[-1]]
+        elif command == "simulate":
+            out = path("--out", ["trap"])
+            outputs += [str(Path(out) / "messages.log"),
+                        str(Path(out) / "rm.log")]
+            argv = ["simulate", str(work / "board.scn"), "--out", out]
+        else:
+            argv = [command, str(work / "cpu.shm")]
+            inputs = ["cpu.sym", "tasks.txt", "cpu.shm"]
+            if command == "affinity":
+                argv += ["--tasks", path("--tasks", inputs[::-1])]
+            if data.draw(st.booleans(), label="--sym"):
+                argv += ["--sym", path("--sym", inputs)]
+        code, _out, err = cli_outcome(argv)
+        assert code in (0, 1, 2)
+        assert len(err) <= 200 and "Traceback" not in err, err
+        assert list(work.rglob("*.tmp")) == []
+        after = tree_bytes(work)
+    if code:
+        assert after == before
+    else:
+        changed = {path for path in after if before.get(path) != after[path]}
+        assert {str(path) for path in changed} <= set(outputs)
 
 
 @pytest.mark.parametrize("argv, extra", [

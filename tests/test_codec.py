@@ -29,7 +29,7 @@ from healthmap import (
     synthesize_map,
     validate_image,
 )
-from healthmap import codec, faultmgr, resourcemap
+from healthmap import codec, faultmgr
 from healthmap.codec import (DEP_SIZE, DET_SIZE, DIAG_SIZE, FAULT_SIZE,
                              HEADER_SIZE, MODULE_SIZE, _check, _load,
                              _Reader)
@@ -369,17 +369,18 @@ def test_fault_with_both_enum_bytes_bad_names_persistence():
             deserialize(restamp(image))
 
 
-def test_zero_severity_fault_clears_maintenance_like_a_rebuild():
-    # no image holds a fault of severity ZERO, but a direct edit can make one
+def test_rebuild_counts_a_zero_severity_fault_as_no_fault():
+    # no image holds a fault of severity ZERO, but a direct edit can make
+    # one: it neither marks its module nor propagates, and only its
+    # persistence folds into its own entry
     image, hm = loaded(enum_map())
     image[hm.faults[0].shm_offset + 8] = 0
     with pytest.raises(BadLinkError, match="^invalid severity value 0$"):
         deserialize(restamp(image))
     hm.faults[0].severity = Severity.ZERO
-    rm = init_resource_map(hm, maintenance=[1])
-    rm.set_maintenance(1, False)
-    assert rm_state(rm) == rm_state(init_resource_map(hm))
-    assert rm.entry(2).status is ModuleStatus.AVAILABLE
+    assert rm_state(init_resource_map(hm)) == {
+        1: (Severity.ZERO, Persistence.ZERO, ModuleStatus.AVAILABLE),
+        2: (Severity.ZERO, Persistence.TRANSIENT, ModuleStatus.AVAILABLE)}
 
 
 def test_duplicate_diag_resource_id_rejected():
@@ -1632,8 +1633,7 @@ def test_partial_map_grows_only_through_its_loaded_module():
     assert updated == append_changes(image, full)
 
 
-@pytest.mark.parametrize("call", ["serialize", "prune", "init_resource_map",
-                                  "clear maintenance"])
+@pytest.mark.parametrize("call", ["serialize", "prune", "init_resource_map"])
 @pytest.mark.parametrize("detector", [20, 99, None])
 def test_partial_map_is_refused_where_every_list_is_read(call, detector):
     # a reader of every module's lists would take the part for the whole;
@@ -1651,12 +1651,9 @@ def test_partial_map_is_refused_where_every_list_is_read(call, detector):
         "serialize": lambda: serialize(part),
         "prune": lambda: prune(part),
         "init_resource_map": lambda: init_resource_map(part),
-        "clear maintenance": lambda: resourcemap.ResourceMap(
-            part).set_maintenance(1, False),
     }
     action = {"serialize": "serialize", "prune": "prune",
-              "init_resource_map": "build a resource map of",
-              "clear maintenance": "clear maintenance on"}[call]
+              "init_resource_map": "build a resource map of"}[call]
     with pytest.raises(FaultsNotBuiltError, match=(
             f"^cannot {action} a map loaded without all its faults$")):
         calls[call]()
@@ -1674,10 +1671,8 @@ def test_partial_map_is_refused_where_every_list_is_read(call, detector):
     assert part.snapshot() == before and part.faults == []
     assert append_changes(image, part) == image
     assert worst == [(1, Severity.LOW, Persistence.TRANSIENT)]
-    rm = init_resource_map(part, worst=worst)
-    rm.set_maintenance(1, True)
-    assert rm_state(rm) == rm_state(init_resource_map(deserialize(image),
-                                                      [1]))
+    assert (rm_state(init_resource_map(part, [1], worst=worst))
+            == rm_state(init_resource_map(deserialize(image), [1])))
 
 
 def test_partial_load_builds_a_detector_of_another_module_once():

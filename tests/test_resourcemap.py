@@ -210,31 +210,29 @@ def test_dependency_propagation_single_hop():
 
 
 def test_maintenance_marks_subtree(table1_map, table1_sidecar):
-    rm = init_resource_map(table1_map)
-    rm.set_maintenance(CPU_C3, True)
+    rm = init_resource_map(table1_map, maintenance=[CPU_C3])
     assert rm.entry(CPU_C3).status == ModuleStatus.MAINTENANCE
     fpu_c3 = table1_sidecar.id_for_name("CPU.C3.FPU")
     assert rm.entry(fpu_c3).status == ModuleStatus.MAINTENANCE
     assert rm.entry(1).status == ModuleStatus.AVAILABLE
 
 
-def test_unmark_fault_free_core(table1_map):
-    rm = init_resource_map(table1_map)
-    rm.set_maintenance(CPU_C3, True)
-    rm.set_maintenance(CPU_C3, False)
-    assert rm.entry(CPU_C3).status == ModuleStatus.AVAILABLE
-
-
-def test_unmark_restores_own_fault(table1_map):
-    hm = table1_map
-    report_detection(hm, DetectionReport(FPU_C0_INSTRUMENT, Severity.HIGH,
-                                         1, 0))
-    rm = init_resource_map(hm, maintenance=[12])
-    assert rm.entry(12).status == ModuleStatus.MAINTENANCE
-    rm.set_maintenance(12, False)
-    expected = oracle_resource_map(hm)
-    assert rm_state(rm)[12] == expected[12]
-    assert rm.entry(12).status == ModuleStatus.OWN_FAULT
+@pytest.mark.parametrize("roots", [[1, 2], [2, 1], [2]])
+def test_nested_maintenance_roots_match_the_oracle(roots):
+    # a map under maintenance at 1 and at its child 2 that lets go of 1 is
+    # the rebuild with root 2: modules 2 and 3 stay MAINTENANCE
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2, 1, Severity.HIGH)
+    hm.add_module(3, 2, Severity.HIGH)
+    hm.add_fault(2, Severity.LOW, Persistence.TRANSIENT, 1)
+    hm.add_fault(3, Severity.HIGH, Persistence.PERMANENT, 1)
+    rm = init_resource_map(hm, maintenance=roots)
+    assert rm_state(rm) == oracle_resource_map(hm, roots)
+    assert {rm.entry(2).status, rm.entry(3).status} == {
+        ModuleStatus.MAINTENANCE}
+    assert rm.entry(1).status is (ModuleStatus.MAINTENANCE if 1 in roots
+                                  else ModuleStatus.PROPAGATED_FAULT)
 
 
 def test_entry_encoding_is_seven_bytes(table1_map):
@@ -264,21 +262,6 @@ def test_encode_matches_entry_by_entry_encoding():
         assert rm.encode() == b"".join(
             RM_ENTRY.pack(e.module_id, e.severity, e.persistence, e.status)
             for e in map(rm.entries.get, hm.modules))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32), st.data())
-def test_clearing_maintenance_matches_rebuild(seed, data):
-    hm = random_health_map(random.Random(seed))
-    # a direct edit can make a fault of severity ZERO (add_fault and every
-    # load refuse one); clearing maintenance must not count it as OWN FAULT
-    for fault in hm.faults:
-        if data.draw(st.booleans()):
-            fault.severity = Severity.ZERO
-    root = data.draw(st.sampled_from(list(hm.modules)))
-    rm = init_resource_map(hm, maintenance=[root])
-    rm.set_maintenance(root, False)
-    assert rm_state(rm) == rm_state(init_resource_map(hm))
 
 
 def test_init_matches_oracle_on_random_maps():
@@ -643,7 +626,6 @@ def test_the_table_paths_make_no_entry_object(table1_map, table1_sidecar,
     rm = init_resource_map(hm, maintenance=[CPU_C3])
     rm.update_single_fault(12, Severity.MEDIUM, Persistence.PERMANENT,
                            ModuleStatus.OWN_FAULT)
-    rm.set_maintenance(CPU_C3, False)
     assert len(rm.encode()) == RM_ENTRY_SIZE * len(hm.modules)
     render_table(rm, table1_sidecar)
     compute_affinity(rm, table1_sidecar, [TaskRequirement("t", ["FPU"])])
