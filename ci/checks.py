@@ -165,24 +165,21 @@ def demo_tours():
           f"{digest}, expected {golden.LIBRARY_TOUR[:8]}...")
 
 
-# the installed hm builds one subcommand's parser; each command line must
-# end as it does through the full build_parser()
-FULL_PARSE = ("import sys; from healthmap.cli import build_parser; "
-              "build_parser().parse_args(sys.argv[1:])")
+# the installed `hm` console script ends each command line as the module
+# does: same stdout, stderr and exit code
 SURFACE = ("-h", "inject -h", "inject", "inject x --sev NONE", "rm x extra",
            "bogus")
 
 
 @step
 def cli_surface():
-    def ends(*argv) -> str:
-        proc = subprocess.run(argv, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, env=ENV, text=True)
-        return f"{proc.stdout}exit {proc.returncode}"
+    def ends(*argv) -> tuple[str, str, int]:
+        proc = subprocess.run(argv, capture_output=True, env=ENV, text=True)
+        return proc.stdout, proc.stderr, proc.returncode
 
     for line in SURFACE:
         got = ends("hm", *line.split())
-        want = ends(sys.executable, "-c", FULL_PARSE, *line.split())
+        want = ends(sys.executable, "-m", "healthmap.cli", *line.split())
         check(got == want, f"hm {line} gave\n{got}\nexpected\n{want}")
 
 

@@ -4,6 +4,10 @@ masks, prune, estimate footprints and run hierarchy simulations.
 
 Exit codes: 0 success, 1 validation/domain error, 2 usage error.
 
+A command line is parsed by its subcommand's parser alone, which reports
+every usage error, leftover arguments included, under its own usage; a line
+that names no subcommand goes to the `hm` listing parser.
+
 Each parser is built once per process (`build_parser` is cached): argparse
 keeps no state between parses, so a caller that runs `main` many times in
 one process, such as the test suite or the `perfbench` load model, pays
@@ -335,22 +339,17 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `hm` parser, or given a subcommand's name a parser of that
-    subcommand alone (`hm NAME`), which parses its arguments as the full
-    parser's subparser does and costs a fraction of the full parser. Each
-    is built once per process and shared: a parse leaves no state in it."""
-    if command is not None:
-        return _add_arguments(_Parser(prog=f"hm {command}"), command)
-    parser = _Parser(prog="hm", description="Health map toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_func, help_text, _arguments) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
-
-
-def _add_arguments(parser: argparse.ArgumentParser,
-                   command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand (`hm NAME`), or with no name the `hm`
+    listing parser, which holds no subcommand's arguments. Each is built
+    once per process and shared: a parse leaves no state in it."""
+    if command is None:
+        parser = _Parser(prog="hm", description="Health map toolkit")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (_func, help_text, _arguments) in _COMMANDS.items():
+            sub.add_parser(name, help=help_text)
+        return parser
     func, _help_text, arguments = _COMMANDS[command]
+    parser = _Parser(prog=f"hm {command}")
     for flags, options in arguments:
         parser.add_argument(*flags, **options)
     parser.set_defaults(func=func)
@@ -358,13 +357,10 @@ def _add_arguments(parser: argparse.ArgumentParser,
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's own parser; anything it leaves
-    over, and a command line that names no subcommand, goes to the full
-    parser, which reports it with the top-level usage."""
+    """Parse with the named subcommand's parser alone, else with the
+    listing parser."""
     if argv and argv[0] in _COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
+        return build_parser(argv[0]).parse_args(argv[1:])
     return build_parser().parse_args(argv)
 
 

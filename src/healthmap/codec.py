@@ -134,7 +134,7 @@ import struct
 import zlib
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NoReturn, Optional
 
 from .errors import (
     AppendError,
@@ -528,27 +528,26 @@ class _Reader:
 
     # -- link plumbing -----------------------------------------------------
 
-    def _section_offset(self, off: int, base: int, size: int, count: int,
-                        what: str) -> int:
+    def _refuse_offset(self, off: int, base: int, size: int, count: int,
+                       what: str) -> NoReturn:
+        """Raise for a link that is outside its section or off a record
+        boundary: the bounds error first."""
         end = base + size * count
         if not (base <= off < end) or off + size > self.total:
             raise OffsetOutOfBoundsError(
                 f"{what} offset {off} outside section [{base}, {end})")
-        if (off - base) % size:
-            raise OffsetMisalignedError(
-                f"{what} offset {off} not on a {size}-byte record boundary")
-        return off
+        raise OffsetMisalignedError(
+            f"{what} offset {off} not on a {size}-byte record boundary")
 
-    def _require_module(self, off: int) -> int:
-        m = self.counts[0]
-        return self._section_offset(off, self.mod_base, MODULE_SIZE, m,
-                                    "module")
+    def _refuse_module(self, off: int) -> NoReturn:
+        self._refuse_offset(off, self.mod_base, MODULE_SIZE, self.counts[0],
+                            "module")
 
     def _module_at(self, by_off: dict[int, Module], off: int) -> Module:
         module = by_off.get(off)
         if module is None:
-            # the module walk claimed every module slot, so this raises
-            module = by_off[self._require_module(off)]
+            # the module walk claimed every module slot in the section
+            self._refuse_module(off)
         return module
 
     def _walk_modules(self, m: int) -> dict[int, tuple]:
@@ -560,7 +559,7 @@ class _Reader:
         cur = base if m else 0
         while cur:
             if not base <= cur < end or (cur - base) % MODULE_SIZE:
-                self._require_module(cur)
+                self._refuse_module(cur)
             if cur in raw:
                 raise LinkCycleError(f"module list revisits offset {cur}")
             fields = raw[cur] = unpack(data, cur)
@@ -582,8 +581,8 @@ class _Reader:
             cur = fields[2]
             while cur:
                 if not base <= cur < end or (cur - base) % DIAG_SIZE:
-                    self._section_offset(cur, base, DIAG_SIZE, r,
-                                         "diag resource")
+                    self._refuse_offset(cur, base, DIAG_SIZE, r,
+                                        "diag resource")
                 if cur in walked:
                     raise LinkCycleError(
                         f"diag resource list revisits offset {cur}")
@@ -618,7 +617,7 @@ class _Reader:
             cur = fields[3]
             while cur:
                 if not base <= cur < end or (cur - base) % DEP_SIZE:
-                    self._section_offset(cur, base, DEP_SIZE, d, "dependency")
+                    self._refuse_offset(cur, base, DEP_SIZE, d, "dependency")
                 if cur in parsed:
                     raise LinkCycleError(
                         f"dependency list revisits offset {cur}")

@@ -130,41 +130,35 @@ class ChildMapping:
         downlink <nodeId> <diagResourceId>
 
     Every id is a u32, as the node, module and diag resource ids it names
-    are.
+    are. Routes are held by node, {node: {child module: parent module}},
+    so an ingest resolves its node once and each entry by child module.
     """
 
-    routes: dict[tuple[int, int], int] = field(default_factory=dict)
+    routes: dict[int, dict[int, int]] = field(default_factory=dict)
     downlinks: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # routes are fixed once the mapping is built: index them by node,
-        # {node: {child module: parent module}}, so an ingest resolves its
-        # node once and each entry by child module alone
-        self._node_routes: dict[int, dict[int, int]] = {}
-        for (node_id, child_module), parent_module in self.routes.items():
-            self._node_routes.setdefault(node_id, {})[child_module] = \
-                parent_module
-
     def knows_node(self, node_id: int) -> bool:
-        return node_id in self.downlinks or node_id in self._node_routes
+        return node_id in self.downlinks or node_id in self.routes
 
     @classmethod
     def parse(cls, text: str) -> "ChildMapping":
-        routes: dict[tuple[int, int], int] = {}
+        routes: dict[int, dict[int, int]] = {}
         downlinks: dict[int, int] = {}
         for lineno, line in text_lines(text):
             parts = line.split()
             try:
                 if (parts[0] == "child" and len(parts) == 5
                         and parts[3] == "->"):
-                    key = (int_token(parts[1], "node id", ScenarioError,
-                                     U32_MAX),
-                           int_token(parts[2], "child module id",
-                                     ScenarioError, U32_MAX))
-                    if key in routes:
-                        raise ScenarioError(f"duplicate route for {key}")
-                    routes[key] = int_token(parts[4], "parent module id",
-                                            ScenarioError, U32_MAX)
+                    node_id = int_token(parts[1], "node id", ScenarioError,
+                                        U32_MAX)
+                    child = int_token(parts[2], "child module id",
+                                      ScenarioError, U32_MAX)
+                    node_routes = routes.setdefault(node_id, {})
+                    if child in node_routes:
+                        raise ScenarioError(
+                            f"duplicate route for {(node_id, child)}")
+                    node_routes[child] = int_token(
+                        parts[4], "parent module id", ScenarioError, U32_MAX)
                 elif parts[0] == "downlink" and len(parts) == 3:
                     node_id = int_token(parts[1], "node id", ScenarioError,
                                         U32_MAX)
@@ -206,7 +200,7 @@ def ingest_summary(parent_hm: HealthMap, parent_rm: ResourceMap,
     _check_enum_bytes(body)
     if not mapping.knows_node(node_id):
         raise UnknownNodeError(f"summary from unmapped node {node_id}")
-    routes = mapping._node_routes.get(node_id, {})
+    routes = mapping.routes.get(node_id, {})
     detector_id = mapping.downlinks.get(node_id)
     has_detector = (detector_id is not None
                     and detector_id in parent_hm.diag_resources)

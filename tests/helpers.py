@@ -856,7 +856,8 @@ def reference_ingest_summary(parent_hm: HealthMap, parent_rm, message: bytes,
         for entry in entries:
             if entry.severity == Severity.ZERO:
                 continue
-            parent_module = mapping.routes.get((node_id, entry.module_id))
+            parent_module = mapping.routes.get(node_id, {}).get(
+                entry.module_id)
             if parent_module is None:
                 skipped += 1
                 continue

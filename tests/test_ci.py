@@ -2,9 +2,13 @@
 is written once. The workflow is read as text: no YAML library."""
 
 import importlib.util
+import os
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import golden
 
@@ -16,17 +20,34 @@ DIGEST = re.compile(
     rb"(?<![0-9a-fA-F])(?:[0-9a-f]{64}|[0-9a-f]{16})(?![0-9a-fA-F])")
 
 
-def checks_steps() -> list[str]:
+def load_checks():
     spec = importlib.util.spec_from_file_location("checks",
                                                   ROOT / "ci" / "checks.py")
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
-    return list(checks.STEPS)
+    return checks
 
 
 def test_every_step_is_called_by_one_workflow_step():
     calls = Counter(re.findall(r"ci/checks\.py\s+(\S+)", WORKFLOW.read_text()))
-    assert calls == Counter(checks_steps())
+    assert calls == Counter(list(load_checks().STEPS))
+
+
+def test_cli_surface_compares_the_console_script_with_the_module(
+        tmp_path, monkeypatch):
+    # `hm` here is what `pip install` writes for [project.scripts]
+    checks = load_checks()
+    script = tmp_path / "hm"
+    script.write_text(f"#!{sys.executable}\nimport sys\n"
+                      f"from healthmap.cli import main\nsys.exit(main())\n")
+    script.chmod(0o755)
+    monkeypatch.setitem(checks.ENV, "PATH",
+                        os.pathsep.join([str(tmp_path), checks.ENV["PATH"]]))
+    checks.cli_surface()
+    # a script that prints nothing and exits 0 does not pass
+    script.write_text(f"#!{sys.executable}\n")
+    with pytest.raises(checks.Failed):
+        checks.cli_surface()
 
 
 def test_each_digest_literal_appears_once():

@@ -102,6 +102,17 @@ def test_affinity_masks(compiled, tmp_path, capsys):
     assert capsys.readouterr().out == "fpu_task 0x6\nany 0x7\n"
 
 
+def test_affinity_core_of_no_module_in_the_image_exits_1(compiled, tmp_path,
+                                                       capsys):
+    shm, _sym = compiled
+    sym, tasks = tmp_path / "ghost.sym", tmp_path / "tasks.txt"
+    sym.write_text("999 GHOST core=0\n")
+    tasks.write_text("task any_core\n")
+    assert main(["affinity", str(shm), "--tasks", str(tasks),
+                 "--sym", str(sym)]) == 1
+    assert capsys.readouterr().err == "error: module 999 has no entry\n"
+
+
 def test_affinity_resolves_a_repeated_name_as_maintenance_does(
         compiled, tmp_path, capsys):
     shm, _sym = compiled
@@ -1135,9 +1146,10 @@ def test_every_public_name_resolves():
 
 
 # -- parser surface -----------------------------------------------------------
-# `main` builds only the parser of the subcommand it is given. Every command
-# line must still end as it does through the full parser: same exit code,
-# stdout and stderr, including the usage line of a top-level error.
+# `main` parses a command line with the parser of the subcommand it names
+# alone, which reports every usage error, leftover arguments included, under
+# that subcommand's usage; a line that names no subcommand goes to the `hm`
+# listing parser.
 
 SURFACE_CALLS = {
     "compile": ["compile", "table1.xml", "-o", "new.shm", "--sym", "new.sym"],
@@ -1176,29 +1188,66 @@ def cli_outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# the first usage line of each parser, as `hm` and `hm NAME -h` print it
+USAGE_LINES = {
+    None: "usage: hm [-h]",
+    "compile": "usage: hm compile [-h] -o OUTPUT [--sym SYM] xml",
+    "validate": "usage: hm validate [-h] shm",
+    "dump": "usage: hm dump [-h] [--sym SYM] shm",
+    "inject": "usage: hm inject [-h] --detector DETECTOR --sev "
+              "{LOW,MEDIUM,HIGH} --class",
+    "rm": "usage: hm rm [-h] [--sym SYM] [--maintenance MODULE] shm",
+    "affinity": "usage: hm affinity [-h] --tasks TASKS [--sym SYM] "
+                "[--maintenance MODULE] shm",
+    "prune": "usage: hm prune [-h] shm",
+    "estimate": "usage: hm estimate [-h] --cores CORES",
+    "simulate": "usage: hm simulate [-h] [--out OUT] scenario",
+}
+
+
+def expected_surface(command):
+    """(exit code, first usage line or None) of each line `surface_argvs`
+    gives, in its order. A refused value (`bogus` as a command, `inject`'s
+    bad --sev and --payload) gets argparse's message without the usage."""
+    usage = USAGE_LINES[command]
+    if command is None:
+        return [(2, usage), (0, usage), (2, None)]
+    bad_value = None if command == "inject" else usage
+    return [(0, None), (0, usage), (2, usage), (2, bad_value), (2, bad_value),
+            (2, usage)]
+
+
 @pytest.mark.parametrize("command", [None, *SURFACE_CALLS])
-def test_main_matches_full_parser(tmp_path, monkeypatch, command):
+def test_each_surface_line_ends_on_one_parser(tmp_path, monkeypatch,
+                                              command):
     template = tmp_path / "template"
     shutil.copytree(DEMO_DATA, template)
     shutil.copy(DATA_DIR / "table1.xml", template)
     image, sidecar = compile_xml((DATA_DIR / "table1.xml").read_text())
     (template / "table1.shm").write_bytes(image)
     (template / "table1.sym").write_text(sidecar.format())
-    full_parser = cli.build_parser
-    for i, argv in enumerate(surface_argvs(command)):
-        outcomes = []
-        for side in ("one command", "full"):
-            work = tmp_path / f"{i} {side}"
-            shutil.copytree(template, work)
-            monkeypatch.chdir(work)
-            with monkeypatch.context() as patch:
-                if side == "full":
-                    patch.setattr(cli, "_parse_args",
-                                  lambda argv: full_parser().parse_args(argv))
-                outcomes.append(cli_outcome(argv))
-        assert outcomes[0] == outcomes[1], argv
-        if argv[-1:] == ["extra"]:    # the top-level usage lists them all
-            assert ("{%s}" % ",".join(SURFACE_CALLS)) in outcomes[0][2]
+    prog = "hm" if command is None else f"hm {command}"
+    for i, (argv, expected) in enumerate(zip(surface_argvs(command),
+                                             expected_surface(command))):
+        work = tmp_path / str(i)
+        shutil.copytree(template, work)
+        monkeypatch.chdir(work)
+        code, out, err = cli_outcome(argv)
+        usage = next((line for line in (out + err).splitlines()
+                      if line.startswith("usage: ")), None)
+        assert (code, usage) == expected, argv
+        if code == 2:
+            assert out == "", argv
+            assert err.splitlines()[-1].startswith(f"{prog}: error: "), argv
+
+
+def test_option_before_the_subcommand_is_left_over():
+    # the listing parser knows no option but -h, so it leaves `--x`, and
+    # with the subcommand named, every argument after it
+    code, out, err = cli_outcome(["--x", "validate", "img"])
+    assert (code, out) == (2, "")
+    assert err.startswith(USAGE_LINES[None] + "\n")
+    assert err.endswith("hm: error: unrecognized arguments: --x img\n")
 
 
 def test_cached_parsers_carry_nothing_from_one_call_to_the_next(compiled,
@@ -1216,8 +1265,10 @@ def test_cached_parsers_carry_nothing_from_one_call_to_the_next(compiled,
     assert "MAINTENANCE" in capsys.readouterr().out
     assert main(rm) == 0
     assert capsys.readouterr().out == plain
-    # a usage error on either parser path, then a valid call
-    for bad in (["inject", str(shm), "--detector", "12"], rm + ["extra"]):
+    # a usage error on a subcommand's parser or the listing parser, then a
+    # valid call
+    for bad in (["inject", str(shm), "--detector", "12"], rm + ["extra"],
+                ["bogus"]):
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2
@@ -1245,19 +1296,15 @@ ATTACHED_DASHES = [
 ] + [("compile", "-o/--output", "-o--")]
 
 
-@pytest.mark.parametrize("parser", ["one command", "full"])
 @pytest.mark.parametrize("command, name, token", ATTACHED_DASHES)
 def test_option_given_attached_double_dash_is_usage_error(
-        tmp_path, monkeypatch, parser, command, name, token):
+        tmp_path, monkeypatch, command, name, token):
     shutil.copytree(DEMO_DATA, tmp_path, dirs_exist_ok=True)
     shutil.copy(DATA_DIR / "table1.xml", tmp_path)
     image, sidecar = compile_xml((DATA_DIR / "table1.xml").read_text())
     (tmp_path / "table1.shm").write_bytes(image)
     (tmp_path / "table1.sym").write_text(sidecar.format())
     monkeypatch.chdir(tmp_path)
-    if parser == "full":
-        monkeypatch.setattr(cli, "_parse_args",
-                            lambda argv: cli.build_parser().parse_args(argv))
     before = {path: path.read_bytes() for path in tmp_path.rglob("*")
               if path.is_file()}
     code, out, err = cli_outcome(SURFACE_CALLS[command] + [token])
@@ -1672,22 +1719,109 @@ def test_writes_with_drawn_paths_end_in_an_exit_code(command, data):
     (["rm", "IMAGE"], ["x" * 19, "y" * 20]),
 ], ids=["inject", "rm", "many tokens", "40 characters"])
 def test_unrecognized_long_line_is_quoted(compiled, argv, extra):
-    # argparse would echo the tokens whole, on either parser path; a line
-    # of QUOTED_CHARS characters or fewer keeps argparse's message
+    # argparse would echo the tokens whole; a line of QUOTED_CHARS
+    # characters or fewer keeps argparse's message, under the subcommand's
+    # usage
     shm, _sym = compiled
     before = shm.read_bytes()
+    prog = f"hm {argv[0]}"
     argv = [str(shm) if arg == "IMAGE" else arg for arg in argv]
     code, _out, err = cli_outcome(argv + extra)
     line = " ".join(extra)
     assert code == 2
     if len(line) > QUOTED_CHARS:
-        assert err == (f"hm: error: unrecognized arguments: "
+        assert err == (f"{prog}: error: unrecognized arguments: "
                        f"{quote_token(line)}\n")
         assert len(err) <= 200
     else:
-        assert err.startswith("usage: hm ")
-        assert err.endswith(f"hm: error: unrecognized arguments: {line}\n")
+        assert err.startswith(USAGE_LINES[argv[0]] + "\n")
+        assert err.endswith(f"{prog}: error: unrecognized arguments: "
+                            f"{line}\n")
     assert shm.read_bytes() == before
+
+
+# -- drawn command lines ------------------------------------------------------
+# Each subcommand's argv is drawn from its own arguments (`cli._COMMANDS`):
+# a full call, then some of it dropped and the rest shuffled, with options
+# repeated, written `--opt=value` or left without a value, and `--`,
+# unknown options and extra positionals mixed in, each token up to 3 000
+# characters. Every run ends in exit 0, 1 or 2 with no traceback and no
+# temp file; what follows a usage error's usage block is at most 200
+# characters (a usage block is fixed per command, and `hm inject`'s is
+# 146), and an exit-2 run changes no file.
+
+# a value each argument may take, named as its first flag or its name;
+# some are refused by the parser, some by the command
+ARGUMENT_VALUES = {
+    "xml": ["cpu.xml", "board.scn"], "-o": ["out.shm", "cpu.shm"],
+    "--sym": ["cpu.sym", "new.sym"], "shm": ["cpu.shm", "cpu.xml"],
+    "--detector": ["1", "999"], "--sev": ["LOW", "HIGH", "NONE"],
+    "--class": ["1", "300"], "--t": ["1000", "-1"],
+    "--payload": ["ff", "xyz"], "--maintenance": ["CPU.C3", "1", "GHOST"],
+    "--tasks": ["tasks.txt", "cpu.sym"], "--cores": ["8", "0"],
+    "scenario": ["board.scn", "cpu.xml"], "--out": ["out", "cpu.shm"],
+}
+LONG_TOKENS = st.integers(1, 3000).flatmap(lambda n: st.sampled_from(
+    ["x" * n, "--" + "x" * n, "9" * n, "x=" * (n // 2)]))
+HOSTILE_VALUES = st.one_of(st.sampled_from(["--", "-", ""]), LONG_TOKENS)
+STRAY_TOKENS = st.one_of(
+    st.sampled_from(["--", "-", "", "--bogus", "-x", "=", "-h"]),
+    LONG_TOKENS, st.text(max_size=20))
+
+
+def drawn_argv(data, command) -> list[str]:
+    arguments = [flags for flags, _options in cli._COMMANDS[command][2]]
+    # a hostile line may give any argument a hostile value
+    hostile = data.draw(st.booleans(), label="hostile")
+
+    def item(flags, forms):
+        values = st.sampled_from(ARGUMENT_VALUES[flags[0]])
+        given = data.draw(st.one_of(values, HOSTILE_VALUES) if hostile
+                          else values)
+        if not flags[0].startswith("-"):
+            return [given]
+        flag = data.draw(st.sampled_from(flags))
+        return {"apart": [flag, given], "joined": [f"{flag}={given}"],
+                "bare": [flag]}[data.draw(st.sampled_from(forms))]
+
+    # the full call, each argument kept 7 times in 8
+    items = [item(flags, ["apart", "joined"]) for flags in arguments
+             if data.draw(st.integers(0, 7))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            items.append([data.draw(STRAY_TOKENS)])
+        else:
+            items.append(item(data.draw(st.sampled_from(arguments)),
+                              ["apart", "joined", "bare"]))
+    order = data.draw(st.permutations(range(len(items))))
+    return [command, *(token for i in order for token in items[i])]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(list(cli._COMMANDS)), data=st.data())
+def test_drawn_command_lines_end_in_an_exit_code(command, data):
+    argv = drawn_argv(data, command)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(DEMO_DATA, work, dirs_exist_ok=True)
+        image, sidecar = demo_image()
+        (work / "cpu.shm").write_bytes(image)
+        (work / "cpu.sym").write_text(sidecar.format())
+        before = tree_bytes(work)
+        home = os.getcwd()
+        os.chdir(work)
+        try:
+            code, _out, err = cli_outcome(argv)
+        finally:
+            os.chdir(home)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err, err
+        usage = cli.build_parser(command).format_usage()
+        assert len(err.removeprefix(usage)) <= 200, err
+        assert list(work.rglob("*.tmp")) == []
+        if code == 2:
+            assert tree_bytes(work) == before
 
 
 # -- text-input errors quote their tokens --------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 import struct
 from pathlib import Path
 from unittest import mock
@@ -132,6 +133,29 @@ def test_serialize_rejects_invalid_structure():
     module.parent = module
     with pytest.raises(StructureInvalidError):
         serialize(hm)
+
+
+def test_serialize_rejects_a_self_dependency():
+    hm = HealthMap()
+    hm.add_module(1)
+    hm.add_module(2, 1)
+    dep = hm.add_dependency(1, 2, Severity.LOW)
+    dep.dependent = dep.provider
+    with pytest.raises(StructureInvalidError,
+                       match=r"SelfDependency\(1\): module depends on itself"):
+        serialize(hm)
+
+
+def test_serialize_rejects_counts_the_header_cannot_hold():
+    # R is a u16 header field
+    hm = HealthMap()
+    hm.add_module(1)
+    for rid in range(0x10000):
+        hm.add_diag_resource(rid, 1)
+    with pytest.raises(StructureInvalidError,
+                       match=re.escape("(M=1 R=65536 D=0 F=0 FD=0)")):
+        serialize(hm)
+    assert set(all_offsets(hm)) == {None}
 
 
 # -- deserialize -----------------------------------------------------------------
@@ -446,6 +470,13 @@ CHECK_PASS_CASES = {
     "parent cycle": (
         {32 + 4: 57}, {}, LinkCycleError,
         "parent chain of module 1: cycle through module 1"),
+    "dependency cycle": (
+        {155 + 4: 146}, {}, LinkCycleError,
+        "dependency list revisits offset 146"),
+    # module 1's first-dependency link
+    "dependency count": (
+        {32 + 12: 0}, {}, RecordCountError,
+        "walked 0 dependencies, header says 2"),
     "fault severity ZERO": (
         {}, {176 + 8: 0}, BadLinkError, "invalid severity value 0"),
     "fault persistence ZERO": (

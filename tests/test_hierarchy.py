@@ -199,7 +199,7 @@ def test_ingest_route_to_missing_module_keeps_map_in_step(table1_map):
 
 
 def test_mapping_built_directly_knows_its_nodes():
-    mapping = ChildMapping(routes={(3, 12): 2}, downlinks={4: 5})
+    mapping = ChildMapping(routes={3: {12: 2}}, downlinks={4: 5})
     assert mapping.knows_node(3) and mapping.knows_node(4)
     assert not mapping.knows_node(12)
 
@@ -308,9 +308,9 @@ def ingest_cases(draw):
         for child in CHILD_MODULES:   # ascending, so a low byte comes first
             parent = draw(targets)
             if child > 0xFF and draw(st.booleans()):
-                parent = routes.get((node, child & 0xFF))
+                parent = routes.get(node, {}).get(child & 0xFF)
             if parent is not None:
-                routes[node, child] = parent
+                routes.setdefault(node, {})[child] = parent
     gaps = st.integers(0, 3 * DEFAULT_MERGE_WINDOW_US // 2)
     steps = draw(st.lists(st.tuples(gaps, summary_messages()),
                           min_size=1, max_size=4))
@@ -399,9 +399,9 @@ def recording_cases(draw):
     ids = st.integers(1, n)
     deps = [(p, d, sev) for p, d, sev in draw(st.lists(
         st.tuples(ids, ids, SEVERITIES), max_size=n)) if p != d]
-    routes = {(1, child): parent for child, parent in enumerate(
+    routes = {1: {child: parent for child, parent in enumerate(
         draw(st.lists(st.one_of(st.none(), ids), min_size=4, max_size=4)),
-        1) if parent is not None}
+        1) if parent is not None}}
     gaps = st.integers(0, 3 * DEFAULT_MERGE_WINDOW_US // 2)
     steps = draw(st.lists(st.one_of(
         st.tuples(st.just("report"), gaps, ids,
@@ -476,7 +476,7 @@ def detections_per_pair():
     child_rm.entries[1].severity = Severity.HIGH
     child_rm.entries[1].persistence = Persistence.TRANSIENT
     summary = encode_summary(1, child_rm)
-    mapping = ChildMapping(routes={(1, 1): 2}, downlinks={1: DOWNLINK})
+    mapping = ChildMapping(routes={1: {1: 2}}, downlinks={1: DOWNLINK})
     for t in (0, 1):
         ingest_summary(hm, rm, summary, mapping, t)
     return [len(hm.modules[mid].faults[0].detections) for mid in (1, 2)]
@@ -491,10 +491,18 @@ def test_one_merge_window_serves_reports_and_summaries():
 def test_mapping_parse_errors():
     with pytest.raises(ScenarioError):
         ChildMapping.parse("child 1 12 2\n")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=(
+            r"^mapping line 2: duplicate route for \(1, 12\)$")):
         ChildMapping.parse("child 1 12 -> 2\nchild 1 12 -> 3\n")
     with pytest.raises(ScenarioError, match="mapping line 2: bad diag"):
         ChildMapping.parse("child 1 12 -> 2\ndownlink 1 five\n")
+
+
+def test_mapping_holds_routes_by_node():
+    # one child module id on two nodes is two routes
+    mapping = ChildMapping.parse("child 1 12 -> 2\nchild 2 12 -> 3\n"
+                                 "child 1 13 -> 2\n")
+    assert mapping.routes == {1: {12: 2, 13: 2}, 2: {12: 3}}
 
 
 def test_mapping_duplicate_downlink_names_its_line():

@@ -129,6 +129,12 @@ def test_update_single_fault_max_semantics(table1_map):
     assert rm_state(rm) == before
 
 
+def test_entry_of_unknown_module(table1_map):
+    rm = init_resource_map(table1_map)
+    with pytest.raises(UnknownModuleError, match="^module 999 has no entry$"):
+        rm.entry(999)
+
+
 def test_update_unknown_module(table1_map):
     rm = init_resource_map(table1_map)
     with pytest.raises(UnknownModuleError):
